@@ -2,11 +2,12 @@ package dstore
 
 import "dstore/internal/server"
 
-// This file extracts the store surface shared by the single-instance *Store
-// and the hash-partitioned *Sharded (shard.go), so every consumer — the
-// network backend (net.go), the benchmark harness (internal/bench via
-// kv.go), and the cmd binaries — drives either through one pair of
-// interfaces instead of duplicating per-backend plumbing.
+// This file declares the store surface. *Store is the per-shard engine and
+// *Sharded the ring of engines; both implement API, a *Store as a ring of
+// one. Everything above the engine — the network backend (net.go), the
+// benchmark adapter (kv.go), transactions and batched operations, the cmd
+// binaries — is written once against API and Context and serves either
+// shape.
 
 // Context is the per-goroutine request surface (paper Table 2: ds_init /
 // ds_finalize and the operations between them). *Ctx implements it for a
@@ -95,10 +96,37 @@ type API interface {
 	Close() error
 	// CloseNoCheckpoint stops the store without the final checkpoint.
 	CloseNoCheckpoint() error
+	// MPut stores values[i] under keys[i] as independent sub-operations
+	// applied concurrently — so their WAL records share group-commit fences
+	// (DESIGN.md §14) — and returns one verdict per sub-op. epoch is the
+	// ring epoch the caller routed under: a sub-op applied after the ring
+	// moved past it fails with ErrNotMine; 0 skips the check.
+	MPut(epoch uint64, keys []string, values [][]byte) []error
+	// MGet reads keys the same way; vals[i] is valid iff errs[i] is nil.
+	MGet(epoch uint64, keys []string) (vals [][]byte, errs []error)
+	// MDelete removes keys the same way.
+	MDelete(epoch uint64, keys []string) []error
 	// NetBackend exposes the store as a wire-protocol server backend.
 	NetBackend() server.Backend
 	// NewNetServer returns a wire-protocol TCP server over the store.
 	NewNetServer(opt ServeOptions) *server.Server
+}
+
+// members returns the engines behind api, in shard order: a bare store is
+// its own single member. The adapters above the API (the network backend,
+// KV) use it for what only an engine can answer — per-shard rows, devices.
+func members(api API) []*Store {
+	switch a := api.(type) {
+	case *Store:
+		return []*Store{a}
+	case *Sharded:
+		ms := make([]*Store, a.Shards())
+		for i := range ms {
+			ms[i] = a.store(i)
+		}
+		return ms
+	}
+	return nil
 }
 
 // NewContext implements API; it is Init under the interface's name (Init

@@ -126,34 +126,16 @@ func (p *mopPool) stop() {
 	})
 }
 
-// MPut applies the puts concurrently and returns one verdict per sub-op.
-// The epoch is ignored: a single store has no routing ring.
+// MPut, MGet and MDelete on a bare store are the sharded ones over its ring
+// of one. The epoch is dropped: a bare store has no routing ring for a
+// caller to have fallen behind.
 func (s *Store) MPut(_ uint64, keys []string, values [][]byte) []error {
-	errs := make([]error, len(keys))
-	c := s.Init()
-	defer c.Finalize()
-	s.mops.run(len(keys), func(i int) { errs[i] = c.Put(keys[i], values[i]) })
-	return errs
+	return s.self.MPut(0, keys, values)
 }
 
-// MGet reads the keys concurrently; vals[i] is valid iff errs[i] is nil.
-func (s *Store) MGet(_ uint64, keys []string) ([][]byte, []error) {
-	vals := make([][]byte, len(keys))
-	errs := make([]error, len(keys))
-	c := s.Init()
-	defer c.Finalize()
-	s.mops.run(len(keys), func(i int) { vals[i], errs[i] = c.Get(keys[i], nil) })
-	return vals, errs
-}
+func (s *Store) MGet(_ uint64, keys []string) ([][]byte, []error) { return s.self.MGet(0, keys) }
 
-// MDelete removes the keys concurrently and returns one verdict per sub-op.
-func (s *Store) MDelete(_ uint64, keys []string) []error {
-	errs := make([]error, len(keys))
-	c := s.Init()
-	defer c.Finalize()
-	s.mops.run(len(keys), func(i int) { errs[i] = c.Delete(keys[i]) })
-	return errs
-}
+func (s *Store) MDelete(_ uint64, keys []string) []error { return s.self.MDelete(0, keys) }
 
 // epochGuard fails a sub-op routed under a ring epoch the store has moved
 // past. Batches are not atomic with respect to resharding: an AddShard can

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"dstore/internal/pmem"
-	"dstore/internal/ssd"
 )
 
 // Crash-point sweep over batched operations: run a deterministic MPut /
@@ -179,42 +178,19 @@ func runBatchCrashPoint(t *testing.T, cfg Config, ops []batchOp, crashAt uint64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm, _ := s.Devices()
+	pm, data := s.Devices()
 
-	var count uint64
-	armed := true
-	pm.SetMutationHook(func() {
-		if !armed {
-			return
-		}
-		count++
-		if count == crashAt {
-			armed = false
-			panic(crashSentinel)
-		}
-	})
-
-	crashed := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if r != crashSentinel {
-					panic(r)
-				}
-				crashed = true
-			}
-		}()
+	crashed := runToCrash([]*pmem.Device{pm}, crashAt, s.CloseNoCheckpoint, func() {
 		if err := runBatchRounds(s); err != nil {
 			t.Fatalf("crash point %d: workload error before crash: %v", crashAt, err)
 		}
-	}()
-	pm.SetMutationHook(nil)
+	})
 	if !crashed {
 		s.Close()
 		return
 	}
 
-	cfg.PMEM, cfg.SSD = pm, func() *ssd.Device { _, d := s.Devices(); return d }()
+	cfg.PMEM, cfg.SSD = pm, data
 	pm.Crash(pmem.CrashDropDirty, int64(crashAt))
 	s2, err := Open(cfg)
 	if err != nil {

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"dstore"
 	"dstore/internal/client"
@@ -119,7 +118,7 @@ func TestNetBatchEquivalence(t *testing.T) {
 		}
 		defer c.Close()
 		ctx := context.Background()
-		b := client.NewBatcher(c, client.BatcherConfig{MaxWait: 100 * time.Microsecond})
+		b := client.NewBatcher(c, client.BatcherConfig{})
 
 		// Each goroutine owns a disjoint key range, so the final state is
 		// deterministic regardless of interleaving.

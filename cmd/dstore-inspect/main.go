@@ -19,69 +19,38 @@ import (
 
 	"dstore"
 	"dstore/internal/client"
-	"dstore/internal/dipper"
 	"dstore/internal/ring"
+	"dstore/internal/server"
 	"dstore/internal/wal"
 	"dstore/internal/wire"
 )
 
-// ringLine formats the routing ring for both the local and remote views.
-func ringLine(r *ring.Ring) string {
-	return fmt.Sprintf("ring: epoch=%d mode=%s members=%d", r.Epoch(), r.Mode(), r.Len())
-}
-
-// inspectRemote fetches and prints a live server's counters and health;
-// with promote it first asks the server to promote its standby backend for
-// writes (the remote failover trigger). Sharded servers return per-shard
-// rows after the aggregates; those print as a table.
-func inspectRemote(addr string, promote bool) {
-	c, err := client.Dial(client.Config{Addr: addr, Conns: 1})
-	if err != nil {
-		log.Fatalf("dial %s: %v", addr, err)
-	}
-	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	if promote {
-		if err := c.Promote(ctx); err != nil {
-			log.Fatalf("promote: %v", err)
-		}
-		fmt.Printf("promoted: %s now accepts writes\n", addr)
-	}
-	st, err := c.Stats(ctx)
-	if err != nil {
-		log.Fatalf("stats: %v", err)
-	}
-	// Sharded servers also expose their routing ring; single-store servers
-	// refuse OpRing with BAD_REQUEST, which just means there is no ring to
-	// print.
-	var rg *ring.Ring
-	if r, rerr := c.Ring(ctx); rerr == nil {
-		rg = r
-	}
-	h, err := c.Health(ctx)
-	if err != nil {
-		log.Fatalf("health: %v", err)
-	}
-	fmt.Printf("--- %s ---\n", addr)
+// report prints a store's counters and health from its STATS and HEALTH
+// replies — the one view of a store that every shape (bare store, ring) and
+// both sides of the wire share; rg is its routing ring, nil when it has
+// none. Sharded stores carry per-shard rows after the aggregates; those
+// print as a table.
+func report(title string, st wire.StatsReply, h wire.HealthReply, rg *ring.Ring) {
+	fmt.Printf("--- %s ---\n", title)
 	fmt.Printf("ops:  puts=%d gets=%d deletes=%d reads=%d writes=%d opens=%d\n",
 		st.Puts, st.Gets, st.Deletes, st.Reads, st.Writes, st.Opens)
 	fmt.Printf("objs: live=%d ckpts=%d replayed=%d\n",
 		st.Objects, st.Checkpoints, st.RecordsReplayed)
 	if rg != nil {
-		fmt.Println(ringLine(rg))
+		fmt.Printf("ring: epoch=%d mode=%s members=%d\n", rg.Epoch(), rg.Mode(), rg.Len())
 	}
 	fmt.Printf("foot: dram=%dKiB pmem=%dKiB ssd=%dKiB\n",
 		st.DRAMBytes>>10, st.PMEMBytes>>10, st.SSDBytes>>10)
-	fmt.Printf("srv:  conns=%d requests=%d\n", st.ServerConns, st.ServerRequests)
+	if st.ServerConns > 0 { // only a server counts connections; ours is one
+		fmt.Printf("srv:  conns=%d requests=%d\n", st.ServerConns, st.ServerRequests)
+	}
 	if c := st.Cache; c != nil {
 		fmt.Printf("cache: hits=%d misses=%d ratio=%.1f%% evict=%d bytes=%dKiB/%dKiB\n",
-			c.Hits, c.Misses, hitRatio(c.Hits, c.Misses), c.Evictions, c.Bytes>>10, c.Capacity>>10)
+			c.Hits, c.Misses, pct(c.Hits, c.Misses), c.Evictions, c.Bytes>>10, c.Capacity>>10)
 	}
 	if x := st.Txn; x != nil {
 		fmt.Printf("txn:  commits=%d aborts=%d conflicts=%d conflictRate=%.1f%%\n",
-			x.Commits, x.Aborts, x.Conflicts, conflictRate(x.Commits, x.Conflicts))
+			x.Commits, x.Aborts, x.Conflicts, pct(x.Conflicts, x.Commits))
 	}
 	if b := st.Batch; b != nil {
 		fmt.Printf("gc:   batches=%d records=%d parked=%d avg=%.1f recs/fence\n",
@@ -123,7 +92,7 @@ func inspectRemote(addr string, promote bool) {
 			ch := "-"
 			if st.Cache != nil && i < len(st.Cache.Shards) {
 				cs := st.Cache.Shards[i]
-				ch = fmt.Sprintf("%.1f", hitRatio(cs.Hits, cs.Misses))
+				ch = fmt.Sprintf("%.1f", pct(cs.Hits, cs.Misses))
 			}
 			fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\t%s\n",
 				i, row.Puts, row.Gets, row.Deletes, row.Objects,
@@ -134,184 +103,250 @@ func inspectRemote(addr string, promote bool) {
 	}
 }
 
-// hitRatio returns hits as a percentage of all cache probes (0 when idle).
-func hitRatio(hits, misses uint64) float64 {
-	if hits+misses == 0 {
+// pct returns part as a percentage of part+rest (0 when both are zero):
+// the cache hit ratio of hits and misses, the conflict rate of conflicts and
+// commits.
+func pct(part, rest uint64) float64 {
+	if part+rest == 0 {
 		return 0
 	}
-	return 100 * float64(hits) / float64(hits+misses)
+	return 100 * float64(part) / float64(part+rest)
 }
 
-// conflictRate returns conflicts as a percentage of all commit attempts
-// (0 when no transactions ran).
-func conflictRate(commits, conflicts uint64) float64 {
-	if commits+conflicts == 0 {
-		return 0
+// inspectRemote fetches and prints a live server's counters and health;
+// with promote it first asks the server to promote its standby backend for
+// writes (the remote failover trigger).
+func inspectRemote(addr string, promote bool) {
+	c, err := client.Dial(client.Config{Addr: addr, Conns: 1})
+	if err != nil {
+		log.Fatalf("dial %s: %v", addr, err)
 	}
-	return 100 * float64(conflicts) / float64(commits+conflicts)
-}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 
-// gcLine prints the WAL group-commit counters when any record has settled
-// through a shared fence (DESIGN.md §14); silent otherwise, mirroring the
-// wire protocol's omit-when-zero batch section.
-func gcLine(es dipper.Stats) {
-	if es.GCBatches == 0 {
-		return
+	if promote {
+		if err := c.Promote(ctx); err != nil {
+			log.Fatalf("promote: %v", err)
+		}
+		fmt.Printf("promoted: %s now accepts writes\n", addr)
 	}
-	fmt.Printf("gc:   batches=%d records=%d parked=%d avg=%.1f recs/fence\n",
-		es.GCBatches, es.GCRecords, es.GCParked,
-		float64(es.GCRecords)/float64(es.GCBatches))
+	st, err := c.Stats(ctx)
+	if err != nil {
+		log.Fatalf("stats: %v", err)
+	}
+	// Sharded servers also expose their routing ring; single-store servers
+	// refuse OpRing with BAD_REQUEST, which just means there is no ring to
+	// print.
+	rg, _ := c.Ring(ctx) //nolint:errcheck // no ring is a valid answer
+	h, err := c.Health(ctx)
+	if err != nil {
+		log.Fatalf("health: %v", err)
+	}
+	report(addr, st, h, rg)
 }
 
-// mputTour applies one batched MPut so the gc: counters in the surrounding
-// dumps are live: the sub-ops fan out across appliers and their records
-// settle through shared group-commit fences.
-func mputTour(bs interface {
-	MPut(epoch uint64, keys []string, values [][]byte) []error
-}, val []byte) {
+// reportLocal prints an in-process store through the same replies a server
+// over it would send.
+func reportLocal(when string, api dstore.API) {
+	b := api.NetBackend()
+	var rg *ring.Ring
+	if r, ok := b.(server.Ringer); ok {
+		rg, _ = ring.Decode(r.RingData()) //nolint:errcheck // the store just encoded it
+	}
+	report(when, b.Stats(), b.Health(), rg)
+}
+
+// engineLine prints a bare store's DIPPER state: the durable root, log
+// occupancy, and shadow-arena traffic that no reply carries.
+func engineLine(st *dstore.Store) {
+	e := st.Engine()
+	root, err := e.RootState()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("root: seq=%d activeLog=%d shadowGen=%d ckptInProgress=%d lastCkptLSN=%d\n",
+		root.Seq, root.ActiveLog, root.ShadowGen, root.CkptInProgress, root.LastCkptLSN)
+	fmt.Printf("log:  lastLSN=%d inflight=%d free=%.0f%% shadowCloned=%dB\n",
+		e.Pair().LastLSN(), e.Pair().InFlight(), 100*e.Pair().FreeFraction(), e.Stats().ShadowBytesCloned)
+}
+
+// txnTour exercises the transaction path so the txn counters in the
+// surrounding dumps are live: a committed two-key swap, then an induced
+// commit-time conflict (a plain Put lands between a transaction's read and
+// its commit). On a ring the two keys may live on different shards, which
+// makes the swap a two-phase commit.
+func txnTour(ctx dstore.Context) {
+	a, b := "object-000000", "object-000001"
+	must := func(err error) {
+		if err != nil {
+			log.Fatal(err)
+		}
+	}
+	txn, err := ctx.Begin()
+	must(err)
+	va, err := txn.Get(a, nil)
+	must(err)
+	vb, err := txn.Get(b, nil)
+	must(err)
+	must(txn.Put(a, vb))
+	must(txn.Put(b, va))
+	must(txn.Commit())
+	txn2, err := ctx.Begin()
+	must(err)
+	_, err = txn2.Get(a, nil)
+	must(err)
+	must(txn2.Put(a, va))
+	must(ctx.Put(a, vb))
+	if err := txn2.Commit(); !errors.Is(err, dstore.ErrTxnConflict) {
+		log.Fatalf("expected txn conflict, got %v", err)
+	}
+	fmt.Println("ran one committed swap transaction and one induced OCC conflict")
+}
+
+// dumpActiveLog prints up to n records of a bare store's active log.
+func dumpActiveLog(st *dstore.Store, n int) {
+	fmt.Printf("--- active log (first %d records) ---\n", n)
+	pair := st.Engine().Pair()
+	states := map[uint8]string{0: "uncommitted", 1: "committed", 2: "dead"}
+	errDone := errors.New("done")
+	seen := 0
+	if err := pair.Log(pair.ActiveIndex()).IterateAll(func(rv wal.RecordView) error {
+		if seen >= n {
+			return errDone
+		}
+		seen++
+		fmt.Printf("  lsn=%-6d op=%d state=%-11s name=%q payload=%dB\n",
+			rv.LSN, rv.Op, states[rv.State], rv.Name, len(rv.Payload))
+		return nil
+	}); err != nil && !errors.Is(err, errDone) {
+		log.Fatal(err)
+	}
+	fmt.Println()
+}
+
+// inspectLocal builds a local store — a bare one, or with shards > 1 a ring
+// — exercises it, dumps it at each step, then power-fails it at the worst
+// point and recovers. Both shapes take the same tour; a ring additionally
+// grows by one shard while serving, and recovers its shards in parallel.
+func inspectLocal(shards, objects, cacheMB, dumpLog int, crash bool) {
+	cfg := dstore.Config{TrackPersistence: true, CacheBytes: uint64(cacheMB) << 20}
+	var api dstore.API
+	var err error
+	if shards > 1 {
+		api, err = dstore.FormatSharded(shards, cfg)
+	} else {
+		api, err = dstore.Format(cfg)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	dump := func(when string) {
+		reportLocal(when, api)
+		if st, ok := api.(*dstore.Store); ok {
+			engineLine(st)
+		}
+		fmt.Println()
+	}
+	key := func(i int) string { return fmt.Sprintf("object-%06d", i) }
+	readAll := func(ctx dstore.Context) (ok int) {
+		for i := 0; i < objects; i++ {
+			if _, err := ctx.Get(key(i), nil); err == nil {
+				ok++
+			}
+		}
+		return ok
+	}
+
+	dump("fresh store")
+	ctx := api.NewContext()
+	val := make([]byte, 4096)
+	for i := 0; i < objects; i++ {
+		if err := ctx.Put(key(i), val); err != nil {
+			log.Fatal(err)
+		}
+	}
+	// One batched MPut so the gc: counters are live: the sub-ops fan out
+	// across appliers and their records settle through shared group-commit
+	// fences.
 	keys := make([]string, 64)
-	vals := make([][]byte, 64)
+	vals := make([][]byte, len(keys))
 	for i := range keys {
-		keys[i] = fmt.Sprintf("batch-%06d", i)
-		vals[i] = val
+		keys[i], vals[i] = fmt.Sprintf("batch-%06d", i), val
 	}
-	for _, e := range bs.MPut(0, keys, vals) {
+	for _, e := range api.MPut(0, keys, vals) {
 		if e != nil {
 			log.Fatal(e)
 		}
 	}
 	fmt.Printf("applied one %d-key MPut batch (sub-ops share group-commit fences)\n", len(keys))
-}
-
-// txnLine prints the transaction counters when any transaction has run.
-func txnLine(st dstore.Stats) {
-	if st.TxnCommits+st.TxnAborts+st.TxnConflicts == 0 {
-		return
+	if objects >= 2 {
+		txnTour(ctx)
 	}
-	fmt.Printf("txn:  commits=%d aborts=%d conflicts=%d conflictRate=%.1f%%\n",
-		st.TxnCommits, st.TxnAborts, st.TxnConflicts,
-		conflictRate(st.TxnCommits, st.TxnConflicts))
-}
-
-// inspectSharded builds a local sharded store, exercises it, prints the
-// aggregate and per-shard views, then crashes every shard and recovers them
-// in parallel — the sharded analogue of the single-store tour.
-func inspectSharded(shards, objects, cacheMB int) {
-	cfg := dstore.Config{TrackPersistence: true, CacheBytes: uint64(cacheMB) << 20}
-	sh, err := dstore.FormatSharded(shards, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ctx := sh.Init()
-	val := make([]byte, 4096)
-	for i := 0; i < objects; i++ {
-		if err := ctx.Put(fmt.Sprintf("object-%06d", i), val); err != nil {
-			log.Fatal(err)
-		}
-	}
-	dumpShards := func(when string) {
-		fmt.Printf("--- %s (%d shards) ---\n", when, sh.Shards())
-		st := sh.Stats()
-		fmt.Printf("aggregate: puts=%d gets=%d objs=%d ckpts=%d replayed=%d\n",
-			st.Puts, st.Gets, sh.Count(), st.Engine.Checkpoints, st.Engine.RecordsReplayed)
-		gcLine(st.Engine)
-		if r, err := ring.Decode(sh.RingData()); err == nil {
-			fmt.Println(ringLine(r))
-		}
-		if hh := sh.Health(); hh.Degraded {
-			fmt.Printf("health: DEGRADED shard=%d (%s)\n", hh.DegradedShard, hh.Reason)
-		}
-		agg := sh.CacheStats()
-		if agg.Capacity > 0 {
-			fmt.Printf("cache: hits=%d misses=%d ratio=%.1f%% evict=%d inval=%d bytes=%dKiB/%dKiB\n",
-				agg.Hits, agg.Misses, hitRatio(agg.Hits, agg.Misses),
-				agg.Evictions, agg.Invalidations, agg.Bytes>>10, agg.Capacity>>10)
-		}
-		txnLine(st)
-		// The keys column is ShardKeyCounts, not per-shard Count(): the raw
-		// count includes the reserved ring object on shard 0 and would be
-		// off by one there.
-		keys := sh.ShardKeyCounts()
-		tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "shard\tputs\tkeys\tckpts\treplayed\tpmemKiB\tssdKiB\tcacheHit%\thealth")
-		for i := 0; i < sh.Shards(); i++ {
-			ss := sh.ShardStats(i)
-			fp := sh.Shard(i).Footprint()
-			hs := "healthy"
-			if hh := sh.ShardHealth(i); hh.Degraded {
-				hs = fmt.Sprintf("DEGRADED (%s)", hh.Reason)
-			}
-			ch := "-"
-			if agg.Capacity > 0 {
-				cs := sh.ShardCacheStats(i)
-				ch = fmt.Sprintf("%.1f", hitRatio(cs.Hits, cs.Misses))
-			}
-			fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\t%s\n",
-				i, ss.Puts, keys[i], ss.Engine.Checkpoints,
-				ss.Engine.RecordsReplayed, fp.PMEMBytes>>10, fp.SSDBytes>>10, ch, hs)
-		}
-		tw.Flush()
-		fmt.Println()
-	}
-	mputTour(sh, val)
-	dumpShards(fmt.Sprintf("after %d puts", objects))
+	dump(fmt.Sprintf("after %d puts", objects))
 	if cacheMB > 0 {
 		// Two read passes: the first warms the cache, the second hits it, so
-		// the table shows a real ratio rather than a cold zero.
-		for pass := 0; pass < 2; pass++ {
-			for i := 0; i < objects; i++ {
-				if _, err := ctx.Get(fmt.Sprintf("object-%06d", i), nil); err != nil {
-					log.Fatal(err)
-				}
-			}
+		// the dump shows a real ratio rather than a cold zero.
+		readAll(ctx)
+		readAll(ctx)
+		dump("after 2 read passes")
+	}
+	if st, ok := api.(*dstore.Store); ok && dumpLog > 0 {
+		dumpActiveLog(st, dumpLog)
+	}
+	if err := api.CheckpointNow(); err != nil {
+		log.Fatal(err)
+	}
+	dump("after explicit checkpoint")
+
+	if sh, ok := api.(*dstore.Sharded); ok {
+		// Live reshard: the migration streams moving keys to the new member
+		// and flips the routing epoch; the dump shows the redistributed key
+		// counts, and the crash below then proves the flipped ring is what
+		// recovery restores.
+		fmt.Println("adding a shard live (consistent-hash migration)...")
+		start := time.Now()
+		idx, err := sh.AddShard()
+		if err != nil {
+			log.Fatal(err)
 		}
-		dumpShards("after 2 read passes")
+		fmt.Printf("shard %d joined in %.2fms (ring epoch %d)\n", idx,
+			float64(time.Since(start).Nanoseconds())/1e6, sh.RingEpoch())
+		dump("after live AddShard")
 	}
-	if err := sh.CheckpointNow(); err != nil {
-		log.Fatal(err)
+	if !crash {
+		api.Close()
+		return
 	}
-	dumpShards("after parallel checkpoint")
 
-	// Live reshard: add a shard while the store is serving. The migration
-	// streams moving keys to the new member and flips the routing epoch; the
-	// table after it shows the redistributed key counts, and the crash below
-	// then proves the flipped ring is what recovery restores.
-	fmt.Println("adding a shard live (consistent-hash migration)...")
-	start0 := time.Now()
-	idx, err := sh.AddShard()
-	if err != nil {
-		log.Fatal(err)
+	fmt.Println("simulating worst-case crash (power loss mid-checkpoint)...")
+	var reopen func() (dstore.API, error)
+	switch s := api.(type) {
+	case *dstore.Store:
+		s.PrepareWorstCaseCrash()
+		cfg.PMEM, cfg.SSD, err = s.Crash(42)
+		reopen = func() (dstore.API, error) { return dstore.Open(cfg) }
+	case *dstore.Sharded:
+		s.Shard(0).PrepareWorstCaseCrash()
+		var cfgs []dstore.Config
+		cfgs, err = s.Crash(42)
+		reopen = func() (dstore.API, error) { return dstore.OpenSharded(cfgs) }
 	}
-	fmt.Printf("shard %d joined in %.2fms (ring epoch %d)\n", idx,
-		float64(time.Since(start0).Nanoseconds())/1e6, sh.RingEpoch())
-	dumpShards("after live AddShard")
-
-	fmt.Println("simulating power loss across all shards (shard 0 mid-checkpoint)...")
-	sh.Shard(0).PrepareWorstCaseCrash()
-	cfgs, err := sh.Crash(42)
 	if err != nil {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	sh2, err := dstore.OpenSharded(cfgs)
-	if err != nil {
+	if api, err = reopen(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("recovered %d shards in parallel in %.2fms\n", sh2.Shards(),
-		float64(time.Since(start).Nanoseconds())/1e6)
-	ctx2 := sh2.Init()
-	ok := 0
-	for i := 0; i < objects; i++ {
-		if _, err := ctx2.Get(fmt.Sprintf("object-%06d", i), nil); err == nil {
-			ok++
-		}
+	fmt.Printf("recovered in %.2fms", float64(time.Since(start).Nanoseconds())/1e6)
+	if st, ok := api.(*dstore.Store); ok {
+		metaNs, replayNs := st.Engine().RecoveryBreakdown()
+		fmt.Printf(" (metadata=%.2fms replay=%.2fms)", float64(metaNs)/1e6, float64(replayNs)/1e6)
 	}
-	fmt.Printf("post-recovery: %d/%d objects readable\n", ok, objects)
-	sh = sh2
-	dumpShards("after recovery")
-	if err := sh.Close(); err != nil {
-		log.Fatal(err)
-	}
+	fmt.Printf("\npost-recovery: %d/%d objects readable\n", readAll(api.NewContext()), objects)
+	dump("after recovery")
+	api.Close()
 }
 
 // inspectReplicated builds a local replicated sharded store (every shard a
@@ -392,7 +427,7 @@ func main() {
 		remote  = flag.String("remote", "", "inspect a live dstore-server at this address instead of building a local store")
 		promote = flag.Bool("promote", false, "with -remote: promote the server's standby backend for writes before printing stats")
 		repl    = flag.Bool("replicated", false, "build a local replicated sharded store and walk through a failover")
-		shards  = flag.Int("shards", 1, "build a sharded local store and print the per-shard table")
+		shards  = flag.Int("shards", 1, "build a sharded local store (a ring of this many engines) instead of a bare one")
 		cacheMB = flag.Int("cache-mb", 0, "DRAM block cache size in MiB for the local store (0 disables)")
 	)
 	flag.Parse()
@@ -405,168 +440,5 @@ func main() {
 		inspectReplicated(*shards, *objects)
 		return
 	}
-	if *shards > 1 {
-		inspectSharded(*shards, *objects, *cacheMB)
-		return
-	}
-
-	cfg := dstore.Config{TrackPersistence: true, CacheBytes: uint64(*cacheMB) << 20}
-	st, err := dstore.Format(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ctx := st.Init()
-
-	dump := func(when string) {
-		root, err := st.Engine().RootState()
-		if err != nil {
-			log.Fatal(err)
-		}
-		es := st.Engine().Stats()
-		fp := st.Footprint()
-		fmt.Printf("--- %s ---\n", when)
-		fmt.Printf("root: seq=%d activeLog=%d shadowGen=%d ckptInProgress=%d lastCkptLSN=%d\n",
-			root.Seq, root.ActiveLog, root.ShadowGen, root.CkptInProgress, root.LastCkptLSN)
-		fmt.Printf("log:  lastLSN=%d inflight=%d free=%.0f%%\n",
-			st.Engine().Pair().LastLSN(), st.Engine().Pair().InFlight(),
-			100*st.Engine().Pair().FreeFraction())
-		fmt.Printf("ckpt: count=%d replayed=%d shadowCloned=%dB\n",
-			es.Checkpoints, es.RecordsReplayed, es.ShadowBytesCloned)
-		gcLine(es)
-		fmt.Printf("foot: dram=%dKiB pmem=%dKiB ssd=%dKiB\n",
-			fp.DRAMBytes>>10, fp.PMEMBytes>>10, fp.SSDBytes>>10)
-		h := st.Health()
-		status := "healthy"
-		if h.Degraded {
-			status = fmt.Sprintf("DEGRADED (%s)", h.Reason)
-		}
-		fmt.Printf("health: %s retries=%d writeErrs=%d corrupt=%d remaps=%d quarantined=%v\n",
-			status, h.IORetries, h.WriteErrors, h.Corruptions, h.Remaps, h.QuarantinedBlocks)
-		if cs := st.CacheStats(); cs.Capacity > 0 {
-			fmt.Printf("cache: hits=%d misses=%d ratio=%.1f%% evict=%d inval=%d bytes=%dKiB/%dKiB\n",
-				cs.Hits, cs.Misses, hitRatio(cs.Hits, cs.Misses),
-				cs.Evictions, cs.Invalidations, cs.Bytes>>10, cs.Capacity>>10)
-		}
-		txnLine(st.Stats())
-		fmt.Println()
-	}
-
-	dump("fresh store")
-	val := make([]byte, 4096)
-	for i := 0; i < *objects; i++ {
-		if err := ctx.Put(fmt.Sprintf("object-%06d", i), val); err != nil {
-			log.Fatal(err)
-		}
-	}
-	mputTour(st, val)
-	dump(fmt.Sprintf("after %d puts", *objects))
-
-	// Exercise the transaction path so the txn counters below are live: a
-	// committed two-key swap, then an induced commit-time conflict (a plain
-	// Put lands between a transaction's read and its commit).
-	if *objects >= 2 {
-		a, b := "object-000000", "object-000001"
-		txn, err := ctx.Begin()
-		if err != nil {
-			log.Fatal(err)
-		}
-		va, err := txn.Get(a, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		vb, err := txn.Get(b, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := txn.Put(a, vb); err != nil {
-			log.Fatal(err)
-		}
-		if err := txn.Put(b, va); err != nil {
-			log.Fatal(err)
-		}
-		if err := txn.Commit(); err != nil {
-			log.Fatal(err)
-		}
-		txn2, err := ctx.Begin()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if _, err := txn2.Get(a, nil); err != nil {
-			log.Fatal(err)
-		}
-		if err := txn2.Put(a, va); err != nil {
-			log.Fatal(err)
-		}
-		if err := ctx.Put(a, vb); err != nil {
-			log.Fatal(err)
-		}
-		if err := txn2.Commit(); !errors.Is(err, dstore.ErrTxnConflict) {
-			log.Fatalf("expected txn conflict, got %v", err)
-		}
-		fmt.Println("ran one committed swap transaction and one induced OCC conflict")
-		fmt.Println()
-	}
-	if *cacheMB > 0 {
-		// Two read passes: the first warms the cache, the second hits it.
-		for pass := 0; pass < 2; pass++ {
-			for i := 0; i < *objects; i++ {
-				if _, err := ctx.Get(fmt.Sprintf("object-%06d", i), nil); err != nil {
-					log.Fatal(err)
-				}
-			}
-		}
-		dump("after 2 read passes")
-	}
-	if *dumpLog > 0 {
-		fmt.Printf("--- active log (first %d records) ---\n", *dumpLog)
-		pair := st.Engine().Pair()
-		active := pair.Log(pair.ActiveIndex())
-		n := 0
-		states := map[uint8]string{0: "uncommitted", 1: "committed", 2: "dead"}
-		errDone := errors.New("done")
-		if err := active.IterateAll(func(rv wal.RecordView) error {
-			if n >= *dumpLog {
-				return errDone
-			}
-			n++
-			fmt.Printf("  lsn=%-6d op=%d state=%-11s name=%q payload=%dB\n",
-				rv.LSN, rv.Op, states[rv.State], rv.Name, len(rv.Payload))
-			return nil
-		}); err != nil && !errors.Is(err, errDone) {
-			log.Fatal(err)
-		}
-		fmt.Println()
-	}
-	if err := st.CheckpointNow(); err != nil {
-		log.Fatal(err)
-	}
-	dump("after explicit checkpoint")
-
-	if !*crash {
-		st.Close()
-		return
-	}
-	fmt.Println("simulating worst-case crash (mid-checkpoint power loss)...")
-	st.PrepareWorstCaseCrash()
-	cfg.PMEM, cfg.SSD, err = st.Crash(42)
-	if err != nil {
-		log.Fatal(err)
-	}
-	st2, err := dstore.Open(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	metaNs, replayNs := st2.Engine().RecoveryBreakdown()
-	fmt.Printf("recovered: metadata=%.2fms replay=%.2fms\n\n", float64(metaNs)/1e6, float64(replayNs)/1e6)
-	ctx2 := st2.Init()
-	ok := 0
-	for i := 0; i < *objects; i++ {
-		if _, err := ctx2.Get(fmt.Sprintf("object-%06d", i), nil); err == nil {
-			ok++
-		}
-	}
-	fmt.Printf("post-recovery: %d/%d objects readable\n", ok, *objects)
-	st = st2
-	dump("after recovery")
-	st.Close()
+	inspectLocal(*shards, *objects, *cacheMB, *dumpLog, *crash)
 }

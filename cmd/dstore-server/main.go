@@ -51,7 +51,6 @@ func main() {
 		replFrom = flag.String("replicate-from", "", "run as a hot standby tailing the primary dstore-server at this address (requires -shards 1)")
 		replHot  = flag.Bool("replicated", false, "pair every shard with an in-process hot standby that is promoted transparently when the shard degrades")
 		batch    = flag.Bool("batch", true, "WAL group commit: concurrent commits share one flush+fence (false reverts to a fence per record)")
-		batchMax = flag.Int("batch-max", 0, "records per group-commit batch cap (default 64)")
 	)
 	flag.Parse()
 
@@ -59,12 +58,11 @@ func main() {
 		latency.Enable()
 	}
 	cfg := dstore.Config{
-		Blocks:              *blocks,
-		MaxObjects:          *objects,
-		LogBytes:            *logBytes,
-		CacheBytes:          uint64(*cacheMB) << 20,
-		DisableGroupCommit:  !*batch,
-		GroupCommitMaxBatch: *batchMax,
+		Blocks:             *blocks,
+		MaxObjects:         *objects,
+		LogBytes:           *logBytes,
+		CacheBytes:         uint64(*cacheMB) << 20,
+		DisableGroupCommit: !*batch,
 	}
 	var st dstore.API
 	var single *dstore.Store

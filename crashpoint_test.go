@@ -7,7 +7,6 @@ import (
 
 	"dstore/internal/fault"
 	"dstore/internal/pmem"
-	"dstore/internal/ssd"
 )
 
 // Deterministic crash-point injection: run a fixed single-threaded workload
@@ -23,6 +22,49 @@ import (
 // index in the protocol whose interruption loses committed state.
 
 const crashSentinel = "injected crash point"
+
+// runToCrash runs fn with every given PMEM device's mutation hook armed to
+// panic at the crashAt-th mutation (one counter shared across the devices —
+// the sweeps drive their stores from one goroutine, so the order is
+// deterministic; 0 never fires) and reports whether the crash fired. A fired
+// crash leaves the incarnation abandoned mid-operation, so runToCrash stops
+// it with stop — the store's CloseNoCheckpoint — before returning. That
+// takes no lock the panicked operation can still hold (its deferred unlocks
+// ran while the panic unwound), and it retires the engine's checkpoint
+// goroutine and the batch workers, which would otherwise pin the
+// incarnation's devices (~32 MB each) for the life of the process and could
+// keep mutating the very PMEM the caller is about to power-fail and recover
+// from.
+func runToCrash(pms []*pmem.Device, crashAt uint64, stop func() error, fn func()) (crashed bool) {
+	var count uint64
+	armed := true
+	for _, pm := range pms {
+		pm.SetMutationHook(func() {
+			if !armed {
+				return
+			}
+			count++
+			if count == crashAt {
+				armed = false
+				panic(crashSentinel)
+			}
+		})
+	}
+	defer func() {
+		for _, pm := range pms {
+			pm.SetMutationHook(nil)
+		}
+		if r := recover(); r != nil {
+			if r != crashSentinel {
+				panic(r)
+			}
+			crashed = true
+			stop() //nolint:errcheck // abandoning the incarnation; the reopen is the verdict
+		}
+	}()
+	fn()
+	return false
+}
 
 // crashWorkload runs a deterministic op sequence, recording each op into the
 // model BEFORE issuing it (so at a crash the last model entry may or may not
@@ -114,37 +156,14 @@ func runCrashPoint(t *testing.T, cfg Config, crashAt uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm, _ := s.Devices()
-
-	var count uint64
-	armed := true
-	pm.SetMutationHook(func() {
-		if !armed {
-			return
-		}
-		count++
-		if count == crashAt {
-			armed = false
-			panic(crashSentinel)
-		}
-	})
+	pm, data := s.Devices()
 
 	completed := 0
-	crashed := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if r != crashSentinel {
-					panic(r)
-				}
-				crashed = true
-			}
-		}()
+	crashed := runToCrash([]*pmem.Device{pm}, crashAt, s.CloseNoCheckpoint, func() {
 		if err := crashWorkload(s.Init(), func(i int) { completed = i + 1 }); err != nil {
 			t.Fatalf("crash point %d: workload error before crash: %v", crashAt, err)
 		}
-	}()
-	pm.SetMutationHook(nil)
+	})
 	if !crashed {
 		// The crash point fell beyond this run's mutations (mutation counts
 		// can vary slightly run to run); nothing to verify.
@@ -153,7 +172,7 @@ func runCrashPoint(t *testing.T, cfg Config, crashAt uint64) {
 	}
 
 	// Power loss: adversarial line reversion, then recover.
-	cfg.PMEM, cfg.SSD = pm, func() *ssd.Device { _, d := s.Devices(); return d }()
+	cfg.PMEM, cfg.SSD = pm, data
 	pm.Crash(pmem.CrashDropDirty, int64(crashAt))
 	s2, err := Open(cfg)
 	if err != nil {

@@ -91,11 +91,6 @@ type Config struct {
 	// concurrent committers normally settle behind one shared flush+fence,
 	// amortizing the per-record persistence cost (ISSUE 10).
 	DisableGroupCommit bool
-	// GroupCommitMaxBatch caps records per shared fence (default 64).
-	GroupCommitMaxBatch int
-	// GroupCommitMaxWait bounds the batch leader's device-scale linger for
-	// stragglers, injected via latency.Spin (default 3µs).
-	GroupCommitMaxWait time.Duration
 	// PhysicalImageBytes pads each log record's payload in ModePhysical.
 	// Default 512 (a before/after image of the touched metadata).
 	PhysicalImageBytes int
@@ -200,8 +195,6 @@ func (c Config) dipperConfig() dipper.Config {
 		CheckpointThreshold: c.CheckpointThreshold,
 		AutoCheckpoint:      !c.DisableCheckpoints,
 		GroupCommit:         !c.DisableGroupCommit,
-		GroupCommitMaxBatch: c.GroupCommitMaxBatch,
-		GroupCommitMaxWait:  c.GroupCommitMaxWait,
 	}
 }
 
@@ -233,9 +226,11 @@ type Store struct {
 	// design: it is rebuilt empty on every Format/Open, never persisted.
 	bcache *cache.Cache
 
-	// mops fans batched MPut/MGet/MDelete sub-ops across persistent
-	// workers (batch.go); lazily started, retired on Close.
-	mops mopPool
+	// self is this store seen as a ring of one (shard.go). Everything above
+	// the engine that routes by key — transactions, batched operations — is
+	// written once against *Sharded, and a bare store enters it through this
+	// view.
+	self *Sharded
 
 	// Fig. 4 locks. With OE enabled, poolMu covers only log append + pool
 	// mutation (steps ①–⑤) and treeMu only the B-tree touch (step ⑦); the
@@ -410,6 +405,7 @@ func Open(cfg Config) (*Store, error) {
 
 func newStore(cfg *Config) (*Store, error) {
 	s := &Store{cfg: *cfg, bcache: cache.New(cfg.CacheBytes)}
+	s.self = ringOfOne(s)
 	s.pm = cfg.PMEM
 	if s.pm == nil {
 		var lat pmem.Latencies
@@ -516,7 +512,7 @@ func (s *Store) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	s.mops.stop()
+	s.self.mops.stop()
 	var err error
 	if !s.cfg.DisableCheckpoints {
 		err = s.eng.Checkpoint()
@@ -533,7 +529,7 @@ func (s *Store) CloseNoCheckpoint() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	s.mops.stop()
+	s.self.mops.stop()
 	s.eng.Close()
 	return nil
 }
@@ -544,7 +540,7 @@ func (s *Store) CloseNoCheckpoint() error {
 // Config.TrackPersistence (an error is returned when it is off).
 func (s *Store) Crash(seed int64) (pm *pmem.Device, data *ssd.Device, err error) {
 	s.closed.Store(true)
-	s.mops.stop()
+	s.self.mops.stop()
 	s.eng.Close()
 	if cerr := s.pm.Crash(pmem.CrashRandom, seed); cerr != nil {
 		return s.pm, s.data, cerr

@@ -10,7 +10,6 @@ import (
 
 	"dstore/internal/fault"
 	"dstore/internal/pmem"
-	"dstore/internal/ssd"
 	"dstore/internal/wire"
 )
 
@@ -312,34 +311,12 @@ func runStandbyCrashPoint(t *testing.T, primary *Store, model map[string][]byte,
 		t.Fatal(err)
 	}
 	sb.BeginStandby()
-	pm, _ := sb.Devices()
-
-	var count uint64
-	armed := true
-	pm.SetMutationHook(func() {
-		if !armed {
-			return
-		}
-		count++
-		if count == crashAt {
-			armed = false
-			panic(crashSentinel)
-		}
-	})
+	pm, data := sb.Devices()
 
 	// ackedLSN tracks the highest LSN whose apply returned — what a real
 	// tailer would have acked to the primary before the crash.
 	var ackedLSN uint64
-	crashed := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if r != crashSentinel {
-					panic(r)
-				}
-				crashed = true
-			}
-		}()
+	crashed := runToCrash([]*pmem.Device{pm}, crashAt, sb.CloseNoCheckpoint, func() {
 		for {
 			recs, err := primary.ExportCommitted(ackedLSN, 8)
 			if err != nil {
@@ -355,15 +332,14 @@ func runStandbyCrashPoint(t *testing.T, primary *Store, model map[string][]byte,
 				ackedLSN = recs[i].LSN
 			}
 		}
-	}()
-	pm.SetMutationHook(nil)
+	})
 	if !crashed {
 		sb.Close() //nolint:errcheck // crash point beyond this run's mutations
 		return
 	}
 
 	// Power loss mid-apply: adversarial line reversion, then recover.
-	cfg.PMEM, cfg.SSD = pm, func() *ssd.Device { _, d := sb.Devices(); return d }()
+	cfg.PMEM, cfg.SSD = pm, data
 	pm.Crash(pmem.CrashDropDirty, int64(crashAt))
 	sb2, err := Open(cfg)
 	if err != nil {

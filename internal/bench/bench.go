@@ -174,28 +174,21 @@ func newDStore(o Options, mode dstore.Mode, disableOE, disableCkpt, track bool) 
 	if err != nil {
 		return nil, err
 	}
-	return dstore.NewKV(s, cfg), nil
+	return dstore.NewKV(s), nil
 }
 
 // newShardedDStore builds an n-shard DStore sized like newDStore's single
-// instance (same aggregate geometry, so the comparison is capacity-fair).
-func newShardedDStore(o Options, n int, track bool) (*dstore.ShardedKV, error) {
-	cfg := dstoreConfig(o, dstore.ModeDIPPER, false, false, track)
-	sh, err := dstore.FormatSharded(n, cfg)
+// instance (same aggregate geometry, so the comparison is capacity-fair);
+// n <= 1 is that single instance.
+func newShardedDStore(o Options, n int, track bool) (*dstore.KV, error) {
+	if n <= 1 {
+		return newDStore(o, dstore.ModeDIPPER, false, false, track)
+	}
+	sh, err := dstore.FormatSharded(n, dstoreConfig(o, dstore.ModeDIPPER, false, false, track))
 	if err != nil {
 		return nil, err
 	}
-	return dstore.NewShardedKV(sh), nil
-}
-
-// newAnyDStore dispatches on o.Shards: the sharded store when > 1, the
-// single instance otherwise, both behind kvapi.Store.
-func newAnyDStore(o Options, track bool) (kvapi.Store, error) {
-	if o.Shards > 1 {
-		return newShardedDStore(o, o.Shards, track)
-	}
-	kv, err := newDStore(o, dstore.ModeDIPPER, false, false, track)
-	return kv, err
+	return dstore.NewKV(sh), nil
 }
 
 func newLSM(o Options, disableCompaction, track bool) (*lsmstore.Store, error) {

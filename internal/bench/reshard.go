@@ -7,6 +7,7 @@ import (
 	"os"
 	"time"
 
+	"dstore"
 	"dstore/internal/ycsb"
 )
 
@@ -64,7 +65,7 @@ func Reshard(o Options, w io.Writer) error {
 		return err
 	}
 	defer store.Close()
-	sh := store.Sharded()
+	sh := store.Store().(*dstore.Sharded)
 
 	t := Table{
 		Title: fmt.Sprintf("Live resharding: YCSB-A across an AddShard (%d -> %d shards)", base, base+1),

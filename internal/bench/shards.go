@@ -90,18 +90,14 @@ func Shards(o Options, w io.Writer) error {
 		for _, n := range shardCounts(o) {
 			oo := o
 			oo.Shards = n
-			var s interface {
-				Close() error
-			}
 			var res RunResult
-			store, e := newAnyDStore(oo, false)
+			store, e := newShardedDStore(oo, n, false)
 			if e != nil {
 				err = e
 				return
 			}
-			s = store
 			res, err = runWorkload(store, ycsb.A(o.Records, o.ValueBytes), oo)
-			s.Close()
+			store.Close()
 			if err != nil {
 				return
 			}

@@ -204,21 +204,18 @@ func Txns(o Options, w io.Writer) error {
 			name string
 			make func() (kvapi.Store, func(), error)
 		}
+		embedded := func(n int) func() (kvapi.Store, func(), error) {
+			return func() (kvapi.Store, func(), error) {
+				kv, e := newShardedDStore(o, n, false)
+				if e != nil {
+					return nil, nil, e
+				}
+				return kv, func() { kv.Close() }, nil //nolint:errcheck // bench teardown
+			}
+		}
 		systems := []system{
-			{"local", func() (kvapi.Store, func(), error) {
-				kv, e := newDStore(o, dstore.ModeDIPPER, false, false, false)
-				if e != nil {
-					return nil, nil, e
-				}
-				return kv, func() { kv.Close() }, nil //nolint:errcheck // bench teardown
-			}},
-			{"sharded", func() (kvapi.Store, func(), error) {
-				kv, e := newShardedDStore(o, shards, false)
-				if e != nil {
-					return nil, nil, e
-				}
-				return kv, func() { kv.Close() }, nil //nolint:errcheck // bench teardown
-			}},
+			{"local", embedded(1)},
+			{"sharded", embedded(shards)},
 			{"net", func() (kvapi.Store, func(), error) {
 				cfg := dstoreConfig(o, dstore.ModeDIPPER, false, false, false)
 				st, e := dstore.Format(cfg)

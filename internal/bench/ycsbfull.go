@@ -91,8 +91,7 @@ func runFullWorkload(kv *dstore.KV, wl ycsb.Workload, o Options) (map[string]*hi
 		wg.Add(1)
 		go func(th int) {
 			defer wg.Done()
-			st := kv.Store()
-			ctx := st.Init()
+			ctx := kv.Store().NewContext()
 			defer ctx.Finalize()
 			g := ycsb.NewGenerator(wl, o.Seed+int64(th)*104729)
 			var buf []byte

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
-	"time"
 
 	"dstore"
 	"dstore/internal/wire"
@@ -148,11 +146,6 @@ func subErr(r *wire.BatchResult) error {
 type BatcherConfig struct {
 	// MaxBatch caps sub-ops per frame (≤ wire.MaxBatch).
 	MaxBatch int
-	// MaxWait is extra time an idle-path leader holds its frame open for
-	// batch-mates before flushing. Zero — the default, and almost always
-	// right — flushes an idle frame immediately; batching still emerges
-	// under load because arrivals accumulate behind the in-flight frame.
-	MaxWait time.Duration
 }
 
 // Batcher transparently coalesces concurrent Put/Get/Delete calls into
@@ -171,7 +164,6 @@ type BatcherConfig struct {
 type Batcher struct {
 	c        *Client
 	maxBatch int
-	maxWait  time.Duration
 
 	put opQueue
 	get opQueue
@@ -211,7 +203,7 @@ func NewBatcher(c *Client, cfg BatcherConfig) *Batcher {
 	if cfg.MaxBatch <= 0 || cfg.MaxBatch > wire.MaxBatch {
 		cfg.MaxBatch = wire.MaxBatch
 	}
-	b := &Batcher{c: c, maxBatch: cfg.MaxBatch, maxWait: cfg.MaxWait}
+	b := &Batcher{c: c, maxBatch: cfg.MaxBatch}
 	for _, q := range []*opQueue{&b.put, &b.get, &b.del} {
 		q.free = sync.NewCond(&q.mu)
 	}
@@ -303,13 +295,9 @@ func (b *Batcher) submit(ctx context.Context, op wire.Op, key string, value []by
 
 // lead is the leader's side of the backpressure protocol: wait for the op
 // kind's flush slot, then detach and send whatever accumulated behind it.
-// When the slot is already free (idle path) the batch flushes immediately —
-// after an optional MaxWait linger for batch-mates — so an uncontended call
-// costs the same round trip a singleton would.
+// When the slot is already free (idle path) the batch flushes immediately,
+// so an uncontended call costs the same round trip a singleton would.
 func (b *Batcher) lead(ctx context.Context, op wire.Op, q *opQueue, pb *pendingBatch) {
-	if b.maxWait > 0 {
-		b.linger(ctx, q, pb)
-	}
 	q.mu.Lock()
 	for q.inflight >= maxInflight && q.cur == pb {
 		q.free.Wait()
@@ -329,24 +317,6 @@ func (b *Batcher) lead(ctx context.Context, op wire.Op, q *opQueue, pb *pendingB
 	q.inflight--
 	q.free.Broadcast()
 	q.mu.Unlock()
-}
-
-// linger spins out the optional idle-path window, giving batch-mates a
-// beat to arrive before the leader claims the flush slot. Timers on this
-// platform fire with roughly millisecond overhead — an eternity against a
-// microsecond window — so short windows spin-yield against a precise
-// deadline, mirroring the WAL group-commit leader's linger.
-func (b *Batcher) linger(ctx context.Context, q *opQueue, pb *pendingBatch) {
-	deadline := time.Now().Add(b.maxWait)
-	for time.Now().Before(deadline) {
-		q.mu.Lock()
-		gone := q.cur != pb || len(pb.keys) >= b.maxBatch
-		q.mu.Unlock()
-		if gone || ctx.Err() != nil {
-			return
-		}
-		runtime.Gosched()
-	}
 }
 
 // flush sends a detached batch and publishes per-sub verdicts via done.

@@ -77,13 +77,13 @@ func (b *memBackend) Scan(prefix string, limit int) ([]wire.Object, error) {
 func (b *memBackend) Stats() wire.StatsReply {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return wire.StatsReply{Objects: uint64(len(b.objects))}
+	return wire.StatsReply{ShardStat: wire.ShardStat{Objects: uint64(len(b.objects))}}
 }
 
 func (b *memBackend) Health() wire.HealthReply {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return wire.HealthReply{Degraded: b.degraded}
+	return wire.HealthReply{ShardHealth: wire.ShardHealth{Degraded: b.degraded}}
 }
 
 func (b *memBackend) Checkpoint() error {

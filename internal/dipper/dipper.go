@@ -80,12 +80,9 @@ type Config struct {
 	// foreground checkpoint, before Checkpoint returns.
 	OnCheckpointDone func()
 	// GroupCommit enables WAL group commit: concurrent committers settle
-	// behind one shared flush+fence (ISSUE 10). MaxBatch/MaxWait below tune
-	// the leader's batch cap and device-scale linger; zero values take the
-	// wal package defaults.
-	GroupCommit         bool
-	GroupCommitMaxBatch int
-	GroupCommitMaxWait  time.Duration
+	// behind one shared flush+fence (ISSUE 10), with the wal package's
+	// batch cap and leader linger.
+	GroupCommit bool
 }
 
 func (c *Config) frontendSpace() space.Space {
@@ -214,7 +211,7 @@ func Format(dev *pmem.Device, cfg Config, replayer Replayer, bootstrap func(al *
 		return nil, err
 	}
 	e.pair = wal.NewPair(log0, log1, 1)
-	e.applyGroupCommit()
+	e.pair.SetGroupCommit(wal.GroupCommitConfig{Enabled: cfg.GroupCommit}) // before any append
 	e.mu.Lock()
 	e.rootSeq = 1
 	e.mu.Unlock()
@@ -274,7 +271,7 @@ func Open(dev *pmem.Device, cfg Config, replayer Replayer) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.applyGroupCommit()
+	e.pair.SetGroupCommit(wal.GroupCommitConfig{Enabled: cfg.GroupCommit}) // before any append
 
 	// Step 1 (§3.6): if the crash interrupted a checkpoint, redo it against
 	// the old shadow copies so the next step sees a consistent image.
@@ -369,8 +366,14 @@ func (e *Engine) Pair() *wal.Pair { return e.pair }
 // Device returns the PMEM device.
 func (e *Engine) Device() *pmem.Device { return e.dev }
 
-// RootState returns the current durable root state.
-func (e *Engine) RootState() (RootState, error) { return readRoot(e.dev) }
+// RootState returns the current durable root state. It reads under e.mu,
+// which every root publication holds, so a background checkpoint is never
+// observed mid-write.
+func (e *Engine) RootState() (RootState, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return readRoot(e.dev)
+}
 
 // Stats returns a snapshot of engine counters.
 func (e *Engine) Stats() Stats {
@@ -385,19 +388,6 @@ func (e *Engine) Stats() Stats {
 		GCRecords:         gc.Records,
 		GCParked:          gc.Parked,
 	}
-}
-
-// applyGroupCommit installs the configured group-commit mode on the
-// freshly built WAL pair (Format and Open call it before any appends).
-func (e *Engine) applyGroupCommit() {
-	if !e.cfg.GroupCommit {
-		return
-	}
-	e.pair.SetGroupCommit(wal.GroupCommitConfig{
-		Enabled:  true,
-		MaxBatch: e.cfg.GroupCommitMaxBatch,
-		MaxWait:  e.cfg.GroupCommitMaxWait,
-	})
 }
 
 // MaybeTrigger requests a background checkpoint if the active log is below

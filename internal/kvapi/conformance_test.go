@@ -13,22 +13,40 @@ import (
 	"dstore/internal/kvapi"
 )
 
+// dstoreShapes is the table of DStore shapes the one KV adapter is exercised
+// over: the bare per-shard engine and a ring of three.
+var dstoreShapes = []struct {
+	name   string
+	format func(cfg dstore.Config) (dstore.API, error)
+}{
+	{"store", func(cfg dstore.Config) (dstore.API, error) { return dstore.Format(cfg) }},
+	{"ring of 3", func(cfg dstore.Config) (dstore.API, error) { return dstore.FormatSharded(3, cfg) }},
+}
+
+// dstoreKVs builds a KV over every shape from one config.
+func dstoreKVs(t *testing.T, cfg dstore.Config) []kvapi.Store {
+	t.Helper()
+	var out []kvapi.Store
+	for _, shape := range dstoreShapes {
+		api, err := shape.format(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", shape.name, err)
+		}
+		out = append(out, dstore.NewKV(api))
+	}
+	return out
+}
+
 // makeStores builds one instance of every evaluated system.
 func makeStores(t *testing.T) []kvapi.Store {
 	t.Helper()
-	var out []kvapi.Store
-
-	ds, err := dstore.Format(dstore.Config{Blocks: 2048, MaxObjects: 1024, LogBytes: 1 << 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out = append(out, dstore.NewKV(ds, dstore.Config{Blocks: 2048, MaxObjects: 1024, LogBytes: 1 << 16}))
+	out := dstoreKVs(t, dstore.Config{Blocks: 2048, MaxObjects: 1024, LogBytes: 1 << 16})
 
 	cow, err := dstore.Format(dstore.Config{Mode: dstore.ModeCoW, Blocks: 2048, MaxObjects: 1024, LogBytes: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out = append(out, dstore.NewKV(cow, dstore.Config{Mode: dstore.ModeCoW, Blocks: 2048, MaxObjects: 1024, LogBytes: 1 << 16}))
+	out = append(out, dstore.NewKV(cow))
 
 	lsm, err := lsmstore.New(lsmstore.Config{Blocks: 8192, WALBytes: 1 << 22})
 	if err != nil {
@@ -121,13 +139,7 @@ func TestFootprintReported(t *testing.T) {
 // TestCrashRecoveryConformance: every Crasher recovers all committed data.
 func TestCrashRecoveryConformance(t *testing.T) {
 	mk := func() []kvapi.Store {
-		var out []kvapi.Store
-		cfg := dstore.Config{Blocks: 2048, MaxObjects: 1024, LogBytes: 1 << 16, TrackPersistence: true}
-		ds, err := dstore.Format(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, dstore.NewKV(ds, cfg))
+		out := dstoreKVs(t, dstore.Config{Blocks: 2048, MaxObjects: 1024, LogBytes: 1 << 16, TrackPersistence: true})
 		lsm, err := lsmstore.New(lsmstore.Config{Blocks: 8192, WALBytes: 1 << 22, TrackPersistence: true})
 		if err != nil {
 			t.Fatal(err)
@@ -176,6 +188,68 @@ func TestCrashRecoveryConformance(t *testing.T) {
 				}
 			}
 			s.Close()
+		})
+	}
+}
+
+// TestTransactorConformance runs the same transaction script over every
+// DStore shape: buffered writes are invisible until commit and atomic after
+// it, an abort leaves no trace, and a commit whose read was overwritten in
+// between fails with the harness's conflict sentinel.
+func TestTransactorConformance(t *testing.T) {
+	for _, s := range dstoreKVs(t, dstore.Config{Blocks: 2048, MaxObjects: 1024, LogBytes: 1 << 16}) {
+		s := s
+		t.Run(s.Label(), func(t *testing.T) {
+			defer s.Close()
+			keys := []string{"acct-a", "acct-b", "acct-c", "acct-d"}
+			tx, err := s.(kvapi.Transactor).Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range keys {
+				if err := tx.Put(k, []byte("v1")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := s.Get(keys[0], nil); err != kvapi.ErrNotFound {
+				t.Fatalf("buffered write visible before commit: %v", err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatalf("commit: %v", err)
+			}
+			for _, k := range keys {
+				if got, err := s.Get(k, nil); err != nil || !bytes.Equal(got, []byte("v1")) {
+					t.Fatalf("get(%q) after commit = %q, %v", k, got, err)
+				}
+			}
+
+			aborted, _ := s.(kvapi.Transactor).Begin()
+			if err := aborted.Delete(keys[0]); err != nil {
+				t.Fatal(err)
+			}
+			if err := aborted.Abort(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Get(keys[0], nil); err != nil {
+				t.Fatalf("aborted delete took effect: %v", err)
+			}
+
+			stale, _ := s.(kvapi.Transactor).Begin()
+			if _, err := stale.Get(keys[1], nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put(keys[1], []byte("v2")); err != nil {
+				t.Fatal(err)
+			}
+			if err := stale.Put(keys[2], []byte("lost")); err != nil {
+				t.Fatal(err)
+			}
+			if err := stale.Commit(); err != kvapi.ErrTxnConflict {
+				t.Fatalf("commit over a stale read = %v, want ErrTxnConflict", err)
+			}
+			if got, _ := s.Get(keys[2], nil); !bytes.Equal(got, []byte("v1")) {
+				t.Fatalf("conflicting transaction applied a write: %q", got)
+			}
 		})
 	}
 }

@@ -241,8 +241,10 @@ func TestServerReplicateSlowFollowerDropped(t *testing.T) {
 			break
 		}
 	}
+	// The feed counts the drop, then unwinds and gives up its subscriber
+	// slot: wait for both.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().ReplDrops == 0 && time.Now().Before(deadline) {
+	for st := srv.Stats(); (st.ReplDrops == 0 || st.ReplSubscribers != 0) && time.Now().Before(deadline); st = srv.Stats() {
 		time.Sleep(time.Millisecond)
 	}
 	st := srv.Stats()

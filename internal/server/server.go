@@ -903,13 +903,17 @@ func (c *conn) executeReplicate(req wire.Request, resp *wire.Response) *wire.Res
 	c.acked.Store(lsn)
 	c.nc.SetReadDeadline(time.Time{}) //nolint:errcheck // lift the idle deadline: acks may be sparse
 	c.srv.replSubs.Add(1)
-	c.handlers.Add(1)
-	go c.feedLoop(r, lsn)
 
 	var v [8]byte
 	binary.LittleEndian.PutUint64(v[:], r.LastLSN())
 	resp.Value = v[:]
-	return resp
+	// Queue the subscribe response before the feed starts: both travel
+	// through c.out, and a record frame that overtook the response would be
+	// parsed by the subscriber as the response.
+	c.respond(resp)
+	c.handlers.Add(1)
+	go c.feedLoop(r, lsn)
+	return nil
 }
 
 // ackTo advances the subscriber's acked LSN monotonically (acks are handled

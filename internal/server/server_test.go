@@ -102,7 +102,7 @@ func (f *fakeBackend) Scan(prefix string, limit int) ([]wire.Object, error) {
 func (f *fakeBackend) Stats() wire.StatsReply {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return wire.StatsReply{Objects: uint64(len(f.m))}
+	return wire.StatsReply{ShardStat: wire.ShardStat{Objects: uint64(len(f.m))}}
 }
 
 func (f *fakeBackend) Health() wire.HealthReply { return wire.HealthReply{} }

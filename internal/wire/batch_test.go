@@ -157,94 +157,6 @@ func TestBatchEmptyRoundTrips(t *testing.T) {
 	}
 }
 
-// TestStatsBatchSection: the group-commit block trails the txn section,
-// forces the earlier delimiters out, decodes back exactly, and its absence
-// leaves every existing stats frame byte-identical.
-func TestStatsBatchSection(t *testing.T) {
-	// Absent: a txn-carrying reply must encode byte-identically whether the
-	// Batch field exists in the struct or not — pin the exact length.
-	noBatch := &StatsReply{Puts: 1, Txn: &TxnReply{Commits: 2}}
-	frame := AppendResponse(nil, &Response{ID: 1, Op: OpStats, Status: StatusOK, Stats: noBatch})
-	wantLen := FrameHeader + respFixed + statsFields*8 +
-		4 + // forced shard count word
-		cacheStatFields*8 + 4 + // forced zeroed cache block
-		replStatFields*8 + // forced zeroed repl block
-		txnStatFields*8
-	if len(frame) != wantLen {
-		t.Fatalf("txn-only stats frame is %d bytes, want exactly %d", len(frame), wantLen)
-	}
-	got, err := DecodeResponse(frame[FrameHeader:])
-	if err != nil {
-		t.Fatalf("DecodeResponse: %v", err)
-	}
-	if !reflect.DeepEqual(got.Stats, noBatch) {
-		t.Fatalf("txn-only stats did not round-trip:\n got %+v\nwant %+v", got.Stats, noBatch)
-	}
-
-	// Present without txn activity: the batch block forces a zeroed txn
-	// delimiter out, which must decode back to "no txn section".
-	withBatch := &StatsReply{Puts: 1, Batch: &BatchReply{Batches: 3, Records: 12, Parked: 5}}
-	bf := AppendResponse(nil, &Response{ID: 2, Op: OpStats, Status: StatusOK, Stats: withBatch})
-	if len(bf) != wantLen+batchStatFields*8 {
-		t.Fatalf("batch stats frame is %d bytes, want exactly %d", len(bf), wantLen+batchStatFields*8)
-	}
-	bgot, err := DecodeResponse(bf[FrameHeader:])
-	if err != nil {
-		t.Fatalf("DecodeResponse: %v", err)
-	}
-	if !reflect.DeepEqual(bgot.Stats, withBatch) {
-		t.Fatalf("batch stats did not round-trip:\n got %+v\nwant %+v", bgot.Stats, withBatch)
-	}
-	if n := len((&BatchReply{}).fields()); n != batchStatFields {
-		t.Fatalf("BatchReply.fields() returns %d counters, batchStatFields = %d", n, batchStatFields)
-	}
-}
-
-// TestBatchingOffFramesByteIdentical pins the compat contract of this PR:
-// with no Subs and no Batch anywhere, every frame a pre-batching client or
-// server could produce is byte-identical to the pre-batching protocol
-// (the M-op machinery is pay-for-play).
-func TestBatchingOffFramesByteIdentical(t *testing.T) {
-	reqs := []Request{
-		{ID: 1, Op: OpPut, Key: "user/1", Value: []byte("hello")},
-		{ID: 2, Op: OpGet, Key: "user/1"},
-		{ID: 3, Op: OpDelete, Key: "user/1"},
-		{ID: 4, Op: OpScan, Key: "user/", Limit: 100},
-		{ID: 5, Op: OpTxnCommit, Limit: 3},
-		{ID: 6, Op: OpRing},
-	}
-	for _, req := range reqs {
-		frame, err := AppendRequest(nil, &req)
-		if err != nil {
-			t.Fatalf("%s: AppendRequest: %v", req.Op, err)
-		}
-		legacy := legacyRequestPayload(req)
-		if !bytes.Equal(frame[FrameHeader:], legacy) {
-			t.Errorf("%s: payload differs from pre-batching layout:\n got %x\nwant %x",
-				req.Op, frame[FrameHeader:], legacy)
-		}
-	}
-	resps := []struct {
-		resp Response
-		want int // exact payload length
-	}{
-		{Response{ID: 1, Op: OpPut, Status: StatusOK}, respFixed},
-		{Response{ID: 2, Op: OpGet, Status: StatusOK, Value: []byte("hello")}, respFixed + 4 + 5},
-		{Response{ID: 3, Op: OpGet, Status: StatusNotFound, Msg: "gone"}, respFixed + 4},
-		{Response{ID: 4, Op: OpScan, Status: StatusOK,
-			Objects: []Object{{Name: "a", Size: 1, Blocks: 1}}}, respFixed + 4 + 2 + 1 + 8 + 4},
-		{Response{ID: 5, Op: OpStats, Status: StatusOK,
-			Stats: &StatsReply{Puts: 9}}, respFixed + statsFields*8},
-	}
-	for _, c := range resps {
-		frame := AppendResponse(nil, &c.resp)
-		if len(frame)-FrameHeader != c.want {
-			t.Errorf("%s/%s: payload is %d bytes, want exactly %d",
-				c.resp.Op, c.resp.Status, len(frame)-FrameHeader, c.want)
-		}
-	}
-}
-
 // FuzzDecodeBatchRequest seeds the request fuzzer's grammar with batched
 // frames (the generic fuzzer covers the rest of the op space).
 func FuzzDecodeBatchRequest(f *testing.F) {

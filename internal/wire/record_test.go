@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -158,90 +157,6 @@ func TestReplicateRequestRoundTrip(t *testing.T) {
 	bad := Request{Op: OpReplicate, Value: []byte{1, 2, 3}}
 	if _, err := ReplicateLSN(&bad); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("short replicate value: %v", err)
-	}
-}
-
-// TestReplSectionRoundTrip covers the optional STATS replication section:
-// its presence forces the shard and cache delimiters out, and the forced
-// zeroed cache block decodes back to a nil Cache.
-func TestReplSectionRoundTrip(t *testing.T) {
-	// Single store, no cache, replicating: aggregate + zero shard count +
-	// zeroed cache block + zero cache-shard count + repl block.
-	st := &StatsReply{
-		Puts: 1, Gets: 2,
-		Repl: &ReplReply{Role: ReplRolePrimary, Subscribers: 1, Drops: 2, LastLSN: 100, AckedLSN: 90},
-	}
-	payload := roundTripPayload(t, AppendResponse(nil, &Response{ID: 1, Op: OpStats, Status: StatusOK, Stats: st}))
-	want := respFixed + statsFields*8 + 4 + cacheStatFields*8 + 4 + replStatFields*8
-	if len(payload) != want {
-		t.Fatalf("repl STATS payload is %d bytes, want %d", len(payload), want)
-	}
-	got, err := DecodeResponse(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Stats == nil || !reflect.DeepEqual(got.Stats.Repl, st.Repl) {
-		t.Fatalf("repl section round trip: %+v", got.Stats)
-	}
-	if got.Stats.Cache != nil || len(got.Stats.Shards) != 0 {
-		t.Fatalf("forced delimiters decoded as phantom sections: %+v", got.Stats)
-	}
-
-	// All three sections together.
-	st.Shards = []ShardStat{{Puts: 1}, {Puts: 2}}
-	st.Cache = &CacheReply{
-		CacheStat: CacheStat{Hits: 5, Capacity: 1 << 20},
-		Shards:    []CacheStat{{Hits: 3, Capacity: 1 << 19}, {Hits: 2, Capacity: 1 << 19}},
-	}
-	payload = roundTripPayload(t, AppendResponse(nil, &Response{ID: 2, Op: OpStats, Status: StatusOK, Stats: st}))
-	want = respFixed + statsFields*8 + 4 + 2*shardStatBytes +
-		cacheStatFields*8 + 4 + 2*cacheStatBytes + replStatFields*8
-	if len(payload) != want {
-		t.Fatalf("full STATS payload is %d bytes, want %d", len(payload), want)
-	}
-	got, err = DecodeResponse(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Stats, st) {
-		t.Fatalf("full STATS round trip:\n got %+v\nwant %+v", got.Stats, st)
-	}
-}
-
-// TestReplOffFramesUnchanged pins the replication-off wire layouts: with
-// Stats.Repl nil every existing frame shape is byte-identical to the
-// pre-replication protocol.
-func TestReplOffFramesUnchanged(t *testing.T) {
-	// Single store, no cache: ends at the aggregate block.
-	st := &StatsReply{Puts: 7, Gets: 8}
-	payload := roundTripPayload(t, AppendResponse(nil, &Response{ID: 3, Op: OpStats, Status: StatusOK, Stats: st}))
-	if want := respFixed + statsFields*8; len(payload) != want {
-		t.Fatalf("repl-off single-store STATS payload is %d bytes, want %d", len(payload), want)
-	}
-
-	// Sharded, no cache: ends after the shard rows.
-	st.Shards = []ShardStat{{Puts: 1}, {Gets: 2}}
-	payload = roundTripPayload(t, AppendResponse(nil, &Response{ID: 4, Op: OpStats, Status: StatusOK, Stats: st}))
-	if want := respFixed + statsFields*8 + 4 + 2*shardStatBytes; len(payload) != want {
-		t.Fatalf("repl-off sharded STATS payload is %d bytes, want %d", len(payload), want)
-	}
-
-	// Sharded with cache: ends after the cache rows.
-	st.Cache = &CacheReply{
-		CacheStat: CacheStat{Hits: 1, Capacity: 1 << 20},
-		Shards:    []CacheStat{{Capacity: 1 << 19}, {Capacity: 1 << 19}},
-	}
-	payload = roundTripPayload(t, AppendResponse(nil, &Response{ID: 5, Op: OpStats, Status: StatusOK, Stats: st}))
-	want := respFixed + statsFields*8 + 4 + 2*shardStatBytes + cacheStatFields*8 + 4 + 2*cacheStatBytes
-	if len(payload) != want {
-		t.Fatalf("repl-off cache STATS payload is %d bytes, want %d", len(payload), want)
-	}
-	got, err := DecodeResponse(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Stats.Repl != nil {
-		t.Fatalf("phantom repl section: %+v", got.Stats.Repl)
 	}
 }
 

@@ -328,38 +328,97 @@ type Object struct {
 	Blocks uint32
 }
 
-// StatsReply is the STATS payload: store operation counters, engine
-// checkpoint counters, per-tier footprint, and the serving front end's own
-// connection/request counters. Sharded servers additionally carry one
-// ShardStat row per shard after the aggregate block; single-store servers
-// omit the section entirely, so their frames are byte-identical to the
-// pre-sharding protocol and old clients keep parsing them.
-type StatsReply struct {
+// counters is a fixed block of u64 counters with a wire order: fields lists
+// them in that order, and setFields — its inverse — takes exactly as many
+// values. Every STATS row type is one; the codec below is written against
+// this pair alone, so adding a counter to a row means extending its pair
+// and nothing else.
+type counters interface {
+	fields() []uint64
+	setFields(v []uint64)
+}
+
+// rowPtr is the pointer to a row type T, carrying T's counters pair: generic
+// code below holds rows by value (in slices, behind fields) and reaches the
+// pair through it.
+type rowPtr[T any] interface {
+	*T
+	counters
+}
+
+// ShardStat is one store's counter row: the aggregate at the head of a
+// StatsReply, and each per-shard row of a sharded one.
+type ShardStat struct {
 	Puts, Gets, Deletes, Reads, Writes, Opens uint64
 	Objects                                   uint64
 	Checkpoints, RecordsReplayed              uint64
 	DRAMBytes, PMEMBytes, SSDBytes            uint64
-	ServerConns, ServerRequests               uint64
+}
+
+func (s *ShardStat) fields() []uint64 {
+	return []uint64{
+		s.Puts, s.Gets, s.Deletes, s.Reads, s.Writes, s.Opens,
+		s.Objects, s.Checkpoints, s.RecordsReplayed,
+		s.DRAMBytes, s.PMEMBytes, s.SSDBytes,
+	}
+}
+
+func (s *ShardStat) setFields(v []uint64) {
+	s.Puts, s.Gets, s.Deletes, s.Reads, s.Writes, s.Opens = v[0], v[1], v[2], v[3], v[4], v[5]
+	s.Objects, s.Checkpoints, s.RecordsReplayed = v[6], v[7], v[8]
+	s.DRAMBytes, s.PMEMBytes, s.SSDBytes = v[9], v[10], v[11]
+}
+
+// StatsReply is the STATS payload: the aggregate counter row (store
+// operation counters, engine checkpoint counters, per-tier footprint), the
+// serving front end's own connection/request counters, and then the optional
+// trailing sections of statsSections, in that order. A section that is
+// absent costs no bytes unless a later one is present, so a server that uses
+// none of them emits the fixed block alone — byte-identical to the first
+// version of the protocol — and peers of any age keep parsing each other.
+type StatsReply struct {
+	ShardStat
+	ServerConns, ServerRequests uint64
 	// Shards holds per-shard counter rows in shard order; empty for a
 	// single-store server.
 	Shards []ShardStat
 	// Cache holds the block-cache counters when the server has a cache
-	// configured; nil otherwise. Cache-off frames carry no cache section and
-	// stay byte-identical to the pre-cache protocol.
+	// configured; nil otherwise.
 	Cache *CacheReply
 	// Repl holds replication counters when the server participates in
 	// replication (as primary with subscribers or as standby); nil
-	// otherwise. Replication-off frames carry no repl section and stay
-	// byte-identical to the pre-replication protocol.
+	// otherwise.
 	Repl *ReplReply
 	// Txn holds transaction counters once the server has seen transaction
-	// activity; nil otherwise. Txn-free frames carry no txn section and stay
-	// byte-identical to the pre-transaction protocol.
+	// activity; nil otherwise.
 	Txn *TxnReply
 	// Batch holds WAL group-commit counters once the store has settled
-	// records through batches; nil otherwise. Batch-free frames carry no
-	// batch section and stay byte-identical to the pre-batching protocol.
+	// records through batches; nil otherwise.
 	Batch *BatchReply
+}
+
+// CacheStat is one block-cache counter row (the aggregate or one shard's).
+type CacheStat struct {
+	Hits, Misses, Evictions uint64
+	Bytes, Capacity         uint64
+}
+
+func (s *CacheStat) fields() []uint64 {
+	return []uint64{s.Hits, s.Misses, s.Evictions, s.Bytes, s.Capacity}
+}
+
+func (s *CacheStat) setFields(v []uint64) {
+	s.Hits, s.Misses, s.Evictions, s.Bytes, s.Capacity = v[0], v[1], v[2], v[3], v[4]
+}
+
+// CacheReply is the STATS cache section: the aggregate counters plus, on a
+// sharded server, one row per store shard (paralleling StatsReply.Shards).
+// A configured cache always has Capacity > 0.
+type CacheReply struct {
+	CacheStat
+	// Shards holds per-store-shard cache rows in shard order; empty for a
+	// single-store server.
+	Shards []CacheStat
 }
 
 // Replication roles carried in ReplReply.Role.
@@ -370,12 +429,9 @@ const (
 	ReplRoleStandby uint64 = 2
 )
 
-// ReplReply is the optional STATS replication section. On the wire it
-// trails the cache section; emitting it forces the shard and cache
-// delimiters out (zeroed when those sections are otherwise absent) so the
-// positional decode stays unambiguous. Replication lag is
+// ReplReply is the STATS replication section. Replication lag is
 // LastLSN − AckedLSN: the records the primary has committed but no
-// subscriber has applied yet.
+// subscriber has applied yet. A real block always has a nonzero Role.
 type ReplReply struct {
 	// Role is ReplRolePrimary or ReplRoleStandby.
 	Role uint64
@@ -392,7 +448,6 @@ type ReplReply struct {
 	AckedLSN uint64
 }
 
-// fields lists the ReplReply counters in wire order.
 func (s *ReplReply) fields() []uint64 {
 	return []uint64{s.Role, s.Subscribers, s.Drops, s.LastLSN, s.AckedLSN}
 }
@@ -401,12 +456,8 @@ func (s *ReplReply) setFields(v []uint64) {
 	s.Role, s.Subscribers, s.Drops, s.LastLSN, s.AckedLSN = v[0], v[1], v[2], v[3], v[4]
 }
 
-const replStatFields = 5
-
-// TxnReply is the optional STATS transaction section. On the wire it trails
-// the repl section; emitting it forces the earlier delimiters out (a zeroed
-// repl block when the server does not replicate) so the positional decode
-// stays unambiguous — a real repl block always has a nonzero Role.
+// TxnReply is the STATS transaction section; servers attach it only with a
+// nonzero count in it.
 type TxnReply struct {
 	// Commits counts transactions that validated and applied.
 	Commits uint64
@@ -416,22 +467,12 @@ type TxnReply struct {
 	Conflicts uint64
 }
 
-// fields lists the TxnReply counters in wire order.
-func (s *TxnReply) fields() []uint64 {
-	return []uint64{s.Commits, s.Aborts, s.Conflicts}
-}
+func (s *TxnReply) fields() []uint64 { return []uint64{s.Commits, s.Aborts, s.Conflicts} }
 
-func (s *TxnReply) setFields(v []uint64) {
-	s.Commits, s.Aborts, s.Conflicts = v[0], v[1], v[2]
-}
+func (s *TxnReply) setFields(v []uint64) { s.Commits, s.Aborts, s.Conflicts = v[0], v[1], v[2] }
 
-const txnStatFields = 3
-
-// BatchReply is the optional STATS group-commit section. On the wire it
-// trails the txn section; emitting it forces the earlier delimiters out (a
-// zeroed txn block when the server has no transaction activity) so the
-// positional decode stays unambiguous — a real batch block always has a
-// nonzero Batches count.
+// BatchReply is the STATS group-commit section; servers attach it only with
+// a nonzero Batches count.
 type BatchReply struct {
 	// Batches counts settle batches led (each one shared flush+fence).
 	Batches uint64
@@ -443,77 +484,13 @@ type BatchReply struct {
 	Parked uint64
 }
 
-// fields lists the BatchReply counters in wire order.
-func (s *BatchReply) fields() []uint64 {
-	return []uint64{s.Batches, s.Records, s.Parked}
-}
+func (s *BatchReply) fields() []uint64 { return []uint64{s.Batches, s.Records, s.Parked} }
 
-func (s *BatchReply) setFields(v []uint64) {
-	s.Batches, s.Records, s.Parked = v[0], v[1], v[2]
-}
+func (s *BatchReply) setFields(v []uint64) { s.Batches, s.Records, s.Parked = v[0], v[1], v[2] }
 
-const batchStatFields = 3
-
-// CacheStat is one block-cache counter row (the aggregate or one shard's).
-type CacheStat struct {
-	Hits, Misses, Evictions uint64
-	Bytes, Capacity         uint64
-}
-
-// cacheStatBytes is one encoded CacheStat row (5 u64 counters).
-const cacheStatBytes = 5 * 8
-
-// fields lists the CacheStat counters in wire order.
-func (s *CacheStat) fields() []uint64 {
-	return []uint64{s.Hits, s.Misses, s.Evictions, s.Bytes, s.Capacity}
-}
-
-func (s *CacheStat) setFields(v []uint64) {
-	s.Hits, s.Misses, s.Evictions, s.Bytes, s.Capacity = v[0], v[1], v[2], v[3], v[4]
-}
-
-const cacheStatFields = 5
-
-// CacheReply is the optional STATS cache section: the aggregate counters
-// plus, on a sharded server, one row per store shard (paralleling
-// StatsReply.Shards). On the wire it trails the shard section; because a
-// lone trailing u32 would be ambiguous, a server emitting a cache section
-// always emits the shard-count word first (zero for a single store).
-type CacheReply struct {
-	CacheStat
-	// Shards holds per-store-shard cache rows in shard order; empty for a
-	// single-store server.
-	Shards []CacheStat
-}
-
-// ShardStat is one shard's counters inside a sharded StatsReply.
-type ShardStat struct {
-	Puts, Gets, Deletes, Reads, Writes, Opens uint64
-	Objects                                   uint64
-	Checkpoints, RecordsReplayed              uint64
-	DRAMBytes, PMEMBytes, SSDBytes            uint64
-}
-
-// shardStatBytes is one encoded ShardStat row (12 u64 counters).
-const shardStatBytes = 12 * 8
-
-// HealthReply is the HEALTH payload, mirroring dstore.Health. Sharded
-// servers append one ShardHealth row per shard (same backward-compatible
-// trailing-section scheme as StatsReply); in that case the aggregate
-// QuarantinedBlocks concatenates shard-local block ids, and the per-shard
-// rows are the unambiguous view.
-type HealthReply struct {
-	Degraded                                    bool
-	Reason                                      string
-	IORetries, WriteErrors, Corruptions, Remaps uint64
-	QuarantinedBlocks                           []uint64
-	// Shards holds per-shard health rows in shard order; empty for a
-	// single-store server.
-	Shards []ShardHealth
-}
-
-// ShardHealth is one shard's fault status inside a sharded HealthReply.
-// Block ids are local to the shard's own SSD.
+// ShardHealth is one store's fault status, mirroring dstore.Health: the
+// aggregate at the head of a HealthReply, and each per-shard row of a
+// sharded one. Block ids are local to the shard's own SSD.
 type ShardHealth struct {
 	Degraded                                    bool
 	Reason                                      string
@@ -524,6 +501,18 @@ type ShardHealth struct {
 // shardHealthMinBytes is the smallest encoded ShardHealth row (empty
 // reason, empty quarantine list).
 const shardHealthMinBytes = 1 + 2 + 4*8 + 4
+
+// HealthReply is the HEALTH payload: the aggregate row, then — on sharded
+// servers only, so single-store frames keep the original layout — a counted
+// list of per-shard rows. In that case the aggregate QuarantinedBlocks
+// concatenates shard-local block ids, and the per-shard rows are the
+// unambiguous view.
+type HealthReply struct {
+	ShardHealth
+	// Shards holds per-shard health rows in shard order; empty for a
+	// single-store server.
+	Shards []ShardHealth
+}
 
 // Response answers one Request.
 type Response struct {
@@ -772,85 +761,23 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 				dst = binary.LittleEndian.AppendUint32(dst, o.Blocks)
 			}
 		case OpStats:
-			var st StatsReply
-			if resp.Stats != nil {
-				st = *resp.Stats
+			st := resp.Stats
+			if st == nil {
+				st = &StatsReply{}
 			}
-			for _, v := range st.fields() {
-				dst = binary.LittleEndian.AppendUint64(dst, v)
-			}
-			// Shard rows are a trailing optional section: absent for a
-			// single store, so those frames match the pre-sharding layout.
-			// A cache section trails the shard rows; since it needs the
-			// shard-count word as a delimiter, its presence forces the word
-			// out even on a single store (count zero). A repl section
-			// trails the cache section and likewise forces a (zeroed)
-			// cache section out when one is not otherwise present, and a
-			// txn section trails the repl section the same way, and a
-			// batch section trails the txn section. With none of them,
-			// the payload ends at the aggregate block exactly as before.
-			emitTxn := st.Txn != nil || st.Batch != nil
-			emitRepl := st.Repl != nil || emitTxn
-			emitCache := st.Cache != nil || emitRepl
-			if len(st.Shards) > 0 || emitCache {
-				dst = binary.LittleEndian.AppendUint32(dst, uint32(len(st.Shards)))
-				for i := range st.Shards {
-					for _, v := range st.Shards[i].fields() {
-						dst = binary.LittleEndian.AppendUint64(dst, v)
-					}
-				}
-			}
-			if emitCache {
-				var cache CacheReply
-				if st.Cache != nil {
-					cache = *st.Cache
-				}
-				for _, v := range cache.fields() {
-					dst = binary.LittleEndian.AppendUint64(dst, v)
-				}
-				dst = binary.LittleEndian.AppendUint32(dst, uint32(len(cache.Shards)))
-				for i := range cache.Shards {
-					for _, v := range cache.Shards[i].fields() {
-						dst = binary.LittleEndian.AppendUint64(dst, v)
-					}
-				}
-			}
-			if emitRepl {
-				var repl ReplReply
-				if st.Repl != nil {
-					repl = *st.Repl
-				}
-				for _, v := range repl.fields() {
-					dst = binary.LittleEndian.AppendUint64(dst, v)
-				}
-			}
-			if emitTxn {
-				var txn TxnReply
-				if st.Txn != nil {
-					txn = *st.Txn
-				}
-				for _, v := range txn.fields() {
-					dst = binary.LittleEndian.AppendUint64(dst, v)
-				}
-			}
-			if st.Batch != nil {
-				for _, v := range st.Batch.fields() {
-					dst = binary.LittleEndian.AppendUint64(dst, v)
-				}
-			}
+			dst = appendStats(dst, st)
 		case OpHealth:
-			var h HealthReply
-			if resp.Health != nil {
-				h = *resp.Health
+			h := resp.Health
+			if h == nil {
+				h = &HealthReply{}
 			}
-			dst = appendHealthRow(dst, h.Degraded, h.Reason,
-				h.IORetries, h.WriteErrors, h.Corruptions, h.Remaps, h.QuarantinedBlocks)
+			dst = appendHealthRow(dst, &h.ShardHealth)
+			// Shard rows are a trailing optional section: absent for a single
+			// store, so those frames match the pre-sharding layout.
 			if len(h.Shards) > 0 {
 				dst = binary.LittleEndian.AppendUint32(dst, uint32(len(h.Shards)))
 				for i := range h.Shards {
-					sd := &h.Shards[i]
-					dst = appendHealthRow(dst, sd.Degraded, sd.Reason,
-						sd.IORetries, sd.WriteErrors, sd.Corruptions, sd.Remaps, sd.QuarantinedBlocks)
+					dst = appendHealthRow(dst, &h.Shards[i])
 				}
 			}
 		}
@@ -858,65 +785,191 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 	return finishFrame(dst, off)
 }
 
-// appendHealthRow encodes one health block (the aggregate or one shard's):
+// appendHealthRow encodes one health row (the aggregate or one shard's):
 // degraded flag, truncated reason, four counters, counted quarantine list.
-func appendHealthRow(payload []byte, degraded bool, reason string,
-	retries, werrs, corrupt, remaps uint64, quarantined []uint64) []byte {
+func appendHealthRow(dst []byte, h *ShardHealth) []byte {
 	var deg byte
-	if degraded {
+	if h.Degraded {
 		deg = 1
 	}
+	reason := h.Reason
 	if len(reason) > MaxKeyLen {
 		reason = reason[:MaxKeyLen]
 	}
-	payload = append(payload, deg)
-	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(reason)))
-	payload = append(payload, reason...)
-	for _, v := range []uint64{retries, werrs, corrupt, remaps} {
-		payload = binary.LittleEndian.AppendUint64(payload, v)
+	dst = append(dst, deg)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(reason)))
+	dst = append(dst, reason...)
+	for _, v := range []uint64{h.IORetries, h.WriteErrors, h.Corruptions, h.Remaps} {
+		dst = binary.LittleEndian.AppendUint64(dst, v)
 	}
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(quarantined)))
-	for _, b := range quarantined {
-		payload = binary.LittleEndian.AppendUint64(payload, b)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(h.QuarantinedBlocks)))
+	for _, b := range h.QuarantinedBlocks {
+		dst = binary.LittleEndian.AppendUint64(dst, b)
 	}
-	return payload
+	return dst
 }
 
-// fields lists the StatsReply counters in wire order.
-func (s *StatsReply) fields() []uint64 {
-	return []uint64{
-		s.Puts, s.Gets, s.Deletes, s.Reads, s.Writes, s.Opens,
-		s.Objects, s.Checkpoints, s.RecordsReplayed,
-		s.DRAMBytes, s.PMEMBytes, s.SSDBytes,
-		s.ServerConns, s.ServerRequests,
+// decodeHealthRow parses one health row (the inverse of appendHealthRow).
+// On underflow the decoder's latched error stands.
+func decodeHealthRow(d *decoder, h *ShardHealth) {
+	h.Degraded = d.u8() != 0
+	h.Reason = string(d.bytes(int(d.u16())))
+	h.IORetries, h.WriteErrors, h.Corruptions, h.Remaps = d.u64(), d.u64(), d.u64(), d.u64()
+	n := int(d.u32())
+	if d.err == nil && n > d.remaining()/8 {
+		d.err = fmt.Errorf("%w: quarantine count %d", ErrMalformed, n)
+		return
 	}
-}
-
-func (s *StatsReply) setFields(v []uint64) {
-	s.Puts, s.Gets, s.Deletes, s.Reads, s.Writes, s.Opens = v[0], v[1], v[2], v[3], v[4], v[5]
-	s.Objects, s.Checkpoints, s.RecordsReplayed = v[6], v[7], v[8]
-	s.DRAMBytes, s.PMEMBytes, s.SSDBytes = v[9], v[10], v[11]
-	s.ServerConns, s.ServerRequests = v[12], v[13]
-}
-
-const statsFields = 14
-
-// fields lists one shard row's counters in wire order.
-func (s *ShardStat) fields() []uint64 {
-	return []uint64{
-		s.Puts, s.Gets, s.Deletes, s.Reads, s.Writes, s.Opens,
-		s.Objects, s.Checkpoints, s.RecordsReplayed,
-		s.DRAMBytes, s.PMEMBytes, s.SSDBytes,
+	for i := 0; i < n && d.err == nil; i++ {
+		h.QuarantinedBlocks = append(h.QuarantinedBlocks, d.u64())
 	}
 }
 
-func (s *ShardStat) setFields(v []uint64) {
-	s.Puts, s.Gets, s.Deletes, s.Reads, s.Writes, s.Opens = v[0], v[1], v[2], v[3], v[4], v[5]
-	s.Objects, s.Checkpoints, s.RecordsReplayed = v[6], v[7], v[8]
-	s.DRAMBytes, s.PMEMBytes, s.SSDBytes = v[9], v[10], v[11]
+// appendCounters encodes one counter row.
+func appendCounters(dst []byte, c counters) []byte {
+	for _, v := range c.fields() {
+		dst = binary.LittleEndian.AppendUint64(dst, v)
+	}
+	return dst
 }
 
-const shardStatFields = 12
+// decodeCounters parses one counter row (the inverse of appendCounters).
+func decodeCounters(d *decoder, c counters) {
+	v := c.fields() // the row's width; reused as the scratch buffer
+	for i := range v {
+		v[i] = d.u64()
+	}
+	if d.err == nil {
+		c.setFields(v)
+	}
+}
+
+// appendRows encodes a u32-counted list of counter rows.
+func appendRows[T any, P rowPtr[T]](dst []byte, rows []T) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rows)))
+	for i := range rows {
+		dst = appendCounters(dst, P(&rows[i]))
+	}
+	return dst
+}
+
+// decodeRows parses a u32-counted list of counter rows (the inverse of
+// appendRows). A count the remaining bytes cannot possibly satisfy is
+// rejected before anything is allocated for it.
+func decodeRows[T any, P rowPtr[T]](d *decoder, what string) []T {
+	n := int(d.u32())
+	if width := 8 * len(P(new(T)).fields()); d.err == nil && n > d.remaining()/width {
+		d.err = fmt.Errorf("%w: %s count %d", ErrMalformed, what, n)
+		return nil
+	}
+	var rows []T
+	for i := 0; i < n && d.err == nil; i++ {
+		var row T
+		decodeCounters(d, P(&row))
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// statsSection is one optional trailing section of the STATS payload.
+type statsSection struct {
+	present func(*StatsReply) bool
+	// encode appends the section, zero-valued when it is absent.
+	encode func([]byte, *StatsReply) []byte
+	// decode parses the section and attaches it unless it is zero-valued.
+	decode func(*decoder, *StatsReply)
+}
+
+// blockSection is a section that is one fixed counter block behind a pointer
+// field of StatsReply.
+func blockSection[T comparable, P rowPtr[T]](field func(*StatsReply) **T) statsSection {
+	return statsSection{
+		present: func(st *StatsReply) bool { return *field(st) != nil },
+		encode: func(dst []byte, st *StatsReply) []byte {
+			v := *field(st)
+			if v == nil {
+				v = new(T)
+			}
+			return appendCounters(dst, P(v))
+		},
+		decode: func(d *decoder, st *StatsReply) {
+			v := new(T)
+			if decodeCounters(d, P(v)); *v != *new(T) {
+				*field(st) = v
+			}
+		},
+	}
+}
+
+// statsSections lists the optional trailing STATS sections in wire order.
+// The sections carry no tags — the decode is positional — so a present
+// section forces out every section before it, zero-valued where absent, and
+// a zero-valued section decodes back to absent. That is unambiguous because
+// no real section is all zeros: a configured cache has a nonzero Capacity, a
+// replicating server a nonzero Role, and servers attach the txn and batch
+// blocks only with nonzero counts. With no section present the payload ends
+// at the fixed block. A new section is appended here and nowhere else.
+var statsSections = []statsSection{
+	{ // per-shard counter rows
+		present: func(st *StatsReply) bool { return len(st.Shards) > 0 },
+		encode:  func(dst []byte, st *StatsReply) []byte { return appendRows(dst, st.Shards) },
+		decode:  func(d *decoder, st *StatsReply) { st.Shards = decodeRows[ShardStat](d, "shard stats") },
+	},
+	{ // block cache: the aggregate row, then per-shard rows
+		present: func(st *StatsReply) bool { return st.Cache != nil },
+		encode: func(dst []byte, st *StatsReply) []byte {
+			c := st.Cache
+			if c == nil {
+				c = &CacheReply{}
+			}
+			return appendRows(appendCounters(dst, &c.CacheStat), c.Shards)
+		},
+		decode: func(d *decoder, st *StatsReply) {
+			c := &CacheReply{}
+			decodeCounters(d, &c.CacheStat)
+			c.Shards = decodeRows[CacheStat](d, "cache stats")
+			if c.CacheStat != (CacheStat{}) || len(c.Shards) > 0 {
+				st.Cache = c
+			}
+		},
+	},
+	blockSection(func(st *StatsReply) **ReplReply { return &st.Repl }),
+	blockSection(func(st *StatsReply) **TxnReply { return &st.Txn }),
+	blockSection(func(st *StatsReply) **BatchReply { return &st.Batch }),
+}
+
+// appendStats encodes the STATS payload: the fixed block, then every section
+// up to the last present one.
+func appendStats(dst []byte, st *StatsReply) []byte {
+	dst = appendCounters(dst, &st.ShardStat)
+	dst = binary.LittleEndian.AppendUint64(dst, st.ServerConns)
+	dst = binary.LittleEndian.AppendUint64(dst, st.ServerRequests)
+	last := -1
+	for i, sec := range statsSections {
+		if sec.present(st) {
+			last = i
+		}
+	}
+	for _, sec := range statsSections[:last+1] {
+		dst = sec.encode(dst, st)
+	}
+	return dst
+}
+
+// decodeStats parses the STATS payload (the inverse of appendStats): the
+// fixed block, then sections in order for as long as bytes remain.
+func decodeStats(d *decoder) *StatsReply {
+	st := &StatsReply{}
+	decodeCounters(d, &st.ShardStat)
+	st.ServerConns, st.ServerRequests = d.u64(), d.u64()
+	for _, sec := range statsSections {
+		if d.err != nil || d.remaining() == 0 {
+			break
+		}
+		sec.decode(d, st)
+	}
+	return st
+}
 
 // DecodeResponse parses a response payload. The returned response's Value
 // aliases payload.
@@ -978,126 +1031,10 @@ func DecodeResponse(payload []byte) (Response, error) {
 				}
 			}
 		case OpStats:
-			var v [statsFields]uint64
-			for i := range v {
-				v[i] = d.u64()
-			}
-			if d.err == nil {
-				resp.Stats = &StatsReply{}
-				resp.Stats.setFields(v[:])
-			}
-			// Optional shard section: a pre-sharding (or single-store,
-			// cache-off) server ends the payload here.
-			if d.err == nil && d.remaining() > 0 {
-				n := int(d.u32())
-				if d.err == nil && n > d.remaining()/shardStatBytes {
-					return Response{}, fmt.Errorf("%w: shard stats count %d", ErrMalformed, n)
-				}
-				for i := 0; i < n && d.err == nil; i++ {
-					var sv [shardStatFields]uint64
-					for j := range sv {
-						sv[j] = d.u64()
-					}
-					if d.err == nil {
-						var row ShardStat
-						row.setFields(sv[:])
-						resp.Stats.Shards = append(resp.Stats.Shards, row)
-					}
-				}
-			}
-			// Optional cache section after the shard rows: aggregate
-			// counters plus counted per-shard cache rows.
-			if d.err == nil && d.remaining() > 0 {
-				var cv [cacheStatFields]uint64
-				for i := range cv {
-					cv[i] = d.u64()
-				}
-				cr := &CacheReply{}
-				cr.setFields(cv[:])
-				n := int(d.u32())
-				if d.err == nil && n > d.remaining()/cacheStatBytes {
-					return Response{}, fmt.Errorf("%w: cache stats count %d", ErrMalformed, n)
-				}
-				for i := 0; i < n && d.err == nil; i++ {
-					var sv [cacheStatFields]uint64
-					for j := range sv {
-						sv[j] = d.u64()
-					}
-					if d.err == nil {
-						var row CacheStat
-						row.setFields(sv[:])
-						cr.Shards = append(cr.Shards, row)
-					}
-				}
-				if d.err == nil {
-					// A zero-valued cache block with no rows is the forced
-					// delimiter a repl-only server emits (a configured cache
-					// always has Capacity > 0): decode it back to "no cache
-					// section" so encoding round-trips.
-					if cr.CacheStat != (CacheStat{}) || len(cr.Shards) > 0 {
-						resp.Stats.Cache = cr
-					}
-				}
-			}
-			// Optional replication section after the cache section: a fixed
-			// counter block, present only on replicating servers.
-			if d.err == nil && d.remaining() > 0 {
-				var rv [replStatFields]uint64
-				for i := range rv {
-					rv[i] = d.u64()
-				}
-				if d.err == nil {
-					rr := &ReplReply{}
-					rr.setFields(rv[:])
-					// An all-zero repl block is the forced delimiter a
-					// txn-only server emits (a replicating server always has
-					// a nonzero Role): decode it back to "no repl section" so
-					// encoding round-trips.
-					if *rr != (ReplReply{}) {
-						resp.Stats.Repl = rr
-					}
-				}
-			}
-			// Optional transaction section after the repl block: a fixed
-			// counter block, present once the server has transaction
-			// activity.
-			if d.err == nil && d.remaining() > 0 {
-				var tv [txnStatFields]uint64
-				for i := range tv {
-					tv[i] = d.u64()
-				}
-				if d.err == nil {
-					tr := &TxnReply{}
-					tr.setFields(tv[:])
-					// An all-zero txn block is the forced delimiter a
-					// batch-only server emits (servers gate the txn section
-					// on nonzero counts): decode it back to "no txn section"
-					// so encoding round-trips.
-					if *tr != (TxnReply{}) {
-						resp.Stats.Txn = tr
-					}
-				}
-			}
-			// Optional group-commit section after the txn block: a fixed
-			// counter block, present once the store has settled records
-			// through batches.
-			if d.err == nil && d.remaining() > 0 {
-				var bv [batchStatFields]uint64
-				for i := range bv {
-					bv[i] = d.u64()
-				}
-				if d.err == nil {
-					br := &BatchReply{}
-					br.setFields(bv[:])
-					if *br != (BatchReply{}) {
-						resp.Stats.Batch = br
-					}
-				}
-			}
+			resp.Stats = decodeStats(&d)
 		case OpHealth:
 			h := &HealthReply{}
-			h.Degraded, h.Reason, h.IORetries, h.WriteErrors,
-				h.Corruptions, h.Remaps, h.QuarantinedBlocks = decodeHealthRow(&d)
+			decodeHealthRow(&d, &h.ShardHealth)
 			if d.err == nil && d.remaining() > 0 {
 				n := int(d.u32())
 				if d.err == nil && n > d.remaining()/shardHealthMinBytes {
@@ -1105,43 +1042,17 @@ func DecodeResponse(payload []byte) (Response, error) {
 				}
 				for i := 0; i < n && d.err == nil; i++ {
 					var row ShardHealth
-					row.Degraded, row.Reason, row.IORetries, row.WriteErrors,
-						row.Corruptions, row.Remaps, row.QuarantinedBlocks = decodeHealthRow(&d)
-					if d.err == nil {
-						h.Shards = append(h.Shards, row)
-					}
+					decodeHealthRow(&d, &row)
+					h.Shards = append(h.Shards, row)
 				}
 			}
-			if d.err == nil {
-				resp.Health = h
-			}
+			resp.Health = h
 		}
 	}
 	if !d.done() {
 		return Response{}, d.fail("response")
 	}
 	return resp, nil
-}
-
-// decodeHealthRow parses one health block (the inverse of appendHealthRow).
-// On underflow the decoder's latched error stands and zero values return.
-func decodeHealthRow(d *decoder) (degraded bool, reason string,
-	retries, werrs, corrupt, remaps uint64, quarantined []uint64) {
-	degraded = d.u8() != 0
-	reason = string(d.bytes(int(d.u16())))
-	retries = d.u64()
-	werrs = d.u64()
-	corrupt = d.u64()
-	remaps = d.u64()
-	n := int(d.u32())
-	if d.err == nil && n > d.remaining()/8 {
-		d.err = fmt.Errorf("%w: quarantine count %d", ErrMalformed, n)
-		return
-	}
-	for i := 0; i < n && d.err == nil; i++ {
-		quarantined = append(quarantined, d.u64())
-	}
-	return
 }
 
 // ----------------------------------------------------------------- decoder

@@ -64,41 +64,32 @@ func randResponse(rng *rand.Rand, op Op) Response {
 			})
 		}
 	case OpStats:
-		st := &StatsReply{}
-		v := make([]uint64, statsFields)
-		for i := range v {
-			v[i] = rng.Uint64()
+		// randCounters fills one counter row with draws from [lo, lo+span).
+		randCounters := func(c counters, lo, span uint64) {
+			v := c.fields()
+			for i := range v {
+				v[i] = lo + rng.Uint64()%span
+			}
+			c.setFields(v)
 		}
-		st.setFields(v)
+		st := &StatsReply{ServerConns: rng.Uint64(), ServerRequests: rng.Uint64()}
+		randCounters(&st.ShardStat, 0, 1<<63)
 		// Half the responses carry the sharded trailing section.
 		if rng.Intn(2) == 0 {
-			for i := 1 + rng.Intn(8); i > 0; i-- {
-				var row ShardStat
-				sv := make([]uint64, shardStatFields)
-				for j := range sv {
-					sv[j] = rng.Uint64()
-				}
-				row.setFields(sv)
-				st.Shards = append(st.Shards, row)
+			st.Shards = make([]ShardStat, 1+rng.Intn(8))
+			for i := range st.Shards {
+				randCounters(&st.Shards[i], 0, 1<<63)
 			}
 		}
 		// A third carry the replication trailing section.
 		if rng.Intn(3) == 0 {
-			rv := make([]uint64, replStatFields)
-			for i := range rv {
-				rv[i] = rng.Uint64()
-			}
 			st.Repl = &ReplReply{}
-			st.Repl.setFields(rv)
+			randCounters(st.Repl, 1, 1000)
 		}
 		// And a third the transaction trailing section.
 		if rng.Intn(3) == 0 {
-			tv := make([]uint64, txnStatFields)
-			for i := range tv {
-				tv[i] = 1 + rng.Uint64()%1000
-			}
 			st.Txn = &TxnReply{}
-			st.Txn.setFields(tv)
+			randCounters(st.Txn, 1, 1000)
 		}
 		resp.Stats = st
 	case OpHealth:
@@ -118,16 +109,7 @@ func randResponse(rng *rand.Rand, op Op) Response {
 			}
 			return row
 		}
-		agg := randRow()
-		h := &HealthReply{
-			Degraded:          agg.Degraded,
-			Reason:            agg.Reason,
-			IORetries:         agg.IORetries,
-			WriteErrors:       agg.WriteErrors,
-			Corruptions:       agg.Corruptions,
-			Remaps:            agg.Remaps,
-			QuarantinedBlocks: agg.QuarantinedBlocks,
-		}
+		h := &HealthReply{ShardHealth: randRow()}
 		if rng.Intn(2) == 0 {
 			for i := 1 + rng.Intn(8); i > 0; i-- {
 				h.Shards = append(h.Shards, randRow())
@@ -395,224 +377,4 @@ func FuzzReadFrame(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestShardSectionBackwardCompat pins the single-store wire format: replies
-// without shard rows must encode byte-identically to the pre-sharding
-// layout (no trailing section at all), and such frames must decode with
-// empty Shards — so old servers and old clients interoperate with new ones.
-func TestShardSectionBackwardCompat(t *testing.T) {
-	st := &StatsReply{Puts: 1, Gets: 2, Objects: 3, SSDBytes: 4}
-	resp := Response{ID: 9, Op: OpStats, Status: StatusOK, Stats: st}
-	frame := AppendResponse(nil, &resp)
-	payload := roundTripPayload(t, frame)
-	if want := respFixed + statsFields*8; len(payload) != want {
-		t.Fatalf("single-store STATS payload is %d bytes, want pre-sharding %d", len(payload), want)
-	}
-	got, err := DecodeResponse(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Stats == nil || len(got.Stats.Shards) != 0 {
-		t.Fatalf("single-store STATS decoded with shard rows: %+v", got.Stats)
-	}
-
-	h := &HealthReply{Degraded: true, Reason: "r", QuarantinedBlocks: []uint64{7}}
-	hresp := Response{ID: 10, Op: OpHealth, Status: StatusOK, Health: h}
-	hframe := AppendResponse(nil, &hresp)
-	hpayload := roundTripPayload(t, hframe)
-	if want := respFixed + 1 + 2 + len(h.Reason) + 4*8 + 4 + 8; len(hpayload) != want {
-		t.Fatalf("single-store HEALTH payload is %d bytes, want pre-sharding %d", len(hpayload), want)
-	}
-	hgot, err := DecodeResponse(hpayload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hgot.Health == nil || len(hgot.Health.Shards) != 0 {
-		t.Fatalf("single-store HEALTH decoded with shard rows: %+v", hgot.Health)
-	}
-
-	// A sharded reply must reject an impossible shard count instead of
-	// allocating for it.
-	st.Shards = []ShardStat{{Puts: 1}}
-	sframe := AppendResponse(nil, &Response{ID: 11, Op: OpStats, Status: StatusOK, Stats: st})
-	spayload := roundTripPayload(t, sframe)
-	// Corrupt the shard count (first 4 bytes after the aggregate block).
-	off := respFixed + statsFields*8
-	spayload[off] = 0xff
-	spayload[off+1] = 0xff
-	if _, err := DecodeResponse(spayload); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("oversized shard count decoded: %v, want ErrMalformed", err)
-	}
-}
-
-// TestCacheSectionRoundTrip covers the optional STATS cache section: a
-// single-store reply carries a zero shard-count word as the delimiter, a
-// sharded reply carries per-shard cache rows, and both decode back exactly.
-func TestCacheSectionRoundTrip(t *testing.T) {
-	// Single store, cache on: aggregate block + zero shard count + cache
-	// aggregate + zero cache-shard count.
-	st := &StatsReply{
-		Puts: 1, Gets: 2,
-		Cache: &CacheReply{CacheStat: CacheStat{
-			Hits: 10, Misses: 3, Evictions: 1, Bytes: 4096, Capacity: 1 << 20,
-		}},
-	}
-	frame := AppendResponse(nil, &Response{ID: 1, Op: OpStats, Status: StatusOK, Stats: st})
-	payload := roundTripPayload(t, frame)
-	if want := respFixed + statsFields*8 + 4 + cacheStatFields*8 + 4; len(payload) != want {
-		t.Fatalf("single-store cache STATS payload is %d bytes, want %d", len(payload), want)
-	}
-	got, err := DecodeResponse(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Stats == nil || got.Stats.Cache == nil {
-		t.Fatalf("cache section lost in decode: %+v", got.Stats)
-	}
-	if !reflect.DeepEqual(got.Stats.Cache, st.Cache) {
-		t.Fatalf("cache section round trip: got %+v want %+v", got.Stats.Cache, st.Cache)
-	}
-	if len(got.Stats.Shards) != 0 {
-		t.Fatalf("phantom shard rows: %+v", got.Stats.Shards)
-	}
-
-	// Sharded with cache: shard rows then cache aggregate then cache rows.
-	st.Shards = []ShardStat{{Puts: 1}, {Puts: 2}}
-	st.Cache.Shards = []CacheStat{
-		{Hits: 6, Misses: 2, Bytes: 2048, Capacity: 1 << 19},
-		{Hits: 4, Misses: 1, Evictions: 1, Bytes: 2048, Capacity: 1 << 19},
-	}
-	frame = AppendResponse(nil, &Response{ID: 2, Op: OpStats, Status: StatusOK, Stats: st})
-	payload = roundTripPayload(t, frame)
-	want := respFixed + statsFields*8 + 4 + 2*shardStatBytes + cacheStatFields*8 + 4 + 2*cacheStatBytes
-	if len(payload) != want {
-		t.Fatalf("sharded cache STATS payload is %d bytes, want %d", len(payload), want)
-	}
-	got, err = DecodeResponse(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Stats, st) {
-		t.Fatalf("sharded cache STATS round trip: got %+v want %+v", got.Stats, st)
-	}
-
-	// An impossible cache row count must be rejected, not allocated.
-	off := respFixed + statsFields*8 + 4 + 2*shardStatBytes + cacheStatFields*8
-	payload[off] = 0xff
-	payload[off+1] = 0xff
-	if _, err := DecodeResponse(payload); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("oversized cache row count decoded: %v, want ErrMalformed", err)
-	}
-}
-
-// TestCacheOffFramesUnchanged pins the cache-off wire layouts: with
-// Stats.Cache nil the frames must be byte-identical to the pre-cache
-// protocol, for both the single-store and the sharded shapes.
-func TestCacheOffFramesUnchanged(t *testing.T) {
-	// Single store: payload ends at the aggregate block, no shard-count word.
-	st := &StatsReply{Puts: 7, Gets: 8, SSDBytes: 9}
-	payload := roundTripPayload(t, AppendResponse(nil, &Response{ID: 3, Op: OpStats, Status: StatusOK, Stats: st}))
-	if want := respFixed + statsFields*8; len(payload) != want {
-		t.Fatalf("cache-off single-store STATS payload is %d bytes, want pre-cache %d", len(payload), want)
-	}
-	got, err := DecodeResponse(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Stats.Cache != nil {
-		t.Fatalf("phantom cache section: %+v", got.Stats.Cache)
-	}
-
-	// Sharded: payload ends right after the shard rows.
-	st.Shards = []ShardStat{{Puts: 1}, {Gets: 2}, {Deletes: 3}}
-	payload = roundTripPayload(t, AppendResponse(nil, &Response{ID: 4, Op: OpStats, Status: StatusOK, Stats: st}))
-	if want := respFixed + statsFields*8 + 4 + 3*shardStatBytes; len(payload) != want {
-		t.Fatalf("cache-off sharded STATS payload is %d bytes, want pre-cache %d", len(payload), want)
-	}
-	got, err = DecodeResponse(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Stats.Cache != nil || len(got.Stats.Shards) != 3 {
-		t.Fatalf("cache-off sharded STATS decode: %+v", got.Stats)
-	}
-}
-
-// TestTxnSectionRoundTrip covers the optional STATS transaction section: a
-// txn-only server forces a zeroed repl delimiter block out (which must decode
-// back to a nil Repl), and a server with both sections keeps them distinct.
-func TestTxnSectionRoundTrip(t *testing.T) {
-	// Txn section without replication: the zeroed repl block is a pure
-	// delimiter and must not materialize a ReplReply on decode.
-	st := &StatsReply{
-		Puts: 1, Gets: 2,
-		Txn: &TxnReply{Commits: 10, Aborts: 2, Conflicts: 3},
-	}
-	frame := AppendResponse(nil, &Response{ID: 1, Op: OpStats, Status: StatusOK, Stats: st})
-	payload := roundTripPayload(t, frame)
-	want := respFixed + statsFields*8 + 4 + cacheStatFields*8 + 4 + replStatFields*8 + txnStatFields*8
-	if len(payload) != want {
-		t.Fatalf("txn-only STATS payload is %d bytes, want %d", len(payload), want)
-	}
-	got, err := DecodeResponse(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Stats, st) {
-		t.Fatalf("txn STATS round trip: got %+v want %+v", got.Stats, st)
-	}
-	if got.Stats.Repl != nil || got.Stats.Cache != nil {
-		t.Fatalf("delimiter blocks materialized: %+v", got.Stats)
-	}
-
-	// Replication and transactions together: both sections survive.
-	st.Repl = &ReplReply{Role: ReplRolePrimary, Subscribers: 1, LastLSN: 99, AckedLSN: 98}
-	payload = roundTripPayload(t, AppendResponse(nil, &Response{ID: 2, Op: OpStats, Status: StatusOK, Stats: st}))
-	got, err = DecodeResponse(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Stats, st) {
-		t.Fatalf("repl+txn STATS round trip: got %+v want %+v", got.Stats, st)
-	}
-
-	// Truncating the txn section mid-block must fail, not decode partially.
-	if _, err := DecodeResponse(payload[:len(payload)-4]); err == nil {
-		t.Fatal("truncated txn section decoded")
-	}
-}
-
-// TestTxnStatsOffFramesUnchanged pins the txn-off wire layouts: with
-// Stats.Txn nil the frames must be byte-identical to the pre-transaction
-// protocol for every prior shape (plain, sharded, cached, replicating).
-func TestTxnStatsOffFramesUnchanged(t *testing.T) {
-	cases := []struct {
-		name string
-		st   StatsReply
-		want int
-	}{
-		{"plain", StatsReply{Puts: 7},
-			respFixed + statsFields*8},
-		{"sharded", StatsReply{Puts: 7, Shards: []ShardStat{{Puts: 1}, {Gets: 2}}},
-			respFixed + statsFields*8 + 4 + 2*shardStatBytes},
-		{"cached", StatsReply{Puts: 7, Cache: &CacheReply{CacheStat: CacheStat{Hits: 1, Capacity: 8}}},
-			respFixed + statsFields*8 + 4 + cacheStatFields*8 + 4},
-		{"replicating", StatsReply{Puts: 7, Repl: &ReplReply{Role: ReplRoleStandby, AckedLSN: 5}},
-			respFixed + statsFields*8 + 4 + cacheStatFields*8 + 4 + replStatFields*8},
-	}
-	for _, tc := range cases {
-		st := tc.st
-		payload := roundTripPayload(t, AppendResponse(nil, &Response{ID: 5, Op: OpStats, Status: StatusOK, Stats: &st}))
-		if len(payload) != tc.want {
-			t.Errorf("%s: txn-off STATS payload is %d bytes, want pre-txn %d", tc.name, len(payload), tc.want)
-		}
-		got, err := DecodeResponse(payload)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if got.Stats.Txn != nil {
-			t.Errorf("%s: phantom txn section: %+v", tc.name, got.Stats.Txn)
-		}
-	}
 }

@@ -7,36 +7,53 @@ import (
 	"dstore/internal/kvapi"
 )
 
-// KV adapts a Store to the benchmark-facing kvapi.Store interface so the
-// experiment harness drives DStore and the comparison systems identically.
+// KV adapts any API — a bare Store or a Sharded ring — to the
+// benchmark-facing kvapi.Store interface, so the experiment harness drives
+// DStore at every shard count, and the comparison systems, identically.
 type KV struct {
-	s   *Store
-	ctx *Ctx
-	cfg Config
+	api API
+	ctx Context
+	// cfgs holds one config per member (members), in shard order.
+	// Crash and the CleanClose variants store the surviving devices in them
+	// for Recover.
+	cfgs []Config
 }
 
-// NewKV wraps s. cfg must be the config s was created with; it is reused by
-// Recover.
-func NewKV(s *Store, cfg Config) *KV {
-	return &KV{s: s, ctx: s.Init(), cfg: cfg}
+// NewKV wraps api.
+func NewKV(api API) *KV {
+	k := &KV{api: api, ctx: api.NewContext()}
+	for _, s := range members(api) {
+		k.cfgs = append(k.cfgs, s.cfg)
+	}
+	return k
 }
 
 // Store returns the wrapped store (it changes after Recover).
-func (k *KV) Store() *Store { return k.s }
+func (k *KV) Store() API { return k.api }
 
 // Label implements kvapi.Store.
 func (k *KV) Label() string {
-	switch k.cfg.Mode {
-	case ModeCoW:
+	cfg := k.cfgs[0]
+	switch {
+	case len(k.cfgs) > 1:
+		return fmt.Sprintf("DStore (%d shards)", len(k.cfgs))
+	case cfg.Mode == ModeCoW:
 		return "DStore (CoW)"
-	case ModePhysical:
+	case cfg.Mode == ModePhysical:
 		return "DStore (physical log)"
+	case cfg.DisableOE:
+		return "DStore (no OE)"
 	default:
-		if k.cfg.DisableOE {
-			return "DStore (no OE)"
-		}
 		return "DStore"
 	}
+}
+
+// notFound maps the store's not-found sentinel to the harness's.
+func notFound(err error) error {
+	if errors.Is(err, ErrNotFound) {
+		return kvapi.ErrNotFound
+	}
+	return err
 }
 
 // Put implements kvapi.Store.
@@ -45,44 +62,64 @@ func (k *KV) Put(key string, value []byte) error { return k.ctx.Put(key, value) 
 // Get implements kvapi.Store; absent keys return kvapi.ErrNotFound.
 func (k *KV) Get(key string, buf []byte) ([]byte, error) {
 	out, err := k.ctx.Get(key, buf)
-	if errors.Is(err, ErrNotFound) {
-		return nil, kvapi.ErrNotFound
+	if err != nil {
+		return nil, notFound(err)
 	}
-	return out, err
+	return out, nil
 }
 
 // Delete implements kvapi.Store; absent keys return kvapi.ErrNotFound.
-func (k *KV) Delete(key string) error {
-	if err := k.s.Init().Delete(key); err != nil {
-		if errors.Is(err, ErrNotFound) {
-			return kvapi.ErrNotFound
-		}
-		return err
-	}
-	return nil
-}
+func (k *KV) Delete(key string) error { return notFound(k.ctx.Delete(key)) }
 
 // Close implements kvapi.Store.
-func (k *KV) Close() error { return k.s.Close() }
+func (k *KV) Close() error { return k.api.Close() }
 
 // FootprintBytes implements kvapi.FootprintReporter.
 func (k *KV) FootprintBytes() (dram, pmem, ssd uint64) {
-	fp := k.s.Footprint()
+	fp := k.api.Footprint()
 	return fp.DRAMBytes, fp.PMEMBytes, fp.SSDBytes
 }
 
-// Crash implements kvapi.Crasher.
+// IOBytes implements kvapi.IOStatsReporter, summing device traffic across
+// members.
+func (k *KV) IOBytes() (pmemBytes, ssdBytes uint64) {
+	for _, s := range members(k.api) {
+		pm, data := s.Devices()
+		ps := pm.Stats()
+		ds := data.Stats()
+		pmemBytes += ps.BytesRead + ps.BytesWritten
+		ssdBytes += ds.BytesRead + ds.BytesWritten
+	}
+	return pmemBytes, ssdBytes
+}
+
+// keepDevices records every member's devices for Recover.
+func (k *KV) keepDevices() {
+	for i, s := range members(k.api) {
+		k.cfgs[i].PMEM, k.cfgs[i].SSD = s.Devices()
+	}
+}
+
+// Crash implements kvapi.Crasher: the store stops without a checkpoint
+// (volatile state dropped) and every member's devices resolve per their
+// crash models, seeds varied per member.
 func (k *KV) Crash(seed int64) error {
-	var err error
-	k.cfg.PMEM, k.cfg.SSD, err = k.s.Crash(seed)
+	err := k.api.CloseNoCheckpoint()
+	for i, s := range members(k.api) {
+		var cerr error
+		k.cfgs[i].PMEM, k.cfgs[i].SSD, cerr = s.Crash(seed + int64(i))
+		if cerr != nil && err == nil {
+			err = fmt.Errorf("dstore: crash member %d: %w", i, cerr)
+		}
+	}
 	return err
 }
 
 // CleanClose shuts down cleanly (final checkpoint included) but keeps the
 // devices for Recover.
 func (k *KV) CleanClose() error {
-	err := k.s.Close()
-	k.cfg.PMEM, k.cfg.SSD = k.s.Devices()
+	err := k.api.Close()
+	k.keepDevices()
 	return err
 }
 
@@ -90,36 +127,38 @@ func (k *KV) CleanClose() error {
 // final checkpoint, leaving the active log populated — the paper's clean
 // shutdown semantics, whose Table 4 recovery includes log replay.
 func (k *KV) CleanCloseNoCheckpoint() error {
-	err := k.s.CloseNoCheckpoint()
-	k.cfg.PMEM, k.cfg.SSD = k.s.Devices()
+	err := k.api.CloseNoCheckpoint()
+	k.keepDevices()
 	return err
 }
 
-// Recover implements kvapi.Crasher: reopen from the surviving devices and
-// report the engine's recovery phase breakdown.
+// Recover implements kvapi.Crasher: reopen from the surviving devices, in
+// the shape the store had, and report the engine's recovery phase breakdown
+// — the slowest member's, since members recover in parallel and recovery
+// wall-clock is the slowest one, not the sum.
 func (k *KV) Recover() (metadataNs, replayNs int64, err error) {
-	if k.cfg.PMEM == nil {
+	if k.cfgs[0].PMEM == nil {
 		return 0, 0, errors.New("dstore: Recover before Crash/CleanClose")
 	}
-	s2, err := Open(k.cfg)
+	var api API
+	if _, ring := k.api.(*Sharded); ring {
+		api, err = OpenSharded(k.cfgs)
+	} else {
+		api, err = Open(k.cfgs[0])
+	}
 	if err != nil {
 		return 0, 0, err
 	}
-	k.s = s2
-	k.ctx = s2.Init()
-	metadataNs, replayNs = s2.Engine().RecoveryBreakdown()
+	k.api, k.ctx = api, api.NewContext()
+	for _, s := range members(api) {
+		m, r := s.Engine().RecoveryBreakdown()
+		metadataNs, replayNs = max(metadataNs, m), max(replayNs, r)
+	}
 	return metadataNs, replayNs, nil
 }
 
-// IOBytes implements kvapi.IOStatsReporter.
-func (k *KV) IOBytes() (pmemBytes, ssdBytes uint64) {
-	pm, data := k.s.Devices()
-	ps := pm.Stats()
-	ds := data.Stats()
-	return ps.BytesRead + ps.BytesWritten, ds.BytesRead + ds.BytesWritten
-}
-
-// Begin implements kvapi.Transactor.
+// Begin implements kvapi.Transactor; on a ring the transaction spans the
+// sharded namespace (cross-shard write sets run two-phase commit).
 func (k *KV) Begin() (kvapi.Txn, error) {
 	t, err := k.ctx.Begin()
 	if err != nil {
@@ -134,10 +173,10 @@ type kvTxn struct{ t Txn }
 
 func (x kvTxn) Get(key string, buf []byte) ([]byte, error) {
 	out, err := x.t.Get(key, buf)
-	if errors.Is(err, ErrNotFound) {
-		return nil, kvapi.ErrNotFound
+	if err != nil {
+		return nil, notFound(err)
 	}
-	return out, err
+	return out, nil
 }
 
 func (x kvTxn) Put(key string, value []byte) error { return x.t.Put(key, value) }
@@ -157,118 +196,3 @@ var _ kvapi.Store = (*KV)(nil)
 var _ kvapi.FootprintReporter = (*KV)(nil)
 var _ kvapi.Crasher = (*KV)(nil)
 var _ kvapi.Transactor = (*KV)(nil)
-
-// ShardedKV adapts a Sharded store to kvapi.Store, so the benchmark harness
-// measures shard scaling through the exact adapter it uses for one store.
-type ShardedKV struct {
-	sh   *Sharded
-	ctx  *ShardedCtx
-	cfgs []Config // per-shard configs for Recover, filled by Crash
-}
-
-// NewShardedKV wraps sh.
-func NewShardedKV(sh *Sharded) *ShardedKV {
-	return &ShardedKV{sh: sh, ctx: sh.Init()}
-}
-
-// Sharded returns the wrapped store (it changes after Recover).
-func (k *ShardedKV) Sharded() *Sharded { return k.sh }
-
-// Label implements kvapi.Store.
-func (k *ShardedKV) Label() string {
-	return fmt.Sprintf("DStore (%d shards)", k.sh.Shards())
-}
-
-// Put implements kvapi.Store.
-func (k *ShardedKV) Put(key string, value []byte) error { return k.ctx.Put(key, value) }
-
-// Get implements kvapi.Store; absent keys return kvapi.ErrNotFound.
-func (k *ShardedKV) Get(key string, buf []byte) ([]byte, error) {
-	out, err := k.ctx.Get(key, buf)
-	if errors.Is(err, ErrNotFound) {
-		return nil, kvapi.ErrNotFound
-	}
-	return out, err
-}
-
-// Delete implements kvapi.Store; absent keys return kvapi.ErrNotFound.
-func (k *ShardedKV) Delete(key string) error {
-	if err := k.ctx.Delete(key); err != nil {
-		if errors.Is(err, ErrNotFound) {
-			return kvapi.ErrNotFound
-		}
-		return err
-	}
-	return nil
-}
-
-// Close implements kvapi.Store.
-func (k *ShardedKV) Close() error { return k.sh.Close() }
-
-// FootprintBytes implements kvapi.FootprintReporter.
-func (k *ShardedKV) FootprintBytes() (dram, pmem, ssd uint64) {
-	fp := k.sh.Footprint()
-	return fp.DRAMBytes, fp.PMEMBytes, fp.SSDBytes
-}
-
-// IOBytes implements kvapi.IOStatsReporter, summing device traffic across
-// shards.
-func (k *ShardedKV) IOBytes() (pmemBytes, ssdBytes uint64) {
-	for i := 0; i < k.sh.Shards(); i++ {
-		pm, data := k.sh.Shard(i).Devices()
-		ps := pm.Stats()
-		ds := data.Stats()
-		pmemBytes += ps.BytesRead + ps.BytesWritten
-		ssdBytes += ds.BytesRead + ds.BytesWritten
-	}
-	return pmemBytes, ssdBytes
-}
-
-// Crash implements kvapi.Crasher: every shard crashes (volatile state
-// dropped), keeping the surviving devices for Recover.
-func (k *ShardedKV) Crash(seed int64) error {
-	cfgs, err := k.sh.Crash(seed)
-	k.cfgs = cfgs
-	return err
-}
-
-// Recover implements kvapi.Crasher: reopen every shard in parallel and
-// report the slowest shard's phase times (recovery wall-clock is the
-// slowest shard, not the sum — the parallel-recovery payoff).
-func (k *ShardedKV) Recover() (metadataNs, replayNs int64, err error) {
-	if k.cfgs == nil {
-		return 0, 0, errors.New("dstore: Recover before Crash")
-	}
-	sh2, err := OpenSharded(k.cfgs)
-	if err != nil {
-		return 0, 0, err
-	}
-	k.sh = sh2
-	k.ctx = sh2.Init()
-	for i := 0; i < sh2.Shards(); i++ {
-		m, r := sh2.Shard(i).Engine().RecoveryBreakdown()
-		if m > metadataNs {
-			metadataNs = m
-		}
-		if r > replayNs {
-			replayNs = r
-		}
-	}
-	return metadataNs, replayNs, nil
-}
-
-// Begin implements kvapi.Transactor; the transaction spans the sharded
-// namespace (cross-shard write sets run two-phase commit).
-func (k *ShardedKV) Begin() (kvapi.Txn, error) {
-	t, err := k.ctx.Begin()
-	if err != nil {
-		return nil, err
-	}
-	return kvTxn{t: t}, nil
-}
-
-var _ kvapi.IOStatsReporter = (*ShardedKV)(nil)
-var _ kvapi.Store = (*ShardedKV)(nil)
-var _ kvapi.FootprintReporter = (*ShardedKV)(nil)
-var _ kvapi.Crasher = (*ShardedKV)(nil)
-var _ kvapi.Transactor = (*ShardedKV)(nil)

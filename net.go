@@ -64,13 +64,6 @@ func (s *Store) NetBackend() server.Backend { return netBackendFor(s) }
 // NetBackend exposes the sharded store as a server.Backend.
 func (sh *Sharded) NetBackend() server.Backend { return netBackendFor(sh) }
 
-// shardView is the optional per-shard observability surface a backend's API
-// may provide; *Sharded does, *Store does not.
-type shardView interface {
-	Shards() int
-	Shard(i int) *Store
-}
-
 // replView is the optional replication surface an API may provide; *Store
 // (and *ReplicatedShard) do, *Sharded does not (each shard has its own WAL
 // and replicates independently).
@@ -82,28 +75,18 @@ type replView interface {
 	Promote() error
 }
 
-// ringView is the optional resharding surface an API may provide; *Sharded
-// does, *Store does not. It feeds the server's OpRing opcode and the
-// stale-epoch fence (server.Ringer).
-type ringView interface {
-	RingEpoch() uint64
-	RingData() []byte
-}
-
-// netBackendFor adapts any API to the wire server, attaching per-shard
-// stats/health rows when the API exposes shards, the replication surface
-// (server.Replicator + server.Promoter) when the API supports it, and the
-// ring surface (server.Ringer) when the API reshards.
+// netBackendFor adapts any API to the wire server, attaching the
+// replication surface (server.Replicator + server.Promoter) when the API
+// supports it, and the ring surface (server.Ringer) when the API reshards —
+// *Sharded does, *Store does not; it feeds the server's OpRing opcode and
+// the stale-epoch fence.
 func netBackendFor(api API) server.Backend {
 	b := &netBackend{api: api}
-	if v, ok := api.(shardView); ok && v.Shards() > 1 {
-		b.shards = v
-	}
 	if r, ok := api.(replView); ok {
-		return &replNetBackend{netBackend: b, r: r}
+		return &replNetBackend{netBackend: b, replView: r}
 	}
-	if rg, ok := api.(ringView); ok {
-		return &ringNetBackend{netBackend: b, rg: rg}
+	if rg, ok := api.(server.Ringer); ok {
+		return &ringNetBackend{netBackend: b, Ringer: rg}
 	}
 	return b
 }
@@ -114,44 +97,33 @@ func netBackendFor(api API) server.Backend {
 // — so the ring and replication overlays never need to compose.)
 type ringNetBackend struct {
 	*netBackend
-	rg ringView
+	server.Ringer
 }
-
-func (b *ringNetBackend) RingEpoch() uint64 { return b.rg.RingEpoch() }
-func (b *ringNetBackend) RingData() []byte  { return b.rg.RingData() }
 
 // replNetBackend overlays the replication surface on netBackend, so the
 // server's Replicator/Promoter type assertions succeed exactly when the
 // underlying API replicates.
 type replNetBackend struct {
 	*netBackend
-	r replView
+	replView
 }
-
-func (b *replNetBackend) ExportCommitted(from uint64, max int) ([]wire.Record, error) {
-	return b.r.ExportCommitted(from, max)
-}
-
-func (b *replNetBackend) LastLSN() uint64 { return b.r.LastLSN() }
-func (b *replNetBackend) Promote() error  { return b.r.Promote() }
 
 // Stats attaches the standby-role replication section; the primary-role
 // section is the server's to attach (it owns the subscriber bookkeeping).
 func (b *replNetBackend) Stats() wire.StatsReply {
 	st := b.netBackend.Stats()
-	if b.r.IsStandby() {
+	if b.IsStandby() {
 		st.Repl = &wire.ReplReply{
 			Role:     wire.ReplRoleStandby,
-			LastLSN:  b.r.LastLSN(),
-			AckedLSN: b.r.AppliedLSN(),
+			LastLSN:  b.LastLSN(),
+			AckedLSN: b.AppliedLSN(),
 		}
 	}
 	return st
 }
 
 type netBackend struct {
-	api    API
-	shards shardView // nil for a single store (or a 1-shard Sharded)
+	api API
 }
 
 func (b *netBackend) Put(key string, value []byte) error {
@@ -172,58 +144,21 @@ func (b *netBackend) Delete(key string) error {
 	return c.Delete(key)
 }
 
-// bulkView is the batched-operation surface both *Store and *Sharded
-// provide (batch.go); the adapter requires it rather than type-asserting so
-// a future API implementation cannot silently lose server-side batching.
-type bulkView interface {
-	MPut(epoch uint64, keys []string, values [][]byte) []error
-	MGet(epoch uint64, keys []string) ([][]byte, []error)
-	MDelete(epoch uint64, keys []string) []error
-}
-
 // MPut implements server.BatchBackend: one fan-out call per frame, so the
 // store can feed all sub-ops to WAL group commit instead of the server
 // looping per key.
 func (b *netBackend) MPut(epoch uint64, keys []string, values [][]byte) []error {
-	if bv, ok := b.api.(bulkView); ok {
-		return bv.MPut(epoch, keys, values)
-	}
-	errs := make([]error, len(keys))
-	c := b.api.NewContext()
-	defer c.Finalize()
-	for i := range keys {
-		errs[i] = c.Put(keys[i], values[i])
-	}
-	return errs
+	return b.api.MPut(epoch, keys, values)
 }
 
 // MGet implements server.BatchBackend.
 func (b *netBackend) MGet(epoch uint64, keys []string) ([][]byte, []error) {
-	if bv, ok := b.api.(bulkView); ok {
-		return bv.MGet(epoch, keys)
-	}
-	vals := make([][]byte, len(keys))
-	errs := make([]error, len(keys))
-	c := b.api.NewContext()
-	defer c.Finalize()
-	for i := range keys {
-		vals[i], errs[i] = c.Get(keys[i], nil)
-	}
-	return vals, errs
+	return b.api.MGet(epoch, keys)
 }
 
 // MDelete implements server.BatchBackend.
 func (b *netBackend) MDelete(epoch uint64, keys []string) []error {
-	if bv, ok := b.api.(bulkView); ok {
-		return bv.MDelete(epoch, keys)
-	}
-	errs := make([]error, len(keys))
-	c := b.api.NewContext()
-	defer c.Finalize()
-	for i := range keys {
-		errs[i] = c.Delete(keys[i])
-	}
-	return errs
+	return b.api.MDelete(epoch, keys)
 }
 
 // BeginTxn exposes transactions to the wire server. The session pins its own
@@ -275,9 +210,9 @@ func (b *netBackend) Scan(prefix string, limit int) ([]wire.Object, error) {
 	return out, err
 }
 
-// statsReplyFor flattens one store-level snapshot into the wire layout
-// (used for the aggregate block and for each per-shard row).
-func statsReplyFor(st Stats, fp Footprint, objects uint64) wire.ShardStat {
+// statRow flattens one store-level snapshot into the wire row (the aggregate
+// and each per-shard row are the same type).
+func statRow(st Stats, fp Footprint, objects uint64) wire.ShardStat {
 	return wire.ShardStat{
 		Puts:            st.Puts,
 		Gets:            st.Gets,
@@ -294,70 +229,8 @@ func statsReplyFor(st Stats, fp Footprint, objects uint64) wire.ShardStat {
 	}
 }
 
-func (b *netBackend) Stats() wire.StatsReply {
-	apiStats := b.api.Stats()
-	agg := statsReplyFor(apiStats, b.api.Footprint(), b.api.Count())
-	reply := wire.StatsReply{
-		Puts:            agg.Puts,
-		Gets:            agg.Gets,
-		Deletes:         agg.Deletes,
-		Reads:           agg.Reads,
-		Writes:          agg.Writes,
-		Opens:           agg.Opens,
-		Objects:         agg.Objects,
-		Checkpoints:     agg.Checkpoints,
-		RecordsReplayed: agg.RecordsReplayed,
-		DRAMBytes:       agg.DRAMBytes,
-		PMEMBytes:       agg.PMEMBytes,
-		SSDBytes:        agg.SSDBytes,
-	}
-	if b.shards != nil {
-		reply.Shards = make([]wire.ShardStat, b.shards.Shards())
-		for i := range reply.Shards {
-			s := b.shards.Shard(i)
-			// Per-shard rows count user-visible keys (userCount), matching
-			// the aggregate: ring metadata and txn bookkeeping are invisible.
-			reply.Shards[i] = statsReplyFor(s.Stats(), s.Footprint(), s.userCount())
-		}
-	}
-	// Attach the cache section only when a cache is configured, so
-	// cache-off deployments emit frames byte-identical to the pre-cache
-	// protocol.
-	if cs := b.api.CacheStats(); cs.Capacity > 0 {
-		cr := &wire.CacheReply{CacheStat: cacheStatFor(cs)}
-		if b.shards != nil {
-			cr.Shards = make([]wire.CacheStat, b.shards.Shards())
-			for i := range cr.Shards {
-				cr.Shards[i] = cacheStatFor(b.shards.Shard(i).CacheStats())
-			}
-		}
-		reply.Cache = cr
-	}
-	// Attach the transaction section only once transactions have been used,
-	// so txn-free deployments emit frames byte-identical to the pre-txn
-	// protocol.
-	if apiStats.TxnCommits+apiStats.TxnAborts+apiStats.TxnConflicts > 0 {
-		reply.Txn = &wire.TxnReply{
-			Commits:   apiStats.TxnCommits,
-			Aborts:    apiStats.TxnAborts,
-			Conflicts: apiStats.TxnConflicts,
-		}
-	}
-	// Attach the group-commit section only once a batch has formed, so
-	// group-commit-off deployments (and idle stores) emit frames
-	// byte-identical to the pre-batching protocol.
-	if apiStats.Engine.GCBatches > 0 {
-		reply.Batch = &wire.BatchReply{
-			Batches: apiStats.Engine.GCBatches,
-			Records: apiStats.Engine.GCRecords,
-			Parked:  apiStats.Engine.GCParked,
-		}
-	}
-	return reply
-}
-
-// cacheStatFor flattens one cache snapshot into the wire layout.
-func cacheStatFor(cs CacheStats) wire.CacheStat {
+// cacheRow flattens one cache snapshot into the wire row.
+func cacheRow(cs CacheStats) wire.CacheStat {
 	return wire.CacheStat{
 		Hits:      cs.Hits,
 		Misses:    cs.Misses,
@@ -367,8 +240,8 @@ func cacheStatFor(cs CacheStats) wire.CacheStat {
 	}
 }
 
-// healthRowFor flattens one store-level health snapshot into the wire layout.
-func healthRowFor(h Health) wire.ShardHealth {
+// healthRow flattens one health snapshot into the wire row.
+func healthRow(h Health) wire.ShardHealth {
 	return wire.ShardHealth{
 		Degraded:          h.Degraded,
 		Reason:            h.Reason,
@@ -380,22 +253,55 @@ func healthRowFor(h Health) wire.ShardHealth {
 	}
 }
 
-func (b *netBackend) Health() wire.HealthReply {
-	h := b.api.Health()
-	reply := wire.HealthReply{
-		Degraded:          h.Degraded,
-		Reason:            h.Reason,
-		IORetries:         h.IORetries,
-		WriteErrors:       h.WriteErrors,
-		Corruptions:       h.Corruptions,
-		Remaps:            h.Remaps,
-		QuarantinedBlocks: h.QuarantinedBlocks,
+// shardRows returns the engines that get per-shard rows after the
+// aggregates: none for a single member, whose row would repeat the
+// aggregate (and whose frames stay in the pre-sharding layout).
+func (b *netBackend) shardRows() []*Store {
+	if ms := members(b.api); len(ms) > 1 {
+		return ms
 	}
-	if b.shards != nil {
-		reply.Shards = make([]wire.ShardHealth, b.shards.Shards())
-		for i := range reply.Shards {
-			reply.Shards[i] = healthRowFor(b.shards.Shard(i).Health())
+	return nil
+}
+
+func (b *netBackend) Stats() wire.StatsReply {
+	st := b.api.Stats()
+	shards := b.shardRows()
+	reply := wire.StatsReply{ShardStat: statRow(st, b.api.Footprint(), b.api.Count())}
+	for _, s := range shards {
+		// Per-shard rows count user-visible keys (userCount), matching the
+		// aggregate: ring metadata and txn bookkeeping are invisible.
+		reply.Shards = append(reply.Shards, statRow(s.Stats(), s.Footprint(), s.userCount()))
+	}
+	// Each optional section is attached only when its feature is in use —
+	// a cache configured, a transaction seen, a group-commit batch formed —
+	// so deployments without the feature emit the frames they always did.
+	if cs := b.api.CacheStats(); cs.Capacity > 0 {
+		reply.Cache = &wire.CacheReply{CacheStat: cacheRow(cs)}
+		for _, s := range shards {
+			reply.Cache.Shards = append(reply.Cache.Shards, cacheRow(s.CacheStats()))
 		}
+	}
+	if st.TxnCommits+st.TxnAborts+st.TxnConflicts > 0 {
+		reply.Txn = &wire.TxnReply{
+			Commits:   st.TxnCommits,
+			Aborts:    st.TxnAborts,
+			Conflicts: st.TxnConflicts,
+		}
+	}
+	if st.Engine.GCBatches > 0 {
+		reply.Batch = &wire.BatchReply{
+			Batches: st.Engine.GCBatches,
+			Records: st.Engine.GCRecords,
+			Parked:  st.Engine.GCParked,
+		}
+	}
+	return reply
+}
+
+func (b *netBackend) Health() wire.HealthReply {
+	reply := wire.HealthReply{ShardHealth: healthRow(b.api.Health())}
+	for _, s := range b.shardRows() {
+		reply.Shards = append(reply.Shards, healthRow(s.Health()))
 	}
 	return reply
 }

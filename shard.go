@@ -79,8 +79,19 @@ type Sharded struct {
 	reshardHook func(phase, key string) error
 
 	// txnSeq issues cross-shard transaction ids (txnshard.go). The high bit
-	// keeps them disjoint from the per-store single-shard id space.
+	// keeps them disjoint from the per-store ids that one-participant commits
+	// draw from their store.
 	txnSeq atomic.Uint64
+}
+
+// ringOfOne returns s seen as a one-member ring at epoch 0: every key routes
+// to s, nothing migrates, nothing fails over. It is a routing view only — s
+// keeps its own lifecycle, and the view is never closed or persisted.
+func ringOfOne(s *Store) *Sharded {
+	sh := &Sharded{}
+	sh.setShards([]*Store{s}, nil)
+	sh.ringP.Store(ring.NewModN(1))
+	return sh
 }
 
 // stores returns the current shard slice snapshot. The slice is immutable;
@@ -519,7 +530,7 @@ func (sh *Sharded) Crash(seed int64) ([]Config, error) {
 }
 
 // Stats aggregates every shard's counters. Per-shard snapshots are
-// available via ShardStats.
+// Shard(i).Stats().
 func (sh *Sharded) Stats() Stats {
 	var out Stats
 	for i := range sh.stores() {
@@ -547,11 +558,8 @@ func (sh *Sharded) Stats() Stats {
 	return out
 }
 
-// ShardStats returns shard i's own counters (active store).
-func (sh *Sharded) ShardStats(i int) Stats { return sh.store(i).Stats() }
-
 // CacheStats aggregates the block-cache counters across shards. Per-shard
-// snapshots are available via ShardCacheStats.
+// snapshots are Shard(i).CacheStats().
 func (sh *Sharded) CacheStats() CacheStats {
 	var out CacheStats
 	for i := range sh.stores() {
@@ -565,9 +573,6 @@ func (sh *Sharded) CacheStats() CacheStats {
 	}
 	return out
 }
-
-// ShardCacheStats returns shard i's own block-cache counters (active store).
-func (sh *Sharded) ShardCacheStats(i int) CacheStats { return sh.store(i).CacheStats() }
 
 // Breakdown aggregates the per-stage write timing across shards.
 func (sh *Sharded) Breakdown() Breakdown {
@@ -600,9 +605,10 @@ func (sh *Sharded) Footprint() Footprint {
 // Health aggregates fault status across shards: Degraded when any shard is
 // degraded (DegradedShard is that shard's index and Reason names it),
 // counters summed, and the quarantine lists concatenated in shard order
-// (block ids are shard-local; use ShardHealth for an unambiguous per-shard
-// view). Replicated shards report their active store: a failed-over shard
-// is healthy here — the degradation was absorbed by the failover.
+// (block ids are shard-local; use Shard(i).Health() for an unambiguous
+// per-shard view). Replicated shards report their active store: a
+// failed-over shard is healthy here — the degradation was absorbed by the
+// failover.
 func (sh *Sharded) Health() Health {
 	var out Health
 	out.DegradedShard = -1
@@ -622,9 +628,6 @@ func (sh *Sharded) Health() Health {
 	return out
 }
 
-// ShardHealth returns shard i's own fault status (active store).
-func (sh *Sharded) ShardHealth(i int) Health { return sh.store(i).Health() }
-
 // Count sums live user-visible objects across shards. Reserved bookkeeping
 // (the ring object, transaction prepares) is excluded; keys mid-migration
 // can be double-counted transiently until the post-flip cleanup.
@@ -638,8 +641,8 @@ func (sh *Sharded) Count() uint64 {
 
 // Degraded reports whether any shard is in read-only degraded mode. Writes
 // to the other shards' keys keep succeeding — check per key via the error
-// returned by Put/Delete, or per shard via ShardHealth. A replicated shard
-// that failed over is not degraded: its active store is the healthy
+// returned by Put/Delete, or per shard via Shard(i).Health(). A replicated
+// shard that failed over is not degraded: its active store is the healthy
 // promoted standby.
 func (sh *Sharded) Degraded() bool {
 	for i := range sh.stores() {

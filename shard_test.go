@@ -249,7 +249,7 @@ func TestShardedCrashMidParallelCheckpoint(t *testing.T) {
 	// from its own active log; shard 0 additionally redid its archived log
 	// into the shadow arena (the interrupted checkpoint).
 	for i := 0; i < shards; i++ {
-		es := sh2.ShardStats(i).Engine
+		es := sh2.Shard(i).Stats().Engine
 		if es.RecordsRecovered == 0 {
 			t.Errorf("shard %d: no active-log records recovered", i)
 		}
@@ -258,7 +258,7 @@ func TestShardedCrashMidParallelCheckpoint(t *testing.T) {
 			t.Errorf("shard %d: empty recovery breakdown meta=%d replay=%d", i, metaNs, replayNs)
 		}
 	}
-	if redo := sh2.ShardStats(0).Engine.RecordsReplayed; redo == 0 {
+	if redo := sh2.Shard(0).Stats().Engine.RecordsReplayed; redo == 0 {
 		t.Error("shard 0: interrupted checkpoint not redone (no archived records replayed)")
 	}
 
@@ -362,7 +362,7 @@ func TestShardedDegradedShardIsolation(t *testing.T) {
 		t.Fatalf("aggregate health %+v does not name shard %d", h, victim)
 	}
 	for i := 0; i < shards; i++ {
-		if got := sh.ShardHealth(i).Degraded; got != (i == victim) {
+		if got := sh.Shard(i).Health().Degraded; got != (i == victim) {
 			t.Fatalf("shard %d degraded = %v, want %v", i, got, i == victim)
 		}
 	}

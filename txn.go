@@ -10,12 +10,14 @@ import (
 	"dstore/internal/wal"
 )
 
-// This file implements multi-key optimistic transactions on one store
-// (DESIGN.md §12). Reads record a per-key commit version, writes buffer in
-// DRAM, and Commit validates the read set under the pool lock — atomically
-// with the append of a single opTxnCommit WAL record carrying the whole
-// write set — so recovery replay applies all of a transaction's writes or,
-// when the record never committed, none of them.
+// This file implements multi-key optimistic transactions (DESIGN.md §12):
+// the Txn type's buffering half and one store's commit pipeline. Reads
+// record a per-key commit version, writes buffer in DRAM, and the pipeline
+// validates the read set under the pool lock — atomically with the append
+// of a single opTxnCommit WAL record carrying the store's whole write set —
+// so recovery replay applies all of those writes or, when the record never
+// committed, none of them. Routing a transaction's keys to their stores and
+// committing across more than one is txnshard.go.
 
 // errTxnDone is returned by operations on a committed or aborted transaction.
 var errTxnDone = errors.New("dstore: transaction already finished")
@@ -80,33 +82,47 @@ type txnWrite struct {
 	value []byte
 }
 
-// storeTxn is the Txn implementation for a single store.
-type storeTxn struct {
-	s      *Store
+// txn is the Txn implementation: a DRAM write buffer plus the first-read
+// commit version of every key read, over a ring of stores. A bare store's
+// transactions run over its ring-of-one view (Store.self), so committing on
+// one store is the routed commit's one-participant case (txnshard.go), not a
+// second code path.
+type txn struct {
+	sh     *Sharded
 	reads  map[string]uint64
 	writes map[string]txnWrite
 	done   bool
 }
 
+func (sh *Sharded) begin() *txn {
+	return &txn{sh: sh, reads: make(map[string]uint64), writes: make(map[string]txnWrite)}
+}
+
 // Begin starts a transaction on the context's store. The returned Txn is
 // owned by a single goroutine, like the Ctx itself.
 func (c *Ctx) Begin() (Txn, error) {
-	s := c.s
-	if s == nil || s.closed.Load() {
+	if c.s == nil || c.s.closed.Load() {
 		return nil, ErrClosed
 	}
-	return &storeTxn{
-		s:      s,
-		reads:  make(map[string]uint64),
-		writes: make(map[string]txnWrite),
-	}, nil
+	return c.s.self.begin(), nil
 }
+
+// Begin starts a transaction spanning the sharded namespace.
+func (c *ShardedCtx) Begin() (Txn, error) {
+	if c.sh == nil {
+		return nil, ErrClosed
+	}
+	return c.sh.begin(), nil
+}
+
+// store returns the store owning key under the current ring.
+func (t *txn) store(key string) *Store { return t.sh.store(t.sh.owner(key)) }
 
 // Get reads key, observing the transaction's own buffered writes first
 // (read-your-writes). The first store read of each key records its commit
 // version for validation; absent keys are versioned too, so a commit fails
 // if a key read as missing is created concurrently.
-func (t *storeTxn) Get(key string, buf []byte) ([]byte, error) {
+func (t *txn) Get(key string, buf []byte) ([]byte, error) {
 	if t.done {
 		return nil, errTxnDone
 	}
@@ -116,7 +132,7 @@ func (t *storeTxn) Get(key string, buf []byte) ([]byte, error) {
 		}
 		return append(buf, w.value...), nil
 	}
-	s := t.s
+	s := t.store(key)
 	if err := s.validateName(key); err != nil {
 		return nil, err
 	}
@@ -131,12 +147,12 @@ func (t *storeTxn) Get(key string, buf []byte) ([]byte, error) {
 }
 
 // Put buffers a write of value under key; nothing is logged or becomes
-// visible until Commit. The value is copied.
-func (t *storeTxn) Put(key string, value []byte) error {
+// visible until Commit. The value is copied; it is routed at commit.
+func (t *txn) Put(key string, value []byte) error {
 	if t.done {
 		return errTxnDone
 	}
-	s := t.s
+	s := t.store(key)
 	if err := s.validateName(key); err != nil {
 		return err
 	}
@@ -149,11 +165,11 @@ func (t *storeTxn) Put(key string, value []byte) error {
 
 // Delete buffers a deletion of key. Deleting an absent key is a no-op at
 // commit (the sub-operation is tolerant, like replay).
-func (t *storeTxn) Delete(key string) error {
+func (t *txn) Delete(key string) error {
 	if t.done {
 		return errTxnDone
 	}
-	if err := t.s.validateName(key); err != nil {
+	if err := t.store(key).validateName(key); err != nil {
 		return err
 	}
 	t.writes[key] = txnWrite{del: true}
@@ -161,32 +177,13 @@ func (t *storeTxn) Delete(key string) error {
 }
 
 // Abort discards the transaction's buffered state.
-func (t *storeTxn) Abort() error {
+func (t *txn) Abort() error {
 	if t.done {
 		return nil
 	}
 	t.done = true
-	t.s.txns.aborts.Add(1)
+	t.sh.store(0).txns.aborts.Add(1)
 	return nil
-}
-
-// Commit validates the read set and atomically applies the buffered writes.
-// ErrTxnConflict means validation failed and nothing was applied; the caller
-// retries the whole transaction.
-func (t *storeTxn) Commit() error {
-	if t.done {
-		return errTxnDone
-	}
-	t.done = true
-	s := t.s
-	err := s.commitTxnSet(s.txns.seq.Add(1), t.reads, writesToOps(t.writes), nil)
-	switch {
-	case err == nil:
-		s.txns.commits.Add(1)
-	case errors.Is(err, ErrTxnConflict):
-		s.txns.conflicts.Add(1)
-	}
-	return err
 }
 
 // txnOp is one write routed to a store's commit pipeline.
@@ -194,14 +191,6 @@ type txnOp struct {
 	key   string
 	del   bool
 	value []byte
-}
-
-func writesToOps(writes map[string]txnWrite) []txnOp {
-	ops := make([]txnOp, 0, len(writes))
-	for k, w := range writes {
-		ops = append(ops, txnOp{key: k, del: w.del, value: w.value})
-	}
-	return ops
 }
 
 func sortTxnOps(ops []txnOp) {
@@ -290,25 +279,18 @@ func (s *Store) releaseOlocks(locks map[string]*wal.Handle) {
 	}
 }
 
-// commitTxnSet is the single-store commit pipeline shared by local
-// transactions, the cross-shard coordinator/participant phases, and
+// commitTxnSet is one store's commit pipeline, shared by the routed commit's
+// one-participant case, the cross-shard coordinator/participant phases, and
 // recovery roll-forward: olock the write keys (unless the caller already
 // holds them), validate reads under poolMu atomically with the opTxnCommit
 // append, write the data out of place, apply the structure phases per
 // sub-op, and commit the record — the atomic durability point.
 //
+// ops is never empty: a read-only set validates through validateReadSet.
 // reads may be nil (decided cross-shard applies and recovery validate
 // nothing). held, when non-nil, maps write keys to olock records the caller
 // acquired (and will release) itself.
 func (s *Store) commitTxnSet(txnid uint64, reads map[string]uint64, ops []txnOp, held map[string]*wal.Handle) error {
-	if len(ops) == 0 {
-		if len(reads) == 0 {
-			return nil
-		}
-		s.poolMu.Lock()
-		defer s.poolMu.Unlock()
-		return s.validateReads(reads, nil)
-	}
 	if err := s.checkWritable(); err != nil {
 		return err
 	}

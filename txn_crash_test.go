@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"dstore/internal/pmem"
-	"dstore/internal/ssd"
 )
 
 // txnCrashKeys is the key-space size; each transaction rewrites three keys.
@@ -153,46 +152,26 @@ func runTxnCrashPoint(t *testing.T, crashAt uint64, worstCase bool) {
 	if err := txnCrashPreload(s); err != nil {
 		t.Fatal(err)
 	}
-	pm, _ := s.Devices()
+	pm, data := s.Devices()
 
-	var count uint64
-	armed := !worstCase
-	pm.SetMutationHook(func() {
-		if !armed {
-			return
-		}
-		count++
-		if count == crashAt {
-			armed = false
-			panic(crashSentinel)
-		}
-	})
-
+	// With worstCase, crashAt is 0: the hook never fires, the workload runs
+	// to completion, and the crash is the parked checkpoint window instead.
 	committed := 0
-	crashed := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if r != crashSentinel {
-					panic(r)
-				}
-				crashed = true
-			}
-		}()
+	crashed := runToCrash([]*pmem.Device{pm}, crashAt, s.CloseNoCheckpoint, func() {
 		if err := txnCrashWorkload(s, func(i int) { committed = i }); err != nil {
 			t.Fatalf("txn crash point %d: workload error before crash: %v", crashAt, err)
 		}
-	}()
-	pm.SetMutationHook(nil)
+	})
 	if !crashed && !worstCase {
 		s.Close()
 		return
 	}
 	if worstCase {
 		s.PrepareWorstCaseCrash()
+		s.CloseNoCheckpoint() //nolint:errcheck // abandoning the incarnation
 	}
 
-	cfg.PMEM, cfg.SSD = pm, func() *ssd.Device { _, d := s.Devices(); return d }()
+	cfg.PMEM, cfg.SSD = pm, data
 	pm.Crash(pmem.CrashDropDirty, int64(crashAt)+1)
 	s2, err := Open(cfg)
 	if err != nil {

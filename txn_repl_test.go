@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"dstore/internal/pmem"
-	"dstore/internal/ssd"
 )
 
 // buildTxnPrimary makes a primary whose committed stream interleaves plain
@@ -102,42 +101,19 @@ func runStandbyTxnCrashPoint(t *testing.T, primary *Store, crashAt uint64) {
 		t.Fatal(err)
 	}
 	sb.BeginStandby()
-	pm, _ := sb.Devices()
+	pm, data := sb.Devices()
 
-	var count uint64
-	armed := true
-	pm.SetMutationHook(func() {
-		if !armed {
-			return
-		}
-		count++
-		if count == crashAt {
-			armed = false
-			panic(crashSentinel)
-		}
-	})
-
-	crashed := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if r != crashSentinel {
-					panic(r)
-				}
-				crashed = true
-			}
-		}()
+	crashed := runToCrash([]*pmem.Device{pm}, crashAt, sb.CloseNoCheckpoint, func() {
 		if err := pumpAll(primary, sb); err != nil {
 			t.Fatalf("standby txn crash point %d: apply: %v", crashAt, err)
 		}
-	}()
-	pm.SetMutationHook(nil)
+	})
 	if !crashed {
 		sb.Close() //nolint:errcheck // crash point beyond this run's mutations
 		return
 	}
 
-	cfg.PMEM, cfg.SSD = pm, func() *ssd.Device { _, d := sb.Devices(); return d }()
+	cfg.PMEM, cfg.SSD = pm, data
 	pm.Crash(pmem.CrashDropDirty, int64(crashAt))
 	sb2, err := Open(cfg)
 	if err != nil {

@@ -13,6 +13,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -480,5 +482,118 @@ func TestTxnConcurrentRMW(t *testing.T) {
 	}
 	if err := s.Check(); err != nil {
 		t.Fatalf("fsck after concurrent RMW: %v", err)
+	}
+}
+
+// TestTxnRingOfOneEquivalence runs one seeded transaction script — read-only
+// transactions, read-modify-writes, deletes of absent keys, explicit aborts,
+// and commits invalidated by a plain Put between read and commit — against a
+// bare Store and against a one-member Sharded. Both run the same Txn type
+// through the same routed commit (a bare store as its own ring of one), so
+// they must take the same verdicts step by step and end with byte-identical
+// Scan output, identical values, and identical commit/abort/conflict
+// counters.
+func TestTxnRingOfOneEquivalence(t *testing.T) {
+	type outcome struct {
+		verdicts []string
+		scan     []ObjectInfo
+		values   map[string]string
+		stats    [3]uint64
+	}
+	run := func(api API) outcome {
+		defer api.Close() //nolint:errcheck // test teardown
+		var out outcome
+		note := func(step int, err error) {
+			out.verdicts = append(out.verdicts, fmt.Sprintf("%d:%v", step, err))
+		}
+		ctx := api.NewContext()
+		rng := rand.New(rand.NewSource(20260926))
+		key := func() string { return fmt.Sprintf("eq-%02d", rng.Intn(12)) }
+		for step := 0; step < 300; step++ {
+			txn, err := ctx.Begin()
+			if err != nil {
+				t.Fatalf("step %d: Begin: %v", step, err)
+			}
+			a, b := key(), key()
+			va, err := txn.Get(a, nil)
+			if err != nil && !errors.Is(err, ErrNotFound) {
+				t.Fatalf("step %d: Get(%s): %v", step, a, err)
+			}
+			switch kind := rng.Intn(10); {
+			case kind < 2: // read-only
+				_, err := txn.Get(b, nil)
+				if err != nil && !errors.Is(err, ErrNotFound) {
+					t.Fatalf("step %d: Get(%s): %v", step, b, err)
+				}
+			case kind < 3: // delete, often of an absent key
+				if err := txn.Delete(b); err != nil {
+					t.Fatalf("step %d: Delete(%s): %v", step, b, err)
+				}
+			case kind < 4: // abort with writes buffered
+				if err := txn.Put(b, []byte("never")); err != nil {
+					t.Fatalf("step %d: Put(%s): %v", step, b, err)
+				}
+				note(step, txn.Abort())
+				continue
+			case kind < 6: // invalidate the read before committing
+				if err := ctx.Put(a, []byte(fmt.Sprintf("plain-%d", step))); err != nil {
+					t.Fatalf("step %d: plain Put(%s): %v", step, a, err)
+				}
+				fallthrough
+			default: // read-modify-write: b's new value extends what a held
+				val := append(append([]byte(nil), va...), byte('a'+step%26))
+				if len(val) > 600 {
+					val = val[len(val)-1:]
+				}
+				if err := txn.Put(b, val); err != nil {
+					t.Fatalf("step %d: Put(%s): %v", step, b, err)
+				}
+			}
+			err = txn.Commit()
+			if err != nil && !errors.Is(err, ErrTxnConflict) {
+				t.Fatalf("step %d: Commit: %v", step, err)
+			}
+			note(step, err)
+		}
+		out.values = map[string]string{}
+		if err := ctx.Scan("", func(info ObjectInfo) bool {
+			out.scan = append(out.scan, info)
+			v, err := ctx.Get(info.Name, nil)
+			if err != nil {
+				t.Fatalf("Get(%s): %v", info.Name, err)
+			}
+			out.values[info.Name] = string(v)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		st := api.Stats()
+		out.stats = [3]uint64{st.TxnCommits, st.TxnAborts, st.TxnConflicts}
+		return out
+	}
+
+	bare, err := Format(txnTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := FormatSharded(1, txnTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := run(ring), run(bare)
+	if !reflect.DeepEqual(got.verdicts, want.verdicts) {
+		t.Errorf("verdicts differ:\n ring %v\n bare %v", got.verdicts, want.verdicts)
+	}
+	if !reflect.DeepEqual(got.scan, want.scan) {
+		t.Errorf("Scan output differs:\n ring %+v\n bare %+v", got.scan, want.scan)
+	}
+	if !reflect.DeepEqual(got.values, want.values) {
+		t.Error("values differ between the ring of one and the bare store")
+	}
+	if got.stats != want.stats {
+		t.Errorf("commit/abort/conflict counters: ring %v, bare %v", got.stats, want.stats)
+	}
+	if want.stats[0] == 0 || want.stats[1] == 0 || want.stats[2] == 0 {
+		t.Errorf("script did not exercise every outcome: commits/aborts/conflicts = %v", want.stats)
 	}
 }

@@ -9,10 +9,11 @@ import (
 	"dstore/internal/wal"
 )
 
-// This file implements transactions over a sharded store (DESIGN.md §12.4).
-// A transaction whose write set lands on one shard commits exactly like a
-// single-store transaction — one opTxnCommit record on that shard. A write
-// set spanning shards runs two-phase commit with the lowest write shard as
+// This file is the commit half of Txn (DESIGN.md §12.4): it routes a
+// transaction's read and write sets to their owning stores. A write set that
+// lands on one store — always, on a bare store's ring of one — commits with
+// one opTxnCommit record on that store (commitTxnSet, txn.go). A write set
+// spanning shards runs two-phase commit with the lowest write shard as
 // coordinator:
 //
 //  1. olock every write key, shards ascending, keys ascending within a
@@ -166,109 +167,17 @@ func (s *Store) hasReserved(name string) bool {
 
 // ----------------------------------------------------------- sharded txns
 
-// shardedTxn is the Txn implementation over a sharded store.
-type shardedTxn struct {
-	c      *ShardedCtx
-	reads  map[string]uint64
-	writes map[string]txnWrite
-	done   bool
-}
-
-// Begin starts a transaction spanning the sharded namespace. With one shard
-// it is exactly a single-store transaction.
-func (c *ShardedCtx) Begin() (Txn, error) {
-	if c.sh == nil {
-		return nil, ErrClosed
-	}
-	if c.sh.Shards() == 1 {
-		return c.ctx(0).Begin()
-	}
-	return &shardedTxn{
-		c:      c,
-		reads:  make(map[string]uint64),
-		writes: make(map[string]txnWrite),
-	}, nil
-}
-
-func (t *shardedTxn) store(key string) *Store {
-	return t.c.sh.store(t.c.sh.owner(key))
-}
-
-// Get reads key from its owning shard (read-your-writes over the buffer,
-// first-read version capture — exactly storeTxn.Get, routed).
-func (t *shardedTxn) Get(key string, buf []byte) ([]byte, error) {
-	if t.done {
-		return nil, errTxnDone
-	}
-	if w, ok := t.writes[key]; ok {
-		if w.del {
-			return nil, ErrNotFound
-		}
-		return append(buf, w.value...), nil
-	}
-	s := t.store(key)
-	if err := s.validateName(key); err != nil {
-		return nil, err
-	}
-	out, ver, err := s.getVersioned(key, buf)
-	if err != nil && !errors.Is(err, ErrNotFound) {
-		return nil, err
-	}
-	if _, seen := t.reads[key]; !seen {
-		t.reads[key] = ver
-	}
-	return out, err
-}
-
-// Put buffers a write (copied; routed at commit).
-func (t *shardedTxn) Put(key string, value []byte) error {
-	if t.done {
-		return errTxnDone
-	}
-	s := t.store(key)
-	if err := s.validateName(key); err != nil {
-		return err
-	}
-	if uint64(len(value)) > s.maxObjectBytes() {
-		return fmt.Errorf("dstore: value of %d bytes exceeds max object size %d", len(value), s.maxObjectBytes())
-	}
-	t.writes[key] = txnWrite{value: append([]byte(nil), value...)}
-	return nil
-}
-
-// Delete buffers a deletion.
-func (t *shardedTxn) Delete(key string) error {
-	if t.done {
-		return errTxnDone
-	}
-	if err := t.store(key).validateName(key); err != nil {
-		return err
-	}
-	t.writes[key] = txnWrite{del: true}
-	return nil
-}
-
-// Abort discards the transaction.
-func (t *shardedTxn) Abort() error {
-	if t.done {
-		return nil
-	}
-	t.done = true
-	t.c.sh.store(0).txns.aborts.Add(1)
-	return nil
-}
-
 // Commit validates and atomically applies the buffered writes across their
 // owning shards. The whole commit holds opMu shared so the ring cannot flip
 // between routing the write set and applying it; writes to keys mid-
 // migration are double-applied to their recipients after the donor-side
 // commit, under the keys' migration stripes (DESIGN.md §13).
-func (t *shardedTxn) Commit() error {
+func (t *txn) Commit() error {
 	if t.done {
 		return errTxnDone
 	}
 	t.done = true
-	sh := t.c.sh
+	sh := t.sh
 
 	sh.opMu.RLock() //nolint:lock-order // held shared across route+apply; see ShardedCtx.Put
 	defer sh.opMu.RUnlock()
@@ -353,8 +262,8 @@ func (t *shardedTxn) Commit() error {
 
 // commitRouted runs the routed commit: single-shard write sets take the
 // one-record fast path; cross-shard sets run 2PC.
-func (t *shardedTxn) commitRouted(readsBy map[int]map[string]uint64, writesBy map[int][]txnOp, wshards []int) error {
-	sh := t.c.sh
+func (t *txn) commitRouted(readsBy map[int]map[string]uint64, writesBy map[int][]txnOp, wshards []int) error {
+	sh := t.sh
 
 	// Read-only: validate every shard's read set. Each validation is atomic
 	// per shard; cross-shard the windows are sequential (§12.4 notes the
@@ -381,8 +290,8 @@ func (t *shardedTxn) commitRouted(readsBy map[int]map[string]uint64, writesBy ma
 				return err
 			}
 		}
-		id := sh.txnSeq.Add(1) | 1<<63
-		err := sh.store(w).commitTxnSet(id, readsBy[w], writesBy[w], nil)
+		ws := sh.store(w)
+		err := ws.commitTxnSet(ws.txns.seq.Add(1), readsBy[w], writesBy[w], nil)
 		if err != nil {
 			sh.failover(w, err) // arm the standby for the caller's retry
 		}
@@ -393,8 +302,8 @@ func (t *shardedTxn) commitRouted(readsBy map[int]map[string]uint64, writesBy ma
 }
 
 // commit2PC runs the cross-shard protocol described at the top of the file.
-func (t *shardedTxn) commit2PC(readsBy map[int]map[string]uint64, writesBy map[int][]txnOp, wshards []int) error {
-	sh := t.c.sh
+func (t *txn) commit2PC(readsBy map[int]map[string]uint64, writesBy map[int][]txnOp, wshards []int) error {
+	sh := t.sh
 	coord := wshards[0]
 	participants := wshards[1:]
 	id := sh.txnSeq.Add(1) | 1<<63

@@ -259,43 +259,18 @@ func runSharded2PCCrashPoint(t *testing.T, keys []string, crashAt uint64) {
 
 	// One shared counter across every shard's PMEM: the workload is
 	// single-threaded, so ordering is deterministic.
-	var count uint64
-	armed := true
-	for i := 0; i < sh.Shards(); i++ {
-		pm, _ := sh.Shard(i).Devices()
-		pm.SetMutationHook(func() {
-			if !armed {
-				return
-			}
-			count++
-			if count == crashAt {
-				armed = false
-				panic(crashSentinel)
-			}
-		})
+	cfgs := sh.ShardConfigs()
+	pms := make([]*pmem.Device, sh.Shards())
+	for i := range pms {
+		pms[i], cfgs[i].SSD = sh.Shard(i).Devices()
+		cfgs[i].PMEM = pms[i]
 	}
-
 	committed := 0
-	crashed := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if r != crashSentinel {
-					panic(r)
-				}
-				crashed = true
-			}
-		}()
+	crashed := runToCrash(pms, crashAt, sh.CloseNoCheckpoint, func() {
 		if err := shardedTxnWorkload(t, ctx, keys, func(i int) { committed = i }); err != nil {
 			t.Fatalf("2pc crash point %d: workload error before crash: %v", crashAt, err)
 		}
-	}()
-	cfgs := sh.ShardConfigs()
-	for i := 0; i < sh.Shards(); i++ {
-		pm, data := sh.Shard(i).Devices()
-		pm.SetMutationHook(nil)
-		cfgs[i].PMEM, cfgs[i].SSD = pm, data
-	}
+	})
 	if !crashed {
 		sh.Close()
 		return
