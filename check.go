@@ -210,84 +210,24 @@ func (s *Store) Scrub(repair bool) (ScrubReport, error) {
 }
 
 // remapBlock migrates one live block's verified content off quarantined
-// media: write it to a fresh block, durably log the repointing (opRemap),
-// and update the metadata slot. Returns false (no error) when the object
-// changed underneath and the repair is moot.
+// media: a write set of one opRemap sub-op, whose pool phase takes a fresh
+// block, whose data phase writes the content there, and whose apply repoints
+// the metadata slot. Returns false (no error) when the object changed
+// underneath and the repair is moot.
 func (s *Store) remapBlock(name string, slot uint64, idx int, old uint64, data []byte, sum uint32) (bool, error) {
-	if err := s.checkWritable(); err != nil {
-		return false, err
-	}
-	nb := []byte(name)
-	s.poolMu.Lock()
-	fresh, err := s.front.blockPool.Get()
-	s.poolMu.Unlock()
-	if err != nil {
-		return false, fmt.Errorf("dstore: scrub: out of blocks: %w", err)
-	}
-	putBack := func() {
-		s.poolMu.Lock()
-		s.freeBlocksLocked([]uint64{fresh})
-		s.poolMu.Unlock()
-	}
-	if werr := s.ssdWrite(s.dataOff(fresh), data); werr != nil {
-		if fault.IsPermanent(werr) {
-			s.quarantineBlock(fresh)
-		}
-		putBack()
-		return false, fmt.Errorf("dstore: scrub: migrate block %d: %w", old, werr)
-	}
-	if s.cfg.DisableOE {
-		s.globalMu.Lock()
-		defer s.globalMu.Unlock()
-	}
-	h, err := s.appendPooled(opRemap, nb, encodeRemapPayload(idx, fresh, sum), 0)
-	if err != nil {
-		putBack()
-		return false, err
-	}
-	s.poolMu.Unlock() // appendPooled returns with poolMu held
-	// With the record appended this goroutine owns the name (CC). Re-check
-	// that the slot still holds old at idx — an earlier writer may have
-	// replaced the whole version before our append serialized.
-	s.treeMu.RLock()
-	cur, ok := s.front.tree.Get(nb)
-	s.treeMu.RUnlock()
-	zlk := s.zoneLock(slot)
-	zlk.Lock()
-	e, used, zerr := s.front.zone.Read(slot)
-	stale := zerr != nil || !ok || cur != slot || !used || idx >= len(e.Blocks) || e.Blocks[idx] != old
-	if !stale {
-		if err := s.front.zone.SetBlockID(slot, idx, fresh); err != nil {
-			zlk.Unlock()
-			s.abort(h)
-			putBack()
-			return false, err
-		}
-		if err := s.front.zone.SetSum(slot, idx, sum); err != nil {
-			zlk.Unlock()
-			s.abort(h)
-			putBack()
-			return false, err
-		}
-	}
-	zlk.Unlock()
-	if zerr != nil {
-		s.abort(h)
-		putBack()
-		return false, zerr
-	}
-	if stale {
-		s.abort(h)
-		putBack()
+	w := s.single(opRemap, name, 0)
+	u := &w.one[0]
+	u.slot, u.idxs, u.sums, u.data = slot, []int{idx}, []uint32{sum}, data
+	// The object's content will live at the fresh block; old is quarantined,
+	// so "freeing" it after commit only drops its cache entry.
+	u.old = []uint64{old}
+	err := s.writeOne(w)
+	if errors.Is(err, errStale) {
 		return false, nil
 	}
-	if err := s.commit(h); err != nil {
-		return false, err
+	if err != nil {
+		return false, fmt.Errorf("dstore: scrub: migrate block %d: %w", old, err)
 	}
-	// The object's content now lives at fresh: drop both ids from the cache
-	// (old is quarantined and unpointed; fresh may hold a previous owner's
-	// entry, unreachable thanks to the sum tag but worth the DRAM back).
-	s.cacheInvalidate([]uint64{old, fresh})
 	s.health.remaps.Add(1)
 	return true, nil
 }

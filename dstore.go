@@ -298,7 +298,8 @@ type opStats struct {
 	puts, gets, deletes, reads, writes, opens atomic.Uint64
 }
 
-// breakdown accumulates per-stage write-path nanoseconds (paper Table 3).
+// breakdown accumulates per-stage write-path nanoseconds (paper Table 3);
+// Store.write is its only writer.
 type breakdown struct {
 	count, logNs, poolNs, metaNs, treeNs, ssdNs, totalNs atomic.Uint64
 }
@@ -628,7 +629,15 @@ func (s *Store) resizeCache(bytes uint64) {
 }
 
 // Breakdown returns the accumulated write-path timing (Table 3); zero unless
-// Config.Breakdown.
+// Config.Breakdown. It counts every mutation the write pipeline (write.go)
+// committed — Put, Delete, Open(OpenCreate), the extend and checksum-
+// invalidation records behind WriteAt, Scrub remaps, reserved-object writes
+// and transaction commits (one count per commit record, whatever its write
+// set) — so on a put-only workload it is the paper's put breakdown. Writes
+// that failed or aborted, Lock/Unlock and the unlogged in-place data write
+// of WriteAt are not in it. An operation with no data phase adds nothing to
+// SSDNs, and one that only edits a slot in place (opInval, opRemap, a
+// delete) books its whole apply under MetaNs.
 func (s *Store) Breakdown() Breakdown {
 	return Breakdown{
 		Count:   s.bd.count.Load(),

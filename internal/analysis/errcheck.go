@@ -18,12 +18,20 @@ import (
 //
 // A same-line //nolint:errcheck comment suppresses the finding; every such
 // escape in the tree is expected to justify itself in a comment.
+//
+// One hop is followed: a function of the package under check that returns an
+// error and itself calls a fallible device API is fallible too — its error
+// result is where the device's surfaces — so dropping *its* result is the
+// same loss one frame up (the shape that hid a discarded B-tree delete error
+// behind a plane helper). The summary is per function and not transitive:
+// each further hop is checked where it happens.
 func CheckErrcheck(m *Module, target func(*Package) bool) []Finding {
 	var fs []Finding
 	for _, pkg := range m.Pkgs {
 		if !target(pkg) {
 			continue
 		}
+		carriers := deviceErrorCarriers(pkg)
 		for _, file := range pkg.Files {
 			nolint := nolintLines(m.Fset, file, "errcheck")
 			report := func(call *ast.CallExpr, fn *types.Func, how string) {
@@ -31,27 +39,40 @@ func CheckErrcheck(m *Module, target func(*Package) bool) []Finding {
 				if nolint[line] {
 					return
 				}
+				from := fn.Pkg().Name() + "." + fn.Name()
+				if dev := carriers[fn]; dev != nil {
+					from += ", which returns " + dev.Pkg().Name() + "." + dev.Name() + "'s"
+				}
 				fs = append(fs, Finding{
 					File: f, Line: line,
 					Checker: "errcheck-devices",
-					Message: fmt.Sprintf("%s error result from %s.%s (device-layer errors must be handled or //nolint:errcheck-justified)", how, fn.Pkg().Name(), fn.Name()),
+					Message: fmt.Sprintf("%s error result from %s (device-layer errors must be handled or //nolint:errcheck-justified)", how, from),
 				})
+			}
+			fallible := func(call *ast.CallExpr) *types.Func {
+				if fn := fallibleDeviceCall(pkg.Info, call); fn != nil {
+					return fn
+				}
+				if fn := calleeFunc(pkg.Info, call); carriers[fn] != nil {
+					return fn
+				}
+				return nil
 			}
 			ast.Inspect(file, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.ExprStmt:
 					if call, ok := n.X.(*ast.CallExpr); ok {
-						if fn := fallibleDeviceCall(pkg.Info, call); fn != nil {
+						if fn := fallible(call); fn != nil {
 							report(call, fn, "discarded")
 						}
 						return true
 					}
 				case *ast.GoStmt:
-					if fn := fallibleDeviceCall(pkg.Info, n.Call); fn != nil {
+					if fn := fallible(n.Call); fn != nil {
 						report(n.Call, fn, "unobservable (go)")
 					}
 				case *ast.DeferStmt:
-					if fn := fallibleDeviceCall(pkg.Info, n.Call); fn != nil {
+					if fn := fallible(n.Call); fn != nil {
 						report(n.Call, fn, "unobservable (defer)")
 					}
 				case *ast.AssignStmt:
@@ -62,7 +83,7 @@ func CheckErrcheck(m *Module, target func(*Package) bool) []Finding {
 					if !ok {
 						return true
 					}
-					fn := fallibleDeviceCall(pkg.Info, call)
+					fn := fallible(call)
 					if fn == nil {
 						return true
 					}
@@ -87,6 +108,41 @@ func CheckErrcheck(m *Module, target func(*Package) bool) []Finding {
 	return fs
 }
 
+// deviceErrorCarriers is the per-function summary behind the one-hop rule:
+// every function declared in pkg that has an error result and calls a
+// fallible device API, mapped to (the first) such API it calls.
+func deviceErrorCarriers(pkg *Package) map[*types.Func]*types.Func {
+	carriers := map[*types.Func]*types.Func{}
+	eachFunc(pkg, func(_ *ast.File, fd *ast.FuncDecl) {
+		obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
+		if !ok || !returnsError(obj) {
+			return
+		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && carriers[obj] == nil {
+				if dev := fallibleDeviceCall(pkg.Info, call); dev != nil {
+					carriers[obj] = dev
+				}
+			}
+			return carriers[obj] == nil
+		})
+	})
+	return carriers
+}
+
+func returnsError(fn *types.Func) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok {
+		return false
+	}
+	for i := 0; i < sig.Results().Len(); i++ {
+		if types.Identical(sig.Results().At(i).Type(), errorType) {
+			return true
+		}
+	}
+	return false
+}
+
 // fallibleDeviceCall returns the called function if it is declared in a
 // device package and returns an error, else nil.
 func fallibleDeviceCall(info *types.Info, call *ast.CallExpr) *types.Func {
@@ -94,15 +150,8 @@ func fallibleDeviceCall(info *types.Info, call *ast.CallExpr) *types.Func {
 	if fn == nil || fn.Pkg() == nil || !devicePkgs[fn.Pkg().Path()] {
 		return nil
 	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
+	if !returnsError(fn) {
 		return nil
 	}
-	res := sig.Results()
-	for i := 0; i < res.Len(); i++ {
-		if types.Identical(res.At(i).Type(), errorType) {
-			return fn
-		}
-	}
-	return nil
+	return fn
 }

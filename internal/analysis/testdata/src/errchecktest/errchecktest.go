@@ -41,3 +41,40 @@ func suppressed(d *pmem.Device) {
 func infallible(d *pmem.Device) {
 	d.Persist(0, 64)
 }
+
+// carrier returns a device error one frame up: it is fallible by summary.
+func carrier(d *pmem.Device, p []byte) error {
+	if len(p) == 0 {
+		return nil
+	}
+	return d.TryWriteAt(0, p)
+}
+
+// discardCarrier drops the device error through the one hop.
+func discardCarrier(d *pmem.Device, p []byte) {
+	carrier(d, p) // want "discarded error result from errchecktest.carrier, which returns pmem.TryWriteAt's"
+}
+
+// handledCarrier propagates it; no finding — and it is itself a carrier only
+// of what it calls directly, so the summary stays one hop deep.
+func handledCarrier(d *pmem.Device, p []byte) error {
+	return carrier(d, p)
+}
+
+// secondHop drops a carrier-of-a-carrier's result: out of the summary's
+// reach by design (the hop inside handledCarrier is where it is checked).
+func secondHop(d *pmem.Device, p []byte) {
+	handledCarrier(d, p)
+}
+
+// swallows calls a device API and handles the error itself, returning none;
+// dropping nothing, its callers have nothing to check.
+func swallows(d *pmem.Device) {
+	if err := d.TryPersist(0, 64); err != nil {
+		return
+	}
+}
+
+func callsSwallows(d *pmem.Device) {
+	swallows(d)
+}

@@ -268,7 +268,9 @@ func (s *Store) Put(key string, value []byte) error {
 	s.cacheMu.RUnlock()
 
 	if needCkpt {
-		go s.Checkpoint()
+		// A failed async checkpoint leaves its pages dirty; the next trigger
+		// retries them and Close reports what still fails.
+		go s.Checkpoint() //nolint:errcheck
 	}
 	return nil
 }

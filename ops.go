@@ -1,7 +1,6 @@
 package dstore
 
 import (
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"time"
@@ -158,174 +157,6 @@ func isDeviceErr(err error) bool {
 	return fault.IsTransient(err) || fault.IsPermanent(err)
 }
 
-// appendPooled performs Fig. 4 steps ① and ② — lock the pools, then append
-// (and implicitly conflict-check) the log record — retrying on CC conflicts
-// and log-full backpressure. On success the pool lock is HELD; the caller
-// runs the pool phase and then calls s.poolUnlock. Transient log-device
-// errors are retried with backoff; exhausting the retries (or a permanent
-// error) degrades the store.
-func (s *Store) appendPooled(op uint16, name, payload []byte, ignore uint64) (*wal.Handle, error) {
-	devRetries := 0
-	for {
-		s.poolMu.Lock()
-		h, conflict, err := s.eng.Pair().AppendIgnore(op, name, payload, ignore)
-		switch {
-		case err == nil && conflict == nil:
-			s.eng.MaybeTrigger()
-			return h, nil
-		case conflict != nil:
-			s.poolMu.Unlock()
-			conflict.Wait()
-		case wal.IsRetry(err):
-			s.poolMu.Unlock()
-		case errors.Is(err, wal.ErrLogFull):
-			s.poolMu.Unlock()
-			if s.cfg.DisableCheckpoints {
-				return nil, fmt.Errorf("dstore: log full with checkpoints disabled")
-			}
-			if cerr := s.checkpointForSpace(); cerr != nil {
-				return nil, cerr
-			}
-		default:
-			s.poolMu.Unlock()
-			if fault.IsTransient(err) && devRetries < ioAttempts {
-				devRetries++
-				time.Sleep(time.Duration(devRetries) * 10 * time.Microsecond)
-				continue
-			}
-			if isDeviceErr(err) {
-				s.degrade(err)
-				return nil, fmt.Errorf("%w: log append: %v", ErrDegraded, err)
-			}
-			return nil, err
-		}
-	}
-}
-
-// allocAndAppend runs Fig. 4 steps ①–⑤ for put/create/extend: under the
-// pool lock it takes the allocations and appends the log record carrying
-// their ids (and, for puts, the per-block data checksums), retrying (with
-// the allocations rolled back) on CC conflicts and log-full backpressure.
-func (s *Store) allocAndAppend(op uint16, name []byte, size uint64, sums []uint32, ignore uint64) (*wal.Handle, putAlloc, error) {
-	measure := s.cfg.Breakdown
-	devRetries := 0
-	for {
-		var t0 int64
-		if measure {
-			t0 = nowNs()
-		}
-		s.poolMu.Lock()
-		var a putAlloc
-		var perr error
-		s.treeMu.RLock()
-		if op == opExtend {
-			a, perr = s.extendPoolPhase(name, size)
-		} else {
-			a, perr = s.front.putPoolPhase(name, size, s.cfg.BlockSize)
-		}
-		s.treeMu.RUnlock()
-		if perr != nil {
-			s.poolMu.Unlock()
-			return nil, putAlloc{}, perr
-		}
-		if op == opPut || op == opTxnBegin {
-			a.sums = sums
-		}
-		var t1 int64
-		if measure {
-			t1 = nowNs()
-		}
-		payload := encodeAllocPayload(size, a.slot, a.blocks, a.sums, s.physPad())
-		h, conflict, err := s.eng.Pair().AppendIgnore(op, name, payload, ignore)
-		if err == nil && conflict == nil {
-			s.eng.MaybeTrigger()
-			s.poolMu.Unlock()
-			if measure {
-				end := nowNs()
-				s.bd.poolNs.Add(uint64(t1 - t0))
-				s.bd.logNs.Add(uint64(end - t1))
-			}
-			return h, a, nil
-		}
-		// Roll back the allocations before retrying.
-		s.rollbackAlloc(op, a)
-		s.poolMu.Unlock()
-		switch {
-		case conflict != nil:
-			conflict.Wait()
-		case wal.IsRetry(err):
-		case errors.Is(err, wal.ErrLogFull):
-			if s.cfg.DisableCheckpoints {
-				return nil, putAlloc{}, fmt.Errorf("dstore: log full with checkpoints disabled")
-			}
-			if cerr := s.checkpointForSpace(); cerr != nil {
-				return nil, putAlloc{}, cerr
-			}
-		default:
-			if fault.IsTransient(err) && devRetries < ioAttempts {
-				devRetries++
-				time.Sleep(time.Duration(devRetries) * 10 * time.Microsecond)
-				continue
-			}
-			if isDeviceErr(err) {
-				s.degrade(err)
-				return nil, putAlloc{}, fmt.Errorf("%w: log append: %v", ErrDegraded, err)
-			}
-			return nil, putAlloc{}, err
-		}
-	}
-}
-
-// extendPoolPhase builds the grow-allocation for opExtend: the existing
-// block list (read under the slot's stripe lock; a concurrent same-name
-// writer makes the subsequent append conflict and the phase retry) plus
-// fresh blocks to reach newSize. The existing blocks' checksums are carried
-// over; the fresh blocks start unverified (their content is whatever the
-// SSD holds until written). Caller holds poolMu and treeMu.RLock.
-func (s *Store) extendPoolPhase(name []byte, newSize uint64) (putAlloc, error) {
-	slot, ok := s.front.tree.Get(name)
-	if !ok {
-		return putAlloc{}, fmt.Errorf("dstore: extend of unknown object %q", name)
-	}
-	e, used, err := s.zoneRead(slot)
-	if err != nil {
-		return putAlloc{}, err
-	}
-	if !used {
-		return putAlloc{}, fmt.Errorf("dstore: index entry %q points at free slot %d", name, slot)
-	}
-	need := blocksFor(newSize, s.cfg.BlockSize)
-	if need > s.front.zone.MaxBlocks() {
-		return putAlloc{}, fmt.Errorf("dstore: object %q needs %d blocks, max %d", name, need, s.front.zone.MaxBlocks())
-	}
-	blocks := e.Blocks
-	sums := e.Sums
-	oldLen := len(blocks)
-	for uint64(len(blocks)) < need {
-		b, err := s.front.blockPool.Get()
-		if err != nil {
-			for _, got := range blocks[oldLen:] {
-				s.front.blockPool.Put(got) //nolint:errcheck
-			}
-			return putAlloc{}, fmt.Errorf("dstore: out of blocks: %w", err)
-		}
-		blocks = append(blocks, b)
-		sums = append(sums, meta.SumUnverified)
-	}
-	return putAlloc{slot: slot, blocks: blocks, sums: sums, existed: true, freshFrom: oldLen}, nil
-}
-
-// rollbackAlloc undoes allocAndAppend's pool phase. Caller holds poolMu.
-func (s *Store) rollbackAlloc(op uint16, a putAlloc) {
-	if op == opExtend {
-		for _, b := range a.blocks[a.freshFrom:] {
-			s.front.blockPool.Put(b) //nolint:errcheck
-		}
-		return
-	}
-	s.front.undoPutAlloc(a)
-}
-
 // grow extends buf by n bytes, reusing capacity without a temporary
 // allocation (the read path is allocation-free when callers recycle
 // buffers).
@@ -390,16 +221,7 @@ func (s *Store) physPad() int {
 // ---------------------------------------------------------------- key-value
 
 // Put stores value under key, creating or overwriting the object (paper
-// Table 2: oput). The write pipeline is Fig. 4:
-//
-//	① lock pools ② append+flush log record ③ allocate blocks ④ allocate
-//	metadata page ⑤ unlock ⑥ write metadata ⑦ write btree record ⑧ write
-//	data to SSD ⑨ commit and flush log record.
-//
-// Step ⑧ is hoisted to run right after ⑤: the fresh blocks are invisible to
-// every reader until ⑥ publishes them, so writing early is safe — and it
-// lets a data-plane failure abort the operation (quarantining the bad block
-// and re-running the pipeline on fresh ones) before any structure changed.
+// Table 2: oput) — the one-entry write set of an opPut sub-op (write.go).
 func (c *Ctx) Put(key string, value []byte) error {
 	s := c.s
 	if s == nil || s.closed.Load() {
@@ -409,182 +231,21 @@ func (c *Ctx) Put(key string, value []byte) error {
 		return err
 	}
 	s.ops.puts.Add(1)
-	return c.putOp(opPut, key, value)
+	return c.put(opPut, key, value)
 }
 
-// putOp is the put pipeline parameterized by record opcode: opPut for the
-// public API, opTxnBegin for reserved cross-shard prepare objects (replay
-// treats both identically; the opcode distinguishes them in the log).
-func (c *Ctx) putOp(op uint16, key string, value []byte) error {
+// put writes a whole object under the given record opcode: opPut for the
+// public API, opTxnBegin for reserved cross-shard prepare objects (the two
+// replay identically; the opcode distinguishes them in the log). The caller
+// has validated key for its namespace.
+func (c *Ctx) put(op uint16, key string, value []byte) error {
 	s := c.s
-	if err := s.checkWritable(); err != nil {
-		return err
-	}
-	if err := s.validateNameAny(key); err != nil {
-		return err
-	}
 	if uint64(len(value)) > s.maxObjectBytes() {
 		return fmt.Errorf("dstore: value of %d bytes exceeds max object size %d", len(value), s.maxObjectBytes())
 	}
-	name := []byte(key)
-	size := uint64(len(value))
-	sums := blockSums(value, s.cfg.BlockSize)
-
-	var t0, t2, t3, t4 int64
-	measure := s.cfg.Breakdown
-	if measure {
-		t0 = nowNs()
-	}
-
-	if s.cfg.DisableOE {
-		s.globalMu.Lock()
-	}
-	// Steps ①–⑤ and ⑧: under the pool lock, allocate (③–④) and append the
-	// log record carrying the allocation ids and checksums (②); then write
-	// the data to the fresh blocks. A record that dies before commit leaves
-	// the previous version untouched on SSD.
-	var h *wal.Handle
-	var a putAlloc
-	for attempt := 0; ; attempt++ {
-		var err error
-		h, a, err = s.allocAndAppend(op, name, size, sums, c.heldLSN(key))
-		if err != nil {
-			if s.cfg.DisableOE {
-				s.globalMu.Unlock()
-			}
-			return err
-		}
-		var tw int64
-		if measure {
-			tw = nowNs()
-		}
-		bad, werr := s.putDataPhase(a, value, size)
-		if measure {
-			s.bd.ssdNs.Add(uint64(nowNs() - tw))
-		}
-		if werr == nil {
-			break
-		}
-		// The record never committed: it is dead and replays as a no-op.
-		// Return the fresh allocations (minus anything quarantined) and, on
-		// a permanent error, rerun the pipeline on different blocks.
-		s.abort(h)
-		s.poolMu.Lock()
-		s.freeBlocksLocked(a.blocks)
-		if !a.existed {
-			s.front.slotPool.Put(a.slot) //nolint:errcheck
-		}
-		s.poolMu.Unlock()
-		if bad && attempt < 2 {
-			continue
-		}
-		if s.cfg.DisableOE {
-			s.globalMu.Unlock()
-		}
-		return werr
-	}
-	if measure {
-		t2 = nowNs() // pool and log components recorded inside allocAndAppend
-	}
-
-	// With the record appended, this context owns the name (CC): read the
-	// previous version's blocks for the deferred free.
-	if a.existed {
-		// A zone read error here would also surface at the metadata phase
-		// below; the deferred-free list just stays empty.
-		if e, used, err := s.zoneRead(a.slot); err == nil && used {
-			a.oldBlocks = e.Blocks
-		}
-	}
-
-	// Read-write CC: drain readers that entered before our record became
-	// visible (§4.4).
-	s.readers.awaitZero(key)
-
-	// Step ⑥: metadata zone (slot-striped lock; slot-private under OE).
-	zlk := s.zoneLock(a.slot)
-	zlk.Lock()
-	merr := s.front.putMetaPhase(a, name, size)
-	zlk.Unlock()
-	if err := merr; err != nil {
-		s.abort(h)
-		if s.cfg.DisableOE {
-			s.globalMu.Unlock()
-		}
-		return err
-	}
-	if measure {
-		t3 = nowNs()
-	}
-	// Step ⑦: B-tree.
-	s.treeMu.Lock()
-	terr := s.front.putTreePhase(a, name)
-	s.treeMu.Unlock()
-	if s.cfg.DisableOE {
-		s.globalMu.Unlock()
-	}
-	if terr != nil {
-		s.abort(h)
-		return terr
-	}
-	if measure {
-		t4 = nowNs()
-	}
-
-	// OCC version: bumped after the structures changed and before the record
-	// commits, so a transaction that validated this key either sees the bump
-	// or finds our record in its conflict window (txn.go).
-	s.vers.bump(key)
-
-	// Step ⑨: commit — only now is the operation durable.
-	if err := s.commit(h); err != nil {
-		// Degraded: durability is indeterminate; keep the old blocks out of
-		// circulation (no more writes will need them anyway).
-		return err
-	}
-
-	// Deferred frees: the previous version's blocks return to the pool only
-	// after the new version committed.
-	if len(a.oldBlocks) > 0 {
-		s.poolMu.Lock()
-		s.freeBlocksLocked(a.oldBlocks)
-		s.poolMu.Unlock()
-	}
-
-	if measure {
-		end := nowNs()
-		s.bd.count.Add(1)
-		s.bd.metaNs.Add(uint64(t3 - t2))
-		s.bd.treeNs.Add(uint64(t4 - t3))
-		s.bd.totalNs.Add(uint64(end - t0))
-	}
-	return nil
-}
-
-// putDataPhase writes value into the allocation's fresh blocks (Fig. 4 step
-// ⑧) with bounded per-block retries. On a permanent device error the failing
-// block is quarantined and bad=true tells the caller the pipeline is worth
-// re-running on fresh blocks.
-func (s *Store) putDataPhase(a putAlloc, value []byte, size uint64) (bad bool, err error) {
-	// The fresh blocks left the cache when they were freed, but invalidating
-	// again here keeps the invariant local: no block is written while a cache
-	// entry for it exists.
-	s.cacheInvalidate(a.blocks)
-	for i, b := range a.blocks {
-		lo := uint64(i) * s.cfg.BlockSize
-		hi := lo + s.cfg.BlockSize
-		if hi > size {
-			hi = size
-		}
-		if werr := s.ssdWrite(s.dataOff(b), value[lo:hi]); werr != nil {
-			if fault.IsPermanent(werr) {
-				s.quarantineBlock(b)
-				return true, fmt.Errorf("dstore: data write to block %d: %w", b, werr)
-			}
-			return false, fmt.Errorf("dstore: data write to block %d: %w", b, werr)
-		}
-	}
-	return false, nil
+	w := s.single(op, key, c.heldLSN(key))
+	w.one[0].data, w.one[0].size, w.one[0].sums = value, uint64(len(value)), blockSums(value, s.cfg.BlockSize)
+	return s.writeOne(w)
 }
 
 // Get retrieves key's value, appending it to buf (which may be nil) and
@@ -616,18 +277,9 @@ func (c *Ctx) Get(key string, buf []byte) ([]byte, error) {
 // readObject is Get's lookup-and-read body. The caller holds a CC reader
 // section on key (transactional reads share it, txn.go).
 func (s *Store) readObject(key string, buf []byte) ([]byte, error) {
-	s.treeMu.RLock()
-	slot, ok := s.front.tree.Get([]byte(key))
-	s.treeMu.RUnlock()
-	if !ok {
-		return nil, ErrNotFound
-	}
-	e, used, err := s.zoneRead(slot)
+	_, e, err := s.lookup([]byte(key))
 	if err != nil {
 		return nil, err
-	}
-	if !used {
-		return nil, fmt.Errorf("dstore: index entry %q points at free slot %d", key, slot)
 	}
 
 	start := len(buf)
@@ -659,74 +311,15 @@ func (c *Ctx) Delete(key string) error {
 		return err
 	}
 	s.ops.deletes.Add(1)
-	return c.deleteOp(opDelete, key)
+	return c.del(opDelete, key)
 }
 
-// deleteOp is the delete pipeline parameterized by record opcode: opDelete
-// for the public API, opTxnAbort for reserved prepare/decision-object
-// cleanup (both replay as a tolerant delete).
-func (c *Ctx) deleteOp(op uint16, key string) error {
-	s := c.s
-	if err := s.checkWritable(); err != nil {
-		return err
-	}
-	if err := s.validateNameAny(key); err != nil {
-		return err
-	}
-	name := []byte(key)
-
-	if s.cfg.DisableOE {
-		s.globalMu.Lock()
-		defer s.globalMu.Unlock()
-	}
-	h, err := s.appendPooled(op, name, nil, c.heldLSN(key))
-	if err != nil {
-		return err
-	}
-	s.treeMu.RLock()
-	slot, ok := s.front.tree.Get(name)
-	s.treeMu.RUnlock()
-	var blocks []uint64
-	found := false
-	var perr error
-	if ok {
-		if e, used, err := s.zoneRead(slot); err != nil {
-			perr = err
-		} else if used {
-			blocks, found = e.Blocks, true
-		} else {
-			perr = fmt.Errorf("dstore: index entry %q points at free slot %d", key, slot)
-		}
-	}
-	s.poolMu.Unlock()
-	if perr != nil {
-		s.abort(h)
-		return perr
-	}
-	if !found {
-		// The record is dead: it never replays and changed nothing.
-		s.abort(h)
-		return ErrNotFound
-	}
-	s.readers.awaitZero(key)
-	s.treeMu.Lock()
-	zlk := s.zoneLock(slot)
-	zlk.Lock()
-	s.front.deleteStructPhase(name, slot)
-	zlk.Unlock()
-	s.treeMu.Unlock()
-	s.vers.bump(key)
-	if err := s.commit(h); err != nil {
-		return err
-	}
-
-	// Deferred frees after commit: a crash in between leaks nothing — pool
-	// reconstitution at recovery returns unreferenced ids to the free sets.
-	s.poolMu.Lock()
-	s.freeBlocksLocked(blocks)
-	s.front.slotPool.Put(slot) //nolint:errcheck
-	s.poolMu.Unlock()
-	return nil
+// del removes an object under the given record opcode: opDelete for the
+// public API, opTxnAbort for reserved prepare/decision-object cleanup (both
+// replay as a tolerant delete). A delete that finds nothing leaves a dead
+// record — it never replays and changed nothing — and returns ErrNotFound.
+func (c *Ctx) del(op uint16, key string) error {
+	return c.s.writeOne(c.s.single(op, key, c.heldLSN(key)))
 }
 
 // --------------------------------------------------------------- filesystem
@@ -757,58 +350,16 @@ func (c *Ctx) Open(name string, size uint64, flags OpenFlag) (*Object, error) {
 		if flags&OpenCreate == 0 {
 			return nil, ErrNotFound
 		}
-		if err := s.create(name, size, c.heldLSN(name)); err != nil {
+		// Create: the put pipeline without a data write — blocks are
+		// allocated, their content is whatever the SSD holds until written,
+		// and their checksums start unverified.
+		w := s.single(opCreate, name, c.heldLSN(name))
+		w.one[0].size = size
+		if err := s.writeOne(w); err != nil {
 			return nil, err
 		}
 	}
 	return &Object{c: c, name: name, flags: flags}, nil
-}
-
-// create runs the put pipeline without a data write (blocks are allocated
-// and the object's content is whatever the SSD holds until written; its
-// checksums start unverified).
-func (s *Store) create(name string, size uint64, ignore uint64) error {
-	if err := s.checkWritable(); err != nil {
-		return err
-	}
-	nb := []byte(name)
-	if s.cfg.DisableOE {
-		s.globalMu.Lock()
-		defer s.globalMu.Unlock()
-	}
-	h, a, err := s.allocAndAppend(opCreate, nb, size, nil, ignore)
-	if err != nil {
-		return err
-	}
-	// Created blocks start unverified; drop any entries left from their
-	// previous owners before the object becomes readable.
-	s.cacheInvalidate(a.blocks)
-	s.readers.awaitZero(name)
-	zlk := s.zoneLock(a.slot)
-	zlk.Lock()
-	merr := s.front.putMetaPhase(a, nb, size)
-	zlk.Unlock()
-	if merr != nil {
-		s.abort(h)
-		return merr
-	}
-	s.treeMu.Lock()
-	terr := s.front.putTreePhase(a, nb)
-	s.treeMu.Unlock()
-	if terr != nil {
-		s.abort(h)
-		return terr
-	}
-	s.vers.bump(name)
-	if err := s.commit(h); err != nil {
-		return err
-	}
-	if len(a.oldBlocks) > 0 {
-		s.poolMu.Lock()
-		s.freeBlocksLocked(a.oldBlocks)
-		s.poolMu.Unlock()
-	}
-	return nil
 }
 
 // Close releases the handle (paper Table 2: oclose).
@@ -831,20 +382,8 @@ func (o *Object) lookup() (entrySnapshot, error) {
 	if o.closed || s == nil || s.closed.Load() {
 		return entrySnapshot{}, ErrClosed
 	}
-	s.treeMu.RLock()
-	slot, ok := s.front.tree.Get([]byte(o.name))
-	s.treeMu.RUnlock()
-	if !ok {
-		return entrySnapshot{}, ErrNotFound
-	}
-	e, used, err := s.zoneRead(slot)
-	if err != nil {
-		return entrySnapshot{}, err
-	}
-	if !used {
-		return entrySnapshot{}, fmt.Errorf("dstore: index entry %q points at free slot %d", o.name, slot)
-	}
-	return entrySnapshot{size: e.Size, blocks: e.Blocks, sums: e.Sums}, nil
+	_, e, err := s.lookup([]byte(o.name))
+	return entrySnapshot{size: e.Size, blocks: e.Blocks, sums: e.Sums}, err
 }
 
 type entrySnapshot struct {
@@ -975,7 +514,10 @@ func (o *Object) WriteAt(p []byte, off int64) (int, error) {
 				return 0, err
 			}
 		}
-		if err := s.extend(o.name, end, o.c.heldLSN(o.name)); err != nil {
+		// Grow the logical size (and block list) through a logged opExtend.
+		w := s.single(opExtend, o.name, o.c.heldLSN(o.name))
+		w.one[0].size = end
+		if err := s.writeOne(w); err != nil {
 			return 0, err
 		}
 		e, err = o.lookup()
@@ -1015,10 +557,11 @@ func (o *Object) WriteAt(p []byte, off int64) (int, error) {
 
 // invalidateSums durably resets the checksums of e's blocks overlapping
 // [lo, hi) to SumUnverified before an in-place overwrite, via a committed
-// opInval record. Blocks already unverified need nothing; when none are
-// verified the call only waits out conflicting metadata operations.
+// opInval record — committed before the data write starts: the invalidation
+// must be durable before any new byte lands under the old checksum. Blocks
+// already unverified need nothing; when none are verified the call only
+// waits out conflicting metadata operations.
 func (s *Store) invalidateSums(o *Object, e entrySnapshot, lo, hi uint64) error {
-	name := []byte(o.name)
 	first := lo / s.cfg.BlockSize
 	last := (hi - 1) / s.cfg.BlockSize
 	var idxs []int
@@ -1028,76 +571,14 @@ func (s *Store) invalidateSums(o *Object, e entrySnapshot, lo, hi uint64) error 
 		}
 	}
 	if len(idxs) == 0 {
-		if conflict := s.eng.FindConflictIgnore(name, o.c.heldLSN(o.name)); conflict != nil {
+		if conflict := s.eng.FindConflictIgnore([]byte(o.name), o.c.heldLSN(o.name)); conflict != nil {
 			conflict.Wait()
 		}
 		return nil
 	}
-	if s.cfg.DisableOE {
-		s.globalMu.Lock()
-		defer s.globalMu.Unlock()
-	}
-	h, err := s.appendPooled(opInval, name, encodeInvalPayload(idxs), o.c.heldLSN(o.name))
-	if err != nil {
-		return err
-	}
-	s.treeMu.RLock()
-	slot, ok := s.front.tree.Get(name)
-	s.treeMu.RUnlock()
-	s.poolMu.Unlock() // appendPooled returns with poolMu held
-	if !ok {
-		s.abort(h)
-		return ErrNotFound
-	}
-	zlk := s.zoneLock(slot)
-	zlk.Lock()
-	for _, i := range idxs {
-		if err := s.front.zone.SetSum(slot, i, meta.SumUnverified); err != nil {
-			zlk.Unlock()
-			s.abort(h)
-			return err
-		}
-	}
-	zlk.Unlock()
-	// Drop the cached copies before the overwrite lands. (The metadata now
-	// says SumUnverified, so readers would not probe the cache for these
-	// blocks anyway; the eager drop reclaims the DRAM.)
-	for _, i := range idxs {
-		s.bcache.Invalidate(e.blocks[i])
-	}
-	// Commit before the data write starts: the invalidation must be durable
-	// before any new byte lands under the old checksum.
-	s.vers.bump(o.name)
-	return s.commit(h)
-}
-
-// extend grows an object's logical size (and block list) via a logged
-// opExtend record.
-func (s *Store) extend(name string, newSize uint64, ignore uint64) error {
-	nb := []byte(name)
-	if s.cfg.DisableOE {
-		s.globalMu.Lock()
-		defer s.globalMu.Unlock()
-	}
-	h, a, err := s.allocAndAppend(opExtend, nb, newSize, nil, ignore)
-	if err != nil {
-		return err
-	}
-	s.readers.awaitZero(name)
-	// The grown tail blocks start unverified (never cacheable), but their
-	// ids may still sit in the cache from a previous owner awaiting lazy
-	// drop; clear them before they become readable.
-	s.cacheInvalidate(a.blocks[a.freshFrom:])
-	zlk := s.zoneLock(a.slot)
-	zlk.Lock()
-	serr := s.front.extendStructPhase(a.slot, a.blocks, a.sums, newSize)
-	zlk.Unlock()
-	if serr != nil {
-		s.abort(h)
-		return serr
-	}
-	s.vers.bump(name)
-	return s.commit(h)
+	w := s.single(opInval, o.name, o.c.heldLSN(o.name))
+	w.one[0].idxs = idxs
+	return s.writeOne(w)
 }
 
 // ----------------------------------------------------- concurrency control

@@ -103,96 +103,149 @@ func blocksFor(size, blockSize uint64) uint64 {
 	return (size + blockSize - 1) / blockSize
 }
 
-// putAlloc is the pool phase of a put/create: the slot (reused when the
-// object exists) and freshly allocated blocks for the new version. Data is
-// always written out of place — the paper's pipeline allocates blocks for
-// every write (Fig. 4 step ③) — so a crash before commit leaves the old
-// version's blocks untouched and the dead record harmless. The old blocks
-// are freed only after commit (deferred frees).
-type putAlloc struct {
-	slot      uint64
-	blocks    []uint64
-	sums      []uint32 // per-block CRC32C, nil when content is unknown
-	oldBlocks []uint64 // freed by the caller after commit
-	existed   bool
-	freshFrom int // extend only: blocks[freshFrom:] are newly allocated
+// subOp is one structure update in decoded form: what a logged record — or
+// one sub-operation of an opTxnCommit record — tells a plane to do. The
+// frontend fills it in during its pool phase and encodes it into the record
+// it appends; checkpoint replay, recovery and the standby decode it back out
+// of the record; all four hand it to plane.apply, so there is one piece of
+// code that changes a metadata zone or an index (DIPPER's same-code property,
+// §3.2). opTable says how each opcode fills, encodes and decodes one.
+type subOp struct {
+	op     uint16
+	name   []byte
+	size   uint64   // put-shaped: the logical size
+	slot   uint64   // put-shaped: the metadata slot
+	blocks []uint64 // put-shaped: the block list; opRemap: the one relocation target
+	sums   []uint32 // per-block CRC32C parallel to blocks; nil when content is unknown
+	idxs   []int    // opInval: block indices to invalidate; opRemap: the one index to repoint
+
+	// The frontend's working state (write.go). Never logged: a decoded
+	// record leaves it zero, except for the standby's key, data and stale.
+	key      string   // name, as the string the CC tables key on
+	data     []byte   // content for the fresh blocks; nil when the op writes none
+	fresh    []uint64 // blocks this op allocated, returned if it dies
+	newSlot  bool     // the pool phase found name absent and allocated slot
+	indexed  bool     // the index is known to map name to slot
+	old      []uint64 // blocks the apply unhooks, freed after commit
+	freeSlot bool     // the apply clears slot, freed after commit
+	stale    []uint64 // blocks whose cached copies the apply invalidates
 }
 
-func (p *plane) putPoolPhase(name []byte, size, blockSize uint64) (putAlloc, error) {
-	need := blocksFor(size, blockSize)
-	if need > p.zone.MaxBlocks() {
-		return putAlloc{}, fmt.Errorf("dstore: object %q needs %d blocks, max %d", name, need, p.zone.MaxBlocks())
+// putShaped reports whether op replaces a slot's whole metadata entry: the
+// opcodes sharing encodeAllocPayload, and the put kind of a transaction
+// sub-operation.
+func putShaped(op uint16) bool {
+	switch op {
+	case opPut, opCreate, opExtend, opTxnBegin:
+		return true
 	}
-	var a putAlloc
-	if slot, ok := p.tree.Get(name); ok {
-		// The old version's blocks (for the deferred free) are read after
-		// the record appends, once CC guarantees sole ownership of the name.
-		a.slot, a.existed = slot, true
-	} else {
-		slot, err := p.slotPool.Get()
-		if err != nil {
-			return putAlloc{}, fmt.Errorf("dstore: out of metadata slots: %w", err)
+	return false
+}
+
+// lookup resolves name through the index to its slot and entry; ok is false
+// when the name is absent (or indexed at a slot that reads as free, which a
+// later committed record will have superseded).
+func (p *plane) lookup(name []byte) (slot uint64, e meta.Entry, ok bool, err error) {
+	if slot, ok = p.tree.Get(name); ok {
+		e, ok, err = p.zone.Read(slot)
+	}
+	return slot, e, ok, err
+}
+
+// apply performs one structure update — the statically-defined op→functions
+// mapping of §3.2, and the only code that mutates a plane's metadata zone or
+// index. Only explicit slot and block ids are used; the pools are not touched
+// (the frontend's pool phase already took the allocations, and replay
+// reconstitutes the pools from the zone when its batch ends). The caller
+// provides synchronization appropriate to its space: the frontend and the
+// standby hold treeMu and the zone stripes (Store.applyOwned), replay onto a
+// private arena holds nothing. metaDone, when non-nil, receives the time a
+// put-shaped update finished its metadata half (Fig. 4 step ⑥) and moved on
+// to the index (step ⑦) — Breakdown's meta/tree boundary.
+func (p *plane) apply(u *subOp, metaDone *int64) error {
+	switch u.op {
+	case opPut, opCreate, opExtend, opTxnBegin:
+		if err := p.zone.Write(u.slot, u.name, u.size, u.blocks, u.sums); err != nil {
+			return err
 		}
-		a.slot = slot
-	}
-	a.blocks = make([]uint64, 0, need)
-	for i := uint64(0); i < need; i++ {
-		b, err := p.blockPool.Get()
-		if err != nil {
-			p.undoPutAlloc(a)
-			return putAlloc{}, fmt.Errorf("dstore: out of blocks: %w", err)
+		if metaDone != nil {
+			*metaDone = nowNs()
 		}
-		a.blocks = append(a.blocks, b)
-	}
-	return a, nil
-}
-
-// undoPutAlloc returns a putAlloc's fresh allocations to the pools (abort
-// path; the old version was never touched).
-func (p *plane) undoPutAlloc(a putAlloc) {
-	for _, b := range a.blocks {
-		p.blockPool.Put(b) //nolint:errcheck
-	}
-	if !a.existed {
-		p.slotPool.Put(a.slot) //nolint:errcheck
-	}
-}
-
-// putStructPhase is the metadata/index phase of a put (Fig. 4 steps ⑥–⑦).
-// The caller provides synchronization appropriate to its space (frontend:
-// treeMu; replay: none).
-func (p *plane) putMetaPhase(a putAlloc, name []byte, size uint64) error {
-	return p.zone.Write(a.slot, name, size, a.blocks, a.sums)
-}
-
-func (p *plane) putTreePhase(a putAlloc, name []byte) error {
-	if a.existed {
-		return nil
-	}
-	_, _, err := p.tree.Insert(name, a.slot)
-	return err
-}
-
-func (p *plane) deleteStructPhase(name []byte, slot uint64) error {
-	if _, _, err := p.tree.Delete(name); err != nil {
-		return err
-	}
-	return p.zone.Clear(slot)
-}
-
-func (p *plane) extendStructPhase(slot uint64, blocks []uint64, sums []uint32, newSize uint64) error {
-	if err := p.zone.SetBlocks(slot, blocks); err != nil {
-		return err
-	}
-	// SetBlocks resets every sum; restore the carried-over verified ones.
-	for i, sum := range sums {
-		if sum != meta.SumUnverified {
-			if err := p.zone.SetSum(slot, i, sum); err != nil {
-				return err
+		// The frontend's pool phase already looked the name up; a decoded
+		// record has to.
+		if u.indexed {
+			return nil
+		}
+		if !u.newSlot {
+			if existing, ok := p.tree.Get(u.name); ok {
+				if existing != u.slot {
+					return fmt.Errorf("dstore: replay: %q maps to slot %d, record says %d", u.name, existing, u.slot)
+				}
+				return nil
 			}
 		}
+		_, _, err := p.tree.Insert(u.name, u.slot)
+		return err
+	case opDelete, opTxnAbort:
+		// Tolerant of the name being already gone: a later committed
+		// delete or rewrite supersedes, and a transaction may delete a key
+		// that never existed.
+		slot, ok, err := p.tree.Delete(u.name)
+		if err != nil || !ok {
+			return err
+		}
+		return p.zone.Clear(slot)
+	case opInval:
+		// Checksum invalidation before an in-place overwrite. The object may
+		// have been deleted or rewritten by later committed records; stale
+		// indices are ignored (invalidating an already-unverified or
+		// repointed block is harmless).
+		slot, e, ok, err := p.lookup(u.name)
+		if err != nil || !ok {
+			return err
+		}
+		for _, i := range u.idxs {
+			if i >= 0 && i < len(e.Blocks) {
+				if err := p.zone.SetSum(slot, i, meta.SumUnverified); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	case opRemap:
+		// Scrub repair: repoint one block of the object at its relocation
+		// target. Skipped when the object no longer exists or the index is
+		// stale (a later committed rewrite supersedes the remap).
+		slot, e, ok, err := p.lookup(u.name)
+		idx := u.idxs[0]
+		if err != nil || !ok || idx < 0 || idx >= len(e.Blocks) {
+			return err
+		}
+		if err := p.zone.SetBlockID(slot, idx, u.blocks[0]); err != nil {
+			return err
+		}
+		return p.zone.SetSum(slot, idx, u.sums[0])
+	case opNoop:
+		// olock/ounlock: ignored by replay (§4.5).
+		return nil
+	default:
+		return fmt.Errorf("dstore: unknown op %d in log", u.op)
 	}
-	return p.zone.SetSize(slot, newSize)
+}
+
+// retract undoes a failed apply of u when that leaves no trace: the one
+// invisible effect an update can have is a put-shaped metadata write to a
+// slot the pool phase just allocated, which nothing indexes — provided the
+// failed index insert really left the index as it found it (an insert that
+// ran out of arena mid-split does not). Reports whether p is as it was.
+func (p *plane) retract(u *subOp) bool {
+	if !u.newSlot {
+		return false
+	}
+	if _, ok := p.tree.Get(u.name); ok || p.tree.Check() != nil {
+		return false
+	}
+	return p.zone.Clear(u.slot) == nil
 }
 
 // ------------------------------------------------------------- replay
@@ -208,318 +261,206 @@ func (p *plane) extendStructPhase(slot uint64, blocks []uint64, sums []uint32, n
 // afterwards, instead of re-executing pool operations in log order.
 // Physical-logging mode pads the payload with an image to model ARIES-style
 // records (Fig. 9 baseline).
-func encodeAllocPayload(size, slot uint64, blocks []uint64, sums []uint32, physPad int) []byte {
-	b := make([]byte, 20+12*len(blocks)+physPad)
-	binary.LittleEndian.PutUint64(b[0:], size)
-	binary.LittleEndian.PutUint64(b[8:], slot)
-	binary.LittleEndian.PutUint32(b[16:], uint32(len(blocks)))
-	so := 20 + 8*len(blocks)
-	for i, blk := range blocks {
+//
+// allocLen is the encoded size of a put-shaped sub-op's parameters.
+func allocLen(u *subOp) int { return 20 + 12*len(u.blocks) }
+
+// putAllocPayload lays u's parameters down at the start of b.
+func putAllocPayload(b []byte, u *subOp) {
+	binary.LittleEndian.PutUint64(b[0:], u.size)
+	binary.LittleEndian.PutUint64(b[8:], u.slot)
+	binary.LittleEndian.PutUint32(b[16:], uint32(len(u.blocks)))
+	so := 20 + 8*len(u.blocks)
+	for i, blk := range u.blocks {
 		binary.LittleEndian.PutUint64(b[20+8*i:], blk)
-		if sums != nil {
-			binary.LittleEndian.PutUint32(b[so+4*i:], sums[i])
+		if u.sums != nil {
+			binary.LittleEndian.PutUint32(b[so+4*i:], u.sums[i])
 		}
 	}
+}
+
+func encodeAllocPayload(u *subOp, physPad int) []byte {
+	b := make([]byte, allocLen(u)+physPad)
+	putAllocPayload(b, u)
 	return b
 }
 
-func decodeAllocPayload(p []byte) (size, slot uint64, blocks []uint64, sums []uint32, err error) {
+func decodeAllocPayload(p []byte) (u subOp, err error) {
 	if len(p) < 20 {
-		return 0, 0, nil, nil, fmt.Errorf("dstore: short payload (%d bytes)", len(p))
+		return u, fmt.Errorf("dstore: short payload (%d bytes)", len(p))
 	}
-	size = binary.LittleEndian.Uint64(p[0:])
-	slot = binary.LittleEndian.Uint64(p[8:])
-	n := binary.LittleEndian.Uint32(p[16:])
-	if len(p) < 20+12*int(n) {
-		return 0, 0, nil, nil, fmt.Errorf("dstore: payload truncated (%d bytes for %d blocks)", len(p), n)
+	u.size = binary.LittleEndian.Uint64(p[0:])
+	u.slot = binary.LittleEndian.Uint64(p[8:])
+	n := int(binary.LittleEndian.Uint32(p[16:]))
+	if len(p) < 20+12*n {
+		return u, fmt.Errorf("dstore: payload truncated (%d bytes for %d blocks)", len(p), n)
 	}
-	blocks = make([]uint64, n)
-	sums = make([]uint32, n)
-	so := 20 + 8*int(n)
-	for i := range blocks {
-		blocks[i] = binary.LittleEndian.Uint64(p[20+8*i:])
-		sums[i] = binary.LittleEndian.Uint32(p[so+4*i:])
+	u.blocks = make([]uint64, n)
+	u.sums = make([]uint32, n)
+	so := 20 + 8*n
+	for i := range u.blocks {
+		u.blocks[i] = binary.LittleEndian.Uint64(p[20+8*i:])
+		u.sums[i] = binary.LittleEndian.Uint32(p[so+4*i:])
 	}
-	return size, slot, blocks, sums, nil
+	return u, nil
 }
 
 // opInval payload: the block indices whose checksums must be invalidated.
-func encodeInvalPayload(idxs []int) []byte {
-	b := make([]byte, 4+4*len(idxs))
-	binary.LittleEndian.PutUint32(b[0:], uint32(len(idxs)))
-	for i, x := range idxs {
+func encodeInvalPayload(u *subOp, _ int) []byte {
+	b := make([]byte, 4+4*len(u.idxs))
+	binary.LittleEndian.PutUint32(b[0:], uint32(len(u.idxs)))
+	for i, x := range u.idxs {
 		binary.LittleEndian.PutUint32(b[4+4*i:], uint32(x))
 	}
 	return b
 }
 
-func decodeInvalPayload(p []byte) ([]int, error) {
+func decodeInvalPayload(p []byte) (u subOp, err error) {
 	if len(p) < 4 {
-		return nil, fmt.Errorf("dstore: short inval payload (%d bytes)", len(p))
+		return u, fmt.Errorf("dstore: short inval payload (%d bytes)", len(p))
 	}
 	n := binary.LittleEndian.Uint32(p[0:])
 	if len(p) < 4+4*int(n) {
-		return nil, fmt.Errorf("dstore: inval payload truncated (%d bytes for %d indices)", len(p), n)
+		return u, fmt.Errorf("dstore: inval payload truncated (%d bytes for %d indices)", len(p), n)
 	}
-	idxs := make([]int, n)
-	for i := range idxs {
-		idxs[i] = int(binary.LittleEndian.Uint32(p[4+4*i:]))
+	u.idxs = make([]int, n)
+	for i := range u.idxs {
+		u.idxs[i] = int(binary.LittleEndian.Uint32(p[4+4*i:]))
 	}
-	return idxs, nil
+	return u, nil
 }
 
-// opRemap payload: repoint the idx-th block of the named object at a
-// relocation target carrying the given checksum.
-func encodeRemapPayload(idx int, newBlock uint64, sum uint32) []byte {
+// opRemap payload: repoint the idxs[0]-th block of the named object at the
+// relocation target blocks[0] carrying the checksum sums[0].
+func encodeRemapPayload(u *subOp, _ int) []byte {
 	b := make([]byte, 16)
-	binary.LittleEndian.PutUint32(b[0:], uint32(idx))
-	binary.LittleEndian.PutUint64(b[4:], newBlock)
-	binary.LittleEndian.PutUint32(b[12:], sum)
+	binary.LittleEndian.PutUint32(b[0:], uint32(u.idxs[0]))
+	binary.LittleEndian.PutUint64(b[4:], u.blocks[0])
+	binary.LittleEndian.PutUint32(b[12:], u.sums[0])
 	return b
 }
 
-func decodeRemapPayload(p []byte) (idx int, newBlock uint64, sum uint32, err error) {
+func decodeRemapPayload(p []byte) (u subOp, err error) {
 	if len(p) < 16 {
-		return 0, 0, 0, fmt.Errorf("dstore: short remap payload (%d bytes)", len(p))
+		return u, fmt.Errorf("dstore: short remap payload (%d bytes)", len(p))
 	}
-	return int(binary.LittleEndian.Uint32(p[0:])),
-		binary.LittleEndian.Uint64(p[4:]),
-		binary.LittleEndian.Uint32(p[12:]), nil
+	u.idxs = []int{int(binary.LittleEndian.Uint32(p[0:]))}
+	u.blocks = []uint64{binary.LittleEndian.Uint64(p[4:])}
+	u.sums = []uint32{binary.LittleEndian.Uint32(p[12:])}
+	return u, nil
 }
 
 // opTxnCommit payload: the transaction id followed by the write set as
-// sub-operations. Each put sub-op carries the same allocation decisions an
-// opPut payload would (slot, block ids, per-block sums), so replay is
-// deterministic; delete sub-ops carry only the name.
+// sub-operations, `u8 kind | u16 keylen | key`, then for a put exactly the
+// parameters an opPut payload would carry (slot, block ids, per-block sums),
+// so replay is deterministic; delete sub-ops carry only the name. Decoded,
+// a put sub-op is an opPut subOp and a delete an opDelete one.
 const (
 	txnSubPut    uint8 = 1
 	txnSubDelete uint8 = 2
 )
 
-// txnSub is one sub-operation of an opTxnCommit record.
-type txnSub struct {
-	kind   uint8
-	name   []byte
-	size   uint64   // put only
-	slot   uint64   // put only
-	blocks []uint64 // put only
-	sums   []uint32 // put only
-}
-
-func (t txnSub) encodedLen() int {
-	n := 1 + 2 + len(t.name)
-	if t.kind == txnSubPut {
-		n += 8 + 8 + 4 + 12*len(t.blocks)
-	}
-	return n
-}
-
-func encodeTxnPayload(txnid uint64, subs []txnSub) []byte {
+func encodeTxnPayload(txnid uint64, subs []subOp) []byte {
 	n := 12
-	for _, s := range subs {
-		n += s.encodedLen()
+	for i := range subs {
+		n += 3 + len(subs[i].name)
+		if putShaped(subs[i].op) {
+			n += allocLen(&subs[i])
+		}
 	}
 	b := make([]byte, n)
 	binary.LittleEndian.PutUint64(b[0:], txnid)
 	binary.LittleEndian.PutUint32(b[8:], uint32(len(subs)))
 	off := 12
-	for _, s := range subs {
-		b[off] = s.kind
-		binary.LittleEndian.PutUint16(b[off+1:], uint16(len(s.name)))
-		off += 3
-		off += copy(b[off:], s.name)
-		if s.kind == txnSubPut {
-			binary.LittleEndian.PutUint64(b[off:], s.size)
-			binary.LittleEndian.PutUint64(b[off+8:], s.slot)
-			binary.LittleEndian.PutUint32(b[off+16:], uint32(len(s.blocks)))
-			off += 20
-			for i, blk := range s.blocks {
-				binary.LittleEndian.PutUint64(b[off+8*i:], blk)
-			}
-			off += 8 * len(s.blocks)
-			for i := range s.blocks {
-				var sum uint32
-				if s.sums != nil {
-					sum = s.sums[i]
-				}
-				binary.LittleEndian.PutUint32(b[off+4*i:], sum)
-			}
-			off += 4 * len(s.blocks)
+	for i := range subs {
+		u := &subs[i]
+		b[off] = txnSubDelete
+		if putShaped(u.op) {
+			b[off] = txnSubPut
+		}
+		binary.LittleEndian.PutUint16(b[off+1:], uint16(len(u.name)))
+		off += 3 + copy(b[off+3:], u.name)
+		if putShaped(u.op) {
+			putAllocPayload(b[off:], u)
+			off += allocLen(u)
 		}
 	}
 	return b
 }
 
-func decodeTxnPayload(p []byte) (txnid uint64, subs []txnSub, err error) {
+func decodeTxnPayload(p []byte) (txnid uint64, subs []subOp, err error) {
 	if len(p) < 12 {
 		return 0, nil, fmt.Errorf("dstore: short txn payload (%d bytes)", len(p))
 	}
 	txnid = binary.LittleEndian.Uint64(p[0:])
 	n := binary.LittleEndian.Uint32(p[8:])
 	off := 12
-	subs = make([]txnSub, 0, n)
+	subs = make([]subOp, 0, n)
 	for i := uint32(0); i < n; i++ {
 		if len(p) < off+3 {
 			return 0, nil, fmt.Errorf("dstore: txn payload truncated at sub %d", i)
 		}
-		var s txnSub
-		s.kind = p[off]
+		kind := p[off]
 		nameLen := int(binary.LittleEndian.Uint16(p[off+1:]))
 		off += 3
 		if len(p) < off+nameLen {
 			return 0, nil, fmt.Errorf("dstore: txn payload truncated in name of sub %d", i)
 		}
-		s.name = p[off : off+nameLen]
-		off += nameLen
-		switch s.kind {
+		u := subOp{op: opDelete}
+		switch kind {
 		case txnSubPut:
-			if len(p) < off+20 {
-				return 0, nil, fmt.Errorf("dstore: txn payload truncated in put header of sub %d", i)
+			if u, err = decodeAllocPayload(p[off+nameLen:]); err != nil {
+				return 0, nil, fmt.Errorf("dstore: txn payload sub %d: %w", i, err)
 			}
-			s.size = binary.LittleEndian.Uint64(p[off:])
-			s.slot = binary.LittleEndian.Uint64(p[off+8:])
-			nb := int(binary.LittleEndian.Uint32(p[off+16:]))
-			off += 20
-			if len(p) < off+12*nb {
-				return 0, nil, fmt.Errorf("dstore: txn payload truncated in blocks of sub %d", i)
-			}
-			s.blocks = make([]uint64, nb)
-			s.sums = make([]uint32, nb)
-			for j := range s.blocks {
-				s.blocks[j] = binary.LittleEndian.Uint64(p[off+8*j:])
-			}
-			so := off + 8*nb
-			for j := range s.sums {
-				s.sums[j] = binary.LittleEndian.Uint32(p[so+4*j:])
-			}
-			off += 12 * nb
+			u.op = opPut
 		case txnSubDelete:
 		default:
-			return 0, nil, fmt.Errorf("dstore: unknown txn sub kind %d", s.kind)
+			return 0, nil, fmt.Errorf("dstore: unknown txn sub kind %d", kind)
 		}
-		subs = append(subs, s)
+		u.name = p[off : off+nameLen]
+		off += nameLen
+		if kind == txnSubPut {
+			off += allocLen(&u)
+		}
+		subs = append(subs, u)
 	}
 	return txnid, subs, nil
 }
 
-// replayRecord applies one logged operation to a plane using the explicit
-// slot/block ids in the record's parameters — the statically-defined
-// op→functions mapping of §3.2, used both by checkpoint replay (onto PMEM
-// shadows) and recovery replay (onto the rebuilt DRAM arena). Pool state is
-// not touched per record; the caller reconstitutes the pools from the zone
-// when the batch ends (rebuildPools).
-func replayRecord(p *plane, rv wal.RecordView) error {
-	switch rv.Op {
-	case opPut, opCreate, opExtend, opTxnBegin:
-		size, slot, blocks, sums, err := decodeAllocPayload(rv.Payload)
-		if err != nil {
-			return err
-		}
-		return p.replayPutLike(rv.Name, size, slot, blocks, sums)
-	case opDelete, opTxnAbort:
-		return p.replayDeleteLike(rv.Name)
-	case opTxnCommit:
-		_, subs, err := decodeTxnPayload(rv.Payload)
-		if err != nil {
-			return err
-		}
-		for _, s := range subs {
-			switch s.kind {
-			case txnSubPut:
-				if err := p.replayPutLike(s.name, s.size, s.slot, s.blocks, s.sums); err != nil {
-					return err
-				}
-			case txnSubDelete:
-				if err := p.replayDeleteLike(s.name); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	case opInval:
-		// Checksum invalidation before an in-place overwrite. The object may
-		// have been deleted or rewritten by later committed records; stale
-		// indices are ignored (invalidating an already-unverified or
-		// repointed block is harmless).
-		slot, ok := p.tree.Get(rv.Name)
-		if !ok {
-			return nil
-		}
-		idxs, err := decodeInvalPayload(rv.Payload)
-		if err != nil {
-			return err
-		}
-		e, used, err := p.zone.Read(slot)
-		if err != nil {
-			return err
-		}
-		if !used {
-			return nil
-		}
-		for _, i := range idxs {
-			if i >= 0 && i < len(e.Blocks) {
-				if err := p.zone.SetSum(slot, i, meta.SumUnverified); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	case opRemap:
-		// Scrub repair: repoint one block of the object at its relocation
-		// target. Skipped when the object no longer exists or the index is
-		// stale (a later committed rewrite supersedes the remap).
-		slot, ok := p.tree.Get(rv.Name)
-		if !ok {
-			return nil
-		}
-		idx, newBlock, sum, err := decodeRemapPayload(rv.Payload)
-		if err != nil {
-			return err
-		}
-		e, used, err := p.zone.Read(slot)
-		if err != nil {
-			return err
-		}
-		if !used || idx < 0 || idx >= len(e.Blocks) {
-			return nil
-		}
-		if err := p.zone.SetBlockID(slot, idx, newBlock); err != nil {
-			return err
-		}
-		return p.zone.SetSum(slot, idx, sum)
-	case opNoop:
-		// olock/ounlock: ignored by replay (§4.5).
-		return nil
-	default:
-		return fmt.Errorf("dstore: unknown op %d in log", rv.Op)
+// decodeSub decodes a single-object record into its sub-op.
+func decodeSub(op uint16, name, payload []byte) (u subOp, err error) {
+	if op == 0 || op == opTxnCommit || int(op) >= len(opTable) {
+		return u, fmt.Errorf("dstore: unknown op %d in log", op)
 	}
+	if dec := opTable[op].decode; dec != nil {
+		if u, err = dec(payload); err != nil {
+			return u, err
+		}
+	}
+	u.op, u.name = op, name
+	return u, nil
 }
 
-// replayPutLike applies one put-shaped structure update: the shared replay
-// body of opPut/opCreate/opExtend/opTxnBegin records and of opTxnCommit put
-// sub-operations.
-func (p *plane) replayPutLike(name []byte, size, slot uint64, blocks []uint64, sums []uint32) error {
-	if err := p.zone.Write(slot, name, size, blocks, sums); err != nil {
+// replayRecord applies one logged record to a plane: its sub-op, or for an
+// opTxnCommit record every sub-op of its write set in order. Used by
+// checkpoint replay (onto PMEM shadows) and recovery replay (onto the rebuilt
+// DRAM arena).
+func replayRecord(p *plane, rv wal.RecordView) error {
+	if rv.Op != opTxnCommit {
+		u, err := decodeSub(rv.Op, rv.Name, rv.Payload)
+		if err != nil {
+			return err
+		}
+		return p.apply(&u, nil)
+	}
+	_, subs, err := decodeTxnPayload(rv.Payload)
+	if err != nil {
 		return err
 	}
-	if existing, ok := p.tree.Get(name); ok {
-		if existing != slot {
-			return fmt.Errorf("dstore: replay: %q maps to slot %d, record says %d", name, existing, slot)
-		}
-		return nil
-	}
-	_, _, err := p.tree.Insert(name, slot)
-	return err
-}
-
-// replayDeleteLike applies one delete-shaped structure update, tolerant of
-// the name being already gone (a later committed delete/rewrite supersedes).
-func (p *plane) replayDeleteLike(name []byte) error {
-	if slot, ok := p.tree.Get(name); ok {
-		if _, _, err := p.tree.Delete(name); err != nil {
+	for i := range subs {
+		if err := p.apply(&subs[i], nil); err != nil {
 			return err
 		}
-		return p.zone.Clear(slot)
 	}
 	return nil
 }

@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"dstore/internal/wal"
 	"dstore/internal/wire"
@@ -39,10 +38,10 @@ func (s *Store) LastLSN() uint64 { return s.eng.Pair().LastLSN() }
 // here.
 func (s *Store) AppliedLSN() uint64 { return s.eng.Pair().LastLSN() }
 
-// exportSubData reads one transaction put sub-op's object content back
-// verifiably; ok=false means a block was superseded (or faulted) and the
-// sub-op must ship as not-present.
-func (s *Store) exportSubData(sub txnSub) ([]byte, bool) {
+// exportSubData reads one put-shaped sub-op's object content back
+// verifiably (logical spans only, concatenated in block order); ok=false
+// means a block was superseded (or faulted) and the content cannot ship.
+func (s *Store) exportSubData(sub subOp) ([]byte, bool) {
 	data := make([]byte, 0, sub.size)
 	for i, b := range sub.blocks {
 		ln := s.exportSpanLen(sub.size, i)
@@ -111,7 +110,7 @@ func (s *Store) ExportCommitted(from uint64, max int) ([]wire.Record, error) {
 			}
 			var data []byte
 			for _, sub := range subs {
-				if sub.kind != txnSubPut {
+				if !putShaped(sub.op) {
 					continue
 				}
 				span, ok := s.exportSubData(sub)
@@ -127,37 +126,24 @@ func (s *Store) ExportCommitted(from uint64, max int) ([]wire.Record, error) {
 			}
 			w.Data = data
 		case opPut, opCreate, opExtend, opTxnBegin:
-			size, _, blocks, sums, err := decodeAllocPayload(r.Payload)
+			sub, err := decodeSub(r.Op, r.Name, r.Payload)
 			if err != nil {
 				return nil, fmt.Errorf("dstore: export record %d: %w", r.LSN, err)
 			}
-			data := make([]byte, 0, size)
-			ok := true
-			for i, b := range blocks {
-				ln := s.exportSpanLen(size, i)
-				if ln == 0 {
-					continue
-				}
-				span := make([]byte, ln)
-				if err := s.readBlockVerified(b, span, sums[i], string(r.Name)); err != nil {
-					ok = false // superseded content (or at-rest fault): skip
-					break
-				}
-				data = append(data, span...)
-			}
+			data, ok := s.exportSubData(sub)
 			if !ok {
-				continue
+				continue // superseded content (or at-rest fault): skip
 			}
 			w.Data = data
 		case opRemap:
 			// The record does not carry the span length, so the full block
 			// ships unverified; bytes beyond the logical span are never read.
-			_, newBlock, _, err := decodeRemapPayload(r.Payload)
+			sub, err := decodeRemapPayload(r.Payload)
 			if err != nil {
 				return nil, fmt.Errorf("dstore: export record %d: %w", r.LSN, err)
 			}
 			blk := make([]byte, s.cfg.BlockSize)
-			if err := s.ssdRead(s.dataOff(newBlock), blk); err != nil {
+			if err := s.ssdRead(s.dataOff(sub.blocks[0]), blk); err != nil {
 				continue // standby keeps its intact pre-remap copy
 			}
 			w.Data = blk
@@ -178,11 +164,17 @@ func (s *Store) IsStandby() bool { return s.standby.Load() }
 
 // ApplyReplicated applies one shipped record to a standby: block data to
 // this store's own SSD first, then a directly-committed WAL record at the
-// primary's LSN, then the in-memory structures via the same replay path
-// recovery uses. A crash between the SSD write and the WAL append loses
-// nothing (the record was not acked); a crash after the WAL append is
-// repaired by recovery replay, which re-applies the committed record over
-// the already-durable data.
+// primary's LSN, then the in-memory structures through applyOwned — the step
+// the primary's own writes end in. A crash between the SSD write and the WAL
+// append loses nothing (the record was not acked); a crash after the WAL
+// append is repaired by recovery replay, which re-applies the committed
+// record over the already-durable data.
+//
+// A transaction record ships each put sub-op's data behind a present flag
+// (see ExportCommitted). The not-present sub-ops are STRIPPED from the payload
+// before it is logged, so the standby's own recovery replay stays
+// self-consistent; their keys are repaired by the later committed records
+// that superseded them, which follow in the stream.
 func (s *Store) ApplyReplicated(rec wire.Record) error {
 	if !s.standby.Load() {
 		return fmt.Errorf("dstore: ApplyReplicated on non-standby store")
@@ -199,46 +191,62 @@ func (s *Store) ApplyReplicated(rec wire.Record) error {
 		return nil // duplicate delivery (resubscribe overlap): idempotent
 	}
 
-	var touched []uint64
-	switch rec.Op {
-	case opTxnCommit:
-		return s.applyReplicatedTxn(rec)
-	case opPut, opCreate, opExtend, opTxnBegin:
-		size, _, blocks, _, err := decodeAllocPayload(rec.Payload)
+	// Decode the record into sub-ops, each paired with its shipped data.
+	var subs []subOp
+	if rec.Op == opTxnCommit {
+		txnid, all, err := decodeTxnPayload(rec.Payload)
 		if err != nil {
 			return fmt.Errorf("dstore: apply record %d: %w", rec.LSN, err)
 		}
-		off := uint64(0)
-		for i, b := range blocks {
-			ln := s.exportSpanLen(size, i)
-			if ln == 0 {
-				continue
+		data := rec.Data
+		for _, sub := range all {
+			if putShaped(sub.op) {
+				if len(data) < 5 {
+					return fmt.Errorf("dstore: apply record %d: transaction data truncated", rec.LSN)
+				}
+				present, ln := data[0], uint64(binary.LittleEndian.Uint32(data[1:5]))
+				if data = data[5:]; uint64(len(data)) < ln {
+					return fmt.Errorf("dstore: apply record %d: transaction data truncated", rec.LSN)
+				}
+				sub.data, data = data[:ln], data[ln:]
+				if present == 0 {
+					continue
+				}
 			}
-			if off+ln > uint64(len(rec.Data)) {
-				return fmt.Errorf("dstore: apply record %d: data truncated (%d < %d)",
-					rec.LSN, len(rec.Data), off+ln)
-			}
-			if err := s.ssdWrite(s.dataOff(b), rec.Data[off:off+ln]); err != nil {
-				s.degrade(err)
-				return fmt.Errorf("%w: standby data write: %v", ErrDegraded, err)
-			}
-			off += ln
-			touched = append(touched, b)
+			subs = append(subs, sub)
 		}
-	case opRemap:
-		_, newBlock, _, err := decodeRemapPayload(rec.Payload)
+		if len(subs) != len(all) {
+			rec.Payload = encodeTxnPayload(txnid, subs)
+		}
+	} else {
+		sub, err := decodeSub(rec.Op, rec.Name, rec.Payload)
 		if err != nil {
 			return fmt.Errorf("dstore: apply record %d: %w", rec.LSN, err)
 		}
-		if uint64(len(rec.Data)) != s.cfg.BlockSize {
-			return fmt.Errorf("dstore: apply record %d: remap data %d B, want %d",
-				rec.LSN, len(rec.Data), s.cfg.BlockSize)
+		sub.data = rec.Data
+		subs = []subOp{sub}
+	}
+
+	for i := range subs {
+		sub := &subs[i]
+		sub.key = string(sub.name)
+		// Only whole-entry writes and remaps ship data: a put-shaped sub-op
+		// its size bytes, a remap the whole block (its record carries no span
+		// length).
+		want := sub.size
+		if sub.op == opRemap {
+			want = s.cfg.BlockSize
+		} else if !putShaped(sub.op) {
+			continue
 		}
-		if err := s.ssdWrite(s.dataOff(newBlock), rec.Data); err != nil {
+		if uint64(len(sub.data)) < want {
+			return fmt.Errorf("dstore: apply record %d: data truncated (%d < %d)", rec.LSN, len(sub.data), want)
+		}
+		if _, err := s.writeBlocks(sub.blocks, sub.data[:want]); err != nil {
 			s.degrade(err)
 			return fmt.Errorf("%w: standby data write: %v", ErrDegraded, err)
 		}
-		touched = append(touched, newBlock)
+		sub.stale = sub.blocks
 	}
 
 	// Data durable; now the record. AppendCommitted publishes with the
@@ -247,141 +255,11 @@ func (s *Store) ApplyReplicated(rec wire.Record) error {
 	if err := s.applyAppend(rec); err != nil {
 		return err
 	}
-
-	// In-memory apply under the writer locks (no frontend writers exist on
-	// a standby, but readers do; same nesting as Delete: tree, then zone).
-	name := string(rec.Name)
-	s.readers.awaitZero(name)
-	s.treeMu.Lock()
-	rv := wal.RecordView{
-		LSN:     rec.LSN,
-		Op:      rec.Op,
-		State:   wal.StateCommitted,
-		Name:    rec.Name,
-		Payload: rec.Payload,
-	}
-	slot, haveSlot := s.front.tree.Get(rec.Name)
-	var lk *sync.Mutex
-	if haveSlot {
-		lk = s.zoneLock(slot)
-		lk.Lock()
-	}
-	err := replayRecord(s.front, rv)
-	if lk != nil {
-		lk.Unlock()
-	}
-	s.treeMu.Unlock()
-	if err != nil {
+	// No frontend writers exist on a standby, but readers do.
+	if _, err := s.applyOwned(subs, nil); err != nil {
 		s.degrade(err)
 		return fmt.Errorf("%w: standby apply: %v", ErrDegraded, err)
 	}
-	s.vers.bump(name)
-	s.cacheInvalidate(touched)
-	return nil
-}
-
-// applyReplicatedTxn applies a shipped opTxnCommit record: the present put
-// sub-ops' data to this store's SSD, then — with the not-present sub-ops
-// STRIPPED from the payload, so the standby's own recovery replay stays
-// self-consistent — the record and the in-memory structures for every
-// remaining sub-op. A not-present sub-op's key is repaired by the later
-// committed record that superseded it, which follows in the stream.
-// Caller holds applyMu and has checked mode, health, and LSN.
-func (s *Store) applyReplicatedTxn(rec wire.Record) error {
-	txnid, subs, err := decodeTxnPayload(rec.Payload)
-	if err != nil {
-		return fmt.Errorf("dstore: apply record %d: %w", rec.LSN, err)
-	}
-	truncated := func() error {
-		return fmt.Errorf("dstore: apply record %d: transaction data truncated", rec.LSN)
-	}
-	var touched []uint64
-	kept := make([]txnSub, 0, len(subs))
-	data := rec.Data
-	for _, sub := range subs {
-		if sub.kind != txnSubPut {
-			kept = append(kept, sub)
-			continue
-		}
-		if len(data) < 5 {
-			return truncated()
-		}
-		present := data[0]
-		ln := binary.LittleEndian.Uint32(data[1:5])
-		data = data[5:]
-		if present == 0 {
-			continue
-		}
-		if uint64(len(data)) < uint64(ln) {
-			return truncated()
-		}
-		span := data[:ln]
-		data = data[ln:]
-		off := uint64(0)
-		for i, b := range sub.blocks {
-			l := s.exportSpanLen(sub.size, i)
-			if l == 0 {
-				continue
-			}
-			if off+l > uint64(len(span)) {
-				return truncated()
-			}
-			if err := s.ssdWrite(s.dataOff(b), span[off:off+l]); err != nil {
-				s.degrade(err)
-				return fmt.Errorf("%w: standby data write: %v", ErrDegraded, err)
-			}
-			off += l
-			touched = append(touched, b)
-		}
-		kept = append(kept, sub)
-	}
-	stripped := rec.Payload
-	if len(kept) != len(subs) {
-		stripped = encodeTxnPayload(txnid, kept)
-	}
-
-	wrec := rec
-	wrec.Payload = stripped
-	if err := s.applyAppend(wrec); err != nil {
-		return err
-	}
-
-	// In-memory apply: drain readers of every sub-op name, then replay the
-	// stripped record under the writer locks (zone stripes deduped — several
-	// slots can share one).
-	for _, sub := range kept {
-		s.readers.awaitZero(string(sub.name))
-	}
-	s.treeMu.Lock()
-	locked := make(map[*sync.Mutex]bool)
-	for _, sub := range kept {
-		if slot, ok := s.front.tree.Get(sub.name); ok {
-			if lk := s.zoneLock(slot); !locked[lk] {
-				lk.Lock()
-				locked[lk] = true
-			}
-		}
-	}
-	rv := wal.RecordView{
-		LSN:     rec.LSN,
-		Op:      rec.Op,
-		State:   wal.StateCommitted,
-		Name:    rec.Name,
-		Payload: stripped,
-	}
-	rerr := replayRecord(s.front, rv)
-	for lk := range locked {
-		lk.Unlock()
-	}
-	s.treeMu.Unlock()
-	if rerr != nil {
-		s.degrade(rerr)
-		return fmt.Errorf("%w: standby apply: %v", ErrDegraded, rerr)
-	}
-	for _, sub := range kept {
-		s.vers.bump(string(sub.name))
-	}
-	s.cacheInvalidate(touched)
 	return nil
 }
 

@@ -112,23 +112,23 @@ func (m *migration) stripesFor(keys []string) []*sync.Mutex {
 	return out
 }
 
-// mirrorPut double-applies a put to the moving key's recipient. Caller
-// holds the key's stripe and has applied the donor write successfully.
-// A mirror failure is recorded, not surfaced: the donor (still
+// mirror double-applies a put or (del) a delete to the moving key's
+// recipient. Caller holds the key's stripe and has applied the donor write
+// successfully. A delete tolerates absence (the copier may not have reached
+// the key yet). A mirror failure is recorded, not surfaced: the donor (still
 // authoritative) accepted the write, and the recorded failure aborts the
 // migration before the flip could make the stale recipient authoritative.
-func (m *migration) mirrorPut(to int, key string, value []byte) {
-	if err := m.rctxs[uint32(to)].Put(key, value); err != nil {
-		m.fail(fmt.Errorf("mirror put %q to shard %d: %w", key, to, err))
+func (m *migration) mirror(to int, key string, value []byte, del bool) {
+	var err error
+	if del {
+		if err = m.rctxs[uint32(to)].Delete(key); errors.Is(err, ErrNotFound) {
+			err = nil
+		}
+	} else {
+		err = m.rctxs[uint32(to)].Put(key, value)
 	}
-}
-
-// mirrorDelete double-applies a delete, tolerating absence (the copier may
-// not have reached the key yet).
-func (m *migration) mirrorDelete(to int, key string) {
-	err := m.rctxs[uint32(to)].Delete(key)
-	if err != nil && !errors.Is(err, ErrNotFound) {
-		m.fail(fmt.Errorf("mirror delete %q on shard %d: %w", key, to, err))
+	if err != nil {
+		m.fail(fmt.Errorf("mirror write of %q to shard %d: %w", key, to, err))
 	}
 }
 

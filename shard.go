@@ -718,32 +718,20 @@ func (c *ShardedCtx) shardCtx(key string) *Ctx {
 	return c.ctx(c.sh.owner(key))
 }
 
-// putAt applies a put on shard i, failing over and retrying once on a
-// replicated store whose shard degraded.
-func (c *ShardedCtx) putAt(i int, key string, value []byte) error {
-	err := c.ctx(i).Put(key, value)
-	if err != nil && c.sh.failover(i, err) {
-		err = c.ctx(i).Put(key, value)
-	}
-	return err
-}
+// Put stores value under key on its shard.
+func (c *ShardedCtx) Put(key string, value []byte) error { return c.write(key, value, false) }
 
-// deleteAt applies a delete on shard i with the same failover retry.
-func (c *ShardedCtx) deleteAt(i int, key string) error {
-	err := c.ctx(i).Delete(key)
-	if err != nil && c.sh.failover(i, err) {
-		err = c.ctx(i).Delete(key)
-	}
-	return err
-}
+// Delete removes key's object from its shard.
+func (c *ShardedCtx) Delete(key string) error { return c.write(key, nil, true) }
 
-// Put stores value under key on its shard. On a replicated store a write
-// that finds its shard degraded triggers failover and retries once on the
-// promoted standby. During a live migration a put to a moving key is
-// double-applied: donor first (authoritative until the flip), then the
-// recipient, under the key's migration stripe so copier and writers agree
-// on order.
-func (c *ShardedCtx) Put(key string, value []byte) error {
+// write is the routed single-key mutation, a put or (del) a delete: held
+// under opMu shared so the epoch cannot flip mid-op, it runs on the owning
+// shard; on a replicated store a write that finds its shard degraded triggers
+// failover and retries once on the promoted standby. During a live migration
+// a write to a moving key is double-applied: donor first (authoritative until
+// the flip), then the recipient, under the key's migration stripe so copier
+// and writers agree on order.
+func (c *ShardedCtx) write(key string, value []byte, del bool) error {
 	if c.sh == nil {
 		return ErrClosed
 	}
@@ -751,19 +739,29 @@ func (c *ShardedCtx) Put(key string, value []byte) error {
 	sh.opMu.RLock() //nolint:lock-order // held shared across the routed apply so the epoch cannot flip mid-op; the flip is the only writer
 	defer sh.opMu.RUnlock()
 	i := sh.owner(key)
-	if m := sh.migrP.Load(); m != nil {
-		if to, moving := m.dest(key, i); moving {
+	m := sh.migrP.Load()
+	to, moving := 0, false
+	if m != nil {
+		if to, moving = m.dest(key, i); moving {
 			st := m.stripe(key)
 			st.Lock() //nolint:lock-order // per-key stripe held across donor+recipient applies; ordered after opMu everywhere
 			defer st.Unlock()
-			err := c.putAt(i, key, value)
-			if err == nil {
-				m.mirrorPut(to, key, value)
-			}
-			return err
 		}
 	}
-	return c.putAt(i, key, value)
+	apply := func() error {
+		if del {
+			return c.ctx(i).Delete(key)
+		}
+		return c.ctx(i).Put(key, value)
+	}
+	err := apply()
+	if err != nil && sh.failover(i, err) {
+		err = apply()
+	}
+	if err == nil && moving {
+		m.mirror(to, key, value, del)
+	}
+	return err
 }
 
 // Get retrieves key's value from its shard, appending to buf. The donor
@@ -773,34 +771,9 @@ func (c *ShardedCtx) Get(key string, buf []byte) ([]byte, error) {
 	if c.sh == nil {
 		return nil, ErrClosed
 	}
-	c.sh.opMu.RLock() //nolint:lock-order // see Put
+	c.sh.opMu.RLock() //nolint:lock-order // see write
 	defer c.sh.opMu.RUnlock()
 	return c.shardCtx(key).Get(key, buf)
-}
-
-// Delete removes key's object from its shard (failing over like Put and
-// double-applying to the recipient during a migration).
-func (c *ShardedCtx) Delete(key string) error {
-	if c.sh == nil {
-		return ErrClosed
-	}
-	sh := c.sh
-	sh.opMu.RLock() //nolint:lock-order // see Put
-	defer sh.opMu.RUnlock()
-	i := sh.owner(key)
-	if m := sh.migrP.Load(); m != nil {
-		if to, moving := m.dest(key, i); moving {
-			st := m.stripe(key)
-			st.Lock() //nolint:lock-order // see Put
-			defer st.Unlock()
-			err := c.deleteAt(i, key)
-			if err == nil {
-				m.mirrorDelete(to, key)
-			}
-			return err
-		}
-	}
-	return c.deleteAt(i, key)
 }
 
 // Open opens (or creates) an object on its shard; the returned handle's
@@ -816,7 +789,7 @@ func (c *ShardedCtx) Open(name string, size uint64, flags OpenFlag) (*Object, er
 		return nil, ErrClosed
 	}
 	sh := c.sh
-	sh.opMu.RLock() //nolint:lock-order // see Put
+	sh.opMu.RLock() //nolint:lock-order // see write
 	defer sh.opMu.RUnlock()
 	i := sh.owner(name)
 	if m := sh.migrP.Load(); m != nil {
@@ -837,7 +810,7 @@ func (c *ShardedCtx) Lock(name string) error {
 	if c.sh == nil {
 		return ErrClosed
 	}
-	c.sh.opMu.RLock() //nolint:lock-order // see Put
+	c.sh.opMu.RLock() //nolint:lock-order // see write
 	i := c.sh.owner(name)
 	err := c.ctx(i).Lock(name)
 	c.sh.opMu.RUnlock()

@@ -279,12 +279,14 @@ func (s *Store) releaseOlocks(locks map[string]*wal.Handle) {
 	}
 }
 
-// commitTxnSet is one store's commit pipeline, shared by the routed commit's
-// one-participant case, the cross-shard coordinator/participant phases, and
-// recovery roll-forward: olock the write keys (unless the caller already
-// holds them), validate reads under poolMu atomically with the opTxnCommit
-// append, write the data out of place, apply the structure phases per
-// sub-op, and commit the record — the atomic durability point.
+// commitTxnSet commits one store's share of a transaction — used by the
+// routed commit's one-participant case, the cross-shard coordinator and
+// participant phases, and recovery roll-forward: olock the write keys (unless
+// the caller already holds them), then run the write pipeline (write.go) for
+// the whole write set under a single opTxnCommit record, whose commit is the
+// atomic durability point. The pipeline validates reads under poolMu
+// atomically with the record's append, writes the data out of place, and
+// applies the sub-ops in record order (the order replay uses).
 //
 // ops is never empty: a read-only set validates through validateReadSet.
 // reads may be nil (decided cross-shard applies and recovery validate
@@ -296,309 +298,64 @@ func (s *Store) commitTxnSet(txnid uint64, reads map[string]uint64, ops []txnOp,
 	}
 	sortTxnOps(ops)
 
-	// Bound the commit record before touching anything: every sub-op must
-	// fit one WAL payload.
+	// Bound the commit record before touching anything — every sub-op must
+	// fit one WAL payload — and compute the per-block checksums outside any
+	// lock.
+	w := writeSet{op: opTxnCommit, name: []byte(txnRecordName(txnid)), txnid: txnid, reads: reads, locks: held}
+	w.subs = make([]subOp, len(ops))
+	keys := make([]string, len(ops))
 	est := 12
-	for _, op := range ops {
-		if op.del {
-			est += 3 + len(op.key)
-			continue
+	for i, op := range ops {
+		keys[i] = op.key
+		u := subOp{op: opDelete, key: op.key, name: []byte(op.key)}
+		est += 3 + len(op.key)
+		if !op.del {
+			if uint64(len(op.value)) > s.maxObjectBytes() {
+				return fmt.Errorf("dstore: value of %d bytes exceeds max object size %d", len(op.value), s.maxObjectBytes())
+			}
+			u.op, u.data, u.size = opPut, op.value, uint64(len(op.value))
+			u.sums = blockSums(op.value, s.cfg.BlockSize)
+			est += 20 + 12*len(u.sums)
 		}
-		if uint64(len(op.value)) > s.maxObjectBytes() {
-			return fmt.Errorf("dstore: value of %d bytes exceeds max object size %d", len(op.value), s.maxObjectBytes())
-		}
-		est += 3 + len(op.key) + 20 + 12*int(blocksFor(uint64(len(op.value)), s.cfg.BlockSize))
+		w.subs[i] = u
 	}
 	if est > wal.MaxPayload {
 		return fmt.Errorf("%w: commit record needs %d bytes, max %d", ErrTxnTooLarge, est, wal.MaxPayload)
 	}
 
-	// Per-block checksums, computed outside any lock.
-	sums := make([][]uint32, len(ops))
-	for i, op := range ops {
-		if !op.del {
-			sums[i] = blockSums(op.value, s.cfg.BlockSize)
-		}
+	if held != nil {
+		return s.write(&w)
 	}
-
-	locks := held
-	if locks == nil {
-		keys := make([]string, len(ops))
-		for i, op := range ops {
-			keys[i] = op.key
-		}
-		var err error
-		locks, err = s.olockKeys(keys)
-		if err != nil {
-			return err
-		}
-		// Release explicitly, not by defer: release settles WAL records, and
-		// a crash (modeled in tests as a panic mid-append) must not re-enter
-		// the WAL during unwinding — a real power loss runs no release at
-		// all, and recovery must cope with the bare uncommitted olocks.
-		err = s.commitTxnOwned(txnid, reads, locks, ops, sums)
-		s.releaseOlocks(locks)
+	var err error
+	if w.locks, err = s.olockKeys(keys); err != nil {
 		return err
 	}
-	return s.commitTxnOwned(txnid, reads, locks, ops, sums)
-}
-
-// commitTxnOwned is commitTxnSet's core, entered with the write keys'
-// olocks held (by this call or the caller): validate + append, data phase,
-// structure apply, version bumps, record commit, deferred frees.
-func (s *Store) commitTxnOwned(txnid uint64, reads map[string]uint64, locks map[string]*wal.Handle, ops []txnOp, sums [][]uint32) error {
-	if s.cfg.DisableOE {
-		s.globalMu.Lock()
-		defer s.globalMu.Unlock()
-	}
-
-	name := []byte(txnRecordName(txnid))
-	var h *wal.Handle
-	var allocs []putAlloc
-	for attempt := 0; ; attempt++ {
-		var err error
-		h, allocs, err = s.txnAllocAndAppend(txnid, name, reads, locks, ops, sums)
-		if err != nil {
-			return err
-		}
-		bad := false
-		var werr error
-		for i, op := range ops {
-			if op.del {
-				continue
-			}
-			if bad, werr = s.putDataPhase(allocs[i], op.value, uint64(len(op.value))); werr != nil {
-				break
-			}
-		}
-		if werr == nil {
-			break
-		}
-		// The record never committed: dead, replays as nothing. Return the
-		// fresh allocations and — on a permanent error — rerun on different
-		// blocks, like Put.
-		s.abort(h)
-		s.poolMu.Lock()
-		for i, op := range ops {
-			if op.del {
-				continue
-			}
-			s.freeBlocksLocked(allocs[i].blocks)
-			if !allocs[i].existed {
-				s.front.slotPool.Put(allocs[i].slot) //nolint:errcheck
-			}
-		}
-		s.poolMu.Unlock()
-		if bad && attempt < 2 {
-			continue
-		}
-		return werr
-	}
-
-	// With the record appended and the olocks held, this transaction owns
-	// every write key: snapshot the state the apply and the deferred frees
-	// need (old block lists for overwritten puts, slot/blocks for deletes).
-	type delInfo struct {
-		slot   uint64
-		blocks []uint64
-		found  bool
-	}
-	dels := make([]delInfo, len(ops))
-	for i, op := range ops {
-		if op.del {
-			s.treeMu.RLock()
-			slot, ok := s.front.tree.Get([]byte(op.key))
-			s.treeMu.RUnlock()
-			if ok {
-				if e, used, err := s.zoneRead(slot); err == nil && used {
-					dels[i] = delInfo{slot: slot, blocks: e.Blocks, found: true}
-				}
-			}
-			continue
-		}
-		if allocs[i].existed {
-			if e, used, err := s.zoneRead(allocs[i].slot); err == nil && used {
-				allocs[i].oldBlocks = e.Blocks
-			}
-		}
-	}
-
-	// Apply every sub-op in record order (the order replay uses).
-	applied := 0
-	for i, op := range ops {
-		nb := []byte(op.key)
-		s.readers.awaitZero(op.key)
-		var aerr error
-		if op.del {
-			if !dels[i].found {
-				continue // tolerant, like replay
-			}
-			s.treeMu.Lock()
-			zlk := s.zoneLock(dels[i].slot)
-			zlk.Lock()
-			aerr = s.front.deleteStructPhase(nb, dels[i].slot)
-			zlk.Unlock()
-			s.treeMu.Unlock()
-		} else {
-			zlk := s.zoneLock(allocs[i].slot)
-			zlk.Lock()
-			aerr = s.front.putMetaPhase(allocs[i], nb, uint64(len(op.value)))
-			zlk.Unlock()
-			if aerr == nil {
-				s.treeMu.Lock()
-				aerr = s.front.putTreePhase(allocs[i], nb)
-				s.treeMu.Unlock()
-			}
-		}
-		if aerr != nil {
-			if applied == 0 {
-				// Nothing visible yet: clean abort, free the fresh blocks.
-				s.abort(h)
-				s.poolMu.Lock()
-				for j, o2 := range ops {
-					if o2.del {
-						continue
-					}
-					s.freeBlocksLocked(allocs[j].blocks)
-					if !allocs[j].existed {
-						s.front.slotPool.Put(allocs[j].slot) //nolint:errcheck
-					}
-				}
-				s.poolMu.Unlock()
-				return aerr
-			}
-			// Partially applied in DRAM: make the durable outcome the whole
-			// transaction (data and record are complete) and stop taking
-			// writes — a reopen replays every sub-op and converges.
-			s.degrade(aerr)
-			s.commit(h) //nolint:errcheck // best effort; the store is already degraded
-			return aerr
-		}
-		applied++
-	}
-
-	// Versions bump after the structures changed and before the record
-	// commits, mirroring Put/Delete.
-	for _, op := range ops {
-		s.vers.bump(op.key)
-	}
-
-	if err := s.commit(h); err != nil {
-		return err
-	}
-
-	// Deferred frees only after commit.
-	s.poolMu.Lock()
-	for i, op := range ops {
-		if op.del {
-			if dels[i].found {
-				s.freeBlocksLocked(dels[i].blocks)
-				s.front.slotPool.Put(dels[i].slot) //nolint:errcheck
-			}
-			continue
-		}
-		if len(allocs[i].oldBlocks) > 0 {
-			s.freeBlocksLocked(allocs[i].oldBlocks)
-		}
-	}
-	s.poolMu.Unlock()
-	return nil
-}
-
-// txnAllocAndAppend is allocAndAppend's transactional sibling: under the
-// pool lock it validates the read set, takes every put sub-op's
-// allocations, and appends the opTxnCommit record carrying the whole write
-// set — one critical section, so validation and the commit-record position
-// in the log are atomic. Retries (with allocations rolled back) on CC
-// conflicts and log-full backpressure, like every writer.
-func (s *Store) txnAllocAndAppend(txnid uint64, name []byte, reads map[string]uint64, locks map[string]*wal.Handle, ops []txnOp, sums [][]uint32) (*wal.Handle, []putAlloc, error) {
-	devRetries := 0
-	for {
-		s.poolMu.Lock()
-		if verr := s.validateReads(reads, locks); verr != nil {
-			s.poolMu.Unlock()
-			return nil, nil, verr
-		}
-		allocs := make([]putAlloc, len(ops))
-		subs := make([]txnSub, 0, len(ops))
-		var perr error
-		s.treeMu.RLock()
-		for i, op := range ops {
-			if op.del {
-				subs = append(subs, txnSub{kind: txnSubDelete, name: []byte(op.key)})
-				continue
-			}
-			var a putAlloc
-			a, perr = s.front.putPoolPhase([]byte(op.key), uint64(len(op.value)), s.cfg.BlockSize)
-			if perr != nil {
-				for j := 0; j < i; j++ {
-					if !ops[j].del {
-						s.front.undoPutAlloc(allocs[j])
-					}
-				}
-				break
-			}
-			a.sums = sums[i]
-			allocs[i] = a
-			subs = append(subs, txnSub{
-				kind: txnSubPut, name: []byte(op.key),
-				size: uint64(len(op.value)), slot: a.slot,
-				blocks: a.blocks, sums: a.sums,
-			})
-		}
-		s.treeMu.RUnlock()
-		if perr != nil {
-			s.poolMu.Unlock()
-			return nil, nil, perr
-		}
-		payload := encodeTxnPayload(txnid, subs)
-		h, conflict, err := s.eng.Pair().AppendIgnore(opTxnCommit, name, payload, 0)
-		if err == nil && conflict == nil {
-			s.eng.MaybeTrigger()
-			s.poolMu.Unlock()
-			return h, allocs, nil
-		}
-		for i, op := range ops {
-			if !op.del {
-				s.front.undoPutAlloc(allocs[i])
-			}
-		}
-		s.poolMu.Unlock()
-		switch {
-		case conflict != nil:
-			conflict.Wait()
-		case wal.IsRetry(err):
-		case errors.Is(err, wal.ErrLogFull):
-			if s.cfg.DisableCheckpoints {
-				return nil, nil, fmt.Errorf("dstore: log full with checkpoints disabled")
-			}
-			if cerr := s.checkpointForSpace(); cerr != nil {
-				return nil, nil, cerr
-			}
-		default:
-			if isTransientRetry(err, &devRetries) {
-				continue
-			}
-			if isDeviceErr(err) {
-				s.degrade(err)
-				return nil, nil, fmt.Errorf("%w: log append: %v", ErrDegraded, err)
-			}
-			return nil, nil, err
-		}
-	}
+	// Release explicitly, not by defer: release settles WAL records, and a
+	// crash (modeled in tests as a panic mid-append) must not re-enter the
+	// WAL during unwinding — a real power loss runs no release at all, and
+	// recovery must cope with the bare uncommitted olocks.
+	err = s.write(&w)
+	s.releaseOlocks(w.locks)
+	return err
 }
 
 // putReserved writes a reserved-namespace object (cross-shard prepare) via
 // the normal put pipeline, logged as opTxnBegin so replay treats it exactly
 // like a put.
 func (s *Store) putReserved(name string, value []byte) error {
-	return s.Init().putOp(opTxnBegin, name, value)
+	if err := s.validateNameAny(name); err != nil {
+		return err
+	}
+	return s.Init().put(opTxnBegin, name, value)
 }
 
 // deleteReserved removes a reserved-namespace object via opTxnAbort,
 // tolerating absence (a crashed cleanup may have half-finished).
 func (s *Store) deleteReserved(name string) error {
-	err := s.Init().deleteOp(opTxnAbort, name)
+	err := s.validateNameAny(name)
+	if err == nil {
+		err = s.Init().del(opTxnAbort, name)
+	}
 	if errors.Is(err, ErrNotFound) {
 		return nil
 	}

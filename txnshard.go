@@ -249,12 +249,7 @@ func (t *txn) Commit() error {
 		// (the donor rules; residue is collected at open), and the flip
 		// cannot intervene while we hold opMu shared.
 		for k, to := range movers {
-			w := t.writes[k]
-			if w.del {
-				m.mirrorDelete(to, k)
-			} else {
-				m.mirrorPut(to, k, w.value)
-			}
+			m.mirror(to, k, t.writes[k].value, t.writes[k].del)
 		}
 	}
 	return err
