@@ -6,7 +6,6 @@ package dstore_test
 
 import (
 	"fmt"
-	"io"
 	"testing"
 	"time"
 
@@ -31,7 +30,7 @@ func benchOptions(b *testing.B) bench.Options {
 func runExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		if err := bench.Experiments[id](benchOptions(b), io.Discard); err != nil {
+		if _, err := bench.Find(id).Run(benchOptions(b)); err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}
 	}

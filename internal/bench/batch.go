@@ -9,46 +9,13 @@ package bench
 // records — and write throughput pulls away while tail latency holds.
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net"
-	"os"
 	"runtime"
 	"runtime/debug"
-	"sort"
-	"time"
 
 	"dstore"
-	"dstore/internal/client"
 	"dstore/internal/ycsb"
 )
-
-// BatchPoint is one (clients, batching) cell of the sweep.
-type BatchPoint struct {
-	Clients     int     `json:"clients"`
-	Batched     bool    `json:"batched"`
-	WriteKops   float64 `json:"write_kops"`
-	ReadKops    float64 `json:"read_kops"`
-	WriteP50Us  float64 `json:"write_p50_us"`
-	WriteP99Us  float64 `json:"write_p99_us"`
-	WriteP9999U float64 `json:"write_p9999_us"`
-	ReadP50Us   float64 `json:"read_p50_us"`
-	ReadP99Us   float64 `json:"read_p99_us"`
-	ReadP9999U  float64 `json:"read_p9999_us"`
-	GCBatches   uint64  `json:"gc_batches"`
-	GCRecords   uint64  `json:"gc_records"`
-}
-
-// BatchSnapshot is the BENCH_batch.json layout.
-type BatchSnapshot struct {
-	Workload    string       `json:"workload"`
-	DurationSec float64      `json:"duration_sec"`
-	ValueBytes  int          `json:"value_bytes"`
-	Records     int          `json:"records"`
-	Points      []BatchPoint `json:"points"`
-}
 
 // batchClientCounts is the sweep's x-axis.
 var batchClientCounts = []int{1, 4, 16, 64}
@@ -59,112 +26,62 @@ var batchClientCounts = []int{1, 4, 16, 64}
 // different load regimes and swing the ratio either way.
 const batchReps = 3
 
+// batchGCPercent is the Go GC setting of every measurement window: off (see
+// runBatchCell for why).
+const batchGCPercent = -1
+
 // Batch regenerates the batching sweep: networked YCSB-A at 1/4/16/64
 // clients, batching off (singleton frames, group commit off) vs on
-// (coalesced frames, group commit on). With o.BatchJSON set, the sweep is also written there as
-// a machine-readable snapshot.
-func Batch(o Options, w io.Writer) error {
+// (coalesced frames, group commit on).
+func Batch(o Options) ([]*Table, error) {
 	o.setDefaults()
-	t := Table{
-		Title: fmt.Sprintf("Batching: networked YCSB-A, group commit + MPUT/MGET coalescing (%v/run)",
-			o.Duration),
-		Header: []string{"clients", "batching", "write kops/s", "read kops/s",
-			"w p50 us", "w p99 us", "w p9999 us", "r p99 us"},
-	}
-	snap := BatchSnapshot{
-		Workload:    "A",
-		DurationSec: o.Duration.Seconds(),
-		ValueBytes:  o.ValueBytes,
-		Records:     o.Records,
-	}
-	var err error
-	withLatency(o, func() {
+	cols := append([]Col{{"clients", "clients", count}, {"batched", "batching", nil}}, ycsbCols(map[string]string{
+		"write_kops": "write kops/s", "read_kops": "read kops/s",
+		"upd_p50_us": "w p50 us", "upd_p99_us": "w p99 us", "upd_p9999_us": "w p9999 us", "read_p99_us": "r p99 us",
+	})...)
+	t := newTable(fmt.Sprintf("Batching: networked YCSB-A, group commit + MPUT/MGET coalescing (%v/run)", o.Duration),
+		append(cols, Col{"gc_batches", "", count}, Col{"gc_records", "", count})...)
+	t.Summary = fields{{"runs_per_cell", batchReps}}
+	hostGC := t.GCPercent
+	t.GCPercent = batchGCPercent
+	err := withLatency(o, func() error {
 		for _, clients := range batchClientCounts {
 			for _, batched := range []bool{false, true} {
 				// Interleave nothing, repeat everything: each cell runs
 				// batchReps times back-to-back and reports medians.
-				runs := make([]BatchPoint, 0, batchReps)
+				runs := make([][]any, 0, batchReps)
 				for rep := 0; rep < batchReps; rep++ {
-					var pt BatchPoint
-					pt, err = runBatchPoint(o, clients, batched)
+					cells, err := runBatchCell(o, clients, batched)
 					if err != nil {
-						err = fmt.Errorf("batch bench (clients=%d batched=%v): %w", clients, batched, err)
-						return
+						return fmt.Errorf("batch bench (clients=%d batched=%v): %w", clients, batched, err)
 					}
-					runs = append(runs, pt)
+					runs = append(runs, cells)
 				}
-				pt := medianBatchPoint(runs)
-				snap.Points = append(snap.Points, pt)
-				mode := "off"
-				if batched {
-					mode = "on"
-				}
-				t.Rows = append(t.Rows, []string{
-					fmt.Sprintf("%d", clients), mode,
-					fmt.Sprintf("%.1f", pt.WriteKops),
-					fmt.Sprintf("%.1f", pt.ReadKops),
-					fmt.Sprintf("%.1f", pt.WriteP50Us),
-					fmt.Sprintf("%.1f", pt.WriteP99Us),
-					fmt.Sprintf("%.1f", pt.WriteP9999U),
-					fmt.Sprintf("%.1f", pt.ReadP99Us),
-				})
+				t.Row(medianCells(runs)...)
 			}
 		}
+		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for i := 0; i+1 < len(snap.Points); i += 2 {
-		off, on := snap.Points[i], snap.Points[i+1]
-		if off.WriteKops > 0 {
-			t.Notes = append(t.Notes, fmt.Sprintf(
-				"%d clients: batching %.2fx write throughput, p9999 %.2fx",
-				on.Clients, on.WriteKops/off.WriteKops, on.WriteP9999U/off.WriteP9999U))
+	for i, clients := range batchClientCounts {
+		off, on := 2*i, 2*i+1
+		if t.Num(off, "write_kops") > 0 {
+			t.Note("%d clients: batching %.2fx write throughput, p9999 %.2fx", clients,
+				t.Num(on, "write_kops")/t.Num(off, "write_kops"), t.Num(on, "upd_p9999_us")/t.Num(off, "upd_p9999_us"))
 		}
 	}
-	t.Notes = append(t.Notes,
-		"off = singleton frames + group commit disabled; on = Batcher-coalesced MPUT/MGET frames + WAL group commit",
-		fmt.Sprintf("each cell is the per-metric median of %d runs on a fresh store", batchReps),
-		"latencies are client-observed and include any coalescing delay in batched mode")
-	t.Print(w)
-	if o.BatchJSON != "" {
-		data, e := json.MarshalIndent(&snap, "", "  ")
-		if e != nil {
-			return e
-		}
-		if e := os.WriteFile(o.BatchJSON, append(data, '\n'), 0o644); e != nil {
-			return fmt.Errorf("write %s: %w", o.BatchJSON, e)
-		}
-		fmt.Fprintf(w, "  snapshot written to %s\n", o.BatchJSON)
-	}
-	return nil
+	t.Note("off = singleton frames + group commit disabled; on = Batcher-coalesced MPUT/MGET frames + WAL group commit")
+	t.Note("each cell is the per-metric median of %d runs on a fresh store", batchReps)
+	t.Note("latencies are client-observed and include any coalescing delay in batched mode")
+	t.Note("measurement windows ran with Go GC off (GC percent %d; the process runs at %d)", batchGCPercent, hostGC)
+	return []*Table{t}, nil
 }
 
-// medianBatchPoint reduces repeated runs of one cell to per-metric medians.
-func medianBatchPoint(runs []BatchPoint) BatchPoint {
-	pt := runs[0]
-	med := func(get func(*BatchPoint) float64) float64 {
-		vs := make([]float64, len(runs))
-		for i := range runs {
-			vs[i] = get(&runs[i])
-		}
-		sort.Float64s(vs)
-		return vs[len(vs)/2]
-	}
-	pt.WriteKops = med(func(p *BatchPoint) float64 { return p.WriteKops })
-	pt.ReadKops = med(func(p *BatchPoint) float64 { return p.ReadKops })
-	pt.WriteP50Us = med(func(p *BatchPoint) float64 { return p.WriteP50Us })
-	pt.WriteP99Us = med(func(p *BatchPoint) float64 { return p.WriteP99Us })
-	pt.WriteP9999U = med(func(p *BatchPoint) float64 { return p.WriteP9999U })
-	pt.ReadP50Us = med(func(p *BatchPoint) float64 { return p.ReadP50Us })
-	pt.ReadP99Us = med(func(p *BatchPoint) float64 { return p.ReadP99Us })
-	pt.ReadP9999U = med(func(p *BatchPoint) float64 { return p.ReadP9999U })
-	return pt
-}
-
-// runBatchPoint measures one cell: a fresh loopback server (group commit
-// tracking the batching mode) driven by `clients` workload threads.
-func runBatchPoint(o Options, clients int, batched bool) (BatchPoint, error) {
+// runBatchCell measures one run of one cell: a fresh loopback server (group
+// commit tracking the batching mode) driven by `clients` workload threads.
+func runBatchCell(o Options, clients int, batched bool) ([]any, error) {
 	cfg := dstoreConfig(o, dstore.ModeDIPPER, false, false, false)
 	// Size the log to the run so checkpoints don't fire mid-measurement.
 	// Checkpoint stalls are orthogonal to batching, but they trigger per
@@ -176,32 +93,13 @@ func runBatchPoint(o Options, clients int, batched bool) (BatchPoint, error) {
 	// reached ~13MB/s on this host.
 	cfg.LogBytes = uint64(16<<20) + uint64(o.Duration.Seconds()*float64(64<<20))
 	cfg.DisableGroupCommit = !batched
-	st, err := dstore.Format(cfg)
+	kv, st, stop, err := loopback(cfg, clients, batched)
 	if err != nil {
-		return BatchPoint{}, err
+		return nil, err
 	}
-	defer st.Close() //nolint:errcheck // bench teardown
-	srv := st.NewNetServer(dstore.ServeOptions{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return BatchPoint{}, err
-	}
-	go srv.Serve(ln) //nolint:errcheck // returns ErrServerClosed on shutdown
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		srv.Shutdown(ctx) //nolint:errcheck // bench teardown
-		cancel()
-	}()
-
-	c, err := client.Dial(client.Config{Addr: ln.Addr().String(), Conns: clients})
-	if err != nil {
-		return BatchPoint{}, err
-	}
+	defer stop()
 	po := o
 	po.Threads = clients
-	po.NetBatch = batched
-	kv := netKV(c, po)
-	defer kv.Close() //nolint:errcheck // pooled conns; nothing to flush
 
 	// The measurement window runs with Go GC off (restored, and the heap
 	// reclaimed, between cells — the run-length log above keeps the idle
@@ -211,27 +109,13 @@ func runBatchPoint(o Options, clients int, batched bool) (BatchPoint, error) {
 	// wall-second and the p9999 comparison measures the harness
 	// language's GC pacing instead of fence and frame amortization — the
 	// GC-off tails are the ones the system under test actually produces.
-	prevGC := debug.SetGCPercent(-1)
+	prevGC := debug.SetGCPercent(batchGCPercent)
 	res, err := runWorkload(kv, ycsb.A(po.Records, po.ValueBytes), po)
 	debug.SetGCPercent(prevGC)
 	runtime.GC()
 	if err != nil {
-		return BatchPoint{}, err
+		return nil, err
 	}
-	secs := po.Duration.Seconds()
 	gc := st.Stats().Engine
-	return BatchPoint{
-		Clients:     clients,
-		Batched:     batched,
-		WriteKops:   float64(res.Update.Count) / secs / 1000,
-		ReadKops:    float64(res.Read.Count) / secs / 1000,
-		WriteP50Us:  float64(res.Update.P50) / 1000,
-		WriteP99Us:  float64(res.Update.P99) / 1000,
-		WriteP9999U: float64(res.Update.P9999Ns) / 1000,
-		ReadP50Us:   float64(res.Read.P50) / 1000,
-		ReadP99Us:   float64(res.Read.P99) / 1000,
-		ReadP9999U:  float64(res.Read.P9999Ns) / 1000,
-		GCBatches:   gc.GCBatches,
-		GCRecords:   gc.GCRecords,
-	}, nil
+	return append(append([]any{clients, batched}, ycsbCells(res, po)...), gc.GCBatches, gc.GCRecords), nil
 }

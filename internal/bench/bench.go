@@ -1,7 +1,7 @@
 // Package bench regenerates every table and figure of the paper's
-// evaluation (§5). Each experiment has a runner returning a typed result and
-// a printer emitting rows/series in the paper's units; cmd/dstore-bench is
-// the CLI and bench_test.go exposes testing.B entry points.
+// evaluation (§5). Each experiment is a function returning typed Tables
+// (table.go) in the paper's units; cmd/dstore-bench prints them and writes
+// the JSON snapshot, and bench_test.go exposes testing.B entry points.
 //
 // Absolute numbers come from the simulated devices (calibrated to the
 // paper's testbed: Table 3 latencies, Optane flush costs) and are not
@@ -10,18 +10,19 @@
 package bench
 
 import (
+	"context"
 	"fmt"
-	"io"
+	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"text/tabwriter"
 	"time"
 
 	"dstore"
 	"dstore/internal/baselines/btreestore"
 	"dstore/internal/baselines/inplacestore"
 	"dstore/internal/baselines/lsmstore"
+	"dstore/internal/client"
 	"dstore/internal/fault"
 	"dstore/internal/hist"
 	"dstore/internal/kvapi"
@@ -35,55 +36,40 @@ import (
 type Options struct {
 	// Threads is the client count ("full subscription" in the paper is one
 	// per core). Default GOMAXPROCS.
-	Threads int
+	Threads int `json:"threads"`
 	// Duration of each measured run. Default 3s.
-	Duration time.Duration
+	Duration time.Duration `json:"duration_ns"`
 	// SampleInterval for throughput/bandwidth series (Fig. 7). Default 1s.
-	SampleInterval time.Duration
+	SampleInterval time.Duration `json:"sample_interval_ns"`
 	// Records is the live key-space size for YCSB runs. Default 10000.
-	Records int
+	Records int `json:"records"`
 	// ValueBytes is the object size. Default 4096 (the paper's standard).
-	ValueBytes int
+	ValueBytes int `json:"value_bytes"`
 	// Objects is the load size for the recovery/footprint experiments
 	// (paper: 2M). Default 20000.
-	Objects int
-	// Latency enables calibrated device latency injection. Default true
-	// (set NoLatency to disable).
-	NoLatency bool
+	Objects int `json:"objects"`
+	// NoLatency disables the calibrated device latency injection, which is
+	// otherwise on for every experiment.
+	NoLatency bool `json:"no_latency"`
 	// Seed drives workload generation.
-	Seed int64
+	Seed int64 `json:"seed"`
 	// FaultSeed seeds a reproducible SSD fault plan on DStore instances when
 	// FaultRate > 0 (robustness experiments; see internal/fault).
-	FaultSeed int64
+	FaultSeed int64 `json:"fault_seed"`
 	// FaultRate is the per-op probability of a transient SSD read/write
 	// error. Zero disables fault injection.
-	FaultRate float64
+	FaultRate float64 `json:"fault_rate"`
 	// Shards partitions DStore instances across N independent shards
 	// (dstore.FormatSharded). 0 or 1 means a single store. The shards
 	// experiment additionally sweeps 1→Shards regardless of this value.
-	Shards int
-	// ShardsJSON, when non-empty, makes the shards experiment write its
-	// before/after throughput snapshot to this path as JSON.
-	ShardsJSON string
+	Shards int `json:"shards"`
 	// CacheMB sizes the DRAM block cache on DStore instances in MiB
 	// (Config.CacheBytes). 0 disables. The cache experiment additionally
 	// sweeps 0→CacheMB regardless of this value.
-	CacheMB int
-	// CacheJSON, when non-empty, makes the cache experiment write its
-	// hit-ratio/speedup snapshot to this path as JSON.
-	CacheJSON string
-	// TxnJSON, when non-empty, makes the txn experiment write its
-	// throughput/abort-ratio snapshot to this path as JSON.
-	TxnJSON string
-	// ReshardJSON, when non-empty, makes the reshard experiment write its
-	// before/during/after throughput snapshot to this path as JSON.
-	ReshardJSON string
+	CacheMB int `json:"cache_mb"`
 	// NetBatch makes RunNet drive the workload through the client's
 	// auto-coalescing Batcher (MPUT/MGET frames) instead of singleton ops.
-	NetBatch bool
-	// BatchJSON, when non-empty, makes the batch experiment write its
-	// clients × batching sweep snapshot to this path as JSON.
-	BatchJSON string
+	NetBatch bool `json:"net_batch"`
 }
 
 func (o *Options) setDefaults() {
@@ -112,7 +98,7 @@ func (o *Options) setDefaults() {
 
 // withLatency runs f with device latency injection set per opts, restoring
 // the previous state after.
-func withLatency(o Options, f func()) {
+func withLatency(o Options, f func() error) error {
 	was := latency.Enabled()
 	if o.NoLatency {
 		latency.Disable()
@@ -126,7 +112,7 @@ func withLatency(o Options, f func()) {
 			latency.Disable()
 		}
 	}()
-	f()
+	return f()
 }
 
 // ------------------------------------------------------- system factories
@@ -271,6 +257,32 @@ func preload(s kvapi.Store, o Options) error {
 	}
 }
 
+// drive is the closed loop every workload runs: o.Threads clients, each with
+// its own generator over w seeded from o.Seed, run client until running()
+// turns false at o.Duration. The first error wins.
+func drive(o Options, w ycsb.Workload, client func(g *ycsb.Generator, running func() bool) error) error {
+	deadline := time.Now().Add(o.Duration)
+	running := func() bool { return time.Now().Before(deadline) }
+	var wg sync.WaitGroup
+	errCh := make(chan error, o.Threads)
+	for t := 0; t < o.Threads; t++ {
+		wg.Add(1)
+		go func(t int) {
+			defer wg.Done()
+			if err := client(ycsb.NewGenerator(w, o.Seed+int64(t)*7919), running); err != nil {
+				errCh <- err
+			}
+		}(t)
+	}
+	wg.Wait()
+	select {
+	case err := <-errCh:
+		return err
+	default:
+		return nil
+	}
+}
+
 // runWorkload preloads the key space and drives w against s with
 // o.Threads clients for o.Duration, sampling throughput and device
 // bandwidth each interval.
@@ -324,45 +336,33 @@ func runWorkload(s kvapi.Store, w ycsb.Workload, o Options) (RunResult, error) {
 		}
 	}()
 
-	deadline := time.Now().Add(o.Duration)
-	var wg sync.WaitGroup
-	errCh := make(chan error, o.Threads)
-	for t := 0; t < o.Threads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			g := ycsb.NewGenerator(w, o.Seed+int64(t)*7919)
-			var buf []byte
-			for time.Now().Before(deadline) {
-				op, key := g.Next()
-				start := time.Now()
-				switch op {
-				case ycsb.OpRead:
-					var err error
-					buf, err = s.Get(key, buf[:0])
-					if err != nil && err != kvapi.ErrNotFound {
-						errCh <- err
-						return
-					}
-					res.ReadH.RecordSince(start)
-				case ycsb.OpUpdate:
-					if err := s.Put(key, g.Value()); err != nil {
-						errCh <- err
-						return
-					}
-					res.UpdH.RecordSince(start)
+	err := drive(o, w, func(g *ycsb.Generator, running func() bool) error {
+		var buf []byte
+		for running() {
+			op, key := g.Next()
+			start := time.Now()
+			switch op {
+			case ycsb.OpRead:
+				var err error
+				buf, err = s.Get(key, buf[:0])
+				if err != nil && err != kvapi.ErrNotFound {
+					return err
 				}
-				ops.Add(1)
+				res.ReadH.RecordSince(start)
+			case ycsb.OpUpdate:
+				if err := s.Put(key, g.Value()); err != nil {
+					return err
+				}
+				res.UpdH.RecordSince(start)
 			}
-		}(t)
-	}
-	wg.Wait()
+			ops.Add(1)
+		}
+		return nil
+	})
 	close(stop)
 	samplerWg.Wait()
-	select {
-	case err := <-errCh:
+	if err != nil {
 		return res, err
-	default:
 	}
 	res.Read = res.ReadH.Summarize()
 	res.Update = res.UpdH.Summarize()
@@ -370,45 +370,62 @@ func runWorkload(s kvapi.Store, w ycsb.Workload, o Options) (RunResult, error) {
 	return res, nil
 }
 
-// ------------------------------------------------------------- rendering
-
-// Table is a printable experiment result.
-type Table struct {
-	Title  string
-	Header []string
-	Rows   [][]string
-	Notes  []string
+// ycsbCols are the columns of the standard YCSB row: throughput split by op
+// kind and both latency distributions. headers names the columns a table
+// prints (key → header); the rest go to the snapshot only.
+func ycsbCols(headers map[string]string) []Col {
+	cols := []Col{
+		{Key: "write_kops", Fmt: kops}, {Key: "read_kops", Fmt: kops}, {Key: "total_kops", Fmt: kops},
+		{Key: "upd_mean_us", Fmt: us}, {Key: "upd_p50_us", Fmt: us}, {Key: "upd_p99_us", Fmt: us},
+		{Key: "upd_p999_us", Fmt: us}, {Key: "upd_p9999_us", Fmt: us},
+		{Key: "read_mean_us", Fmt: us}, {Key: "read_p50_us", Fmt: us}, {Key: "read_p99_us", Fmt: us},
+		{Key: "read_p999_us", Fmt: us}, {Key: "read_p9999_us", Fmt: us},
+	}
+	for i := range cols {
+		cols[i].Header = headers[cols[i].Key]
+	}
+	return cols
 }
 
-// Print renders the table.
-func (t Table) Print(w io.Writer) {
-	fmt.Fprintf(w, "\n== %s ==\n", t.Title)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	for i, h := range t.Header {
-		if i > 0 {
-			fmt.Fprint(tw, "\t")
-		}
-		fmt.Fprint(tw, h)
-	}
-	fmt.Fprintln(tw)
-	for _, row := range t.Rows {
-		for i, c := range row {
-			if i > 0 {
-				fmt.Fprint(tw, "\t")
-			}
-			fmt.Fprint(tw, c)
-		}
-		fmt.Fprintln(tw)
-	}
-	tw.Flush()
-	for _, n := range t.Notes {
-		fmt.Fprintf(w, "  note: %s\n", n)
+// ycsbCells are res's cells for ycsbCols: rates over the o.Duration window.
+func ycsbCells(res RunResult, o Options) []any {
+	secs := o.Duration.Seconds()
+	u, r := res.Update, res.Read
+	return []any{
+		float64(u.Count) / secs, float64(r.Count) / secs, float64(res.TotalOps) / secs,
+		u.MeanNs, u.P50, u.P99, u.P999, u.P9999Ns,
+		r.MeanNs, r.P50, r.P99, r.P999, r.P9999Ns,
 	}
 }
 
-func us(ns uint64) string   { return fmt.Sprintf("%.1f", float64(ns)/1000) }
-func usF(ns float64) string { return fmt.Sprintf("%.1f", ns/1000) }
-func kops(v float64) string { return fmt.Sprintf("%.1f", v/1000) }
-func mb(v float64) string   { return fmt.Sprintf("%.1f", v) }
-func ms(ns int64) string    { return fmt.Sprintf("%.1f", float64(ns)/1e6) }
-func mib(b uint64) string   { return fmt.Sprintf("%.1f", float64(b)/(1<<20)) }
+// loopback is the networked fixture: a store formatted from cfg, served on
+// a loopback port, and dialled with conns pooled connections (through the
+// coalescing Batcher when batched). stop tears all three down.
+func loopback(cfg dstore.Config, conns int, batched bool) (kv *client.KV, st *dstore.Store, stop func(), err error) {
+	if st, err = dstore.Format(cfg); err != nil {
+		return nil, nil, nil, err
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		st.Close() //nolint:errcheck // bench teardown
+		return nil, nil, nil, err
+	}
+	srv := st.NewNetServer(dstore.ServeOptions{})
+	go srv.Serve(ln) //nolint:errcheck // returns ErrServerClosed on shutdown
+	shutdown := func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		srv.Shutdown(ctx) //nolint:errcheck // bench teardown
+		cancel()
+		st.Close() //nolint:errcheck // bench teardown
+	}
+	c, err := client.Dial(client.Config{Addr: ln.Addr().String(), Conns: conns})
+	if err != nil {
+		shutdown()
+		return nil, nil, nil, err
+	}
+	kv = netKV(c, batched)
+	return kv, st, func() {
+		kv.Close() //nolint:errcheck // pooled conns; nothing to flush
+		shutdown()
+	}, nil
+}

@@ -1,11 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-	"runtime"
+	"strings"
 
 	"dstore"
 	"dstore/internal/ycsb"
@@ -18,169 +14,78 @@ import (
 // bounded only by the hit ratio; YCSB-C (100% read) is the ceiling and
 // YCSB-B (95/5) shows the write-through invalidation cost.
 
-// CachePoint is one (workload, cache size) measurement in the JSON snapshot.
-type CachePoint struct {
-	Workload   string  `json:"workload"`
-	CacheMB    int     `json:"cache_mb"`
-	Threads    int     `json:"threads"`
-	ReadKops   float64 `json:"read_kops"`
-	TotalKops  float64 `json:"total_kops"`
-	ReadMeanUs float64 `json:"read_mean_us"`
-	ReadP99Us  float64 `json:"read_p99_us"`
-	ReadP999Us float64 `json:"read_p999_us"`
-	Hits       uint64  `json:"hits"`
-	Misses     uint64  `json:"misses"`
-	HitRatio   float64 `json:"hit_ratio"`
-	Evictions  uint64  `json:"evictions"`
-	Speedup    float64 `json:"read_speedup_vs_off"`
-}
-
-// CacheSnapshot is the BENCH_cache.json layout: the sweep plus the headline
-// largest-cache vs cache-off read-throughput ratios per workload. The
-// working set (records x value bytes) against the largest cache size tells
-// whether the top point is capacity-bound or fully resident.
-type CacheSnapshot struct {
-	DurationSec    float64      `json:"duration_sec"`
-	ValueBytes     int          `json:"value_bytes"`
-	Records        int          `json:"records"`
-	WorkingSetMB   float64      `json:"working_set_mb"`
-	GOMAXPROCS     int          `json:"gomaxprocs"`
-	Points         []CachePoint `json:"points"`
-	SpeedupB       float64      `json:"ycsb_b_read_speedup"`
-	SpeedupC       float64      `json:"ycsb_c_read_speedup"`
-	HitRatioB      float64      `json:"ycsb_b_hit_ratio"`
-	HitRatioC      float64      `json:"ycsb_c_hit_ratio"`
-	LargestCacheMB int          `json:"largest_cache_mb"`
-}
-
-// cacheSizes picks the sweep: off, a fraction of the working set, and
-// larger than the working set, extended with o.CacheMB when the caller asked
-// for a size outside it.
-func cacheSizes(o Options) []int {
-	sizes := []int{0, 8, 64}
-	if o.CacheMB > 0 {
-		found := false
-		for _, s := range sizes {
-			if s == o.CacheMB {
-				found = true
-			}
-		}
-		if !found {
-			sizes = append(sizes, o.CacheMB)
-		}
-	}
-	return sizes
-}
-
 // Cache regenerates the block-cache comparison: YCSB-B and YCSB-C read
-// throughput, read latency, and hit ratio as the DRAM cache grows from off
-// to working-set size. With o.CacheJSON set, the sweep is also written
-// there as a machine-readable snapshot.
-func Cache(o Options, w io.Writer) error {
+// throughput, read latency, and hit ratio as the DRAM cache grows: off, a
+// fraction of the working set, and larger than the working set, extended
+// with o.CacheMB when the caller asked for a size outside it. The headline
+// ratios are the largest cache against cache-off; the working set (records x
+// value bytes) against that size tells whether the top point is
+// capacity-bound or fully resident.
+func Cache(o Options) ([]*Table, error) {
 	o.setDefaults()
-	t := Table{
-		Title: "Block cache: YCSB-B/C read throughput and hit ratio vs cache size",
-		Header: []string{"workload", "cache MB", "read kops/s", "total kops/s",
-			"read mean", "read p99", "hit%", "evict", "speedup"},
+	std := ycsbCols(map[string]string{"read_kops": "read kops/s", "total_kops": "total kops/s",
+		"read_mean_us": "read mean", "read_p99_us": "read p99"})
+	for i := range std {
+		if strings.HasSuffix(std[i].Key, "_us") {
+			std[i].Fmt = usSfx // this table prints its latencies with the unit attached
+		}
 	}
-	snap := CacheSnapshot{
-		DurationSec:  o.Duration.Seconds(),
-		ValueBytes:   o.ValueBytes,
-		Records:      o.Records,
-		WorkingSetMB: float64(o.Records) * float64(o.ValueBytes) / (1 << 20),
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-	}
-	sizes := cacheSizes(o)
-	snap.LargestCacheMB = sizes[len(sizes)-1]
-	var err error
-	withLatency(o, func() {
+	cols := append([]Col{{"workload", "workload", nil}, {"cache_mb", "cache MB", count}, {"threads", "", count}}, std...)
+	t := newTable("Block cache: YCSB-B/C read throughput and hit ratio vs cache size",
+		append(cols, Col{"hits", "", count}, Col{"misses", "", count}, Col{"hit_ratio", "hit%", pct},
+			Col{"evictions", "evict", count}, Col{"read_speedup_vs_off", "speedup", times})...)
+	sizes := sweep([]int{0, 8, 64}, o.CacheMB)
+	largest := sizes[len(sizes)-1]
+	workingSetMB := float64(o.Records) * float64(o.ValueBytes) / (1 << 20)
+	err := withLatency(o, func() error {
 		for _, wl := range []ycsb.Workload{ycsb.B(o.Records, o.ValueBytes), ycsb.C(o.Records, o.ValueBytes)} {
-			var baseReadKops float64
+			var baseReads float64
 			for _, mb := range sizes {
 				oo := o
 				oo.CacheMB = mb
-				var kv *dstore.KV
-				kv, err = newDStore(oo, dstore.ModeDIPPER, false, false, false)
+				kv, err := newDStore(oo, dstore.ModeDIPPER, false, false, false)
 				if err != nil {
-					return
+					return err
 				}
-				var res RunResult
-				res, err = runWorkload(kv, wl, oo)
+				res, err := runWorkload(kv, wl, oo)
 				cs := kv.Store().CacheStats()
 				kv.Close()
 				if err != nil {
-					return
+					return err
 				}
-				secs := o.Duration.Seconds()
-				pt := CachePoint{
-					Workload:   wl.Name,
-					CacheMB:    mb,
-					Threads:    o.Threads,
-					ReadKops:   float64(res.Read.Count) / secs / 1000,
-					TotalKops:  float64(res.TotalOps) / secs / 1000,
-					ReadMeanUs: res.Read.MeanNs / 1000,
-					ReadP99Us:  float64(res.Read.P99) / 1000,
-					ReadP999Us: float64(res.Read.P999) / 1000,
-					Hits:       cs.Hits,
-					Misses:     cs.Misses,
-					Evictions:  cs.Evictions,
-				}
+				var speedup, hitRatio float64
 				if lookups := cs.Hits + cs.Misses; lookups > 0 {
-					pt.HitRatio = float64(cs.Hits) / float64(lookups)
+					hitRatio = float64(cs.Hits) / float64(lookups)
 				}
 				if mb == 0 {
-					baseReadKops = pt.ReadKops
+					baseReads = float64(res.Read.Count)
 				}
-				if baseReadKops > 0 {
-					pt.Speedup = pt.ReadKops / baseReadKops
+				if baseReads > 0 {
+					speedup = float64(res.Read.Count) / baseReads
 				}
-				snap.Points = append(snap.Points, pt)
-				t.Rows = append(t.Rows, []string{
-					wl.Name,
-					fmt.Sprintf("%d", mb),
-					fmt.Sprintf("%.1f", pt.ReadKops),
-					fmt.Sprintf("%.1f", pt.TotalKops),
-					fmt.Sprintf("%.1fus", pt.ReadMeanUs),
-					fmt.Sprintf("%.1fus", pt.ReadP99Us),
-					fmt.Sprintf("%.1f", 100*pt.HitRatio),
-					fmt.Sprintf("%d", pt.Evictions),
-					fmt.Sprintf("%.2fx", pt.Speedup),
-				})
-				// The headline ratio is the largest cache vs cache-off.
-				if mb == snap.LargestCacheMB {
-					switch wl.Name {
-					case "B":
-						snap.SpeedupB, snap.HitRatioB = pt.Speedup, pt.HitRatio
-					case "C":
-						snap.SpeedupC, snap.HitRatioC = pt.Speedup, pt.HitRatio
-					}
-				}
+				row := append([]any{wl.Name, mb, o.Threads}, ycsbCells(res, o)...)
+				t.Row(append(row, cs.Hits, cs.Misses, hitRatio, cs.Evictions, speedup)...)
 			}
 		}
+		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if snap.SpeedupC > 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"%dMB cache: YCSB-C reads %.2fx cache-off (hit ratio %.1f%%), YCSB-B reads %.2fx (hit ratio %.1f%%)",
-			snap.LargestCacheMB, snap.SpeedupC, 100*snap.HitRatioC, snap.SpeedupB, 100*snap.HitRatioB))
+	// The headline ratios are the largest cache vs cache-off: the last row
+	// of each workload's sweep.
+	b, c := len(sizes)-1, 2*len(sizes)-1
+	speedupB, hitB := t.Num(b, "read_speedup_vs_off"), t.Num(b, "hit_ratio")
+	speedupC, hitC := t.Num(c, "read_speedup_vs_off"), t.Num(c, "hit_ratio")
+	t.Summary = fields{{"working_set_mb", workingSetMB}, {"largest_cache_mb", largest},
+		{"ycsb_b_read_speedup", speedupB}, {"ycsb_b_hit_ratio", hitB},
+		{"ycsb_c_read_speedup", speedupC}, {"ycsb_c_hit_ratio", hitC}}
+	if speedupC > 0 {
+		t.Note("%dMB cache: YCSB-C reads %.2fx cache-off (hit ratio %.1f%%), YCSB-B reads %.2fx (hit ratio %.1f%%)",
+			largest, speedupC, 100*hitC, speedupB, 100*hitB)
 	}
-	t.Notes = append(t.Notes, fmt.Sprintf(
-		"working set %.0fMB: the %dMB point is fully resident after warmup; the 8MB point measures CLOCK under capacity pressure",
-		snap.WorkingSetMB, snap.LargestCacheMB))
-	t.Notes = append(t.Notes,
-		"expected shape: YCSB-C speedup > YCSB-B (every update invalidates its blocks); hits skip both the simulated NVMe read and CRC verification")
-	t.Print(w)
-	if o.CacheJSON != "" {
-		data, e := json.MarshalIndent(&snap, "", "  ")
-		if e != nil {
-			return e
-		}
-		if e := os.WriteFile(o.CacheJSON, append(data, '\n'), 0o644); e != nil {
-			return fmt.Errorf("write %s: %w", o.CacheJSON, e)
-		}
-		fmt.Fprintf(w, "  snapshot written to %s\n", o.CacheJSON)
-	}
-	return nil
+	t.Note("working set %.0fMB: the %dMB point is fully resident after warmup; the 8MB point measures CLOCK under capacity pressure",
+		workingSetMB, largest)
+	t.Note("expected shape: YCSB-C speedup > YCSB-B (every update invalidates its blocks); hits skip both the simulated NVMe read and CRC verification")
+	return []*Table{t}, nil
 }

@@ -8,7 +8,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"dstore/internal/client"
@@ -16,56 +15,49 @@ import (
 )
 
 // RunNet preloads and runs YCSB A and B against the dstore-server at addr,
-// printing throughput and client-observed read/update percentiles.
-func RunNet(addr string, o Options, w io.Writer) error {
+// reporting throughput and client-observed read/update percentiles.
+func RunNet(addr string, o Options) ([]*Table, error) {
 	o.setDefaults()
 
 	mode := "singleton ops"
 	if o.NetBatch {
 		mode = "batched ops"
 	}
-	t := Table{
-		Title: fmt.Sprintf("Network YCSB against %s (client-observed latency, %d threads, %v/workload, %s)",
-			addr, o.Threads, o.Duration, mode),
-		Header: []string{"workload", "op", "kops/s", "p50 us", "p90 us", "p99 us", "p999 us"},
-	}
+	t := newTable(fmt.Sprintf("Network YCSB against %s (client-observed latency, %d threads, %v/workload, %s)",
+		addr, o.Threads, o.Duration, mode),
+		append([]Col{{"workload", "workload", nil}, {"op", "op", nil}, {"total_kops", "kops/s", kops}},
+			pctlCols("p50 us", "p90 us", "p99 us", "p999 us", "")...)...)
 	for _, wl := range []ycsb.Workload{
 		ycsb.A(o.Records, o.ValueBytes),
 		ycsb.B(o.Records, o.ValueBytes),
 	} {
 		c, err := client.Dial(client.Config{Addr: addr, Conns: o.Threads})
 		if err != nil {
-			return fmt.Errorf("netbench: %w", err)
+			return nil, fmt.Errorf("netbench: %w", err)
 		}
-		kv := netKV(c, o)
+		kv := netKV(c, o.NetBatch)
 		res, err := runWorkload(kv, wl, o)
 		kv.Close() //nolint:errcheck // pooled conns; nothing to flush
 		if err != nil {
-			return fmt.Errorf("netbench %s: %w", wl.Name, err)
+			return nil, fmt.Errorf("netbench %s: %w", wl.Name, err)
 		}
-		ops := float64(res.TotalOps) / o.Duration.Seconds()
-		r, u := res.Read, res.Update
-		t.Rows = append(t.Rows,
-			[]string{wl.Name, "read", kops(ops), us(r.P50), us(r.P90), us(r.P99), us(r.P999)},
-			[]string{wl.Name, "update", "", us(u.P50), us(u.P90), us(u.P99), us(u.P999)},
-		)
+		// The workload's total rate goes on its first row only.
+		t.Row(append([]any{wl.Name, "read", float64(res.TotalOps) / o.Duration.Seconds()}, pctlCells(res.Read)...)...)
+		t.Row(append([]any{wl.Name, "update", ""}, pctlCells(res.Update)...)...)
 	}
-	t.Notes = append(t.Notes,
-		"latencies include the wire round trip; compare against table4/fig10 embedded numbers for the network overhead")
+	t.Note("latencies include the wire round trip; compare against table4/fig10 embedded numbers for the network overhead")
 	if o.NetBatch {
-		t.Notes = append(t.Notes,
-			"batched mode coalesces concurrent threads' ops into MPUT/MGET frames (latency includes the coalescing window)")
+		t.Note("batched mode coalesces concurrent threads' ops into MPUT/MGET frames (latency includes the coalescing window)")
 	}
-	t.Print(w)
-	return nil
+	return []*Table{t}, nil
 }
 
-// netKV builds the kvapi adapter RunNet and the batch experiment drive:
-// singleton frames by default, the auto-coalescing Batcher with o.NetBatch.
+// netKV builds the kvapi adapter RunNet and the loopback fixture drive:
+// singleton frames by default, the auto-coalescing Batcher when batched.
 // The Batcher defaults (no idle window, frames sized by backpressure) are
 // the recommended production setting, so the bench measures exactly those.
-func netKV(c *client.Client, o Options) *client.KV {
-	if !o.NetBatch {
+func netKV(c *client.Client, batched bool) *client.KV {
+	if !batched {
 		return client.NewKV(c, 30*time.Second)
 	}
 	return client.NewBatchedKV(c, 30*time.Second, client.BatcherConfig{})

@@ -1,10 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"time"
 
 	"dstore"
@@ -20,39 +17,9 @@ import (
 // recover to steady state (the acceptance bar is within 10% of the
 // pre-migration rate).
 
-// ReshardWindow is one measurement window in the JSON snapshot.
-type ReshardWindow struct {
-	Window     string  `json:"window"` // before | during | after
-	WriteKops  float64 `json:"write_kops"`
-	ReadKops   float64 `json:"read_kops"`
-	TotalKops  float64 `json:"total_kops"`
-	UpdP99Us   float64 `json:"upd_p99_us"`
-	UpdP9999Us float64 `json:"upd_p9999_us"`
-}
-
-// ReshardSnapshot is the BENCH_reshard.json layout.
-type ReshardSnapshot struct {
-	Workload    string          `json:"workload"`
-	DurationSec float64         `json:"duration_sec"`
-	ValueBytes  int             `json:"value_bytes"`
-	Records     int             `json:"records"`
-	BaseShards  int             `json:"base_shards"`
-	NewShard    int             `json:"new_shard"`
-	RingEpoch   uint64          `json:"ring_epoch_after"`
-	MigrationMs float64         `json:"migration_ms"`
-	MovedKeys   uint64          `json:"keys_on_new_shard"`
-	Windows     []ReshardWindow `json:"windows"`
-	// AfterOverBefore is the post-flip steady-state total throughput as a
-	// fraction of pre-migration; the acceptance bar is >= 0.9.
-	AfterOverBefore float64 `json:"after_over_before_total"`
-	Within10Pct     bool    `json:"within_10pct"`
-}
-
 // Reshard regenerates the live-migration cost profile: a YCSB-A run before
-// the membership change, one overlapping it, and one after the flip. With
-// o.ReshardJSON set, the windows are also written there as a
-// machine-readable snapshot.
-func Reshard(o Options, w io.Writer) error {
+// the membership change, one overlapping it, and one after the flip.
+func Reshard(o Options) ([]*Table, error) {
 	o.setDefaults()
 	base := o.Shards
 	if base < 2 {
@@ -62,111 +29,68 @@ func Reshard(o Options, w io.Writer) error {
 	oo.Shards = base
 	store, err := newShardedDStore(oo, base, false)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer store.Close()
 	sh := store.Store().(*dstore.Sharded)
 
-	t := Table{
-		Title: fmt.Sprintf("Live resharding: YCSB-A across an AddShard (%d -> %d shards)", base, base+1),
-		Header: []string{"window", "write kops/s", "read kops/s", "total kops/s",
-			"upd p99", "upd p9999"},
-	}
-	snap := ReshardSnapshot{
-		Workload:    "A",
-		DurationSec: o.Duration.Seconds(),
-		ValueBytes:  o.ValueBytes,
-		Records:     o.Records,
-		BaseShards:  base,
-	}
+	t := newTable(fmt.Sprintf("Live resharding: YCSB-A across an AddShard (%d -> %d shards)", base, base+1),
+		append([]Col{{"window", "window", nil}}, ycsbCols(map[string]string{
+			"write_kops": "write kops/s", "read_kops": "read kops/s", "total_kops": "total kops/s",
+			"upd_p99_us": "upd p99", "upd_p9999_us": "upd p9999",
+		})...)...)
 	wl := ycsb.A(o.Records, o.ValueBytes)
-	secs := o.Duration.Seconds()
-	window := func(name string, res RunResult) {
-		pt := ReshardWindow{
-			Window:     name,
-			WriteKops:  float64(res.Update.Count) / secs / 1000,
-			ReadKops:   float64(res.Read.Count) / secs / 1000,
-			TotalKops:  float64(res.TotalOps) / secs / 1000,
-			UpdP99Us:   float64(res.Update.P99) / 1000,
-			UpdP9999Us: float64(res.Update.P9999Ns) / 1000,
+	window := func(name string) error {
+		res, err := runWorkload(store, wl, oo)
+		if err == nil {
+			t.Row(append([]any{name}, ycsbCells(res, o)...)...)
 		}
-		snap.Windows = append(snap.Windows, pt)
-		t.Rows = append(t.Rows, []string{name,
-			fmt.Sprintf("%.1f", pt.WriteKops),
-			fmt.Sprintf("%.1f", pt.ReadKops),
-			fmt.Sprintf("%.1f", pt.TotalKops),
-			fmt.Sprintf("%.1f", pt.UpdP99Us),
-			fmt.Sprintf("%.1f", pt.UpdP9999Us),
-		})
+		return err
 	}
-
-	withLatency(o, func() {
-		var res RunResult
-		if res, err = runWorkload(store, wl, oo); err != nil {
-			return
+	type migResult struct {
+		idx int
+		dur time.Duration
+		err error
+	}
+	var mig migResult
+	err = withLatency(o, func() error {
+		if err := window("before"); err != nil {
+			return err
 		}
-		window("before", res)
-
 		// The during-window workload overlaps the migration: AddShard runs
 		// in the background while the YCSB clients keep hammering the store,
 		// so its copy stream and their writes contend for the same keys.
-		type migResult struct {
-			idx int
-			dur time.Duration
-			err error
-		}
 		done := make(chan migResult, 1)
 		go func() {
 			t0 := time.Now()
 			idx, merr := sh.AddShard()
 			done <- migResult{idx: idx, dur: time.Since(t0), err: merr}
 		}()
-		if res, err = runWorkload(store, wl, oo); err != nil {
-			return
+		if err := window("during"); err != nil {
+			return err
 		}
-		window("during", res)
-		mig := <-done
-		if mig.err != nil {
-			err = fmt.Errorf("AddShard under load: %w", mig.err)
-			return
+		if mig = <-done; mig.err != nil {
+			return fmt.Errorf("AddShard under load: %w", mig.err)
 		}
-		snap.NewShard = mig.idx
-		snap.MigrationMs = float64(mig.dur.Nanoseconds()) / 1e6
-		snap.RingEpoch = sh.RingEpoch()
-		snap.MovedKeys = sh.ShardKeyCounts()[mig.idx]
-
-		if res, err = runWorkload(store, wl, oo); err != nil {
-			return
-		}
-		window("after", res)
+		return window("after")
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 
-	if len(snap.Windows) == 3 && snap.Windows[0].TotalKops > 0 {
-		snap.AfterOverBefore = snap.Windows[2].TotalKops / snap.Windows[0].TotalKops
-		snap.Within10Pct = snap.AfterOverBefore >= 0.9
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"post-flip steady state = %.2fx pre-migration total throughput (bar: >= 0.90)",
-			snap.AfterOverBefore))
+	migrationMs := float64(mig.dur.Nanoseconds()) / 1e6
+	moved := sh.ShardKeyCounts()[mig.idx]
+	t.Summary = fields{{"base_shards", base}, {"new_shard", mig.idx},
+		{"ring_epoch_after", sh.RingEpoch()}, {"migration_ms", migrationMs}, {"keys_on_new_shard", moved}}
+	if before := t.Num(0, "total_kops"); before > 0 {
+		// Post-flip steady-state total throughput as a fraction of
+		// pre-migration; the acceptance bar is >= 0.9.
+		ratio := t.Num(2, "total_kops") / before
+		t.Summary = append(t.Summary, field{"after_over_before_total", ratio}, field{"within_10pct", ratio >= 0.9})
+		t.Note("post-flip steady state = %.2fx pre-migration total throughput (bar: >= 0.90)", ratio)
 	}
-	t.Notes = append(t.Notes, fmt.Sprintf(
-		"migration moved %d keys to shard %d in %.1f ms (ring epoch %d); the during-window dip is the copy stream + double-applied writes",
-		snap.MovedKeys, snap.NewShard, snap.MigrationMs, snap.RingEpoch))
-	t.Notes = append(t.Notes,
-		"expected shape: during-window throughput dips while keys stream; after-window recovers to within 10% of before")
-	t.Print(w)
-
-	if o.ReshardJSON != "" {
-		data, e := json.MarshalIndent(&snap, "", "  ")
-		if e != nil {
-			return e
-		}
-		if e := os.WriteFile(o.ReshardJSON, append(data, '\n'), 0o644); e != nil {
-			return fmt.Errorf("write %s: %w", o.ReshardJSON, e)
-		}
-		fmt.Fprintf(w, "  snapshot written to %s\n", o.ReshardJSON)
-	}
-	return nil
+	t.Note("migration moved %d keys to shard %d in %.1f ms (ring epoch %d); the during-window dip is the copy stream + double-applied writes",
+		moved, mig.idx, migrationMs, sh.RingEpoch())
+	t.Note("expected shape: during-window throughput dips while keys stream; after-window recovers to within 10%% of before")
+	return []*Table{t}, nil
 }
