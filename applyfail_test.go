@@ -13,7 +13,8 @@ import (
 // retracted and the store stays writable and consistent; anything visible →
 // the store degrades, and because the failed write's record died, a reopen
 // comes back consistent and without it. What the store may never be is
-// writable with Check() failing — or unopenable.
+// writable with Check() failing — or unopenable. Nor may the failed write be
+// in the block cache: only an apply that succeeded publishes.
 func TestApplyFailureNeverLeavesWritableInconsistent(t *testing.T) {
 	writers := map[string]func(c *Ctx, key string) error{
 		"Put": func(c *Ctx, key string) error { return c.Put(key, []byte("v")) },
@@ -28,7 +29,7 @@ func TestApplyFailureNeverLeavesWritableInconsistent(t *testing.T) {
 	for _, arena := range []uint64{1536 << 10, 2 << 20} {
 		for name, write := range writers {
 			t.Run(fmt.Sprintf("%s/arena=%dK", name, arena>>10), func(t *testing.T) {
-				cfg := Config{Blocks: 8192, MaxObjects: 8192, MaxBlocksPerObject: 2, ArenaBytes: arena}
+				cfg := Config{Blocks: 8192, MaxObjects: 8192, MaxBlocksPerObject: 2, ArenaBytes: arena, CacheBytes: 1 << 20}
 				s, err := Format(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -45,6 +46,15 @@ func TestApplyFailureNeverLeavesWritableInconsistent(t *testing.T) {
 					t.Fatal("the arena never ran out; the test no longer reaches the failing apply")
 				}
 				t.Logf("write %d failed: %v (degraded=%v)", n, werr, s.Degraded())
+				// Each Put before it published its one byte; a create has no
+				// content to publish.
+				want := uint64(n - 1)
+				if name == "OpenCreate" {
+					want = 0
+				}
+				if cs := s.CacheStats(); cs.Bytes != want {
+					t.Fatalf("cache holds %d bytes after the failed write, want the %d of the writes that succeeded", cs.Bytes, want)
+				}
 				if s.Degraded() {
 					s.CloseNoCheckpoint()
 					cfg.PMEM, cfg.SSD = s.Devices()

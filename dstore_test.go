@@ -732,3 +732,41 @@ func TestQuickRecoveredStoreObservationallyEquivalent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Get appends to the caller's buffer. A nil buffer — what every networked GET
+// and MGET sub-read passes — gets exactly the value's size, not double it;
+// a buffer being appended to still doubles, and one with room allocates
+// nothing.
+func TestGetBufferGrowth(t *testing.T) {
+	if got := grow(nil, 4096); len(got) != 4096 || cap(got) != 4096 {
+		t.Fatalf("grow(nil, 4096): len %d cap %d, want 4096 and 4096", len(got), cap(got))
+	}
+	if got := grow(make([]byte, 0, 64), 4096); cap(got) != 4096 {
+		t.Fatalf("grow(empty, 4096): cap %d, want 4096", cap(got))
+	}
+	if got := grow(make([]byte, 100), 4096); len(got) != 4196 || cap(got) != 2*4196 {
+		t.Fatalf("grow(100 bytes, 4096): len %d cap %d, want 4196 and doubled", len(got), cap(got))
+	}
+
+	s, err := Format(Config{Blocks: 256, MaxObjects: 64, CacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := s.Init()
+	defer ctx.Finalize()
+	if err := ctx.Put("k", make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ctx.Get("k", nil)
+	if err != nil || len(got) != 4096 || cap(got) != 4096 {
+		t.Fatalf("Get(k, nil): len %d cap %d err %v, want exactly the value's 4096", len(got), cap(got), err)
+	}
+	// What is left per Get once the buffer is the caller's: the zone entry's
+	// block and checksum lists.
+	reused := testing.AllocsPerRun(100, func() { got, _ = ctx.Get("k", got[:0]) })
+	fresh := testing.AllocsPerRun(100, func() { got, _ = ctx.Get("k", nil) })
+	if fresh != reused+1 {
+		t.Fatalf("Get into nil: %v allocs against %v into a recycled buffer, want exactly one more", fresh, reused)
+	}
+}

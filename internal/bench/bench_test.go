@@ -137,9 +137,15 @@ func TestAllExperimentsRun(t *testing.T) {
 				}
 			case "cache":
 				last := d.Rows[len(d.Rows)-1]
-				if len(d.Rows) != 8 || last["cache_mb"] != 64.0 || d.Summary["largest_cache_mb"] != 64.0 ||
+				if len(d.Rows) != 12 || last["cache_mb"] != 64.0 || d.Summary["largest_cache_mb"] != 64.0 ||
 					d.Summary["ycsb_c_read_speedup"] != last["read_speedup_vs_off"] {
 					t.Fatalf("-cache-mb 16 must leave the headline on 64MB: last row %v summary %v", last, d.Summary)
+				}
+				// Write-through: at the resident size the update-heavy mix hits
+				// like the read-only one.
+				if resident := d.Rows[3]; resident["workload"] != "A" || resident["cache_mb"] != 64.0 ||
+					d.Summary["ycsb_a_hit_ratio"] != resident["hit_ratio"] || resident["hit_ratio"].(float64) < 0.9 {
+					t.Fatalf("YCSB-A at the resident size: row %v summary %v, want the summary's ycsb_a_hit_ratio from it and at least 0.9", resident, d.Summary)
 				}
 			case "batch":
 				if *d.GCPercent != -1 || !strings.Contains(strings.Join(d.Notes, "\n"), "Go GC off") {

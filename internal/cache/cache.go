@@ -1,15 +1,26 @@
 // Package cache implements a sharded, fixed-capacity DRAM block cache for
-// the store's hot read path. Entries are verified SSD block spans keyed by
-// block id and tagged with the block's recorded CRC32C, so a hit can skip
-// both the device read and the checksum re-verification; eviction is CLOCK
-// second-chance within each shard.
+// the store's hot read path. Entries are SSD block spans keyed by block id and
+// tagged with the block's recorded CRC32C, so a hit can skip both the device
+// read and the checksum re-verification; eviction is CLOCK second-chance
+// within each shard.
+//
+// The cache is write-through. It has two ways in: Insert, from a read that
+// missed and verified the span it read from the device, and Publish, from the
+// write that just put the span on the device and computed the checksum the
+// metadata will record — so a read after an update is a hit. The two differ in
+// one rule: Insert makes room by running the CLOCK hand, Publish never does. A
+// write takes room its block's shard has free — what the Invalidate of a
+// displaced version left there, or what nobody has used yet — or stays out: a
+// cache that holds the working set stays fully resident across updates, and
+// under one that does not a burst of writes cannot push out what the readers
+// are hitting.
 //
 // The cache holds volatile DRAM state only — it never persists anything and
-// never must: coherence comes from the store's write-through invalidation
-// (every mutation invalidates the block ids it touches) backed by the sum
-// tag (a hit is served only when the caller's expected checksum matches the
-// entry's, so an entry from a block's previous life can never satisfy a read
-// of its current content).
+// never must: coherence comes from the store invalidating every block id a
+// mutation displaces, backed by the sum tag (a hit is served only when the
+// caller's expected checksum and span length match the entry's, so an entry
+// from a block's previous life can never satisfy a read of its current
+// content).
 package cache
 
 import "sync"
@@ -29,8 +40,8 @@ type Stats struct {
 	Hits, Misses uint64
 	// Evictions counts entries removed by CLOCK to make room.
 	Evictions uint64
-	// Invalidations counts entries removed by explicit Invalidate calls
-	// (write-through coherence traffic).
+	// Invalidations counts entries removed by explicit Invalidate calls (the
+	// versions updates and deletes displaced).
 	Invalidations uint64
 	// Bytes is the current cached payload total; Capacity the configured
 	// budget.
@@ -59,6 +70,12 @@ type shard struct {
 	ring     []entry        // CLOCK ring; grows up to the byte budget
 	free     []int          // recycled ring slots
 	hand     int
+	// spare is the buffer of the entry removed last. Get copies out and no
+	// caller ever holds an entry's data, so the next entry it fits takes it
+	// over instead of allocating and zeroing its own: replacing a block's
+	// entry, or evicting for one of the same size, allocates nothing. One per
+	// shard, outside the byte budget.
+	spare []byte
 
 	hits, misses, evictions, invalidations uint64
 }
@@ -122,36 +139,59 @@ func (c *Cache) Get(block uint64, sum uint32, dst []byte) bool {
 }
 
 // Insert caches a copy of data (one verified block span) under block, tagged
-// with its recorded checksum. Oversized spans (beyond a shard's whole
-// budget) are ignored; an existing entry for the block is replaced.
+// with its recorded checksum — the read-miss way in. An existing entry for the
+// block is replaced, and CLOCK evicts until the span fits; a span beyond a
+// shard's whole budget is not cached.
 func (c *Cache) Insert(block uint64, sum uint32, data []byte) {
-	if c == nil || len(data) == 0 {
-		return
+	c.put(block, sum, data, true)
+}
+
+// Publish is the write-side way in: the caller has just written data to block
+// and sum is the checksum its metadata records for it. An existing entry for
+// the block is replaced, as in Insert, but nothing is evicted to make room: a
+// span that does not fit what the shard has free is left out — Publish
+// reports false and the block is uncached, for the next read miss to Insert.
+func (c *Cache) Publish(block uint64, sum uint32, data []byte) bool {
+	return c.put(block, sum, data, false)
+}
+
+func (c *Cache) put(block uint64, sum uint32, data []byte, evict bool) bool {
+	if c == nil {
+		return false
 	}
 	sh := c.shardFor(block)
-	if uint64(len(data)) > sh.capacity {
-		return
-	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if i, ok := sh.index[block]; ok {
 		sh.drop(i)
 	}
-	for sh.bytes+uint64(len(data)) > sh.capacity {
+	n := uint64(len(data))
+	if n == 0 || n > sh.capacity || (!evict && sh.bytes+n > sh.capacity) {
+		return false
+	}
+	for sh.bytes+n > sh.capacity {
 		sh.evictOne()
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
+	// Take over the spare buffer unless it is less than half used: bytes
+	// counts lengths, and capacity nobody reads should not hide behind them.
+	buf := sh.spare
+	if cap(buf) >= len(data) && cap(buf) <= 2*len(data) {
+		buf, sh.spare = buf[:len(data)], nil
+	} else {
+		buf = make([]byte, len(data))
+	}
+	copy(buf, data)
 	i := len(sh.ring)
-	if n := len(sh.free); n > 0 {
-		i = sh.free[n-1]
-		sh.free = sh.free[:n-1]
+	if k := len(sh.free); k > 0 {
+		i = sh.free[k-1]
+		sh.free = sh.free[:k-1]
 	} else {
 		sh.ring = append(sh.ring, entry{})
 	}
-	sh.ring[i] = entry{block: block, sum: sum, data: cp}
+	sh.ring[i] = entry{block: block, sum: sum, data: buf}
 	sh.index[block] = i
-	sh.bytes += uint64(len(cp))
+	sh.bytes += n
+	return true
 }
 
 // evictOne runs the CLOCK hand until it reclaims one entry: referenced
@@ -174,28 +214,27 @@ func (sh *shard) evictOne() {
 			sh.hand++
 			continue
 		}
-		delete(sh.index, e.block)
-		sh.bytes -= uint64(len(e.data))
-		sh.ring[sh.hand] = entry{}
-		sh.free = append(sh.free, sh.hand)
+		sh.drop(sh.hand)
 		sh.evictions++
 		sh.hand++
 		return
 	}
 }
 
-// drop removes ring slot i. Caller holds sh.mu.
+// drop removes ring slot i, keeping its buffer as the shard's spare. Caller
+// holds sh.mu.
 func (sh *shard) drop(i int) {
 	e := &sh.ring[i]
 	delete(sh.index, e.block)
 	sh.bytes -= uint64(len(e.data))
+	sh.spare = e.data
 	sh.ring[i] = entry{}
 	sh.free = append(sh.free, i)
 }
 
-// Invalidate removes block's entry, if cached. This is the write-through
-// coherence hook: every store mutation that changes a block's content or
-// ownership calls it before the new version becomes readable.
+// Invalidate removes block's entry, if cached. This is the coherence hook:
+// every store mutation that changes a block's content or ownership calls it
+// before the new version becomes readable.
 func (c *Cache) Invalidate(block uint64) {
 	if c == nil {
 		return

@@ -21,6 +21,9 @@ func TestNilCacheAlwaysMisses(t *testing.T) {
 		t.Fatal("nil cache reported a hit")
 	}
 	c.Insert(1, 2, []byte{1})
+	if c.Publish(1, 2, []byte{1}) {
+		t.Fatal("nil cache accepted a publish")
+	}
 	c.Invalidate(1)
 	c.Reset()
 	if st := c.Stats(); st != (Stats{}) {
@@ -154,6 +157,88 @@ func TestReplaceExistingBlock(t *testing.T) {
 	}
 }
 
+// A write never runs the CLOCK hand: Publish lands in free room, replaces the
+// block's own entry, and otherwise leaves the block uncached and everything
+// resident where it was.
+func TestPublishNeverEvicts(t *testing.T) {
+	c := New(4 << 10) // one shard, room for 4 x 1KiB
+	dst := make([]byte, 1024)
+	for i := 0; i < 3; i++ {
+		c.Insert(uint64(i), 1, block(1024, byte(i)))
+	}
+	if !c.Publish(3, 1, block(1024, 3)) || !c.Get(3, 1, dst) || dst[0] != 3 {
+		t.Fatal("publish into free room did not land")
+	}
+	// Full. A new block stays out…
+	if c.Publish(4, 1, block(1024, 4)) || c.Get(4, 1, dst) {
+		t.Fatal("publish into a full shard landed")
+	}
+	// …a resident block's new version takes its old version's place…
+	if !c.Publish(2, 7, block(1024, 9)) || !c.Get(2, 7, dst) || dst[0] != 9 {
+		t.Fatal("publish over the block's own entry did not land")
+	}
+	// …and one that cannot (it grew) leaves no entry under the block at all.
+	if c.Publish(2, 8, block(2048, 8)) || c.Get(2, 7, dst) || c.Get(2, 8, make([]byte, 2048)) {
+		t.Fatal("a publish that did not fit left an entry behind")
+	}
+	// The room an Invalidate leaves is room for a publish.
+	c.Invalidate(0)
+	if !c.Publish(5, 1, block(2048, 5)) {
+		t.Fatal("publish did not use the room its displaced version left")
+	}
+	if st := c.Stats(); st.Evictions != 0 || st.Bytes != 4096 {
+		t.Fatalf("evictions = %d, bytes = %d; want 0 and a full 4096", st.Evictions, st.Bytes)
+	}
+	if !c.Get(1, 1, dst) || !c.Get(3, 1, dst) {
+		t.Fatal("a resident entry was lost to a write")
+	}
+}
+
+// Get copies out, so a removed entry's buffer is free to carry the next one:
+// replacing a block at the same length, and evicting for a span of the same
+// size, allocate nothing.
+func TestBuffersAreRecycled(t *testing.T) {
+	c := New(4 << 10) // one shard, room for 4 x 1KiB
+	data := block(1024, 1)
+	c.Publish(1, 1, data)
+	sum := uint32(1)
+	if n := testing.AllocsPerRun(100, func() {
+		sum++
+		c.Publish(1, sum, data)
+	}); n != 0 {
+		t.Errorf("replace in place at equal length: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		sum++
+		c.Insert(1, sum, data)
+	}); n != 0 {
+		t.Errorf("insert over the block's own entry: %v allocs, want 0", n)
+	}
+	for i := 2; i < 5; i++ {
+		c.Insert(uint64(i), 1, data)
+	}
+	next := uint64(5)
+	if n := testing.AllocsPerRun(100, func() {
+		c.Insert(next, 1, data) // full: every insert evicts one
+		next++
+	}); n != 0 {
+		t.Errorf("insert after evict at equal length: %v allocs, want 0", n)
+	}
+	if st := c.Stats(); st.Evictions < 100 || st.Bytes != 4096 {
+		t.Fatalf("evictions = %d, bytes = %d", st.Evictions, st.Bytes)
+	}
+	// A recycled buffer must not leak its previous content or length.
+	c.Invalidate(next - 1)
+	c.Publish(99, 1, block(600, 0xEE))
+	dst := make([]byte, 600)
+	if !c.Get(99, 1, dst) || !bytes.Equal(dst, block(600, 0xEE)) {
+		t.Fatal("entry in a recycled buffer reads back wrong")
+	}
+	if c.Get(99, 1, make([]byte, 1024)) {
+		t.Fatal("recycled buffer kept its old length")
+	}
+}
+
 func TestInsertCopiesData(t *testing.T) {
 	c := New(1 << 20)
 	src := block(128, 7)
@@ -207,9 +292,11 @@ func TestConcurrentAccess(t *testing.T) {
 			dst := make([]byte, 1024)
 			for i := 0; i < 2000; i++ {
 				b := uint64((g*31 + i) % 128)
-				switch i % 3 {
+				switch i % 4 {
 				case 0:
 					c.Insert(b, uint32(b+1), block(1024, byte(b)))
+				case 3:
+					c.Publish(b, uint32(b+1), block(1024, byte(b)))
 				case 1:
 					if c.Get(b, uint32(b+1), dst) && dst[0] != byte(b) {
 						panic(fmt.Sprintf("goroutine %d: wrong content for block %d", g, b))

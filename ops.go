@@ -110,12 +110,13 @@ func blockSums(value []byte, blockSize uint64) []uint32 {
 
 // readBlockVerified reads one block's logical span, consulting the DRAM
 // block cache first: a hit skips both the device read and the CRC
-// re-verification (only verified content is ever inserted, and the hit is
-// gated on the caller's current checksum and span length, so a stale entry
-// can never satisfy it). On a miss the span is read from the device,
-// verified, and — when verification applies and the store is healthy —
-// inserted for the next reader. Unverified spans and degraded-mode reads
-// never populate the cache.
+// re-verification (an entry is content a read verified or the content a write
+// computed the recorded checksum over, and the hit is gated on the caller's
+// current checksum and span length, so a stale entry can never satisfy it). On
+// a miss the span is read from the device, verified, and — when verification
+// applies and the store is healthy — inserted for the next reader: with the
+// writer's cachePublish, the only two ways into the cache. Unverified spans
+// and degraded-mode reads never populate it.
 func (s *Store) readBlockVerified(block uint64, p []byte, sum uint32, name string) error {
 	verified := sum != meta.SumUnverified
 	if verified && s.bcache.Get(block, sum, p) {
@@ -159,11 +160,16 @@ func isDeviceErr(err error) bool {
 
 // grow extends buf by n bytes, reusing capacity without a temporary
 // allocation (the read path is allocation-free when callers recycle
-// buffers).
+// buffers). An empty buf — every networked GET and every MGET sub-read passes
+// nil — gets exactly n: nothing says more will follow. Only a buffer the
+// caller is appending to doubles.
 func grow(buf []byte, n int) []byte {
 	need := len(buf) + n
 	if cap(buf) >= need {
 		return buf[:need]
+	}
+	if len(buf) == 0 {
+		return make([]byte, need)
 	}
 	nb := make([]byte, need, need*2)
 	copy(nb, buf)

@@ -128,7 +128,7 @@ type subOp struct {
 	indexed  bool     // the index is known to map name to slot
 	old      []uint64 // blocks the apply unhooks, freed after commit
 	freeSlot bool     // the apply clears slot, freed after commit
-	stale    []uint64 // blocks whose cached copies the apply invalidates
+	stale    []uint64 // further blocks whose cached copies the apply makes stale
 }
 
 // putShaped reports whether op replaces a slot's whole metadata entry: the

@@ -230,6 +230,14 @@ func (s *Store) ApplyReplicated(rec wire.Record) error {
 	for i := range subs {
 		sub := &subs[i]
 		sub.key = string(sub.name)
+		// What the apply displaces leaves the cache with it, as on the primary
+		// (putOwned, deleteOwned) — but a standby frees nothing, so nothing
+		// else would ever drop these entries.
+		if putShaped(sub.op) || sub.op == opDelete || sub.op == opTxnAbort {
+			if _, e, err := s.lookup(sub.name); err == nil {
+				sub.stale = e.Blocks
+			}
+		}
 		// Only whole-entry writes and remaps ship data: a put-shaped sub-op
 		// its size bytes, a remap the whole block (its record carries no span
 		// length).
@@ -242,11 +250,16 @@ func (s *Store) ApplyReplicated(rec wire.Record) error {
 		if uint64(len(sub.data)) < want {
 			return fmt.Errorf("dstore: apply record %d: data truncated (%d < %d)", rec.LSN, len(sub.data), want)
 		}
-		if _, err := s.writeBlocks(sub.blocks, sub.data[:want]); err != nil {
+		sub.data = sub.data[:want]
+		if _, err := s.writeBlocks(sub.blocks, sub.data); err != nil {
 			s.degrade(err)
 			return fmt.Errorf("%w: standby data write: %v", ErrDegraded, err)
 		}
-		sub.stale = sub.blocks
+		// The blocks just written may have entries from a previous life (no
+		// free ever invalidated them here). applyOwned drops those and then
+		// publishes the shipped content under the record's sums, so a
+		// promoted standby starts warm.
+		sub.stale = append(sub.stale, sub.blocks...)
 	}
 
 	// Data durable; now the record. AppendCommitted publishes with the

@@ -529,7 +529,10 @@ func (s *Store) poolPhases(subs []subOp) (err error) {
 // worth re-running on fresh blocks. The fresh blocks left the cache when they
 // were freed, but invalidating again here keeps the invariant local: no
 // block is written — or, for the content-less create and extend, becomes
-// readable — while a cache entry for it exists.
+// readable — while a cache entry for it exists. The content and its sums stay
+// in the sub-op: once the apply has made these blocks the current version,
+// applyOwned publishes them to the cache (cachePublish), so nothing written
+// here has an entry before it can be read or after the write died.
 func (s *Store) dataPhase(subs []subOp) (bad bool, err error) {
 	for i := range subs {
 		u := &subs[i]
@@ -551,16 +554,25 @@ func (s *Store) dataPhase(subs []subOp) (bad bool, err error) {
 // be short), returning the block a failed write was aimed at.
 func (s *Store) writeBlocks(blocks []uint64, data []byte) (uint64, error) {
 	for i, b := range blocks {
-		lo := uint64(i) * s.cfg.BlockSize
-		if lo >= uint64(len(data)) {
+		p := s.span(data, i)
+		if p == nil {
 			break
 		}
-		hi := min(lo+s.cfg.BlockSize, uint64(len(data)))
-		if err := s.ssdWrite(s.dataOff(b), data[lo:hi]); err != nil {
+		if err := s.ssdWrite(s.dataOff(b), p); err != nil {
 			return b, err
 		}
 	}
 	return 0, nil
+}
+
+// span is the piece of data that lies in the i-th of its blocks; nil past the
+// end.
+func (s *Store) span(data []byte, i int) []byte {
+	lo := uint64(i) * s.cfg.BlockSize
+	if lo >= uint64(len(data)) {
+		return nil
+	}
+	return data[lo:min(lo+s.cfg.BlockSize, uint64(len(data)))]
 }
 
 // applyOwned is steps ⑥–⑦ and the one place a store's own structures change
@@ -568,14 +580,15 @@ func (s *Store) writeBlocks(blocks []uint64, data []byte) (uint64, error) {
 // after the shipped record went into its log (repl.go): drain the readers
 // that entered before the record became visible (§4.4), take the index lock
 // (unless the set is all overwrites) and then the zone stripes (DESIGN.md
-// §11), apply in record order, bump the
-// OCC versions — after the structures changed and before the record commits,
-// so a transaction that validated a key either sees the bump or finds the
-// record in its conflict window — and drop the cache entries the update made
-// stale. When a sub-op's apply fails, visible reports whether any of the set
-// can still be seen in the structures (the failing one is retracted if it
-// was the first and left no trace). t, when measuring, receives Breakdown's
-// meta and tree boundaries; a standby passes nil.
+// §11), apply in record order, bump the OCC versions — after the structures
+// changed and before the record commits, so a transaction that validated a
+// key either sees the bump or finds the record in its conflict window — and
+// bring the block cache up to date (cachePublish): the one place that owns
+// its coherence, for a Put, an MPut's fan-out, a transaction commit and a
+// replicated record alike. When a sub-op's apply fails, visible reports
+// whether any of the set can still be seen in the structures (the failing one
+// is retracted if it was the first and left no trace). t, when measuring,
+// receives Breakdown's meta and tree boundaries; a standby passes nil.
 func (s *Store) applyOwned(subs []subOp, t *stageNs) (visible bool, err error) {
 	var metaDone *int64
 	if t != nil && t.measure {
@@ -628,7 +641,34 @@ func (s *Store) applyOwned(subs []subOp, t *stageNs) (visible bool, err error) {
 	}
 	for i := range subs {
 		s.vers.bump(subs[i].key)
-		s.cacheInvalidate(subs[i].stale)
+		s.cachePublish(&subs[i])
 	}
 	return false, nil
+}
+
+// cachePublish makes the block cache say what the applied sub-op u made true:
+// the entries of the version it displaced go (u.old, which the deferred free
+// would only reach after the commit, and u.stale), and a put-shaped update
+// that wrote content is published under its new blocks with the sums its
+// metadata now records — write-through, so the read that follows an update
+// hits instead of going back to the SSD for the bytes that just went there. A
+// hit needs block id, checksum and length to equal the zone's current entry
+// (DESIGN.md §9), and the sums were computed over exactly these bytes. The
+// displaced entries go first because a write never evicts (cache.Publish): it
+// fits in the room they leave or in room nobody uses, or stays out. A degraded
+// store publishes nothing, as its reads insert nothing.
+func (s *Store) cachePublish(u *subOp) {
+	if s.bcache == nil {
+		return
+	}
+	s.cacheInvalidate(u.old)
+	s.cacheInvalidate(u.stale)
+	if u.data == nil || !putShaped(u.op) || s.degraded.Load() {
+		return
+	}
+	for i, b := range u.blocks {
+		if p := s.span(u.data, i); p != nil && u.sums[i] != meta.SumUnverified {
+			s.bcache.Publish(b, u.sums[i], p)
+		}
+	}
 }
