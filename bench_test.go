@@ -119,6 +119,46 @@ func BenchmarkGet4K(b *testing.B) {
 	}
 }
 
+// BenchmarkGetHit4K measures the read path when every block is resident in
+// the block cache and the caller recycles its buffer: CC, index lookup, zone
+// entry and a cache copy, with no device read and nothing left to allocate
+// (run with -benchmem; the keys are built outside the timer).
+func BenchmarkGetHit4K(b *testing.B) {
+	s, err := dstore.Format(dstore.Config{
+		Blocks:     1 << 16,
+		MaxObjects: 1 << 15,
+		LogBytes:   16 << 20,
+		CacheBytes: 16 << 20,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	ctx := s.Init()
+	val := make([]byte, 4096)
+	keys := make([]string, 1000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%06d", i)
+		if err := ctx.Put(keys[i], val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var buf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		buf, err = ctx.Get(keys[i%len(keys)], buf[:0])
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := s.CacheStats(); st.Misses != 0 {
+		b.Fatalf("%d cache misses: the benchmark no longer measures the hit path", st.Misses)
+	}
+}
+
 // BenchmarkPutParallel measures logged-write scalability across goroutines
 // (the OE concurrency path).
 func BenchmarkPutParallel(b *testing.B) {

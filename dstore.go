@@ -159,7 +159,7 @@ func (c *Config) setDefaults() {
 		c.MaxNameLen = 64
 	}
 	if c.MaxBlocksPerObject == 0 {
-		c.MaxBlocksPerObject = 16
+		c.MaxBlocksPerObject = defaultMaxBlocksPerObject
 	}
 	if c.LogBytes == 0 {
 		c.LogBytes = 4 << 20
@@ -879,13 +879,35 @@ func (s *Store) Health() Health {
 // zoneLock returns slot's stripe lock.
 func (s *Store) zoneLock(slot uint64) *sync.Mutex { return &s.zoneMu[slot%64] }
 
+// entryBuf is room for a zone entry's block and checksum lists, sized to the
+// default MaxBlocksPerObject: a read path declares one on its stack and its
+// entry read allocates nothing. A store configured for larger objects falls
+// back to allocating the lists that do not fit.
+type entryBuf struct {
+	blocks [defaultMaxBlocksPerObject]uint64
+	sums   [defaultMaxBlocksPerObject]uint32
+}
+
+const defaultMaxBlocksPerObject = 16
+
 // zoneRead reads a metadata slot under its stripe lock. The returned entry's
-// Blocks are a copy; Name aliases the arena and must be consumed before the
-// slot can be rewritten.
+// Blocks and Sums are a copy; Name aliases the arena and must be consumed
+// before the slot can be rewritten.
 func (s *Store) zoneRead(slot uint64) (meta.Entry, bool, error) {
+	return s.zoneReadInto(slot, nil)
+}
+
+// zoneReadInto is zoneRead with the copy made in buf, when it is given and
+// the lists fit.
+func (s *Store) zoneReadInto(slot uint64, buf *entryBuf) (meta.Entry, bool, error) {
+	var blocks []uint64
+	var sums []uint32
+	if buf != nil {
+		blocks, sums = buf.blocks[:], buf.sums[:]
+	}
 	lk := s.zoneLock(slot)
 	lk.Lock()
-	e, ok, err := s.front.zone.Read(slot)
+	e, ok, err := s.front.zone.ReadInto(slot, blocks, sums)
 	lk.Unlock()
 	return e, ok, err
 }

@@ -630,13 +630,19 @@ func transientf(what, addr string, err error) error {
 
 // ------------------------------------------------------------------- conn
 
+// maxKeptFrame bounds the encode buffer a connection keeps between requests:
+// one large value must not pin its frame's worth of memory for the life of
+// the connection.
+const maxKeptFrame = 64 << 10
+
 // conn is one pooled connection. Writes are serialized by wmu; responses
 // are routed by the readLoop goroutine via the pending map.
 type conn struct {
 	cfg *Config
 	nc  net.Conn
 
-	wmu sync.Mutex // serializes frame writes
+	wmu  sync.Mutex // serializes frame encoding and writes
+	wbuf []byte     // the frame being written, recycled across requests; guarded by wmu
 
 	readerDone chan struct{} // closed when readLoop exits
 
@@ -708,18 +714,24 @@ func (cn *conn) roundTrip(ctx context.Context, req *wire.Request) (wire.Response
 	}
 	r := *req
 	r.ID = id
-	frame, err := wire.AppendRequest(nil, &r)
-	if err != nil {
-		cn.deregister(id)
-		return wire.Response{}, err // malformed request: permanent
-	}
-	if len(frame)-wire.FrameHeader > cn.cfg.MaxFrame {
-		cn.deregister(id)
-		return wire.Response{}, fmt.Errorf("%w: request payload %d > %d",
+
+	// The frame is built in the connection's own buffer: encoding from nil
+	// grew a 9 KiB MPUT frame through a dozen doublings, each a fresh zeroed
+	// allocation. Only the writer holding wmu touches the buffer.
+	cn.wmu.Lock()
+	frame, err := wire.AppendRequest(cn.wbuf[:0], &r)
+	if err == nil && len(frame)-wire.FrameHeader > cn.cfg.MaxFrame {
+		err = fmt.Errorf("%w: request payload %d > %d",
 			wire.ErrFrameTooLarge, len(frame)-wire.FrameHeader, cn.cfg.MaxFrame)
 	}
-
-	cn.wmu.Lock()
+	if cap(frame) <= maxKeptFrame {
+		cn.wbuf = frame
+	}
+	if err != nil {
+		cn.wmu.Unlock()
+		cn.deregister(id)
+		return wire.Response{}, err // malformed or oversized request: permanent
+	}
 	cn.nc.SetWriteDeadline(time.Now().Add(cn.cfg.WriteTimeout)) //nolint:errcheck // enforced by the Write below
 	// wmu exists to serialize exactly this write: interleaved frames would
 	// corrupt the stream for every pipelined caller. The hold is bounded by

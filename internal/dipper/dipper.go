@@ -577,8 +577,6 @@ func (e *Engine) AppendIgnore(op uint16, name, payload []byte, ignore uint64) (*
 			return h, nil
 		case conflict != nil:
 			conflict.Wait()
-		case wal.IsRetry(err):
-			// Conflict settled mid-check; retry immediately.
 		case errors.Is(err, wal.ErrLogFull):
 			if e.closing.Load() {
 				return nil, ErrClosed
@@ -601,10 +599,8 @@ func (e *Engine) Commit(h *wal.Handle) error { return e.pair.Commit(h) }
 // Abort marks h dead. Device-error semantics mirror Commit.
 func (e *Engine) Abort(h *wal.Handle) error { return e.pair.Abort(h) }
 
-// FindConflict exposes the reader-side CC check.
-func (e *Engine) FindConflict(name []byte) *wal.Handle { return e.pair.FindConflict(name) }
-
-// FindConflictIgnore is FindConflict excluding the caller's own lock record.
+// FindConflictIgnore exposes the log's conflict check (wal.Pair), excluding
+// the caller's own lock record.
 func (e *Engine) FindConflictIgnore(name []byte, ignore uint64) *wal.Handle {
 	return e.pair.FindConflictIgnore(name, ignore)
 }

@@ -249,6 +249,14 @@ func (z *Zone) SetBlockID(slot uint64, i int, block uint64) error {
 // ErrCorrupt (the limits bound the slot layout, so larger values would read
 // into neighboring slots).
 func (z *Zone) Read(slot uint64) (Entry, bool, error) {
+	return z.ReadInto(slot, nil, nil)
+}
+
+// ReadInto is Read with the entry's block and checksum lists decoded into
+// blocks and sums when they have the capacity: a caller that hands in arrays
+// on its stack with room for the object's blocks reads the slot without
+// allocating. A list that does not fit is allocated at its exact size.
+func (z *Zone) ReadInto(slot uint64, blocks []uint64, sums []uint32) (Entry, bool, error) {
 	off, err := z.slotOff(slot)
 	if err != nil {
 		return Entry{}, false, err
@@ -264,14 +272,20 @@ func (z *Zone) Read(slot uint64) (Entry, bool, error) {
 	if nb > z.maxBlocks {
 		return Entry{}, false, fmt.Errorf("%w: slot %d block count %d exceeds max %d", ErrCorrupt, slot, nb, z.maxBlocks)
 	}
+	if uint64(cap(blocks)) < nb {
+		blocks = make([]uint64, nb)
+	}
+	if uint64(cap(sums)) < nb {
+		sums = make([]uint32, nb)
+	}
 	e := Entry{
-		Name: z.sp.Slice(off+slotName, nl),
-		Size: z.sp.GetU64(off + slotSizeOff),
+		Name:   z.sp.Slice(off+slotName, nl),
+		Size:   z.sp.GetU64(off + slotSizeOff),
+		Blocks: blocks[:nb],
+		Sums:   sums[:nb],
 	}
 	bb := z.blocksOff(off)
 	sb := z.sumsOff(off)
-	e.Blocks = make([]uint64, nb)
-	e.Sums = make([]uint32, nb)
 	for i := range e.Blocks {
 		e.Blocks[i] = z.sp.GetU64(bb + 8*uint64(i))
 		e.Sums[i] = z.sp.GetU32(sb + 4*uint64(i))

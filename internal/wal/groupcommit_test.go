@@ -55,6 +55,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	if p.InFlight() != 0 {
 		t.Fatalf("in-flight %d after all settled", p.InFlight())
 	}
+	wantFilter(t, p, "quiesced", "w0-k0", 0)
 }
 
 func TestGroupCommitAbortMix(t *testing.T) {

@@ -29,6 +29,16 @@
 // uncommitted record naming the same object; the requester then spins on
 // that record's commit flag. NOOP records give olock/ounlock the same
 // treatment (§4.5).
+//
+// Appenders run that scan inside the critical section they already hold.
+// Everyone else — readers above all — first asks the in-flight-name filter
+// (Pair.Quiet): a fixed array of atomic counters, indexed by a hash of the
+// record name, that is non-zero exactly while a record hashing there is laid
+// down and not yet settled. A zero stripe proves the scan would find nothing,
+// so the common read never touches a lock the write path holds; only a
+// non-zero stripe (a real conflict, or a neighbour sharing the stripe) pays
+// for the exact scan. The filter is DRAM-only: it is rebuilt empty by
+// NewPair and RecoverPair, where no record is in flight.
 package wal
 
 import (
@@ -82,6 +92,7 @@ var ErrLogFull = errors.New("wal: active log full")
 // across a log swap; Committed and Wait are safe at any time.
 type Handle struct {
 	lsn       uint64
+	stripe    uint32 // the name's in-flight-filter stripe, released at settle
 	committed atomic.Bool
 	// log and off are guarded by the Pair's swap lock.
 	log *Log
@@ -318,8 +329,52 @@ type Pair struct {
 	regMu    sync.Mutex
 	registry map[uint64]*Handle // LSN -> in-flight handle; guarded by regMu
 
+	// inflight is the in-flight-name filter: inflight[filterStripe(h)] counts
+	// the registered handles whose name hashes to h. It is raised inside the
+	// append's l.mu critical section, together with the registration, and
+	// lowered where the handle leaves the registry, after its state byte is
+	// settled — so at every instant a zero stripe means a window scan for any
+	// name hashing there would come back empty. See Quiet.
+	inflight [filterStripes]atomic.Int32
+
 	// gc is the group-commit combining state; see SetGroupCommit.
 	gc groupCommit
+}
+
+// filterStripes sizes the in-flight-name filter (16 KiB per pair). A store
+// has a handful of records in flight — one per concurrent writer, plus held
+// olocks — so a few thousand stripes send well under 1 % of conflict checks
+// to the scan on account of a neighbour.
+const filterStripes = 1 << 12
+
+func filterStripe(hash uint64) uint32 { return uint32(hash & (filterStripes - 1)) }
+
+// NameHash hashes a record name (FNV-1a with a finishing mix, so that every
+// bit range of the result is usable as a table index). The filter's stripe is
+// a function of it; callers that key their own per-name tables by the same
+// hash compute it once per operation and hand it to Quiet.
+func NameHash[T ~string | ~[]byte](name T) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= 1099511628211
+	}
+	h ^= h >> 32
+	h *= 0x9e3779b97f4a7c15
+	return h ^ h>>29
+}
+
+// Quiet reports that no unsettled record's name hashes to hash's filter
+// stripe — a proof, without taking swapMu or a log's mu, that FindConflict
+// would return nil for every name with that hash. False means only "look":
+// the record in flight may name something else on the stripe.
+//
+// The counters are sequentially consistent atomics, which is what lets a
+// caller pair this load with a counter of its own (Dekker): a writer appends
+// (raising the stripe) and then loads the caller's counter; the caller raises
+// its counter and then calls Quiet. One of the two always sees the other.
+func (p *Pair) Quiet(hash uint64) bool {
+	return p.inflight[filterStripe(hash)].Load() == 0
 }
 
 // GroupCommitConfig configures WAL group commit (SetGroupCommit).
@@ -524,20 +579,19 @@ func (p *Pair) AppendIgnore(op uint16, name, payload []byte, ignore uint64) (*Ha
 	if len(name) > MaxName || len(payload) > MaxPayload {
 		return nil, nil, fmt.Errorf("wal: record fields too large (%d, %d)", len(name), len(payload))
 	}
+	stripe := filterStripe(NameHash(name))
 	p.swapMu.RLock()
 	defer p.swapMu.RUnlock()
 	l := p.logs[p.active]
 
 	l.mu.Lock()
 	if lsn, ok := l.findConflictLocked(name, ignore); ok {
+		// An uncommitted record in the window always has its handle: it was
+		// registered before the append released l.mu, and it leaves the
+		// registry only after its state byte was settled under l.mu.
 		h := p.lookup(lsn)
 		l.mu.Unlock()
-		if h != nil {
-			return nil, h, nil
-		}
-		// The conflicting record committed between the scan and the lookup;
-		// treat as no conflict on retry.
-		return nil, nil, errRetry
+		return nil, h, nil
 	}
 	total := recordSize(len(name), len(payload))
 	off := l.tail
@@ -566,20 +620,18 @@ func (p *Pair) AppendIgnore(op uint16, name, payload []byte, ignore uint64) (*Ha
 		return nil, nil, fmt.Errorf("wal: append failed: %w", err)
 	}
 	l.tail = off + total
-	l.mu.Unlock()
-
-	h := &Handle{lsn: lsn, log: l, off: off}
+	// Register the handle and raise the filter before l.mu is released: a
+	// scan that can see the record (scans hold l.mu) can then always resolve
+	// its LSN, and a reader that finds the stripe zero is ordered before this
+	// point.
+	h := &Handle{lsn: lsn, stripe: stripe, log: l, off: off}
 	p.regMu.Lock()
 	p.registry[lsn] = h
 	p.regMu.Unlock()
+	p.inflight[stripe].Add(1)
+	l.mu.Unlock()
 	return h, nil, nil
 }
-
-// errRetry is an internal signal: the conflict vanished mid-check.
-var errRetry = errors.New("wal: retry append")
-
-// IsRetry reports whether err asks the caller to simply retry Append.
-func IsRetry(err error) bool { return errors.Is(err, errRetry) }
 
 // storeRecordLocked lays down the record body and guard at off with no
 // flush, fence, or LSN write — the store-only half of the §3.4 protocol.
@@ -700,6 +752,25 @@ func (p *Pair) lookup(lsn uint64) *Handle {
 	return p.registry[lsn]
 }
 
+// release takes a settled handle out of the registry and lowers its filter
+// stripe — together, and only for the handle this pair registered: a failover
+// settles the retired primary's olocks through the promoted store, whose
+// registry may hold a record of its own under the same LSN. Callers have
+// already stored the record's state byte, and call this before they set
+// h.committed: a committer that sees its record settled finds the stripe
+// released.
+func (p *Pair) release(h *Handle) {
+	p.regMu.Lock()
+	registered := p.registry[h.lsn] == h
+	if registered {
+		delete(p.registry, h.lsn)
+	}
+	p.regMu.Unlock()
+	if registered {
+		p.inflight[h.stripe].Add(-1)
+	}
+}
+
 // FindConflict returns a handle for an uncommitted record naming name, if
 // any. Readers use it for read-write CC (§4.4).
 func (p *Pair) FindConflict(name []byte) *Handle {
@@ -707,18 +778,31 @@ func (p *Pair) FindConflict(name []byte) *Handle {
 }
 
 // FindConflictIgnore is FindConflict excluding one LSN (the requester's own
-// lock record).
+// lock record). On a quiet filter stripe it returns without taking a lock;
+// otherwise the window scan gives the exact verdict.
 func (p *Pair) FindConflictIgnore(name []byte, ignore uint64) *Handle {
+	if p.Quiet(NameHash(name)) {
+		return nil
+	}
+	_, h := p.scanConflict(name, ignore)
+	return h
+}
+
+// scanConflict is the exact check behind the filter: scan the active log's
+// uncommitted window for name under l.mu and resolve the record found to its
+// handle before releasing it. lsn is 0 when nothing conflicts; a non-zero lsn
+// always comes with its handle (see AppendIgnore).
+func (p *Pair) scanConflict(name []byte, ignore uint64) (lsn uint64, h *Handle) {
 	p.swapMu.RLock()
 	defer p.swapMu.RUnlock()
 	l := p.logs[p.active]
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	lsn, ok := l.findConflictLocked(name, ignore)
-	l.mu.Unlock()
 	if !ok {
-		return nil
+		return 0, nil
 	}
-	return p.lookup(lsn)
+	return lsn, p.lookup(lsn)
 }
 
 // Commit marks h's record committed and durable — step ⑨ of the write
@@ -768,11 +852,9 @@ func (p *Pair) settle(h *Handle, state uint8) error {
 		h.log.sp.Persist(h.off+recState, 1)
 	}
 	h.log.mu.Unlock()
+	p.release(h)
 	h.committed.Store(true) // release waiters; the handle is settled in DRAM
 	p.swapMu.RUnlock()
-	p.regMu.Lock()
-	delete(p.registry, h.lsn)
-	p.regMu.Unlock()
 	if err != nil {
 		return fmt.Errorf("wal: settle record %d: %w", h.lsn, err)
 	}
@@ -837,16 +919,10 @@ func (p *Pair) runLeaderLocked() {
 	p.publishAndSettleLocked(batch)
 	gc.batches.Add(1)
 	gc.records.Add(uint64(len(batch)))
-	for _, h := range batch {
+	for i, h := range batch {
+		p.release(h)
 		h.committed.Store(true) // release point: settleErr is visible now
-	}
-	p.regMu.Lock()
-	for _, h := range batch {
-		delete(p.registry, h.lsn)
-	}
-	p.regMu.Unlock()
-	for i := range batch {
-		batch[i] = nil // keep settled handles collectable
+		batch[i] = nil          // keep settled handles collectable
 	}
 	gc.scratch = batch[:0]
 }

@@ -25,9 +25,6 @@ func mustAppend(t *testing.T, p *Pair, op uint16, name string, payload []byte) *
 	for {
 		h, conflict, err := p.Append(op, []byte(name), payload)
 		if err != nil {
-			if IsRetry(err) {
-				continue
-			}
 			t.Fatalf("append: %v", err)
 		}
 		if conflict != nil {
@@ -369,9 +366,6 @@ func TestConcurrentAppendCommit(t *testing.T) {
 					var err error
 					h, c, err = p.Append(1, []byte(name), nil)
 					if err != nil {
-						if IsRetry(err) {
-							continue
-						}
 						t.Errorf("append: %v", err)
 						return
 					}
@@ -388,6 +382,7 @@ func TestConcurrentAppendCommit(t *testing.T) {
 	if p.InFlight() != 0 {
 		t.Fatalf("in flight = %d", p.InFlight())
 	}
+	wantFilter(t, p, "quiesced", "key0", 0)
 	got := collect(t, p.Active(), p.Active().Tail())
 	if len(got) != 8*perG {
 		t.Fatalf("committed = %d, want %d", len(got), 8*perG)
@@ -442,6 +437,7 @@ func TestConcurrentAppendsWithSwaps(t *testing.T) {
 	if p.InFlight() != 0 {
 		t.Fatalf("in flight = %d", p.InFlight())
 	}
+	wantFilter(t, p, "quiesced", "key0", 0)
 }
 
 // Property: for any crash seed, recovery sees exactly the committed records,

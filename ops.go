@@ -33,8 +33,11 @@ func (c *Ctx) Finalize() {
 
 // heldLSN returns the LSN of this context's lock record on name, or 0. The
 // CC checks skip it so a lock holder can operate on its locked object.
-func (c *Ctx) heldLSN(name string) uint64 {
-	if h, ok := c.locks[name]; ok {
+func (c *Ctx) heldLSN(name string) uint64 { return heldLSN(c.locks, name) }
+
+// heldLSN returns the LSN of the lock record locks holds on name, or 0.
+func heldLSN(locks map[string]*wal.Handle, name string) uint64 {
+	if h, ok := locks[name]; ok {
 		return h.LSN()
 	}
 	return 0
@@ -268,14 +271,8 @@ func (c *Ctx) Get(key string, buf []byte) ([]byte, error) {
 	}
 	s.ops.gets.Add(1)
 
-	// Read-write CC (§4.4). Pre-check the uncommitted window *before*
-	// touching the read count (so waiting readers never make the count
-	// flicker and starve the writer's poll), then enter and re-check to
-	// close the race with a writer appending in between.
-	ctr := s.readers.enterChecked(key, func() *wal.Handle {
-		return s.eng.FindConflictIgnore([]byte(key), c.heldLSN(key))
-	})
-	defer s.readers.exit(ctr)
+	// Read-write CC (§4.4, readers.go).
+	defer s.enterRead(key, c.locks).exit()
 
 	return s.readObject(key, buf)
 }
@@ -283,7 +280,8 @@ func (c *Ctx) Get(key string, buf []byte) ([]byte, error) {
 // readObject is Get's lookup-and-read body. The caller holds a CC reader
 // section on key (transactional reads share it, txn.go).
 func (s *Store) readObject(key string, buf []byte) ([]byte, error) {
-	_, e, err := s.lookup([]byte(key))
+	var eb entryBuf
+	_, e, err := s.lookupInto([]byte(key), &eb)
 	if err != nil {
 		return nil, err
 	}
@@ -440,15 +438,14 @@ func (o *Object) ReadAt(p []byte, off int64) (int, error) {
 	}
 	s.ops.reads.Add(1)
 
-	ctr := s.readers.enterChecked(o.name, func() *wal.Handle {
-		return s.eng.FindConflictIgnore([]byte(o.name), o.c.heldLSN(o.name))
-	})
-	defer s.readers.exit(ctr)
+	defer s.enterRead(o.name, o.c.locks).exit()
 
-	e, err := o.lookup()
+	var eb entryBuf
+	_, me, err := s.lookupInto([]byte(o.name), &eb)
 	if err != nil {
 		return 0, err
 	}
+	e := entrySnapshot{size: me.Size, blocks: me.Blocks, sums: me.Sums}
 	if off < 0 || uint64(off) >= e.size {
 		return 0, fmt.Errorf("dstore: read offset %d out of range (size %d)", off, e.size)
 	}

@@ -42,14 +42,7 @@ type verTable struct {
 	m  [verStripes]map[string]uint64 // each stripe guarded by its mu
 }
 
-func verStripe(key string) int {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return int(h % verStripes)
-}
+func verStripe(key string) int { return int(wal.NameHash(key) % verStripes) }
 
 // version returns key's current commit version (0 if never mutated).
 func (v *verTable) version(key string) uint64 {
@@ -206,10 +199,7 @@ func (s *Store) getVersioned(key string, buf []byte) ([]byte, uint64, error) {
 		return nil, 0, ErrClosed
 	}
 	s.ops.gets.Add(1)
-	ctr := s.readers.enterChecked(key, func() *wal.Handle {
-		return s.eng.FindConflict([]byte(key))
-	})
-	defer s.readers.exit(ctr)
+	defer s.enterRead(key, nil).exit()
 	ver := s.vers.version(key)
 	out, err := s.readObject(key, buf)
 	return out, ver, err
@@ -227,11 +217,7 @@ func (s *Store) validateReads(reads map[string]uint64, locks map[string]*wal.Han
 		if s.vers.version(key) != ver {
 			return ErrTxnConflict
 		}
-		var ignore uint64
-		if h, ok := locks[key]; ok {
-			ignore = h.LSN()
-		}
-		if s.eng.FindConflictIgnore([]byte(key), ignore) != nil {
+		if s.eng.FindConflictIgnore([]byte(key), heldLSN(locks, key)) != nil {
 			return ErrTxnConflict
 		}
 	}

@@ -188,13 +188,18 @@ func (s *Store) release(subs []subOp) {
 
 // lookup resolves name to its slot and entry under the reader-side locks.
 func (s *Store) lookup(name []byte) (uint64, meta.Entry, error) {
+	return s.lookupInto(name, nil)
+}
+
+// lookupInto is lookup over zoneReadInto: the read paths pass stack room.
+func (s *Store) lookupInto(name []byte, buf *entryBuf) (uint64, meta.Entry, error) {
 	s.treeMu.RLock()
 	slot, ok := s.front.tree.Get(name)
 	s.treeMu.RUnlock()
 	if !ok {
 		return 0, meta.Entry{}, ErrNotFound
 	}
-	e, used, err := s.zoneRead(slot)
+	e, used, err := s.zoneReadInto(slot, buf)
 	if err == nil && !used {
 		// string(name): the copy escapes into the error, not the caller's
 		// (usually stack-allocated) name.
@@ -486,8 +491,6 @@ func (s *Store) appendSet(w *writeSet, t *stageNs) (*wal.Handle, error) {
 		switch {
 		case conflict != nil:
 			conflict.Wait()
-		case wal.IsRetry(err):
-			// The conflict settled mid-check; retry immediately.
 		case errors.Is(err, wal.ErrLogFull):
 			if s.cfg.DisableCheckpoints {
 				return nil, fmt.Errorf("dstore: log full with checkpoints disabled")
