@@ -275,9 +275,9 @@ type Store struct {
 
 	health healthStats
 
-	// vers is the OCC per-key commit-version table (txn.go): every committed
-	// mutation bumps its key's counter before the record commits, and
-	// transaction validation compares the counters captured at read time.
+	// vers is the OCC commit-version table (txn.go): every committed mutation
+	// bumps its key's counter before the record commits, and transaction
+	// validation compares the counters captured at read time.
 	vers verTable
 
 	ops  opStats

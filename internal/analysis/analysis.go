@@ -73,40 +73,6 @@ var devicePkgs = map[string]bool{
 	"dstore/internal/btree":  true,
 }
 
-func isTestdata(p *Package) bool {
-	return strings.Contains(p.Path, "/testdata/")
-}
-
-// Run executes every checker with its default package targeting and returns
-// the merged, sorted findings.
-func Run(m *Module) []Finding {
-	var fs []Finding
-	notTestdata := func(p *Package) bool { return !isTestdata(p) }
-	fs = append(fs, CheckPersistOrder(m, func(p *Package) bool {
-		// pmem and space implement the persistence primitives themselves;
-		// the ordering contract applies to their callers.
-		return notTestdata(p) && p.Path != "dstore/internal/pmem" && p.Path != "dstore/internal/space"
-	})...)
-	fs = append(fs, CheckErrcheck(m, notTestdata)...)
-	fs = append(fs, CheckNoPanic(m, func(p *Package) bool {
-		return notTestdata(p) && p.Pkg.Name() != "main"
-	})...)
-	fs = append(fs, CheckGuardedBy(m, notTestdata)...)
-	fs = append(fs, CheckWallclock(m, func(p *Package) bool {
-		return crashPathPkgs[p.Path]
-	})...)
-	fs = append(fs, CheckLockOrder(m, notTestdata)...)
-	fs = append(fs, CheckGoroutineLifecycle(m, func(p *Package) bool {
-		return goroutinePkgs[p.Path]
-	})...)
-	fs = append(fs, CheckChannelDiscipline(m, notTestdata)...)
-	fs = append(fs, CheckWireSymmetry(m, func(p *Package) bool {
-		return p.Path == "dstore/internal/wire"
-	})...)
-	sortFindings(fs)
-	return fs
-}
-
 // Library packages whose goroutines must have tracked lifecycles: the
 // concurrent network/replication surface, where a leaked goroutine pins a
 // connection, a subscriber slot, or a shard for the life of the process.
@@ -115,6 +81,90 @@ var goroutinePkgs = map[string]bool{
 	"dstore/internal/server":  true,
 	"dstore/internal/replica": true,
 	"dstore/internal/client":  true,
+}
+
+// checker is one row of the table Run walks: adding a checker is one row
+// here, one run function and one golden package.
+type checker struct {
+	name   string
+	nolint string              // the //nolint:<name> that suppresses a finding on its line; "" = no line-level escape
+	target func(*Package) bool // default package targeting; nil = every package
+	run    func(*pass)
+}
+
+var checkers = []checker{
+	// pmem and space implement the persistence primitives themselves; the
+	// ordering contract applies to their callers.
+	{"persist-order", "", func(p *Package) bool {
+		return p.Path != "dstore/internal/pmem" && p.Path != "dstore/internal/space"
+	}, runPersistOrder},
+	{"errcheck-devices", "errcheck", nil, runErrcheck},
+	{"no-panic-in-library", "", func(p *Package) bool { return p.Pkg.Name() != "main" }, runNoPanic},
+	{"guarded-by", "", nil, runGuardedBy},
+	{"no-wallclock-in-crashpath", "", func(p *Package) bool { return crashPathPkgs[p.Path] }, runWallclock},
+	{"lock-order", "lock-order", nil, runLockOrder},
+	{"goroutine-lifecycle", "goroutine-lifecycle", func(p *Package) bool { return goroutinePkgs[p.Path] }, runGoroutineLifecycle},
+	{"channel-discipline", "channel-discipline", nil, runChannelDiscipline},
+	{"wire-symmetry", "wire-symmetry", func(p *Package) bool { return p.Path == "dstore/internal/wire" }, runWireSymmetry},
+}
+
+// Run executes every checker with its default package targeting (golden
+// packages under testdata excluded) and returns the merged, sorted findings.
+func Run(m *Module) []Finding {
+	var fs []Finding
+	for _, c := range checkers {
+		fs = append(fs, c.check(m, func(p *Package) bool {
+			return !strings.Contains(p.Path, "/testdata/") && (c.target == nil || c.target(p))
+		})...)
+	}
+	sortFindings(fs)
+	return fs
+}
+
+// check runs one checker over the packages target selects.
+func (c checker) check(m *Module, target func(*Package) bool) []Finding {
+	p := &pass{Module: m, checker: c}
+	for _, pkg := range m.Pkgs {
+		if target(pkg) {
+			p.pkgs = append(p.pkgs, pkg)
+		}
+	}
+	c.run(p)
+	return p.findings
+}
+
+// pass is one checker's run: the packages it checks and the one way a
+// finding is made.
+type pass struct {
+	*Module
+	checker
+	pkgs     []*Package
+	findings []Finding
+}
+
+// report records a finding at pos unless a //nolint for this checker sits on
+// that line.
+func (p *pass) report(pos token.Pos, format string, args ...any) {
+	file, line := p.Rel(pos)
+	if p.nolint != "" && nolintLines(p.Fset, p.files[p.Fset.File(pos)], p.nolint)[line] {
+		return
+	}
+	p.findings = append(p.findings, Finding{
+		File: file, Line: line,
+		Checker: p.name,
+		Message: fmt.Sprintf(format, args...),
+	})
+}
+
+// line is pos's line number, for messages that point at a second place.
+func (p *pass) line(pos token.Pos) int { return p.Fset.Position(pos).Line }
+
+// funcs invokes fn for every function declaration with a body in the
+// packages under check.
+func (p *pass) funcs(fn func(pkg *Package, fd *ast.FuncDecl)) {
+	for _, pkg := range p.pkgs {
+		eachFunc(pkg, func(fd *ast.FuncDecl) { fn(pkg, fd) })
+	}
 }
 
 // ---------------------------------------------------------------- shared
@@ -233,23 +283,19 @@ func methodOn(info *types.Info, call *ast.CallExpr) (pkgPath, typeName, method s
 // errorType is the predeclared error interface type.
 var errorType = types.Universe.Lookup("error").Type()
 
-// FuncDecls indexes every function declaration in the module by its type
-// object, so checkers can resolve a call site to the callee's body (for
-// one-level-deep interprocedural reasoning). Built on first use.
-func (m *Module) FuncDecls() map[*types.Func]*ast.FuncDecl {
-	if m.funcDecls != nil {
-		return m.funcDecls
-	}
-	idx := map[*types.Func]*ast.FuncDecl{}
+// summarize computes one fact per function declaration with a body in the
+// module, keyed by the function's type object so a checker can look a call's
+// callee up (one-level-deep interprocedural reasoning).
+func summarize[T any](m *Module, fact func(pkg *Package, fd *ast.FuncDecl) T) map[*types.Func]T {
+	facts := map[*types.Func]T{}
 	for _, pkg := range m.Pkgs {
-		eachFunc(pkg, func(_ *ast.File, fd *ast.FuncDecl) {
+		eachFunc(pkg, func(fd *ast.FuncDecl) {
 			if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-				idx[obj] = fd
+				facts[obj] = fact(pkg, fd)
 			}
 		})
 	}
-	m.funcDecls = idx
-	return idx
+	return facts
 }
 
 // PackageOf returns the module package declaring fn, or nil.
@@ -261,11 +307,11 @@ func (m *Module) PackageOf(fn *types.Func) *Package {
 }
 
 // eachFunc invokes fn for every function declaration with a body in pkg.
-func eachFunc(pkg *Package, fn func(file *ast.File, decl *ast.FuncDecl)) {
+func eachFunc(pkg *Package, fn func(decl *ast.FuncDecl)) {
 	for _, f := range pkg.Files {
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				fn(f, fd)
+				fn(fd)
 			}
 		}
 	}

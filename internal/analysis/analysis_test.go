@@ -18,10 +18,45 @@ import (
 // with a predicate targeting only its own golden package; the test fails on
 // any unmatched want and on any finding no want expects.
 
-var goldenDirs = []string{
-	"persistordertest", "errchecktest", "nopanictest", "guardedbytest", "wallclocktest",
-	"lockordertest", "goroutinelifetest", "channeldisctest/chanown", "channeldisctest",
-	"wiresymtest",
+// goldenPkg names each checker's golden package. The packages to load are
+// derived from the checker table through it, so a checker added to the table
+// without a golden package fails TestEveryCheckerHasGolden.
+var goldenPkg = map[string]string{
+	"persist-order":             "persistordertest",
+	"errcheck-devices":          "errchecktest",
+	"no-panic-in-library":       "nopanictest",
+	"guarded-by":                "guardedbytest",
+	"no-wallclock-in-crashpath": "wallclocktest",
+	"lock-order":                "lockordertest",
+	"goroutine-lifecycle":       "goroutinelifetest",
+	"channel-discipline":        "channeldisctest",
+	"wire-symmetry":             "wiresymtest",
+}
+
+func goldenDirs() []string {
+	dirs := []string{"channeldisctest/chanown"} // imported by channeldisctest
+	for _, c := range checkers {
+		if dir, ok := goldenPkg[c.name]; ok {
+			dirs = append(dirs, dir)
+		}
+	}
+	return dirs
+}
+
+func TestEveryCheckerHasGolden(t *testing.T) {
+	for _, c := range checkers {
+		dir, ok := goldenPkg[c.name]
+		if !ok {
+			t.Errorf("checker %s has no golden package", c.name)
+			continue
+		}
+		if _, err := os.Stat(filepath.Join("testdata", "src", dir)); err != nil {
+			t.Errorf("checker %s: %v", c.name, err)
+		}
+	}
+	if len(goldenPkg) != len(checkers) {
+		t.Errorf("%d golden packages for %d checkers", len(goldenPkg), len(checkers))
+	}
 }
 
 var (
@@ -38,9 +73,9 @@ func goldenModule(t *testing.T) *Module {
 		t.Skip("module load uses the source importer; skipped in -short")
 	}
 	loadOnce.Do(func() {
-		extra := make([]string, len(goldenDirs))
-		for i, d := range goldenDirs {
-			extra[i] = filepath.Join("testdata", "src", d)
+		var extra []string
+		for _, d := range goldenDirs() {
+			extra = append(extra, filepath.Join("testdata", "src", d))
 		}
 		loadedM, loadErr = Load(".", extra...)
 	})
@@ -126,30 +161,32 @@ func checkGolden(t *testing.T, findings []Finding, wants []*want) {
 	}
 }
 
-func runGolden(t *testing.T, dir string, check func(*Module, func(*Package) bool) []Finding) {
+func runGolden(t *testing.T, name string) {
 	t.Helper()
 	m := goldenModule(t)
+	dir := goldenPkg[name]
 	pkgPath := m.Path + "/internal/analysis/testdata/src/" + dir
 	if m.Lookup(pkgPath) == nil {
 		t.Fatalf("golden package %s not loaded", pkgPath)
 	}
-	checkGolden(t, check(m, onlyPkg(pkgPath)), collectWants(t, m, dir))
+	for _, c := range checkers {
+		if c.name == name {
+			checkGolden(t, c.check(m, onlyPkg(pkgPath)), collectWants(t, m, dir))
+			return
+		}
+	}
+	t.Fatalf("no checker named %s", name)
 }
 
-func TestGoldenPersistOrder(t *testing.T) { runGolden(t, "persistordertest", CheckPersistOrder) }
-func TestGoldenErrcheck(t *testing.T)     { runGolden(t, "errchecktest", CheckErrcheck) }
-func TestGoldenNoPanic(t *testing.T)      { runGolden(t, "nopanictest", CheckNoPanic) }
-func TestGoldenGuardedBy(t *testing.T)    { runGolden(t, "guardedbytest", CheckGuardedBy) }
-func TestGoldenWallclock(t *testing.T)    { runGolden(t, "wallclocktest", CheckWallclock) }
-
-func TestGoldenLockOrder(t *testing.T) { runGolden(t, "lockordertest", CheckLockOrder) }
-func TestGoldenGoroutineLifecycle(t *testing.T) {
-	runGolden(t, "goroutinelifetest", CheckGoroutineLifecycle)
-}
-func TestGoldenChannelDiscipline(t *testing.T) {
-	runGolden(t, "channeldisctest", CheckChannelDiscipline)
-}
-func TestGoldenWireSymmetry(t *testing.T) { runGolden(t, "wiresymtest", CheckWireSymmetry) }
+func TestGoldenPersistOrder(t *testing.T)       { runGolden(t, "persist-order") }
+func TestGoldenErrcheck(t *testing.T)           { runGolden(t, "errcheck-devices") }
+func TestGoldenNoPanic(t *testing.T)            { runGolden(t, "no-panic-in-library") }
+func TestGoldenGuardedBy(t *testing.T)          { runGolden(t, "guarded-by") }
+func TestGoldenWallclock(t *testing.T)          { runGolden(t, "no-wallclock-in-crashpath") }
+func TestGoldenLockOrder(t *testing.T)          { runGolden(t, "lock-order") }
+func TestGoldenGoroutineLifecycle(t *testing.T) { runGolden(t, "goroutine-lifecycle") }
+func TestGoldenChannelDiscipline(t *testing.T)  { runGolden(t, "channel-discipline") }
+func TestGoldenWireSymmetry(t *testing.T)       { runGolden(t, "wire-symmetry") }
 
 // TestRunCleanTree pins the steady state the baseline ratchet aims for: the
 // repository's own code produces zero findings (golden packages live under

@@ -4,9 +4,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 )
 
-// CheckChannelDiscipline enforces channel ownership rules (DESIGN.md §11):
+// runChannelDiscipline enforces channel ownership rules (DESIGN.md §11):
 //
 //  1. Close only by the owning side. A function may close a channel it
 //     owns: a local it (or an enclosing function, for closures) created or
@@ -25,23 +26,40 @@ import (
 // The companion rule — no blocking send while holding a lock — is owned by
 // the lock-order checker, which tracks the held-lock set.
 // Suppress with //nolint:channel-discipline on the offending line.
-func CheckChannelDiscipline(m *Module, target func(*Package) bool) []Finding {
-	var fs []Finding
-	for _, pkg := range m.Pkgs {
-		if !target(pkg) {
-			continue
-		}
-		recordParams(pkg)
-		eachFunc(pkg, func(file *ast.File, fd *ast.FuncDecl) {
-			nolint := nolintLines(m.Fset, file, "channel-discipline")
-			c := &chanChecker{m: m, pkg: pkg, nolint: nolint}
-			c.ownRecv = receiverTypeName(pkg, fd)
-			c.checkFunc(fd)
-			fs = append(fs, c.findings...)
+func runChannelDiscipline(p *pass) {
+	p.funcs(func(pkg *Package, fd *ast.FuncDecl) {
+		c := &chanChecker{pass: p, pkg: pkg, ownRecv: receiverTypeName(pkg, fd),
+			locals: map[*types.Var]bool{}, params: map[*types.Var]bool{}}
+		// Every variable declared anywhere inside the function — parameters and
+		// locals, including inside closures: a closure closing its enclosing
+		// function's local is still the owning side.
+		ast.Inspect(fd, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if v, isVar := pkg.Info.Defs[n].(*types.Var); isVar {
+					c.locals[v] = true
+				}
+			case *ast.FuncType:
+				for _, field := range n.Params.List {
+					for _, name := range field.Names {
+						if v, ok := pkg.Info.Defs[name].(*types.Var); ok {
+							c.params[v] = true
+						}
+					}
+				}
+			}
+			return true
 		})
-	}
-	sortFindings(fs)
-	return fs
+		// Rule 1: ownership of every close site.
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && isBuiltinCall(pkg.Info, call, "close") && len(call.Args) == 1 {
+				c.checkCloseOwnership(call)
+			}
+			return true
+		})
+		// Rule 2: use-after-close, per path.
+		c.walk(fd.Body)
+	})
 }
 
 // receiverTypeName returns the named receiver type of a method, or nil.
@@ -59,63 +77,72 @@ func receiverTypeName(pkg *Package, fd *ast.FuncDecl) *types.TypeName {
 	return nil
 }
 
+// chanChecker is channel-discipline's transfer function over
+// flow[closedSet] for one function declaration and the literals inside it.
 type chanChecker struct {
-	m        *Module
-	pkg      *Package
-	nolint   map[int]bool
-	ownRecv  *types.TypeName
-	locals   map[*types.Var]bool // declared in this function (incl. closures)
-	findings []Finding
+	pass    *pass
+	pkg     *Package
+	ownRecv *types.TypeName
+	locals  map[*types.Var]bool // declared in this function (incl. closures)
+	params  map[*types.Var]bool // ... as a parameter of it or of a closure
 }
 
-func (c *chanChecker) report(pos token.Pos, msg string) {
-	file, line := c.m.Rel(pos)
-	if c.nolint[line] {
-		return
+// closedSet maps each channel closed on the path to its close site.
+type closedSet map[*types.Var]token.Pos
+
+// walk runs rule 2 over one body from the empty set; a function literal is a
+// path of its own. Branches join by union, and what a loop, switch or select
+// closed stays inside it: channel identity is the variable or *field*, so
+// closing s.ch for each s of a loop is not a double close.
+func (c *chanChecker) walk(body *ast.BlockStmt) {
+	f := flow[closedSet]{
+		info: c.pkg.Info, step: c.step,
+		join: func(a, b closedSet) closedSet {
+			out := maps.Clone(b)
+			maps.Copy(out, a)
+			return out
+		},
+		lit:   func(l *ast.FuncLit) { c.walk(l.Body) },
+		leave: func(entry, _ closedSet) closedSet { return entry },
 	}
-	c.findings = append(c.findings, Finding{
-		File: file, Line: line,
-		Checker: "channel-discipline",
-		Message: msg,
-	})
+	f.run(body, closedSet{})
 }
 
-// checkFunc runs both rules over one function body.
-func (c *chanChecker) checkFunc(fd *ast.FuncDecl) {
-	body := fd.Body
-	// Collect every variable declared anywhere inside the function —
-	// parameters (from the signature) and locals, including inside
-	// closures: a closure closing its enclosing function's local is still
-	// the owning side.
-	c.locals = map[*types.Var]bool{}
-	ast.Inspect(fd, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if v, isVar := c.pkg.Info.Defs[id].(*types.Var); isVar {
-				c.locals[v] = true
+// step checks one send or close against the path's closed set; reassigning a
+// channel variable clears its closed state.
+func (c *chanChecker) step(n ast.Node, closed closedSet) closedSet {
+	switch n := n.(type) {
+	case *ast.SendStmt:
+		if v := c.chanVar(n.Chan); v != nil {
+			if pos, isClosed := closed[v]; isClosed {
+				c.pass.report(n.Arrow, "send on %s after close at line %d (send on closed channel panics)", v.Name(), c.pass.line(pos))
 			}
 		}
-		return true
-	})
-
-	// Rule 1: ownership of every close site.
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+	case *ast.AssignStmt:
+		for _, lhs := range n.Lhs {
+			if v := c.chanVar(lhs); v != nil {
+				if _, isClosed := closed[v]; isClosed {
+					closed = maps.Clone(closed)
+					delete(closed, v)
+				}
+			}
 		}
-		id, isIdent := ast.Unparen(call.Fun).(*ast.Ident)
-		if !isIdent || id.Name != "close" || len(call.Args) != 1 {
-			return true
+	case *ast.CallExpr:
+		if !isBuiltinCall(c.pkg.Info, n, "close") || len(n.Args) != 1 {
+			break
 		}
-		if _, isBuiltin := c.pkg.Info.Uses[id].(*types.Builtin); !isBuiltin {
-			return true
+		v := c.chanVar(n.Args[0])
+		if v == nil {
+			break
 		}
-		c.checkCloseOwnership(call, call.Args[0])
-		return true
-	})
-
-	// Rule 2: use-after-close, per straight-line path.
-	c.walkClosed(body.List, map[*types.Var]token.Pos{})
+		if pos, already := closed[v]; already {
+			c.pass.report(n.Pos(), "second close of %s on this path (first close at line %d; close panics on closed channels)", v.Name(), c.pass.line(pos))
+		} else {
+			closed = maps.Clone(closed)
+			closed[v] = n.Pos()
+		}
+	}
+	return closed
 }
 
 // chanVar resolves e to the channel variable it names: a plain local/param
@@ -142,14 +169,14 @@ func (c *chanChecker) chanVar(e ast.Expr) *types.Var {
 	return nil
 }
 
-func (c *chanChecker) checkCloseOwnership(call *ast.CallExpr, arg ast.Expr) {
-	switch x := ast.Unparen(arg).(type) {
+func (c *chanChecker) checkCloseOwnership(call *ast.CallExpr) {
+	switch x := ast.Unparen(call.Args[0]).(type) {
 	case *ast.Ident:
 		v, ok := c.pkg.Info.Uses[x].(*types.Var)
 		if !ok {
 			return
 		}
-		if c.locals[v] && !isParam(v, c.pkg) {
+		if c.locals[v] && !c.params[v] {
 			return // closing our own local: fine
 		}
 		// Parameter: allowed only if declared send-only.
@@ -159,15 +186,14 @@ func (c *chanChecker) checkCloseOwnership(call *ast.CallExpr, arg ast.Expr) {
 			}
 		}
 		if c.locals[v] {
-			c.report(call.Pos(), "close of bidirectional channel parameter "+v.Name()+
-				" (ownership unclear; accept `chan<- T` to document that the callee closes it, or close at the creator)")
+			c.pass.report(call.Pos(), "close of bidirectional channel parameter %s (ownership unclear; accept `chan<- T` to document that the callee closes it, or close at the creator)", v.Name())
 			return
 		}
 		// Package-level or captured-from-elsewhere variable.
 		if v.Pkg() != nil && v.Pkg().Path() == c.pkg.Path {
 			return // package-level channel in the same package: owner by construction
 		}
-		c.report(call.Pos(), "close of channel "+v.Name()+" not owned by this function")
+		c.pass.report(call.Pos(), "close of channel %s not owned by this function", v.Name())
 	case *ast.SelectorExpr:
 		s, ok := c.pkg.Info.Selections[x]
 		if !ok || s.Kind() != types.FieldVal {
@@ -193,235 +219,6 @@ func (c *chanChecker) checkCloseOwnership(call *ast.CallExpr, arg ast.Expr) {
 			// restrict to composite-literal locals is too brittle — allow.
 			return
 		}
-		c.report(call.Pos(), "close of "+named.Obj().Name()+"."+s.Obj().Name()+
-			" from outside its declaring package (only the owning side closes)")
+		c.pass.report(call.Pos(), "close of %s.%s from outside its declaring package (only the owning side closes)", named.Obj().Name(), s.Obj().Name())
 	}
-}
-
-func isParam(v *types.Var, pkg *Package) bool {
-	// A parameter is a *types.Var whose parent scope is a function scope and
-	// which appears in some signature. The cheap reliable signal: it is
-	// declared by an Ident in a FieldList of a FuncType. types doesn't
-	// expose that directly, so use Var.Kind-less heuristic: parameters are
-	// Vars with IsField()==false whose position is inside a func signature.
-	// Simpler: types.Var has no flag, but signatures hold the same object.
-	return varIsParameter[v]
-}
-
-// varIsParameter is populated lazily per load (small module; fine as global
-// keyed by object identity).
-var varIsParameter = map[*types.Var]bool{}
-
-// recordParams registers the parameter objects of every function in pkg.
-func recordParams(pkg *Package) {
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var ft *ast.FuncType
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				ft = n.Type
-			case *ast.FuncLit:
-				ft = n.Type
-			default:
-				return true
-			}
-			if ft.Params != nil {
-				for _, field := range ft.Params.List {
-					for _, name := range field.Names {
-						if v, ok := pkg.Info.Defs[name].(*types.Var); ok {
-							varIsParameter[v] = true
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
-// walkClosed threads the closed-set through a statement list (rule 2).
-func (c *chanChecker) walkClosed(list []ast.Stmt, closed map[*types.Var]token.Pos) map[*types.Var]token.Pos {
-	for _, s := range list {
-		closed = c.closedStmt(s, closed)
-	}
-	return closed
-}
-
-func cloneClosed(m map[*types.Var]token.Pos) map[*types.Var]token.Pos {
-	out := make(map[*types.Var]token.Pos, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func unionClosed(a, b map[*types.Var]token.Pos) map[*types.Var]token.Pos {
-	out := cloneClosed(a)
-	for k, v := range b {
-		if _, ok := out[k]; !ok {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-func (c *chanChecker) closedStmt(s ast.Stmt, closed map[*types.Var]token.Pos) map[*types.Var]token.Pos {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		return c.closedExpr(s.X, closed)
-	case *ast.SendStmt:
-		if v := c.chanVar(s.Chan); v != nil {
-			if pos, isClosed := closed[v]; isClosed {
-				_, cline := c.m.Rel(pos)
-				c.report(s.Arrow, "send on "+v.Name()+" after close at line "+itoa(cline)+" (send on closed channel panics)")
-			}
-		}
-		return closed
-	case *ast.AssignStmt:
-		for _, rhs := range s.Rhs {
-			closed = c.closedExpr(rhs, closed)
-		}
-		// Re-making / reassigning the channel clears its closed state.
-		for _, lhs := range s.Lhs {
-			if v := c.chanVar(lhs); v != nil {
-				delete(closed, v)
-			}
-		}
-		return closed
-	case *ast.DeferStmt:
-		// Deferred closes run at function exit — they cannot precede any
-		// statement on this path, so don't fold them into the path state.
-		// Still check nested literal bodies independently.
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			c.walkClosed(lit.Body.List, map[*types.Var]token.Pos{})
-		}
-		return closed
-	case *ast.GoStmt:
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			c.walkClosed(lit.Body.List, map[*types.Var]token.Pos{})
-		}
-		return closed
-	case *ast.BlockStmt:
-		return c.walkClosed(s.List, cloneClosed(closed))
-	case *ast.IfStmt:
-		if s.Init != nil {
-			closed = c.closedStmt(s.Init, closed)
-		}
-		closed = c.closedExpr(s.Cond, closed)
-		thenOut := c.walkClosed(s.Body.List, cloneClosed(closed))
-		elseOut := closed
-		if s.Else != nil {
-			elseOut = c.closedStmt(s.Else, cloneClosed(closed))
-		}
-		if terminates(s.Body) {
-			return elseOut
-		}
-		if s.Else != nil && stmtTerminates(s.Else) {
-			return thenOut
-		}
-		return unionClosed(thenOut, elseOut)
-	case *ast.ForStmt:
-		c.walkClosed(s.Body.List, cloneClosed(closed))
-		return closed
-	case *ast.RangeStmt:
-		c.walkClosed(s.Body.List, cloneClosed(closed))
-		return closed
-	case *ast.SwitchStmt:
-		for _, cc := range s.Body.List {
-			if clause, ok := cc.(*ast.CaseClause); ok {
-				c.walkClosed(clause.Body, cloneClosed(closed))
-			}
-		}
-		return closed
-	case *ast.TypeSwitchStmt:
-		for _, cc := range s.Body.List {
-			if clause, ok := cc.(*ast.CaseClause); ok {
-				c.walkClosed(clause.Body, cloneClosed(closed))
-			}
-		}
-		return closed
-	case *ast.SelectStmt:
-		for _, cc := range s.Body.List {
-			if clause, ok := cc.(*ast.CommClause); ok {
-				st := cloneClosed(closed)
-				if clause.Comm != nil {
-					st = c.closedStmt(clause.Comm, st)
-				}
-				c.walkClosed(clause.Body, st)
-			}
-		}
-		return closed
-	case *ast.LabeledStmt:
-		return c.closedStmt(s.Stmt, closed)
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			closed = c.closedExpr(r, closed)
-		}
-		return closed
-	default:
-		return closed
-	}
-}
-
-// closedExpr folds close() calls inside e into the state and reports double
-// closes.
-func (c *chanChecker) closedExpr(e ast.Expr, closed map[*types.Var]token.Pos) map[*types.Var]token.Pos {
-	if e == nil {
-		return closed
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, isLit := n.(*ast.FuncLit); isLit {
-			return false // closures get their own fresh path state
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		id, isIdent := ast.Unparen(call.Fun).(*ast.Ident)
-		if !isIdent || id.Name != "close" || len(call.Args) != 1 {
-			return true
-		}
-		if _, isBuiltin := c.pkg.Info.Uses[id].(*types.Builtin); !isBuiltin {
-			return true
-		}
-		v := c.chanVar(call.Args[0])
-		if v == nil {
-			return true
-		}
-		if pos, already := closed[v]; already {
-			_, cline := c.m.Rel(pos)
-			c.report(call.Pos(), "second close of "+v.Name()+" on this path (first close at line "+itoa(cline)+"; close panics on closed channels)")
-		} else {
-			closed[v] = call.Pos()
-		}
-		return true
-	})
-	return closed
-}
-
-// terminates reports whether a block's last statement is a return or panic
-// (coarse: good enough for the early-return idiom).
-func terminates(b *ast.BlockStmt) bool {
-	if len(b.List) == 0 {
-		return false
-	}
-	return stmtTerminates(b.List[len(b.List)-1])
-}
-
-func stmtTerminates(s ast.Stmt) bool {
-	switch s := s.(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.BranchStmt:
-		return s.Tok == token.BREAK || s.Tok == token.CONTINUE || s.Tok == token.GOTO
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	case *ast.BlockStmt:
-		return terminates(s)
-	}
-	return false
 }

@@ -1,12 +1,11 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 )
 
-// CheckErrcheck flags discarded error results from the fallible device-layer
+// runErrcheck flags discarded error results from the fallible device-layer
 // APIs (packages in devicePkgs). Those errors carry injected device faults,
 // media corruption, and log-full conditions; dropping one silently converts
 // a detectable failure into data loss. Three discard shapes are reported:
@@ -25,39 +24,48 @@ import (
 // same loss one frame up (the shape that hid a discarded B-tree delete error
 // behind a plane helper). The summary is per function and not transitive:
 // each further hop is checked where it happens.
-func CheckErrcheck(m *Module, target func(*Package) bool) []Finding {
-	var fs []Finding
-	for _, pkg := range m.Pkgs {
-		if !target(pkg) {
-			continue
+func runErrcheck(p *pass) {
+	// The per-function summary behind the one-hop rule: every function with
+	// an error result that calls a fallible device API, mapped to (the first)
+	// such API it calls.
+	carriers := summarize(p.Module, func(pkg *Package, fd *ast.FuncDecl) *types.Func {
+		var dev *types.Func
+		if returnsError(pkg.Info.Defs[fd.Name].(*types.Func)) {
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && dev == nil {
+					dev = fallibleDeviceCall(pkg.Info, call)
+				}
+				return dev == nil
+			})
 		}
-		carriers := deviceErrorCarriers(pkg)
-		for _, file := range pkg.Files {
-			nolint := nolintLines(m.Fset, file, "errcheck")
-			report := func(call *ast.CallExpr, fn *types.Func, how string) {
-				f, line := m.Rel(call.Pos())
-				if nolint[line] {
-					return
-				}
-				from := fn.Pkg().Name() + "." + fn.Name()
-				if dev := carriers[fn]; dev != nil {
-					from += ", which returns " + dev.Pkg().Name() + "." + dev.Name() + "'s"
-				}
-				fs = append(fs, Finding{
-					File: f, Line: line,
-					Checker: "errcheck-devices",
-					Message: fmt.Sprintf("%s error result from %s (device-layer errors must be handled or //nolint:errcheck-justified)", how, from),
-				})
-			}
-			fallible := func(call *ast.CallExpr) *types.Func {
-				if fn := fallibleDeviceCall(pkg.Info, call); fn != nil {
-					return fn
-				}
-				if fn := calleeFunc(pkg.Info, call); carriers[fn] != nil {
-					return fn
-				}
+		return dev
+	})
+	for _, pkg := range p.pkgs {
+		// Only a function of the package under check counts as a carrier:
+		// each further hop is checked where it happens.
+		carried := func(fn *types.Func) *types.Func {
+			if fn == nil || fn.Pkg() != pkg.Pkg {
 				return nil
 			}
+			return carriers[fn]
+		}
+		report := func(call *ast.CallExpr, fn *types.Func, how string) {
+			from := fn.Pkg().Name() + "." + fn.Name()
+			if dev := carried(fn); dev != nil {
+				from += ", which returns " + dev.Pkg().Name() + "." + dev.Name() + "'s"
+			}
+			p.report(call.Pos(), "%s error result from %s (device-layer errors must be handled or //nolint:errcheck-justified)", how, from)
+		}
+		fallible := func(call *ast.CallExpr) *types.Func {
+			if fn := fallibleDeviceCall(pkg.Info, call); fn != nil {
+				return fn
+			}
+			if fn := calleeFunc(pkg.Info, call); carried(fn) != nil {
+				return fn
+			}
+			return nil
+		}
+		for _, file := range pkg.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.ExprStmt:
@@ -104,30 +112,6 @@ func CheckErrcheck(m *Module, target func(*Package) bool) []Finding {
 			})
 		}
 	}
-	sortFindings(fs)
-	return fs
-}
-
-// deviceErrorCarriers is the per-function summary behind the one-hop rule:
-// every function declared in pkg that has an error result and calls a
-// fallible device API, mapped to (the first) such API it calls.
-func deviceErrorCarriers(pkg *Package) map[*types.Func]*types.Func {
-	carriers := map[*types.Func]*types.Func{}
-	eachFunc(pkg, func(_ *ast.File, fd *ast.FuncDecl) {
-		obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-		if !ok || !returnsError(obj) {
-			return
-		}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok && carriers[obj] == nil {
-				if dev := fallibleDeviceCall(pkg.Info, call); dev != nil {
-					carriers[obj] = dev
-				}
-			}
-			return carriers[obj] == nil
-		})
-	})
-	return carriers
 }
 
 func returnsError(fn *types.Func) bool {

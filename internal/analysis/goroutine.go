@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// CheckGoroutineLifecycle requires every `go` statement in the targeted
+// runGoroutineLifecycle requires every `go` statement in the targeted
 // library packages to have a tracked termination path (DESIGN.md §11): the
 // caller must be able to learn that the goroutine exited, or the goroutine
 // must watch a cancellation signal. Untracked goroutines are how the server
@@ -30,94 +30,41 @@ import (
 // are reported too: an unresolvable spawn is untracked by construction.
 // Suppress intentional fire-and-forget spawns with //nolint:goroutine-lifecycle
 // on the `go` line plus a justifying comment.
-func CheckGoroutineLifecycle(m *Module, target func(*Package) bool) []Finding {
-	decls := m.FuncDecls()
-	var fs []Finding
-	for _, pkg := range m.Pkgs {
-		if !target(pkg) {
-			continue
-		}
-		eachFunc(pkg, func(file *ast.File, fd *ast.FuncDecl) {
-			nolint := nolintLines(m.Fset, file, "goroutine-lifecycle")
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				gs, ok := n.(*ast.GoStmt)
-				if !ok {
-					return true
-				}
-				file, line := m.Rel(gs.Pos())
-				if nolint[line] {
-					return true
-				}
-				g := &goroutineCheck{m: m, pkg: pkg}
-				var body *ast.BlockStmt
-				switch fun := ast.Unparen(gs.Call.Fun).(type) {
-				case *ast.FuncLit:
-					body = fun.Body
-				default:
-					callee := calleeFunc(pkg.Info, gs.Call)
-					if callee != nil {
-						if fd, found := decls[callee]; found {
-							body = fd.Body
-							if cp := m.PackageOf(callee); cp != nil {
-								g.pkg = cp
-							}
-						}
-					}
-				}
-				if body == nil {
-					fs = append(fs, Finding{
-						File: file, Line: line,
-						Checker: "goroutine-lifecycle",
-						Message: "go statement spawns a function whose body cannot be resolved; termination is untracked (add a WaitGroup/done channel, or //nolint:goroutine-lifecycle with a reason)",
-					})
-					return true
-				}
-				verdict := g.analyze(body)
-				switch {
-				case verdict.cancellable || verdict.allPathsMarked:
-					// tracked
-				case verdict.hasMarker:
-					for _, p := range verdict.unmarkedExits {
-						_, eline := m.Rel(p)
-						fs = append(fs, Finding{
-							File: file, Line: line,
-							Checker: "goroutine-lifecycle",
-							Message: fmtUnmarkedExit(verdict.markerDesc, eline),
-						})
-					}
-				default:
-					fs = append(fs, Finding{
-						File: file, Line: line,
-						Checker: "goroutine-lifecycle",
-						Message: "goroutine has no termination tracking: no WaitGroup.Done, no done-channel close/send, no cancellation receive (leaks if the peer never acts)",
-					})
-				}
+func runGoroutineLifecycle(p *pass) {
+	decls := summarize(p.Module, func(_ *Package, fd *ast.FuncDecl) *ast.FuncDecl { return fd })
+	p.funcs(func(pkg *Package, fd *ast.FuncDecl) {
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			gs, ok := n.(*ast.GoStmt)
+			if !ok {
 				return true
-			})
+			}
+			info := pkg.Info // of the package declaring the spawned body
+			var body *ast.BlockStmt
+			if lit, isLit := ast.Unparen(gs.Call.Fun).(*ast.FuncLit); isLit {
+				body = lit.Body
+			} else if callee := calleeFunc(pkg.Info, gs.Call); decls[callee] != nil {
+				body = decls[callee].Body
+				info = p.PackageOf(callee).Info
+			}
+			if body == nil {
+				p.report(gs.Pos(), "go statement spawns a function whose body cannot be resolved; termination is untracked (add a WaitGroup/done channel, or //nolint:goroutine-lifecycle with a reason)")
+				return true
+			}
+			verdict := analyzeGoroutine(info, body)
+			switch {
+			case verdict.cancellable || verdict.allPathsMarked:
+				// tracked
+			case verdict.hasMarker:
+				for _, exit := range verdict.unmarkedExits {
+					p.report(gs.Pos(), "goroutine signals termination via %s but the exit path at line %d returns without it (leaks on error paths; defer the marker)",
+						verdict.markerDesc, p.line(exit))
+				}
+			default:
+				p.report(gs.Pos(), "goroutine has no termination tracking: no WaitGroup.Done, no done-channel close/send, no cancellation receive (leaks if the peer never acts)")
+			}
+			return true
 		})
-	}
-	sortFindings(fs)
-	return fs
-}
-
-func fmtUnmarkedExit(marker string, line int) string {
-	return "goroutine signals termination via " + marker +
-		" but the exit path at line " + itoa(line) +
-		" returns without it (leaks on error paths; defer the marker)"
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	})
 }
 
 // goroutineVerdict summarizes one spawned body.
@@ -129,13 +76,8 @@ type goroutineVerdict struct {
 	unmarkedExits  []token.Pos // return statements that skip the marker
 }
 
-type goroutineCheck struct {
-	m   *Module
-	pkg *Package
-}
-
-// analyze classifies body per the rules in the checker doc comment.
-func (g *goroutineCheck) analyze(body *ast.BlockStmt) goroutineVerdict {
+// analyzeGoroutine classifies body per the rules in the checker doc comment.
+func analyzeGoroutine(info *types.Info, body *ast.BlockStmt) goroutineVerdict {
 	var v goroutineVerdict
 
 	// Pass 1: scan for cancellation receives and deferred markers. Nested
@@ -155,7 +97,7 @@ func (g *goroutineCheck) analyze(body *ast.BlockStmt) goroutineVerdict {
 					scan(lit.Body)
 					return false
 				}
-				if desc, ok := g.joinMarkerCall(n.Call); ok {
+				if desc, ok := joinMarkerCall(info, n.Call); ok {
 					v.hasMarker = true
 					v.allPathsMarked = true
 					if v.markerDesc == "" {
@@ -168,7 +110,7 @@ func (g *goroutineCheck) analyze(body *ast.BlockStmt) goroutineVerdict {
 					v.cancellable = true
 				}
 			case *ast.RangeStmt:
-				if t, ok := g.pkg.Info.Types[n.X]; ok {
+				if t, ok := info.Types[n.X]; ok {
 					if _, isChan := t.Type.Underlying().(*types.Chan); isChan {
 						v.cancellable = true
 					}
@@ -178,7 +120,7 @@ func (g *goroutineCheck) analyze(body *ast.BlockStmt) goroutineVerdict {
 					v.cancellable = true
 				}
 			case *ast.CallExpr:
-				if desc, ok := g.joinMarkerCall(n); ok {
+				if desc, ok := joinMarkerCall(info, n); ok {
 					v.hasMarker = true
 					if v.markerDesc == "" {
 						v.markerDesc = desc
@@ -200,145 +142,44 @@ func (g *goroutineCheck) analyze(body *ast.BlockStmt) goroutineVerdict {
 	}
 
 	// Pass 2: the marker is non-deferred — flow-check that every exit path
-	// reaches one before returning.
-	marked, term := g.flow(body.List, false, &v)
-	if !term && !marked {
-		// Falling off the closing brace is an exit path too.
-		v.unmarkedExits = append(v.unmarkedExits, body.Rbrace)
+	// reaches one before returning. The state is "a marker has executed on
+	// this path"; paths join by AND, and a send counts as a mark.
+	f := flow[bool]{
+		info: info,
+		join: func(a, b bool) bool { return a && b },
+		step: func(n ast.Node, marked bool) bool {
+			switch n := n.(type) {
+			case *ast.SendStmt:
+				return true
+			case *ast.CallExpr:
+				if _, isMarker := joinMarkerCall(info, n); isMarker {
+					return true
+				}
+			}
+			return marked
+		},
+		exit: func(marked bool, pos token.Pos) {
+			if !marked {
+				v.unmarkedExits = append(v.unmarkedExits, pos)
+			}
+		},
 	}
-	v.allPathsMarked = (term || marked) && len(v.unmarkedExits) == 0
+	f.run(body, false)
+	v.allPathsMarked = len(v.unmarkedExits) == 0
 	return v
 }
 
 // joinMarkerCall reports whether call is a join marker: WaitGroup.Done or
 // close(ch).
-func (g *goroutineCheck) joinMarkerCall(call *ast.CallExpr) (string, bool) {
-	if pkgPath, typeName, method, ok := methodOn(g.pkg.Info, call); ok {
+func joinMarkerCall(info *types.Info, call *ast.CallExpr) (string, bool) {
+	if pkgPath, typeName, method, ok := methodOn(info, call); ok {
 		if pkgPath == "sync" && typeName == "WaitGroup" && method == "Done" {
 			return "WaitGroup.Done", true
 		}
 		return "", false
 	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "close" {
-		if _, isBuiltin := g.pkg.Info.Uses[id].(*types.Builtin); isBuiltin {
-			return "close(done channel)", true
-		}
+	if isBuiltinCall(info, call, "close") {
+		return "close(done channel)", true
 	}
 	return "", false
-}
-
-// flow walks a statement list tracking whether a join marker has executed
-// on the current path. It returns (markedAtEnd, terminated). A return
-// reached with marked==false is recorded as an unmarked exit.
-func (g *goroutineCheck) flow(list []ast.Stmt, marked bool, v *goroutineVerdict) (bool, bool) {
-	for _, s := range list {
-		var term bool
-		marked, term = g.flowStmt(s, marked, v)
-		if term {
-			return marked, true
-		}
-	}
-	// Falling off the end of the body is an exit too, but only the top-level
-	// caller treats it as one; analyze() checks len(unmarkedExits) after.
-	return marked, false
-}
-
-func (g *goroutineCheck) flowStmt(s ast.Stmt, marked bool, v *goroutineVerdict) (bool, bool) {
-	switch s := s.(type) {
-	case *ast.ReturnStmt:
-		if !marked {
-			v.unmarkedExits = append(v.unmarkedExits, s.Pos())
-		}
-		return marked, true
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if _, isMarker := g.joinMarkerCall(call); isMarker {
-				return true, false
-			}
-			if isPanicStmt(g.pkg.Info, s) {
-				return marked, true
-			}
-		}
-		return marked, false
-	case *ast.SendStmt:
-		return true, false
-	case *ast.BlockStmt:
-		return g.flow(s.List, marked, v)
-	case *ast.IfStmt:
-		thenM, thenT := g.flow(s.Body.List, marked, v)
-		elseM, elseT := marked, false
-		if s.Else != nil {
-			elseM, elseT = g.flowStmt(s.Else, marked, v)
-		}
-		switch {
-		case thenT && elseT:
-			return marked, true
-		case thenT:
-			return elseM, false
-		case elseT:
-			return thenM, false
-		default:
-			return thenM && elseM, false
-		}
-	case *ast.ForStmt:
-		bodyM, _ := g.flow(s.Body.List, marked, v)
-		// Loop may run zero times: marked only if it was already.
-		return marked && bodyM, false
-	case *ast.RangeStmt:
-		bodyM, _ := g.flow(s.Body.List, marked, v)
-		return marked && bodyM, false
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		var clauses []ast.Stmt
-		switch sw := s.(type) {
-		case *ast.SwitchStmt:
-			clauses = sw.Body.List
-		case *ast.TypeSwitchStmt:
-			clauses = sw.Body.List
-		case *ast.SelectStmt:
-			clauses = sw.Body.List
-		}
-		allM, allT := true, len(clauses) > 0
-		for _, c := range clauses {
-			var body []ast.Stmt
-			switch cc := c.(type) {
-			case *ast.CaseClause:
-				body = cc.Body
-			case *ast.CommClause:
-				body = cc.Body
-			}
-			cm, ct := g.flow(body, marked, v)
-			if !ct {
-				allT = false
-				allM = allM && cm
-			}
-		}
-		if allT {
-			return marked, true
-		}
-		return marked || (allM && isExhaustiveSwitch(s)), false
-	case *ast.LabeledStmt:
-		return g.flowStmt(s.Stmt, marked, v)
-	default:
-		return marked, false
-	}
-}
-
-// isExhaustiveSwitch reports whether every execution takes some clause: a
-// switch with a default, or a select (which always takes a case).
-func isExhaustiveSwitch(s ast.Stmt) bool {
-	var clauses []ast.Stmt
-	switch sw := s.(type) {
-	case *ast.SelectStmt:
-		return true
-	case *ast.SwitchStmt:
-		clauses = sw.Body.List
-	case *ast.TypeSwitchStmt:
-		clauses = sw.Body.List
-	}
-	for _, c := range clauses {
-		if cc, ok := c.(*ast.CaseClause); ok && cc.List == nil {
-			return true
-		}
-	}
-	return false
 }

@@ -1,13 +1,12 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 	"regexp"
 )
 
-// CheckGuardedBy enforces "guarded by <mu>" field annotations: a struct
+// runGuardedBy enforces "guarded by <mu>" field annotations: a struct
 // field whose declaration comment names a sibling mutex may only be accessed
 // (read or written through a selector) by functions that lock that mutex.
 //
@@ -18,76 +17,60 @@ import (
 // "Locked", the repository's convention for helpers whose callers hold the
 // lock. Composite-literal initialization (construction before the value
 // escapes) is deliberately not counted as an access.
-func CheckGuardedBy(m *Module, target func(*Package) bool) []Finding {
-	guards := collectGuards(m)
-	if len(guards) == 0 {
-		return nil
-	}
-	var fs []Finding
-	for _, pkg := range m.Pkgs {
-		if !target(pkg) {
-			continue
+func runGuardedBy(p *pass) {
+	guards := collectGuards(p.Module)
+	p.funcs(func(pkg *Package, fd *ast.FuncDecl) {
+		type access struct {
+			field *types.Var
+			pos   ast.Node
 		}
-		eachFunc(pkg, func(_ *ast.File, fd *ast.FuncDecl) {
-			type access struct {
-				field *types.Var
-				pos   ast.Node
-			}
-			var accesses []access
-			locked := map[*types.Var]bool{}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				s, ok := pkg.Info.Selections[sel]
-				if !ok {
-					return true
-				}
-				if s.Kind() == types.FieldVal {
-					if v, isVar := s.Obj().(*types.Var); isVar {
-						if _, guarded := guards[v]; guarded {
-							accesses = append(accesses, access{v, sel})
-						}
-					}
-				}
-				if s.Kind() == types.MethodVal && isLockName(sel.Sel.Name) {
-					// x.mu.Lock(): resolve x.mu to a field var if possible.
-					if inner, isSel := ast.Unparen(sel.X).(*ast.SelectorExpr); isSel {
-						if is, found := pkg.Info.Selections[inner]; found && is.Kind() == types.FieldVal {
-							if v, isVar := is.Obj().(*types.Var); isVar {
-								locked[v] = true
-							}
-						}
-					}
-				}
+		var accesses []access
+		locked := map[*types.Var]bool{}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
 				return true
-			})
-			if len(accesses) == 0 {
-				return
 			}
-			if len(fd.Name.Name) > 6 && fd.Name.Name[len(fd.Name.Name)-6:] == "Locked" {
-				return
+			s, ok := pkg.Info.Selections[sel]
+			if !ok {
+				return true
 			}
-			reported := map[*types.Var]bool{}
-			for _, a := range accesses {
-				g := guards[a.field]
-				if locked[g.mu] || reported[a.field] {
-					continue
+			if s.Kind() == types.FieldVal {
+				if v, isVar := s.Obj().(*types.Var); isVar {
+					if _, guarded := guards[v]; guarded {
+						accesses = append(accesses, access{v, sel})
+					}
 				}
-				reported[a.field] = true
-				file, line := m.Rel(a.pos.Pos())
-				fs = append(fs, Finding{
-					File: file, Line: line,
-					Checker: "guarded-by",
-					Message: fmt.Sprintf("%s accesses %s (guarded by %s) without locking %s (lock it, or suffix the function name with Locked if callers hold it)",
-						fd.Name.Name, a.field.Name(), g.muName, g.muName),
-				})
 			}
+			if s.Kind() == types.MethodVal && isLockName(sel.Sel.Name) {
+				// x.mu.Lock(): resolve x.mu to a field var if possible.
+				if inner, isSel := ast.Unparen(sel.X).(*ast.SelectorExpr); isSel {
+					if is, found := pkg.Info.Selections[inner]; found && is.Kind() == types.FieldVal {
+						if v, isVar := is.Obj().(*types.Var); isVar {
+							locked[v] = true
+						}
+					}
+				}
+			}
+			return true
 		})
-	}
-	sortFindings(fs)
-	return fs
+		if len(accesses) == 0 {
+			return
+		}
+		if len(fd.Name.Name) > 6 && fd.Name.Name[len(fd.Name.Name)-6:] == "Locked" {
+			return
+		}
+		reported := map[*types.Var]bool{}
+		for _, a := range accesses {
+			g := guards[a.field]
+			if locked[g.mu] || reported[a.field] {
+				continue
+			}
+			reported[a.field] = true
+			p.report(a.pos.Pos(), "%s accesses %s (guarded by %s) without locking %s (lock it, or suffix the function name with Locked if callers hold it)",
+				fd.Name.Name, a.field.Name(), g.muName, g.muName)
+		}
+	})
 }
 
 func isLockName(name string) bool { return name == "Lock" || name == "RLock" }

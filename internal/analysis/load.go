@@ -25,6 +25,12 @@
 //   - wire-symmetry: every wire enum value is dense, stringered, validated,
 //     and has matching encode/decode arms (wiresym.go).
 //
+// Run walks the checkers table (analysis.go). The four checkers that reason
+// about order — persist-order, lock-order, goroutine-lifecycle,
+// channel-discipline — are a state type, a join and a transfer function over
+// the one flow engine in flow.go; their per-function summaries, and
+// errcheck-devices', come from the one summarize helper.
+//
 // Annotations are doc-comment directives: //dstore:volatile,
 // //dstore:invariant, //dstore:wallclock. See DESIGN.md "Static invariants".
 package analysis
@@ -59,8 +65,7 @@ type Module struct {
 	Fset    *token.FileSet
 	Pkgs    []*Package // dependency order (imports first)
 	byPath  map[string]*Package
-
-	funcDecls map[*types.Func]*ast.FuncDecl // lazy; see FuncDecls
+	files   map[*token.File]*ast.File // every parsed file, for //nolint lookup by position
 }
 
 // Lookup returns the package with the given import path, or nil.
@@ -127,6 +132,7 @@ func Load(root string, extraDirs ...string) (*Module, error) {
 		Path:    modPath,
 		Fset:    token.NewFileSet(),
 		byPath:  map[string]*Package{},
+		files:   map[*token.File]*ast.File{},
 	}
 
 	var dirs []string
@@ -180,6 +186,7 @@ func Load(root string, extraDirs ...string) (*Module, error) {
 				return nil, err
 			}
 			files = append(files, f)
+			m.files[m.Fset.File(f.Pos())] = f
 		}
 		if len(files) == 0 {
 			continue

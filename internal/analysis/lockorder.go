@@ -1,15 +1,15 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// CheckLockOrder enforces two lock-discipline invariants over the module's
+// runLockOrder enforces two lock-discipline invariants over the module's
 // sync.Mutex / sync.RWMutex usage (DESIGN.md §11):
 //
 //  1. Acquisition order: acquiring lock B while holding lock A records the
@@ -40,23 +40,12 @@ import (
 // A same-line //nolint:lock-order comment suppresses a finding; every such
 // escape is expected to justify itself in a comment (e.g. a write mutex
 // whose whole purpose is serializing net.Conn writes under a deadline).
-func CheckLockOrder(m *Module, target func(*Package) bool) []Finding {
-	sums := buildLockSummaries(m)
-	c := &lockChecker{m: m, sums: sums, edges: map[lockEdge]edgeSite{}}
-	for _, pkg := range m.Pkgs {
-		if !target(pkg) {
-			continue
-		}
-		eachFunc(pkg, func(file *ast.File, fd *ast.FuncDecl) {
-			nolint := nolintLines(m.Fset, file, "lock-order")
-			w := &lockWalker{c: c, pkg: pkg, nolint: nolint}
-			w.walkFuncBody(fd.Body, nil)
-			c.findings = append(c.findings, w.findings...)
-		})
-	}
-	c.findings = append(c.findings, c.cycleFindings()...)
-	sortFindings(c.findings)
-	return c.findings
+func runLockOrder(p *pass) {
+	c := &lockChecker{pass: p, sums: lockSummaries(p.Module), edges: map[lockEdge]edgeSite{}}
+	p.funcs(func(pkg *Package, fd *ast.FuncDecl) {
+		(&lockWalker{c: c, info: pkg.Info}).walk(fd.Body)
+	})
+	c.reportCycles()
 }
 
 // lockRef is one resolved mutex: a struct field (shared graph node) or a
@@ -72,17 +61,15 @@ type lockRef struct {
 type lockEdge struct{ from, to *types.Var }
 
 type edgeSite struct {
-	file     string
-	line     int
+	pos      token.Pos
 	fromName string
 	toName   string
 }
 
 type lockChecker struct {
-	m        *Module
-	sums     map[*types.Func]*lockSummary
-	edges    map[lockEdge]edgeSite
-	findings []Finding
+	pass  *pass
+	sums  map[*types.Func]*lockSummary
+	edges map[lockEdge]edgeSite
 }
 
 // recordEdge notes "to acquired while from held" the first time it is seen.
@@ -91,16 +78,14 @@ func (c *lockChecker) recordEdge(from, to *lockRef, pos token.Pos) {
 		return
 	}
 	key := lockEdge{from.v, to.v}
-	if _, seen := c.edges[key]; seen {
-		return
+	if _, seen := c.edges[key]; !seen {
+		c.edges[key] = edgeSite{pos: pos, fromName: from.name, toName: to.name}
 	}
-	file, line := c.m.Rel(pos)
-	c.edges[key] = edgeSite{file: file, line: line, fromName: from.name, toName: to.name}
 }
 
-// cycleFindings reports every recorded edge that lies on an acquisition
+// reportCycles reports every recorded edge that lies on an acquisition
 // cycle, using Tarjan's strongly connected components over the edge graph.
-func (c *lockChecker) cycleFindings() []Finding {
+func (c *lockChecker) reportCycles() {
 	adj := map[*types.Var][]*types.Var{}
 	for e := range c.edges {
 		adj[e.from] = append(adj[e.from], e.to)
@@ -157,45 +142,21 @@ func (c *lockChecker) cycleFindings() []Finding {
 		}
 	}
 
-	// Size of each component, and its member names for the message.
-	size := map[int]int{}
+	// Each component's member names, for the message.
 	members := map[int][]string{}
-	names := map[*types.Var]string{}
 	for e, site := range c.edges {
-		names[e.from] = site.fromName
-		names[e.to] = site.toName
+		members[comp[e.from]] = append(members[comp[e.from]], site.fromName)
+		members[comp[e.to]] = append(members[comp[e.to]], site.toName)
 	}
-	for v, comp := range comp {
-		size[comp]++
-		if n := names[v]; n != "" {
-			members[comp] = append(members[comp], n)
-		}
-	}
-	var fs []Finding
 	for e, site := range c.edges {
-		if comp[e.from] != comp[e.to] || size[comp[e.from]] < 2 {
+		if comp[e.from] != comp[e.to] {
 			continue
 		}
-		cycle := append([]string(nil), members[comp[e.from]]...)
-		sort.Strings(cycle)
-		fs = append(fs, Finding{
-			File: site.file, Line: site.line,
-			Checker: "lock-order",
-			Message: fmt.Sprintf("acquiring %s while holding %s is part of a lock-order cycle {%s}; pick one acquisition order (potential deadlock)",
-				site.toName, site.fromName, strings.Join(dedupStrings(cycle), ", ")),
-		})
+		cycle := slices.Clone(members[comp[e.from]])
+		slices.Sort(cycle)
+		c.pass.report(site.pos, "acquiring %s while holding %s is part of a lock-order cycle {%s}; pick one acquisition order (potential deadlock)",
+			site.toName, site.fromName, strings.Join(slices.Compact(cycle), ", "))
 	}
-	return fs
-}
-
-func dedupStrings(sorted []string) []string {
-	out := sorted[:0]
-	for i, s := range sorted {
-		if i == 0 || s != sorted[i-1] {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // ------------------------------------------------------------- summaries
@@ -205,42 +166,30 @@ func dedupStrings(sorted []string) []string {
 type lockSummary struct {
 	acquires map[*types.Var]*lockRef
 	callees  []*types.Func
-	blocks   bool // performs a direct blocking operation
 }
 
-func buildLockSummaries(m *Module) map[*types.Func]*lockSummary {
-	sums := map[*types.Func]*lockSummary{}
-	for _, pkg := range m.Pkgs {
-		eachFunc(pkg, func(_ *ast.File, fd *ast.FuncDecl) {
-			obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				return
+func lockSummaries(m *Module) map[*types.Func]*lockSummary {
+	sums := summarize(m, func(pkg *Package, fd *ast.FuncDecl) *lockSummary {
+		s := &lockSummary{acquires: map[*types.Var]*lockRef{}}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if _, isGo := n.(*ast.GoStmt); isGo {
+				return false // a spawned goroutine's locks are its own
 			}
-			s := &lockSummary{acquires: map[*types.Var]*lockRef{}}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if _, isGo := n.(*ast.GoStmt); isGo {
-					return false // a spawned goroutine's locks are its own
-				}
-				call, isCall := n.(*ast.CallExpr)
-				if !isCall {
-					return true
-				}
-				if recv, method, ok := mutexMethod(pkg.Info, call); ok {
-					if method == "Lock" || method == "RLock" || method == "TryLock" || method == "TryRLock" {
-						if ref := resolveLock(pkg.Info, recv); ref != nil && ref.field {
-							s.acquires[ref.v] = ref
-						}
-					}
-					return true
-				}
-				if callee := calleeFunc(pkg.Info, call); callee != nil && m.PackageOf(callee) != nil {
-					s.callees = append(s.callees, callee)
-				}
+			call, isCall := n.(*ast.CallExpr)
+			if !isCall {
 				return true
-			})
-			sums[obj] = s
+			}
+			if recv, acquire, ok := mutexMethod(pkg.Info, call); ok {
+				if ref := resolveLock(pkg.Info, recv); acquire && ref != nil && ref.field {
+					s.acquires[ref.v] = ref
+				}
+			} else if callee := calleeFunc(pkg.Info, call); callee != nil && m.PackageOf(callee) != nil {
+				s.callees = append(s.callees, callee)
+			}
+			return true
 		})
-	}
+		return s
+	})
 	// Transitive closure: a caller may acquire whatever its callees acquire.
 	for changed := true; changed; {
 		changed = false
@@ -264,126 +213,90 @@ func buildLockSummaries(m *Module) map[*types.Func]*lockSummary {
 
 // ---------------------------------------------------------------- walker
 
-// heldLock is one entry of the walker's held-set.
-type heldLock struct {
-	ref *lockRef
-}
-
+// lockWalker is lock-order's transfer function over flow[[]*lockRef]: the
+// state is the set of locks held on the path, in acquisition order, and the
+// join is their union (a lock held on either branch is conservatively held
+// after it).
 type lockWalker struct {
-	c        *lockChecker
-	pkg      *Package
-	nolint   map[int]bool
-	findings []Finding
+	c    *lockChecker
+	info *types.Info
 }
 
-func (w *lockWalker) report(pos token.Pos, format string, args ...any) {
-	file, line := w.c.m.Rel(pos)
-	if w.nolint[line] {
+// walk runs one function body — or one function literal: a goroutine or
+// stored callback starts without its creator's locks — from the empty set.
+func (w *lockWalker) walk(body *ast.BlockStmt) {
+	f := flow[[]*lockRef]{
+		info: w.info, join: joinHeld, step: w.step,
+		lit: func(l *ast.FuncLit) { w.walk(l.Body) },
+		parks: func(s ast.Stmt, held []*lockRef) {
+			if sel, ok := s.(*ast.SelectStmt); ok {
+				w.blockOp(held, sel.Select, "select without default")
+			} else {
+				w.blockOp(held, s.Pos(), "range over channel")
+			}
+		},
+		// The select-level check accounts for the comm ops: under a default
+		// they do not block, without one the select as a whole does.
+		comm: func(_ *ast.CommClause, held []*lockRef) []*lockRef { return held },
+	}
+	f.run(body, nil)
+}
+
+// blockOp reports a blocking operation reached with locks held.
+func (w *lockWalker) blockOp(held []*lockRef, pos token.Pos, what string) {
+	if len(held) == 0 {
 		return
 	}
-	w.findings = append(w.findings, Finding{
-		File: file, Line: line,
-		Checker: "lock-order",
-		Message: fmt.Sprintf(format, args...),
-	})
-}
-
-func heldNames(held []heldLock) string {
 	names := make([]string, len(held))
 	for i, h := range held {
-		names[i] = h.ref.name
+		names[i] = h.name
 	}
-	return strings.Join(names, ", ")
+	w.c.pass.report(pos, "%s while holding %s (lock held across blocking operation)", what, strings.Join(names, ", "))
 }
 
-// walkFuncBody walks one function (or goroutine/callback literal) body.
-// Nested function literals are walked as their own lock-free flows: a
-// goroutine or stored callback starts without its creator's locks.
-func (w *lockWalker) walkFuncBody(body *ast.BlockStmt, held []heldLock) {
-	w.block(body, held)
+// step folds one send, receive or call into the held set, recording
+// acquisition edges and reporting blocking operations.
+func (w *lockWalker) step(n ast.Node, held []*lockRef) []*lockRef {
+	switch n := n.(type) {
+	case *ast.SendStmt:
+		w.blockOp(held, n.Arrow, "channel send")
+	case *ast.UnaryExpr:
+		if n.Op == token.ARROW {
+			w.blockOp(held, n.Pos(), "channel receive")
+		}
+	case *ast.CallExpr:
+		if recv, acquire, ok := mutexMethod(w.info, n); ok {
+			ref := resolveLock(w.info, recv)
+			switch {
+			case ref == nil:
+			case acquire:
+				return w.acquire(held, ref, n.Pos())
+			default:
+				return slices.DeleteFunc(slices.Clone(held), func(h *lockRef) bool { return h.v == ref.v })
+			}
+		} else if what, blocking := blockingCall(w.info, n); blocking {
+			w.blockOp(held, n.Pos(), what)
+		} else if s := w.c.sums[calleeFunc(w.info, n)]; s != nil && len(held) > 0 {
+			for _, ref := range sortedAcquires(s.acquires) {
+				for _, h := range held {
+					w.c.recordEdge(h, ref, n.Pos())
+				}
+			}
+		}
+	}
+	return held
 }
 
 // acquire folds one Lock/RLock into the held set, recording edges and the
 // non-reentrancy self check.
-func (w *lockWalker) acquire(held []heldLock, ref *lockRef, pos token.Pos) []heldLock {
+func (w *lockWalker) acquire(held []*lockRef, ref *lockRef, pos token.Pos) []*lockRef {
 	for _, h := range held {
-		if h.ref.v == ref.v {
-			if !ref.arrayed {
-				w.report(pos, "%s acquired while already held on this path (Go mutexes are not reentrant: self-deadlock)", ref.name)
-			}
-			continue
+		if h.v == ref.v && !ref.arrayed {
+			w.c.pass.report(pos, "%s acquired while already held on this path (Go mutexes are not reentrant: self-deadlock)", ref.name)
 		}
-		w.c.recordEdge(h.ref, ref, pos)
+		w.c.recordEdge(h, ref, pos)
 	}
-	return append(append([]heldLock(nil), held...), heldLock{ref: ref})
-}
-
-func releaseLock(held []heldLock, v *types.Var) []heldLock {
-	out := held[:0:len(held)]
-	for _, h := range held {
-		if h.ref.v != v {
-			out = append(out, h)
-		}
-	}
-	return out
-}
-
-// blockOp reports a blocking operation reached with locks held.
-func (w *lockWalker) blockOp(held []heldLock, pos token.Pos, what string) {
-	if len(held) == 0 {
-		return
-	}
-	w.report(pos, "%s while holding %s (lock held across blocking operation)", what, heldNames(held))
-}
-
-// expr folds every call and receive inside e into the held set, in
-// traversal order, reporting blocking operations.
-func (w *lockWalker) expr(e ast.Node, held []heldLock) []heldLock {
-	if e == nil {
-		return held
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			w.walkFuncBody(n.Body, nil)
-			return false
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				w.blockOp(held, n.Pos(), "channel receive")
-			}
-		case *ast.CallExpr:
-			if recv, method, ok := mutexMethod(w.pkg.Info, n); ok {
-				ref := resolveLock(w.pkg.Info, recv)
-				if ref == nil {
-					return true
-				}
-				switch method {
-				case "Lock", "RLock", "TryLock", "TryRLock":
-					held = w.acquire(held, ref, n.Pos())
-				case "Unlock", "RUnlock":
-					held = releaseLock(held, ref.v)
-				}
-				return true
-			}
-			if what, blocking := blockingCall(w.pkg.Info, n); blocking {
-				w.blockOp(held, n.Pos(), what)
-				return true
-			}
-			if callee := calleeFunc(w.pkg.Info, n); callee != nil {
-				if s, ok := w.c.sums[callee]; ok {
-					for _, ref := range sortedAcquires(s.acquires) {
-						for _, h := range held {
-							if h.ref.v != ref.v {
-								w.c.recordEdge(h.ref, ref, n.Pos())
-							}
-						}
-					}
-				}
-			}
-		}
-		return true
-	})
-	return held
+	return append(slices.Clone(held), ref)
 }
 
 // sortedAcquires returns the refs in deterministic (declaration) order.
@@ -396,233 +309,34 @@ func sortedAcquires(m map[*types.Var]*lockRef) []*lockRef {
 	return refs
 }
 
-// joinHeld unions two branch outcomes: a lock held on either side is
-// conservatively held after the join.
-func joinHeld(a, b []heldLock) []heldLock {
-	out := append([]heldLock(nil), a...)
+// joinHeld unions two branch outcomes.
+func joinHeld(a, b []*lockRef) []*lockRef {
+	out := slices.Clone(a)
 	for _, h := range b {
-		found := false
-		for _, g := range out {
-			if g.ref.v == h.ref.v {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.ContainsFunc(a, func(g *lockRef) bool { return g.v == h.v }) {
 			out = append(out, h)
 		}
 	}
 	return out
 }
 
-// block walks a statement list; terminated reports that every path through
-// it ended in a return or panic.
-func (w *lockWalker) block(b *ast.BlockStmt, held []heldLock) ([]heldLock, bool) {
-	return w.stmtList(b.List, held)
-}
-
-func (w *lockWalker) stmtList(list []ast.Stmt, held []heldLock) ([]heldLock, bool) {
-	for _, s := range list {
-		var term bool
-		held, term = w.stmt(s, held)
-		if term {
-			return held, true
-		}
-	}
-	return held, false
-}
-
-func (w *lockWalker) stmt(s ast.Stmt, held []heldLock) ([]heldLock, bool) {
-	switch s := s.(type) {
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			held = w.expr(r, held)
-		}
-		return nil, true
-	case *ast.SendStmt:
-		held = w.expr(s.Chan, held)
-		held = w.expr(s.Value, held)
-		w.blockOp(held, s.Arrow, "channel send")
-		return held, false
-	case *ast.DeferStmt:
-		// A deferred Unlock keeps the lock held to the end of the function —
-		// model exactly that by not releasing. Other deferred calls (and
-		// deferred closures) run after every path; walk closure bodies as
-		// lock-free flows of their own.
-		if recv, method, ok := mutexMethod(w.pkg.Info, s.Call); ok {
-			_ = recv
-			_ = method
-			return held, false
-		}
-		if lit, isLit := s.Call.Fun.(*ast.FuncLit); isLit {
-			w.walkFuncBody(lit.Body, nil)
-			return held, false
-		}
-		for _, a := range s.Call.Args {
-			held = w.expr(a, held)
-		}
-		return held, false
-	case *ast.GoStmt:
-		// The spawned goroutine starts lock-free; its body is analyzed on
-		// its own. Arguments evaluate on this path.
-		if lit, isLit := s.Call.Fun.(*ast.FuncLit); isLit {
-			w.walkFuncBody(lit.Body, nil)
-		}
-		for _, a := range s.Call.Args {
-			held = w.expr(a, held)
-		}
-		return held, false
-	case *ast.ExprStmt:
-		if isPanicStmt(w.pkg.Info, s) {
-			return nil, true
-		}
-		return w.expr(s.X, held), false
-	case *ast.BlockStmt:
-		return w.block(s, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			held, _ = w.stmt(s.Init, held)
-		}
-		held = w.expr(s.Cond, held)
-		thenOut, thenTerm := w.block(s.Body, held)
-		elseOut, elseTerm := held, false
-		if s.Else != nil {
-			elseOut, elseTerm = w.stmt(s.Else, held)
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return nil, true
-		case thenTerm:
-			return elseOut, false
-		case elseTerm:
-			return thenOut, false
-		default:
-			return joinHeld(thenOut, elseOut), false
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			held, _ = w.stmt(s.Init, held)
-		}
-		held = w.expr(s.Cond, held)
-		bodyOut, _ := w.block(s.Body, held)
-		if s.Post != nil {
-			bodyOut, _ = w.stmt(s.Post, bodyOut)
-		}
-		return joinHeld(held, bodyOut), false
-	case *ast.RangeStmt:
-		held = w.expr(s.X, held)
-		if t, ok := w.pkg.Info.Types[s.X]; ok {
-			if _, isChan := t.Type.Underlying().(*types.Chan); isChan {
-				w.blockOp(held, s.For, "range over channel")
-			}
-		}
-		bodyOut, _ := w.block(s.Body, held)
-		return joinHeld(held, bodyOut), false
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			held, _ = w.stmt(s.Init, held)
-		}
-		held = w.expr(s.Tag, held)
-		return w.caseClauses(s.Body, held)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			held, _ = w.stmt(s.Init, held)
-		}
-		held = w.expr(s.Assign, held)
-		return w.caseClauses(s.Body, held)
-	case *ast.SelectStmt:
-		hasDefault := false
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if !hasDefault {
-			w.blockOp(held, s.Select, "select without default")
-		}
-		out := []heldLock(nil)
-		first := true
-		allTerm := len(s.Body.List) > 0
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CommClause)
-			cst := append([]heldLock(nil), held...)
-			// The comm op itself was accounted by the select-level check;
-			// walk only the clause bodies.
-			cst, term := w.stmtList(cc.Body, cst)
-			if !term {
-				if first {
-					out, first = cst, false
-				} else {
-					out = joinHeld(out, cst)
-				}
-				allTerm = false
-			}
-		}
-		if first {
-			out = held
-		}
-		return out, allTerm
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, held)
-	case *ast.BranchStmt:
-		return held, false
-	default:
-		return w.expr(s, held), false
-	}
-}
-
-// caseClauses joins the bodies of a switch; without a default the zero-case
-// skip path joins too.
-func (w *lockWalker) caseClauses(body *ast.BlockStmt, held []heldLock) ([]heldLock, bool) {
-	out := []heldLock(nil)
-	first := true
-	hasDefault := false
-	allTerm := len(body.List) > 0
-	for _, c := range body.List {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		if cc.List == nil {
-			hasDefault = true
-		}
-		cst := append([]heldLock(nil), held...)
-		for _, e := range cc.List {
-			cst = w.expr(e, cst)
-		}
-		cst, term := w.stmtList(cc.Body, cst)
-		if !term {
-			if first {
-				out, first = cst, false
-			} else {
-				out = joinHeld(out, cst)
-			}
-			allTerm = false
-		}
-	}
-	if !hasDefault || first {
-		out = joinHeld(out, held)
-		allTerm = false
-	}
-	return out, allTerm
-}
-
 // ------------------------------------------------------------ resolution
 
-// mutexMethod reports whether call invokes a sync.Mutex / sync.RWMutex
-// method, returning the receiver expression and method name.
-func mutexMethod(info *types.Info, call *ast.CallExpr) (recv ast.Expr, method string, ok bool) {
+// mutexMethod reports whether call invokes a locking method of sync.Mutex /
+// sync.RWMutex, returning the receiver expression and whether the method
+// acquires (Lock, RLock, TryLock, TryRLock) or releases (Unlock, RUnlock).
+func mutexMethod(info *types.Info, call *ast.CallExpr) (recv ast.Expr, acquire, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
-		return nil, "", false
+		return nil, false, false
 	}
 	s, found := info.Selections[sel]
 	if !found || s.Kind() != types.MethodVal {
-		return nil, "", false
+		return nil, false, false
 	}
 	fn, isFn := s.Obj().(*types.Func)
 	if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return nil, "", false
+		return nil, false, false
 	}
 	recvT := s.Recv()
 	if p, isPtr := recvT.(*types.Pointer); isPtr {
@@ -630,22 +344,25 @@ func mutexMethod(info *types.Info, call *ast.CallExpr) (recv ast.Expr, method st
 	}
 	named, isNamed := recvT.(*types.Named)
 	if !isNamed {
-		return nil, "", false
+		return nil, false, false
 	}
 	if n := named.Obj().Name(); n != "Mutex" && n != "RWMutex" {
-		return nil, "", false
+		return nil, false, false
 	}
 	switch fn.Name() {
-	case "Lock", "RLock", "TryLock", "TryRLock", "Unlock", "RUnlock":
-		return sel.X, fn.Name(), true
+	case "Lock", "RLock", "TryLock", "TryRLock":
+		return sel.X, true, true
+	case "Unlock", "RUnlock":
+		return sel.X, false, true
 	}
-	return nil, "", false
+	return nil, false, false
 }
 
 // resolveLock resolves a mutex receiver expression to its identity, or nil
 // for mutexes reached through calls, maps, or other opaque paths.
 func resolveLock(info *types.Info, e ast.Expr) *lockRef {
 	arrayed := false
+peel:
 	for {
 		switch x := ast.Unparen(e).(type) {
 		case *ast.UnaryExpr:
@@ -659,10 +376,9 @@ func resolveLock(info *types.Info, e ast.Expr) *lockRef {
 			arrayed = true
 			e = x.X
 		default:
-			goto resolved
+			break peel
 		}
 	}
-resolved:
 	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		if v, ok := info.Uses[x].(*types.Var); ok {
@@ -726,22 +442,4 @@ func blockingCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// isPanicStmt reports whether s is a direct call to the predeclared panic.
-func isPanicStmt(info *types.Info, s ast.Stmt) bool {
-	es, ok := s.(*ast.ExprStmt)
-	if !ok {
-		return false
-	}
-	call, ok := es.X.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok || id.Name != "panic" {
-		return false
-	}
-	_, isBuiltin := info.Uses[id].(*types.Builtin)
-	return isBuiltin
 }

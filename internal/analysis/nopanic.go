@@ -1,49 +1,24 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
-// CheckNoPanic forbids panic in library (non-main, non-test) code. A store
+// runNoPanic forbids panic in library (non-main, non-test) code. A store
 // embedded in a server must degrade, not crash: conditions reachable from
 // corrupt media or device faults must surface as typed errors (ErrCorrupt,
 // ErrOutOfRange). The //dstore:invariant annotation marks the deliberate
 // exceptions — guards on conditions only a programming error can produce
 // (compile-time-constant indices, configuration validated at construction) —
 // and each annotated function is expected to say why in its comment.
-func CheckNoPanic(m *Module, target func(*Package) bool) []Finding {
-	var fs []Finding
-	for _, pkg := range m.Pkgs {
-		if !target(pkg) {
-			continue
+func runNoPanic(p *pass) {
+	p.funcs(func(pkg *Package, fd *ast.FuncDecl) {
+		if hasAnnotation(fd, "invariant") {
+			return
 		}
-		eachFunc(pkg, func(_ *ast.File, fd *ast.FuncDecl) {
-			if hasAnnotation(fd, "invariant") {
-				return
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && isBuiltinCall(pkg.Info, call, "panic") {
+				p.report(call.Pos(), "panic in library code (return a typed error, or annotate the function //dstore:invariant with a justification)")
 			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				id, ok := call.Fun.(*ast.Ident)
-				if !ok || id.Name != "panic" {
-					return true
-				}
-				if _, isBuiltin := pkg.Info.Uses[id].(*types.Builtin); !isBuiltin {
-					return true
-				}
-				file, line := m.Rel(call.Pos())
-				fs = append(fs, Finding{
-					File: file, Line: line,
-					Checker: "no-panic-in-library",
-					Message: "panic in library code (return a typed error, or annotate the function //dstore:invariant with a justification)",
-				})
-				return true
-			})
+			return true
 		})
-	}
-	sortFindings(fs)
-	return fs
+	})
 }

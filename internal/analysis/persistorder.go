@@ -1,13 +1,12 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 )
 
-// CheckPersistOrder enforces the x86 PMEM persistence-ordering contract
+// runPersistOrder enforces the x86 PMEM persistence-ordering contract
 // (paper §3.4): every durable write — a write primitive on a concrete
 // *pmem.Device or *space.PMEM — must be flushed (clwb) and fenced (sfence)
 // on every return path, and in particular before any WAL commit/abort or
@@ -29,27 +28,24 @@ import (
 //
 // Functions annotated //dstore:volatile opt out (their writes are volatile
 // by design; recovery tolerates their loss).
-func CheckPersistOrder(m *Module, target func(*Package) bool) []Finding {
-	summaries := buildSummaries(m)
-	var fs []Finding
-	for _, pkg := range m.Pkgs {
-		if !target(pkg) {
-			continue
+func runPersistOrder(p *pass) {
+	// Direct-effect summaries of every function in the module. Calls to other
+	// module functions are ignored while summarizing (summaries are one level
+	// deep); //dstore:volatile functions summarize as effect-free so callers
+	// do not inherit their intentionally-unfenced writes.
+	sums := summarize(p.Module, func(pkg *Package, fd *ast.FuncDecl) summary {
+		if hasAnnotation(fd, "volatile") {
+			return summary{endsClean: true}
 		}
-		eachFunc(pkg, func(_ *ast.File, fd *ast.FuncDecl) {
-			if hasAnnotation(fd, "volatile") {
-				return
-			}
-			w := &pwalker{m: m, pkg: pkg, summaries: summaries, check: true}
-			out, terminated := w.block(fd.Body, pstate{})
-			if !terminated {
-				w.exit(out, fd.Body.Rbrace)
-			}
-			fs = append(fs, w.findings...)
-		})
-	}
-	sortFindings(fs)
-	return fs
+		w := &pwalker{info: pkg.Info, sum: summary{endsClean: true}}
+		w.walk(fd.Body)
+		return w.sum
+	})
+	p.funcs(func(pkg *Package, fd *ast.FuncDecl) {
+		if !hasAnnotation(fd, "volatile") {
+			(&pwalker{pass: p, info: pkg.Info, summaries: sums}).walk(fd.Body)
+		}
+	})
 }
 
 // pstate is the abstract persistence state along one control-flow path.
@@ -134,104 +130,77 @@ func classifyCall(info *types.Info, call *ast.CallExpr) (event, bool) {
 	return evNone, false
 }
 
-// buildSummaries computes direct-effect summaries for every function in the
-// module. Calls to other module functions are ignored here (summaries are
-// one level deep); //dstore:volatile functions summarize as effect-free so
-// callers do not inherit their intentionally-unfenced writes.
-func buildSummaries(m *Module) map[*types.Func]summary {
-	sums := map[*types.Func]summary{}
-	for _, pkg := range m.Pkgs {
-		eachFunc(pkg, func(_ *ast.File, fd *ast.FuncDecl) {
-			obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				return
-			}
-			if hasAnnotation(fd, "volatile") {
-				sums[obj] = summary{endsClean: true}
-				return
-			}
-			w := &pwalker{m: m, pkg: pkg, summaries: nil, check: false}
-			out, terminated := w.block(fd.Body, pstate{})
-			endsClean := !w.sawDirtyExit
-			if !terminated && !out.clean() {
-				endsClean = false
-			}
-			sums[obj] = summary{
-				writes:    w.sawWrite,
-				flushes:   w.sawFlush,
-				fences:    w.sawFence,
-				endsClean: endsClean,
-			}
-		})
-	}
-	return sums
-}
-
-// pwalker walks one function body, threading pstate through the control
-// flow. In check mode it reports findings; in summarize mode it records the
-// function's direct effects.
+// pwalker is persist-order's transfer function over flow[pstate]. With a pass
+// it reports findings; without one it only records the function's direct
+// effects for its summary.
 type pwalker struct {
-	m         *Module
-	pkg       *Package
-	summaries map[*types.Func]summary // nil in summarize mode
-	check     bool
-
-	findings     []Finding
-	sawWrite     bool
-	sawFlush     bool
-	sawFence     bool
-	sawDirtyExit bool
+	pass      *pass // nil while summarizing
+	info      *types.Info
+	summaries map[*types.Func]summary // nil while summarizing
+	sum       summary                 // the walked function's own direct effects
 }
 
-func (w *pwalker) report(pos token.Pos, format string, args ...any) {
-	file, line := w.m.Rel(pos)
-	w.findings = append(w.findings, Finding{
-		File: file, Line: line,
-		Checker: "persist-order",
-		Message: fmt.Sprintf(format, args...),
-	})
+func (w *pwalker) walk(body *ast.BlockStmt) {
+	f := flow[pstate]{info: w.info, join: joinState, step: w.step, exit: w.exit}
+	f.run(body, pstate{})
 }
 
-// exit handles a return path reaching pos with state st.
+// what names an unclean state in a message.
+func (s pstate) what() string {
+	if s.dirty {
+		return "unflushed"
+	}
+	return "flushed but not fenced"
+}
+
+// exit handles a return path reaching pos with state st. (A panicking path
+// is not one: it crashes the process and recovery replays the log, so
+// unfenced state on it is not a persistence-ordering violation.)
 func (w *pwalker) exit(st pstate, pos token.Pos) {
 	if st.clean() {
 		return
 	}
-	w.sawDirtyExit = true
-	if w.check {
-		what := "unflushed"
-		if !st.dirty {
-			what = "flushed but not fenced"
-		}
-		w.report(pos, "returns with %s persistent writes (flush+fence before returning, or annotate //dstore:volatile)", what)
+	w.sum.endsClean = false
+	if w.pass != nil {
+		w.pass.report(pos, "returns with %s persistent writes (flush+fence before returning, or annotate //dstore:volatile)", st.what())
 	}
 }
 
-// apply folds one call event into the state.
-func (w *pwalker) apply(st pstate, ev event, pos token.Pos) pstate {
+// step folds one call — a persistence primitive, a commit point, or a
+// summarized module function — into the state.
+func (w *pwalker) step(n ast.Node, st pstate) pstate {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return st
+	}
+	ev, ok := classifyCall(w.info, call)
+	if !ok {
+		if callee := calleeFunc(w.info, call); callee != nil {
+			if s, ok := w.summaries[callee]; ok {
+				return applyCallee(st, s)
+			}
+		}
+		return st
+	}
 	switch ev {
 	case evWrite:
-		w.sawWrite = true
+		w.sum.writes = true
 		st.dirty = true
 	case evFlush:
-		w.sawFlush = true
+		w.sum.flushes = true
 		if st.dirty {
 			st.dirty = false
 			st.staged = true
 		}
 	case evFence:
-		w.sawFence = true
+		w.sum.fences = true
 		st.staged = false
 	case evPersist:
-		w.sawFlush, w.sawFence = true, true
+		w.sum.flushes, w.sum.fences = true, true
 		st.dirty, st.staged = false, false
 	case evCommit:
-		if w.check && !st.clean() {
-			what := "unflushed"
-			if !st.dirty {
-				what = "flushed but not fenced"
-			}
-			w.report(pos, "commit/publish reached with %s persistent writes (issue Flush+Fence or Persist first)", what)
+		if w.pass != nil && !st.clean() {
+			w.pass.report(call.Pos(), "commit/publish reached with %s persistent writes (issue Flush+Fence or Persist first)", st.what())
 			// Reset so one missing fence is reported once, not cascaded.
 			st = pstate{}
 		}
@@ -240,7 +209,7 @@ func (w *pwalker) apply(st pstate, ev event, pos token.Pos) pstate {
 }
 
 // applyCallee folds a summarized module-function call into the state.
-func (w *pwalker) applyCallee(st pstate, s summary) pstate {
+func applyCallee(st pstate, s summary) pstate {
 	if s.writes && !s.endsClean {
 		st.dirty = true
 		return st
@@ -253,207 +222,4 @@ func (w *pwalker) applyCallee(st pstate, s summary) pstate {
 		st.staged = false
 	}
 	return st
-}
-
-// expr folds the events of every call inside e (in traversal order) into st.
-func (w *pwalker) expr(e ast.Node, st pstate) pstate {
-	if e == nil {
-		return st
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, isLit := n.(*ast.FuncLit); isLit {
-			return false // deferred execution; analyzed on its own if ever called
-		}
-		call, isCall := n.(*ast.CallExpr)
-		if !isCall {
-			return true
-		}
-		if ev, ok := classifyCall(w.pkg.Info, call); ok {
-			st = w.apply(st, ev, call.Pos())
-			return true
-		}
-		if w.summaries != nil {
-			if callee := calleeFunc(w.pkg.Info, call); callee != nil {
-				if s, ok := w.summaries[callee]; ok {
-					st = w.applyCallee(st, s)
-				}
-			}
-		}
-		return true
-	})
-	return st
-}
-
-// isPanicCall reports whether s is a direct call to the predeclared panic.
-func (w *pwalker) isPanicCall(s ast.Stmt) bool {
-	es, ok := s.(*ast.ExprStmt)
-	if !ok {
-		return false
-	}
-	call, ok := es.X.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	_, isBuiltin := w.pkg.Info.Uses[id].(*types.Builtin)
-	return isBuiltin && id.Name == "panic"
-}
-
-// block walks a statement list; terminated reports that every path through
-// it ended in a return or panic.
-func (w *pwalker) block(b *ast.BlockStmt, st pstate) (pstate, bool) {
-	for _, s := range b.List {
-		var terminated bool
-		st, terminated = w.stmt(s, st)
-		if terminated {
-			return st, true
-		}
-	}
-	return st, false
-}
-
-func (w *pwalker) stmt(s ast.Stmt, st pstate) (pstate, bool) {
-	switch s := s.(type) {
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			st = w.expr(r, st)
-		}
-		w.exit(st, s.Pos())
-		return pstate{}, true
-	case *ast.ExprStmt:
-		if w.isPanicCall(s) {
-			// A panicking path crashes the process; recovery replays the log,
-			// so unfenced state on it is not a persistence-ordering violation.
-			return pstate{}, true
-		}
-		return w.expr(s.X, st), false
-	case *ast.BlockStmt:
-		return w.block(s, st)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			st, _ = w.stmt(s.Init, st)
-		}
-		st = w.expr(s.Cond, st)
-		thenOut, thenTerm := w.block(s.Body, st)
-		elseOut, elseTerm := st, false
-		if s.Else != nil {
-			elseOut, elseTerm = w.stmt(s.Else, st)
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return pstate{}, true
-		case thenTerm:
-			return elseOut, false
-		case elseTerm:
-			return thenOut, false
-		default:
-			return joinState(thenOut, elseOut), false
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			st, _ = w.stmt(s.Init, st)
-		}
-		st = w.expr(s.Cond, st)
-		bodyOut, _ := w.block(s.Body, st)
-		if s.Post != nil {
-			bodyOut, _ = w.stmt(s.Post, bodyOut)
-		}
-		// 0-or-1 iteration approximation; an infinite loop's fallthrough state
-		// is unreachable but joining it is merely conservative.
-		return joinState(st, bodyOut), false
-	case *ast.RangeStmt:
-		st = w.expr(s.X, st)
-		bodyOut, _ := w.block(s.Body, st)
-		return joinState(st, bodyOut), false
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			st, _ = w.stmt(s.Init, st)
-		}
-		st = w.expr(s.Tag, st)
-		return w.caseClauses(s.Body, st)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			st, _ = w.stmt(s.Init, st)
-		}
-		st = w.expr(s.Assign, st)
-		return w.caseClauses(s.Body, st)
-	case *ast.SelectStmt:
-		out := pstate{}
-		allTerm := len(s.Body.List) > 0
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CommClause)
-			cst := st
-			if cc.Comm != nil {
-				cst, _ = w.stmt(cc.Comm, cst)
-			}
-			var term bool
-			cst, term = w.stmtList(cc.Body, cst)
-			if !term {
-				out = joinState(out, cst)
-				allTerm = false
-			}
-		}
-		return out, allTerm
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, st)
-	case *ast.DeferStmt, *ast.GoStmt:
-		// Deferred/spawned work runs outside this path's persist ordering;
-		// its body is analyzed when its function is walked.
-		return st, false
-	case *ast.BranchStmt:
-		// break/continue/goto end this syntactic path; the state flows to the
-		// join approximated by the enclosing loop/switch handling.
-		return st, false
-	default:
-		// Assignments, declarations, sends, inc/dec: fold call events from
-		// every contained expression.
-		st = w.expr(s, st)
-		return st, false
-	}
-}
-
-func (w *pwalker) stmtList(list []ast.Stmt, st pstate) (pstate, bool) {
-	for _, s := range list {
-		var term bool
-		st, term = w.stmt(s, st)
-		if term {
-			return st, true
-		}
-	}
-	return st, false
-}
-
-// caseClauses joins the bodies of a switch; without a default the zero-case
-// skip path joins too.
-func (w *pwalker) caseClauses(body *ast.BlockStmt, st pstate) (pstate, bool) {
-	out := pstate{}
-	hasDefault := false
-	allTerm := len(body.List) > 0
-	for _, c := range body.List {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		if cc.List == nil {
-			hasDefault = true
-		}
-		cst := st
-		for _, e := range cc.List {
-			cst = w.expr(e, cst)
-		}
-		var term bool
-		cst, term = w.stmtList(cc.Body, cst)
-		if !term {
-			out = joinState(out, cst)
-			allTerm = false
-		}
-	}
-	if !hasDefault {
-		out = joinState(out, st)
-		allTerm = false
-	}
-	return out, allTerm
 }

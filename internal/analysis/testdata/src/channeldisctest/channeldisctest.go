@@ -102,3 +102,48 @@ func deferredClose() {
 func suppressed(ch chan int) {
 	close(ch) //nolint:channel-discipline // handoff protocol: caller passed ownership
 }
+
+// initCloses carries the close in a switch's init statement, which runs on
+// every path before the send.
+func initCloses(mode int) {
+	ch := make(chan int, 1)
+	switch close(ch); mode {
+	case 0:
+	}
+	ch <- 1 // want "send on ch after close"
+}
+
+// shadowedPanic calls a local function named panic: not the builtin, so the
+// closing branch falls through to the send.
+func shadowedPanic(cond bool) {
+	panic := func(string) {}
+	ch := make(chan int, 1)
+	if cond {
+		close(ch)
+		panic("golden: not the builtin")
+	}
+	ch <- 1 // want "send on ch after close"
+}
+
+// closedBranchBreaks is fine: the closing branch leaves the loop, so the
+// send below it is not reached after a close.
+func closedBranchBreaks(n int) {
+	ch := make(chan int, 1)
+	for i := 0; i < n; i++ {
+		if i == 3 {
+			close(ch)
+			break
+		}
+		ch <- 1
+	}
+}
+
+// storedClosure: a function literal is a path of its own wherever it sits,
+// not only under defer or go.
+func storedClosure() func() {
+	ch := make(chan int)
+	return func() {
+		close(ch)
+		close(ch) // want "second close of ch"
+	}
+}

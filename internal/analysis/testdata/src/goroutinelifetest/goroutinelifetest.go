@@ -114,3 +114,40 @@ func unresolvable() {
 func suppressed() {
 	go fmt.Println("logged") //nolint:goroutine-lifecycle // metrics flush; bounded by Println
 }
+
+// initMarks is tracked: the marker rides in the if's init statement, which
+// runs on every path before the early return.
+func initMarks(wg *sync.WaitGroup) {
+	wg.Add(1)
+	go func() {
+		if wg.Done(); work() != nil {
+			return
+		}
+	}()
+}
+
+// shadowedPanic leaks: the local function named panic is not the builtin, so
+// the path goes on to a return that skips the marker.
+func shadowedPanic(wg *sync.WaitGroup) {
+	wg.Add(1)
+	panic := func(string) {}
+	go func() { // want "exit path at line 137 returns without it"
+		if err := work(); err != nil {
+			panic("golden: not the builtin")
+			return
+		}
+		wg.Done()
+	}()
+}
+
+// switchWithoutDefault leaks: every arm marks, but no arm need be taken.
+func switchWithoutDefault(wg *sync.WaitGroup, mode int) {
+	wg.Add(1)
+	go func() { // want "exit path at line 152 returns without it"
+		switch mode {
+		case 0:
+			wg.Done()
+			return
+		}
+	}()
+}

@@ -158,3 +158,38 @@ func (s *single) suppressed() {
 	defer s.mu.Unlock()
 	s.ch <- 2 //nolint:lock-order // deliberate: capacity-1 signal channel
 }
+
+// initLocks takes the lock in the if's init statement, which runs on every
+// path before the condition.
+func (s *single) initLocks(fast bool) {
+	if s.mu.Lock(); fast {
+		s.ch <- 1 // want "channel send while holding single.mu"
+	}
+	s.mu.Unlock()
+}
+
+// shadowedPanic calls a local function named panic: not the builtin, so
+// execution continues past it with the lock still held.
+func (s *single) shadowedPanic() {
+	panic := func(string) {}
+	s.mu.Lock()
+	if s.ch == nil {
+		panic("golden: not the builtin")
+		s.ch <- 1 // want "channel send while holding single.mu"
+	}
+	s.mu.Unlock()
+}
+
+// breakReleased: the path that unlocks and breaks leaves the loop; it does
+// not run on into the send below it.
+func (s *single) breakReleased(n int) {
+	for i := 0; i < n; i++ {
+		s.mu.Lock()
+		if i == 3 {
+			s.mu.Unlock()
+			break
+		}
+		s.mu.Unlock()
+		s.ch <- 1 // released on every path that gets here: fine
+	}
+}

@@ -30,3 +30,12 @@ func typedError(ok bool) error {
 	}
 	return nil
 }
+
+// shadowedPanic calls a local function named panic: not the builtin, no
+// finding.
+func shadowedPanic(ok bool) {
+	panic := func(string) {}
+	if !ok {
+		panic("nopanictest: not the builtin")
+	}
+}

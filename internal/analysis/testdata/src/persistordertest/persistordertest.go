@@ -101,3 +101,46 @@ func panicPath(d *pmem.Device, ok bool) {
 	}
 	d.Persist(0, 8)
 }
+
+// initPersists carries the Persist in the if's init statement, which runs on
+// every path before the condition: clean.
+func initPersists(d *pmem.Device) int {
+	d.PutU64(0, 1)
+	if d.Persist(0, 8); d.Size() > 64 {
+		return 1
+	}
+	return 0
+}
+
+// initWrites carries the write in a switch's init statement; no arm persists
+// it.
+func initWrites(d *pmem.Device, mode int) {
+	switch d.PutU64(0, 1); mode {
+	case 0:
+		d.Persist(0, 8)
+	}
+} // want "returns with unflushed persistent writes"
+
+// shadowedPanic calls a local function named panic: not the builtin, so the
+// path does not crash and its return is an exit like any other.
+func shadowedPanic(d *pmem.Device, ok bool) {
+	panic := func(string) {}
+	d.PutU64(0, 1)
+	if !ok {
+		panic("golden: not the builtin")
+		return // want "returns with unflushed persistent writes"
+	}
+	d.Persist(0, 8)
+}
+
+// breakCarriesState: the write leaves the loop through the break, past the
+// Persist that the rest of the body would have reached.
+func breakCarriesState(d *pmem.Device, n int) {
+	for i := 0; i < n; i++ {
+		d.PutU64(0, 1)
+		if i == 3 {
+			break
+		}
+		d.Persist(0, 8)
+	}
+} // want "returns with unflushed persistent writes"

@@ -3,13 +3,12 @@ package analysis
 import (
 	"go/ast"
 	"go/constant"
-	"go/token"
 	"go/types"
 	"sort"
 	"strings"
 )
 
-// CheckWireSymmetry keeps the wire protocol's enum plumbing in sync so a
+// runWireSymmetry keeps the wire protocol's enum plumbing in sync so a
 // future opcode or status code cannot ship half-wired. For every "wire
 // enum" in a targeted package — a named integer type with exported typed
 // constants and an unexported sentinel constant named *Max — it checks:
@@ -31,16 +30,10 @@ import (
 //
 // Findings anchor at the constant (or function) that is out of sync.
 // Suppress with //nolint:wire-symmetry on that line.
-func CheckWireSymmetry(m *Module, target func(*Package) bool) []Finding {
-	var fs []Finding
-	for _, pkg := range m.Pkgs {
-		if !target(pkg) {
-			continue
-		}
-		fs = append(fs, checkWirePackage(m, pkg)...)
+func runWireSymmetry(p *pass) {
+	for _, pkg := range p.pkgs {
+		checkWirePackage(p, pkg)
 	}
-	sortFindings(fs)
-	return fs
 }
 
 // wireEnum is one discovered enum in a package.
@@ -50,23 +43,8 @@ type wireEnum struct {
 	sentinel *types.Const   // unexported *Max constant, or nil
 }
 
-func checkWirePackage(m *Module, pkg *Package) []Finding {
-	nolint := map[int]bool{}
-	for _, f := range pkg.Files {
-		for line := range nolintLines(m.Fset, f, "wire-symmetry") {
-			nolint[line] = true
-		}
-	}
-	report := func(fs []Finding, pos token.Pos, msg string) []Finding {
-		file, line := m.Rel(pos)
-		if nolint[line] {
-			return fs
-		}
-		return append(fs, Finding{File: file, Line: line, Checker: "wire-symmetry", Message: msg})
-	}
-
+func checkWirePackage(p *pass, pkg *Package) {
 	enums := findWireEnums(pkg)
-	var fs []Finding
 	for _, e := range enums {
 		name := e.typ.Name()
 
@@ -76,7 +54,7 @@ func checkWirePackage(m *Module, pkg *Package) []Finding {
 		for _, c := range e.consts {
 			v, _ := constant.Int64Val(c.Val())
 			if prev, dup := seen[v]; dup {
-				fs = report(fs, c.Pos(), "enum "+name+": "+c.Name()+" duplicates the value of "+prev.Name()+" (wire values must be unique)")
+				p.report(c.Pos(), "enum %s: %s duplicates the value of %s (wire values must be unique)", name, c.Name(), prev.Name())
 				continue
 			}
 			seen[v] = c
@@ -90,23 +68,23 @@ func checkWirePackage(m *Module, pkg *Package) []Finding {
 		if len(seen) > 0 && max-min+1 != int64(len(seen)) {
 			for v := min; v <= max; v++ {
 				if _, ok := seen[v]; !ok {
-					fs = report(fs, e.typ.Pos(), "enum "+name+": value "+itoa(int(v))+" is unassigned (values must be dense so the sentinel range check covers them all)")
+					p.report(e.typ.Pos(), "enum %s: value %d is unassigned (values must be dense so the sentinel range check covers them all)", name, v)
 				}
 			}
 		}
 		if e.sentinel == nil {
-			fs = report(fs, e.typ.Pos(), "enum "+name+": no unexported sentinel constant named "+lowerFirst(name)+"Max (Valid() needs an upper bound that grows with the enum)")
+			p.report(e.typ.Pos(), "enum %s: no unexported sentinel constant named %sMax (Valid() needs an upper bound that grows with the enum)", name, lowerFirst(name))
 		} else if sv, _ := constant.Int64Val(e.sentinel.Val()); len(seen) > 0 && sv != max+1 {
-			fs = report(fs, e.sentinel.Pos(), "enum "+name+": sentinel "+e.sentinel.Name()+" is "+itoa(int(sv))+", expected "+itoa(int(max+1))+" (last value + 1); Valid() is checking the wrong range")
+			p.report(e.sentinel.Pos(), "enum %s: sentinel %s is %d, expected %d (last value + 1); Valid() is checking the wrong range", name, e.sentinel.Name(), sv, max+1)
 		}
 
 		// (2) String coverage.
 		if stringCases, ok := methodSwitchConsts(pkg, e.typ, "String"); !ok {
-			fs = report(fs, e.typ.Pos(), "enum "+name+": no String method (debugging a frame dump needs names, not numbers)")
+			p.report(e.typ.Pos(), "enum %s: no String method (debugging a frame dump needs names, not numbers)", name)
 		} else {
 			for _, c := range e.consts {
 				if !stringCases[c] {
-					fs = report(fs, c.Pos(), "enum "+name+": "+c.Name()+" has no case in "+name+".String (stringer out of sync)")
+					p.report(c.Pos(), "enum %s: %s has no case in %s.String (stringer out of sync)", name, c.Name(), name)
 				}
 			}
 		}
@@ -114,22 +92,20 @@ func checkWirePackage(m *Module, pkg *Package) []Finding {
 		// (3) Valid references the sentinel.
 		if e.sentinel != nil {
 			if !methodUsesObject(pkg, e.typ, "Valid", e.sentinel) {
-				fs = report(fs, e.typ.Pos(), "enum "+name+": Valid method missing or not comparing against sentinel "+e.sentinel.Name())
+				p.report(e.typ.Pos(), "enum %s: Valid method missing or not comparing against sentinel %s", name, e.sentinel.Name())
 			}
 		}
 
 		// (5) liveness across the module.
 		for _, c := range e.consts {
-			if !constReferenced(m, c) {
-				fs = report(fs, c.Pos(), "enum "+name+": "+c.Name()+" is never referenced outside its declaration (dead value, or encode/decode/dispatch wiring missing)")
+			if !constReferenced(p.Module, c) {
+				p.report(c.Pos(), "enum %s: %s is never referenced outside its declaration (dead value, or encode/decode/dispatch wiring missing)", name, c.Name())
 			}
 		}
 	}
 
 	// (4) Append*/Decode* pair symmetry, per enum type.
-	fs = append(fs, checkCodecPairs(m, pkg, enums, report)...)
-	sortFindings(fs)
-	return fs
+	checkCodecPairs(p, pkg, enums)
 }
 
 func lowerFirst(s string) string {
@@ -228,15 +204,8 @@ func methodUsesObject(pkg *Package, typ *types.TypeName, method string, obj type
 
 func findMethodDecl(pkg *Package, typ *types.TypeName, method string) *ast.FuncDecl {
 	var out *ast.FuncDecl
-	eachFunc(pkg, func(_ *ast.File, fd *ast.FuncDecl) {
-		if out != nil || fd.Recv == nil || fd.Name.Name != method {
-			return
-		}
-		t := pkg.Info.TypeOf(fd.Recv.List[0].Type)
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if named, ok := t.(*types.Named); ok && named.Obj() == typ {
+	eachFunc(pkg, func(fd *ast.FuncDecl) {
+		if out == nil && fd.Name.Name == method && receiverTypeName(pkg, fd) == typ {
 			out = fd
 		}
 	})
@@ -258,9 +227,7 @@ func constReferenced(m *Module, c *types.Const) bool {
 
 // checkCodecPairs matches Append<X>/Decode<X> function pairs and compares
 // the enum constants their switches handle.
-func checkCodecPairs(m *Module, pkg *Package, enums []*wireEnum,
-	report func([]Finding, token.Pos, string) []Finding) []Finding {
-
+func checkCodecPairs(p *pass, pkg *Package, enums []*wireEnum) {
 	type fn struct {
 		decl *ast.FuncDecl
 		// consts per enum type used in case clauses
@@ -299,7 +266,7 @@ func checkCodecPairs(m *Module, pkg *Package, enums []*wireEnum,
 
 	appends := map[string]*fn{}
 	decodes := map[string]*fn{}
-	eachFunc(pkg, func(_ *ast.File, fd *ast.FuncDecl) {
+	eachFunc(pkg, func(fd *ast.FuncDecl) {
 		if fd.Recv != nil {
 			return
 		}
@@ -312,7 +279,6 @@ func checkCodecPairs(m *Module, pkg *Package, enums []*wireEnum,
 		}
 	})
 
-	var fs []Finding
 	keys := make([]string, 0, len(appends))
 	for k := range appends {
 		if _, paired := decodes[k]; paired {
@@ -328,12 +294,11 @@ func checkCodecPairs(m *Module, pkg *Package, enums []*wireEnum,
 			for _, c := range e.consts {
 				switch {
 				case encSet[c] && !decSet[c]:
-					fs = report(fs, dec.decl.Pos(), dec.decl.Name.Name+" has no "+c.Name()+" arm but "+enc.decl.Name.Name+" encodes it (half-wired "+e.typ.Name()+": peers cannot decode what we send)")
+					p.report(dec.decl.Pos(), "%s has no %s arm but %s encodes it (half-wired %s: peers cannot decode what we send)", dec.decl.Name.Name, c.Name(), enc.decl.Name.Name, e.typ.Name())
 				case decSet[c] && !encSet[c]:
-					fs = report(fs, enc.decl.Pos(), enc.decl.Name.Name+" has no "+c.Name()+" arm but "+dec.decl.Name.Name+" decodes it (half-wired "+e.typ.Name()+": we accept frames we can never produce)")
+					p.report(enc.decl.Pos(), "%s has no %s arm but %s decodes it (half-wired %s: we accept frames we can never produce)", enc.decl.Name.Name, c.Name(), dec.decl.Name.Name, e.typ.Name())
 				}
 			}
 		}
 	}
-	return fs
 }

@@ -8,10 +8,12 @@
 //
 // Two placement modes exist:
 //
-//   - ModeModN reproduces the historical static routing (FNV-1a 64 of the
-//     key, mod member count). Stores formatted before the ring existed
-//     carry no persisted ring object; OpenSharded synthesizes a ModeModN
-//     ring at epoch 0 so every pre-existing key remains reachable.
+//   - ModeModN is the static routing (FNV-1a 64 of the key, mod member
+//     count) and the live placement of every fresh store: FormatSharded
+//     persists a ModeModN ring at epoch 0, and it routes until the first
+//     membership change. It is also what OpenSharded synthesizes for a
+//     store formatted before the ring existed, which carries no ring
+//     object, so every pre-existing key remains reachable.
 //   - ModeHashed is the consistent-hash placement: each member contributes
 //     weight*vnodesPerWeight pseudo-random points on a 64-bit circle and a
 //     key is owned by the successor point of its hash. Membership changes
@@ -88,8 +90,8 @@ var (
 	ErrBadVersion  = errors.New("ring: unsupported encoding version")
 )
 
-// FNV-1a 64 constants; must match the historical shardIndex routing so
-// ModeModN reproduces pre-ring placement bit-for-bit.
+// FNV-1a 64 constants; ModeModN must keep reproducing the pre-ring placement
+// bit-for-bit, which ring_test.go pins against its legacyShardIndex.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211

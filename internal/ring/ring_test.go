@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// legacyShardIndex mirrors the historical shard.go routing so ModeModN can
-// be pinned against it.
+// legacyShardIndex is the pre-ring routing (shard.go's shardIndex until the
+// ring carried every store), kept here as the reference ModeModN is pinned
+// against.
 func legacyShardIndex(key string, n int) int {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {

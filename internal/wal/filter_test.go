@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -138,25 +139,44 @@ func TestFilterGroupCommitBatch(t *testing.T) {
 	}
 }
 
-// A handle settled through a pair that did not register it — a failover
-// releases the retired primary's olocks through the promoted store, which
-// mirrors the primary's LSNs — must leave that pair's own record under the
-// same LSN registered and in the filter.
+// A handle settled through a pair that did not append it — what a failover
+// did when it released the retired primary's olocks through the promoted
+// store, which mirrors the primary's LSNs — is refused: the call errors, not
+// one byte of the pair's logs moves (with group commit on, the leader used to
+// store the state byte at the foreign offset of its own active log), and the
+// pair's own record under the same LSN stays registered and in the filter.
 func TestFilterIgnoresForeignHandle(t *testing.T) {
-	old, _ := newTestPair(t)
-	promoted, _ := newTestPair(t)
-	foreign := mustAppend(t, old, 1, "x", nil)
-	own := mustAppend(t, promoted, 1, "x", nil)
-	if foreign.LSN() != own.LSN() {
-		t.Fatalf("test wants colliding LSNs, got %d and %d", foreign.LSN(), own.LSN())
+	for _, grouped := range []bool{false, true} {
+		old, _ := newTestPair(t)
+		promoted, dev := newTestPair(t)
+		promoted.SetGroupCommit(GroupCommitConfig{Enabled: grouped})
+		// The promoted log holds a committed record where the foreign handle's
+		// offset points, so a stray state byte would land inside it.
+		// (The old pair's own pad stays unsettled: that pair is retired.)
+		mustAppend(t, old, 1, "pad", nil)
+		promoted.Commit(mustAppend(t, promoted, 1, "pad", bytes.Repeat([]byte{0xAB}, 256))) //nolint:errcheck
+		foreign := mustAppend(t, old, 1, "x", nil)
+		own := mustAppend(t, promoted, 1, "x", nil)
+		if foreign.LSN() != own.LSN() {
+			t.Fatalf("test wants colliding LSNs, got %d and %d", foreign.LSN(), own.LSN())
+		}
+		before := bytes.Clone(dev.Bytes())
+		if err := promoted.Commit(foreign); err == nil {
+			t.Fatalf("grouped=%v: settling a foreign handle did not error", grouped)
+		}
+		if foreign.Committed() {
+			t.Fatalf("grouped=%v: foreign handle settled", grouped)
+		}
+		if !bytes.Equal(before, dev.Bytes()) {
+			t.Fatalf("grouped=%v: settling a foreign handle changed the pair's log bytes", grouped)
+		}
+		wantFilter(t, promoted, "foreign settle", "x", 1)
+		if c := promoted.FindConflict([]byte("x")); c != own {
+			t.Fatalf("grouped=%v: settling a foreign handle unregistered the pair's own record", grouped)
+		}
+		promoted.Commit(own) //nolint:errcheck
+		wantFilter(t, promoted, "own settle", "x", 0)
 	}
-	promoted.Commit(foreign) //nolint:errcheck
-	wantFilter(t, promoted, "foreign settle", "x", 1)
-	if c := promoted.FindConflict([]byte("x")); c != own {
-		t.Fatal("settling a foreign handle unregistered the pair's own record")
-	}
-	promoted.Commit(own) //nolint:errcheck
-	wantFilter(t, promoted, "own settle", "x", 0)
 }
 
 // Swap migrates uncommitted records to the new active log; the filter is

@@ -91,6 +91,7 @@ var ErrLogFull = errors.New("wal: active log full")
 // Handle identifies an in-flight (uncommitted) record. Its location may move
 // across a log swap; Committed and Wait are safe at any time.
 type Handle struct {
+	pair      *Pair // the pair that appended the record; only it settles the handle
 	lsn       uint64
 	stripe    uint32 // the name's in-flight-filter stripe, released at settle
 	committed atomic.Bool
@@ -624,7 +625,7 @@ func (p *Pair) AppendIgnore(op uint16, name, payload []byte, ignore uint64) (*Ha
 	// scan that can see the record (scans hold l.mu) can then always resolve
 	// its LSN, and a reader that finds the stripe zero is ordered before this
 	// point.
-	h := &Handle{lsn: lsn, stripe: stripe, log: l, off: off}
+	h := &Handle{pair: p, lsn: lsn, stripe: stripe, log: l, off: off}
 	p.regMu.Lock()
 	p.registry[lsn] = h
 	p.regMu.Unlock()
@@ -753,12 +754,10 @@ func (p *Pair) lookup(lsn uint64) *Handle {
 }
 
 // release takes a settled handle out of the registry and lowers its filter
-// stripe — together, and only for the handle this pair registered: a failover
-// settles the retired primary's olocks through the promoted store, whose
-// registry may hold a record of its own under the same LSN. Callers have
-// already stored the record's state byte, and call this before they set
-// h.committed: a committer that sees its record settled finds the stripe
-// released.
+// stripe — together, and only while the registry still holds this handle, so
+// a handle settled twice lowers its stripe once. Callers have already stored
+// the record's state byte, and call this before they set h.committed: a
+// committer that sees its record settled finds the stripe released.
 func (p *Pair) release(h *Handle) {
 	p.regMu.Lock()
 	registered := p.registry[h.lsn] == h
@@ -831,8 +830,16 @@ func (p *Pair) Abort(h *Handle) error {
 // recovery resolves the record to dead — consistent with the error the
 // caller returns.
 //
+// A handle of another pair is refused before anything is stored or queued:
+// its offset names a byte in that pair's log, not in this one (a failover
+// leaves the retired primary's olocks behind; they are not the promoted
+// store's to settle).
+//
 //dstore:volatile
 func (p *Pair) settle(h *Handle, state uint8) error {
+	if h.pair != p {
+		return fmt.Errorf("wal: settle record %d: handle belongs to another log pair", h.lsn)
+	}
 	if p.gc.enabled {
 		return p.settleGrouped(h, state)
 	}

@@ -165,23 +165,6 @@ func (sh *Sharded) failover(i int, err error) bool {
 	return sh.repl[i].Failover() == nil
 }
 
-// shardIndex routes a key to its shard with FNV-1a over the name. This is
-// the legacy static placement, kept as ring.ModeModN: stores without a
-// persisted ring object route exactly this way, so their keys stay
-// reachable across the upgrade.
-func shardIndex(key string, n int) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return int(h % uint64(n))
-}
-
 // shardConfig derives one shard's configuration from the aggregate cfg:
 // block and object capacity are divided across n shards with 25% headroom
 // for hash imbalance, while the log pair and checkpoint policy stay

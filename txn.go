@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"dstore/internal/wal"
@@ -28,41 +27,34 @@ type txnStats struct {
 	seq                        atomic.Uint64 // transaction id source
 }
 
-// verStripes is the version-table stripe count (same fanout as zoneMu).
-const verStripes = 64
+// verStripes is the version table's size: 4096 counters, 32 KiB per store.
+const verStripes = 4096
 
-// verTable is the OCC per-key commit-version table: a striped map bumped by
-// every committed mutation of a key (put, delete, create, extend, checksum
-// invalidation, transaction sub-op, replicated apply) after the structures
-// changed and before the record commits. A transaction captures the version
-// inside its read's CC section and revalidates it at commit: equality plus
-// an empty conflict window proves the key is untouched since the read.
-type verTable struct {
-	mu [verStripes]sync.Mutex
-	m  [verStripes]map[string]uint64 // each stripe guarded by its mu
+// verTable is the OCC commit-version table: a fixed array of counters indexed
+// by the key's name hash, one of them bumped by every committed mutation of a
+// key (put, delete, create, extend, checksum invalidation, transaction
+// sub-op, replicated apply) after the structures changed and before the
+// record commits. A transaction captures the counter inside its read's CC
+// section and revalidates it at commit: equality plus an empty conflict
+// window proves the key is untouched since the read.
+//
+// The table never grows — a per-name map would have to keep an entry for
+// every name ever written, deleted ones included. Keys that share a counter
+// cost soundness nothing (a counter only rises, so equality still proves that
+// no key of the stripe changed); they cost a spurious ErrTxnConflict, and so
+// a retry, when another key of the stripe commits inside the read→commit
+// window: per key read, the writes that land in that window ÷ 4096.
+type verTable [verStripes]atomic.Uint64
+
+func (v *verTable) stripe(key string) *atomic.Uint64 {
+	return &v[wal.NameHash(key)%verStripes]
 }
 
-func verStripe(key string) int { return int(wal.NameHash(key) % verStripes) }
-
-// version returns key's current commit version (0 if never mutated).
-func (v *verTable) version(key string) uint64 {
-	i := verStripe(key)
-	v.mu[i].Lock()
-	ver := v.m[i][key]
-	v.mu[i].Unlock()
-	return ver
-}
+// version returns key's current commit version.
+func (v *verTable) version(key string) uint64 { return v.stripe(key).Load() }
 
 // bump advances key's commit version.
-func (v *verTable) bump(key string) {
-	i := verStripe(key)
-	v.mu[i].Lock()
-	if v.m[i] == nil {
-		v.m[i] = make(map[string]uint64)
-	}
-	v.m[i][key]++
-	v.mu[i].Unlock()
-}
+func (v *verTable) bump(key string) { v.stripe(key).Add(1) }
 
 // Reserved object namespace: user keys may not start with '\x00'; the
 // transaction machinery uses that prefix for its WAL record names and for

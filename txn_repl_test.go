@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"testing"
 
+	"dstore/internal/fault"
 	"dstore/internal/pmem"
 )
 
@@ -193,4 +194,159 @@ func txnStateEquals(state, model map[string][]byte) bool {
 		}
 	}
 	return true
+}
+
+// TestSharded2PCParticipantFailover fails a cross-shard commit's participant
+// over at every PMEM mutation the commit makes on the participant's primary
+// (group commit on, the default). The olocks the commit took there stay on
+// the retired primary: releasing them through the promoted standby used to
+// store a state byte at the primary's offsets in the standby's own log — a
+// stray byte inside a record recovery CRC-checks — and could degrade the
+// healthy promoted store on the dead device's error. At every point the
+// transaction is all-or-nothing, the promoted store passes fsck and stays
+// writable, and reopening it from its log alone finds every committed key.
+func TestSharded2PCParticipantFailover(t *testing.T) {
+	total, _ := run2PCFailoverPoint(t, 0)
+	if total < 20 {
+		t.Fatalf("commit performed only %d PMEM mutations on the participant", total)
+	}
+	failovers := 0
+	for k := uint64(1); k <= total; k++ {
+		if _, failedOver := run2PCFailoverPoint(t, k); failedOver {
+			failovers++
+		}
+	}
+	if failovers == 0 {
+		t.Fatal("no kill point failed the participant over")
+	}
+	t.Logf("verified %d participant kill points, %d failed over mid-commit", total, failovers)
+}
+
+// run2PCFailoverPoint runs one cross-shard commit on a fresh replicated ring
+// of two, killing the participant primary's PMEM at its killAt-th mutation
+// inside the commit (0 = never). It returns the mutations the commit made
+// there and whether the participant failed over.
+func run2PCFailoverPoint(t *testing.T, killAt uint64) (mutations uint64, failedOver bool) {
+	t.Helper()
+	const coord, part = 0, 1 // the coordinator is the lowest write shard
+	sh, err := FormatShardedReplicated(2, replTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := false
+	defer func() {
+		if !closed {
+			sh.CloseNoCheckpoint() //nolint:errcheck // teardown after a failed point
+		}
+	}()
+	ctx := sh.Init()
+
+	// Two write keys per shard: the participant's second olock sits past its
+	// first, where the standby's log holds the body of another record.
+	var keys, partKeys []string
+	perShard := map[int]int{}
+	for i := 0; len(keys) < 4; i++ {
+		k := fmt.Sprintf("fo-%d", i)
+		if owner := sh.ShardFor(k); perShard[owner] < 2 {
+			perShard[owner]++
+			keys = append(keys, k)
+			if owner == part {
+				partKeys = append(partKeys, k)
+			}
+		}
+	}
+	for _, k := range keys {
+		if err := ctx.Put(k, []byte("old:"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitReplDrained(t, sh)
+
+	pm, _ := sh.Replica(part).Active().Devices()
+	pm.SetMutationHook(func() {
+		mutations++
+		if mutations == killAt {
+			pm.SetFaultPlan(fault.NewPlan(fault.Config{Seed: int64(killAt), WriteErrRate: 1}))
+		}
+	})
+	txn, err := ctx.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if err := txn.Put(k, []byte("new:"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cerr := txn.Commit()
+	pm.SetMutationHook(nil)
+	if killAt == 0 {
+		if cerr != nil {
+			t.Fatalf("undisturbed commit: %v", cerr)
+		}
+		closed = true
+		if err := sh.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return mutations, false
+	}
+
+	// All-or-nothing, and a nil Commit means committed.
+	want := "new:"
+	if v, err := ctx.Get(keys[0], nil); err != nil {
+		t.Fatalf("kill point %d: Get(%s): %v", killAt, keys[0], err)
+	} else if bytes.HasPrefix(v, []byte("old:")) {
+		want = "old:"
+	}
+	if cerr == nil && want != "new:" {
+		t.Fatalf("kill point %d: Commit returned nil but the old values are visible", killAt)
+	}
+	for _, k := range keys {
+		if v, err := ctx.Get(k, nil); err != nil || string(v) != want+k {
+			t.Fatalf("kill point %d (commit err %v): Get(%s) = %q, %v; want %q — partial transaction", killAt, cerr, k, v, err, want+k)
+		}
+	}
+	if !sh.Replica(part).FailedOver() {
+		return mutations, false // the commit finished before the kill took effect
+	}
+
+	// The promoted standby is healthy, consistent and writable.
+	promoted := sh.Replica(part).Active()
+	if h := sh.Health(); h.Degraded {
+		t.Fatalf("kill point %d: promoted topology degraded: %+v", killAt, h)
+	}
+	if err := promoted.Check(); err != nil {
+		t.Fatalf("kill point %d: promoted store fsck: %v", killAt, err)
+	}
+	post := "post-" + partKeys[0] // routed wherever; the direct write below is what matters
+	if err := promoted.Init().Put(post, []byte("writable")); err != nil {
+		t.Fatalf("kill point %d: write to the promoted store: %v", killAt, err)
+	}
+
+	// Its log alone — no final checkpoint — recovers every committed key.
+	cfg := sh.ShardConfigs()[part]
+	cfg.PMEM, cfg.SSD = promoted.Devices()
+	closed = true
+	if err := sh.CloseNoCheckpoint(); err != nil {
+		t.Fatalf("kill point %d: close: %v", killAt, err)
+	}
+	reopened, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("kill point %d: reopen promoted store: %v", killAt, err)
+	}
+	defer reopened.Close() //nolint:errcheck // read-only from here
+	if err := reopened.Check(); err != nil {
+		t.Fatalf("kill point %d: reopened store fsck: %v", killAt, err)
+	}
+	rctx := reopened.Init()
+	for _, k := range append([]string{post}, partKeys...) {
+		wantV := want + k
+		if k == post {
+			wantV = "writable"
+		}
+		if v, err := rctx.Get(k, nil); err != nil || string(v) != wantV {
+			t.Fatalf("kill point %d: reopened Get(%s) = %q, %v; want %q", killAt, k, v, err, wantV)
+		}
+	}
+	return mutations, true
 }

@@ -306,25 +306,41 @@ func (t *txn) commit2PC(readsBy map[int]map[string]uint64, writesBy map[int][]tx
 	dec := txnDecName(id)
 
 	// 1. olock all write keys in global (shard, key) order, held across the
-	// whole protocol.
-	locks := make(map[int]map[string]*wal.Handle, len(wshards))
+	// whole protocol. The locks live in the log of the store that took them:
+	// a participant that fails over below leaves them on its retired primary,
+	// so they are released through their owner, and are held only while the
+	// owner is still the shard's active store.
+	type olocks struct {
+		owner   *Store
+		handles map[string]*wal.Handle
+	}
+	locks := make(map[int]olocks, len(wshards))
 	release := func() {
 		for _, i := range wshards {
-			sh.store(i).releaseOlocks(locks[i])
+			if l, ok := locks[i]; ok {
+				l.owner.releaseOlocks(l.handles)
+			}
 		}
+	}
+	held := func(i int) map[string]*wal.Handle {
+		if l := locks[i]; l.owner == sh.store(i) {
+			return l.handles
+		}
+		return nil // the promoted standby takes fresh olocks
 	}
 	for _, i := range wshards {
 		keys := make([]string, len(writesBy[i]))
 		for j, op := range writesBy[i] {
 			keys[j] = op.key
 		}
-		l, err := sh.store(i).olockKeys(keys)
+		s := sh.store(i)
+		l, err := s.olockKeys(keys)
 		if err != nil {
 			release()
 			sh.failover(i, err)
 			return err
 		}
-		locks[i] = l
+		locks[i] = olocks{owner: s, handles: l}
 	}
 
 	// 2. Validate every non-coordinator read set (the coordinator's is
@@ -333,7 +349,7 @@ func (t *txn) commit2PC(readsBy map[int]map[string]uint64, writesBy map[int][]tx
 		if i == coord {
 			continue
 		}
-		if err := sh.store(i).validateReadSet(readsBy[i], locks[i]); err != nil {
+		if err := sh.store(i).validateReadSet(readsBy[i], held(i)); err != nil {
 			release()
 			return err
 		}
@@ -370,7 +386,7 @@ func (t *txn) commit2PC(readsBy map[int]map[string]uint64, writesBy map[int][]tx
 	// the transaction decided in one atomic record.
 	decOps := append(append([]txnOp(nil), writesBy[coord]...),
 		txnOp{key: dec, value: encodeTxnDec(participants)})
-	cerr := sh.store(coord).commitTxnSet(id, readsBy[coord], decOps, locks[coord])
+	cerr := sh.store(coord).commitTxnSet(id, readsBy[coord], decOps, held(coord))
 	decided := cerr == nil
 	if !decided && sh.failover(coord, cerr) {
 		// The promoted standby drained the committed tail before promotion:
@@ -397,11 +413,10 @@ func (t *txn) commit2PC(readsBy map[int]map[string]uint64, writesBy map[int][]tx
 	var pendErr error
 	for _, i := range participants {
 		aops := append(append([]txnOp(nil), writesBy[i]...), txnOp{key: prep, del: true})
-		aerr := sh.store(i).commitTxnSet(id, nil, aops, locks[i])
+		aerr := sh.store(i).commitTxnSet(id, nil, aops, held(i))
 		if aerr != nil && sh.failover(i, aerr) {
-			// Fresh olocks on the promoted standby (ours lived on the retired
-			// primary); the replicated prepare rolls forward there.
-			aerr = sh.store(i).commitTxnSet(id, nil, aops, nil)
+			// The replicated prepare rolls forward on the promoted standby.
+			aerr = sh.store(i).commitTxnSet(id, nil, aops, held(i))
 		}
 		if aerr != nil && pendErr == nil {
 			pendErr = aerr

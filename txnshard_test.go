@@ -31,16 +31,16 @@ const txnShards = 3
 
 // crossShardKeys returns count keys guaranteed to span at least two shards,
 // tagged by seq so successive calls pick fresh names.
-func crossShardKeys(t *testing.T, count, seq int) []string {
+func crossShardKeys(t *testing.T, sh *Sharded, count, seq int) []string {
 	t.Helper()
 	keys := make([]string, 0, count)
 	shardsSeen := map[int]bool{}
 	for i := 0; len(keys) < count; i++ {
 		k := fmt.Sprintf("xk-%d-%d", seq, i)
-		sh := shardIndex(k, txnShards)
-		if len(keys) < count-1 || !shardsSeen[sh] || len(shardsSeen) > 1 {
+		owner := sh.ShardFor(k)
+		if len(keys) < count-1 || !shardsSeen[owner] || len(shardsSeen) > 1 {
 			keys = append(keys, k)
-			shardsSeen[sh] = true
+			shardsSeen[owner] = true
 		}
 	}
 	if len(shardsSeen) < 2 {
@@ -59,7 +59,7 @@ func TestShardedTxnAtomicVisibility(t *testing.T) {
 	}
 	defer sh.Close()
 	ctx := sh.Init()
-	keys := crossShardKeys(t, 4, 0)
+	keys := crossShardKeys(t, sh, 4, 0)
 	for _, k := range keys {
 		if err := ctx.Put(k, []byte("old:"+k)); err != nil {
 			t.Fatal(err)
@@ -122,7 +122,7 @@ func TestShardedTxnConflict(t *testing.T) {
 	}
 	defer sh.Close()
 	ctx := sh.Init()
-	keys := crossShardKeys(t, 3, 1)
+	keys := crossShardKeys(t, sh, 3, 1)
 	for _, k := range keys {
 		if err := ctx.Put(k, []byte("base")); err != nil {
 			t.Fatal(err)
@@ -202,13 +202,12 @@ func shardedTxnWorkload(t *testing.T, ctx *ShardedCtx, keys []string, onTxnDone 
 // objects), and asserts the whole-namespace all-or-nothing invariant plus
 // clean fsck and zero bookkeeping residue.
 func TestSharded2PCCrashSweep(t *testing.T) {
-	keys := crossShardKeys(t, 4, 7)
-
 	// Pass one: count mutations of the transaction phase across all shards.
 	sh, err := FormatSharded(txnShards, shardedTxnConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	keys := crossShardKeys(t, sh, 4, 7) // every fresh ring of txnShards places them alike
 	ctx := sh.Init()
 	for _, k := range keys {
 		if err := ctx.Put(k, []byte(k+"@000")); err != nil {
