@@ -256,7 +256,7 @@ func TestPromotedStandbyStartsWarm(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		put(fmt.Sprintf("k%02d", i), wtValue(100+400*i, byte(i)))
 	}
-	if err := pumpAll(primary, sb); err != nil {
+	if err := pump(primary, sb, modelOf(model)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ { // overwrites, shipped after the standby cached the first versions
@@ -276,7 +276,7 @@ func TestPromotedStandbyStartsWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	delete(model, "k18")
-	if err := pumpAll(primary, sb); err != nil {
+	if err := pump(primary, sb, modelOf(model)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,6 +1,7 @@
 package dstore
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -128,8 +129,7 @@ func (c *cowSpace) sweep() {
 			if bitsW == 0 {
 				break
 			}
-			bit := bitsW & (-bitsW) // lowest set bit
-			p := uint64(w)*64 + uint64(trailingZeros(bit))
+			p := uint64(w)*64 + uint64(bits.TrailingZeros64(bitsW)) // lowest set bit
 			if c.claim(p) {
 				c.copyPage(p)
 				c.release(p)
@@ -137,15 +137,6 @@ func (c *cowSpace) sweep() {
 		}
 	}
 	c.active.Store(false)
-}
-
-func trailingZeros(x uint64) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }
 
 // copyPage copies one arena page into the PMEM scratch window and persists

@@ -2,218 +2,10 @@ package dstore
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"dstore/internal/fault"
-	"dstore/internal/pmem"
 )
-
-// Deterministic crash-point injection: run a fixed single-threaded workload
-// and crash the store at the k-th PMEM mutation, for a sweep of k values
-// covering every phase of the persistence protocols (log appends, commits,
-// checkpoint clones, root flips). After each crash, recovery must produce a
-// store that (a) passes fsck and (b) contains exactly the operations that
-// completed before the crash — the at-most-one-in-flight ambiguity allowed
-// for the operation interrupted mid-pipeline.
-//
-// This complements the randomized quick-check crash tests: the random tests
-// sample outcomes broadly; this sweep proves there is no *specific* mutation
-// index in the protocol whose interruption loses committed state.
-
-const crashSentinel = "injected crash point"
-
-// runToCrash runs fn with every given PMEM device's mutation hook armed to
-// panic at the crashAt-th mutation (one counter shared across the devices —
-// the sweeps drive their stores from one goroutine, so the order is
-// deterministic; 0 never fires) and reports whether the crash fired. A fired
-// crash leaves the incarnation abandoned mid-operation, so runToCrash stops
-// it with stop — the store's CloseNoCheckpoint — before returning. That
-// takes no lock the panicked operation can still hold (its deferred unlocks
-// ran while the panic unwound), and it retires the engine's checkpoint
-// goroutine and the batch workers, which would otherwise pin the
-// incarnation's devices (~32 MB each) for the life of the process and could
-// keep mutating the very PMEM the caller is about to power-fail and recover
-// from.
-func runToCrash(pms []*pmem.Device, crashAt uint64, stop func() error, fn func()) (crashed bool) {
-	var count uint64
-	armed := true
-	for _, pm := range pms {
-		pm.SetMutationHook(func() {
-			if !armed {
-				return
-			}
-			count++
-			if count == crashAt {
-				armed = false
-				panic(crashSentinel)
-			}
-		})
-	}
-	defer func() {
-		for _, pm := range pms {
-			pm.SetMutationHook(nil)
-		}
-		if r := recover(); r != nil {
-			if r != crashSentinel {
-				panic(r)
-			}
-			crashed = true
-			stop() //nolint:errcheck // abandoning the incarnation; the reopen is the verdict
-		}
-	}()
-	fn()
-	return false
-}
-
-// crashWorkload runs a deterministic op sequence, recording each op into the
-// model BEFORE issuing it (so at a crash the last model entry may or may not
-// have applied). Returns the completed-op count.
-func crashWorkload(ctx *Ctx, onOpDone func(i int)) error {
-	for i := 0; i < 120; i++ {
-		k := fmt.Sprintf("k%02d", i%17)
-		var err error
-		switch i % 5 {
-		case 4:
-			err = ctx.Delete(k)
-			if err == ErrNotFound {
-				err = nil
-			}
-		default:
-			err = ctx.Put(k, bytes.Repeat([]byte{byte(i + 1)}, 500+i*13))
-		}
-		if err != nil {
-			return err
-		}
-		onOpDone(i)
-	}
-	return ctx.s.CheckpointNow()
-}
-
-// modelAt returns the expected store contents after the first n completed
-// operations of crashWorkload.
-func modelAt(n int) map[string][]byte {
-	m := map[string][]byte{}
-	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("k%02d", i%17)
-		if i%5 == 4 {
-			delete(m, k)
-		} else {
-			m[k] = bytes.Repeat([]byte{byte(i + 1)}, 500+i*13)
-		}
-	}
-	return m
-}
-
-func TestCrashPointSweep(t *testing.T) {
-	// First pass: count total PMEM mutations of the full workload.
-	mkConfig := func() Config {
-		return Config{
-			Blocks:     2048,
-			MaxObjects: 512,
-			LogBytes:   1 << 14, // small log: the sweep crosses checkpoints
-			// Avoid async checkpoint triggers so every mutation happens on
-			// the worker goroutine and the sweep is deterministic
-			// (log-full checkpoints still run, inline).
-			CheckpointThreshold: 1e-9,
-			TrackPersistence:    true,
-		}
-	}
-	cfg := mkConfig()
-	s, err := Format(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total uint64
-	pm, _ := s.Devices()
-	pm.SetMutationHook(func() { total++ })
-	if err := crashWorkload(s.Init(), func(int) {}); err != nil {
-		t.Fatal(err)
-	}
-	pm.SetMutationHook(nil)
-	s.Close()
-	if total < 1000 {
-		t.Fatalf("workload performed only %d PMEM mutations", total)
-	}
-
-	// Sweep: crash at every stride-th mutation. Keep the stride small enough
-	// to land inside every protocol phase but large enough for test time.
-	stride := total / 97
-	if stride == 0 {
-		stride = 1
-	}
-	points := 0
-	for k := uint64(1); k < total; k += stride {
-		points++
-		runCrashPoint(t, mkConfig(), k)
-	}
-	t.Logf("verified %d crash points across %d PMEM mutations", points, total)
-}
-
-func runCrashPoint(t *testing.T, cfg Config, crashAt uint64) {
-	t.Helper()
-	s, err := Format(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm, data := s.Devices()
-
-	completed := 0
-	crashed := runToCrash([]*pmem.Device{pm}, crashAt, s.CloseNoCheckpoint, func() {
-		if err := crashWorkload(s.Init(), func(i int) { completed = i + 1 }); err != nil {
-			t.Fatalf("crash point %d: workload error before crash: %v", crashAt, err)
-		}
-	})
-	if !crashed {
-		// The crash point fell beyond this run's mutations (mutation counts
-		// can vary slightly run to run); nothing to verify.
-		s.Close()
-		return
-	}
-
-	// Power loss: adversarial line reversion, then recover.
-	cfg.PMEM, cfg.SSD = pm, data
-	pm.Crash(pmem.CrashDropDirty, int64(crashAt))
-	s2, err := Open(cfg)
-	if err != nil {
-		t.Fatalf("crash point %d: recovery failed: %v", crashAt, err)
-	}
-	defer s2.Close()
-	if err := s2.Check(); err != nil {
-		t.Fatalf("crash point %d: fsck after recovery: %v", crashAt, err)
-	}
-
-	// Every op that returned before the crash must be present; the op in
-	// flight (index `completed`) may have either its old or new effect.
-	want := modelAt(completed)
-	maybe := modelAt(completed + 1)
-	ctx := s2.Init()
-	for i := 0; i < 17; i++ {
-		k := fmt.Sprintf("k%02d", i)
-		got, err := ctx.Get(k, nil)
-		wv, inWant := want[k]
-		mv, inMaybe := maybe[k]
-		switch {
-		case err == ErrNotFound:
-			if inWant && inMaybe && bytes.Equal(wv, mv) {
-				t.Fatalf("crash point %d: committed key %q lost", crashAt, k)
-			}
-			// Absent is fine if either state allows absence.
-			if inWant && inMaybe {
-				t.Fatalf("crash point %d: key %q absent but present in both states", crashAt, k)
-			}
-		case err != nil:
-			t.Fatalf("crash point %d: get(%q): %v", crashAt, k, err)
-		default:
-			okWant := inWant && bytes.Equal(got, wv)
-			okMaybe := inMaybe && bytes.Equal(got, mv)
-			if !okWant && !okMaybe {
-				t.Fatalf("crash point %d: key %q has %d bytes matching neither pre- nor post-op state",
-					crashAt, k, len(got))
-			}
-		}
-	}
-}
 
 // TestCrashThenBadPage combines the two failure modes: a worst-case
 // mid-checkpoint power loss followed by one data page going permanently bad
@@ -233,9 +25,7 @@ func TestCrashThenBadPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := crashWorkload(s.Init(), func(int) {}); err != nil {
-		t.Fatal(err)
-	}
+	m := play(t, s, mixed(plainMix)).m
 	s.PrepareWorstCaseCrash()
 	var cerr error
 	if cfg.PMEM, cfg.SSD, cerr = s.Crash(99); cerr != nil {
@@ -246,7 +36,8 @@ func TestCrashThenBadPage(t *testing.T) {
 		t.Fatalf("recovery: %v", err)
 	}
 	defer s2.Close()
-	want := modelAt(120)
+	judge(t, "recovery", s2, m)
+	want, _ := contents(s2) // what the verdict just accepted
 
 	// Pick a live block of a surviving object and mark its page bad
 	// (dataOff: block b is page b+1).

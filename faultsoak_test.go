@@ -5,11 +5,11 @@ package dstore
 // flips, and verify the robustness contract — every operation either
 // succeeds, returns a typed error (ErrCorrupt / fault.ErrTransient /
 // fault.ErrPermanent / ErrDegraded), or leaves the store degraded; it never
-// returns wrong data. An in-memory model tracks the acceptable states of
-// each key (a failed write leaves the key's outcome indeterminate between
-// its old and attempted values). After the soak, fsck and a scrub must pass,
-// and a crash + reopen on a replaced (healthy) device must recover every
-// determinate key.
+// returns wrong data. The oracle's model (oracle_test.go) tracks the
+// acceptable states of each key: a failed write is a unit whose outcome is
+// indeterminate between the key's old and attempted values. After the soak,
+// fsck and a scrub must pass, and a crash + reopen on a replaced (healthy)
+// device must recover every determinate key.
 
 import (
 	"bytes"
@@ -20,35 +20,6 @@ import (
 
 	"dstore/internal/fault"
 )
-
-// acceptSet maps a key to its acceptable values; a nil entry means absence
-// is acceptable. Determinate keys have exactly one entry.
-type acceptSet map[string][][]byte
-
-func (a acceptSet) settle(k string, v []byte) { a[k] = [][]byte{v} }
-
-func (a acceptSet) widen(k string, v []byte) {
-	if _, ok := a[k]; !ok {
-		a[k] = [][]byte{nil} // never written: absence was the prior state
-	}
-	a[k] = append(a[k], v)
-}
-
-func (a acceptSet) allows(k string, got []byte) bool {
-	vals, ok := a[k]
-	if !ok {
-		vals = [][]byte{nil}
-	}
-	for _, v := range vals {
-		if got == nil && v == nil {
-			return true
-		}
-		if got != nil && v != nil && bytes.Equal(got, v) {
-			return true
-		}
-	}
-	return false
-}
 
 // typedErr reports whether err is one of the documented fault-path errors.
 func typedErr(err error) bool {
@@ -93,7 +64,7 @@ func runFaultSoak(t *testing.T, seed int64) {
 	}
 	ctx := s.Init()
 	rng := rand.New(rand.NewSource(seed))
-	accept := acceptSet{}
+	m := &model{}
 	key := func() string { return fmt.Sprintf("soak-%02d", rng.Intn(48)) }
 
 	const ops = 1500
@@ -106,39 +77,28 @@ func runFaultSoak(t *testing.T, seed int64) {
 		case r < 6: // put
 			v := make([]byte, 1+rng.Intn(3*int(s.cfg.BlockSize)))
 			rng.Read(v)
-			if err := ctx.Put(k, v); err != nil {
+			if err := m.do(func() error { return ctx.Put(k, v) }, put(k, v)); err != nil {
 				if !typedErr(err) {
 					t.Fatalf("op %d: Put(%s): untyped error %v", i, k, err)
 				}
-				accept.widen(k, v)
-			} else {
-				accept.settle(k, v)
+				m.fail()
 			}
 		case r < 9: // get
-			got, err := ctx.Get(k, nil)
+			got, err := read(ctx.Get(k, nil))
 			switch {
 			case err == nil:
-				if !accept.allows(k, got) {
-					t.Fatalf("op %d: Get(%s) returned wrong data (%d bytes)", i, k, len(got))
+				if !m.allows(k, got) {
+					t.Fatalf("op %d: Get(%s) returned wrong data or lost a committed value (%d bytes)", i, k, len(got))
 				}
-			case err == ErrNotFound:
-				if !accept.allows(k, nil) {
-					t.Fatalf("op %d: Get(%s) lost a committed value", i, k)
-				}
-			default:
-				if !typedErr(err) {
-					t.Fatalf("op %d: Get(%s): untyped error %v", i, k, err)
-				}
+			case !typedErr(err):
+				t.Fatalf("op %d: Get(%s): untyped error %v", i, k, err)
 			}
 		default: // delete
-			switch err := ctx.Delete(k); {
-			case err == nil, err == ErrNotFound:
-				accept.settle(k, nil)
-			default:
+			if err := m.do(func() error { return ctx.Delete(k) }, del(k)); err != nil {
 				if !typedErr(err) {
 					t.Fatalf("op %d: Delete(%s): untyped error %v", i, k, err)
 				}
-				accept.widen(k, nil)
+				m.fail()
 			}
 		}
 	}
@@ -166,7 +126,8 @@ func runFaultSoak(t *testing.T, seed int64) {
 	}
 
 	// Degraded or not, reads must still be served.
-	for k := range accept {
+	for i := 0; i < 48; i++ {
+		k := fmt.Sprintf("soak-%02d", i)
 		if _, err := ctx.Get(k, nil); err != nil && err != ErrNotFound && !typedErr(err) {
 			t.Fatalf("post-soak Get(%s): untyped error %v", k, err)
 		}
@@ -190,27 +151,9 @@ func runFaultSoak(t *testing.T, seed int64) {
 	if s2.Degraded() {
 		t.Fatal("store reopened degraded on a healthy device")
 	}
-	if err := s2.Check(); err != nil {
-		t.Fatalf("fsck after reopen: %v", err)
-	}
-	ctx2 := s2.Init()
-	for k := range accept {
-		got, err := ctx2.Get(k, nil)
-		switch {
-		case err == nil:
-			if !accept.allows(k, got) {
-				t.Fatalf("after reopen: Get(%s) returned wrong data", k)
-			}
-		case err == ErrNotFound:
-			if !accept.allows(k, nil) {
-				t.Fatalf("after reopen: committed key %s lost", k)
-			}
-		default:
-			t.Fatalf("after reopen: Get(%s): %v", k, err)
-		}
-	}
+	judge(t, "after reopen", s2, m)
 	// And the store is fully writable again.
-	if err := ctx2.Put("post-replace", []byte("healthy")); err != nil {
+	if err := s2.Init().Put("post-replace", []byte("healthy")); err != nil {
 		t.Fatalf("write after device replacement: %v", err)
 	}
 }

@@ -213,9 +213,6 @@ func (d *Device) SetMutationHook(fn func()) { d.hook = fn }
 // the Try* operations. Install before concurrent use.
 func (d *Device) SetFaultPlan(p *fault.Plan) { d.faults = p }
 
-// FaultPlan returns the installed fault plan, or nil.
-func (d *Device) FaultPlan() *fault.Plan { return d.faults }
-
 // Size returns the device capacity in bytes.
 func (d *Device) Size() int { return len(d.buf) }
 

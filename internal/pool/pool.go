@@ -66,9 +66,6 @@ func Open(al *alloc.Allocator, base uint64) *Pool {
 	return &Pool{sp: al.Space(), base: base}
 }
 
-// Cap returns the pool capacity.
-func (p *Pool) Cap() uint64 { return p.sp.GetU64(p.base + hdrCap) }
-
 // Free returns the number of free entries currently pooled.
 func (p *Pool) Free() uint64 { return p.sp.GetU64(p.base + hdrCount) }
 

@@ -138,9 +138,6 @@ func (d *Device) Pages() int { return len(d.buf) / d.pageSize }
 // mid-run; install before concurrent use.
 func (d *Device) SetFaultPlan(p *fault.Plan) { d.faults = p }
 
-// FaultPlan returns the installed fault plan, or nil.
-func (d *Device) FaultPlan() *fault.Plan { return d.faults }
-
 // Stats returns a snapshot of the device counters.
 func (d *Device) Stats() Stats {
 	fs := d.faults.Stats()

@@ -3,10 +3,11 @@ package dstore
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"dstore/internal/ring"
+	"dstore/internal/wal"
 )
 
 // This file implements live resharding (DESIGN.md §13): AddShard and
@@ -78,33 +79,18 @@ func (m *migration) stripe(key string) *sync.Mutex {
 	return &m.stripes[stripeIndex(key)]
 }
 
-func stripeIndex(key string) int {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return int(h % migrationStripes)
-}
+func stripeIndex(key string) int { return int(wal.NameHash(key) % migrationStripes) }
 
 // stripesFor returns the deduplicated stripe set for keys, ordered by
 // index — the global stripe acquisition order that keeps multi-stripe
 // holders (transactions) deadlock-free against each other and the copier.
 func (m *migration) stripesFor(keys []string) []*sync.Mutex {
-	seen := make(map[int]struct{}, len(keys))
-	idx := make([]int, 0, len(keys))
-	for _, k := range keys {
-		i := stripeIndex(k)
-		if _, ok := seen[i]; !ok {
-			seen[i] = struct{}{}
-			idx = append(idx, i)
-		}
+	idx := make([]int, len(keys))
+	for i, k := range keys {
+		idx[i] = stripeIndex(k)
 	}
-	sort.Ints(idx)
+	slices.Sort(idx)
+	idx = slices.Compact(idx)
 	out := make([]*sync.Mutex, len(idx))
 	for i, j := range idx {
 		out[i] = &m.stripes[j]
@@ -310,7 +296,7 @@ func (sh *Sharded) migrate(cur, next *ring.Ring) error {
 		opened = append(opened, k)
 	}
 	m.mu.Unlock()
-	sort.Strings(opened)
+	slices.Sort(opened)
 	for _, name := range opened {
 		if cerr := sh.copyKey(m, int(cur.Owner(name)), name); cerr != nil {
 			sh.migrP.Store(nil)

@@ -74,13 +74,23 @@ type txnWrite struct {
 // second code path.
 type txn struct {
 	sh     *Sharded
-	reads  map[string]uint64
+	reads  map[string]readVer
 	writes map[string]txnWrite
 	done   bool
 }
 
+// readVer is one entry of an OCC read set: the commit version the key had at
+// its first read and the store whose version table that counter is in. After a
+// ring flip or a failover another store serves the key, its counters are
+// unrelated, and equal numbers prove nothing: validateReads refuses the read
+// (DESIGN.md §12).
+type readVer struct {
+	ver  uint64
+	from *Store
+}
+
 func (sh *Sharded) begin() *txn {
-	return &txn{sh: sh, reads: make(map[string]uint64), writes: make(map[string]txnWrite)}
+	return &txn{sh: sh, reads: make(map[string]readVer), writes: make(map[string]txnWrite)}
 }
 
 // Begin starts a transaction on the context's store. The returned Txn is
@@ -126,7 +136,7 @@ func (t *txn) Get(key string, buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	if _, seen := t.reads[key]; !seen {
-		t.reads[key] = ver
+		t.reads[key] = readVer{ver: ver, from: s}
 	}
 	return out, err
 }
@@ -197,19 +207,18 @@ func (s *Store) getVersioned(key string, buf []byte) ([]byte, uint64, error) {
 	return out, ver, err
 }
 
-// validateReads checks the OCC read set: every key's commit version must
-// equal the captured one, and the key's conflict window must be empty (a
-// writer mid-pipeline appended but not yet settled). The transaction's own
-// olock records are excluded. Caller holds poolMu, which makes the check
-// atomic with the commit-record append: a conflicting writer either
-// appended before now (caught here) or will append after poolMu releases
-// and thus serialize after this transaction's commit record.
-func (s *Store) validateReads(reads map[string]uint64, locks map[string]*wal.Handle) error {
-	for key, ver := range reads {
-		if s.vers.version(key) != ver {
-			return ErrTxnConflict
-		}
-		if s.eng.FindConflictIgnore([]byte(key), heldLSN(locks, key)) != nil {
+// validateReads checks the OCC read set: every key must have been read from
+// this store (readVer), its commit version must equal the captured one, and
+// the key's conflict window must be empty (a writer mid-pipeline appended but
+// not yet settled). The transaction's own olock records are excluded. Caller
+// holds poolMu, which makes the check atomic with the commit-record append: a
+// conflicting writer either appended before now (caught here) or will append
+// after poolMu releases and thus serialize after this transaction's commit
+// record.
+func (s *Store) validateReads(reads map[string]readVer, locks map[string]*wal.Handle) error {
+	for key, r := range reads {
+		if r.from != s || s.vers.version(key) != r.ver ||
+			s.eng.FindConflictIgnore([]byte(key), heldLSN(locks, key)) != nil {
 			return ErrTxnConflict
 		}
 	}
@@ -219,7 +228,7 @@ func (s *Store) validateReads(reads map[string]uint64, locks map[string]*wal.Han
 // validateReadSet is validateReads behind the pool lock, for read sets on
 // shards other than the one appending the commit record (txnshard.go); locks
 // carries the transaction's own olocks on that shard, if any.
-func (s *Store) validateReadSet(reads map[string]uint64, locks map[string]*wal.Handle) error {
+func (s *Store) validateReadSet(reads map[string]readVer, locks map[string]*wal.Handle) error {
 	s.poolMu.Lock()
 	defer s.poolMu.Unlock()
 	return s.validateReads(reads, locks)
@@ -270,7 +279,7 @@ func (s *Store) releaseOlocks(locks map[string]*wal.Handle) {
 // reads may be nil (decided cross-shard applies and recovery validate
 // nothing). held, when non-nil, maps write keys to olock records the caller
 // acquired (and will release) itself.
-func (s *Store) commitTxnSet(txnid uint64, reads map[string]uint64, ops []txnOp, held map[string]*wal.Handle) error {
+func (s *Store) commitTxnSet(txnid uint64, reads map[string]readVer, ops []txnOp, held map[string]*wal.Handle) error {
 	if err := s.checkWritable(); err != nil {
 		return err
 	}

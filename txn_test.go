@@ -1,6 +1,7 @@
 package dstore
 
-// Unit tests for the OCC transaction layer on a single store: buffered-write
+// Unit tests for the OCC transaction layer, on a single store but for the last
+// two (a read set that outlives a ring flip or a failover): buffered-write
 // visibility (read-your-writes inside, invisible outside until Commit),
 // commit-time validation (version bumps and racing writers force
 // ErrTxnConflict with nothing applied), session lifecycle, reserved-name and
@@ -17,6 +18,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"dstore/internal/fault"
 )
 
 func txnTestConfig() Config {
@@ -595,5 +598,113 @@ func TestTxnRingOfOneEquivalence(t *testing.T) {
 	}
 	if want.stats[0] == 0 || want.stats[1] == 0 || want.stats[2] == 0 {
 		t.Errorf("script did not exercise every outcome: commits/aborts/conflicts = %v", want.stats)
+	}
+}
+
+// TestTxnReadSetOutlivesRingFlip: a version captured by txn.Get belongs to the
+// version table of the store that served the read. Each key is overwritten
+// five times on its donor (its stripe stands at 5) and read by a transaction;
+// AddShard then moves some keys to a recipient whose stripe restarts at 1 with
+// the copy, and four more overwrites bring it back to 5 — equal numbers from
+// unrelated tables. Every commit must conflict: it read a value four updates
+// old. Before read sets remembered their store, the moved keys' commits
+// returned nil and overwrote those updates.
+func TestTxnReadSetOutlivesRingFlip(t *testing.T) {
+	sh, err := FormatSharded(3, shardTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	ctx := sh.Init()
+	const keys = 40
+	key := func(i int) string { return fmt.Sprintf("rf/%03d", i) }
+	put := func(i, n int) {
+		t.Helper()
+		if err := ctx.Put(key(i), []byte(fmt.Sprintf("v%d", n))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	txns, donor := make([]Txn, keys), make([]int, keys)
+	for i := range txns {
+		for n := 1; n <= 5; n++ {
+			put(i, n)
+		}
+		donor[i] = sh.ShardFor(key(i))
+		if txns[i], err = ctx.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := txns[i].Get(key(i), nil); err != nil || string(v) != "v5" {
+			t.Fatalf("txn Get(%s) = %q, %v", key(i), v, err)
+		}
+	}
+	if _, err := sh.AddShard(); err != nil {
+		t.Fatal(err)
+	}
+	moved := 0
+	for i, txn := range txns {
+		for n := 6; n <= 9; n++ {
+			put(i, n)
+		}
+		if sh.ShardFor(key(i)) != donor[i] {
+			moved++
+		}
+		if err := txn.Put(key(i), []byte("from v5")); err != nil {
+			t.Fatal(err)
+		}
+		if err := txn.Commit(); !errors.Is(err, ErrTxnConflict) {
+			t.Errorf("%s (moved=%v): Commit = %v over four lost updates, want ErrTxnConflict", key(i), sh.ShardFor(key(i)) != donor[i], err)
+		}
+		if v, err := ctx.Get(key(i), nil); err != nil || string(v) != "v9" {
+			t.Errorf("Get(%s) = %q, %v; want v9", key(i), v, err)
+		}
+	}
+	if moved == 0 {
+		t.Fatal("AddShard moved none of the keys; the test no longer crosses a ring flip")
+	}
+}
+
+// TestTxnReadSetOutlivesFailover is the ring flip's twin: a failover between
+// Get and Commit hands the key to the promoted standby, whose version table is
+// its own. A standby's counters usually mirror its primary's, so an equal
+// number there is not shown wrong — only unproven — and the rule is the same:
+// the read is refused, and the retried transaction commits.
+func TestTxnReadSetOutlivesFailover(t *testing.T) {
+	sh, err := FormatShardedReplicated(1, replTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close() //nolint:errcheck // teardown
+	ctx := sh.Init()
+	if err := ctx.Put("k", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	waitReplDrained(t, sh)
+	rmw := func() (Txn, error) {
+		txn, err := ctx.Begin()
+		if err == nil {
+			_, err = txn.Get("k", nil)
+		}
+		if err == nil {
+			err = txn.Put("k", []byte("v2"))
+		}
+		return txn, err
+	}
+	txn, err := rmw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, _ := sh.Replica(0).Active().Devices()
+	pm.SetFaultPlan(fault.NewPlan(fault.Config{Seed: 1, WriteErrRate: 1}))
+	if err := ctx.Put("other", []byte("lands on the standby")); err != nil || !sh.Replica(0).FailedOver() {
+		t.Fatalf("Put during primary death: %v, failed over = %v", err, sh.Replica(0).FailedOver())
+	}
+	if err := txn.Commit(); !errors.Is(err, ErrTxnConflict) {
+		t.Fatalf("Commit of a read set captured on the retired primary = %v, want ErrTxnConflict", err)
+	}
+	if txn, err = rmw(); err == nil {
+		err = txn.Commit()
+	}
+	if v, gerr := ctx.Get("k", nil); err != nil || gerr != nil || string(v) != "v2" {
+		t.Fatalf("retried transaction: commit %v; Get = %q, %v", err, v, gerr)
 	}
 }

@@ -4,7 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"dstore/internal/wal"
 )
@@ -182,11 +183,11 @@ func (t *txn) Commit() error {
 	sh.opMu.RLock() //nolint:lock-order // held shared across route+apply; see ShardedCtx.Put
 	defer sh.opMu.RUnlock()
 
-	readsBy := make(map[int]map[string]uint64)
+	readsBy := make(map[int]map[string]readVer)
 	for k, v := range t.reads {
 		i := sh.owner(k)
 		if readsBy[i] == nil {
-			readsBy[i] = make(map[string]uint64)
+			readsBy[i] = make(map[string]readVer)
 		}
 		readsBy[i][k] = v
 	}
@@ -195,11 +196,7 @@ func (t *txn) Commit() error {
 		i := sh.owner(k)
 		writesBy[i] = append(writesBy[i], txnOp{key: k, del: w.del, value: w.value})
 	}
-	wshards := make([]int, 0, len(writesBy))
-	for i := range writesBy {
-		wshards = append(wshards, i)
-	}
-	sort.Ints(wshards)
+	wshards := slices.Sorted(maps.Keys(writesBy))
 
 	// Moving write keys: lock their stripes (deduped, index order — the
 	// global stripe order) across commit + mirror so the copier can't
@@ -216,11 +213,7 @@ func (t *txn) Commit() error {
 			}
 		}
 		if movers != nil {
-			keys := make([]string, 0, len(movers))
-			for k := range movers {
-				keys = append(keys, k)
-			}
-			stripes := m.stripesFor(keys)
+			stripes := m.stripesFor(slices.Collect(maps.Keys(movers)))
 			for _, st := range stripes {
 				st.Lock() //nolint:lock-order // stripe order is global (sorted by index); always after opMu
 			}
@@ -257,14 +250,14 @@ func (t *txn) Commit() error {
 
 // commitRouted runs the routed commit: single-shard write sets take the
 // one-record fast path; cross-shard sets run 2PC.
-func (t *txn) commitRouted(readsBy map[int]map[string]uint64, writesBy map[int][]txnOp, wshards []int) error {
+func (t *txn) commitRouted(readsBy map[int]map[string]readVer, writesBy map[int][]txnOp, wshards []int) error {
 	sh := t.sh
 
 	// Read-only: validate every shard's read set. Each validation is atomic
 	// per shard; cross-shard the windows are sequential (§12.4 notes the
 	// resulting guarantee matches the single-shard snapshot-free Scan).
 	if len(wshards) == 0 {
-		for _, i := range sortedShardKeys(readsBy) {
+		for _, i := range slices.Sorted(maps.Keys(readsBy)) {
 			if err := sh.store(i).validateReadSet(readsBy[i], nil); err != nil {
 				return err
 			}
@@ -277,7 +270,7 @@ func (t *txn) commitRouted(readsBy map[int]map[string]uint64, writesBy map[int][
 	// 2PC path has.
 	if len(wshards) == 1 {
 		w := wshards[0]
-		for _, i := range sortedShardKeys(readsBy) {
+		for _, i := range slices.Sorted(maps.Keys(readsBy)) {
 			if i == w {
 				continue
 			}
@@ -297,7 +290,7 @@ func (t *txn) commitRouted(readsBy map[int]map[string]uint64, writesBy map[int][
 }
 
 // commit2PC runs the cross-shard protocol described at the top of the file.
-func (t *txn) commit2PC(readsBy map[int]map[string]uint64, writesBy map[int][]txnOp, wshards []int) error {
+func (t *txn) commit2PC(readsBy map[int]map[string]readVer, writesBy map[int][]txnOp, wshards []int) error {
 	sh := t.sh
 	coord := wshards[0]
 	participants := wshards[1:]
@@ -345,7 +338,7 @@ func (t *txn) commit2PC(readsBy map[int]map[string]uint64, writesBy map[int][]tx
 
 	// 2. Validate every non-coordinator read set (the coordinator's is
 	// validated atomically with the decision in step 4).
-	for _, i := range sortedShardKeys(readsBy) {
+	for _, i := range slices.Sorted(maps.Keys(readsBy)) {
 		if i == coord {
 			continue
 		}
@@ -437,15 +430,6 @@ func (t *txn) commit2PC(readsBy map[int]map[string]uint64, writesBy map[int][]tx
 		return fmt.Errorf("dstore: transaction committed but shard apply pending: %w", pendErr)
 	}
 	return nil
-}
-
-func sortedShardKeys(m map[int]map[string]uint64) []int {
-	keys := make([]int, 0, len(m))
-	for i := range m {
-		keys = append(keys, i)
-	}
-	sort.Ints(keys)
-	return keys
 }
 
 // ------------------------------------------------------------- resolution

@@ -40,7 +40,7 @@ type writeSet struct {
 	subs   []subOp
 
 	txnid uint64
-	reads map[string]uint64      // OCC read set, validated atomically with the append
+	reads map[string]readVer     // OCC read set, validated atomically with the append
 	locks map[string]*wal.Handle // the transaction's own olocks, excluded from that validation
 }
 
@@ -444,11 +444,22 @@ func (s *Store) stage(w *writeSet, t *stageNs) (*wal.Handle, error) {
 // lock validate the read set, run every sub-op's pool phase and append the
 // record carrying their decisions — one critical section, so validation,
 // allocation and the record's position in the log are atomic. A conflicting
-// writer either appended before this point (the append reports it, or
+// writer either appended before this point (the probe below reports it, or
 // validateReads does) or serializes after this record. Every outcome but
 // success rolls the allocations back first: CC conflict → wait for the
 // conflicting record to settle; log full → checkpoint for space; transient
 // device error → bounded backoff; anything else from the device → degrade.
+//
+// The pool phase reads the index (putPool: tree.Get decides indexed/newSlot)
+// before the append scans the window, so a same-name writer that appended
+// before this one took poolMu and applies and settles between the two would
+// be missed: this writer would insert name → fresh slot over the other's slot
+// (used, unreachable, its blocks leaked) or, after a delete, write a slot the
+// delete's deferred free hands back to the pool. Hence the probe, under
+// poolMu, before the pool phase: every data record is appended under poolMu,
+// so "no unsettled record names X" holds until this writer's own append, and
+// a record settled before the probe has applied — the index read reflects it.
+// On a quiet filter stripe the probe is one atomic load; it touches no PMEM.
 func (s *Store) appendSet(w *writeSet, t *stageNs) (*wal.Handle, error) {
 	devRetries := 0
 	for {
@@ -457,6 +468,11 @@ func (s *Store) appendSet(w *writeSet, t *stageNs) (*wal.Handle, error) {
 			t0 = nowNs()
 		}
 		s.poolMu.Lock()
+		if other := s.unsettled(w); other != nil {
+			s.poolMu.Unlock()
+			other.Wait()
+			continue
+		}
 		err := s.validateReads(w.reads, w.locks)
 		if err == nil {
 			err = s.poolPhases(w.subs)
@@ -506,6 +522,19 @@ func (s *Store) appendSet(w *writeSet, t *stageNs) (*wal.Handle, error) {
 			return nil, err
 		}
 	}
+}
+
+// unsettled returns another writer's unsettled record naming one of w's
+// objects, if any. The writer's own olock on a name does not count, whether a
+// lock holder's (w.ignore) or a transaction's (w.locks).
+func (s *Store) unsettled(w *writeSet) *wal.Handle {
+	for i := range w.subs {
+		own := max(w.ignore, heldLSN(w.locks, w.subs[i].key))
+		if h := s.eng.FindConflictIgnore(w.subs[i].name, own); h != nil {
+			return h
+		}
+	}
+	return nil
 }
 
 // poolPhases runs every sub-op's pool phase; if one fails, those before it
