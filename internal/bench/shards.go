@@ -63,7 +63,7 @@ func Shards(o Options) ([]*Table, error) {
 			most, tail, reduction, t.Num(0, "upd_p9999_us"))
 	}
 	if coreBound {
-		t.Note("core-bound: GOMAXPROCS=%d < %d shards — every configuration saturates the same cores, so aggregate throughput cannot scale here; the sharding win is in the tails (per-shard logs and 1/N-size staggered checkpoints)",
+		t.Note("core-bound: GOMAXPROCS=%d < %d shards — every configuration saturates the same cores, so aggregate throughput cannot scale here; the sharding win is in the tails (per-shard logs and 1/N-size checkpoints, each shard on its own schedule)",
 			runtime.GOMAXPROCS(0), most)
 	}
 	t.Note("expected shape: write kops scales with shards when cores >= shards (per-shard private log tails); p9999 no worse than single-store")

@@ -79,9 +79,8 @@ type Config struct {
 	// OnCheckpointDone, if set, runs at the end of every successful
 	// foreground checkpoint, before Checkpoint returns.
 	OnCheckpointDone func()
-	// GroupCommit enables WAL group commit: concurrent committers settle
-	// behind one shared flush+fence (ISSUE 10), with the wal package's
-	// batch cap and leader linger.
+	// GroupCommit enables WAL group commit: committers that arrive while a
+	// leader round is fencing settle behind the next round's shared fences.
 	GroupCommit bool
 }
 

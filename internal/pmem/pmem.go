@@ -27,7 +27,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -570,7 +572,9 @@ func (d *Device) Crash(policy CrashPolicy, seed int64) error {
 	for i := range d.shards {
 		s := &d.shards[i]
 		s.mu.Lock()
-		for line, st := range s.lines {
+		// In line order, so that a seed names one outcome.
+		for _, line := range slices.Sorted(maps.Keys(s.lines)) {
+			st := s.lines[line]
 			dst := d.buf[line*LineSize : (line+1)*LineSize]
 			switch policy {
 			case CrashKeepAll:

@@ -30,27 +30,26 @@
 // that record's commit flag. NOOP records give olock/ounlock the same
 // treatment (§4.5).
 //
-// Appenders run that scan inside the critical section they already hold.
-// Everyone else — readers above all — first asks the in-flight-name filter
-// (Pair.Quiet): a fixed array of atomic counters, indexed by a hash of the
-// record name, that is non-zero exactly while a record hashing there is laid
-// down and not yet settled. A zero stripe proves the scan would find nothing,
-// so the common read never touches a lock the write path holds; only a
-// non-zero stripe (a real conflict, or a neighbour sharing the stripe) pays
-// for the exact scan. The filter is DRAM-only: it is rebuilt empty by
-// NewPair and RecoverPair, where no record is in flight.
+// Everyone first asks the in-flight-name filter (Pair.Quiet) — readers above
+// all, and appenders inside the critical section they already hold: a fixed
+// array of atomic counters, indexed by a hash of the record name, that is
+// non-zero exactly while a record hashing there is laid down and not yet
+// settled. A zero stripe proves the scan would find nothing, so the common
+// read never touches a lock the write path holds; only a non-zero stripe (a
+// real conflict, or a neighbour sharing the stripe) pays for the exact scan.
+// The filter is DRAM-only: it is rebuilt empty by NewPair and RecoverPair,
+// where no record is in flight.
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"dstore/internal/latency"
 	"dstore/internal/pmem"
 	"dstore/internal/space"
 )
@@ -149,7 +148,7 @@ type Log struct {
 	sp   *space.PMEM
 	mu   sync.Mutex // serializes appends and window scans
 	tail uint64     // next append offset; guarded by mu
-	cur  uint64     // firstUncommitted cursor (lazily advanced); guarded by mu
+	cur  uint64     // firstUncommitted cursor (advanced by settles and scans); guarded by mu
 
 	// pending lists records appended under group commit but not yet
 	// published. Invariant: the log is a published prefix followed by the
@@ -383,25 +382,15 @@ type GroupCommitConfig struct {
 	// Enabled turns the combining settle path on. Off, every Append and
 	// settle pays its own flush+fence sequence exactly as before.
 	Enabled bool
-	// MaxBatch bounds how many committers one leader round settles.
-	// Default 64.
-	MaxBatch int
-	// MaxWait is the leader's linger: with more records in flight than the
-	// drained batch holds, the leader waits this long for them before
-	// fencing. Device-scale (a few µs); it is injected via latency.Spin, so
-	// it is a no-op unless latency injection is enabled. Default 3µs.
-	MaxWait time.Duration
 }
 
-// groupCommit is the settle-combining state: committers enqueue their
-// handles and whichever of them takes mu becomes the leader, publishing all
-// pending records and settling the whole queue behind shared fences.
+// groupCommit is the settle-combining state: a committer that takes mu is the
+// leader and publishes all pending records and settles itself and the whole
+// queue behind shared fences; one that finds a leader at work queues up.
 type groupCommit struct {
-	// enabled/maxBatch/maxWait are set by SetGroupCommit before concurrent
-	// use and never change afterwards.
-	enabled  bool
-	maxBatch int
-	maxWait  time.Duration
+	// enabled is set by SetGroupCommit before concurrent use and never
+	// changes afterwards.
+	enabled bool
 
 	// mu is leadership: held by the one active leader round. Committers
 	// only TryLock it — nobody blocks on it.
@@ -421,18 +410,8 @@ type groupCommit struct {
 }
 
 // SetGroupCommit installs the group-commit configuration. Install before
-// concurrent use of the pair (the fields are read without synchronization).
-func (p *Pair) SetGroupCommit(cfg GroupCommitConfig) {
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 64
-	}
-	if cfg.MaxWait <= 0 {
-		cfg.MaxWait = 3 * time.Microsecond
-	}
-	p.gc.enabled = cfg.Enabled
-	p.gc.maxBatch = cfg.MaxBatch
-	p.gc.maxWait = cfg.MaxWait
-}
+// concurrent use of the pair (the field is read without synchronization).
+func (p *Pair) SetGroupCommit(cfg GroupCommitConfig) { p.gc.enabled = cfg.Enabled }
 
 // GroupCommitStats is a snapshot of the group-commit counters. Mean records
 // per batch is Records/Batches.
@@ -586,13 +565,17 @@ func (p *Pair) AppendIgnore(op uint16, name, payload []byte, ignore uint64) (*Ha
 	l := p.logs[p.active]
 
 	l.mu.Lock()
-	if lsn, ok := l.findConflictLocked(name, ignore); ok {
-		// An uncommitted record in the window always has its handle: it was
-		// registered before the append released l.mu, and it leaves the
-		// registry only after its state byte was settled under l.mu.
-		h := p.lookup(lsn)
-		l.mu.Unlock()
-		return nil, h, nil
+	// A zero stripe proves the window scan would come back empty (see
+	// inflight): stripes are raised under l.mu, which this append holds.
+	if p.inflight[stripe].Load() != 0 {
+		if lsn, ok := l.findConflictLocked(name, ignore); ok {
+			// An uncommitted record in the window always has its handle: it
+			// was registered before the append released l.mu, and it leaves
+			// the registry only after its state byte was settled under l.mu.
+			h := p.lookup(lsn)
+			l.mu.Unlock()
+			return nil, h, nil
+		}
 	}
 	total := recordSize(len(name), len(payload))
 	off := l.tail
@@ -648,14 +631,15 @@ func (l *Log) storeRecordLocked(off uint64, op uint16, state uint8, name, payloa
 		return err
 	}
 	// Body: everything except the LSN word. The LSN word at off is still
-	// zero — it is the previous append's guard.
-	sp.PutU32(off+recLen, uint32(total))
-	sp.PutU16(off+recOp, op)
-	sp.PutU8(off+recState, state)
-	sp.PutU8(off+recState+1, 0)
-	sp.PutU16(off+recNameLen, uint16(len(name)))
-	sp.PutU16(off+recPayLen, uint16(len(payload)))
-	sp.PutU32(off+20, 0)
+	// zero — it is the previous append's guard. The rest of the header is
+	// one image, one store.
+	var hdr [recHeader - recLen]byte
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(total))
+	binary.LittleEndian.PutUint16(hdr[recOp-recLen:], op)
+	hdr[recState-recLen] = state
+	binary.LittleEndian.PutUint16(hdr[recNameLen-recLen:], uint16(len(name)))
+	binary.LittleEndian.PutUint16(hdr[recPayLen-recLen:], uint16(len(payload)))
+	sp.Write(off+recLen, hdr[:])
 	sp.Write(off+recHeader, name)
 	sp.Write(off+recHeader+uint64(len(name)), payload)
 	padStart := off + recHeader + uint64(len(name)) + uint64(len(payload))
@@ -858,6 +842,7 @@ func (p *Pair) settle(h *Handle, state uint8) error {
 	if err == nil {
 		h.log.sp.Persist(h.off+recState, 1)
 	}
+	h.log.advanceCursorLocked() // appends on a quiet stripe do not scan; see publishAndSettleLocked
 	h.log.mu.Unlock()
 	p.release(h)
 	h.committed.Store(true) // release waiters; the handle is settled in DRAM
@@ -868,29 +853,25 @@ func (p *Pair) settle(h *Handle, state uint8) error {
 	return nil
 }
 
-// settleGrouped parks the committer on the group-commit queue: whichever
-// committer takes the leadership mutex drains the queue and settles the
-// whole batch behind shared fences; everyone else spins on their handle's
-// committed flag exactly like a CC waiter. TryLock (never Lock) keeps the
-// scheme free of lock-ordering hazards — no committer ever blocks holding
-// anything.
+// settleGrouped is the group-commit settle. A committer that finds leadership
+// free takes it and settles itself together with whatever is already queued —
+// alone, that is its own two fences and no hand-off. Only a committer that
+// finds a leader at work queues up; it then retries leadership between yields
+// until some round, its own included, has settled it, so a handle queued just
+// after a drain is never stranded. Nobody waits for company that has not
+// arrived: a batch is what queued while the previous round was fencing.
 func (p *Pair) settleGrouped(h *Handle, state uint8) error {
-	h.settleState = state
+	h.settleState, h.settleErr = state, nil
 	gc := &p.gc
-	gc.qmu.Lock()
-	gc.queue = append(gc.queue, h)
-	gc.qmu.Unlock()
-	parked := false
-	for !h.committed.Load() {
-		if gc.mu.TryLock() {
-			p.runLeaderLocked()
-			gc.mu.Unlock()
-			continue
+	if !p.tryLead(h) {
+		gc.qmu.Lock()
+		gc.queue = append(gc.queue, h)
+		gc.qmu.Unlock()
+		for !h.committed.Load() {
+			if !p.tryLead(nil) {
+				runtime.Gosched()
+			}
 		}
-		parked = true
-		runtime.Gosched()
-	}
-	if parked {
 		gc.parked.Add(1)
 	}
 	if err := h.settleErr; err != nil {
@@ -899,61 +880,59 @@ func (p *Pair) settleGrouped(h *Handle, state uint8) error {
 	return nil
 }
 
-// runLeaderLocked executes one leader round: drain the queue, optionally linger
-// for committers still in flight, publish the pending suffix, and settle
-// the batch. Caller holds gc.mu.
-func (p *Pair) runLeaderLocked() {
+// tryLead runs one leader round if leadership is free. TryLock (never Lock)
+// keeps the scheme free of lock-ordering hazards — no committer ever blocks
+// holding anything.
+func (p *Pair) tryLead(self *Handle) bool {
+	if !p.gc.mu.TryLock() {
+		return false
+	}
+	p.runLeaderLocked(self)
+	p.gc.mu.Unlock()
+	return true
+}
+
+// runLeaderLocked executes one leader round: take self (nil when the leader's
+// own handle is in the queue) and everyone queued, publish the pending suffix
+// and settle the batch. Caller holds gc.mu.
+func (p *Pair) runLeaderLocked(self *Handle) {
 	gc := &p.gc
-	batch := p.drainQueue(gc.scratch[:0])
-	if len(batch) == 0 {
-		gc.scratch = batch
-		return
+	batch := gc.scratch[:0]
+	if self != nil {
+		batch = append(batch, self)
 	}
-	// Linger only when records beyond this batch are in flight: their
-	// committers may arrive within a device-scale wait and share the fence.
-	// latency.Spin is a no-op unless latency injection is enabled, so unit
-	// tests pay nothing here.
-	if gc.maxWait > 0 && len(batch) < gc.maxBatch && p.InFlight() > len(batch) {
-		latency.Spin(gc.maxWait) //nolint:lock-order — bounded device-scale linger; holding leadership while more committers coalesce is the point of group commit
-		batch = p.drainQueue(batch)
+	gc.qmu.Lock()
+	batch = append(batch, gc.queue...)
+	clear(gc.queue)
+	gc.queue = gc.queue[:0]
+	gc.qmu.Unlock()
+	if len(batch) > 0 {
+		p.publishAndSettleLocked(batch)
+		gc.batches.Add(1)
+		gc.records.Add(uint64(len(batch)))
 	}
-	if len(batch) > gc.maxBatch {
-		gc.qmu.Lock()
-		gc.queue = append(gc.queue, batch[gc.maxBatch:]...)
-		gc.qmu.Unlock()
-		batch = batch[:gc.maxBatch]
-	}
-	p.publishAndSettleLocked(batch)
-	gc.batches.Add(1)
-	gc.records.Add(uint64(len(batch)))
-	for i, h := range batch {
+	for _, h := range batch {
 		p.release(h)
 		h.committed.Store(true) // release point: settleErr is visible now
-		batch[i] = nil          // keep settled handles collectable
 	}
+	clear(batch) // keep settled handles collectable
 	gc.scratch = batch[:0]
 }
 
-// drainQueue moves every parked committer into batch.
-func (p *Pair) drainQueue(batch []*Handle) []*Handle {
-	gc := &p.gc
-	gc.qmu.Lock()
-	batch = append(batch, gc.queue...)
-	for i := range gc.queue {
-		gc.queue[i] = nil
-	}
-	gc.queue = gc.queue[:0]
-	gc.qmu.Unlock()
-	return batch
-}
-
-// publishAndSettleLocked publishes the pending suffix and then settles every
-// batch handle's state byte, flushing the (deduped) touched cache lines
-// behind one shared fence. Like settle, it is exempt from the persist-order
-// checker: on a device-fault or failed-publish path a state byte stays
-// volatile by design — the store is applied so conflict-window scans see
-// the record settled, durability is refused, and recovery resolves the
-// record to dead, consistent with the error the committer returns.
+// publishAndSettleLocked settles the batch around one publish of the pending
+// suffix. A handle whose record is still pending has its final state byte —
+// committed or dead — stored before the publish: the byte rides the body flush
+// and the LSN store makes the record valid and settled at once, two fences for
+// the round and no state-line flush. (The record is invisible until its LSN is
+// stored, and every byte of it is persistent by then: a crash leaves it absent
+// or whole.) A handle published earlier, by another round or by Swap, is
+// settled after the publish: state bytes stored, their deduped cache lines
+// flushed behind one more shared fence.
+//
+// Exempt from the persist-order checker like settle: a state byte the device
+// refuses (CheckFault), or any after a failed publish, is stored after the
+// publish and left volatile by design — scans see the record settled,
+// recovery resolves it to dead, consistent with the error the committer gets.
 //
 //dstore:volatile
 func (p *Pair) publishAndSettleLocked(batch []*Handle) {
@@ -966,35 +945,50 @@ func (p *Pair) publishAndSettleLocked(batch []*Handle) {
 	sp := l.sp
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	pendLo := l.tail // the pending suffix is [pendLo, tail)
+	if len(l.pending) > 0 {
+		pendLo = l.pending[0].off
+	}
+	late := 0 // batch[:late] are settled after the publish
+	for i, h := range batch {
+		if h.off >= pendLo {
+			if h.settleErr = sp.CheckFault(h.off+recState, 1); h.settleErr == nil {
+				sp.PutU8(h.off+recState, h.settleState)
+				continue
+			}
+		}
+		batch[i], batch[late] = batch[late], h
+		late++
+	}
 	pubErr := l.publishPendingLocked()
 	lines := p.gc.stateLines[:0]
-	for _, h := range batch {
+	for _, h := range batch[:late] {
 		// The volatile store is applied unconditionally so conflict-window
 		// scans see the record settled even when durability is refused.
 		sp.PutU8(h.off+recState, h.settleState)
-		if pubErr != nil {
+		if h.settleErr != nil || pubErr != nil {
+			continue
+		}
+		if h.settleErr = sp.CheckFault(h.off+recState, 1); h.settleErr == nil {
+			lines = append(lines, (h.off+recState)/pmem.LineSize)
+		}
+	}
+	if pubErr != nil {
+		for _, h := range batch {
 			h.settleErr = pubErr
-			continue
 		}
-		if err := sp.CheckFault(h.off+recState, 1); err != nil {
-			h.settleErr = err
-			continue
-		}
-		lines = append(lines, (h.off+recState)/pmem.LineSize)
 	}
 	if len(lines) > 0 {
-		sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-		prev := ^uint64(0)
-		for _, line := range lines {
-			if line == prev {
-				continue
-			}
-			prev = line
+		slices.Sort(lines)
+		for _, line := range slices.Compact(lines) {
 			sp.Flush(line*pmem.LineSize, pmem.LineSize)
 		}
 		sp.Fence()
 	}
 	p.gc.stateLines = lines[:0]
+	// An append on a quiet filter stripe skips the window scan, so the cursor
+	// moves here, a step per settled record: no scan pays a catch-up walk.
+	l.advanceCursorLocked()
 }
 
 // SwapResult describes the archived log produced by a Swap.

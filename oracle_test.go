@@ -577,7 +577,7 @@ var reshardPhases = []point{{phase: "pre-copy"}, {1, "copy"}, {17, "copy"}, {60,
 var oracleRows = []row{
 	{name: "plain", shape: bare, cfg: sweepConfig(2048, 512, 1<<14), script: mixed(plainMix), cuts: 97},
 	{name: "txn", shape: bare, cfg: sweepConfig(4096, 1024, 1<<14),
-		preload: seed(eightKeys, hashTag), script: rmw(40, []int{0, 3, 5}, hashTag, true), cuts: 89},
+		preload: seed(eightKeys, hashTag), script: rmw(40, []int{0, 3, 5}, hashTag, true), cuts: 91},
 	{name: "batch", shape: bare, cfg: sweepConfig(2048, 512, 1<<14), script: batches, cuts: 89},
 	{name: "2pc", shape: ringOf(3), cfg: shardedTxnConfig(),
 		preload: seed(crossShard, atTag), script: rmw(25, []int{0, 1, 2, 3}, atTag, true), cuts: 61, after: resolved},

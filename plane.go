@@ -279,8 +279,10 @@ func putAllocPayload(b []byte, u *subOp) {
 	}
 }
 
-func encodeAllocPayload(u *subOp, physPad int) []byte {
-	b := make([]byte, allocLen(u)+physPad)
+// The encoders lay a record's parameters down in b, reusing its room: the
+// log copies a payload out at the append, so a write keeps one buffer.
+func encodeAllocPayload(b []byte, u *subOp, physPad int) []byte {
+	b = append(b[:0], make([]byte, allocLen(u)+physPad)...)
 	putAllocPayload(b, u)
 	return b
 }
@@ -306,11 +308,10 @@ func decodeAllocPayload(p []byte) (u subOp, err error) {
 }
 
 // opInval payload: the block indices whose checksums must be invalidated.
-func encodeInvalPayload(u *subOp, _ int) []byte {
-	b := make([]byte, 4+4*len(u.idxs))
-	binary.LittleEndian.PutUint32(b[0:], uint32(len(u.idxs)))
-	for i, x := range u.idxs {
-		binary.LittleEndian.PutUint32(b[4+4*i:], uint32(x))
+func encodeInvalPayload(b []byte, u *subOp, _ int) []byte {
+	b = binary.LittleEndian.AppendUint32(b[:0], uint32(len(u.idxs)))
+	for _, x := range u.idxs {
+		b = binary.LittleEndian.AppendUint32(b, uint32(x))
 	}
 	return b
 }
@@ -332,12 +333,10 @@ func decodeInvalPayload(p []byte) (u subOp, err error) {
 
 // opRemap payload: repoint the idxs[0]-th block of the named object at the
 // relocation target blocks[0] carrying the checksum sums[0].
-func encodeRemapPayload(u *subOp, _ int) []byte {
-	b := make([]byte, 16)
-	binary.LittleEndian.PutUint32(b[0:], uint32(u.idxs[0]))
-	binary.LittleEndian.PutUint64(b[4:], u.blocks[0])
-	binary.LittleEndian.PutUint32(b[12:], u.sums[0])
-	return b
+func encodeRemapPayload(b []byte, u *subOp, _ int) []byte {
+	b = binary.LittleEndian.AppendUint32(b[:0], uint32(u.idxs[0]))
+	b = binary.LittleEndian.AppendUint64(b, u.blocks[0])
+	return binary.LittleEndian.AppendUint32(b, u.sums[0])
 }
 
 func decodeRemapPayload(p []byte) (u subOp, err error) {

@@ -38,6 +38,7 @@ type writeSet struct {
 	name   []byte // the record's name
 	ignore uint64 // LSN of the caller's own olock on name, excluded from CC
 	subs   []subOp
+	params []byte // the record parameters' buffer; a pooled oneWrite keeps it between writes
 
 	txnid uint64
 	reads map[string]readVer     // OCC read set, validated atomically with the append
@@ -50,8 +51,8 @@ type writeSet struct {
 // oneWrite or a transaction's slice — so passing pointers through these
 // function values costs nothing.
 type opDesc struct {
-	// encode and decode are the record-parameter codec.
-	encode func(u *subOp, physPad int) []byte
+	// encode and decode are the record-parameter codec; encode reuses b.
+	encode func(b []byte, u *subOp, physPad int) []byte
 	decode func(payload []byte) (subOp, error)
 	// pool is the pool phase (steps ③–④), run under poolMu and
 	// treeMu.RLock: take the allocations, record them and what the index
@@ -296,14 +297,14 @@ var oneWrites = sync.Pool{New: func() any { return new(oneWrite) }}
 func (s *Store) single(op uint16, key string, ignore uint64) *oneWrite {
 	w := oneWrites.Get().(*oneWrite)
 	w.one[0] = subOp{op: op, key: key, name: []byte(key)}
-	w.writeSet = writeSet{op: op, name: w.one[0].name, ignore: ignore, subs: w.one[:]}
+	w.writeSet = writeSet{op: op, name: w.one[0].name, ignore: ignore, subs: w.one[:], params: w.params}
 	return w
 }
 
 // writeOne runs the pipeline for w and recycles it.
 func (s *Store) writeOne(w *oneWrite) error {
 	err := s.write(&w.writeSet)
-	*w = oneWrite{} // a pooled description must not pin the caller's value
+	*w = oneWrite{writeSet: writeSet{params: w.params}} // a pooled description must not pin the caller's value
 	oneWrites.Put(w)
 	return err
 }
@@ -488,7 +489,8 @@ func (s *Store) appendSet(w *writeSet, t *stageNs) (*wal.Handle, error) {
 		if w.op == opTxnCommit {
 			payload = encodeTxnPayload(w.txnid, w.subs)
 		} else if enc := opTable[w.op].encode; enc != nil {
-			payload = enc(&w.subs[0], s.physPad())
+			w.params = enc(w.params, &w.subs[0], s.physPad())
+			payload = w.params
 		}
 		h, conflict, err := s.eng.Pair().AppendIgnore(w.op, w.name, payload, w.ignore)
 		if err == nil && conflict == nil {
