@@ -83,7 +83,7 @@ func (c *Client) mdo(ctx context.Context, op wire.Op, keys []string, values [][]
 					subs[j].Value = values[i]
 				}
 			}
-			resp, err := c.do(ctx, &wire.Request{Op: op, Subs: subs})
+			resp, err := c.do(ctx, &wire.Request{Op: op, Subs: subs}, nil)
 			if err != nil && !isPartial(err) {
 				// Frame-level failure: every sub-op on this frame shares it.
 				for _, i := range chunk {

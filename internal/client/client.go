@@ -4,11 +4,13 @@
 // errors.
 //
 // Pipelining: many calls may be in flight on one connection at once; each
-// carries a unique request id and a dedicated response channel, and a
-// per-connection reader goroutine routes responses (which the server may
-// send in any order) back to their callers. Transport failures fail every
-// in-flight call on that connection, the connection is discarded from the
-// pool, and the retry loop re-dials.
+// carries a unique request id and a response channel. A connection has no
+// goroutine of its own: the caller that finds nobody reading reads — its own
+// reply returns on its own goroutine, the others' (which the server may send
+// in any order) it routes to their channels — so a call prefers a connection
+// with nothing in flight. Transport failures fail every in-flight call on
+// that connection, the connection is discarded from the pool, and the retry
+// loop re-dials.
 //
 // Errors: wire statuses map back onto the store's sentinel errors, so
 // errors.Is(err, dstore.ErrNotFound / ErrCorrupt / ErrDegraded / ErrClosed)
@@ -23,9 +25,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
+	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,8 +43,9 @@ import (
 type Config struct {
 	// Addr is the server's TCP address ("host:port").
 	Addr string
-	// Conns is the connection pool size; calls round-robin over it.
-	// Default 2.
+	// Conns is the connection pool size. A call takes the first connection
+	// with nothing in flight, starting at its round-robin slot (dialing an
+	// empty one), and that slot when all are busy. Default 2.
 	Conns int
 	// Attempts bounds tries per call on transient transport errors
 	// (mirroring the store's device-IO retry policy). Default 3.
@@ -154,21 +158,14 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	conns := make([]*conn, 0, len(c.pool))
-	for _, cn := range c.pool {
-		if cn != nil {
-			conns = append(conns, cn)
-		}
-	}
+	conns := slices.Clone(c.pool)
 	c.mu.Unlock()
-	// Fail (and thereby close) every conn, then join the read loops, both
-	// outside c.mu: failing a conn closes its socket, which unblocks its
-	// readLoop, so the joins are bounded.
+	// Fail (and thereby close) every conn outside c.mu. There is no reader
+	// to join: the caller reading a closed socket returns, like the parked.
 	for _, cn := range conns {
-		cn.fail(ErrClientClosed)
-	}
-	for _, cn := range conns {
-		<-cn.readerDone
+		if cn != nil {
+			cn.fail(ErrClientClosed)
+		}
 	}
 	return nil
 }
@@ -177,13 +174,13 @@ func (c *Client) Close() error {
 
 // Put stores value under key.
 func (c *Client) Put(ctx context.Context, key string, value []byte) error {
-	_, err := c.do(ctx, &wire.Request{Op: wire.OpPut, Key: key, Value: value})
+	_, err := c.do(ctx, &wire.Request{Op: wire.OpPut, Key: key, Value: value}, nil)
 	return err
 }
 
 // Get returns key's value.
 func (c *Client) Get(ctx context.Context, key string) ([]byte, error) {
-	resp, err := c.do(ctx, &wire.Request{Op: wire.OpGet, Key: key})
+	resp, err := c.do(ctx, &wire.Request{Op: wire.OpGet, Key: key}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +189,7 @@ func (c *Client) Get(ctx context.Context, key string) ([]byte, error) {
 
 // Delete removes key.
 func (c *Client) Delete(ctx context.Context, key string) error {
-	_, err := c.do(ctx, &wire.Request{Op: wire.OpDelete, Key: key})
+	_, err := c.do(ctx, &wire.Request{Op: wire.OpDelete, Key: key}, nil)
 	return err
 }
 
@@ -203,7 +200,7 @@ func (c *Client) Scan(ctx context.Context, prefix string, limit int) ([]wire.Obj
 	if limit > 0 {
 		lim = uint32(limit)
 	}
-	resp, err := c.do(ctx, &wire.Request{Op: wire.OpScan, Key: prefix, Limit: lim})
+	resp, err := c.do(ctx, &wire.Request{Op: wire.OpScan, Key: prefix, Limit: lim}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +209,7 @@ func (c *Client) Scan(ctx context.Context, prefix string, limit int) ([]wire.Obj
 
 // Stats fetches store and server counters.
 func (c *Client) Stats(ctx context.Context) (wire.StatsReply, error) {
-	resp, err := c.do(ctx, &wire.Request{Op: wire.OpStats})
+	resp, err := c.do(ctx, &wire.Request{Op: wire.OpStats}, nil)
 	if err != nil {
 		return wire.StatsReply{}, err
 	}
@@ -224,7 +221,7 @@ func (c *Client) Stats(ctx context.Context) (wire.StatsReply, error) {
 
 // Health fetches the store's fault/integrity status.
 func (c *Client) Health(ctx context.Context) (wire.HealthReply, error) {
-	resp, err := c.do(ctx, &wire.Request{Op: wire.OpHealth})
+	resp, err := c.do(ctx, &wire.Request{Op: wire.OpHealth}, nil)
 	if err != nil {
 		return wire.HealthReply{}, err
 	}
@@ -236,7 +233,7 @@ func (c *Client) Health(ctx context.Context) (wire.HealthReply, error) {
 
 // Checkpoint runs one synchronous checkpoint on the server.
 func (c *Client) Checkpoint(ctx context.Context) error {
-	_, err := c.do(ctx, &wire.Request{Op: wire.OpCheckpoint})
+	_, err := c.do(ctx, &wire.Request{Op: wire.OpCheckpoint}, nil)
 	return err
 }
 
@@ -244,7 +241,7 @@ func (c *Client) Checkpoint(ctx context.Context) error {
 // (OpPromote): the failover trigger for a remote standby. Servers without a
 // replicating backend refuse with StatusBadRequest.
 func (c *Client) Promote(ctx context.Context) error {
-	_, err := c.do(ctx, &wire.Request{Op: wire.OpPromote})
+	_, err := c.do(ctx, &wire.Request{Op: wire.OpPromote}, nil)
 	return err
 }
 
@@ -278,7 +275,7 @@ func (c *Client) BeginTxn(ctx context.Context) (*Txn, error) {
 		return nil, err
 	}
 	t := &Txn{c: c, cn: cn, id: c.txnSeq.Add(1)}
-	resp, err := cn.roundTrip(ctx, &wire.Request{Op: wire.OpTxnBegin, Limit: t.id})
+	resp, err := cn.roundTrip(ctx, &wire.Request{Op: wire.OpTxnBegin, Limit: t.id}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -299,7 +296,7 @@ func (t *Txn) call(ctx context.Context, req *wire.Request) (wire.Response, error
 	if e := t.c.ringEpoch.Load(); e != 0 {
 		req.Epoch = e
 	}
-	resp, err := t.cn.roundTrip(ctx, req)
+	resp, err := t.cn.roundTrip(ctx, req, nil)
 	if err != nil {
 		t.done = true
 		return wire.Response{}, err
@@ -366,12 +363,12 @@ func (t *Txn) Abort(ctx context.Context) error {
 // shard map is repaired by re-fetching the ring, not by resending the frame.
 // Other server status errors are never retried — the caller owns semantic
 // retries.
-func (c *Client) do(ctx context.Context, req *wire.Request) (wire.Response, error) {
+func (c *Client) do(ctx context.Context, req *wire.Request, dst *[]byte) (wire.Response, error) {
 	for stale := 0; ; stale++ {
-		if e := c.ringEpoch.Load(); e != 0 && epochStamped(req.Op) {
+		if e := c.ringEpoch.Load(); e != 0 && req.Op.Routed() {
 			req.Epoch = e
 		}
-		resp, err := c.doTransport(ctx, req)
+		resp, err := c.doTransport(ctx, req, dst)
 		if errors.Is(err, dstore.ErrNotMine) && stale < c.cfg.Attempts {
 			if rerr := c.refreshRing(ctx); rerr != nil {
 				return resp, err
@@ -382,25 +379,10 @@ func (c *Client) do(ctx context.Context, req *wire.Request) (wire.Response, erro
 	}
 }
 
-// epochStamped reports whether op is routed by the ring and so carries the
-// cached epoch. Mirrors the server's fence: control-plane ops are exempt so
-// they keep working across a reshard.
-func epochStamped(op wire.Op) bool {
-	switch op {
-	case wire.OpPut, wire.OpGet, wire.OpDelete, wire.OpScan:
-		return true
-	default:
-		// Batched data ops are ring-routed like their singleton forms; the
-		// server additionally re-checks the epoch per sub-op (a reshard can
-		// land mid-batch).
-		return op.Txn() || op.Multi()
-	}
-}
-
 // doTransport runs the bounded transient-transport retry loop for one
 // request: the same shape as the store's device-IO retries (ioAttempts ×
 // linear backoff over the fault package's transient class).
-func (c *Client) doTransport(ctx context.Context, req *wire.Request) (wire.Response, error) {
+func (c *Client) doTransport(ctx context.Context, req *wire.Request, dst *[]byte) (wire.Response, error) {
 	var err error
 	for attempt := 0; attempt < c.cfg.Attempts; attempt++ {
 		if attempt > 0 {
@@ -410,10 +392,12 @@ func (c *Client) doTransport(ctx context.Context, req *wire.Request) (wire.Respo
 				return wire.Response{}, ctx.Err()
 			}
 		}
-		var resp wire.Response
-		resp, err = c.roundTrip(ctx, req)
-		if err == nil {
-			return resp, statusErr(&resp)
+		var cn *conn
+		if cn, err = c.acquire(); err == nil {
+			var resp wire.Response
+			if resp, err = cn.roundTrip(ctx, req, dst); err == nil {
+				return resp, statusErr(&resp)
+			}
 		}
 		if !fault.IsTransient(err) {
 			return wire.Response{}, err
@@ -494,7 +478,7 @@ func jittered(d time.Duration) time.Duration {
 
 // fetchRing performs one OpRing round trip and installs the result.
 func (c *Client) fetchRing(ctx context.Context) error {
-	resp, err := c.doTransport(ctx, &wire.Request{Op: wire.OpRing})
+	resp, err := c.doTransport(ctx, &wire.Request{Op: wire.OpRing}, nil)
 	if err != nil {
 		return err
 	}
@@ -560,17 +544,9 @@ func statusErr(resp *wire.Response) error {
 	}
 }
 
-// roundTrip sends req on a pooled connection and waits for its response.
-// Every error it returns is transport-level and wrapped transient.
-func (c *Client) roundTrip(ctx context.Context, req *wire.Request) (wire.Response, error) {
-	cn, err := c.acquire()
-	if err != nil {
-		return wire.Response{}, err
-	}
-	return cn.roundTrip(ctx, req)
-}
-
-// acquire picks the next pool slot, dialing it if empty or broken.
+// acquire picks a connection: from the next round-robin slot on, the first
+// with nothing in flight (its caller will read its own reply), dialing a slot
+// it finds empty or broken on the way; when all are busy, the slot itself.
 func (c *Client) acquire() (*conn, error) {
 	slot := int(c.next.Add(1)) % c.cfg.Conns
 
@@ -579,11 +555,23 @@ func (c *Client) acquire() (*conn, error) {
 		c.mu.Unlock()
 		return nil, ErrClientClosed
 	}
-	if cn := c.pool[slot]; cn != nil && !cn.broken() {
-		c.mu.Unlock()
-		return cn, nil
+	pick := c.pool[slot] // stands if every connection is dialed and busy
+	for i := range c.pool {
+		s := (slot + i) % len(c.pool)
+		cn := c.pool[s]
+		if cn == nil || cn.broken() {
+			slot, pick = s, nil // dial this one
+			break
+		}
+		if cn.inflight.Load() == 0 {
+			pick = cn
+			break
+		}
 	}
 	c.mu.Unlock()
+	if pick != nil {
+		return pick, nil
+	}
 
 	// Dial outside the pool lock so a dead server never serializes callers.
 	cn, err := c.dial()
@@ -612,14 +600,13 @@ func (c *Client) dial() (*conn, error) {
 	if err != nil {
 		return nil, transientf("dial %s", c.cfg.Addr, err)
 	}
-	cn := &conn{
-		cfg:        &c.cfg,
-		nc:         nc,
-		pending:    make(map[uint64]chan wire.Response),
-		readerDone: make(chan struct{}),
-	}
-	go cn.readLoop()
-	return cn, nil
+	return &conn{
+		cfg:     &c.cfg,
+		nc:      nc,
+		handoff: make(chan struct{}, 1),
+		fr:      wire.NewFrameReader(bufio.NewReaderSize(nc, 32<<10), c.cfg.MaxFrame),
+		pending: make(map[uint64]chan wire.Response),
+	}, nil
 }
 
 // transientf wraps a transport error in the fault package's transient class
@@ -630,13 +617,21 @@ func transientf(what, addr string, err error) error {
 
 // ------------------------------------------------------------------- conn
 
-// maxKeptFrame bounds the encode buffer a connection keeps between requests:
-// one large value must not pin its frame's worth of memory for the life of
-// the connection.
+// maxKeptFrame bounds the encode and read buffers a connection keeps between
+// frames: one large value must not pin its frame's worth of memory for the
+// life of the connection.
 const maxKeptFrame = 64 << 10
 
-// conn is one pooled connection. Writes are serialized by wmu; responses
-// are routed by the readLoop goroutine via the pending map.
+// respChans recycles the cap-1 channels replies are delivered on. A channel
+// goes back empty: whoever takes a call out of pending owes it one send, and
+// the caller receives that before letting the channel go.
+var respChans = sync.Pool{New: func() any { return make(chan wire.Response, 1) }}
+
+// conn is one pooled connection. Writes are serialized by wmu. A caller that
+// has written its request takes the reader role if it is free and reads
+// frames — its own reply returns, another caller's goes to that caller's
+// channel — and one that finds the role taken parks on its channel, the
+// role's hand-off and its context.
 type conn struct {
 	cfg *Config
 	nc  net.Conn
@@ -644,7 +639,16 @@ type conn struct {
 	wmu  sync.Mutex // serializes frame encoding and writes
 	wbuf []byte     // the frame being written, recycled across requests; guarded by wmu
 
-	readerDone chan struct{} // closed when readLoop exits
+	// The reader role is won by reading.CompareAndSwap and owns fr, rbuf and
+	// rdl until leave, which puts a token in handoff (cap 1) if calls are
+	// pending: no reply sits in the socket with every pending caller parked.
+	reading atomic.Bool
+	handoff chan struct{}
+	fr      *wire.FrameReader // keeps the frame a reader was interrupted in
+	rbuf    []byte            // replies are read into it
+	rdl     time.Time         // the read deadline armed on nc; zero is none
+
+	inflight atomic.Int32 // len(pending), for acquire and the hand-off
 
 	mu      sync.Mutex
 	pending map[uint64]chan wire.Response // guarded by mu
@@ -659,10 +663,11 @@ func (cn *conn) broken() bool {
 	return cn.err != nil
 }
 
-// fail marks the connection dead and fails every in-flight call. The
-// victim channels are collected under mu but notified after it is released:
-// once cn.err is set, register refuses new entries, so this caller owns the
-// collected set exclusively and the sends need no lock.
+// fail marks the connection dead and fails every in-flight call with a zero
+// Response. The victim channels are collected under mu but notified after it
+// is released: once cn.err is set, register refuses new entries, so this
+// caller owns the collected set exclusively and the sends need no lock.
+// Closing the socket is what returns a caller blocked reading it.
 func (cn *conn) fail(err error) {
 	cn.mu.Lock()
 	var victims []chan wire.Response
@@ -673,11 +678,11 @@ func (cn *conn) fail(err error) {
 			delete(cn.pending, id)
 			victims = append(victims, ch)
 		}
+		cn.inflight.Store(0)
 	}
 	cn.mu.Unlock()
 	for _, ch := range victims {
 		ch <- wire.Response{} // cap-1 channel; never blocks
-		close(ch)
 	}
 	cn.nc.Close() //nolint:errcheck // teardown of a dead conn
 }
@@ -690,21 +695,40 @@ func (cn *conn) register() (uint64, chan wire.Response, error) {
 		return 0, nil, cn.err
 	}
 	cn.nextID++
-	id := cn.nextID
-	ch := make(chan wire.Response, 1)
-	cn.pending[id] = ch
-	return id, ch, nil
+	ch := respChans.Get().(chan wire.Response)
+	cn.pending[cn.nextID] = ch
+	cn.inflight.Add(1)
+	return cn.nextID, ch, nil
 }
 
-// deregister abandons a pending call (context cancellation); the eventual
-// response is dropped by the readLoop.
-func (cn *conn) deregister(id uint64) {
+// claim takes call id out of pending; the claimant is the one sender on the
+// call's channel.
+func (cn *conn) claim(id uint64) (chan wire.Response, bool) {
 	cn.mu.Lock()
-	delete(cn.pending, id)
-	cn.mu.Unlock()
+	defer cn.mu.Unlock()
+	ch, ok := cn.pending[id]
+	if ok {
+		delete(cn.pending, id)
+		cn.inflight.Add(-1)
+	}
+	return ch, ok
 }
 
-func (cn *conn) roundTrip(ctx context.Context, req *wire.Request) (wire.Response, error) {
+// retire ends call id on its caller's side and recycles ch. If the call was
+// already claimed, a reply or the connection's failure is on its way into ch
+// and is taken out first; a reply still to come finds no call and is dropped.
+func (cn *conn) retire(id uint64, ch chan wire.Response) {
+	if _, ok := cn.claim(id); !ok {
+		<-ch
+	}
+	respChans.Put(ch)
+}
+
+// roundTrip sends req and returns its reply. With dst set the reply's value
+// is appended to *dst (out of the connection's read buffer, when the caller
+// is the reader) and Response.Value is nil; otherwise all the Response points
+// to is the caller's own. Errors other than ctx's are wrapped transient.
+func (cn *conn) roundTrip(ctx context.Context, req *wire.Request, dst *[]byte) (wire.Response, error) {
 	if err := ctx.Err(); err != nil {
 		return wire.Response{}, err
 	}
@@ -729,7 +753,7 @@ func (cn *conn) roundTrip(ctx context.Context, req *wire.Request) (wire.Response
 	}
 	if err != nil {
 		cn.wmu.Unlock()
-		cn.deregister(id)
+		cn.retire(id, ch)
 		return wire.Response{}, err // malformed or oversized request: permanent
 	}
 	cn.nc.SetWriteDeadline(time.Now().Add(cn.cfg.WriteTimeout)) //nolint:errcheck // enforced by the Write below
@@ -739,54 +763,147 @@ func (cn *conn) roundTrip(ctx context.Context, req *wire.Request) (wire.Response
 	_, werr := cn.nc.Write(frame) //nolint:lock-order // wmu's sole purpose; deadline-bounded
 	cn.wmu.Unlock()
 	if werr != nil {
-		cn.deregister(id)
 		cn.fail(werr)
+		cn.retire(id, ch)
 		return wire.Response{}, transientf("write", cn.cfg.Addr, werr)
 	}
 
-	select {
-	case resp, ok := <-ch:
-		if !ok || (resp.ID == 0 && resp.Op == 0) {
-			cn.mu.Lock()
-			err := cn.err
-			cn.mu.Unlock()
-			if err == nil {
-				err = io.ErrUnexpectedEOF
-			}
-			return wire.Response{}, transientf("await", cn.cfg.Addr, err)
+	for {
+		if cn.reading.CompareAndSwap(false, true) {
+			return cn.read(ctx, id, ch, dst)
 		}
-		return resp, nil
-	case <-ctx.Done():
-		cn.deregister(id)
-		return wire.Response{}, ctx.Err()
+		select {
+		case resp := <-ch:
+			respChans.Put(ch)
+			return cn.delivered(resp, dst)
+		case <-cn.handoff:
+		case <-ctx.Done():
+			cn.retire(id, ch)
+			return wire.Response{}, ctx.Err()
+		}
 	}
 }
 
-// readLoop routes responses to their callers until the stream dies.
-// readerDone is the goroutine's termination marker: Close joins on it so a
-// closed client leaves no reader behind.
-func (cn *conn) readLoop() {
-	defer close(cn.readerDone)
-	br := bufio.NewReaderSize(cn.nc, 32<<10)
-	for {
-		payload, err := wire.ReadFrame(br, cn.cfg.MaxFrame)
-		if err != nil {
-			cn.fail(err)
-			return
-		}
-		resp, err := wire.DecodeResponse(payload)
-		if err != nil {
-			cn.fail(err)
-			return
-		}
+// delivered is roundTrip's result for a reply in hand; the zero one is fail's.
+func (cn *conn) delivered(resp wire.Response, dst *[]byte) (wire.Response, error) {
+	if resp.ID == 0 {
 		cn.mu.Lock()
-		ch, ok := cn.pending[resp.ID]
-		if ok {
-			delete(cn.pending, resp.ID)
+		defer cn.mu.Unlock()
+		return resp, transientf("await", cn.cfg.Addr, cn.err)
+	}
+	if dst != nil {
+		*dst, resp.Value = append(*dst, resp.Value...), nil
+	}
+	return resp, nil
+}
+
+// read is the reader role, entered holding it and left handing it on: it
+// routes replies until call id's own is in hand, the stream dies, or ctx
+// ends — which costs the call, not the connection: fr keeps the frame being
+// read for the next reader. A context that can be cancelled interrupts the
+// read through context.AfterFunc, a deadline-only one (KV's) through the
+// socket's read deadline; one with neither arms nothing.
+func (cn *conn) read(ctx context.Context, id uint64, ch chan wire.Response, dst *[]byte) (wire.Response, error) {
+	defer cn.leave()
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, func() {
+			cn.nc.SetReadDeadline(time.Now()) //nolint:errcheck // a dead socket has no reader to wake
+		})
+		defer stop()
+	}
+	cn.armRead(ctx, false)
+	for {
+		// Only the role and fail deliver, so with the role in hand this is
+		// exact: ch was filled before we took it (or by the fail below), or
+		// the reply is still to come.
+		select {
+		case resp := <-ch:
+			respChans.Put(ch)
+			return cn.delivered(resp, dst)
+		default:
 		}
-		cn.mu.Unlock()
-		if ok {
-			ch <- resp // cap-1; never blocks
+		payload, err := cn.fr.Next(cn.rbuf)
+		var resp wire.Response
+		kept := err == nil && cap(payload) <= maxKeptFrame // else the frame got memory of its own
+		if kept {
+			cn.rbuf = payload
 		}
+		if err == nil {
+			resp, err = wire.DecodeResponse(payload)
+		}
+		switch {
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			// ctx's end, an earlier reader's deadline, or a late AfterFunc.
+			// Re-arm before looking: an AfterFunc this overwrote shows in Err.
+			cn.armRead(ctx, true)
+			cerr := ctx.Err()
+			if d, ok := ctx.Deadline(); cerr == nil && ok && !time.Now().Before(d) {
+				cerr = context.DeadlineExceeded // a deadline-only ctx cannot say so itself
+			}
+			if cerr != nil {
+				cn.retire(id, ch)
+				return resp, cerr
+			}
+		case err != nil:
+			cn.fail(err) // whichever fail was first had this call pending
+		case resp.ID == id:
+			if kept && dst == nil {
+				detach(&resp)
+			}
+			cn.retire(id, ch)
+			return cn.delivered(resp, dst) // appends out of rbuf before leave
+		default:
+			if och, ok := cn.claim(resp.ID); ok {
+				if kept {
+					detach(&resp)
+				}
+				och <- resp // cap-1; never blocks
+			}
+		}
+	}
+}
+
+// leave gives the role up and, if calls are pending, wakes one to take it: a
+// caller registered before the store wins its own CompareAndSwap or is
+// counted in inflight here.
+func (cn *conn) leave() {
+	cn.reading.Store(false)
+	if cn.inflight.Load() > 0 {
+		select {
+		case cn.handoff <- struct{}{}:
+		default: // a token is already waiting for the next parked caller
+		}
+	}
+}
+
+// armRead points the socket's read deadline at ctx's. An armed one that fires
+// no later stands — firing early only brings the reader back with force set —
+// so callers sharing a timeout arm a timer once per timeout, not per call.
+func (cn *conn) armRead(ctx context.Context, force bool) {
+	var want time.Time // zero: none, or ctx.Done covers it
+	if ctx.Done() == nil {
+		want, _ = ctx.Deadline()
+	}
+	if force || !want.IsZero() && (cn.rdl.IsZero() || want.Before(cn.rdl)) {
+		cn.rdl = want
+		cn.nc.SetReadDeadline(want) //nolint:errcheck // a dead socket fails the Read that follows
+	}
+}
+
+// detach moves what resp still points to in the reader's buffer — the value,
+// the batch rows' values — into one block of its own.
+func detach(resp *wire.Response) {
+	n := len(resp.Value)
+	for i := range resp.Batch {
+		n += len(resp.Batch[i].Value)
+	}
+	block := make([]byte, 0, n)
+	own := func(v *[]byte) {
+		block = append(block, *v...)
+		*v = block[len(block)-len(*v) : len(block) : len(block)]
+	}
+	own(&resp.Value)
+	for i := range resp.Batch {
+		own(&resp.Batch[i].Value)
 	}
 }

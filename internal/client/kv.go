@@ -8,12 +8,19 @@ import (
 
 	"dstore"
 	"dstore/internal/kvapi"
+	"dstore/internal/wire"
 )
 
 // KV adapts a Client to the kvapi.Store interface so the benchmark harness
 // can drive a remote store through the same workload loops it uses for the
 // embedded engines. Latencies recorded around KV calls are client-observed:
 // they include framing, the network round trip, and server queueing.
+//
+// Each call is bounded by the timeout without a timer of its own: its context
+// only carries the deadline, which the connection enforces with the socket's
+// read deadline while the caller reads its reply. A caller parked behind
+// another's read is held to that reader's deadline and then, taking over the
+// read, to its own — one bound where callers share a timeout, as a KV's do.
 type KV struct {
 	c       *Client
 	timeout time.Duration
@@ -38,13 +45,25 @@ func NewBatchedKV(c *Client, timeout time.Duration, bc BatcherConfig) *KV {
 	return kv
 }
 
+// deadlineCtx is a context that is nothing but a deadline: no timer, no Done
+// channel, no cancel to call.
+type deadlineCtx struct {
+	context.Context
+	at time.Time
+}
+
+func (d deadlineCtx) Deadline() (time.Time, bool) { return d.at, true }
+
+func within(timeout time.Duration) context.Context {
+	return deadlineCtx{context.Background(), time.Now().Add(timeout)}
+}
+
 // Label identifies the engine in benchmark tables.
 func (k *KV) Label() string { return "DStore (net)" }
 
 // Put stores value under key.
 func (k *KV) Put(key string, value []byte) error {
-	ctx, cancel := context.WithTimeout(context.Background(), k.timeout)
-	defer cancel()
+	ctx := within(k.timeout)
 	if k.b != nil {
 		return k.b.Put(ctx, key, value)
 	}
@@ -53,14 +72,15 @@ func (k *KV) Put(key string, value []byte) error {
 
 // Get appends key's value to buf.
 func (k *KV) Get(key string, buf []byte) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), k.timeout)
-	defer cancel()
-	var v []byte
+	ctx := within(k.timeout)
 	var err error
 	if k.b != nil {
+		var v []byte
 		v, err = k.b.Get(ctx, key)
+		buf = append(buf, v...)
 	} else {
-		v, err = k.c.Get(ctx, key)
+		// The value goes from the connection's read buffer into buf, once.
+		_, err = k.c.do(ctx, &wire.Request{Op: wire.OpGet, Key: key}, &buf)
 	}
 	if err != nil {
 		if errors.Is(err, dstore.ErrNotFound) {
@@ -68,13 +88,12 @@ func (k *KV) Get(key string, buf []byte) ([]byte, error) {
 		}
 		return buf, fmt.Errorf("net get %q: %w", key, err)
 	}
-	return append(buf, v...), nil
+	return buf, nil
 }
 
 // Delete removes key.
 func (k *KV) Delete(key string) error {
-	ctx, cancel := context.WithTimeout(context.Background(), k.timeout)
-	defer cancel()
+	ctx := within(k.timeout)
 	if k.b != nil {
 		return k.b.Delete(ctx, key)
 	}
@@ -87,17 +106,13 @@ func (k *KV) Close() error { return k.c.Close() }
 // MPut implements kvapi.BulkStore over MPUT frames; errors map per slot
 // exactly like Put's.
 func (k *KV) MPut(keys []string, values [][]byte) []error {
-	ctx, cancel := context.WithTimeout(context.Background(), k.timeout)
-	defer cancel()
-	return k.c.MPut(ctx, keys, values)
+	return k.c.MPut(within(k.timeout), keys, values)
 }
 
 // MGet implements kvapi.BulkStore; absent keys yield kvapi.ErrNotFound in
 // their own slots.
 func (k *KV) MGet(keys []string) ([][]byte, []error) {
-	ctx, cancel := context.WithTimeout(context.Background(), k.timeout)
-	defer cancel()
-	vals, errs := k.c.MGet(ctx, keys)
+	vals, errs := k.c.MGet(within(k.timeout), keys)
 	for i, err := range errs {
 		if errors.Is(err, dstore.ErrNotFound) {
 			errs[i] = kvapi.ErrNotFound
@@ -108,17 +123,13 @@ func (k *KV) MGet(keys []string) ([][]byte, []error) {
 
 // MDelete implements kvapi.BulkStore.
 func (k *KV) MDelete(keys []string) []error {
-	ctx, cancel := context.WithTimeout(context.Background(), k.timeout)
-	defer cancel()
-	return k.c.MDelete(ctx, keys)
+	return k.c.MDelete(within(k.timeout), keys)
 }
 
 // Begin implements kvapi.Transactor: one wire transaction session, pinned to
 // a pooled connection for its lifetime.
 func (k *KV) Begin() (kvapi.Txn, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), k.timeout)
-	defer cancel()
-	t, err := k.c.BeginTxn(ctx)
+	t, err := k.c.BeginTxn(within(k.timeout))
 	if err != nil {
 		return nil, err
 	}
@@ -132,14 +143,8 @@ type netKVTxn struct {
 	timeout time.Duration
 }
 
-func (x netKVTxn) ctx() (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), x.timeout)
-}
-
 func (x netKVTxn) Get(key string, buf []byte) ([]byte, error) {
-	ctx, cancel := x.ctx()
-	defer cancel()
-	v, err := x.t.Get(ctx, key)
+	v, err := x.t.Get(within(x.timeout), key)
 	if err != nil {
 		if errors.Is(err, dstore.ErrNotFound) {
 			return buf, kvapi.ErrNotFound
@@ -150,21 +155,15 @@ func (x netKVTxn) Get(key string, buf []byte) ([]byte, error) {
 }
 
 func (x netKVTxn) Put(key string, value []byte) error {
-	ctx, cancel := x.ctx()
-	defer cancel()
-	return x.t.Put(ctx, key, value)
+	return x.t.Put(within(x.timeout), key, value)
 }
 
 func (x netKVTxn) Delete(key string) error {
-	ctx, cancel := x.ctx()
-	defer cancel()
-	return x.t.Delete(ctx, key)
+	return x.t.Delete(within(x.timeout), key)
 }
 
 func (x netKVTxn) Commit() error {
-	ctx, cancel := x.ctx()
-	defer cancel()
-	err := x.t.Commit(ctx)
+	err := x.t.Commit(within(x.timeout))
 	if errors.Is(err, dstore.ErrTxnConflict) {
 		return kvapi.ErrTxnConflict
 	}
@@ -172,9 +171,7 @@ func (x netKVTxn) Commit() error {
 }
 
 func (x netKVTxn) Abort() error {
-	ctx, cancel := x.ctx()
-	defer cancel()
-	return x.t.Abort(ctx)
+	return x.t.Abort(within(x.timeout))
 }
 
 var _ kvapi.Store = (*KV)(nil)

@@ -3,10 +3,13 @@ package server_test
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
+	"dstore/internal/client"
 	"dstore/internal/server"
 	"dstore/internal/wire"
 )
@@ -16,29 +19,36 @@ import (
 // against the in-memory fake backend, so allocs/op is dominated by framing
 // and dispatch, not store work.
 
-func benchServer(b *testing.B) (*rawBenchConn, func()) {
+// benchListen serves the fake backend on a loopback listener.
+func benchListen(b *testing.B) (addr string, stop func()) {
 	b.Helper()
-	fb := newFake()
-	srv := server.New(fb, server.Config{})
+	srv := server.New(newFake(), server.Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
-	nc, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := &rawBenchConn{nc: nc, br: bufio.NewReaderSize(nc, 64<<10)}
-	cleanup := func() {
-		nc.Close() //nolint:errcheck
+	return ln.Addr().String(), func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		srv.Shutdown(ctx) //nolint:errcheck
 		<-done
 	}
-	return c, cleanup
+}
+
+func benchServer(b *testing.B) (*rawBenchConn, func()) {
+	b.Helper()
+	addr, stop := benchListen(b)
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := &rawBenchConn{nc: nc, br: bufio.NewReaderSize(nc, 64<<10)}
+	return c, func() {
+		nc.Close() //nolint:errcheck
+		stop()
+	}
 }
 
 type rawBenchConn struct {
@@ -98,6 +108,55 @@ func BenchmarkServerGet(b *testing.B) {
 		}
 	}
 }
+
+// benchKV is the whole networked call as the benchmark harness makes it: the
+// pooled client.KV (two connections, the default) against the fake backend,
+// 4 KiB values. Every caller makes b.N calls, so ns/op is one call's latency
+// with that many callers in flight, and allocs/op covers client and server.
+func benchKV(b *testing.B, get bool) {
+	for _, callers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("callers=%d", callers), func(b *testing.B) {
+			addr, stop := benchListen(b)
+			defer stop()
+			c, err := client.Dial(client.Config{Addr: addr})
+			if err != nil {
+				b.Fatal(err)
+			}
+			kv := client.NewKV(c, 0)
+			defer kv.Close() //nolint:errcheck
+			val := benchValue(4096)
+			if err := kv.Put("bench", val); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for w := 0; w < callers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var buf []byte
+					for i := 0; i < b.N; i++ {
+						var err error
+						if get {
+							buf, err = kv.Get("bench", buf[:0])
+						} else {
+							err = kv.Put("bench", val)
+						}
+						if err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
+	}
+}
+
+func BenchmarkKVPut(b *testing.B) { benchKV(b, false) }
+func BenchmarkKVGet(b *testing.B) { benchKV(b, true) }
 
 func benchValue(n int) []byte {
 	v := make([]byte, n)

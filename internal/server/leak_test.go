@@ -69,9 +69,10 @@ func TestGoroutineStabilization(t *testing.T) {
 	go func() { serveDone <- srv.Serve(ln) }()
 	addr := ln.Addr().String()
 
-	// Pipelined client traffic across the pool (exercises the per-conn
-	// reader/writer/handler goroutines on the server and the readLoop join
-	// on the client).
+	// Client traffic across the pool: sequential calls find a quiet connection
+	// and run on the server conn's reader, the concurrent ones spawn handlers.
+	// Neither side has any other goroutine to leave behind — the client's
+	// callers read their own replies, the server's responders write their own.
 	cl, err := client.Dial(client.Config{Addr: addr, Conns: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -86,6 +87,19 @@ func TestGoroutineStabilization(t *testing.T) {
 			t.Fatalf("get: %v", err)
 		}
 	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 24; i++ {
+				if _, err := cl.Get(ctx, fmt.Sprintf("leak-%d", i)); err != nil {
+					t.Errorf("concurrent get: %v", err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 
 	// A well-behaved subscriber: tail the whole committed log, then stop.
 	ap := &memApplier{}

@@ -21,6 +21,7 @@ type fakeRepl struct {
 
 	rmu      sync.Mutex
 	recs     []wire.Record
+	dataLen  int    // when non-zero, the Data bytes each appended record carries
 	horizon  uint64 // positions at or below this are recycled
 	promotes int
 }
@@ -36,12 +37,16 @@ func (f *fakeRepl) appendRecs(n int) {
 	defer f.rmu.Unlock()
 	for i := 0; i < n; i++ {
 		lsn := uint64(len(f.recs) + 1)
+		data := []byte(fmt.Sprintf("data-%d", lsn))
+		if f.dataLen > 0 {
+			data = make([]byte, f.dataLen)
+		}
 		f.recs = append(f.recs, wire.Record{
 			LSN:     lsn,
 			Op:      uint16(lsn % 7),
 			Name:    []byte(fmt.Sprintf("obj-%d", lsn)),
 			Payload: []byte{byte(lsn), byte(lsn >> 8)},
-			Data:    []byte(fmt.Sprintf("data-%d", lsn)),
+			Data:    data,
 		})
 	}
 }
@@ -253,6 +258,39 @@ func TestServerReplicateSlowFollowerDropped(t *testing.T) {
 	}
 	if st.ReplSubscribers != 0 {
 		t.Fatalf("ReplSubscribers = %d after drop, want 0", st.ReplSubscribers)
+	}
+}
+
+// A subscriber that stops reading altogether blocks the feed inside its
+// write, where no export round comes by to apply the lag bound: the write
+// itself must come back to apply it. The follower is within the bound when it
+// stalls and falls out of it only while the feed is blocked.
+func TestServerReplicateStalledFollowerDropped(t *testing.T) {
+	fr := newFakeRepl()
+	fr.dataLen = 256 << 10
+	srv := server.New(fr, server.Config{ReplicaMaxLag: 100, ReplicaPoll: time.Millisecond})
+	addr := startServer(t, srv)
+	c := dialRaw(t, addr)
+
+	sub := wire.ReplicateRequest(1, 0)
+	c.send(&sub)
+	if resp := c.recv(); resp.Status != wire.StatusOK {
+		t.Fatalf("subscribe: %v", resp.Status)
+	}
+	// 20 MiB the subscriber never reads: more than the socket buffers hold.
+	fr.appendRecs(80)
+	time.Sleep(200 * time.Millisecond)
+	if st := srv.Stats(); st.ReplDrops != 0 || st.ReplSubscribers != 1 {
+		t.Fatalf("a stalled follower within the lag bound was dropped: %+v", st)
+	}
+	fr.dataLen = 1
+	fr.appendRecs(200) // now it is 280 behind
+	deadline := time.Now().Add(5 * time.Second)
+	for st := srv.Stats(); (st.ReplDrops == 0 || st.ReplSubscribers != 0) && time.Now().Before(deadline); st = srv.Stats() {
+		time.Sleep(time.Millisecond)
+	}
+	if st := srv.Stats(); st.ReplDrops != 1 || st.ReplSubscribers != 0 {
+		t.Fatalf("stalled follower past the lag bound not dropped: %+v", st)
 	}
 }
 

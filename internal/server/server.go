@@ -5,12 +5,17 @@
 // The design moves coordination out of the data path, in the spirit of the
 // paper's decoupled control/data planes:
 //
-//   - Each connection gets one reader goroutine and one writer goroutine.
-//     The reader parses frames and dispatches every request to its own
-//     handler goroutine; handlers complete in any order and push encoded
-//     responses to the writer. Responses therefore ship out of order — a
-//     PUT stalled on a slow or faulty device never head-of-line-blocks the
-//     GETs pipelined behind it.
+//   - Each connection gets one reader goroutine and no writer: whoever has
+//     a frame for the socket writes it, one at a time (conn.write). The
+//     reader parses frames. A PUT, GET or DELETE that arrives alone —
+//     nothing of the connection's in flight, nothing more buffered — it
+//     runs and answers itself: no goroutine change inside the server. Every
+//     other request gets its own handler goroutine; handlers complete in
+//     any order, so responses ship out of order — a PUT stalled on a slow
+//     or faulty device never head-of-line-blocks the GETs pipelined behind
+//     it. What it can hold up is a request that reaches an idle connection
+//     while the reader is inside that one op: it waits for that op, never
+//     for more than one, never for an op it was pipelined behind.
 //   - In-flight requests per connection are bounded by a window semaphore.
 //     When the window is full the reader simply stops reading; TCP flow
 //     control pushes back on the client (bounded memory, no drops).
@@ -32,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -213,14 +219,13 @@ type Stats struct {
 // ErrServerClosed is returned by Serve after Shutdown completes.
 var ErrServerClosed = errors.New("server: closed")
 
-// bufPool recycles frame buffers — request payloads read off sockets and
-// encoded response frames — across requests, so the steady-state per-request
-// hot path allocates nothing for framing. Buffers whose capacity outgrew
-// poolBufCap are left to the GC on put-back: one oversized frame must not
-// pin megabytes for the life of the pool.
+// bufPool recycles the buffers request payloads are read into, so the
+// steady-state per-request hot path allocates nothing for framing. Buffers
+// whose capacity outgrew poolBufCap are left to the GC on put-back: one
+// oversized frame must not pin megabytes for the life of the pool.
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// poolBufCap is the largest buffer capacity the pool retains.
+// poolBufCap is the largest buffer capacity the pool (or a conn's wbuf) retains.
 const poolBufCap = 256 << 10
 
 func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
@@ -343,7 +348,6 @@ func (s *Server) admit(nc net.Conn) bool {
 	c := &conn{
 		srv:        s,
 		nc:         nc,
-		out:        make(chan *[]byte, s.cfg.Window+1),
 		slots:      make(chan struct{}, s.cfg.Window),
 		closing:    make(chan struct{}),
 		readerDone: make(chan struct{}),
@@ -425,13 +429,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // --------------------------------------------------------------------- conn
 
-// conn is one client connection: a reader loop (runs in run), a writer
-// goroutine, and up to Window concurrent handler goroutines.
+// conn is one client connection: a reader loop (runs in run, and runs a
+// request that arrives alone) and up to Window concurrent handler goroutines.
 type conn struct {
 	srv *Server
 	nc  net.Conn
 
-	out        chan *[]byte  // pooled encoded response frames awaiting the writer
+	wmu    sync.Mutex   // one frame at a time reaches the socket
+	wbuf   []byte       // frames waiting for the responder queued last; guarded by wmu
+	queued atomic.Int32 // responders at or inside wmu
+
 	slots      chan struct{} // in-flight window semaphore
 	closing    chan struct{} // closed exactly once to abort everything
 	readerDone chan struct{} // closed when readLoop returns
@@ -477,19 +484,13 @@ func (c *conn) beginDrain() {
 
 // run owns the connection lifecycle. The reader runs inline; the epilogue
 // waits for handlers — including a replication feed, which on a graceful
-// drain first flushes the committed tail — closes the response channel, and
-// lets the writer flush before teardown.
+// drain first flushes the committed tail. Each wrote its own frames out.
 func (c *conn) run() {
-	writerDone := make(chan struct{})
-	go c.writeLoop(writerDone)
-
 	c.readLoop()
 	close(c.readerDone)
 
 	c.handlers.Wait()
 	c.abortTxns()
-	close(c.out)
-	<-writerDone
 	c.close()
 
 	c.srv.mu.Lock()
@@ -503,6 +504,7 @@ func (c *conn) run() {
 // or close.
 func (c *conn) readLoop() {
 	br := bufio.NewReaderSize(c.nc, 32<<10)
+	fr := wire.NewFrameReader(br, c.srv.cfg.MaxFrame)
 	for {
 		if c.draining.Load() {
 			return
@@ -511,7 +513,7 @@ func (c *conn) readLoop() {
 			c.nc.SetReadDeadline(time.Now().Add(t)) //nolint:errcheck // worst case: no idle kick, close() still works
 		}
 		pb := getBuf()
-		payload, err := wire.ReadFrameInto(br, c.srv.cfg.MaxFrame, *pb)
+		payload, err := fr.Next(*pb)
 		if err != nil {
 			putBuf(pb)
 			if c.draining.Load() || errors.Is(err, io.EOF) {
@@ -546,50 +548,83 @@ func (c *conn) readLoop() {
 			return
 		}
 		c.srv.requests.Add(1)
+		// A singleton with the connection to itself — the slot just taken is
+		// the window's only one, no further frame is buffered — runs here: its
+		// sender waits for this reply and nothing else. The next frame waits
+		// for this one op.
+		if (req.Op == wire.OpPut || req.Op == wire.OpGet || req.Op == wire.OpDelete) &&
+			len(c.slots) == 1 && br.Buffered() == 0 {
+			c.serve(req, pb)
+			continue
+		}
 		c.handlers.Add(1)
 		go c.handle(req, pb)
 	}
 }
 
-// handle executes one request against the backend and queues the response.
+func (c *conn) handle(req wire.Request, pb *[]byte) {
+	defer c.handlers.Done()
+	c.serve(req, pb)
+}
+
+// serve executes one request against the backend and writes the response.
 // pb is the pooled payload buffer req.Value aliases; it is recycled once the
 // response is encoded and the request's bytes are dead. A nil response means
 // the request wanted none (a replication ack).
-func (c *conn) handle(req wire.Request, pb *[]byte) {
-	defer c.handlers.Done()
-	resp := c.execute(req)
-	if resp != nil {
+func (c *conn) serve(req wire.Request, pb *[]byte) {
+	if resp := c.execute(req); resp != nil {
 		c.respond(resp)
 	}
 	putBuf(pb)
 	<-c.slots
 }
 
-// respond encodes resp into a pooled frame buffer and hands it to the
-// writer, dropping (and recycling) it only when the connection is already
-// closing.
 func (c *conn) respond(resp *wire.Response) {
-	fb := getBuf()
-	*fb = wire.AppendResponse((*fb)[:0], resp)
-	select {
-	case c.out <- fb:
-	case <-c.closing:
-		putBuf(fb)
-	}
+	c.write(func(dst []byte) ([]byte, error) { return wire.AppendResponse(dst, resp), nil })
 }
 
-// epochChecked reports whether op carries keys routed by the ring and so
-// participates in the stale-epoch check. Control-plane ops (stats, health,
-// checkpoint, replication, promote, ring fetch) are exempt: they must keep
-// working for a client whose shard map is stale — OpRing especially, since
-// it is the repair path.
-func epochChecked(op wire.Op) bool {
-	switch op {
-	case wire.OpPut, wire.OpGet, wire.OpDelete, wire.OpScan,
-		wire.OpMPut, wire.OpMGet, wire.OpMDelete:
-		return true
-	default:
-		return op.Txn()
+// write is the connection's one write routine: enc appends a frame to wbuf,
+// and the responder with nobody queued behind it writes wbuf out in one
+// call, so responses still coalesce under pipelining. A failed write closes
+// the connection: no responder blocks on a dead socket.
+func (c *conn) write(enc func(dst []byte) ([]byte, error)) {
+	c.queued.Add(1)
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	var err error
+	c.wbuf, err = enc(c.wbuf)
+	if c.queued.Add(-1) > 0 && len(c.wbuf) < poolBufCap && err == nil {
+		return
+	}
+	// A write to a stalled subscriber comes back every feedStallCheck to
+	// apply the lag bound; having written a prefix, it resumes.
+	var feed Replicator
+	var start time.Time
+	if c.replOn.Load() {
+		feed, _ = c.srv.b.(Replicator)
+		start = time.Now()
+	}
+	for buf := c.wbuf; len(buf) > 0 && err == nil; {
+		t := c.srv.cfg.WriteTimeout
+		if feed != nil && (t <= 0 || t > feedStallCheck) {
+			t = feedStallCheck
+		}
+		if t > 0 {
+			c.nc.SetWriteDeadline(time.Now().Add(t)) //nolint:errcheck // enforced by the Write below
+		}
+		var n int
+		n, err = c.nc.Write(buf) //nolint:lock-order // wmu's sole purpose; deadline- or lag-bounded
+		buf = buf[n:]
+		if feed != nil && errors.Is(err, os.ErrDeadlineExceeded) && !c.lagExceeded(feed) &&
+			(c.srv.cfg.WriteTimeout <= 0 || time.Since(start) < c.srv.cfg.WriteTimeout) {
+			err = nil
+		}
+	}
+	if c.wbuf = c.wbuf[:0]; cap(c.wbuf) > poolBufCap {
+		c.wbuf = nil
+	}
+	if err != nil {
+		c.close()
 	}
 }
 
@@ -601,7 +636,7 @@ func (c *conn) execute(req wire.Request) *wire.Response {
 	// epoch (legacy clients, clients that never fetched a ring) pass — the
 	// backend routes them correctly itself; the epoch exists so clients that
 	// DO route can detect staleness.
-	if req.Epoch != 0 && epochChecked(req.Op) {
+	if req.Epoch != 0 && req.Op.Routed() {
 		if rg, ok := c.srv.b.(Ringer); ok {
 			if se := rg.RingEpoch(); se != req.Epoch {
 				resp.Status = wire.StatusNotMine
@@ -870,9 +905,9 @@ func (c *conn) abortTxns() {
 // copied-out data held in memory per subscriber per round.
 const feedBatch = 64
 
-// feedStallCheck is how often a feed blocked on a full out channel rechecks
-// the subscriber's lag, so a completely stalled follower is still detected
-// and dropped.
+// feedStallCheck is how often a write blocked on a stalled subscriber
+// rechecks its lag, so a completely stalled follower is still detected and
+// dropped.
 const feedStallCheck = 50 * time.Millisecond
 
 // executeReplicate handles OpReplicate: the connection's first one is a
@@ -907,9 +942,8 @@ func (c *conn) executeReplicate(req wire.Request, resp *wire.Response) *wire.Res
 	var v [8]byte
 	binary.LittleEndian.PutUint64(v[:], r.LastLSN())
 	resp.Value = v[:]
-	// Queue the subscribe response before the feed starts: both travel
-	// through c.out, and a record frame that overtook the response would be
-	// parsed by the subscriber as the response.
+	// Write the subscribe response before the feed starts: a record frame
+	// that overtook it would be parsed by the subscriber as the response.
 	c.respond(resp)
 	c.handlers.Add(1)
 	go c.feedLoop(r, lsn)
@@ -952,7 +986,7 @@ func (c *conn) feedLoop(r Replicator, cursor uint64) {
 			return
 		}
 		for i := range recs {
-			if !c.feedSend(r, &recs[i]) {
+			if !c.feedSend(&recs[i]) {
 				return
 			}
 			cursor = recs[i].LSN
@@ -981,31 +1015,15 @@ func (c *conn) feedLoop(r Replicator, cursor uint64) {
 	}
 }
 
-// feedSend frames one record and queues it for the writer, rechecking the
-// lag bound while blocked so a stalled follower cannot park the feed
-// forever. Reports whether the feed should continue.
-func (c *conn) feedSend(r Replicator, rec *wire.Record) bool {
-	fb := getBuf()
-	var err error
-	*fb, err = wire.AppendRecordFrame((*fb)[:0], rec)
-	if err != nil {
-		putBuf(fb)
-		c.close()
+// feedSend writes one record frame (write rechecks the lag bound while a
+// stalled follower blocks it). Reports whether the feed should continue.
+func (c *conn) feedSend(rec *wire.Record) bool {
+	c.write(func(dst []byte) ([]byte, error) { return wire.AppendRecordFrame(dst, rec) })
+	select {
+	case <-c.closing:
 		return false
-	}
-	for {
-		select {
-		case c.out <- fb:
-			return true
-		case <-c.closing:
-			putBuf(fb)
-			return false
-		case <-time.After(feedStallCheck):
-			if c.lagExceeded(r) {
-				putBuf(fb)
-				return false
-			}
-		}
+	default:
+		return true
 	}
 }
 
@@ -1026,48 +1044,6 @@ func (c *conn) lagExceeded(r Replicator) bool {
 		return true
 	}
 	return false
-}
-
-// writeLoop ships encoded frames in completion order until out closes (all
-// handlers done) or a write fails.
-func (c *conn) writeLoop(done chan<- struct{}) {
-	defer close(done)
-	bw := bufio.NewWriterSize(c.nc, 32<<10)
-	for {
-		fb, ok := <-c.out
-		if !ok {
-			bw.Flush() //nolint:errcheck // final flush; conn is being torn down regardless
-			return
-		}
-		if t := c.srv.cfg.WriteTimeout; t > 0 {
-			c.nc.SetWriteDeadline(time.Now().Add(t)) //nolint:errcheck // enforced by the Write below
-		}
-		_, err := bw.Write(*fb)
-		putBuf(fb)
-		if err != nil {
-			c.close()
-			c.drainOut()
-			return
-		}
-		// Flush opportunistically: batch frames that are already queued,
-		// then push the batch in one syscall.
-		if len(c.out) == 0 {
-			if err := bw.Flush(); err != nil {
-				c.close()
-				c.drainOut()
-				return
-			}
-		}
-	}
-}
-
-// drainOut keeps the out channel moving after a write failure so handlers
-// finishing late never block; run closes the channel once they are done.
-// Undeliverable frames go back to the pool.
-func (c *conn) drainOut() {
-	for fb := range c.out {
-		putBuf(fb)
-	}
 }
 
 // isConnReset reports errors that are peer disconnects rather than protocol

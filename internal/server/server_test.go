@@ -24,7 +24,8 @@ type fakeBackend struct {
 	m    map[string][]byte
 	errs map[string]error // per-key injected errors
 
-	putGate     chan struct{} // when non-nil, Put blocks until closed
+	putGate     chan struct{}            // when non-nil, Put blocks until closed
+	keyGates    map[string]chan struct{} // Put of a listed key blocks until its gate closes
 	inflight    atomic.Int64
 	maxInflight atomic.Int64
 	checkpoints atomic.Uint64
@@ -49,6 +50,9 @@ func (f *fakeBackend) Put(key string, value []byte) error {
 	defer f.track()()
 	if f.putGate != nil {
 		<-f.putGate
+	}
+	if g := f.keyGates[key]; g != nil {
+		<-g
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -119,6 +123,16 @@ func (f *fakeBackend) ErrorStatus(err error) (wire.Status, string) {
 	return wire.StatusInternal, err.Error()
 }
 
+// waitInflight waits until n operations are inside the backend.
+func waitInflight(t *testing.T, f *fakeBackend, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); f.inflight.Load() != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d operations in the backend, want %d", f.inflight.Load(), n)
+		}
+	}
+}
+
 // startServer runs srv on a loopback listener and returns its address.
 func startServer(t *testing.T, srv *server.Server) string {
 	t.Helper()
@@ -158,13 +172,18 @@ func dialRaw(t *testing.T, addr string) *rawConn {
 	return &rawConn{t: t, nc: nc, br: bufio.NewReader(nc)}
 }
 
-func (r *rawConn) send(req *wire.Request) {
+// send writes reqs in one Write, so the server's reader finds them
+// pipelined: with the first decoded the rest are already buffered.
+func (r *rawConn) send(reqs ...*wire.Request) {
 	r.t.Helper()
-	frame, err := wire.AppendRequest(nil, req)
-	if err != nil {
-		r.t.Fatal(err)
+	var frames []byte
+	for _, req := range reqs {
+		var err error
+		if frames, err = wire.AppendRequest(frames, req); err != nil {
+			r.t.Fatal(err)
+		}
 	}
-	if _, err := r.nc.Write(frame); err != nil {
+	if _, err := r.nc.Write(frames); err != nil {
 		r.t.Fatalf("send: %v", err)
 	}
 }
@@ -243,11 +262,15 @@ func TestServerOutOfOrderPipelining(t *testing.T) {
 	addr := startServer(t, server.New(fb, server.Config{Window: 16}))
 	c := dialRaw(t, addr)
 
-	c.send(&wire.Request{ID: 100, Op: wire.OpPut, Key: "slow", Value: []byte("x")})
+	// One write: a PUT that arrived alone would run on the reader, and what
+	// follows it onto the idle connection waits for it (see
+	// TestServerLoneRequestRunsOnReader).
 	const gets = 8
+	reqs := []*wire.Request{{ID: 100, Op: wire.OpPut, Key: "slow", Value: []byte("x")}}
 	for i := 1; i <= gets; i++ {
-		c.send(&wire.Request{ID: uint64(i), Op: wire.OpGet, Key: "hot"})
+		reqs = append(reqs, &wire.Request{ID: uint64(i), Op: wire.OpGet, Key: "hot"})
 	}
+	c.send(reqs...)
 	// All GET responses must arrive while the PUT is still gated.
 	for i := 0; i < gets; i++ {
 		resp := c.recv()
@@ -264,54 +287,121 @@ func TestServerOutOfOrderPipelining(t *testing.T) {
 	}
 }
 
-// The in-flight window bounds backend concurrency per connection; excess
-// pipelined requests wait in the socket, not in server memory.
-func TestServerWindowBackpressure(t *testing.T) {
+// A singleton that arrives alone runs on the connection's reader, which pins
+// the head-of-line bound that buys: what reaches the idle connection next
+// waits for that one op — and for nothing else, since what is pipelined
+// behind it spawns and is answered out of order as ever.
+func TestServerLoneRequestRunsOnReader(t *testing.T) {
 	fb := newFake()
-	gate := make(chan struct{})
-	fb.putGate = gate
-	const window = 4
-	addr := startServer(t, server.New(fb, server.Config{Window: window}))
+	fb.m["hot"] = []byte("cached")
+	first, second := make(chan struct{}), make(chan struct{})
+	fb.keyGates = map[string]chan struct{}{"first": first, "second": second}
+	addr := startServer(t, server.New(fb, server.Config{}))
 	c := dialRaw(t, addr)
 
-	const total = 32
-	go func() {
-		for i := 0; i < total; i++ {
-			frame, err := wire.AppendRequest(nil, &wire.Request{
-				ID: uint64(i), Op: wire.OpPut, Key: fmt.Sprintf("k%d", i), Value: bytes.Repeat([]byte("v"), 512),
-			})
-			if err != nil {
-				return
-			}
-			if _, err := c.nc.Write(frame); err != nil {
-				return
-			}
-		}
-	}()
+	c.send(&wire.Request{ID: 1, Op: wire.OpPut, Key: "first", Value: []byte("x")})
+	waitInflight(t, fb, 1) // the reader is inside it
+	c.send(&wire.Request{ID: 2, Op: wire.OpPut, Key: "second", Value: []byte("y")},
+		&wire.Request{ID: 3, Op: wire.OpGet, Key: "hot"})
+	// Nobody reads the socket while the reader runs the first op: neither
+	// frame reaches the backend, not even the GET.
+	time.Sleep(50 * time.Millisecond)
+	if n := fb.maxInflight.Load(); n != 1 {
+		t.Fatalf("%d operations reached the backend behind a reader-run op, want it alone", n)
+	}
+	close(first)
+	if resp := c.recv(); resp.ID != 1 || resp.Status != wire.StatusOK {
+		t.Fatalf("first response: %+v, want the reader-run PUT", resp)
+	}
+	// The two frames written together are pipelined: both spawn, and the GET
+	// overtakes the PUT stalled in front of it.
+	if resp := c.recv(); resp.ID != 3 || string(resp.Value) != "cached" {
+		t.Fatalf("second response: %+v, want the GET pipelined behind the stalled PUT", resp)
+	}
+	close(second)
+	if resp := c.recv(); resp.ID != 2 || resp.Status != wire.StatusOK {
+		t.Fatalf("third response: %+v, want the released PUT", resp)
+	}
+}
 
-	// Let requests pour in against the closed gate, then check the cap.
-	deadline := time.Now().Add(2 * time.Second)
-	for fb.inflight.Load() < window && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+// A malformed frame behind a reader-run op closes the connection exactly as
+// behind a spawned one: one protocol error, nothing else disturbed.
+func TestServerMalformedAfterLoneRequest(t *testing.T) {
+	fb := newFake()
+	fb.m["k"] = []byte("v")
+	srv := server.New(fb, server.Config{})
+	addr := startServer(t, srv)
+	c := dialRaw(t, addr)
+	c.send(&wire.Request{ID: 1, Op: wire.OpGet, Key: "k"})
+	if resp := c.recv(); resp.ID != 1 || string(resp.Value) != "v" {
+		t.Fatalf("get: %+v", resp)
 	}
-	time.Sleep(50 * time.Millisecond) // give any over-admission a chance to show
-	if got := fb.maxInflight.Load(); got > window {
-		t.Fatalf("backend concurrency %d exceeded window %d", got, window)
+	if _, err := c.nc.Write(wire.AppendFrame(nil, []byte{1, 2, 3})); err != nil {
+		t.Fatal(err)
 	}
-	close(gate)
-	seen := map[uint64]bool{}
-	for i := 0; i < total; i++ {
-		resp := c.recv()
-		if resp.Status != wire.StatusOK {
-			t.Fatalf("put %d: %v %s", resp.ID, resp.Status, resp.Msg)
-		}
-		if seen[resp.ID] {
-			t.Fatalf("duplicate response id %d", resp.ID)
-		}
-		seen[resp.ID] = true
+	c.nc.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	if _, err := wire.ReadFrame(c.br, 0); err == nil {
+		t.Fatal("a frame came back for a malformed request")
 	}
-	if got := fb.maxInflight.Load(); got > window {
-		t.Fatalf("backend concurrency %d exceeded window %d", got, window)
+	if n := srv.Stats().ProtocolErrors; n != 1 {
+		t.Fatalf("protocol errors = %d, want 1", n)
+	}
+}
+
+// The in-flight window bounds backend concurrency per connection; excess
+// pipelined requests wait in the socket, not in server memory. The frames go
+// out in one write so the reader finds them pipelined and spawns up to the
+// window; Window 1 is the same bound with nothing to spawn beside.
+func TestServerWindowBackpressure(t *testing.T) {
+	for _, tc := range []struct {
+		window    int
+		loneFirst bool // the first frame arrives alone and runs on the reader
+	}{{4, false}, {1, false}, {1, true}} {
+		window := tc.window
+		t.Run(fmt.Sprintf("window=%d,loneFirst=%v", window, tc.loneFirst), func(t *testing.T) {
+			fb := newFake()
+			gate := make(chan struct{})
+			fb.putGate = gate
+			addr := startServer(t, server.New(fb, server.Config{Window: window}))
+			c := dialRaw(t, addr)
+
+			const total = 32
+			reqs := make([]*wire.Request, total)
+			for i := range reqs {
+				reqs[i] = &wire.Request{ID: uint64(i + 1), Op: wire.OpPut, Key: fmt.Sprintf("k%d", i), Value: bytes.Repeat([]byte("v"), 512)}
+			}
+			if tc.loneFirst {
+				c.send(reqs[0])
+				waitInflight(t, fb, 1)
+				reqs = reqs[1:]
+			}
+			c.send(reqs...)
+
+			// Let requests pour in against the closed gate, then check the cap.
+			deadline := time.Now().Add(2 * time.Second)
+			for fb.inflight.Load() < int64(window) && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if got := fb.inflight.Load(); got != int64(window) {
+				t.Fatalf("backend concurrency %d against the closed gate, want the window %d", got, window)
+			}
+			time.Sleep(50 * time.Millisecond) // give any over-admission a chance to show
+			close(gate)
+			seen := map[uint64]bool{}
+			for i := 0; i < total; i++ {
+				resp := c.recv()
+				if resp.Status != wire.StatusOK {
+					t.Fatalf("put %d: %v %s", resp.ID, resp.Status, resp.Msg)
+				}
+				if seen[resp.ID] {
+					t.Fatalf("duplicate response id %d", resp.ID)
+				}
+				seen[resp.ID] = true
+			}
+			if got := fb.maxInflight.Load(); got > int64(window) {
+				t.Fatalf("backend concurrency %d exceeded window %d", got, window)
+			}
+		})
 	}
 }
 
@@ -441,7 +531,9 @@ func TestServerMaxConns(t *testing.T) {
 }
 
 // Shutdown completes in-flight requests, flushes their responses, and
-// checkpoints the backend; Serve returns ErrServerClosed.
+// checkpoints the backend; Serve returns ErrServerClosed. The one request
+// here arrives alone, so the drain finds the reader itself inside the op:
+// its response is written before the reader sees the drain.
 func TestServerShutdownDrains(t *testing.T) {
 	fb := newFake()
 	gate := make(chan struct{})

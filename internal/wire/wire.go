@@ -119,6 +119,15 @@ func (o Op) Txn() bool { return o >= OpTxnBegin && o <= OpTxnAbort }
 // carry Subs and whose responses carry per-sub-op BatchResults.
 func (o Op) Multi() bool { return o == OpMPut || o == OpMGet || o == OpMDelete }
 
+// Routed reports whether o carries keys the ring routes: the client stamps
+// such a request with its cached epoch and the server refuses a stale one
+// (and re-checks a batch per sub-op — a reshard can land mid-batch).
+// Control-plane ops are exempt: they must keep working for a client whose
+// shard map is stale — OpRing especially, the repair path.
+func (o Op) Routed() bool {
+	return o == OpPut || o == OpGet || o == OpDelete || o == OpScan || o.Txn() || o.Multi()
+}
+
 func (o Op) String() string {
 	switch o {
 	case OpPut:
@@ -575,38 +584,67 @@ func ReadFrame(r io.Reader, maxPayload int) ([]byte, error) {
 
 // ReadFrameInto is ReadFrame reusing buf's capacity for the payload when it
 // is large enough (allocating only when it is not). The returned slice
-// aliases buf in that case, so the caller owns recycling it — this is the
-// pooling-friendly entry point for servers reading many frames per
-// connection.
+// aliases buf in that case, so the caller owns recycling it.
 func ReadFrameInto(r io.Reader, maxPayload int, buf []byte) ([]byte, error) {
+	return NewFrameReader(r, maxPayload).Next(buf)
+}
+
+// FrameReader reads the frames of one stream and keeps the frame it is in:
+// after an error that leaves the stream usable — a read deadline — the next
+// call to Next continues that frame where the last one stopped.
+type FrameReader struct {
+	r       io.Reader
+	max     uint32
+	hdr     [FrameHeader]byte
+	have    int    // bytes of the current frame read so far, header included
+	payload []byte // sized once the header is whole
+}
+
+// NewFrameReader reads frames from r (maxPayload as for ReadFrame).
+func NewFrameReader(r io.Reader, maxPayload int) *FrameReader {
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxFrame
 	}
-	var hdr [FrameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	want := binary.LittleEndian.Uint32(hdr[4:8])
-	if n > uint32(maxPayload) {
-		return nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, maxPayload)
-	}
-	var payload []byte
-	if uint32(cap(buf)) >= n {
-		payload = buf[:n]
-	} else {
-		payload = make([]byte, n)
-	}
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	return &FrameReader{r: r, max: uint32(maxPayload)}
+}
+
+// Next returns the next frame's payload, read into buf when buf has the
+// capacity (a frame being continued keeps the buffer it started in).
+func (f *FrameReader) Next(buf []byte) ([]byte, error) {
+	if f.have < FrameHeader {
+		if err := f.fill(f.hdr[:], 0); err != nil {
+			return nil, err
 		}
+		n := binary.LittleEndian.Uint32(f.hdr[0:4])
+		if n > f.max {
+			return nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, f.max)
+		}
+		if uint32(cap(buf)) >= n {
+			f.payload = buf[:n]
+		} else {
+			f.payload = make([]byte, n)
+		}
+	}
+	if err := f.fill(f.payload, FrameHeader); err != nil {
 		return nil, err
 	}
+	payload := f.payload
+	f.have, f.payload = 0, nil
+	want := binary.LittleEndian.Uint32(f.hdr[4:8])
 	if got := crc32.Checksum(payload, castagnoli); got != want {
 		return nil, fmt.Errorf("%w: got %08x want %08x", ErrChecksum, got, want)
 	}
 	return payload, nil
+}
+
+// fill reads until p, which starts base bytes into the frame, is full.
+func (f *FrameReader) fill(p []byte, base int) error {
+	n, err := io.ReadFull(f.r, p[f.have-base:])
+	f.have += n
+	if err == io.EOF && f.have > 0 {
+		err = io.ErrUnexpectedEOF // the stream ended inside a frame
+	}
+	return err
 }
 
 // --------------------------------------------------------------- requests

@@ -20,6 +20,7 @@ import (
 	"dstore/internal/client"
 	"dstore/internal/fault"
 	"dstore/internal/server"
+	"dstore/internal/wire"
 )
 
 func netTestConfig() dstore.Config {
@@ -292,9 +293,12 @@ func (b *stallBackend) Put(key string, value []byte) error {
 }
 
 // TestNetPipelinedGetsNotBlockedByStalledPut is the head-of-line-blocking
-// acceptance test: on a single shared connection, GETs pipelined behind a
-// PUT that is stalled (and then retried through injected transient SSD
-// faults) must complete while the PUT is still outstanding.
+// acceptance test: on a single connection, GETs pipelined behind a PUT that
+// is stalled (and then retried through injected transient SSD faults) must
+// complete while the PUT is still outstanding. Pipelined means written
+// together: a PUT that reached an idle connection alone would run on the
+// connection's reader, and what arrived after it would wait for that one op
+// (internal/server's TestServerLoneRequestRunsOnReader pins that bound).
 func TestNetPipelinedGetsNotBlockedByStalledPut(t *testing.T) {
 	st, err := dstore.Format(netTestConfig())
 	if err != nil {
@@ -311,8 +315,6 @@ func TestNetPipelinedGetsNotBlockedByStalledPut(t *testing.T) {
 	addr, srv := serveBackend(t, sb, server.Config{})
 	defer shutdownServer(t, srv)
 
-	// One connection: the PUT and the GETs share a single pipelined stream,
-	// so ordered (head-of-line-blocked) handling would stall the GETs too.
 	c, err := client.Dial(client.Config{Addr: addr, Conns: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -326,43 +328,54 @@ func TestNetPipelinedGetsNotBlockedByStalledPut(t *testing.T) {
 		}
 	}
 
-	putDone := make(chan error, 1)
-	go func() {
-		putDone <- c.Put(ctx, "stalled", bytes.Repeat([]byte{0xAB}, 4096))
-	}()
+	// One connection, one write: the PUT and the GETs share a single
+	// pipelined stream, so ordered (head-of-line-blocked) handling would
+	// stall the GETs too.
+	pipe, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close() //nolint:errcheck
+	frames, err := wire.AppendRequest(nil, &wire.Request{ID: 100, Op: wire.OpPut, Key: "stalled", Value: bytes.Repeat([]byte{0xAB}, 4096)})
+	for i := 0; i < 8 && err == nil; i++ {
+		frames, err = wire.AppendRequest(frames, &wire.Request{ID: uint64(i + 1), Op: wire.OpGet, Key: fmt.Sprintf("hot/%d", i)})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pipe.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	recv := func() wire.Response {
+		t.Helper()
+		pipe.SetReadDeadline(time.Now().Add(2 * time.Second)) //nolint:errcheck
+		payload, err := wire.ReadFrame(pipe, 0)
+		if err != nil {
+			t.Fatalf("pipelined response blocked behind the stalled PUT: %v", err)
+		}
+		resp, err := wire.DecodeResponse(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
 	<-sb.started // the PUT is in the backend, holding its window slot
 
-	// While it is stalled, the SSD starts failing its next writes
-	// transiently: when released, the PUT must retry through real injected
-	// faults before completing.
+	for i := 0; i < 8; i++ {
+		if resp := recv(); resp.ID == 100 || resp.Status != wire.StatusOK || string(resp.Value) != "cached" {
+			t.Fatalf("response %d while the PUT is stalled: %+v", i, resp)
+		}
+	}
+
+	// While it is stalled (and with the GETs off the device), the SSD starts
+	// failing its next writes transiently: when released, the PUT must retry
+	// through real injected faults before completing.
 	_, data := st.Devices()
 	data.SetFaultPlan(fault.NewPlan(fault.Config{FailWriteAt: []uint64{1, 2}}))
 
-	for i := 0; i < 8; i++ {
-		gctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-		got, err := c.Get(gctx, fmt.Sprintf("hot/%d", i))
-		cancel()
-		if err != nil {
-			t.Fatalf("GET %d blocked behind stalled PUT: %v", i, err)
-		}
-		if string(got) != "cached" {
-			t.Fatalf("GET %d: wrong data %q", i, got)
-		}
-	}
-	select {
-	case err := <-putDone:
-		t.Fatalf("stalled PUT completed early: %v", err)
-	default:
-	}
-
 	close(sb.gate)
-	select {
-	case err := <-putDone:
-		if err != nil {
-			t.Fatalf("released PUT failed: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("released PUT never completed")
+	if resp := recv(); resp.ID != 100 || resp.Status != wire.StatusOK {
+		t.Fatalf("released PUT: %+v", resp)
 	}
 	got, err := c.Get(ctx, "stalled")
 	if err != nil || len(got) != 4096 {
