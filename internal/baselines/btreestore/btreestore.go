@@ -168,6 +168,9 @@ func attach(cfg Config) *Store {
 // Label implements kvapi.Store.
 func (s *Store) Label() string { return "MongoDB-PM" }
 
+// Devices returns the simulated devices, for crash hooks and traffic counters.
+func (s *Store) Devices() (*pmem.Device, *ssd.Device) { return s.pm, s.dev }
+
 // Put implements kvapi.Store: journal append (physical), then a dirty cache
 // page. Blocks behind any running checkpoint (the cache lock).
 func (s *Store) Put(key string, value []byte) error {

@@ -29,6 +29,7 @@ import (
 	"dstore/internal/kvapi"
 	"dstore/internal/latency"
 	"dstore/internal/pmem"
+	"dstore/internal/ssd"
 )
 
 // Config sizes and tunes the model.
@@ -124,6 +125,10 @@ func attach(cfg Config) *Store {
 
 // Label implements kvapi.Store.
 func (s *Store) Label() string { return "MongoDB-PMSE" }
+
+// Devices returns the simulated devices, for crash hooks and traffic counters;
+// the uncached store has no SSD.
+func (s *Store) Devices() (*pmem.Device, *ssd.Device) { return s.pm, nil }
 
 func stripeOf(key string) int {
 	h := uint32(2166136261)

@@ -208,6 +208,9 @@ func (s *Store) stopBackground() {
 // Label implements kvapi.Store.
 func (s *Store) Label() string { return "PMEM-RocksDB" }
 
+// Devices returns the simulated devices, for crash hooks and traffic counters.
+func (s *Store) Devices() (*pmem.Device, *ssd.Device) { return s.pm, s.dev }
+
 func walRecordSize(key string, val []byte) uint64 {
 	return uint64(8 + len(key) + len(val))
 }

@@ -7,9 +7,6 @@ import (
 	"testing"
 
 	"dstore"
-	"dstore/internal/baselines/btreestore"
-	"dstore/internal/baselines/inplacestore"
-	"dstore/internal/baselines/lsmstore"
 	"dstore/internal/kvapi"
 )
 
@@ -48,23 +45,9 @@ func makeStores(t *testing.T) []kvapi.Store {
 	}
 	out = append(out, dstore.NewKV(cow))
 
-	lsm, err := lsmstore.New(lsmstore.Config{Blocks: 8192, WALBytes: 1 << 22})
-	if err != nil {
-		t.Fatal(err)
+	for _, b := range baselines {
+		out = append(out, b.open(t, false, false))
 	}
-	out = append(out, lsm)
-
-	bt, err := btreestore.New(btreestore.Config{Blocks: 8192, JournalBytes: 1 << 22})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out = append(out, bt)
-
-	ip, err := inplacestore.New(inplacestore.Config{Cells: 8192})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out = append(out, ip)
 	return out
 }
 
@@ -136,25 +119,15 @@ func TestFootprintReported(t *testing.T) {
 	}
 }
 
-// TestCrashRecoveryConformance: every Crasher recovers all committed data.
+// TestCrashRecoveryConformance: every Crasher recovers all committed data
+// after a crash between operations, and every comparison system after a power
+// cut inside one (crashSweep).
 func TestCrashRecoveryConformance(t *testing.T) {
 	mk := func() []kvapi.Store {
 		out := dstoreKVs(t, dstore.Config{Blocks: 2048, MaxObjects: 1024, LogBytes: 1 << 16, TrackPersistence: true})
-		lsm, err := lsmstore.New(lsmstore.Config{Blocks: 8192, WALBytes: 1 << 22, TrackPersistence: true})
-		if err != nil {
-			t.Fatal(err)
+		for _, b := range baselines {
+			out = append(out, b.open(t, false, true))
 		}
-		out = append(out, lsm)
-		bt, err := btreestore.New(btreestore.Config{Blocks: 8192, JournalBytes: 1 << 22, TrackPersistence: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, bt)
-		ip, err := inplacestore.New(inplacestore.Config{Cells: 8192, TrackPersistence: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, ip)
 		return out
 	}
 	for _, s := range mk() {
@@ -189,6 +162,10 @@ func TestCrashRecoveryConformance(t *testing.T) {
 			}
 			s.Close()
 		})
+	}
+	for _, b := range baselines {
+		b := b
+		t.Run(b.name+"/sweep", func(t *testing.T) { crashSweep(t, b.open, b.force) })
 	}
 }
 
