@@ -118,7 +118,7 @@ func TestNetBatchEquivalence(t *testing.T) {
 		}
 		defer c.Close()
 		ctx := context.Background()
-		b := client.NewBatcher(c, client.BatcherConfig{})
+		b := client.NewBatcher(c)
 
 		// Each goroutine owns a disjoint key range, so the final state is
 		// deterministic regardless of interleaving.

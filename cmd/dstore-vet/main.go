@@ -3,13 +3,12 @@
 //
 //	file:line: [checker] message
 //
-// exiting nonzero if any finding is not covered by the committed baseline
-// (analysis/baseline.json). Usage:
+// exiting nonzero on any finding; a finding is tolerated only where it is
+// made, by a same-line //nolint:<checker> comment that says why. Usage:
 //
 //	go run ./cmd/dstore-vet ./...
 //	go run ./cmd/dstore-vet -json ./...
-//	go run ./cmd/dstore-vet -github ./...           # CI error annotations
-//	go run ./cmd/dstore-vet -write-baseline ./...   # ratchet current findings
+//	go run ./cmd/dstore-vet -github ./...   # CI error annotations
 //
 // Package patterns are accepted for familiarity but the analyzer always
 // loads and checks the entire module containing the working directory.
@@ -20,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"dstore/internal/analysis"
@@ -29,17 +27,15 @@ import (
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as JSON")
 	githubOut := flag.Bool("github", false, "also emit GitHub Actions ::error annotations")
-	baselinePath := flag.String("baseline", "", "baseline file (default <module>/analysis/baseline.json)")
-	writeBaseline := flag.Bool("write-baseline", false, "write current findings to the baseline file and exit 0")
 	flag.Parse()
 
-	if err := run(*jsonOut, *githubOut, *baselinePath, *writeBaseline); err != nil {
+	if err := run(*jsonOut, *githubOut); err != nil {
 		fmt.Fprintln(os.Stderr, "dstore-vet:", err)
 		os.Exit(2)
 	}
 }
 
-func run(jsonOut, githubOut bool, baselinePath string, writeBaseline bool) error {
+func run(jsonOut, githubOut bool) error {
 	wd, err := os.Getwd()
 	if err != nil {
 		return err
@@ -48,25 +44,7 @@ func run(jsonOut, githubOut bool, baselinePath string, writeBaseline bool) error
 	if err != nil {
 		return err
 	}
-	if baselinePath == "" {
-		baselinePath = filepath.Join(m.RootDir, "analysis", "baseline.json")
-	}
-
-	findings := analysis.Run(m)
-
-	if writeBaseline {
-		if err := analysis.WriteBaseline(baselinePath, findings); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "dstore-vet: wrote %d finding(s) to %s\n", len(findings), baselinePath)
-		return nil
-	}
-
-	baseline, err := analysis.LoadBaseline(baselinePath)
-	if err != nil {
-		return err
-	}
-	fresh := baseline.Filter(findings)
+	fresh := analysis.Run(m)
 
 	switch {
 	case jsonOut:
@@ -90,7 +68,7 @@ func run(jsonOut, githubOut bool, baselinePath string, writeBaseline bool) error
 	}
 	if len(fresh) > 0 {
 		if !jsonOut {
-			fmt.Fprintf(os.Stderr, "dstore-vet: %d finding(s) not in baseline\n", len(fresh))
+			fmt.Fprintf(os.Stderr, "dstore-vet: %d finding(s)\n", len(fresh))
 		}
 		os.Exit(1)
 	}

@@ -21,12 +21,6 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", f.File, f.Line, f.Checker, f.Message)
 }
 
-// Key identifies a finding for baseline matching. Line numbers are excluded
-// so unrelated edits above a baselined finding do not un-baseline it.
-func (f Finding) Key() string {
-	return f.Checker + "\x00" + f.File + "\x00" + f.Message
-}
-
 func sortFindings(fs []Finding) {
 	sort.Slice(fs, func(i, j int) bool {
 		a, b := fs[i], fs[j]

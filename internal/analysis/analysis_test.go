@@ -188,8 +188,8 @@ func TestGoldenGoroutineLifecycle(t *testing.T) { runGolden(t, "goroutine-lifecy
 func TestGoldenChannelDiscipline(t *testing.T)  { runGolden(t, "channel-discipline") }
 func TestGoldenWireSymmetry(t *testing.T)       { runGolden(t, "wire-symmetry") }
 
-// TestRunCleanTree pins the steady state the baseline ratchet aims for: the
-// repository's own code produces zero findings (golden packages live under
+// TestRunCleanTree pins the tree clean: the repository's own code produces
+// zero findings (golden packages live under
 // testdata and are excluded from Run).
 func TestRunCleanTree(t *testing.T) {
 	m := goldenModule(t)

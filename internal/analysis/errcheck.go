@@ -10,8 +10,8 @@ import (
 // media corruption, and log-full conditions; dropping one silently converts
 // a detectable failure into data loss. Three discard shapes are reported:
 //
-//	dev.TryPersist(0, 64)          // expression statement
-//	_ = dev.TryWriteAt(0, p)       // blank assignment
+//	dev.CheckWriteFault(0, 64)     // expression statement
+//	_ = dev.CheckWriteFault(0, 64) // blank assignment
 //	v, _ := zone.Read(slot)        // blank at an error position
 //	go log.Commit(h) / defer ...   // result unobservable
 //

@@ -83,25 +83,21 @@ const (
 // persistPrimitives classifies methods of the two concrete persistent-space
 // types. Reads, range checks, and accessors are evNone.
 var persistPrimitives = map[[3]string]event{
-	{"dstore/internal/pmem", "Device", "WriteAt"}:    evWrite,
-	{"dstore/internal/pmem", "Device", "PutU64"}:     evWrite,
-	{"dstore/internal/pmem", "Device", "PutU8"}:      evWrite,
-	{"dstore/internal/pmem", "Device", "TryWriteAt"}: evWrite,
-	{"dstore/internal/pmem", "Device", "TryPutU64"}:  evWrite,
-	{"dstore/internal/pmem", "Device", "TryPutU8"}:   evWrite,
-	{"dstore/internal/pmem", "Device", "Flush"}:      evFlush,
-	{"dstore/internal/pmem", "Device", "Fence"}:      evFence,
-	{"dstore/internal/pmem", "Device", "Persist"}:    evPersist,
-	{"dstore/internal/pmem", "Device", "TryPersist"}: evPersist,
-	{"dstore/internal/space", "PMEM", "Write"}:       evWrite,
-	{"dstore/internal/space", "PMEM", "Zero"}:        evWrite,
-	{"dstore/internal/space", "PMEM", "PutU64"}:      evWrite,
-	{"dstore/internal/space", "PMEM", "PutU32"}:      evWrite,
-	{"dstore/internal/space", "PMEM", "PutU16"}:      evWrite,
-	{"dstore/internal/space", "PMEM", "PutU8"}:       evWrite,
-	{"dstore/internal/space", "PMEM", "Flush"}:       evFlush,
-	{"dstore/internal/space", "PMEM", "Fence"}:       evFence,
-	{"dstore/internal/space", "PMEM", "Persist"}:     evPersist,
+	{"dstore/internal/pmem", "Device", "WriteAt"}: evWrite,
+	{"dstore/internal/pmem", "Device", "PutU64"}:  evWrite,
+	{"dstore/internal/pmem", "Device", "PutU8"}:   evWrite,
+	{"dstore/internal/pmem", "Device", "Flush"}:   evFlush,
+	{"dstore/internal/pmem", "Device", "Fence"}:   evFence,
+	{"dstore/internal/pmem", "Device", "Persist"}: evPersist,
+	{"dstore/internal/space", "PMEM", "Write"}:    evWrite,
+	{"dstore/internal/space", "PMEM", "Zero"}:     evWrite,
+	{"dstore/internal/space", "PMEM", "PutU64"}:   evWrite,
+	{"dstore/internal/space", "PMEM", "PutU32"}:   evWrite,
+	{"dstore/internal/space", "PMEM", "PutU16"}:   evWrite,
+	{"dstore/internal/space", "PMEM", "PutU8"}:    evWrite,
+	{"dstore/internal/space", "PMEM", "Flush"}:    evFlush,
+	{"dstore/internal/space", "PMEM", "Fence"}:    evFence,
+	{"dstore/internal/space", "PMEM", "Persist"}:  evPersist,
 }
 
 // commitPoints are the calls that make logged state crash-observable: the

@@ -6,27 +6,27 @@ import "dstore/internal/pmem"
 
 // discardExpr drops a fallible device call's error on the floor.
 func discardExpr(d *pmem.Device) {
-	d.TryPersist(0, 64) // want "discarded error result from pmem.TryPersist"
+	d.CheckWriteFault(0, 64) // want "discarded error result from pmem.CheckWriteFault"
 }
 
 // discardBlank discards via blank assignment.
 func discardBlank(d *pmem.Device, p []byte) {
-	_ = d.TryWriteAt(0, p) // want "discarded \(blank\) error result from pmem.TryWriteAt"
+	_ = d.CheckWriteFault(0, uint64(len(p))) // want "discarded \(blank\) error result from pmem.CheckWriteFault"
 }
 
 // unobservableDefer defers the call, making the result unobservable.
 func unobservableDefer(d *pmem.Device) {
-	defer d.TryPersist(0, 64) // want "unobservable \(defer\) error result from pmem.TryPersist"
+	defer d.CheckWriteFault(0, 64) // want "unobservable \(defer\) error result from pmem.CheckWriteFault"
 }
 
 // handled propagates the error; no finding.
 func handled(d *pmem.Device, p []byte) error {
-	return d.TryWriteAt(0, p)
+	return d.CheckWriteFault(0, uint64(len(p)))
 }
 
 // checked inspects the error; no finding.
 func checked(d *pmem.Device) bool {
-	if err := d.TryPersist(0, 64); err != nil {
+	if err := d.CheckWriteFault(0, 64); err != nil {
 		return false
 	}
 	return true
@@ -34,7 +34,7 @@ func checked(d *pmem.Device) bool {
 
 // suppressed carries a same-line justification; no finding.
 func suppressed(d *pmem.Device) {
-	d.TryPersist(0, 64) //nolint:errcheck // golden test: justified escape hatch
+	d.CheckWriteFault(0, 64) //nolint:errcheck // golden test: justified escape hatch
 }
 
 // infallible calls a device method with no error result; no finding.
@@ -47,12 +47,12 @@ func carrier(d *pmem.Device, p []byte) error {
 	if len(p) == 0 {
 		return nil
 	}
-	return d.TryWriteAt(0, p)
+	return d.CheckWriteFault(0, uint64(len(p)))
 }
 
 // discardCarrier drops the device error through the one hop.
 func discardCarrier(d *pmem.Device, p []byte) {
-	carrier(d, p) // want "discarded error result from errchecktest.carrier, which returns pmem.TryWriteAt's"
+	carrier(d, p) // want "discarded error result from errchecktest.carrier, which returns pmem.CheckWriteFault's"
 }
 
 // handledCarrier propagates it; no finding — and it is itself a carrier only
@@ -70,7 +70,7 @@ func secondHop(d *pmem.Device, p []byte) {
 // swallows calls a device API and handles the error itself, returning none;
 // dropping nothing, its callers have nothing to check.
 func swallows(d *pmem.Device) {
-	if err := d.TryPersist(0, 64); err != nil {
+	if err := d.CheckWriteFault(0, 64); err != nil {
 		return
 	}
 }

@@ -16,76 +16,39 @@
 package btreestore
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 	"time"
 
+	"dstore/internal/baselines"
 	"dstore/internal/kvapi"
 	"dstore/internal/latency"
-	"dstore/internal/pmem"
-	"dstore/internal/ssd"
 )
 
 // Config sizes and tunes the model.
 type Config struct {
+	// RigConfig chooses the devices; Blocks defaults to 65536.
+	baselines.RigConfig
 	// JournalBytes is the PMEM journal capacity; a checkpoint triggers when
 	// it is ~70% full. Default 16 MiB.
 	JournalBytes uint64
-	// MappingBytes is the PMEM region persisting the key→block mapping at
-	// each checkpoint. Default 4 MiB.
-	MappingBytes uint64
-	// Blocks is the SSD capacity in 4 KB blocks. Default 65536.
-	Blocks uint64
 	// CacheBytes caps the DRAM page cache; eviction writes dirty pages
 	// through. Default 32 MiB.
 	CacheBytes uint64
-	// ReservedCacheBytes models the cache DRAM reserved up front (paper
-	// §5.6). Default 96 MiB.
-	ReservedCacheBytes uint64
 	// DisableCheckpoints models Fig. 1's no-checkpoint series (journal
 	// recycles unsafely, the cache is never locked).
 	DisableCheckpoints bool
-	// SoftwareNs is fixed per-op stack latency, calibrated to the MongoDB
-	// document layer above WiredTiger (~25-50us measured). Default 25000.
-	SoftwareNs time.Duration
-	// DeviceLatency enables calibrated device latencies on created devices.
-	DeviceLatency bool
-	// TrackPersistence enables the PMEM crash model on created devices.
-	TrackPersistence bool
-	// PMEM / SSD inject devices.
-	PMEM *pmem.Device
-	SSD  *ssd.Device
-}
-
-func (c *Config) setDefaults() {
-	if c.JournalBytes == 0 {
-		c.JournalBytes = 16 << 20
-	}
-	if c.MappingBytes == 0 {
-		c.MappingBytes = 4 << 20
-	}
-	if c.Blocks == 0 {
-		c.Blocks = 65536
-	}
-	if c.CacheBytes == 0 {
-		c.CacheBytes = 32 << 20
-	}
-	if c.ReservedCacheBytes == 0 {
-		c.ReservedCacheBytes = 96 << 20
-	}
-	if c.SoftwareNs == 0 {
-		c.SoftwareNs = 25 * time.Microsecond
-	}
 }
 
 const (
-	blockSize = 4096
-	// PMEM layout: [0,64) header | journal | mapping.
-	hdrJournalTail = 0
-	hdrMappingLen  = 8
-	journalBase    = 64
+	blockSize = baselines.BlockSize
+	// reservedCacheBytes models the cache DRAM reserved up front (paper
+	// §5.6).
+	reservedCacheBytes = 96 << 20
+	// softwareNs is fixed per-op stack latency, calibrated to the MongoDB
+	// document layer above WiredTiger (~25-50us measured).
+	softwareNs = 25 * time.Microsecond
 )
 
 type page struct {
@@ -96,23 +59,20 @@ type page struct {
 
 // Store is the MongoDB-PM model.
 type Store struct {
-	cfg Config
-	pm  *pmem.Device
-	dev *ssd.Device
+	*baselines.Rig // devices, block allocator (under stateMu), closed, Crash
+	cfg            Config
 
 	// cacheMu is the page-cache lock the paper describes: readers and
 	// writers take it shared, a checkpoint takes it exclusive for its whole
 	// duration.
 	cacheMu sync.RWMutex
 
-	stateMu     sync.Mutex // guards everything below
-	cache       map[string]*page
-	cacheBytes  uint64
-	mapping     map[string]uint64 // key -> block
-	nextBlk     uint64
-	freeBlks    []uint64
-	journalTail uint64
-	closed      bool
+	stateMu    sync.Mutex // guards everything below
+	cache      map[string]*page
+	cacheBytes uint64
+	mapping    map[string]uint64   // key -> block
+	journal    *baselines.ValueLog // physical journal, truncated by a checkpoint
+	table      *baselines.Table    // the mapping as of the last checkpoint
 
 	ckptMu      sync.Mutex // one checkpoint at a time
 	checkpoints uint64
@@ -127,49 +87,19 @@ func (s *Store) blockLock(blk uint64) *sync.Mutex { return &s.blkMu[blk%64] }
 
 // New creates and formats a store.
 func New(cfg Config) (*Store, error) {
-	cfg.setDefaults()
-	s := attach(cfg)
-	s.pm.PutU64(hdrJournalTail, journalBase)
-	s.pm.PutU64(hdrMappingLen, 0)
-	s.pm.Persist(0, 16)
-	s.journalTail = journalBase
+	if cfg.JournalBytes == 0 {
+		cfg.JournalBytes = 16 << 20
+	}
+	if cfg.CacheBytes == 0 {
+		cfg.CacheBytes = 32 << 20
+	}
+	s := &Store{cfg: cfg, cache: map[string]*page{}, mapping: map[string]uint64{}}
+	s.Rig, s.journal, s.table = baselines.NewLoggedRig(cfg.RigConfig, cfg.JournalBytes, nil)
 	return s, nil
-}
-
-func attach(cfg Config) *Store {
-	s := &Store{
-		cfg:     cfg,
-		cache:   map[string]*page{},
-		mapping: map[string]uint64{},
-	}
-	s.pm = cfg.PMEM
-	if s.pm == nil {
-		var lat pmem.Latencies
-		if cfg.DeviceLatency {
-			lat = pmem.DefaultLatencies()
-		}
-		s.pm = pmem.New(pmem.Config{
-			Size:             int(64 + cfg.JournalBytes + cfg.MappingBytes),
-			TrackPersistence: cfg.TrackPersistence,
-			Latency:          lat,
-		})
-	}
-	s.dev = cfg.SSD
-	if s.dev == nil {
-		var lat ssd.Latencies
-		if cfg.DeviceLatency {
-			lat = ssd.DefaultLatencies()
-		}
-		s.dev = ssd.New(ssd.Config{Pages: int(cfg.Blocks), PowerProtected: true, Latency: lat})
-	}
-	return s
 }
 
 // Label implements kvapi.Store.
 func (s *Store) Label() string { return "MongoDB-PM" }
-
-// Devices returns the simulated devices, for crash hooks and traffic counters.
-func (s *Store) Devices() (*pmem.Device, *ssd.Device) { return s.pm, s.dev }
 
 // Put implements kvapi.Store: journal append (physical), then a dirty cache
 // page. Blocks behind any running checkpoint (the cache lock).
@@ -177,20 +107,18 @@ func (s *Store) Put(key string, value []byte) error {
 	if len(value) > blockSize {
 		return fmt.Errorf("btreestore: value exceeds block size")
 	}
-	latency.Spin(s.cfg.SoftwareNs)
+	latency.Spin(softwareNs)
 
 	s.cacheMu.RLock()
 	s.stateMu.Lock()
-	if s.closed {
+	if s.Closed() {
 		s.stateMu.Unlock()
 		s.cacheMu.RUnlock()
 		return errors.New("btreestore: closed")
 	}
-	// Journal append.
-	rec := uint64(8 + len(key) + len(value))
-	if s.journalTail+rec > journalBase+s.cfg.JournalBytes {
+	if !s.journal.Fits(key, value) {
 		if s.cfg.DisableCheckpoints {
-			s.journalTail = journalBase // unsafe recycle, per the experiment
+			s.journal.Recycle() // per the experiment
 		} else {
 			// Backpressure: finish a checkpoint inline, like WiredTiger's
 			// forced eviction. Drop locks, checkpoint, retry.
@@ -202,17 +130,7 @@ func (s *Store) Put(key string, value []byte) error {
 			return s.Put(key, value)
 		}
 	}
-	off := s.journalTail
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(key)))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(value)))
-	s.pm.WriteAt(off, hdr[:])
-	s.pm.WriteAt(off+8, []byte(key))
-	s.pm.WriteAt(off+8+uint64(len(key)), value)
-	s.pm.Persist(off, rec)
-	s.journalTail = off + rec
-	s.pm.PutU64(hdrJournalTail, s.journalTail)
-	s.pm.Persist(hdrJournalTail, 8)
+	s.journal.Append(key, value)
 
 	// Dirty the cached page.
 	if pg, ok := s.cache[key]; ok {
@@ -222,11 +140,9 @@ func (s *Store) Put(key string, value []byte) error {
 	s.cache[key] = &page{val: cp, dirty: true}
 	s.cacheBytes += uint64(len(cp))
 	if _, ok := s.mapping[key]; !ok {
-		blk := s.allocBlockLocked()
-		s.mapping[key] = blk
+		s.mapping[key] = s.AllocBlock()
 	}
-	needCkpt := !s.cfg.DisableCheckpoints &&
-		(s.journalTail-journalBase) > s.cfg.JournalBytes*7/10
+	needCkpt := !s.cfg.DisableCheckpoints && s.journal.Used() > s.cfg.JournalBytes*7/10
 	var evictKey string
 	var evictPage *page
 	var evictBlk uint64
@@ -255,7 +171,7 @@ func (s *Store) Put(key string, value []byte) error {
 			lk.Lock()
 			buf := make([]byte, blockSize)
 			copy(buf, evictPage.val)
-			werr := s.dev.WriteAt(evictBlk*blockSize, buf)
+			werr := s.SSD.WriteAt(evictBlk*blockSize, buf)
 			lk.Unlock()
 			if werr != nil {
 				return fmt.Errorf("btreestore: evict block %d: %w", evictBlk, werr)
@@ -278,20 +194,9 @@ func (s *Store) Put(key string, value []byte) error {
 	return nil
 }
 
-func (s *Store) allocBlockLocked() uint64 {
-	if n := len(s.freeBlks); n > 0 {
-		blk := s.freeBlks[n-1]
-		s.freeBlks = s.freeBlks[:n-1]
-		return blk
-	}
-	blk := s.nextBlk
-	s.nextBlk++
-	return blk
-}
-
 // Get implements kvapi.Store: cache hit, else SSD read (filling the cache).
 func (s *Store) Get(key string, buf []byte) ([]byte, error) {
-	latency.Spin(s.cfg.SoftwareNs)
+	latency.Spin(softwareNs)
 	s.cacheMu.RLock()
 	s.stateMu.Lock()
 	if pg, ok := s.cache[key]; ok {
@@ -307,10 +212,10 @@ func (s *Store) Get(key string, buf []byte) ([]byte, error) {
 		return nil, kvapi.ErrNotFound
 	}
 	start := len(buf)
-	buf = growBuf(buf, blockSize)
+	buf = baselines.GrowBuf(buf, blockSize)
 	lk := s.blockLock(blk)
 	lk.Lock()
-	rerr := s.dev.ReadAt(blk*blockSize, buf[start:])
+	rerr := s.SSD.ReadAt(blk*blockSize, buf[start:])
 	lk.Unlock()
 	s.cacheMu.RUnlock()
 	if rerr != nil {
@@ -319,20 +224,9 @@ func (s *Store) Get(key string, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// growBuf extends buf by n bytes reusing capacity.
-func growBuf(buf []byte, n int) []byte {
-	need := len(buf) + n
-	if cap(buf) >= need {
-		return buf[:need]
-	}
-	nb := make([]byte, need, need*2)
-	copy(nb, buf)
-	return nb
-}
-
 // Delete implements kvapi.Store.
 func (s *Store) Delete(key string) error {
-	latency.Spin(s.cfg.SoftwareNs)
+	latency.Spin(softwareNs)
 	s.cacheMu.RLock()
 	s.stateMu.Lock()
 	if pg, ok := s.cache[key]; ok {
@@ -341,7 +235,7 @@ func (s *Store) Delete(key string) error {
 	}
 	if blk, ok := s.mapping[key]; ok {
 		delete(s.mapping, key)
-		s.freeBlks = append(s.freeBlks, blk)
+		s.FreeBlock(blk)
 	}
 	s.stateMu.Unlock()
 	s.cacheMu.RUnlock()
@@ -374,53 +268,25 @@ func (s *Store) Checkpoint() error {
 	buf := make([]byte, blockSize)
 	for _, d := range dirty {
 		copy(buf, d.pg.val)
-		for i := len(d.pg.val); i < blockSize; i++ {
-			buf[i] = 0
-		}
-		if err := s.dev.WriteAt(d.blk*blockSize, buf); err != nil {
+		clear(buf[len(d.pg.val):])
+		if err := s.SSD.WriteAt(d.blk*blockSize, buf); err != nil {
 			return fmt.Errorf("btreestore: checkpoint block %d: %w", d.blk, err)
 		}
 		d.pg.dirty = false
 	}
-	if err := s.dev.Sync(); err != nil {
+	if err := s.SSD.Sync(); err != nil {
 		return fmt.Errorf("btreestore: checkpoint sync: %w", err)
 	}
 
 	s.stateMu.Lock()
-	s.persistMappingLocked()
-	s.journalTail = journalBase
-	s.pm.PutU64(hdrJournalTail, s.journalTail)
-	s.pm.Persist(hdrJournalTail, 8)
-	s.checkpoints++
-	s.stateMu.Unlock()
-	return nil
-}
-
-func (s *Store) persistMappingLocked() {
-	base := journalBase + s.cfg.JournalBytes
-	off := base
-	for k, blk := range s.mapping {
-		need := uint64(12 + len(k))
-		if off+need > base+s.cfg.MappingBytes {
-			break
-		}
-		var hdr [12]byte
-		binary.LittleEndian.PutUint32(hdr[0:], uint32(len(k)))
-		binary.LittleEndian.PutUint64(hdr[4:], blk)
-		s.pm.WriteAt(off, hdr[:])
-		s.pm.WriteAt(off+12, []byte(k))
-		off += need
-	}
-	s.pm.Persist(base, off-base)
-	s.pm.PutU64(hdrMappingLen, off-base)
-	s.pm.Persist(hdrMappingLen, 8)
-}
-
-// Checkpoints reports how many checkpoints have completed.
-func (s *Store) Checkpoints() uint64 {
-	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
-	return s.checkpoints
+	// The journal goes only once the mapping that replaces it is durable.
+	if err := s.table.Store(s.mapping); err != nil {
+		return fmt.Errorf("btreestore: checkpoint mapping: %w", err)
+	}
+	s.journal.Truncate(s.journal.Tail())
+	s.checkpoints++
+	return nil
 }
 
 // Close checkpoints and shuts down cleanly.
@@ -430,9 +296,7 @@ func (s *Store) Close() error {
 			return err
 		}
 	}
-	s.stateMu.Lock()
-	s.closed = true
-	s.stateMu.Unlock()
+	s.Halt()
 	return nil
 }
 
@@ -440,24 +304,7 @@ func (s *Store) Close() error {
 func (s *Store) FootprintBytes() (dram, pmemB, ssdB uint64) {
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
-	dram = s.cfg.ReservedCacheBytes + s.cacheBytes
-	pmemB = 64 + s.cfg.JournalBytes + s.cfg.MappingBytes
-	ssdB = (s.nextBlk - uint64(len(s.freeBlks))) * blockSize
-	return
-}
-
-// Crash implements kvapi.Crasher.
-func (s *Store) Crash(seed int64) error {
-	s.stateMu.Lock()
-	s.closed = true
-	s.stateMu.Unlock()
-	if s.cfg.TrackPersistence {
-		if err := s.pm.Crash(pmem.CrashDropDirty, seed); err != nil {
-			return err
-		}
-	}
-	s.dev.Crash(seed)
-	return nil
+	return reservedCacheBytes + s.cacheBytes, uint64(s.PM.Size()), s.LiveBlocks() * blockSize
 }
 
 // Recover implements kvapi.Crasher: rebuild the mapping from the persisted
@@ -469,69 +316,30 @@ func (s *Store) Recover() (metadataNs, replayNs int64, err error) {
 	s.cache = map[string]*page{}
 	s.cacheBytes = 0
 	s.mapping = map[string]uint64{}
-	s.nextBlk = 0
-	s.freeBlks = nil
-
-	base := journalBase + s.cfg.JournalBytes
-	mlen := s.pm.GetU64(hdrMappingLen)
-	off := base
-	for off < base+mlen {
-		var hdr [12]byte
-		s.pm.ReadAt(off, hdr[:])
-		kl := uint64(binary.LittleEndian.Uint32(hdr[0:]))
-		blk := binary.LittleEndian.Uint64(hdr[4:])
-		if kl == 0 || off+12+kl > base+mlen {
-			break
-		}
-		kb := make([]byte, kl)
-		s.pm.ReadAt(off+12, kb)
-		s.mapping[string(kb)] = blk
-		if blk >= s.nextBlk {
-			s.nextBlk = blk + 1
-		}
-		off += 12 + kl
-	}
+	s.ResetBlocks()
+	s.table.Load(func(key string, blk uint64) {
+		s.mapping[key] = blk
+		s.UseBlock(blk)
+	})
 	metadataNs = time.Since(t0).Nanoseconds()
 
 	t1 := time.Now()
-	tail := s.pm.GetU64(hdrJournalTail)
-	off = journalBase
-	for off+8 <= tail {
-		var hdr [8]byte
-		s.pm.ReadAt(off, hdr[:])
-		kl := uint64(binary.LittleEndian.Uint32(hdr[0:]))
-		vl := uint64(binary.LittleEndian.Uint32(hdr[4:]))
-		if off+8+kl+vl > tail {
-			break
-		}
-		kb := make([]byte, kl)
-		vb := make([]byte, vl)
-		s.pm.ReadAt(off+8, kb)
-		s.pm.ReadAt(off+8+kl, vb)
-		key := string(kb)
-		s.cache[key] = &page{val: vb, dirty: true}
-		s.cacheBytes += vl
+	s.journal.Replay(func(key string, value []byte) {
+		s.cache[key] = &page{val: value, dirty: true}
+		s.cacheBytes += uint64(len(value))
 		if _, ok := s.mapping[key]; !ok {
-			s.mapping[key] = s.allocBlockLocked()
+			s.mapping[key] = s.AllocBlock()
 		}
-		off += 8 + kl + vl
 		// Journal replay re-executes the update path through the stack.
 		// Recovery runs before the store opens for traffic, so holding
 		// stateMu across the simulated replay latency is the point: nothing
 		// else may observe the half-replayed state.
-		latency.Spin(s.cfg.SoftwareNs) //nolint:lock-order // exclusive recovery section
-	}
+		latency.Spin(softwareNs)
+	})
 	replayNs = time.Since(t1).Nanoseconds()
-	s.closed = false
+	s.Reopen()
 	s.stateMu.Unlock()
 	return metadataNs, replayNs, nil
-}
-
-// IOBytes implements kvapi.IOStatsReporter.
-func (s *Store) IOBytes() (pmemBytes, ssdBytes uint64) {
-	ps := s.pm.Stats()
-	ds := s.dev.Stats()
-	return ps.BytesRead + ps.BytesWritten, ds.BytesRead + ds.BytesWritten
 }
 
 var _ kvapi.IOStatsReporter = (*Store)(nil)

@@ -7,14 +7,22 @@ import (
 	"testing"
 	"time"
 
+	"dstore/internal/baselines"
 	"dstore/internal/kvapi"
 )
+
+// checkpoints reads the completed-checkpoint count.
+func checkpoints(s *Store) uint64 {
+	s.stateMu.Lock()
+	defer s.stateMu.Unlock()
+	return s.checkpoints
+}
 
 func small(t *testing.T) *Store {
 	t.Helper()
 	s, err := New(Config{
+		RigConfig:    baselines.RigConfig{Blocks: 4096},
 		JournalBytes: 1 << 20,
-		Blocks:       4096,
 		CacheBytes:   64 << 10,
 	})
 	if err != nil {
@@ -89,18 +97,18 @@ func TestCheckpointTruncatesJournal(t *testing.T) {
 	}
 	s.Checkpoint()
 	s.stateMu.Lock()
-	tail := s.journalTail
+	used := s.journal.Used()
 	s.stateMu.Unlock()
-	if tail != journalBase {
-		t.Fatalf("journal not truncated: tail=%d", tail)
+	if used != 0 {
+		t.Fatalf("journal not truncated: %d bytes in use", used)
 	}
-	if s.Checkpoints() == 0 {
+	if checkpoints(s) == 0 {
 		t.Fatal("checkpoint not counted")
 	}
 }
 
 func TestJournalPressureTriggersCheckpoint(t *testing.T) {
-	s, err := New(Config{JournalBytes: 128 << 10, Blocks: 4096, CacheBytes: 1 << 20})
+	s, err := New(Config{RigConfig: baselines.RigConfig{Blocks: 4096}, JournalBytes: 128 << 10, CacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +120,10 @@ func TestJournalPressureTriggersCheckpoint(t *testing.T) {
 	}
 	// Allow async checkpoints to land.
 	deadline := time.Now().Add(2 * time.Second)
-	for s.Checkpoints() == 0 && time.Now().Before(deadline) {
+	for checkpoints(s) == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if s.Checkpoints() == 0 {
+	if checkpoints(s) == 0 {
 		t.Fatal("journal pressure never triggered a checkpoint")
 	}
 }
@@ -145,7 +153,7 @@ func TestConcurrentClients(t *testing.T) {
 }
 
 func TestCrashRecoveryReplaysJournal(t *testing.T) {
-	s, err := New(Config{JournalBytes: 1 << 20, Blocks: 4096, CacheBytes: 1 << 20, TrackPersistence: true})
+	s, err := New(Config{RigConfig: baselines.RigConfig{Blocks: 4096, TrackPersistence: true}, JournalBytes: 1 << 20, CacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

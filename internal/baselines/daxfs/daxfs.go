@@ -24,6 +24,7 @@ package daxfs
 import (
 	"time"
 
+	"dstore/internal/baselines"
 	"dstore/internal/latency"
 	"dstore/internal/pmem"
 )
@@ -55,11 +56,7 @@ const (
 )
 
 func newDevice(lat bool) *pmem.Device {
-	var l pmem.Latencies
-	if lat {
-		l = pmem.DefaultLatencies()
-	}
-	return pmem.New(pmem.Config{Size: inodeArea * maxInodes, Latency: l})
+	return baselines.NewRig(baselines.RigConfig{DeviceLatency: lat}, inodeArea*maxInodes, nil).PM
 }
 
 func inodeOff(inode uint64) uint64 { return (inode % maxInodes) * inodeArea }
@@ -93,9 +90,6 @@ func (n *NOVA) WriteMeta(inode uint64) {
 	n.dev.Persist(base, 8)
 }
 
-// Device exposes the underlying device for stats.
-func (n *NOVA) Device() *pmem.Device { return n.dev }
-
 // XFS models xfs-DAX's logged metadata updates.
 type XFS struct {
 	dev *pmem.Device
@@ -123,9 +117,6 @@ func (x *XFS) WriteMeta(inode uint64) {
 	x.dev.Persist(base, 128)
 	x.seq++
 }
-
-// Device exposes the underlying device for stats.
-func (x *XFS) Device() *pmem.Device { return x.dev }
 
 // EXT4 models ext4-DAX's jbd2 journalling.
 type EXT4 struct {
@@ -157,9 +148,6 @@ func (e *EXT4) WriteMeta(inode uint64) {
 	e.dev.Persist(base+128+4096, 64)
 	e.seq++
 }
-
-// Device exposes the underlying device for stats.
-func (e *EXT4) Device() *pmem.Device { return e.dev }
 
 // All returns the three filesystem models.
 func All(lat bool) []FS {

@@ -16,11 +16,11 @@ func TestModelsRun(t *testing.T) {
 
 func TestNOVALogEntriesAccumulate(t *testing.T) {
 	n := NewNOVA(false)
-	before := n.Device().Stats()
+	before := n.dev.Stats()
 	for i := 0; i < 10; i++ {
 		n.WriteMeta(1)
 	}
-	after := n.Device().Stats()
+	after := n.dev.Stats()
 	if after.BytesWritten-before.BytesWritten < 10*64 {
 		t.Fatalf("NOVA wrote only %d bytes", after.BytesWritten-before.BytesWritten)
 	}
@@ -31,9 +31,9 @@ func TestNOVALogEntriesAccumulate(t *testing.T) {
 
 func TestEXT4JournalsFullBlocks(t *testing.T) {
 	e := NewEXT4(false)
-	before := e.Device().Stats()
+	before := e.dev.Stats()
 	e.WriteMeta(0)
-	after := e.Device().Stats()
+	after := e.dev.Stats()
 	if after.BytesWritten-before.BytesWritten < 4096 {
 		t.Fatalf("ext4 journalled only %d bytes, want >= 4096", after.BytesWritten-before.BytesWritten)
 	}
@@ -46,21 +46,17 @@ func TestRelativeMetadataCost(t *testing.T) {
 	// the filesystems (DStore, measured elsewhere, is cheaper than all).
 	// Measured as deterministic device flush work, which is what the
 	// latency model charges for.
-	cost := func(fs interface {
-		FS
-		Device() *pmem.Device
-	}) uint64 {
+	cost := func(fs FS, dev *pmem.Device) uint64 {
 		const n = 200
-		before := fs.Device().Stats()
+		before := dev.Stats()
 		for i := 0; i < n; i++ {
 			fs.WriteMeta(uint64(i % 4))
 		}
-		after := fs.Device().Stats()
+		after := dev.Stats()
 		return (after.LinesFlushed - before.LinesFlushed) / n
 	}
-	nova := cost(NewNOVA(false))
-	xfs := cost(NewXFS(false))
-	ext4 := cost(NewEXT4(false))
+	n, x, e := NewNOVA(false), NewXFS(false), NewEXT4(false)
+	nova, xfs, ext4 := cost(n, n.dev), cost(x, x.dev), cost(e, e.dev)
 	if !(nova < xfs && xfs < ext4) {
 		t.Fatalf("metadata flush-work ordering violated: nova=%d xfs=%d ext4=%d lines/op", nova, xfs, ext4)
 	}

@@ -26,38 +26,25 @@ import (
 	"sync"
 	"time"
 
+	"dstore/internal/baselines"
 	"dstore/internal/kvapi"
 	"dstore/internal/latency"
 	"dstore/internal/pmem"
-	"dstore/internal/ssd"
 )
 
 // Config sizes and tunes the model.
 type Config struct {
+	// RigConfig chooses the PMEM device; Blocks is ignored (no SSD).
+	baselines.RigConfig
 	// Cells is the heap capacity in 4 KB object cells. Default 65536.
 	Cells uint64
-	// SoftwareNs is fixed per-op stack latency, calibrated to the MongoDB
-	// document layer plus pmemobj-cpp transactions (~20us measured).
-	// Default 20000.
-	SoftwareNs time.Duration
-	// DeviceLatency enables calibrated device latencies on created devices.
-	DeviceLatency bool
-	// TrackPersistence enables the PMEM crash model on created devices.
-	TrackPersistence bool
-	// PMEM injects the device.
-	PMEM *pmem.Device
-}
-
-func (c *Config) setDefaults() {
-	if c.Cells == 0 {
-		c.Cells = 65536
-	}
-	if c.SoftwareNs == 0 {
-		c.SoftwareNs = 20 * time.Microsecond
-	}
 }
 
 const (
+	// softwareNs is fixed per-op stack latency, calibrated to the MongoDB
+	// document layer plus pmemobj-cpp transactions (~20us measured).
+	softwareNs = 20 * time.Microsecond
+
 	cellSize  = 4096 + 128 // value + header
 	valueCap  = 4096
 	hdrUsed   = 0 // u8
@@ -78,14 +65,11 @@ const (
 
 // Store is the MongoDB-PMSE model.
 type Store struct {
-	cfg Config
-	pm  *pmem.Device
+	*baselines.Rig // the device, cell allocator (under mu), closed, Crash
+	cells          uint64
 
 	mu      sync.Mutex
 	index   map[string]uint64 // key -> cell id
-	free    []uint64
-	next    uint64
-	closed  bool
 	stripeM [stripes]sync.Mutex
 }
 
@@ -94,41 +78,20 @@ func (s *Store) cellOff(cell uint64) uint64 {
 	return uint64(stripes*undoSlot) + cell*cellSize
 }
 
-func deviceBytes(cfg Config) int {
-	return stripes*undoSlot + int(cfg.Cells)*cellSize
-}
-
-// New creates and formats a store.
+// New creates a store; a zeroed device is a formatted one (all cells unused,
+// undo slots idle).
 func New(cfg Config) (*Store, error) {
-	cfg.setDefaults()
-	s := attach(cfg)
-	// Zeroed device => all cells unused, undo slots idle. Persist headers.
-	return s, nil
-}
-
-func attach(cfg Config) *Store {
-	s := &Store{cfg: cfg, index: map[string]uint64{}}
-	s.pm = cfg.PMEM
-	if s.pm == nil {
-		var lat pmem.Latencies
-		if cfg.DeviceLatency {
-			lat = pmem.DefaultLatencies()
-		}
-		s.pm = pmem.New(pmem.Config{
-			Size:             deviceBytes(cfg),
-			TrackPersistence: cfg.TrackPersistence,
-			Latency:          lat,
-		})
+	s := &Store{cells: cfg.Cells, index: map[string]uint64{}}
+	if s.cells == 0 {
+		s.cells = 65536
 	}
-	return s
+	cfg.Blocks = 0
+	s.Rig = baselines.NewRig(cfg.RigConfig, stripes*undoSlot+int(s.cells)*cellSize, nil)
+	return s, nil
 }
 
 // Label implements kvapi.Store.
 func (s *Store) Label() string { return "MongoDB-PMSE" }
-
-// Devices returns the simulated devices, for crash hooks and traffic counters;
-// the uncached store has no SSD.
-func (s *Store) Devices() (*pmem.Device, *ssd.Device) { return s.pm, nil }
 
 func stripeOf(key string) int {
 	h := uint32(2166136261)
@@ -147,30 +110,24 @@ func (s *Store) Put(key string, value []byte) error {
 	if len(key) > keyCap {
 		return fmt.Errorf("inplacestore: key exceeds %d bytes", keyCap)
 	}
-	latency.Spin(s.cfg.SoftwareNs)
+	latency.Spin(softwareNs)
 
 	st := stripeOf(key)
 	s.stripeM[st].Lock()
 	defer s.stripeM[st].Unlock()
 
 	s.mu.Lock()
-	if s.closed {
+	if s.Closed() {
 		s.mu.Unlock()
 		return errors.New("inplacestore: closed")
 	}
 	cell, existed := s.index[key]
 	if !existed {
-		if n := len(s.free); n > 0 {
-			cell = s.free[n-1]
-			s.free = s.free[:n-1]
-		} else {
-			if s.next >= s.cfg.Cells {
-				s.mu.Unlock()
-				return errors.New("inplacestore: heap full")
-			}
-			cell = s.next
-			s.next++
+		if s.LiveBlocks() >= s.cells {
+			s.mu.Unlock()
+			return errors.New("inplacestore: heap full")
 		}
+		cell = s.AllocBlock()
 		s.index[key] = cell
 	}
 	s.mu.Unlock()
@@ -180,10 +137,10 @@ func (s *Store) Put(key string, value []byte) error {
 	if existed {
 		// Undo phase: save the old image and persist it before mutating.
 		img := make([]byte, cellSize)
-		s.pm.ReadAt(off, img)
-		s.pm.PutU64(undo, off|1) // in-flight marker with target offset
-		s.pm.WriteAt(undo+8, img)
-		s.pm.Persist(undo, undoSlot)
+		s.PM.ReadAt(off, img)
+		s.PM.PutU64(undo, off|1) // in-flight marker with target offset
+		s.PM.WriteAt(undo+8, img)
+		s.PM.Persist(undo, undoSlot)
 	}
 
 	// In-place update, then persist the whole cell.
@@ -191,22 +148,22 @@ func (s *Store) Put(key string, value []byte) error {
 	hdr[hdrUsed] = 1
 	binary.LittleEndian.PutUint16(hdr[hdrKeyLen:], uint16(len(key)))
 	binary.LittleEndian.PutUint32(hdr[hdrValLen:], uint32(len(value)))
-	s.pm.WriteAt(off, hdr[:])
-	s.pm.WriteAt(off+hdrKey, []byte(key))
-	s.pm.WriteAt(off+128, value)
-	s.pm.Persist(off, 128+uint64(len(value)))
+	s.PM.WriteAt(off, hdr[:])
+	s.PM.WriteAt(off+hdrKey, []byte(key))
+	s.PM.WriteAt(off+128, value)
+	s.PM.Persist(off, 128+uint64(len(value)))
 
 	if existed {
 		// Commit: retire the undo record.
-		s.pm.PutU64(undo, 0)
-		s.pm.Persist(undo, 8)
+		s.PM.PutU64(undo, 0)
+		s.PM.Persist(undo, 8)
 	}
 	return nil
 }
 
 // Get implements kvapi.Store: a direct PMEM read.
 func (s *Store) Get(key string, buf []byte) ([]byte, error) {
-	latency.Spin(s.cfg.SoftwareNs)
+	latency.Spin(softwareNs)
 	s.mu.Lock()
 	cell, ok := s.index[key]
 	s.mu.Unlock()
@@ -218,24 +175,17 @@ func (s *Store) Get(key string, buf []byte) ([]byte, error) {
 	defer s.stripeM[st].Unlock()
 	off := s.cellOff(cell)
 	var hdr [8]byte
-	s.pm.ReadAt(off, hdr[:])
+	s.PM.ReadAt(off, hdr[:])
 	vl := binary.LittleEndian.Uint32(hdr[hdrValLen:])
 	start := len(buf)
-	need := start + int(vl)
-	if cap(buf) >= need {
-		buf = buf[:need]
-	} else {
-		nb := make([]byte, need, need*2)
-		copy(nb, buf)
-		buf = nb
-	}
-	s.pm.ReadAt(off+128, buf[start:])
+	buf = baselines.GrowBuf(buf, int(vl))
+	s.PM.ReadAt(off+128, buf[start:])
 	return buf, nil
 }
 
 // Delete implements kvapi.Store: persist the cleared used flag.
 func (s *Store) Delete(key string) error {
-	latency.Spin(s.cfg.SoftwareNs)
+	latency.Spin(softwareNs)
 	st := stripeOf(key)
 	s.stripeM[st].Lock()
 	defer s.stripeM[st].Unlock()
@@ -243,23 +193,21 @@ func (s *Store) Delete(key string) error {
 	cell, ok := s.index[key]
 	if ok {
 		delete(s.index, key)
-		s.free = append(s.free, cell)
+		s.FreeBlock(cell)
 	}
 	s.mu.Unlock()
 	if !ok {
 		return nil
 	}
 	off := s.cellOff(cell)
-	s.pm.PutU8(off+hdrUsed, 0)
-	s.pm.Persist(off+hdrUsed, 1)
+	s.PM.PutU8(off+hdrUsed, 0)
+	s.PM.Persist(off+hdrUsed, 1)
 	return nil
 }
 
 // Close implements kvapi.Store; inline persistence has nothing to flush.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
+	s.Halt()
 	return nil
 }
 
@@ -267,19 +215,7 @@ func (s *Store) Close() error {
 func (s *Store) FootprintBytes() (dram, pmemB, ssdB uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	live := s.next - uint64(len(s.free))
-	return 0, uint64(stripes*undoSlot) + live*cellSize, 0
-}
-
-// Crash implements kvapi.Crasher.
-func (s *Store) Crash(seed int64) error {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	if s.cfg.TrackPersistence {
-		return s.pm.Crash(pmem.CrashDropDirty, seed)
-	}
-	return nil
+	return 0, uint64(stripes*undoSlot) + s.LiveBlocks()*cellSize, 0
 }
 
 // Recover implements kvapi.Crasher: roll back in-flight transactions from
@@ -289,15 +225,15 @@ func (s *Store) Recover() (metadataNs, replayNs int64, err error) {
 	t0 := time.Now()
 	for st := 0; st < stripes; st++ {
 		undo := uint64(st * undoSlot)
-		marker := s.pm.GetU64(undo)
+		marker := s.PM.GetU64(undo)
 		if marker&1 == 1 {
 			off := marker &^ 1
 			img := make([]byte, cellSize)
-			s.pm.ReadAt(undo+8, img)
-			s.pm.WriteAt(off, img)
-			s.pm.Persist(off, cellSize)
-			s.pm.PutU64(undo, 0)
-			s.pm.Persist(undo, 8)
+			s.PM.ReadAt(undo+8, img)
+			s.PM.WriteAt(off, img)
+			s.PM.Persist(off, cellSize)
+			s.PM.PutU64(undo, 0)
+			s.PM.Persist(undo, 8)
 		}
 	}
 	replayNs = time.Since(t0).Nanoseconds()
@@ -305,41 +241,31 @@ func (s *Store) Recover() (metadataNs, replayNs int64, err error) {
 	t1 := time.Now()
 	s.mu.Lock()
 	s.index = map[string]uint64{}
-	s.free = nil
-	s.next = 0
-	var maxCell uint64
-	for cell := uint64(0); cell < s.cfg.Cells; cell++ {
+	s.ResetBlocks()
+	for cell := uint64(0); cell < s.cells; cell++ {
 		off := s.cellOff(cell)
 		var hdr [8]byte
-		s.pm.ReadAt(off, hdr[:])
+		s.PM.ReadAt(off, hdr[:])
 		if hdr[hdrUsed] != 1 {
 			continue
 		}
 		kl := binary.LittleEndian.Uint16(hdr[hdrKeyLen:])
 		kb := make([]byte, kl)
-		s.pm.ReadAt(off+hdrKey, kb)
+		s.PM.ReadAt(off+hdrKey, kb)
 		s.index[string(kb)] = cell
-		if cell+1 > maxCell {
-			maxCell = cell + 1
+		s.UseBlock(cell)
+	}
+	// Nothing is free yet, so the live count is the highest used cell + 1;
+	// the unused cells below it are the free list.
+	for cell, end := uint64(0), s.LiveBlocks(); cell < end; cell++ {
+		if s.PM.GetU8(s.cellOff(cell)+hdrUsed) != 1 {
+			s.FreeBlock(cell)
 		}
 	}
-	s.next = maxCell
-	for cell := uint64(0); cell < maxCell; cell++ {
-		off := s.cellOff(cell)
-		if s.pm.GetU8(off+hdrUsed) != 1 {
-			s.free = append(s.free, cell)
-		}
-	}
-	s.closed = false
+	s.Reopen()
 	s.mu.Unlock()
 	metadataNs = time.Since(t1).Nanoseconds()
 	return metadataNs, replayNs, nil
-}
-
-// IOBytes implements kvapi.IOStatsReporter.
-func (s *Store) IOBytes() (pmemBytes, ssdBytes uint64) {
-	ps := s.pm.Stats()
-	return ps.BytesRead + ps.BytesWritten, 0
 }
 
 var _ kvapi.IOStatsReporter = (*Store)(nil)

@@ -6,12 +6,13 @@ import (
 	"sync"
 	"testing"
 
+	"dstore/internal/baselines"
 	"dstore/internal/kvapi"
 )
 
 func small(t *testing.T) *Store {
 	t.Helper()
-	s, err := New(Config{Cells: 1024, TrackPersistence: true})
+	s, err := New(Config{RigConfig: baselines.RigConfig{TrackPersistence: true}, Cells: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,13 +110,13 @@ func TestUndoRollsBackTornUpdate(t *testing.T) {
 	st := stripeOf("k")
 	undo := uint64(st * undoSlot)
 	img := make([]byte, cellSize)
-	s.pm.ReadAt(off, img)
-	s.pm.PutU64(undo, off|1)
-	s.pm.WriteAt(undo+8, img)
-	s.pm.Persist(undo, undoSlot)
+	s.PM.ReadAt(off, img)
+	s.PM.PutU64(undo, off|1)
+	s.PM.WriteAt(undo+8, img)
+	s.PM.Persist(undo, undoSlot)
 	// Torn in-place write: new bytes, never persisted, no commit.
-	s.pm.WriteAt(off+128, bytes.Repeat([]byte{0xBB}, 2048))
-	s.pm.Persist(off+128, 2048)
+	s.PM.WriteAt(off+128, bytes.Repeat([]byte{0xBB}, 2048))
+	s.PM.Persist(off+128, 2048)
 
 	s.Crash(4)
 	if _, _, err := s.Recover(); err != nil {

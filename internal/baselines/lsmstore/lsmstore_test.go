@@ -5,16 +5,24 @@ import (
 	"fmt"
 	"testing"
 
+	"dstore/internal/baselines"
 	"dstore/internal/kvapi"
 )
+
+// stalls reads the write-stall count.
+func stalls(s *Store) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stalls
+}
 
 func small(t *testing.T) *Store {
 	t.Helper()
 	s, err := New(Config{
+		RigConfig:     baselines.RigConfig{Blocks: 4096},
 		MemtableBytes: 32 << 10,
 		MaxL0Files:    2,
 		WALBytes:      1 << 20,
-		Blocks:        4096,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,17 +77,17 @@ func TestWriteStallsHappen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Stalls() == 0 {
+	if stalls(s) == 0 {
 		t.Fatal("no write stalls under heavy write load (the RocksDB pathology must appear)")
 	}
 }
 
 func TestDisableCompactionNeverStalls(t *testing.T) {
 	s, err := New(Config{
+		RigConfig:         baselines.RigConfig{Blocks: 4096},
 		MemtableBytes:     32 << 10,
 		MaxL0Files:        2,
 		WALBytes:          1 << 20,
-		Blocks:            4096,
 		DisableCompaction: true,
 	})
 	if err != nil {
@@ -90,14 +98,11 @@ func TestDisableCompactionNeverStalls(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Stalls() != 0 {
-		t.Fatalf("stalls with compaction disabled: %d", s.Stalls())
+	if n := stalls(s); n != 0 {
+		t.Fatalf("stalls with compaction disabled: %d", n)
 	}
 	// Close without the background loop consuming L0 compactions.
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	s.stopBackground()
+	s.Halt()
 }
 
 func TestOverwriteLatestWins(t *testing.T) {
@@ -120,7 +125,7 @@ func TestOverwriteLatestWins(t *testing.T) {
 }
 
 func TestCleanRecovery(t *testing.T) {
-	s, err := New(Config{MemtableBytes: 32 << 10, WALBytes: 1 << 20, Blocks: 4096, TrackPersistence: true})
+	s, err := New(Config{RigConfig: baselines.RigConfig{Blocks: 4096, TrackPersistence: true}, MemtableBytes: 32 << 10, WALBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +151,10 @@ func TestFootprintReservesCache(t *testing.T) {
 	s := small(t)
 	defer s.Close()
 	dram, pm, _ := s.FootprintBytes()
-	if dram < s.cfg.ReservedCacheBytes {
+	if dram < reservedCacheBytes {
 		t.Fatalf("dram footprint %d below reserved cache", dram)
 	}
-	if pm != 64+s.cfg.WALBytes+s.cfg.ManifestBytes {
+	if pm != 64+s.cfg.WALBytes+baselines.TableBytes {
 		t.Fatalf("pmem footprint = %d", pm)
 	}
 }

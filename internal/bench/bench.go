@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"dstore"
+	"dstore/internal/baselines"
 	"dstore/internal/baselines/btreestore"
 	"dstore/internal/baselines/inplacestore"
 	"dstore/internal/baselines/lsmstore"
@@ -177,33 +178,36 @@ func newShardedDStore(o Options, n int, track bool) (*dstore.KV, error) {
 	return dstore.NewKV(sh), nil
 }
 
+// baselineRig is the devices every comparison system runs on: latency on,
+// capacity for the measured and the recovery key spaces.
+func baselineRig(o Options, track bool) baselines.RigConfig {
+	return baselines.RigConfig{
+		Blocks:           uint64(2*(o.Records+o.Objects) + 1024),
+		DeviceLatency:    true,
+		TrackPersistence: track,
+	}
+}
+
 func newLSM(o Options, disableCompaction, track bool) (*lsmstore.Store, error) {
 	return lsmstore.New(lsmstore.Config{
-		Blocks:            uint64(2*(o.Records+o.Objects) + 1024),
+		RigConfig:         baselineRig(o, track),
 		WALBytes:          32 << 20,
 		DisableCompaction: disableCompaction,
-		DeviceLatency:     true,
-		TrackPersistence:  track,
 	})
 }
 
 func newBT(o Options, disableCkpt, track bool) (*btreestore.Store, error) {
 	return btreestore.New(btreestore.Config{
-		Blocks:             uint64(2*(o.Records+o.Objects) + 1024),
+		RigConfig:          baselineRig(o, track),
 		JournalBytes:       32 << 20,
 		CacheBytes:         uint64(o.Records) * uint64(o.ValueBytes) / 2,
 		DisableCheckpoints: disableCkpt,
-		DeviceLatency:      true,
-		TrackPersistence:   track,
 	})
 }
 
 func newIP(o Options, track bool) (*inplacestore.Store, error) {
-	return inplacestore.New(inplacestore.Config{
-		Cells:            uint64(2*(o.Records+o.Objects) + 1024),
-		DeviceLatency:    true,
-		TrackPersistence: track,
-	})
+	rig := baselineRig(o, track)
+	return inplacestore.New(inplacestore.Config{RigConfig: rig, Cells: rig.Blocks})
 }
 
 // ------------------------------------------------------------ run engine

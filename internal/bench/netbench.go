@@ -60,5 +60,5 @@ func netKV(c *client.Client, batched bool) *client.KV {
 	if !batched {
 		return client.NewKV(c, 30*time.Second)
 	}
-	return client.NewBatchedKV(c, 30*time.Second, client.BatcherConfig{})
+	return client.NewBatchedKV(c, 30*time.Second)
 }

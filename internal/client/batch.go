@@ -140,14 +140,6 @@ func subErr(r *wire.BatchResult) error {
 
 // ----------------------------------------------------------------- batcher
 
-// BatcherConfig configures a Batcher. The zero value batches up to
-// wire.MaxBatch sub-ops per frame with no artificial delay: coalescing comes
-// from in-flight backpressure alone.
-type BatcherConfig struct {
-	// MaxBatch caps sub-ops per frame (≤ wire.MaxBatch).
-	MaxBatch int
-}
-
 // Batcher transparently coalesces concurrent Put/Get/Delete calls into
 // MPUT/MGET/MDELETE frames — the client-side mirror of the server's WAL
 // group commit, using the same backpressure discipline. When no frame of an
@@ -156,14 +148,14 @@ type BatcherConfig struct {
 // next frame, whose leader drains it the instant the slot frees. Batch size
 // therefore adapts to load — idle callers pay no coalescing delay, loaded
 // callers share frames sized by the round trip — with no timers and no
-// background goroutine: whoever detaches a batch sends it.
+// background goroutine: whoever detaches a batch sends it. A frame carries
+// up to wire.MaxBatch sub-ops.
 //
 // Error semantics are per-caller: each caller receives exactly its own
 // sub-op's verdict. A frame-level transport failure is the only shared
 // outcome, just as it is for pipelined singleton calls on one connection.
 type Batcher struct {
-	c        *Client
-	maxBatch int
+	c *Client
 
 	put opQueue
 	get opQueue
@@ -199,11 +191,8 @@ type pendingBatch struct {
 }
 
 // NewBatcher wraps c with an auto-coalescing batch layer.
-func NewBatcher(c *Client, cfg BatcherConfig) *Batcher {
-	if cfg.MaxBatch <= 0 || cfg.MaxBatch > wire.MaxBatch {
-		cfg.MaxBatch = wire.MaxBatch
-	}
-	b := &Batcher{c: c, maxBatch: cfg.MaxBatch}
+func NewBatcher(c *Client) *Batcher {
+	b := &Batcher{c: c}
 	for _, q := range []*opQueue{&b.put, &b.get, &b.del} {
 		q.free = sync.NewCond(&q.mu)
 	}
@@ -257,7 +246,7 @@ func (b *Batcher) submit(ctx context.Context, op wire.Op, key string, value []by
 	if op == wire.OpMPut {
 		pb.vals = append(pb.vals, value)
 	}
-	full := len(pb.keys) >= b.maxBatch
+	full := len(pb.keys) >= wire.MaxBatch
 	if full {
 		// A full frame bypasses the in-flight gate: pipelined connections
 		// carry overlapping frames fine, and holding a full batch helps

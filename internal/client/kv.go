@@ -39,9 +39,9 @@ func NewKV(c *Client, timeout time.Duration) *KV {
 // auto-coalescing Batcher, so concurrent workload threads share
 // MPUT/MGET/MDELETE frames. Latencies recorded around its calls include the
 // coalescing window — what a caller of the batched path actually observes.
-func NewBatchedKV(c *Client, timeout time.Duration, bc BatcherConfig) *KV {
+func NewBatchedKV(c *Client, timeout time.Duration) *KV {
 	kv := NewKV(c, timeout)
-	kv.b = NewBatcher(c, bc)
+	kv.b = NewBatcher(c)
 	return kv
 }
 

@@ -110,24 +110,6 @@ func (h *H) Percentile(p float64) uint64 {
 	return h.max.Load()
 }
 
-// Merge adds other's observations into h.
-func (h *H) Merge(other *H) {
-	for i := 0; i < numBuckets; i++ {
-		if c := other.counts[i].Load(); c > 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	h.total.Add(other.total.Load())
-	h.sum.Add(other.sum.Load())
-	for {
-		cur := h.max.Load()
-		om := other.max.Load()
-		if om <= cur || h.max.CompareAndSwap(cur, om) {
-			break
-		}
-	}
-}
-
 // Reset clears the histogram.
 func (h *H) Reset() {
 	for i := 0; i < numBuckets; i++ {

@@ -71,27 +71,6 @@ func TestPercentileAccuracyLarge(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	var a, b H
-	for i := 0; i < 100; i++ {
-		a.Record(10)
-		b.Record(1000)
-	}
-	a.Merge(&b)
-	if a.Count() != 200 {
-		t.Fatalf("merged count = %d", a.Count())
-	}
-	if p := a.Percentile(25); p != 10 {
-		t.Fatalf("p25 = %d", p)
-	}
-	if p := a.Percentile(75); p < 900 {
-		t.Fatalf("p75 = %d", p)
-	}
-	if a.Max() != 1000 {
-		t.Fatalf("merged max = %d", a.Max())
-	}
-}
-
 func TestReset(t *testing.T) {
 	var h H
 	h.Record(42)

@@ -186,37 +186,6 @@ func (z *Zone) Write(slot uint64, name []byte, size uint64, blocks []uint64, sum
 	return nil
 }
 
-// SetSize updates only the logical size of a used slot (owrite extensions).
-func (z *Zone) SetSize(slot, size uint64) error {
-	off, err := z.slotOff(slot)
-	if err != nil {
-		return err
-	}
-	z.sp.PutU64(off+slotSizeOff, size)
-	return nil
-}
-
-// SetBlocks replaces the block list of a used slot; the sums of the listed
-// blocks are reset to SumUnverified (callers that know the content use
-// SetSum afterwards).
-func (z *Zone) SetBlocks(slot uint64, blocks []uint64) error {
-	if uint64(len(blocks)) > z.maxBlocks {
-		return fmt.Errorf("meta: %d blocks exceed max %d", len(blocks), z.maxBlocks)
-	}
-	off, err := z.slotOff(slot)
-	if err != nil {
-		return err
-	}
-	z.sp.PutU32(off+slotNBlocks, uint32(len(blocks)))
-	bb := z.blocksOff(off)
-	sb := z.sumsOff(off)
-	for i, b := range blocks {
-		z.sp.PutU64(bb+8*uint64(i), b)
-		z.sp.PutU32(sb+4*uint64(i), SumUnverified)
-	}
-	return nil
-}
-
 // SetSum records the CRC32C of the i-th block of a used slot.
 func (z *Zone) SetSum(slot uint64, i int, sum uint32) error {
 	off, err := z.slotOff(slot)

@@ -67,23 +67,6 @@ func TestClear(t *testing.T) {
 	}
 }
 
-func TestSetSizeAndBlocks(t *testing.T) {
-	z, _, _ := newZone(t)
-	if err := z.Write(2, []byte("grow"), 4096, []uint64{7}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := z.SetSize(2, 8192); err != nil {
-		t.Fatal(err)
-	}
-	if err := z.SetBlocks(2, []uint64{7, 8}); err != nil {
-		t.Fatal(err)
-	}
-	e, _ := mustRead(t, z, 2)
-	if e.Size != 8192 || len(e.Blocks) != 2 || e.Blocks[1] != 8 {
-		t.Fatalf("entry = %+v", e)
-	}
-}
-
 func TestLimitsEnforced(t *testing.T) {
 	z, _, _ := newZone(t)
 	longName := make([]byte, 33)
@@ -93,9 +76,6 @@ func TestLimitsEnforced(t *testing.T) {
 	manyBlocks := make([]uint64, 9)
 	if err := z.Write(0, []byte("k"), 1, manyBlocks, nil); err == nil {
 		t.Fatal("too many blocks accepted")
-	}
-	if err := z.SetBlocks(0, manyBlocks); err == nil {
-		t.Fatal("SetBlocks accepted too many blocks")
 	}
 }
 

@@ -68,8 +68,8 @@ type Config struct {
 	TrackPersistence bool
 	// Latency calibrates injected delays. Zero values mean no delay.
 	Latency Latencies
-	// Faults, when non-nil, is consulted by the fallible Try* operations
-	// (the log-append path). The plan's page unit is the 64-byte cache
+	// Faults, when non-nil, is consulted by CheckWriteFault (the log-append
+	// path). The plan's page unit is the 64-byte cache
 	// line. The infallible WriteAt/Flush/Fence methods — used by structures
 	// that recover from DRAM shadows rather than per-write error handling —
 	// never consult it.
@@ -212,7 +212,7 @@ func New(cfg Config) *Device {
 func (d *Device) SetMutationHook(fn func()) { d.hook = fn }
 
 // SetFaultPlan installs (or, with nil, removes) the fault plan consulted by
-// the Try* operations. Install before concurrent use.
+// CheckWriteFault. Install before concurrent use.
 func (d *Device) SetFaultPlan(p *fault.Plan) { d.faults = p }
 
 // Size returns the device capacity in bytes.
@@ -255,10 +255,10 @@ func (d *Device) markDirty(off, n uint64) {
 	}
 }
 
-// ErrOutOfRange is the typed error returned by the fallible operations
-// (Try*, CheckWriteFault) for accesses outside the device. Offsets that
-// reach the fallible surface may be media-derived (log headers, root state),
-// so a bad range is a runtime condition there, not a programming error.
+// ErrOutOfRange is the typed error CheckWriteFault returns for accesses
+// outside the device. Offsets that reach it may be media-derived (log
+// headers, root state), so a bad range is a runtime condition there, not a
+// programming error.
 var ErrOutOfRange = errors.New("pmem: access out of range")
 
 // rangeErr validates [off, off+n) against the device size.
@@ -441,45 +441,6 @@ func (d *Device) CheckWriteFault(off, n uint64) error {
 		d.injectedErrs.Add(1)
 		return err
 	}
-	return nil
-}
-
-// TryWriteAt is WriteAt with fault injection: the fallible variant the
-// log-append path uses. On error nothing was written (the media rejected the
-// store — e.g. an uncorrectable/poisoned line — before any byte landed).
-func (d *Device) TryWriteAt(off uint64, p []byte) error {
-	if err := d.CheckWriteFault(off, uint64(len(p))); err != nil {
-		return err
-	}
-	d.WriteAt(off, p)
-	return nil
-}
-
-// TryPutU64 is PutU64 with fault injection.
-func (d *Device) TryPutU64(off uint64, v uint64) error {
-	if err := d.CheckWriteFault(off, 8); err != nil {
-		return err
-	}
-	d.PutU64(off, v)
-	return nil
-}
-
-// TryPutU8 is PutU8 with fault injection.
-func (d *Device) TryPutU8(off uint64, v uint8) error {
-	if err := d.CheckWriteFault(off, 1); err != nil {
-		return err
-	}
-	d.PutU8(off, v)
-	return nil
-}
-
-// TryPersist is Persist with fault injection. On error the flush/fence did
-// not complete: the lines in range may or may not have reached the media.
-func (d *Device) TryPersist(off, n uint64) error {
-	if err := d.CheckWriteFault(off, n); err != nil {
-		return err
-	}
-	d.Persist(off, n)
 	return nil
 }
 
