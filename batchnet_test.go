@@ -349,7 +349,7 @@ func TestNetBatchReplication(t *testing.T) {
 	}
 	defer sb.Close() //nolint:errcheck // teardown
 	sb.BeginStandby()
-	tailer, err := replica.Start(replica.Config{Addr: addr, Store: sb, AckEvery: 8})
+	tailer, err := replica.Start(replica.Config{Addr: addr, Store: sb})
 	if err != nil {
 		t.Fatal(err)
 	}

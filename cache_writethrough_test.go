@@ -119,7 +119,7 @@ func TestWritePublishesWhatItWrote(t *testing.T) {
 func assertUncached(t *testing.T, s *Store, blocks []uint64, sums []uint32, size uint64) {
 	t.Helper()
 	for i, b := range blocks {
-		span := min(size-uint64(i)*s.cfg.BlockSize, s.cfg.BlockSize)
+		span := min(size-uint64(i)*blockSize, blockSize)
 		if s.bcache.Get(b, sums[i], make([]byte, span)) {
 			t.Fatalf("block %d (index %d of a dead version) is still cached", b, i)
 		}
@@ -215,7 +215,7 @@ func TestPermanentWriteFaultLeavesNoEntry(t *testing.T) {
 	// which went back to the pool — hold nothing, under any of the sums.
 	for _, b := range []uint64{dead - 1, dead, dead + 1} {
 		for i := range e.Sums {
-			assertUncached(t, s, []uint64{b}, e.Sums[i:i+1], s.cfg.BlockSize)
+			assertUncached(t, s, []uint64{b}, e.Sums[i:i+1], blockSize)
 		}
 	}
 }
@@ -227,7 +227,7 @@ func TestDegradedStorePublishesNothing(t *testing.T) {
 	// No write gets as far as the publish once the store is degraded, except
 	// one that was already past the gate when it degraded.
 	v := wtValue(4096, 1)
-	s.cachePublish(&subOp{op: opPut, blocks: []uint64{5}, sums: blockSums(v, 4096), data: v})
+	s.cachePublish(&subOp{op: opPut, blocks: []uint64{5}, sums: blockSums(v), data: v})
 	if cs := s.CacheStats(); cs.Bytes != 0 {
 		t.Fatalf("degraded store published: %+v", cs)
 	}

@@ -44,13 +44,13 @@ func (s *Store) Check() error {
 		s.zoneMu[i].Lock()
 		defer s.zoneMu[i].Unlock()
 	}
-	return checkPlane(s.front, s.cfg.Blocks, s.cfg.BlockSize, quarantined)
+	return checkPlane(s.front, s.cfg.Blocks, quarantined)
 }
 
 // checkPlane validates the invariants for any plane (the recovery tests also
 // point it at shadow arenas; they pass a nil quarantine set since
 // quarantine is frontend-store state).
-func checkPlane(p *plane, blocks, blockSize uint64, quarantined map[uint64]bool) error {
+func checkPlane(p *plane, blocks uint64, quarantined map[uint64]bool) error {
 	if err := p.tree.Check(); err != nil {
 		return fmt.Errorf("dstore: index: %w", err)
 	}
@@ -153,7 +153,7 @@ func (s *Store) Scrub(repair bool) (ScrubReport, error) {
 	if s.closed.Load() {
 		return rep, ErrClosed
 	}
-	buf := make([]byte, s.cfg.BlockSize)
+	buf := make([]byte, blockSize)
 	for slot := uint64(0); slot < s.cfg.MaxObjects; slot++ {
 		e, used, err := s.zoneRead(slot)
 		if err != nil {
@@ -164,13 +164,13 @@ func (s *Store) Scrub(repair bool) (ScrubReport, error) {
 		}
 		name := string(e.Name) // copy: Name aliases the arena
 		for i, b := range e.Blocks {
-			lo := uint64(i) * s.cfg.BlockSize
+			lo := uint64(i) * blockSize
 			if lo >= e.Size { // fully beyond the logical size
 				continue
 			}
 			span := e.Size - lo
-			if span > s.cfg.BlockSize {
-				span = s.cfg.BlockSize
+			if span > blockSize {
+				span = blockSize
 			}
 			rep.BlocksChecked++
 			if e.Sums[i] == meta.SumUnverified {

@@ -78,7 +78,8 @@ func (m Mode) String() string {
 
 // Config configures a Store. The zero value is a usable small store.
 type Config struct {
-	// Mode selects the persistence technique. Default ModeDIPPER.
+	// Mode selects the persistence technique (the paper's CoW and
+	// physical-logging comparisons). Default ModeDIPPER.
 	Mode Mode
 	// DisableOE serializes each operation's entire metadata section under
 	// one global lock instead of the fine-grained pool/tree locks enabled
@@ -89,20 +90,14 @@ type Config struct {
 	DisableCheckpoints bool
 	// DisableGroupCommit turns off WAL group commit (on by default):
 	// concurrent committers normally settle behind one shared flush+fence,
-	// amortizing the per-record persistence cost (ISSUE 10).
+	// amortizing the per-record persistence cost. The batching experiment
+	// measures the store with it off.
 	DisableGroupCommit bool
-	// PhysicalImageBytes pads each log record's payload in ModePhysical.
-	// Default 512 (a before/after image of the touched metadata).
-	PhysicalImageBytes int
 
-	// BlockSize is the SSD allocation unit. Default 4096.
-	BlockSize uint64
 	// Blocks is the data-plane capacity in blocks. Default 16384.
 	Blocks uint64
 	// MaxObjects bounds live objects (metadata slots). Default 8192.
 	MaxObjects uint64
-	// MaxNameLen bounds object names. Default 64.
-	MaxNameLen uint64
 	// MaxBlocksPerObject bounds object size. Default 16.
 	MaxBlocksPerObject uint64
 
@@ -115,10 +110,12 @@ type Config struct {
 	// LogBytes sizes each of the two DIPPER logs. Default 4 MiB.
 	LogBytes uint64
 	// ArenaBytes sizes the DRAM arena and each PMEM shadow generation.
-	// Computed from the geometry when zero.
+	// Computed from the geometry when zero; tests set it to exhaust the arena.
 	ArenaBytes uint64
 	// CheckpointThreshold triggers a checkpoint when the active log's free
-	// fraction falls below it. Default 0.3.
+	// fraction falls below it. Default 0.3. The crash oracle's rows set a
+	// vanishing one, so each checkpoint runs inline when the log fills, on
+	// the goroutine whose mutations they count.
 	CheckpointThreshold float64
 
 	// TrackPersistence enables the PMEM crash model (required by Crash).
@@ -127,7 +124,8 @@ type Config struct {
 	// devices this Store creates (ignored for injected devices). The
 	// process-wide latency switch must also be on (latency.Enable).
 	DeviceLatency bool
-	// Breakdown enables per-stage write timing (paper Table 3).
+	// Breakdown enables per-stage write timing (paper Table 3); the
+	// benchmark's per-layer trace reads it.
 	Breakdown bool
 
 	// PMEM optionally injects the PMEM device (e.g. to reopen after a
@@ -139,24 +137,26 @@ type Config struct {
 	// SSDFaults, when non-nil, installs a fault-injection plan on the
 	// data-plane device (created or injected).
 	SSDFaults *fault.Plan
-	// PMEMFaults, when non-nil, installs a fault-injection plan on the
-	// PMEM device (created or injected). Only the WAL's fallible append
-	// protocol consults it.
-	PMEMFaults *fault.Plan
 }
 
+const (
+	// blockSize is the SSD allocation unit: one 4 KiB device page, the
+	// granularity of the paper's data-plane writes.
+	blockSize = 4096
+	// maxNameLen bounds object names. The metadata zone records it on
+	// media, so Open checks a device against it.
+	maxNameLen = 64
+	// physicalImageBytes pads each log record's payload in ModePhysical: a
+	// before/after image of the touched metadata.
+	physicalImageBytes = 512
+)
+
 func (c *Config) setDefaults() {
-	if c.BlockSize == 0 {
-		c.BlockSize = 4096
-	}
 	if c.Blocks == 0 {
 		c.Blocks = 16384
 	}
 	if c.MaxObjects == 0 {
 		c.MaxObjects = 8192
-	}
-	if c.MaxNameLen == 0 {
-		c.MaxNameLen = 64
 	}
 	if c.MaxBlocksPerObject == 0 {
 		c.MaxBlocksPerObject = defaultMaxBlocksPerObject
@@ -166,14 +166,11 @@ func (c *Config) setDefaults() {
 	}
 	// Device windows must stay cache-line aligned.
 	c.LogBytes = (c.LogBytes + 4095) &^ 4095
-	if c.PhysicalImageBytes == 0 {
-		c.PhysicalImageBytes = 512
-	}
 	if c.CheckpointThreshold == 0 {
 		c.CheckpointThreshold = 0.3
 	}
 	if c.ArenaBytes == 0 {
-		slot := (16 + c.MaxNameLen + 8*c.MaxBlocksPerObject + 4*c.MaxBlocksPerObject + 7) &^ 7
+		slot := (16 + maxNameLen + 8*c.MaxBlocksPerObject + 4*c.MaxBlocksPerObject + 7) &^ 7
 		need := alloc.HeaderSize +
 			c.MaxObjects*slot + // metadata zone
 			8*(c.Blocks+c.MaxObjects) + // pools
@@ -352,7 +349,7 @@ func Format(cfg Config) (*Store, error) {
 	dc.OnSwap = s.onSwap
 	dc.OnCheckpointDone = s.onCheckpointDone
 	s.eng, err = dipper.Format(s.pm, dc, replayer{blocks: cfg.Blocks}, func(al *alloc.Allocator) error {
-		return bootstrapPlane(al, cfg.Blocks, cfg.MaxObjects, cfg.MaxNameLen, cfg.MaxBlocksPerObject)
+		return bootstrapPlane(al, cfg.Blocks, cfg.MaxObjects, maxNameLen, cfg.MaxBlocksPerObject)
 	})
 	if err != nil {
 		return nil, err
@@ -427,7 +424,7 @@ func newStore(cfg *Config) (*Store, error) {
 		if cfg.DeviceLatency {
 			lat = ssd.DefaultLatencies()
 		}
-		pages := int((cfg.Blocks + 1) * cfg.BlockSize / uint64(ssd.DefaultPageSize))
+		pages := int((cfg.Blocks + 1) * blockSize / uint64(ssd.DefaultPageSize))
 		s.data = ssd.New(ssd.Config{
 			Pages:          pages,
 			PowerProtected: true,
@@ -436,9 +433,6 @@ func newStore(cfg *Config) (*Store, error) {
 	}
 	if cfg.SSDFaults != nil {
 		s.data.SetFaultPlan(cfg.SSDFaults)
-	}
-	if cfg.PMEMFaults != nil {
-		s.pm.SetFaultPlan(cfg.PMEMFaults)
 	}
 	return s, nil
 }
@@ -453,7 +447,7 @@ func (s *Store) frontendSpace(size uint64) space.Space {
 	// The scratch window geometry is configuration (device sized from the
 	// same config), so a bad range here is a programmer error.
 	scratch := space.MustPMEM(s.pm, scratchOff, s.cfg.ArenaBytes)
-	s.cow = newCowSpace(inner, scratch, s.cfg.BlockSize)
+	s.cow = newCowSpace(inner, scratch, blockSize)
 	return s.cow
 }
 
@@ -481,7 +475,7 @@ func (s *Store) writeSuperblock() error {
 			sb[off+i] = byte(v >> (8 * i))
 		}
 	}
-	putU64(8, s.cfg.BlockSize)
+	putU64(8, blockSize)
 	putU64(16, s.cfg.Blocks)
 	putU64(24, 0) // PMEM root object lives at device offset 0
 	if err := s.ssdWrite(0, sb); err != nil {
@@ -496,7 +490,7 @@ func (s *Store) writeSuperblock() error {
 // dataOff maps a pool block id to its SSD byte offset (block 0 is the
 // superblock).
 func (s *Store) dataOff(block uint64) uint64 {
-	return (block + 1) * s.cfg.BlockSize
+	return (block + 1) * blockSize
 }
 
 // CheckpointNow runs one checkpoint synchronously.
@@ -671,7 +665,7 @@ func (s *Store) Footprint() Footprint {
 	return Footprint{
 		DRAMBytes: used,
 		PMEMBytes: pmemBytes,
-		SSDBytes:  (1 + usedBlocks) * s.cfg.BlockSize,
+		SSDBytes:  (1 + usedBlocks) * blockSize,
 	}
 }
 

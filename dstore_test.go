@@ -111,7 +111,7 @@ func TestValidation(t *testing.T) {
 	if err := ctx.Put(long, []byte("x")); err == nil {
 		t.Fatal("long name accepted")
 	}
-	huge := val('x', int(s.cfg.MaxBlocksPerObject*s.cfg.BlockSize)+1)
+	huge := val('x', int(s.cfg.MaxBlocksPerObject*blockSize)+1)
 	if err := ctx.Put("k", huge); err == nil {
 		t.Fatal("oversize value accepted")
 	}

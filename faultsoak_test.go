@@ -75,7 +75,7 @@ func runFaultSoak(t *testing.T, seed int64) {
 		k := key()
 		switch r := rng.Intn(10); {
 		case r < 6: // put
-			v := make([]byte, 1+rng.Intn(3*int(s.cfg.BlockSize)))
+			v := make([]byte, 1+rng.Intn(3*int(blockSize)))
 			rng.Read(v)
 			if err := m.do(func() error { return ctx.Put(k, v) }, put(k, v)); err != nil {
 				if !typedErr(err) {
@@ -275,7 +275,7 @@ func TestScrubRepairMigratesQuarantinedBlock(t *testing.T) {
 	}
 	defer s.Close()
 	ctx := s.Init()
-	want := bytes.Repeat([]byte{0xAB}, int(s.cfg.BlockSize)+123) // two blocks
+	want := bytes.Repeat([]byte{0xAB}, int(blockSize)+123) // two blocks
 	if err := ctx.Put("obj", want); err != nil {
 		t.Fatal(err)
 	}

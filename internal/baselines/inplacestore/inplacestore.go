@@ -6,10 +6,12 @@
 // Mechanisms reproduced:
 //
 //   - every update is a PMEM transaction: the old object image is copied to
-//     an undo region and persisted, the object is overwritten in place and
-//     persisted, and the transaction record is sealed — the flush/fence
-//     overhead that "prevents it from achieving good performance even
-//     though it places data on PMEM" (§5.3);
+//     an undo region and persisted before the record that arms it, the
+//     object is overwritten in place and persisted, and the record is
+//     retired; a first put persists the new cell's contents before the
+//     header that makes it reachable (PMDK's tx_alloc order). That is the
+//     flush/fence overhead that "prevents it from achieving good
+//     performance even though it places data on PMEM" (§5.3);
 //   - no checkpoints: throughput is flat over time (the Fig. 7 PMSE curve)
 //     and recovery is near instantaneous (only in-flight transactions roll
 //     back; Table 4);
@@ -135,23 +137,36 @@ func (s *Store) Put(key string, value []byte) error {
 	off := s.cellOff(cell)
 	undo := uint64(st * undoSlot)
 	if existed {
-		// Undo phase: save the old image and persist it before mutating.
+		// Undo phase: save the old image and persist it, then persist the
+		// in-flight marker (with the target offset) that makes recovery
+		// roll it back — a marker durable over a stale image would roll the
+		// cell back to another transaction's bytes.
 		img := make([]byte, cellSize)
 		s.PM.ReadAt(off, img)
-		s.PM.PutU64(undo, off|1) // in-flight marker with target offset
 		s.PM.WriteAt(undo+8, img)
-		s.PM.Persist(undo, undoSlot)
+		s.PM.Persist(undo+8, cellSize)
+		s.PM.PutU64(undo, off|1)
+		s.PM.Persist(undo, 8)
 	}
 
-	// In-place update, then persist the whole cell.
+	// In-place update, then persist the whole cell. A fresh cell has no
+	// undo image to roll a torn write back to, so, as PMDK's tx_alloc does,
+	// its contents are durable before the header that makes it reachable is
+	// written: one more fence per first put of a key.
 	var hdr [8]byte
 	hdr[hdrUsed] = 1
 	binary.LittleEndian.PutUint16(hdr[hdrKeyLen:], uint16(len(key)))
 	binary.LittleEndian.PutUint32(hdr[hdrValLen:], uint32(len(value)))
-	s.PM.WriteAt(off, hdr[:])
 	s.PM.WriteAt(off+hdrKey, []byte(key))
 	s.PM.WriteAt(off+128, value)
-	s.PM.Persist(off, 128+uint64(len(value)))
+	if existed {
+		s.PM.WriteAt(off, hdr[:])
+		s.PM.Persist(off, 128+uint64(len(value)))
+	} else {
+		s.PM.Persist(off+hdrKey, 128-hdrKey+uint64(len(value)))
+		s.PM.WriteAt(off, hdr[:])
+		s.PM.Persist(off, uint64(len(hdr)))
+	}
 
 	if existed {
 		// Commit: retire the undo record.

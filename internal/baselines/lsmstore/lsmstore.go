@@ -79,6 +79,7 @@ type Store struct {
 	manifest *baselines.Table    // the L1 index as of the last compaction
 
 	compacting bool
+	compactErr error // the last compaction's failure; a success clears it
 	bgWake     chan struct{}
 	bgQuit     chan struct{}
 	bgDone     chan struct{}
@@ -150,7 +151,9 @@ func (s *Store) Put(key string, value []byte) error {
 		s.mu.Unlock()
 		return errors.New("lsmstore: closed")
 	}
-	// Write stall: too many L0 files or WAL out of space.
+	// Write stall: too many L0 files or WAL out of space. A compaction that
+	// failed wakes the writer with the stall still in force; waiting again
+	// would wait forever on a device that keeps failing.
 	for !s.cfg.DisableCompaction &&
 		(len(s.l0) >= s.cfg.MaxL0Files || !s.wal.Fits(key, value)) {
 		s.stalls++
@@ -159,6 +162,10 @@ func (s *Store) Put(key string, value []byte) error {
 		if s.Closed() {
 			s.mu.Unlock()
 			return errors.New("lsmstore: closed")
+		}
+		if err := s.compactErr; err != nil {
+			s.mu.Unlock()
+			return fmt.Errorf("lsmstore: write stalled: %w", err)
 		}
 	}
 	if s.cfg.DisableCompaction && !s.wal.Fits(key, value) {
@@ -275,7 +282,9 @@ func (s *Store) compact() error {
 		// Abort the compaction: L0 and the WAL prefix stay intact, so no
 		// data is lost; every value remains readable from the memtable/L0
 		// path and replayable from the WAL. Freshly allocated blocks return
-		// to the free list and a later compaction retries.
+		// to the free list and a later compaction retries; a stalled
+		// writer gives up with the error.
+		s.compactErr = err
 		for k, o := range outs {
 			if o.fresh {
 				delete(s.l1, k)
@@ -284,6 +293,7 @@ func (s *Store) compact() error {
 		}
 		return err
 	}
+	s.compactErr = nil
 	s.l0 = s.l0[len(files):]
 	if len(s.l0) == 0 {
 		s.l0Bytes = 0

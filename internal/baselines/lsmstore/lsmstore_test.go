@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"dstore/internal/baselines"
+	"dstore/internal/fault"
 	"dstore/internal/kvapi"
 )
 
@@ -156,5 +158,30 @@ func TestFootprintReservesCache(t *testing.T) {
 	}
 	if pm != 64+s.cfg.WALBytes+baselines.TableBytes {
 		t.Fatalf("pmem footprint = %d", pm)
+	}
+}
+
+// A writer stalled behind a compaction that keeps failing gets the
+// compaction's error instead of waiting forever.
+func TestStalledWriterSeesFailingCompaction(t *testing.T) {
+	s := small(t)
+	defer s.Halt()
+	s.SSD.SetFaultPlan(fault.NewPlan(fault.Config{WriteErrRate: 1}))
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			if err := s.Put(fmt.Sprintf("k%03d", i), bytes.Repeat([]byte{1}, 4096)); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	select {
+	case err := <-done:
+		if !fault.IsTransient(err) {
+			t.Fatalf("stalled put: %v, want the compaction's transient device error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("put still stalled 10s behind a compaction that fails every write")
 	}
 }

@@ -5,41 +5,38 @@ import (
 	"time"
 )
 
-// The default retry schedule is pinned: no jitter, linear i*Backoff growth,
-// saturating at BackoffCap. Existing deployments tuning only Backoff must
-// see exactly the pre-jitter delays.
-func TestBackoffDefaultSchedulePinned(t *testing.T) {
-	cfg := Config{Addr: "x"}
-	cfg.setDefaults()
-	if cfg.Backoff != 5*time.Millisecond || cfg.BackoffCap != 500*time.Millisecond || cfg.BackoffJitter != 0 {
-		t.Fatalf("defaults changed: backoff=%v cap=%v jitter=%v", cfg.Backoff, cfg.BackoffCap, cfg.BackoffJitter)
-	}
-	rng := func() float64 { t.Fatal("default schedule must not consult the RNG"); return 0 }
-	for i := 1; i <= 5; i++ {
-		if got, want := cfg.backoffDelay(i, rng), time.Duration(i)*5*time.Millisecond; got != want {
-			t.Fatalf("attempt %d: delay %v, want %v", i, got, want)
+// The one retry schedule grows linearly by retryStep, saturates at retryCap,
+// and jitters by up to +50 % without ever undershooting its base — capped
+// retries included, so synchronized clients spread out even deep into a
+// retry storm.
+func TestRetryDelayBounds(t *testing.T) {
+	for _, attempt := range []int{1, 2, 3, 50, 100, 101, 1000} {
+		base := min(time.Duration(attempt)*5*time.Millisecond, 500*time.Millisecond)
+		spread := false
+		for range 200 {
+			d := retryDelay(attempt)
+			if d < base || d > base+base/2 {
+				t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d, base, base+base/2)
+			}
+			spread = spread || d != base
 		}
-	}
-	// Linear growth saturates at the cap instead of sleeping forever.
-	if got := cfg.backoffDelay(1000, rng); got != 500*time.Millisecond {
-		t.Fatalf("attempt 1000: delay %v, want cap 500ms", got)
+		if !spread {
+			t.Fatalf("attempt %d: 200 draws all at the base %v, no jitter", attempt, base)
+		}
 	}
 }
 
-// Jitter adds at most BackoffJitter fraction on top of the base delay and
-// never subtracts, so retries spread out without undershooting the base
-// schedule.
+// Jitter adds at most half the base delay and never subtracts, so retries
+// spread out without undershooting the base schedule.
 func TestBackoffJitterBounds(t *testing.T) {
-	cfg := Config{Addr: "x", Backoff: 10 * time.Millisecond, BackoffJitter: 0.5}
-	cfg.setDefaults()
-	base := 30 * time.Millisecond // attempt 3
-	if got := cfg.backoffDelay(3, func() float64 { return 0 }); got != base {
+	base := 15 * time.Millisecond // attempt 3
+	if got := jitteredDelay(3, 0); got != base {
 		t.Fatalf("zero draw: %v, want %v", got, base)
 	}
-	if got, want := cfg.backoffDelay(3, func() float64 { return 1 }), base+base/2; got != want {
+	if got, want := jitteredDelay(3, 1), base+base/2; got != want {
 		t.Fatalf("max draw: %v, want %v", got, want)
 	}
-	if got, want := cfg.backoffDelay(3, func() float64 { return 0.5 }), base+base/4; got != want {
+	if got, want := jitteredDelay(3, 0.5), base+base/4; got != want {
 		t.Fatalf("mid draw: %v, want %v", got, want)
 	}
 }
@@ -48,13 +45,11 @@ func TestBackoffJitterBounds(t *testing.T) {
 // jitters, so synchronized clients hammering a recovering server spread out
 // even deep into a retry storm.
 func TestBackoffCapThenJitter(t *testing.T) {
-	cfg := Config{Addr: "x", Backoff: 100 * time.Millisecond, BackoffCap: 250 * time.Millisecond, BackoffJitter: 0.2}
-	cfg.setDefaults()
-	capped := 250 * time.Millisecond
-	if got := cfg.backoffDelay(50, func() float64 { return 0 }); got != capped {
+	capped := 500 * time.Millisecond
+	if got := jitteredDelay(1000, 0); got != capped {
 		t.Fatalf("capped base: %v, want %v", got, capped)
 	}
-	if got, want := cfg.backoffDelay(50, func() float64 { return 1 }), capped+capped/5; got != want {
+	if got, want := jitteredDelay(1000, 1), capped+capped/2; got != want {
 		t.Fatalf("capped max jitter: %v, want %v", got, want)
 	}
 }

@@ -48,27 +48,9 @@ type Config struct {
 	// empty one), and that slot when all are busy. Default 2.
 	Conns int
 	// Attempts bounds tries per call on transient transport errors
-	// (mirroring the store's device-IO retry policy). Default 3.
+	// (mirroring the store's device-IO retry policy). Default 3; a test
+	// sets 1 to observe a single, unretried try.
 	Attempts int
-	// Backoff is the base retry delay; attempt i sleeps i*Backoff (plus
-	// jitter, capped by BackoffCap). Default 5ms.
-	Backoff time.Duration
-	// BackoffCap caps each retry delay: the linear growth saturates here,
-	// so a large Attempts setting cannot produce multi-second stalls.
-	// Default 500ms.
-	BackoffCap time.Duration
-	// BackoffJitter adds up to this fraction of random extra delay to each
-	// backoff (0.25 = up to +25%), decorrelating the retry storms of many
-	// clients hitting one recovering server. Default 0: the exact linear
-	// schedule, preserved for existing callers.
-	BackoffJitter float64
-	// DialTimeout bounds each dial. Default 5s.
-	DialTimeout time.Duration
-	// WriteTimeout bounds each request frame write. Default 30s.
-	WriteTimeout time.Duration
-	// MaxFrame bounds response payloads (and, with the header, outgoing
-	// requests). Default wire.DefaultMaxFrame.
-	MaxFrame int
 }
 
 func (c *Config) setDefaults() {
@@ -78,22 +60,20 @@ func (c *Config) setDefaults() {
 	if c.Attempts <= 0 {
 		c.Attempts = 3
 	}
-	if c.Backoff <= 0 {
-		c.Backoff = 5 * time.Millisecond
-	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = 500 * time.Millisecond
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = wire.DefaultMaxFrame
-	}
 }
+
+const (
+	// dialTimeout bounds each dial.
+	dialTimeout = 5 * time.Second
+	// writeTimeout bounds each request frame write: the hold of a
+	// connection's write lock is bounded by it, never by a peer.
+	writeTimeout = 30 * time.Second
+	// retryStep is the linear growth of the retry delay per attempt.
+	retryStep = 5 * time.Millisecond
+	// retryCap saturates that growth, so a large Attempts setting cannot
+	// produce multi-second stalls.
+	retryCap = 500 * time.Millisecond
+)
 
 // ErrClientClosed is returned by calls on a closed Client.
 var ErrClientClosed = errors.New("client: closed")
@@ -386,10 +366,8 @@ func (c *Client) doTransport(ctx context.Context, req *wire.Request, dst *[]byte
 	var err error
 	for attempt := 0; attempt < c.cfg.Attempts; attempt++ {
 		if attempt > 0 {
-			select {
-			case <-time.After(c.cfg.backoffDelay(attempt, rand.Float64)):
-			case <-ctx.Done():
-				return wire.Response{}, ctx.Err()
+			if err := retryPause(ctx, attempt); err != nil {
+				return wire.Response{}, err
 			}
 		}
 		var cn *conn
@@ -425,11 +403,10 @@ func (c *Client) Ring(ctx context.Context) (*ring.Ring, error) {
 func (c *Client) RingEpoch() uint64 { return c.ringEpoch.Load() }
 
 // refreshRing re-fetches the ring with single-flight coalescing: the first
-// caller performs the fetch (with jittered backoff on failures — many
-// clients discover a reshard simultaneously, and the jitter decorrelates
-// their refresh storm); everyone else waits for it to finish and reuses the
-// result. Waiters return nil even when the flight failed — their next
-// attempt re-enters here and starts a fresh flight.
+// caller performs the fetch, retrying on retryDelay's jittered schedule;
+// everyone else waits for it to finish and reuses the result. Waiters return
+// nil even when the flight failed — their next attempt re-enters here and
+// starts a fresh flight.
 func (c *Client) refreshRing(ctx context.Context) error {
 	c.ringMu.Lock()
 	if c.refreshing {
@@ -450,10 +427,7 @@ func (c *Client) refreshRing(ctx context.Context) error {
 	var err error
 	for attempt := 0; attempt < c.cfg.Attempts; attempt++ {
 		if attempt > 0 {
-			select {
-			case <-time.After(jittered(c.cfg.backoffDelay(attempt, rand.Float64))):
-			case <-ctx.Done():
-				err = ctx.Err()
+			if err = retryPause(ctx, attempt); err != nil {
 				break
 			}
 		}
@@ -467,13 +441,6 @@ func (c *Client) refreshRing(ctx context.Context) error {
 	close(wait)
 	c.ringMu.Unlock()
 	return err
-}
-
-// jittered adds up to +50% uniform random delay, guaranteeing decorrelation
-// even when the client is configured with BackoffJitter 0 (whose zero
-// default preserves the exact legacy schedule for transport retries).
-func jittered(d time.Duration) time.Duration {
-	return d + time.Duration(rand.Float64()*0.5*float64(d))
 }
 
 // fetchRing performs one OpRing round trip and installs the result.
@@ -493,20 +460,29 @@ func (c *Client) fetchRing(ctx context.Context) error {
 	return nil
 }
 
-// backoffDelay computes the sleep before the given retry attempt: linear in
-// the attempt number, saturating at BackoffCap, with up to BackoffJitter
-// extra randomness drawn from rng (injected for testability). With the
-// default zero jitter this is exactly the historical i*Backoff schedule,
-// merely capped.
-func (c *Config) backoffDelay(attempt int, rng func() float64) time.Duration {
-	d := time.Duration(attempt) * c.Backoff
-	if c.BackoffCap > 0 && d > c.BackoffCap {
-		d = c.BackoffCap
+// retryDelay is the client's one retry schedule, shared by the transport
+// retry and the ring fetch: attempt × retryStep, capped at retryCap, plus up
+// to 50 % uniform jitter, so the retries of many clients hitting one
+// recovering server — or discovering one reshard — do not stay in lockstep.
+func retryDelay(attempt int) time.Duration {
+	return jitteredDelay(attempt, rand.Float64())
+}
+
+// jitteredDelay is retryDelay with its random draw in [0, 1] given: the cap
+// applies to the base before the jitter, so capped retries still spread out.
+func jitteredDelay(attempt int, draw float64) time.Duration {
+	d := min(time.Duration(attempt)*retryStep, retryCap)
+	return d + time.Duration(draw*0.5*float64(d))
+}
+
+// retryPause sleeps retryDelay(attempt), returning early with ctx's error.
+func retryPause(ctx context.Context, attempt int) error {
+	select {
+	case <-time.After(retryDelay(attempt)):
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	if c.BackoffJitter > 0 {
-		d += time.Duration(rng() * c.BackoffJitter * float64(d))
-	}
-	return d
 }
 
 // statusErr maps a response status back onto the store's sentinel errors.
@@ -596,7 +572,7 @@ func (c *Client) acquire() (*conn, error) {
 }
 
 func (c *Client) dial() (*conn, error) {
-	nc, err := net.DialTimeout("tcp", c.cfg.Addr, c.cfg.DialTimeout)
+	nc, err := net.DialTimeout("tcp", c.cfg.Addr, dialTimeout)
 	if err != nil {
 		return nil, transientf("dial %s", c.cfg.Addr, err)
 	}
@@ -604,7 +580,7 @@ func (c *Client) dial() (*conn, error) {
 		cfg:     &c.cfg,
 		nc:      nc,
 		handoff: make(chan struct{}, 1),
-		fr:      wire.NewFrameReader(bufio.NewReaderSize(nc, 32<<10), c.cfg.MaxFrame),
+		fr:      wire.NewFrameReader(bufio.NewReaderSize(nc, 32<<10), wire.MaxFrame),
 		pending: make(map[uint64]chan wire.Response),
 	}, nil
 }
@@ -744,9 +720,9 @@ func (cn *conn) roundTrip(ctx context.Context, req *wire.Request, dst *[]byte) (
 	// allocation. Only the writer holding wmu touches the buffer.
 	cn.wmu.Lock()
 	frame, err := wire.AppendRequest(cn.wbuf[:0], &r)
-	if err == nil && len(frame)-wire.FrameHeader > cn.cfg.MaxFrame {
+	if err == nil && len(frame)-wire.FrameHeader > wire.MaxFrame {
 		err = fmt.Errorf("%w: request payload %d > %d",
-			wire.ErrFrameTooLarge, len(frame)-wire.FrameHeader, cn.cfg.MaxFrame)
+			wire.ErrFrameTooLarge, len(frame)-wire.FrameHeader, wire.MaxFrame)
 	}
 	if cap(frame) <= maxKeptFrame {
 		cn.wbuf = frame
@@ -756,7 +732,7 @@ func (cn *conn) roundTrip(ctx context.Context, req *wire.Request, dst *[]byte) (
 		cn.retire(id, ch)
 		return wire.Response{}, err // malformed or oversized request: permanent
 	}
-	cn.nc.SetWriteDeadline(time.Now().Add(cn.cfg.WriteTimeout)) //nolint:errcheck // enforced by the Write below
+	cn.nc.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck // enforced by the Write below
 	// wmu exists to serialize exactly this write: interleaved frames would
 	// corrupt the stream for every pipelined caller. The hold is bounded by
 	// the write deadline set above, never by a peer.

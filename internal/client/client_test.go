@@ -131,7 +131,7 @@ func startServer(t *testing.T) (string, *memBackend, *server.Server) {
 
 func dialTest(t *testing.T, addr string, conns int) *client.Client {
 	t.Helper()
-	c, err := client.Dial(client.Config{Addr: addr, Conns: conns, Backoff: time.Millisecond})
+	c, err := client.Dial(client.Config{Addr: addr, Conns: conns})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -266,7 +266,7 @@ func TestClientTransientClassification(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close() //nolint:errcheck // freeing the port is the point
-	_, err = client.Dial(client.Config{Addr: addr, DialTimeout: 200 * time.Millisecond})
+	_, err = client.Dial(client.Config{Addr: addr})
 	if err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}

@@ -49,7 +49,10 @@ var baselines = []struct {
 	open func(t *testing.T, scripted, track bool) baselineStore
 	// force runs the store's checkpoint on the calling goroutine; nil for the
 	// uncached store, which has none.
-	force  func(s baselineStore) error
+	force func(s baselineStore) error
+	// draws is how many CrashRandom outcomes the sweep adds at each of its
+	// power cuts, beside the adversarial CrashDropDirty one.
+	draws  int
 	golden traffic
 }{
 	{
@@ -102,7 +105,11 @@ var baselines = []struct {
 			}
 			return s
 		},
-		golden: traffic{pmWritten: 693840, pmRead: 761815, lines: 11373, fences: 340},
+		// A first put persists the cell's contents before its header, and an
+		// overwrite the undo image before the marker that arms it: each of
+		// the 160 puts pays one fence and one line flush for its order.
+		draws:  4,
+		golden: traffic{pmWritten: 693840, pmRead: 761815, lines: 11533, fences: 500},
 	},
 }
 
@@ -135,6 +142,8 @@ type sweepRun struct {
 	dev      *ssd.Device
 	seen     uint64 // PMEM mutations so far
 	cutAt    uint64 // cut power before this mutation; 0 never
+	policy   pmem.CrashPolicy
+	seed     int64  // drives CrashRandom
 	afterCkp uint64 // seen when the forced checkpoint returned
 	// What survived the cut: the PMEM image with every unfenced line dropped
 	// and the power-protected SSD's blocks. nil until power is cut.
@@ -150,7 +159,7 @@ type sweepRun struct {
 // deadlock on the abandoned lock); it runs on into the void instead, and
 // settle puts the surviving image back before recovery.
 func (r *sweepRun) cut(t *testing.T) {
-	if err := r.pm.Crash(pmem.CrashDropDirty, 1); err != nil {
+	if err := r.pm.Crash(r.policy, r.seed); err != nil {
 		t.Fatal(err)
 	}
 	r.pmImage = append([]byte(nil), r.pm.Bytes()...)
@@ -263,8 +272,9 @@ func (r *sweepRun) judge(t *testing.T) {
 
 // crashSweep cuts power at 60 evenly strided PMEM mutations of the script, at
 // the first mutation after the forced checkpoint (the table and an empty log
-// alone carry every key) and after the last put.
-func crashSweep(t *testing.T, open func(t *testing.T, scripted, track bool) baselineStore, force func(s baselineStore) error) {
+// alone carry every key) and after the last put. Each cut drops every
+// unfenced line, and then resolves them at random in draws more runs.
+func crashSweep(t *testing.T, open func(t *testing.T, scripted, track bool) baselineStore, force func(s baselineStore) error, draws int) {
 	clean := &sweepRun{s: open(t, true, true)}
 	clean.play(t, force)
 	clean.s.Close()
@@ -274,16 +284,22 @@ func crashSweep(t *testing.T, open func(t *testing.T, scripted, track bool) base
 		cuts = append(cuts, 1+i*total/60)
 	}
 	for _, k := range cuts {
-		r := &sweepRun{s: open(t, true, true), cutAt: k}
-		r.play(t, force)
-		r.settle(t)
-		r.judge(t)
-		r.s.Close()
-		if t.Failed() {
-			t.Fatalf("power cut before mutation %d of %d (checkpoint done at %d)", k, total, clean.afterCkp)
+		for draw := 0; draw <= draws; draw++ {
+			r := &sweepRun{s: open(t, true, true), cutAt: k, policy: pmem.CrashDropDirty}
+			if draw > 0 {
+				r.policy, r.seed = pmem.CrashRandom, int64(k)*16+int64(draw)
+			}
+			r.play(t, force)
+			r.settle(t)
+			r.judge(t)
+			r.s.Close()
+			if t.Failed() {
+				t.Fatalf("power cut before mutation %d of %d (checkpoint done at %d), draw %d",
+					k, total, clean.afterCkp, draw)
+			}
 		}
 	}
-	t.Logf("verified %d points across %d mutations", len(cuts), total)
+	t.Logf("verified %d points across %d mutations", len(cuts)*(1+draws), total)
 }
 
 // TestDeviceTrafficGolden pins, per comparison system, the exact device

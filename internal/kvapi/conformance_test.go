@@ -165,7 +165,7 @@ func TestCrashRecoveryConformance(t *testing.T) {
 	}
 	for _, b := range baselines {
 		b := b
-		t.Run(b.name+"/sweep", func(t *testing.T) { crashSweep(t, b.open, b.force) })
+		t.Run(b.name+"/sweep", func(t *testing.T) { crashSweep(t, b.open, b.force, b.draws) })
 	}
 }
 

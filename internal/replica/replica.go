@@ -47,34 +47,20 @@ type Config struct {
 	Addr string
 	// Store is the local standby store records are applied to.
 	Store Applier
-	// AckEvery acknowledges after this many applied records (an ack is
-	// also sent when the stream goes idle). Default 32.
-	AckEvery int
-	// RetryBackoff is the delay between resubscribe attempts after a
-	// connection failure. Default 100ms.
-	RetryBackoff time.Duration
-	// DialTimeout bounds each dial. Default 5s.
-	DialTimeout time.Duration
-	// MaxFrame bounds accepted record frames. Default wire.DefaultMaxFrame.
-	MaxFrame int
 	// Logf, when non-nil, receives connection lifecycle messages.
 	Logf func(format string, args ...any)
 }
 
-func (c *Config) setDefaults() {
-	if c.AckEvery <= 0 {
-		c.AckEvery = 32
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 100 * time.Millisecond
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = wire.DefaultMaxFrame
-	}
-}
+const (
+	// ackEvery acknowledges after this many applied records (an ack is also
+	// sent when the stream goes idle).
+	ackEvery = 32
+	// retryBackoff is the delay between resubscribe attempts after a
+	// connection failure.
+	retryBackoff = 100 * time.Millisecond
+	// dialTimeout bounds each dial.
+	dialTimeout = 5 * time.Second
+)
 
 // Stats counts tailer progress.
 type Stats struct {
@@ -111,7 +97,6 @@ func Start(cfg Config) (*Standby, error) {
 	if cfg.Addr == "" || cfg.Store == nil {
 		return nil, fmt.Errorf("replica: Addr and Store are required")
 	}
-	cfg.setDefaults()
 	s := &Standby{
 		cfg:  cfg,
 		stop: make(chan struct{}),
@@ -186,7 +171,7 @@ func (s *Standby) run() {
 		select {
 		case <-s.stop:
 			return
-		case <-time.After(s.cfg.RetryBackoff):
+		case <-time.After(retryBackoff):
 		}
 		if err != nil {
 			s.logf("replica: session ended: %v (resubscribing from %d)",
@@ -210,7 +195,7 @@ func (s *Standby) setConn(nc net.Conn) bool {
 
 // session runs one subscribe-and-apply stream over one connection.
 func (s *Standby) session() error {
-	nc, err := net.DialTimeout("tcp", s.cfg.Addr, s.cfg.DialTimeout)
+	nc, err := net.DialTimeout("tcp", s.cfg.Addr, dialTimeout)
 	if err != nil {
 		return err
 	}
@@ -242,7 +227,7 @@ func (s *Standby) session() error {
 
 	// The subscribe response is the only response frame on this stream;
 	// every following frame is a record.
-	payload, err := wire.ReadFrame(br, s.cfg.MaxFrame)
+	payload, err := wire.ReadFrame(br, wire.MaxFrame)
 	if err != nil {
 		return err
 	}
@@ -265,7 +250,7 @@ func (s *Standby) session() error {
 
 	sinceAck := 0
 	for {
-		payload, err := wire.ReadFrame(br, s.cfg.MaxFrame)
+		payload, err := wire.ReadFrame(br, wire.MaxFrame)
 		if err != nil {
 			return err
 		}
@@ -286,7 +271,7 @@ func (s *Standby) session() error {
 		// Ack on cadence, and opportunistically whenever the stream has no
 		// more buffered records (the caught-up point): the primary's lag
 		// view then converges to zero without idle-timeout machinery.
-		if sinceAck++; sinceAck >= s.cfg.AckEvery || br.Buffered() == 0 {
+		if sinceAck++; sinceAck >= ackEvery || br.Buffered() == 0 {
 			if err := send(s.cfg.Store.AppliedLSN()); err != nil {
 				return err
 			}

@@ -103,9 +103,6 @@ func (a *memApplier) AppliedLSN() uint64 { return a.last.Load() }
 
 func startPrimary(t *testing.T, p *memPrimary, cfg server.Config) (string, *server.Server) {
 	t.Helper()
-	if cfg.ReplicaPoll == 0 {
-		cfg.ReplicaPoll = time.Millisecond
-	}
 	srv := server.New(p, cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -138,7 +135,7 @@ func TestStandbyTailsAndAcks(t *testing.T) {
 	p.append(20)
 	addr, srv := startPrimary(t, p, server.Config{})
 	a := &memApplier{}
-	s, err := replica.Start(replica.Config{Addr: addr, Store: a, AckEvery: 4})
+	s, err := replica.Start(replica.Config{Addr: addr, Store: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +164,7 @@ func TestStandbyResubscribesAfterCut(t *testing.T) {
 	p.append(10)
 	addr, srv := startPrimary(t, p, server.Config{})
 	a := &memApplier{}
-	s, err := replica.Start(replica.Config{Addr: addr, Store: a, RetryBackoff: 5 * time.Millisecond})
+	s, err := replica.Start(replica.Config{Addr: addr, Store: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +196,7 @@ func TestStandbyReseedVerdictTerminal(t *testing.T) {
 	p.mu.Unlock()
 	addr, _ := startPrimary(t, p, server.Config{})
 	a := &memApplier{} // position 0 < horizon 5
-	s, err := replica.Start(replica.Config{Addr: addr, Store: a, RetryBackoff: 5 * time.Millisecond})
+	s, err := replica.Start(replica.Config{Addr: addr, Store: a})
 	if err != nil {
 		t.Fatal(err)
 	}

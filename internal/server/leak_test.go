@@ -60,7 +60,7 @@ func TestGoroutineStabilization(t *testing.T) {
 
 	fr := newFakeRepl()
 	fr.appendRecs(32)
-	srv := server.New(fr, server.Config{ReplicaPoll: time.Millisecond})
+	srv := server.New(fr, server.Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestGoroutineStabilization(t *testing.T) {
 
 	// A well-behaved subscriber: tail the whole committed log, then stop.
 	ap := &memApplier{}
-	st, err := replica.Start(replica.Config{Addr: addr, Store: ap, AckEvery: 4})
+	st, err := replica.Start(replica.Config{Addr: addr, Store: ap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,14 +146,11 @@ func TestGoroutineStabilization(t *testing.T) {
 
 	// A standby against a dead address spins in its resubscribe loop; Stop
 	// must still terminate it promptly.
-	st2, err := replica.Start(replica.Config{
-		Addr: addr, Store: &memApplier{},
-		RetryBackoff: time.Millisecond, DialTimeout: 100 * time.Millisecond,
-	})
+	st2, err := replica.Start(replica.Config{Addr: addr, Store: &memApplier{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond) // let it fail a few dials
+	time.Sleep(20 * time.Millisecond) // let it fail a dial
 	st2.Stop()                        //nolint:errcheck // terminal dial error is expected
 
 	// Everything torn down: the goroutine count must return to baseline

@@ -111,7 +111,7 @@ func (r *rawConn) recvRecord() wire.Record {
 func TestServerReplicateStream(t *testing.T) {
 	fr := newFakeRepl()
 	fr.appendRecs(5)
-	srv := server.New(fr, server.Config{ReplicaPoll: time.Millisecond})
+	srv := server.New(fr, server.Config{})
 	addr := startServer(t, srv)
 	c := dialRaw(t, addr)
 
@@ -228,7 +228,7 @@ func TestServerPromote(t *testing.T) {
 // history pinning.
 func TestServerReplicateSlowFollowerDropped(t *testing.T) {
 	fr := newFakeRepl()
-	srv := server.New(fr, server.Config{ReplicaMaxLag: 4, ReplicaPoll: time.Millisecond})
+	srv := server.New(fr, server.Config{ReplicaMaxLag: 4})
 	addr := startServer(t, srv)
 	c := dialRaw(t, addr)
 
@@ -268,7 +268,7 @@ func TestServerReplicateSlowFollowerDropped(t *testing.T) {
 func TestServerReplicateStalledFollowerDropped(t *testing.T) {
 	fr := newFakeRepl()
 	fr.dataLen = 256 << 10
-	srv := server.New(fr, server.Config{ReplicaMaxLag: 100, ReplicaPoll: time.Millisecond})
+	srv := server.New(fr, server.Config{ReplicaMaxLag: 100})
 	addr := startServer(t, srv)
 	c := dialRaw(t, addr)
 
@@ -299,7 +299,7 @@ func TestServerReplicateStalledFollowerDropped(t *testing.T) {
 func TestServerShutdownFlushesFeed(t *testing.T) {
 	fr := newFakeRepl()
 	fr.appendRecs(2)
-	srv := server.New(fr, server.Config{ReplicaPoll: time.Millisecond})
+	srv := server.New(fr, server.Config{})
 	addr := startServer(t, srv)
 	c := dialRaw(t, addr)
 

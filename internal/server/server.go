@@ -154,8 +154,6 @@ type Config struct {
 	// Window bounds in-flight requests per connection; when full, the
 	// connection's reader stops reading (TCP backpressure). Default 64.
 	Window int
-	// MaxFrame bounds accepted request payloads. Default wire.DefaultMaxFrame.
-	MaxFrame int
 	// MaxScan caps SCAN result counts (and is the limit applied when a scan
 	// request asks for 0). Default 1024.
 	MaxScan int
@@ -163,16 +161,12 @@ type Config struct {
 	// long. 0 disables. Subscriber connections are exempt once subscribed
 	// (their inbound direction carries only occasional acks).
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each response frame write. 0 disables.
-	WriteTimeout time.Duration
 	// ReplicaMaxLag disconnects a replication subscriber whose acked LSN
 	// falls more than this many LSNs behind the primary (a slow follower
 	// must not pin unbounded log history or memory). Default 65536;
-	// negative disables the check.
+	// negative disables the check. Tests set a lag of a few commits to
+	// reach the bound in bounded time.
 	ReplicaMaxLag int
-	// ReplicaPoll is the feed's idle poll interval once a subscriber is
-	// caught up. Default 2ms.
-	ReplicaPoll time.Duration
 }
 
 func (c *Config) setDefaults() {
@@ -182,17 +176,11 @@ func (c *Config) setDefaults() {
 	if c.Window == 0 {
 		c.Window = 64
 	}
-	if c.MaxFrame == 0 {
-		c.MaxFrame = wire.DefaultMaxFrame
-	}
 	if c.MaxScan == 0 {
 		c.MaxScan = 1024
 	}
 	if c.ReplicaMaxLag == 0 {
 		c.ReplicaMaxLag = 65536
-	}
-	if c.ReplicaPoll == 0 {
-		c.ReplicaPoll = 2 * time.Millisecond
 	}
 }
 
@@ -504,7 +492,7 @@ func (c *conn) run() {
 // or close.
 func (c *conn) readLoop() {
 	br := bufio.NewReaderSize(c.nc, 32<<10)
-	fr := wire.NewFrameReader(br, c.srv.cfg.MaxFrame)
+	fr := wire.NewFrameReader(br, wire.MaxFrame)
 	for {
 		if c.draining.Load() {
 			return
@@ -599,24 +587,17 @@ func (c *conn) write(enc func(dst []byte) ([]byte, error)) {
 	// A write to a stalled subscriber comes back every feedStallCheck to
 	// apply the lag bound; having written a prefix, it resumes.
 	var feed Replicator
-	var start time.Time
 	if c.replOn.Load() {
 		feed, _ = c.srv.b.(Replicator)
-		start = time.Now()
 	}
 	for buf := c.wbuf; len(buf) > 0 && err == nil; {
-		t := c.srv.cfg.WriteTimeout
-		if feed != nil && (t <= 0 || t > feedStallCheck) {
-			t = feedStallCheck
-		}
-		if t > 0 {
-			c.nc.SetWriteDeadline(time.Now().Add(t)) //nolint:errcheck // enforced by the Write below
+		if feed != nil {
+			c.nc.SetWriteDeadline(time.Now().Add(feedStallCheck)) //nolint:errcheck // enforced by the Write below
 		}
 		var n int
-		n, err = c.nc.Write(buf) //nolint:lock-order // wmu's sole purpose; deadline- or lag-bounded
+		n, err = c.nc.Write(buf) //nolint:lock-order // wmu's sole purpose; lag-bounded, or ended by close
 		buf = buf[n:]
-		if feed != nil && errors.Is(err, os.ErrDeadlineExceeded) && !c.lagExceeded(feed) &&
-			(c.srv.cfg.WriteTimeout <= 0 || time.Since(start) < c.srv.cfg.WriteTimeout) {
+		if feed != nil && errors.Is(err, os.ErrDeadlineExceeded) && !c.lagExceeded(feed) {
 			err = nil
 		}
 	}
@@ -910,6 +891,9 @@ const feedBatch = 64
 // dropped.
 const feedStallCheck = 50 * time.Millisecond
 
+// feedPoll is the feed's idle poll interval once a subscriber is caught up.
+const feedPoll = 2 * time.Millisecond
+
 // executeReplicate handles OpReplicate: the connection's first one is a
 // subscription (answered with the primary's current LSN, then the feed
 // starts), every later one is an ack carrying the subscriber's applied LSN
@@ -1009,7 +993,7 @@ func (c *conn) feedLoop(r Replicator, cursor uint64) {
 				if !c.draining.Load() {
 					return
 				}
-			case <-time.After(c.srv.cfg.ReplicaPoll):
+			case <-time.After(feedPoll):
 			}
 		}
 	}

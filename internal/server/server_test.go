@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -413,7 +414,7 @@ func TestServerSurvivesMalformedInput(t *testing.T) {
 	fb.m["k"] = []byte("v")
 	// The short IdleTimeout also covers inputs the server cannot classify
 	// until more bytes arrive (a truncated frame, a silent connection).
-	srv := server.New(fb, server.Config{MaxFrame: 4096, IdleTimeout: 100 * time.Millisecond})
+	srv := server.New(fb, server.Config{IdleTimeout: 100 * time.Millisecond})
 	addr := startServer(t, srv)
 
 	good, err := wire.AppendRequest(nil, &wire.Request{ID: 1, Op: wire.OpGet, Key: "k"})
@@ -423,10 +424,9 @@ func TestServerSurvivesMalformedInput(t *testing.T) {
 	corrupted := append([]byte(nil), good...)
 	corrupted[len(corrupted)-1] ^= 0xff
 
-	oversized := make([]byte, 8)
-	oversized[0] = 0xff
-	oversized[1] = 0xff
-	oversized[2] = 0xff
+	// A header announcing one byte more than the protocol's frame cap.
+	oversized := make([]byte, wire.FrameHeader)
+	binary.LittleEndian.PutUint32(oversized, wire.MaxFrame+1)
 
 	// A structurally valid frame whose payload is not a request.
 	junkPayload := wire.AppendFrame(nil, []byte{1, 2, 3})

@@ -272,9 +272,11 @@ var (
 const (
 	// FrameHeader is the fixed frame header size (length + CRC).
 	FrameHeader = 8
-	// DefaultMaxFrame bounds accepted payloads: it fits the default
-	// 64 KiB-object geometry with comfortable headroom.
-	DefaultMaxFrame = 1 << 20
+	// MaxFrame is the protocol's one frame cap: every reader bounds the
+	// payloads it accepts by it, and the client refuses to send a larger
+	// request. It fits the default 64 KiB-object geometry with comfortable
+	// headroom.
+	MaxFrame = 1 << 20
 	// MaxKeyLen is the largest key the encoding can carry.
 	MaxKeyLen = 1<<16 - 1
 
@@ -575,7 +577,7 @@ func finishFrame(dst []byte, off int) []byte {
 
 // ReadFrame reads one frame from r and returns its payload (freshly
 // allocated, so it may outlive the next read). maxPayload bounds the
-// announced length; 0 means DefaultMaxFrame. A short or interrupted stream
+// announced length; 0 means MaxFrame. A short or interrupted stream
 // surfaces as io.EOF / io.ErrUnexpectedEOF, a corrupted payload as
 // ErrChecksum.
 func ReadFrame(r io.Reader, maxPayload int) ([]byte, error) {
@@ -603,7 +605,7 @@ type FrameReader struct {
 // NewFrameReader reads frames from r (maxPayload as for ReadFrame).
 func NewFrameReader(r io.Reader, maxPayload int) *FrameReader {
 	if maxPayload <= 0 {
-		maxPayload = DefaultMaxFrame
+		maxPayload = MaxFrame
 	}
 	return &FrameReader{r: r, max: uint32(maxPayload)}
 }

@@ -67,7 +67,6 @@ func TestPhysicalModeInflatesLog(t *testing.T) {
 	base := testConfig()
 	phys := testConfig()
 	phys.Mode = ModePhysical
-	phys.PhysicalImageBytes = 1024
 
 	countRecords := func(cfg Config) uint64 {
 		s := newStoreT(t, cfg)
@@ -82,7 +81,7 @@ func TestPhysicalModeInflatesLog(t *testing.T) {
 	}
 	logical := countRecords(base)
 	physical := countRecords(phys)
-	if physical < logical+20*1024 {
+	if physical < logical+20*physicalImageBytes {
 		t.Fatalf("physical log tail %d vs logical %d: images not logged", physical, logical)
 	}
 }

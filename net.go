@@ -14,9 +14,10 @@ import (
 // so the server package depends only on internal/wire and stays reusable
 // over any backend; the import direction is wire ← server ← dstore ← cmd.
 
-// ServeOptions configures NewNetServer. The zero value uses the server
-// package defaults (256 connections, 64-request pipeline window, 1 MiB
-// frames).
+// ServeOptions configures NewNetServer: the deployment settings behind
+// dstore-server's -max-conns, -window, -max-scan and -idle-timeout flags.
+// The zero value uses the server package defaults (256 connections,
+// 64-request pipeline window); frames are capped at wire.MaxFrame.
 type ServeOptions struct {
 	// MaxConns caps concurrent client connections.
 	MaxConns int
@@ -25,23 +26,17 @@ type ServeOptions struct {
 	Window int
 	// MaxScan caps objects returned per SCAN request.
 	MaxScan int
-	// MaxFrame caps request payload bytes.
-	MaxFrame int
 	// IdleTimeout drops connections with no inbound frames for this long.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each response write.
-	WriteTimeout time.Duration
 }
 
 // newNetServer builds a wire-protocol TCP server over any API.
 func newNetServer(api API, opt ServeOptions) *server.Server {
 	return server.New(netBackendFor(api), server.Config{
-		MaxConns:     opt.MaxConns,
-		Window:       opt.Window,
-		MaxScan:      opt.MaxScan,
-		MaxFrame:     opt.MaxFrame,
-		IdleTimeout:  opt.IdleTimeout,
-		WriteTimeout: opt.WriteTimeout,
+		MaxConns:    opt.MaxConns,
+		Window:      opt.Window,
+		MaxScan:     opt.MaxScan,
+		IdleTimeout: opt.IdleTimeout,
 	})
 }
 

@@ -241,9 +241,7 @@ func TestNetGracefulShutdown(t *testing.T) {
 		t.Fatalf("shutdown did not checkpoint: %d -> %d", before, after)
 	}
 	// New connections are refused after the drain.
-	if _, err := client.Dial(client.Config{
-		Addr: addr, DialTimeout: 200 * time.Millisecond, Attempts: 1,
-	}); err == nil {
+	if _, err := client.Dial(client.Config{Addr: addr, Attempts: 1}); err == nil {
 		t.Fatal("dial succeeded after shutdown")
 	}
 

@@ -97,7 +97,7 @@ func blockSum(p []byte) uint32 {
 }
 
 // blockSums computes the per-block checksums of value split at blockSize.
-func blockSums(value []byte, blockSize uint64) []uint32 {
+func blockSums(value []byte) []uint32 {
 	n := int(blocksFor(uint64(len(value)), blockSize))
 	sums := make([]uint32, n)
 	for i := range sums {
@@ -198,8 +198,8 @@ func (s *Store) validateNameAny(name string) error {
 	if name == "" {
 		return fmt.Errorf("dstore: empty object name")
 	}
-	if uint64(len(name)) > s.cfg.MaxNameLen {
-		return fmt.Errorf("dstore: name %q exceeds %d bytes", name, s.cfg.MaxNameLen)
+	if uint64(len(name)) > maxNameLen {
+		return fmt.Errorf("dstore: name %q exceeds %d bytes", name, maxNameLen)
 	}
 	return nil
 }
@@ -216,13 +216,13 @@ func isTransientRetry(err error, devRetries *int) bool {
 }
 
 func (s *Store) maxObjectBytes() uint64 {
-	return s.cfg.MaxBlocksPerObject * s.cfg.BlockSize
+	return s.cfg.MaxBlocksPerObject * blockSize
 }
 
 // physPad returns the payload padding for physical-logging mode.
 func (s *Store) physPad() int {
 	if s.cfg.Mode == ModePhysical {
-		return s.cfg.PhysicalImageBytes
+		return physicalImageBytes
 	}
 	return 0
 }
@@ -253,7 +253,7 @@ func (c *Ctx) put(op uint16, key string, value []byte) error {
 		return fmt.Errorf("dstore: value of %d bytes exceeds max object size %d", len(value), s.maxObjectBytes())
 	}
 	w := s.single(op, key, c.heldLSN(key))
-	w.one[0].data, w.one[0].size, w.one[0].sums = value, uint64(len(value)), blockSums(value, s.cfg.BlockSize)
+	w.one[0].data, w.one[0].size, w.one[0].sums = value, uint64(len(value)), blockSums(value)
 	return s.writeOne(w)
 }
 
@@ -290,8 +290,8 @@ func (s *Store) readObject(key string, buf []byte) ([]byte, error) {
 	buf = grow(buf, int(e.Size))
 	out := buf[start:]
 	for i, b := range e.Blocks {
-		lo := uint64(i) * s.cfg.BlockSize
-		hi := lo + s.cfg.BlockSize
+		lo := uint64(i) * blockSize
+		hi := lo + blockSize
 		if hi > e.Size {
 			hi = e.Size
 		}
@@ -410,9 +410,9 @@ func (c *Ctx) readSpan(name string, e entrySnapshot, bi, bo uint64, dst []byte) 
 		}
 		return nil
 	}
-	span := e.size - bi*s.cfg.BlockSize
-	if span > s.cfg.BlockSize {
-		span = s.cfg.BlockSize
+	span := e.size - bi*blockSize
+	if span > blockSize {
+		span = blockSize
 	}
 	// A whole-span window needs no staging: verify (or hit the cache)
 	// directly into the destination.
@@ -456,9 +456,9 @@ func (o *Object) ReadAt(p []byte, off int64) (int, error) {
 	read := uint64(0)
 	for read < n {
 		pos := uint64(off) + read
-		bi := pos / s.cfg.BlockSize
-		bo := pos % s.cfg.BlockSize
-		chunk := s.cfg.BlockSize - bo
+		bi := pos / blockSize
+		bo := pos % blockSize
+		chunk := blockSize - bo
 		if chunk > n-read {
 			chunk = n - read
 		}
@@ -509,7 +509,7 @@ func (o *Object) WriteAt(p []byte, off int64) (int, error) {
 		// after the extend, reads verify the grown span, so the old sum can
 		// never match again.
 		lo := uint64(off)
-		if tail := e.size % s.cfg.BlockSize; tail != 0 && e.size-tail < lo {
+		if tail := e.size % blockSize; tail != 0 && e.size-tail < lo {
 			lo = e.size - tail
 		}
 		if lo < e.size {
@@ -541,9 +541,9 @@ func (o *Object) WriteAt(p []byte, off int64) (int, error) {
 	n := uint64(len(p))
 	for written < n {
 		pos := uint64(off) + written
-		bi := pos / s.cfg.BlockSize
-		bo := pos % s.cfg.BlockSize
-		chunk := s.cfg.BlockSize - bo
+		bi := pos / blockSize
+		bo := pos % blockSize
+		chunk := blockSize - bo
 		if chunk > n-written {
 			chunk = n - written
 		}
@@ -565,8 +565,8 @@ func (o *Object) WriteAt(p []byte, off int64) (int, error) {
 // already unverified need nothing; when none are verified the call only
 // waits out conflicting metadata operations.
 func (s *Store) invalidateSums(o *Object, e entrySnapshot, lo, hi uint64) error {
-	first := lo / s.cfg.BlockSize
-	last := (hi - 1) / s.cfg.BlockSize
+	first := lo / blockSize
+	last := (hi - 1) / blockSize
 	var idxs []int
 	for bi := first; bi <= last && bi < uint64(len(e.sums)); bi++ {
 		if e.sums[bi] != meta.SumUnverified {

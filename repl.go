@@ -60,8 +60,8 @@ func (s *Store) exportSubData(sub subOp) ([]byte, bool) {
 // exportSpanLen returns the logical length of block i of an object of the
 // given size.
 func (s *Store) exportSpanLen(size uint64, i int) uint64 {
-	lo := uint64(i) * s.cfg.BlockSize
-	hi := lo + s.cfg.BlockSize
+	lo := uint64(i) * blockSize
+	hi := lo + blockSize
 	if hi > size {
 		hi = size
 	}
@@ -142,7 +142,7 @@ func (s *Store) ExportCommitted(from uint64, max int) ([]wire.Record, error) {
 			if err != nil {
 				return nil, fmt.Errorf("dstore: export record %d: %w", r.LSN, err)
 			}
-			blk := make([]byte, s.cfg.BlockSize)
+			blk := make([]byte, blockSize)
 			if err := s.ssdRead(s.dataOff(sub.blocks[0]), blk); err != nil {
 				continue // standby keeps its intact pre-remap copy
 			}
@@ -243,7 +243,7 @@ func (s *Store) ApplyReplicated(rec wire.Record) error {
 		// length).
 		want := sub.size
 		if sub.op == opRemap {
-			want = s.cfg.BlockSize
+			want = blockSize
 		} else if !putShaped(sub.op) {
 			continue
 		}

@@ -47,7 +47,7 @@ func TestNetReplicationFailover(t *testing.T) {
 	}
 	defer sb.Close() //nolint:errcheck // teardown
 	sb.BeginStandby()
-	tailer, err := replica.Start(replica.Config{Addr: addr, Store: sb, AckEvery: 8})
+	tailer, err := replica.Start(replica.Config{Addr: addr, Store: sb})
 	if err != nil {
 		t.Fatal(err)
 	}

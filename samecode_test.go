@@ -98,7 +98,7 @@ func TestSameCodeEquivalence(t *testing.T) {
 		}
 	}
 	ctx := sh.Init()
-	bs := int(sh.Shard(0).cfg.BlockSize)
+	bs := int(blockSize)
 
 	// Keys bucketed by owning shard, so transactions can be aimed at one
 	// store or across both.

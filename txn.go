@@ -301,7 +301,7 @@ func (s *Store) commitTxnSet(txnid uint64, reads map[string]readVer, ops []txnOp
 				return fmt.Errorf("dstore: value of %d bytes exceeds max object size %d", len(op.value), s.maxObjectBytes())
 			}
 			u.op, u.data, u.size = opPut, op.value, uint64(len(op.value))
-			u.sums = blockSums(op.value, s.cfg.BlockSize)
+			u.sums = blockSums(op.value)
 			est += 20 + 12*len(u.sums)
 		}
 		w.subs[i] = u

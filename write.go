@@ -92,7 +92,7 @@ var errStale = errors.New("dstore: object changed underneath")
 // commit.
 func (s *Store) putPool(u *subOp) error {
 	p := s.front
-	need := blocksFor(u.size, s.cfg.BlockSize)
+	need := blocksFor(u.size, blockSize)
 	if need > p.zone.MaxBlocks() {
 		return fmt.Errorf("dstore: object %q needs %d blocks, max %d", u.name, need, p.zone.MaxBlocks())
 	}
@@ -127,7 +127,7 @@ func (s *Store) extendPool(u *subOp) error {
 	if !used {
 		return fmt.Errorf("dstore: index entry %q points at free slot %d", u.name, slot)
 	}
-	need := blocksFor(u.size, s.cfg.BlockSize)
+	need := blocksFor(u.size, blockSize)
 	if need > s.front.zone.MaxBlocks() {
 		return fmt.Errorf("dstore: object %q needs %d blocks, max %d", u.name, need, s.front.zone.MaxBlocks())
 	}
@@ -584,7 +584,7 @@ func (s *Store) dataPhase(subs []subOp) (bad bool, err error) {
 	return false, nil
 }
 
-// writeBlocks lays data across blocks at BlockSize stride (the last span may
+// writeBlocks lays data across blocks at blockSize stride (the last span may
 // be short), returning the block a failed write was aimed at.
 func (s *Store) writeBlocks(blocks []uint64, data []byte) (uint64, error) {
 	for i, b := range blocks {
@@ -602,11 +602,11 @@ func (s *Store) writeBlocks(blocks []uint64, data []byte) (uint64, error) {
 // span is the piece of data that lies in the i-th of its blocks; nil past the
 // end.
 func (s *Store) span(data []byte, i int) []byte {
-	lo := uint64(i) * s.cfg.BlockSize
+	lo := uint64(i) * blockSize
 	if lo >= uint64(len(data)) {
 		return nil
 	}
-	return data[lo:min(lo+s.cfg.BlockSize, uint64(len(data)))]
+	return data[lo:min(lo+blockSize, uint64(len(data)))]
 }
 
 // applyOwned is steps ⑥–⑦ and the one place a store's own structures change
