@@ -3,8 +3,10 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
+	"dstore/internal/fault"
 	"dstore/internal/pmem"
 	"dstore/internal/space"
 )
@@ -209,6 +211,47 @@ func TestAppendCommittedAndRecover(t *testing.T) {
 	got := collect(t, p2.Log(0), p2.Log(0).Tail())
 	if len(got) != 4 || got[3].LSN != 5 || string(got[3].Name) != "r5" {
 		t.Fatalf("recovered standby records = %+v", got)
+	}
+}
+
+// A standby append the device refuses leaves the log as it was: tail, LSN
+// counter and pending list do not move, the same LSN applies on retry, and a
+// crash recovers the retried record once.
+func TestRefusedStandbyAppendLeavesLogUnchanged(t *testing.T) {
+	dev := pmem.New(pmem.Config{Size: 2 * testLogSize, TrackPersistence: true})
+	a := space.MustPMEM(dev, 0, testLogSize)
+	b := space.MustPMEM(dev, testLogSize, testLogSize)
+	p := NewPair(a, b, 1)
+	if err := p.AppendCommitted(1, 7, []byte("r1"), []byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	l := p.Active()
+	tail, last, pending := l.Tail(), p.LastLSN(), slices.Clone(l.pending)
+	dev.SetFaultPlan(fault.NewPlan(fault.Config{FailWriteAt: []uint64{1}}))
+	if err := p.AppendCommitted(2, 7, []byte("r2"), []byte("refused")); err == nil {
+		t.Fatal("standby append on a failing device succeeded")
+	}
+	dev.SetFaultPlan(nil)
+	if l.Tail() != tail || p.LastLSN() != last || !slices.Equal(l.pending, pending) {
+		t.Fatalf("refused append moved the log: tail %d→%d, LSN %d→%d, pending %v→%v",
+			tail, l.Tail(), last, p.LastLSN(), pending, l.pending)
+	}
+	if err := p.AppendCommitted(2, 7, []byte("r2"), []byte("retried")); err != nil {
+		t.Fatalf("retry at the refused LSN: %v", err)
+	}
+	if err := dev.Crash(pmem.CrashDropDirty, 1); err != nil {
+		t.Fatal(err)
+	}
+	p2, err := RecoverPair(a, b, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := collect(t, p2.Log(0), p2.Log(0).Tail())
+	if len(got) != 2 || got[1].LSN != 2 || string(got[1].Name) != "r2" || string(got[1].Payload) != "retried" {
+		t.Fatalf("recovered standby records = %+v, want r1 and the retried r2", got)
+	}
+	if p2.LastLSN() != 2 {
+		t.Fatalf("recovered LastLSN = %d, want 2", p2.LastLSN())
 	}
 }
 

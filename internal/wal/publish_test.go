@@ -212,6 +212,26 @@ func TestCommitFenceAndFlushCost(t *testing.T) {
 			t.Errorf("commit of an already published record cost %d fences and %d lines, want 1 and 1", fences, lines)
 		}
 	}
+
+	// A standby's append is the same publish of one record, already committed:
+	// two fences, body and guard flushed once and the LSN's line once more.
+	standby, sdev := newTestPair(t)
+	sdev.SetStrictPersistOrder(true)
+	if err := standby.AppendCommitted(1, 1, []byte("warm"), payload); err != nil {
+		t.Fatal(err)
+	}
+	off := standby.Active().Tail()
+	fences, lines := cost(sdev, func() {
+		if err := standby.AppendCommitted(2, 1, []byte("standby"), payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if body := linesOf(off, recordSize(len("standby"), len(payload))+8); fences != 2 || lines != body+1 {
+		t.Errorf("standby append cost %d fences and %d flushed lines, want 2 and %d", fences, lines, body+1)
+	}
+	if sdev.DirtyLines() != 0 {
+		t.Errorf("%d lines not persistent after the standby append returned", sdev.DirtyLines())
+	}
 }
 
 // firstUnsettled walks the active log to where its first unsettled record

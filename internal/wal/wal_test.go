@@ -282,15 +282,28 @@ func TestRecoverMarksInFlightDead(t *testing.T) {
 	p := NewPair(a, b, 1)
 	p.Commit(mustAppend(t, p, 1, "done", nil))
 	mustAppend(t, p, 1, "inflight", nil) // never committed
-	dev.Crash(pmem.CrashKeepAll, 1)      // worst case: record fully persisted
+	// A later commit publishes the pending suffix, the in-flight record with
+	// it: the record is valid and uncommitted on media when power goes.
+	p.Commit(mustAppend(t, p, 1, "later", nil))
+	dev.Crash(pmem.CrashDropDirty, 1)
 
 	p2, err := RecoverPair(a, b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := collect(t, p2.Log(0), p2.Log(0).Tail())
-	if len(got) != 1 || string(got[0].Name) != "done" {
+	if len(got) != 2 || string(got[0].Name) != "done" || string(got[1].Name) != "later" {
 		t.Fatalf("recovered committed = %+v", got)
+	}
+	var states []uint8
+	p2.Log(0).IterateAll(func(rv RecordView) error { //nolint:errcheck // fn never fails
+		if string(rv.Name) == "inflight" {
+			states = append(states, rv.State)
+		}
+		return nil
+	})
+	if len(states) != 1 || states[0] != StateDead {
+		t.Fatalf("in-flight record after recovery: states %v, want one record, dead", states)
 	}
 	// The dead record must not block future writers on the same name.
 	h := mustAppend(t, p2, 1, "inflight", nil)
