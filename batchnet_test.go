@@ -98,14 +98,12 @@ func TestNetBatchRoundTrip(t *testing.T) {
 }
 
 // TestNetBatchEquivalence applies one deterministic concurrent workload
-// twice — batched (Batcher + explicit M-ops, group commit on) and unbatched
-// (singleton ops, group commit off) — and requires byte-identical final
+// twice — batched (Batcher + explicit M-ops) and unbatched (singleton ops),
+// group commit on both sides as always — and requires byte-identical final
 // state: same scan listing, same values.
 func TestNetBatchEquivalence(t *testing.T) {
 	run := func(batched bool) (map[string][]byte, []wire.Object) {
-		cfg := netTestConfig()
-		cfg.DisableGroupCommit = !batched
-		st, err := dstore.Format(cfg)
+		st, err := dstore.Format(netTestConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -50,7 +50,6 @@ func main() {
 		cacheMB  = flag.Int("cache-mb", 0, "DRAM block cache size in MiB, split across shards (0 disables)")
 		replFrom = flag.String("replicate-from", "", "run as a hot standby tailing the primary dstore-server at this address (requires -shards 1)")
 		replHot  = flag.Bool("replicated", false, "pair every shard with an in-process hot standby that is promoted transparently when the shard degrades")
-		batch    = flag.Bool("batch", true, "WAL group commit: concurrent commits share one flush+fence (false reverts to a fence per record)")
 	)
 	flag.Parse()
 
@@ -58,11 +57,10 @@ func main() {
 		latency.Enable()
 	}
 	cfg := dstore.Config{
-		Blocks:             *blocks,
-		MaxObjects:         *objects,
-		LogBytes:           *logBytes,
-		CacheBytes:         uint64(*cacheMB) << 20,
-		DisableGroupCommit: !*batch,
+		Blocks:     *blocks,
+		MaxObjects: *objects,
+		LogBytes:   *logBytes,
+		CacheBytes: uint64(*cacheMB) << 20,
 	}
 	var st dstore.API
 	var single *dstore.Store
@@ -135,7 +133,7 @@ func main() {
 	} else if *replHot {
 		role = "replicated"
 	}
-	log.Printf("dstore-server listening on %s (%s shards=%d blocks=%d objects=%d cacheMB=%d groupcommit=%v)", ln.Addr(), role, *shards, *blocks, *objects, *cacheMB, *batch)
+	log.Printf("dstore-server listening on %s (%s shards=%d blocks=%d objects=%d cacheMB=%d)", ln.Addr(), role, *shards, *blocks, *objects, *cacheMB)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -88,11 +88,6 @@ type Config struct {
 	// DisableCheckpoints turns off all checkpointing (Fig. 1's
 	// "no checkpoint" series). The log must be sized for the full run.
 	DisableCheckpoints bool
-	// DisableGroupCommit turns off WAL group commit (on by default):
-	// concurrent committers normally settle behind one shared flush+fence,
-	// amortizing the per-record persistence cost. The batching experiment
-	// measures the store with it off.
-	DisableGroupCommit bool
 
 	// Blocks is the data-plane capacity in blocks. Default 16384.
 	Blocks uint64
@@ -191,7 +186,6 @@ func (c Config) dipperConfig() dipper.Config {
 		ArenaBytes:          c.ArenaBytes,
 		CheckpointThreshold: c.CheckpointThreshold,
 		AutoCheckpoint:      !c.DisableCheckpoints,
-		GroupCommit:         !c.DisableGroupCommit,
 	}
 }
 

@@ -79,9 +79,6 @@ type Config struct {
 	// OnCheckpointDone, if set, runs at the end of every successful
 	// foreground checkpoint, before Checkpoint returns.
 	OnCheckpointDone func()
-	// GroupCommit enables WAL group commit: committers that arrive while a
-	// leader round is fencing settle behind the next round's shared fences.
-	GroupCommit bool
 }
 
 func (c *Config) frontendSpace() space.Space {
@@ -119,9 +116,8 @@ type Stats struct {
 	// RecordsRecovered counts active-log records replayed by the last Open
 	// to rebuild the volatile space (the replay half of RecoveryBreakdown).
 	RecordsRecovered uint64
-	// Group-commit counters (zero when group commit is disabled): settle
-	// batches led, records settled through batches, and committers that
-	// parked behind another leader's fence.
+	// Group-commit counters: settle batches led, records settled through
+	// batches, and committers that parked behind another leader's fence.
 	GCBatches uint64
 	GCRecords uint64
 	GCParked  uint64
@@ -210,7 +206,6 @@ func Format(dev *pmem.Device, cfg Config, replayer Replayer, bootstrap func(al *
 		return nil, err
 	}
 	e.pair = wal.NewPair(log0, log1, 1)
-	e.pair.SetGroupCommit(wal.GroupCommitConfig{Enabled: cfg.GroupCommit}) // before any append
 	e.mu.Lock()
 	e.rootSeq = 1
 	e.mu.Unlock()
@@ -270,7 +265,6 @@ func Open(dev *pmem.Device, cfg Config, replayer Replayer) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.pair.SetGroupCommit(wal.GroupCommitConfig{Enabled: cfg.GroupCommit}) // before any append
 
 	// Step 1 (§3.6): if the crash interrupted a checkpoint, redo it against
 	// the old shadow copies so the next step sees a consistent image.

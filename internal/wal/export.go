@@ -118,14 +118,16 @@ func (p *Pair) ExportCommitted(from uint64, max int) ([]ExportRecord, error) {
 }
 
 // AppendCommitted appends a record that is already committed, at an
-// explicit LSN — the standby side of replication. The record goes through
-// the full §3.4 publish protocol (body, fence, then LSN) with the state
-// byte already StateCommitted, so a standby crash mid-apply leaves either a
-// fully valid committed record or nothing. LSNs must strictly increase;
-// gaps are fine (the primary's sequence has them too). The pair's LSN
-// counter advances to lsn, so LastLSN doubles as the standby's applied —
-// and therefore ack — LSN, and it survives recovery because it is rebuilt
-// from the records themselves.
+// explicit LSN — the standby side of replication. The record is stored with
+// the state byte already StateCommitted and published at once, with any
+// pending suffix ahead of it (body, fence, then LSN), so a standby crash
+// mid-apply leaves either a fully valid committed record or nothing. A
+// refused append leaves the log as it was: nothing pending is added and the
+// tail and LSN counter stay, so the same LSN applies on retry. LSNs must
+// strictly increase; gaps are fine (the primary's sequence has them too).
+// The pair's LSN counter advances to lsn, so LastLSN doubles as the
+// standby's applied — and therefore ack — LSN, and it survives recovery
+// because it is rebuilt from the records themselves.
 func (p *Pair) AppendCommitted(lsn uint64, op uint16, name, payload []byte) error {
 	if len(name) > MaxName || len(payload) > MaxPayload {
 		return fmt.Errorf("wal: record fields too large (%d, %d)", len(name), len(payload))
@@ -135,12 +137,6 @@ func (p *Pair) AppendCommitted(lsn uint64, op uint16, name, payload []byte) erro
 	l := p.logs[p.active]
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	// A standby applying a grouped feed may race local appends (promotion
-	// windows); publish any pending suffix so the LSN-order scan below and
-	// the full write protocol see only published records.
-	if err := l.publishPendingLocked(); err != nil {
-		return fmt.Errorf("wal: replicated append publish: %w", err)
-	}
 	if last := p.lsn.Load(); lsn <= last {
 		return fmt.Errorf("wal: replicated LSN %d does not extend %d", lsn, last)
 	}
@@ -149,8 +145,16 @@ func (p *Pair) AppendCommitted(lsn uint64, op uint16, name, payload []byte) erro
 	if off+total+8 > l.sp.Size() {
 		return ErrLogFull
 	}
-	if err := l.writeRecordLocked(off, lsn, op, StateCommitted, name, payload, total); err != nil {
+	if err := l.storeRecordLocked(off, op, StateCommitted, name, payload, total); err != nil {
 		return fmt.Errorf("wal: replicated append failed: %w", err)
+	}
+	// A standby may race local appends (promotion windows), whose pending
+	// records publish with this one. A failed publish wrote no LSN: the
+	// record leaves the pending list, or a later publish would make it valid.
+	l.pending = append(l.pending, pendingRec{lsn: lsn, off: off, total: total})
+	if err := l.publishPendingLocked(); err != nil {
+		l.pending = l.pending[:len(l.pending)-1]
+		return fmt.Errorf("wal: replicated append publish: %w", err)
 	}
 	l.tail = off + total
 	p.lsn.Store(lsn)

@@ -55,55 +55,50 @@ func sameStripe(t *testing.T, name string) string {
 }
 
 func TestFilterTracksUnsettledRecords(t *testing.T) {
-	for _, grouped := range []bool{false, true} {
-		t.Run(fmt.Sprintf("grouped=%v", grouped), func(t *testing.T) {
-			p, dev := newTestPair(t)
-			p.SetGroupCommit(GroupCommitConfig{Enabled: grouped})
-			wantFilter(t, p, "fresh pair", "a", 0)
+	p, dev := newTestPair(t)
+	wantFilter(t, p, "fresh pair", "a", 0)
 
-			a := mustAppend(t, p, 1, "a", nil)
-			wantFilter(t, p, "appended", "a", 1)
-			if err := p.Commit(a); err != nil {
-				t.Fatal(err)
-			}
-			wantFilter(t, p, "committed", "a", 0)
-
-			b := mustAppend(t, p, 1, "b", nil)
-			wantFilter(t, p, "appended", "b", 1)
-			if err := p.Abort(b); err != nil {
-				t.Fatal(err)
-			}
-			wantFilter(t, p, "aborted", "b", 0)
-
-			// An append the device rejects lays nothing down and raises nothing.
-			dev.SetFaultPlan(fault.NewPlan(fault.Config{WriteErrRate: 1}))
-			if _, _, err := p.Append(1, []byte("rejected"), nil); err == nil {
-				t.Fatal("append on a failing device succeeded")
-			}
-			dev.SetFaultPlan(nil)
-			wantFilter(t, p, "rejected append", "rejected", 0)
-
-			// A settle that hits a device fault still settles the handle in
-			// DRAM: waiters are released and the stripe is lowered.
-			c := mustAppend(t, p, 1, "c", nil)
-			dev.SetFaultPlan(fault.NewPlan(fault.Config{WriteErrRate: 1}))
-			if err := p.Commit(c); err == nil {
-				t.Fatal("commit on a failing device reported success")
-			}
-			dev.SetFaultPlan(nil)
-			if !c.Committed() {
-				t.Fatal("faulted settle left waiters spinning")
-			}
-			wantFilter(t, p, "faulted settle", "c", 0)
-		})
+	a := mustAppend(t, p, 1, "a", nil)
+	wantFilter(t, p, "appended", "a", 1)
+	if err := p.Commit(a); err != nil {
+		t.Fatal(err)
 	}
+	wantFilter(t, p, "committed", "a", 0)
+
+	b := mustAppend(t, p, 1, "b", nil)
+	wantFilter(t, p, "appended", "b", 1)
+	if err := p.Abort(b); err != nil {
+		t.Fatal(err)
+	}
+	wantFilter(t, p, "aborted", "b", 0)
+
+	// An append the device rejects lays nothing down and raises nothing.
+	dev.SetFaultPlan(fault.NewPlan(fault.Config{WriteErrRate: 1}))
+	if _, _, err := p.Append(1, []byte("rejected"), nil); err == nil {
+		t.Fatal("append on a failing device succeeded")
+	}
+	dev.SetFaultPlan(nil)
+	wantFilter(t, p, "rejected append", "rejected", 0)
+
+	// A settle that hits a device fault still settles the handle in DRAM:
+	// waiters are released and the stripe is lowered.
+	c := mustAppend(t, p, 1, "c", nil)
+	dev.SetFaultPlan(fault.NewPlan(fault.Config{WriteErrRate: 1}))
+	if err := p.Commit(c); err == nil {
+		t.Fatal("commit on a failing device reported success")
+	}
+	dev.SetFaultPlan(nil)
+	if !c.Committed() {
+		t.Fatal("faulted settle left waiters spinning")
+	}
+	wantFilter(t, p, "faulted settle", "c", 0)
 }
 
 // A group-commit batch: every record is in the filter from its (store-only)
 // append, and the leader lowers each stripe before it releases that record's
 // committer — a committer that returns from Commit finds its stripe released.
 func TestFilterGroupCommitBatch(t *testing.T) {
-	p, _ := newGroupPair(t)
+	p, _ := newTestPair(t)
 	const n = 16
 	names := make([]string, 0, n) // pairwise distinct stripes
 	taken := map[uint32]bool{}
@@ -142,69 +137,63 @@ func TestFilterGroupCommitBatch(t *testing.T) {
 // A handle settled through a pair that did not append it — what a failover
 // did when it released the retired primary's olocks through the promoted
 // store, which mirrors the primary's LSNs — is refused: the call errors, not
-// one byte of the pair's logs moves (with group commit on, the leader used to
-// store the state byte at the foreign offset of its own active log), and the
-// pair's own record under the same LSN stays registered and in the filter.
+// one byte of the pair's logs moves (the leader used to store the state byte
+// at the foreign offset of its own active log), and the pair's own record
+// under the same LSN stays registered and in the filter.
 func TestFilterIgnoresForeignHandle(t *testing.T) {
-	for _, grouped := range []bool{false, true} {
-		old, _ := newTestPair(t)
-		promoted, dev := newTestPair(t)
-		promoted.SetGroupCommit(GroupCommitConfig{Enabled: grouped})
-		// The promoted log holds a committed record where the foreign handle's
-		// offset points, so a stray state byte would land inside it.
-		// (The old pair's own pad stays unsettled: that pair is retired.)
-		mustAppend(t, old, 1, "pad", nil)
-		promoted.Commit(mustAppend(t, promoted, 1, "pad", bytes.Repeat([]byte{0xAB}, 256))) //nolint:errcheck
-		foreign := mustAppend(t, old, 1, "x", nil)
-		own := mustAppend(t, promoted, 1, "x", nil)
-		if foreign.LSN() != own.LSN() {
-			t.Fatalf("test wants colliding LSNs, got %d and %d", foreign.LSN(), own.LSN())
-		}
-		before := bytes.Clone(dev.Bytes())
-		if err := promoted.Commit(foreign); err == nil {
-			t.Fatalf("grouped=%v: settling a foreign handle did not error", grouped)
-		}
-		if foreign.Committed() {
-			t.Fatalf("grouped=%v: foreign handle settled", grouped)
-		}
-		if !bytes.Equal(before, dev.Bytes()) {
-			t.Fatalf("grouped=%v: settling a foreign handle changed the pair's log bytes", grouped)
-		}
-		wantFilter(t, promoted, "foreign settle", "x", 1)
-		if c := promoted.FindConflict([]byte("x")); c != own {
-			t.Fatalf("grouped=%v: settling a foreign handle unregistered the pair's own record", grouped)
-		}
-		promoted.Commit(own) //nolint:errcheck
-		wantFilter(t, promoted, "own settle", "x", 0)
+	old, _ := newTestPair(t)
+	promoted, dev := newTestPair(t)
+	// The promoted log holds a committed record where the foreign handle's
+	// offset points, so a stray state byte would land inside it.
+	// (The old pair's own pad stays unsettled: that pair is retired.)
+	mustAppend(t, old, 1, "pad", nil)
+	promoted.Commit(mustAppend(t, promoted, 1, "pad", bytes.Repeat([]byte{0xAB}, 256))) //nolint:errcheck
+	foreign := mustAppend(t, old, 1, "x", nil)
+	own := mustAppend(t, promoted, 1, "x", nil)
+	if foreign.LSN() != own.LSN() {
+		t.Fatalf("test wants colliding LSNs, got %d and %d", foreign.LSN(), own.LSN())
 	}
+	before := bytes.Clone(dev.Bytes())
+	if err := promoted.Commit(foreign); err == nil {
+		t.Fatal("settling a foreign handle did not error")
+	}
+	if foreign.Committed() {
+		t.Fatal("foreign handle settled")
+	}
+	if !bytes.Equal(before, dev.Bytes()) {
+		t.Fatal("settling a foreign handle changed the pair's log bytes")
+	}
+	wantFilter(t, promoted, "foreign settle", "x", 1)
+	if c := promoted.FindConflictIgnore([]byte("x"), 0); c != own {
+		t.Fatal("settling a foreign handle unregistered the pair's own record")
+	}
+	promoted.Commit(own) //nolint:errcheck
+	wantFilter(t, promoted, "own settle", "x", 0)
 }
 
 // Swap migrates uncommitted records to the new active log; the filter is
 // keyed by name, not location, so the records stay in it until they settle.
 func TestFilterSurvivesSwap(t *testing.T) {
-	for _, grouped := range []bool{false, true} {
-		p, _ := newTestPair(t)
-		p.SetGroupCommit(GroupCommitConfig{Enabled: grouped})
-		p.Commit(mustAppend(t, p, 1, "settled", nil)) //nolint:errcheck
-		u1 := mustAppend(t, p, 1, "u1", nil)
-		u2 := mustAppend(t, p, 1, "u2", nil)
-		res, err := p.Swap(func(int, int, uint64) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Migrated != 2 {
-			t.Fatalf("grouped=%v: migrated %d records, want 2", grouped, res.Migrated)
-		}
-		wantFilter(t, p, "after swap", "u1", 1)
-		wantFilter(t, p, "after swap", "u2", 1)
-		if c := p.FindConflict([]byte("u1")); c != u1 {
-			t.Fatalf("grouped=%v: migrated record not found through the filter: %v", grouped, c)
-		}
-		p.Commit(u1) //nolint:errcheck
-		p.Abort(u2)  //nolint:errcheck
-		wantFilter(t, p, "settled after swap", "u1", 0)
-		wantFilter(t, p, "settled after swap", "u2", 0)
+	p, _ := newTestPair(t)
+	p.Commit(mustAppend(t, p, 1, "settled", nil)) //nolint:errcheck
+	u1 := mustAppend(t, p, 1, "u1", nil)
+	u2 := mustAppend(t, p, 1, "u2", nil)
+	res, err := p.Swap(func(int, int, uint64) {})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if res.Migrated != 2 {
+		t.Fatalf("migrated %d records, want 2", res.Migrated)
+	}
+	wantFilter(t, p, "after swap", "u1", 1)
+	wantFilter(t, p, "after swap", "u2", 1)
+	if c := p.FindConflictIgnore([]byte("u1"), 0); c != u1 {
+		t.Fatalf("migrated record not found through the filter: %v", c)
+	}
+	p.Commit(u1) //nolint:errcheck
+	p.Abort(u2)  //nolint:errcheck
+	wantFilter(t, p, "settled after swap", "u1", 0)
+	wantFilter(t, p, "settled after swap", "u2", 0)
 }
 
 // Recovery marks every uncommitted record dead: no record is in flight, and
@@ -221,7 +210,7 @@ func TestFilterEmptyAfterRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantFilter(t, p2, "recovered", "inflight", 0)
-	if c := p2.FindConflict([]byte("inflight")); c != nil {
+	if c := p2.FindConflictIgnore([]byte("inflight"), 0); c != nil {
 		t.Fatalf("dead record conflicts after recovery: LSN %d", c.LSN())
 	}
 }
@@ -239,7 +228,7 @@ func TestFindConflictQuietStripeTakesNoLock(t *testing.T) {
 	l := p.logs[p.active]
 	l.mu.Lock()
 	done := make(chan *Handle, 1)
-	go func() { done <- p.FindConflict([]byte(quiet)) }()
+	go func() { done <- p.FindConflictIgnore([]byte(quiet), 0) }()
 	var c *Handle
 	select {
 	case c = <-done:
@@ -262,7 +251,7 @@ func TestFindConflictQuietStripeTakesNoLock(t *testing.T) {
 // neighbour on the stripe is free, an outsider conflicts.
 func TestFilterCollisionGetsExactVerdict(t *testing.T) {
 	p, _ := newTestPair(t)
-	lock, _, err := p.AppendNoop(99, []byte("obj"))
+	lock, _, err := p.Append(99, []byte("obj"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,14 +262,14 @@ func TestFilterCollisionGetsExactVerdict(t *testing.T) {
 	if c := p.FindConflictIgnore([]byte("obj"), lock.LSN()); c != nil {
 		t.Fatal("holder's read saw its own lock as a conflict")
 	}
-	if c := p.FindConflict([]byte(nb)); c != nil {
+	if c := p.FindConflictIgnore([]byte(nb), 0); c != nil {
 		t.Fatalf("neighbour %q conflicts with a record that does not name it", nb)
 	}
-	if c := p.FindConflict([]byte("obj")); c != lock {
+	if c := p.FindConflictIgnore([]byte("obj"), 0); c != lock {
 		t.Fatal("outsider's read missed the lock")
 	}
 	w := mustAppend(t, p, 1, nb, nil)
-	if c := p.FindConflict([]byte(nb)); c != w {
+	if c := p.FindConflictIgnore([]byte(nb), 0); c != w {
 		t.Fatal("neighbour's own writer not found")
 	}
 	if c := p.FindConflictIgnore([]byte("obj"), lock.LSN()); c != nil {
@@ -296,40 +285,37 @@ func TestFilterCollisionGetsExactVerdict(t *testing.T) {
 // the same name never comes back with an LSN and no handle (which a reader
 // would take for "no conflict" and a second writer would spin on).
 func TestScanNeverFindsUnregisteredRecord(t *testing.T) {
-	for _, grouped := range []bool{false, true} {
-		p, _ := newTestPair(t)
-		p.SetGroupCommit(GroupCommitConfig{Enabled: grouped})
-		stop := make(chan struct{})
-		var scans sync.WaitGroup
-		for g := 0; g < 2; g++ {
-			scans.Add(1)
-			go func() {
-				defer scans.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if lsn, h := p.scanConflict([]byte("hot"), 0); lsn != 0 && h == nil {
-						t.Errorf("grouped=%v: scan found LSN %d with no registered handle", grouped, lsn)
-						return
-					}
+	p, _ := newTestPair(t)
+	stop := make(chan struct{})
+	var scans sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		scans.Add(1)
+		go func() {
+			defer scans.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
 				}
-			}()
-		}
-		for i := 0; i < 3000; i++ {
-			h, conflict, err := p.Append(1, []byte("hot"), nil)
-			if err != nil || conflict != nil {
-				t.Fatalf("append %d: conflict %v, err %v", i, conflict != nil, err)
+				if lsn, h := p.scanConflict([]byte("hot"), 0); lsn != 0 && h == nil {
+					t.Errorf("scan found LSN %d with no registered handle", lsn)
+					return
+				}
 			}
-			p.Commit(h) //nolint:errcheck
-			if i%500 == 499 {
-				p.Swap(func(int, int, uint64) {}) //nolint:errcheck // keep the log from filling
-			}
-		}
-		close(stop)
-		scans.Wait()
-		wantFilter(t, p, "quiesced", "hot", 0)
+		}()
 	}
+	for i := 0; i < 3000; i++ {
+		h, conflict, err := p.Append(1, []byte("hot"), nil)
+		if err != nil || conflict != nil {
+			t.Fatalf("append %d: conflict %v, err %v", i, conflict != nil, err)
+		}
+		p.Commit(h) //nolint:errcheck
+		if i%500 == 499 {
+			p.Swap(func(int, int, uint64) {}) //nolint:errcheck // keep the log from filling
+		}
+	}
+	close(stop)
+	scans.Wait()
+	wantFilter(t, p, "quiesced", "hot", 0)
 }

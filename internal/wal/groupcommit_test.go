@@ -9,15 +9,8 @@ import (
 	"dstore/internal/space"
 )
 
-func newGroupPair(t *testing.T) (*Pair, *pmem.Device) {
-	t.Helper()
-	p, dev := newTestPair(t)
-	p.SetGroupCommit(GroupCommitConfig{Enabled: true})
-	return p, dev
-}
-
 func TestGroupCommitConcurrent(t *testing.T) {
-	p, _ := newGroupPair(t)
+	p, _ := newTestPair(t)
 	const workers = 8
 	const perWorker = 40
 	var wg sync.WaitGroup
@@ -59,7 +52,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 }
 
 func TestGroupCommitAbortMix(t *testing.T) {
-	p, _ := newGroupPair(t)
+	p, _ := newTestPair(t)
 	var wg sync.WaitGroup
 	const n = 64
 	for i := 0; i < n; i++ {
@@ -86,7 +79,7 @@ func TestGroupCommitAbortMix(t *testing.T) {
 }
 
 func TestGroupCommitConflictPendingVisible(t *testing.T) {
-	p, _ := newGroupPair(t)
+	p, _ := newTestPair(t)
 	h := mustAppend(t, p, 1, "dup", []byte{1})
 	// The record is pending (no LSN published yet) but must still be
 	// visible to the conflict window.
@@ -117,7 +110,7 @@ func TestGroupCommitConflictPendingVisible(t *testing.T) {
 }
 
 func TestGroupCommitSwapPublishesPending(t *testing.T) {
-	p, _ := newGroupPair(t)
+	p, _ := newTestPair(t)
 	seed := mustAppend(t, p, 1, "seed", []byte("s"))
 	if err := p.Commit(seed); err != nil {
 		t.Fatal(err)
@@ -151,7 +144,6 @@ func TestGroupCommitCrashPendingInvisible(t *testing.T) {
 	a := space.MustPMEM(dev, 0, testLogSize)
 	b := space.MustPMEM(dev, testLogSize, testLogSize)
 	p := NewPair(a, b, 1)
-	p.SetGroupCommit(GroupCommitConfig{Enabled: true})
 
 	h := mustAppend(t, p, 1, "durable", []byte("x"))
 	if err := p.Commit(h); err != nil {
@@ -188,7 +180,6 @@ func TestGroupCommitStrictPersistOrder(t *testing.T) {
 	a := space.MustPMEM(dev, 0, testLogSize)
 	b := space.MustPMEM(dev, testLogSize, testLogSize)
 	p := NewPair(a, b, 1)
-	p.SetGroupCommit(GroupCommitConfig{Enabled: true})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

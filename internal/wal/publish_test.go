@@ -16,13 +16,11 @@ import (
 // scan on a quiet filter stripe decide exactly as the scan would.
 
 // trackedPair is a fresh pair on a persistence-tracking device.
-func trackedPair(strict, grouped bool) (*Pair, *pmem.Device, *space.PMEM, *space.PMEM) {
+func trackedPair(strict bool) (*Pair, *pmem.Device, *space.PMEM, *space.PMEM) {
 	dev := pmem.New(pmem.Config{Size: 2 * testLogSize, TrackPersistence: true, StrictPersistOrder: strict})
 	a := space.MustPMEM(dev, 0, testLogSize)
 	b := space.MustPMEM(dev, testLogSize, testLogSize)
-	p := NewPair(a, b, 1)
-	p.SetGroupCommit(GroupCommitConfig{Enabled: grouped})
-	return p, dev, a, b
+	return NewPair(a, b, 1), dev, a, b
 }
 
 // settleTogether settles hs in one leader round on the calling goroutine: all
@@ -66,7 +64,7 @@ func TestPublishRoundCrashAtEveryMutation(t *testing.T) {
 	// device hook counting its mutations, panicking out of the cutAt-th.
 	const sentinel = "power cut"
 	scenario := func(cutAt int) (dev *pmem.Device, a, b *space.PMEM, seen int, done bool) {
-		p, dev, a, b := trackedPair(true, true)
+		p, dev, a, b := trackedPair(true)
 		hs := make([]*Handle, len(recs))
 		for i, r := range recs[:2] {
 			hs[i] = mustAppend(t, p, r.op, r.name, []byte(r.payload))
@@ -166,12 +164,11 @@ func TestPublishRoundCrashAtEveryMutation(t *testing.T) {
 func linesOf(off, n uint64) uint64 { return (off+n-1)/pmem.LineSize - off/pmem.LineSize + 1 }
 
 // What a commit costs in fences and flushed lines, from the device's counters.
-// Under group commit a solo append+commit is the publish alone: body and guard
-// flushed once, fence, the LSN's line flushed, fence — the state byte rides
-// the body flush, so no line is flushed on its account (the LSN's line is the
-// one line flushed twice, as the protocol demands: body before validity). A
-// record some earlier round published pays one line and one fence. With group
-// commit off it is the paper's fence per step, unchanged.
+// A solo append+commit is the publish alone: body and guard flushed once,
+// fence, the LSN's line flushed, fence — the state byte rides the body flush,
+// so no line is flushed on its account (the LSN's line is the one line flushed
+// twice, as the protocol demands: body before validity). A record some earlier
+// round published pays one line and one fence.
 func TestCommitFenceAndFlushCost(t *testing.T) {
 	payload := bytes.Repeat([]byte{7}, 100)
 	cost := func(dev *pmem.Device, fn func()) (fences, lines uint64) {
@@ -180,37 +177,26 @@ func TestCommitFenceAndFlushCost(t *testing.T) {
 		after := dev.Stats()
 		return after.Fences - before.Fences, after.LinesFlushed - before.LinesFlushed
 	}
-	for _, grouped := range []bool{true, false} {
-		p, dev, _, _ := trackedPair(true, grouped)
-		p.Commit(mustAppend(t, p, 1, "warm", payload)) //nolint:errcheck // offsets off the log header
-		var h *Handle
-		fences, lines := cost(dev, func() {
-			h = mustAppend(t, p, 1, "solo", payload)
-			if err := p.Commit(h); err != nil {
-				t.Fatal(err)
-			}
-		})
-		body := linesOf(h.off, recordSize(len("solo"), len(payload))+8)
-		wantFences, wantLines := uint64(2), body+1
-		if !grouped {
-			wantFences, wantLines = 3, body+2 // append: body | LSN; commit: state
+	p, dev, _, _ := trackedPair(true)
+	p.Commit(mustAppend(t, p, 1, "warm", payload)) //nolint:errcheck // offsets off the log header
+	var h *Handle
+	solo := func() {
+		h = mustAppend(t, p, 1, "solo", payload)
+		if err := p.Commit(h); err != nil {
+			t.Fatal(err)
 		}
-		if fences != wantFences || lines != wantLines {
-			t.Errorf("grouped=%v: solo append+commit cost %d fences and %d flushed lines, want %d and %d",
-				grouped, fences, lines, wantFences, wantLines)
-		}
-		if dev.DirtyLines() != 0 {
-			t.Errorf("grouped=%v: %d lines not persistent after the commit returned", grouped, dev.DirtyLines())
-		}
-		if !grouped {
-			continue
-		}
-		first := mustAppend(t, p, 1, "first", payload)
-		second := mustAppend(t, p, 1, "second", payload)
-		p.Commit(first)                                                                         //nolint:errcheck // publishes second as well
-		if fences, lines := cost(dev, func() { p.Commit(second) }); fences != 1 || lines != 1 { //nolint:errcheck
-			t.Errorf("commit of an already published record cost %d fences and %d lines, want 1 and 1", fences, lines)
-		}
+	}
+	if fences, lines := cost(dev, solo); fences != 2 || lines != linesOf(h.off, recordSize(len("solo"), len(payload))+8)+1 {
+		t.Errorf("solo append+commit cost %d fences and %d flushed lines, want 2 and the body's lines + 1", fences, lines)
+	}
+	if dev.DirtyLines() != 0 {
+		t.Errorf("%d lines not persistent after the commit returned", dev.DirtyLines())
+	}
+	first := mustAppend(t, p, 1, "first", payload)
+	second := mustAppend(t, p, 1, "second", payload)
+	p.Commit(first)                                                                         //nolint:errcheck // publishes second as well
+	if fences, lines := cost(dev, func() { p.Commit(second) }); fences != 1 || lines != 1 { //nolint:errcheck
+		t.Errorf("commit of an already published record cost %d fences and %d lines, want 1 and 1", fences, lines)
 	}
 
 	// A standby's append is the same publish of one record, already committed:
@@ -259,92 +245,87 @@ func firstUnsettled(p *Pair) uint64 {
 func TestAppendVerdictMatchesScanAndCursorKeepsUp(t *testing.T) {
 	names := []string{"a", "b", "c", "d", "e"}
 	names = append(names, sameStripe(t, "a"), sameStripe(t, "b")) // neighbours: raised stripe, no conflict
-	for _, grouped := range []bool{true, false} {
-		for seed := int64(1); seed <= 20; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			p, _, _, _ := trackedPair(true, grouped)
-			var open []*Handle            // unsettled records, locks included
-			locks := map[string]*Handle{} // held olocks by name
-			where := func(step int, what string) string {
-				return fmt.Sprintf("grouped=%v seed %d step %d (%s)", grouped, seed, step, what)
-			}
-			drop := func(h *Handle) {
-				for i, o := range open {
-					if o == h {
-						open = append(open[:i], open[i+1:]...)
-					}
-				}
-				for n, l := range locks {
-					if l == h {
-						delete(locks, n)
-					}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p, _, _, _ := trackedPair(true)
+		var open []*Handle            // unsettled records, locks included
+		locks := map[string]*Handle{} // held olocks by name
+		where := func(step int, what string) string {
+			return fmt.Sprintf("seed %d step %d (%s)", seed, step, what)
+		}
+		drop := func(h *Handle) {
+			for i, o := range open {
+				if o == h {
+					open = append(open[:i], open[i+1:]...)
 				}
 			}
-			for step := 0; step < 400; step++ {
-				what := ""
-				switch r := rng.Intn(10); {
-				case r < 5: // append, a lock holder ignoring its own lock
-					name := names[rng.Intn(len(names))]
-					op, ignore := uint16(1), uint64(0)
-					if l := locks[name]; l != nil && rng.Intn(4) > 0 {
-						ignore = l.LSN()
-					} else if l == nil && rng.Intn(5) == 0 {
-						op = 99 // an olock
-					}
-					what = fmt.Sprintf("append %q op %d ignore %d", name, op, ignore)
-					wantLSN, want := p.scanConflict([]byte(name), ignore)
-					h, conflict, err := p.AppendIgnore(op, []byte(name), []byte{byte(step)}, ignore)
-					if err == ErrLogFull {
-						continue
-					}
-					if err != nil {
-						t.Fatalf("%s: %v", where(step, what), err)
-					}
-					if conflict != want || (conflict == nil) != (h != nil) {
-						t.Fatalf("%s: append says conflict %v, scan says LSN %d", where(step, what), conflict != nil, wantLSN)
-					}
-					if h != nil {
-						open = append(open, h)
-						if op == 99 {
-							locks[name] = h
-						}
-					}
-				case r < 8 && len(open) > 0: // settle one to three records in one round
-					n := min(1+rng.Intn(3), len(open))
-					if !grouped {
-						n = 1
-					}
-					rng.Shuffle(len(open), func(i, j int) { open[i], open[j] = open[j], open[i] })
-					hs := append([]*Handle(nil), open[:n]...)
-					states := make([]uint8, n)
-					for i := range states {
-						states[i] = StateCommitted + uint8(rng.Intn(2))
-					}
-					what = fmt.Sprintf("settle %d records", n)
-					if err := settleTogether(p, hs, states); err != nil {
-						t.Fatalf("%s: %v", where(step, what), err)
-					}
-					for _, h := range hs {
-						if !h.Committed() {
-							t.Fatalf("%s: record %d left unsettled", where(step, what), h.LSN())
-						}
-						drop(h)
-					}
-				case r == 8:
-					what = "swap"
-					if _, err := p.Swap(func(int, int, uint64) {}); err != nil {
-						t.Fatalf("%s: %v", where(step, what), err)
-					}
-				default:
+			for n, l := range locks {
+				if l == h {
+					delete(locks, n)
+				}
+			}
+		}
+		for step := 0; step < 400; step++ {
+			what := ""
+			switch r := rng.Intn(10); {
+			case r < 5: // append, a lock holder ignoring its own lock
+				name := names[rng.Intn(len(names))]
+				op, ignore := uint16(1), uint64(0)
+				if l := locks[name]; l != nil && rng.Intn(4) > 0 {
+					ignore = l.LSN()
+				} else if l == nil && rng.Intn(5) == 0 {
+					op = 99 // an olock
+				}
+				what = fmt.Sprintf("append %q op %d ignore %d", name, op, ignore)
+				wantLSN, want := p.scanConflict([]byte(name), ignore)
+				h, conflict, err := p.AppendIgnore(op, []byte(name), []byte{byte(step)}, ignore)
+				if err == ErrLogFull {
 					continue
 				}
-				l := p.logs[p.active]
-				if want := firstUnsettled(p); l.cur != want {
-					t.Fatalf("%s: cursor at %d, first unsettled record at %d (tail %d)", where(step, what), l.cur, want, l.tail)
+				if err != nil {
+					t.Fatalf("%s: %v", where(step, what), err)
 				}
-				if total := filterTotal(p); total != len(open) || p.InFlight() != len(open) {
-					t.Fatalf("%s: filter holds %d, registry %d, %d records unsettled", where(step, what), total, p.InFlight(), len(open))
+				if conflict != want || (conflict == nil) != (h != nil) {
+					t.Fatalf("%s: append says conflict %v, scan says LSN %d", where(step, what), conflict != nil, wantLSN)
 				}
+				if h != nil {
+					open = append(open, h)
+					if op == 99 {
+						locks[name] = h
+					}
+				}
+			case r < 8 && len(open) > 0: // settle one to three records in one round
+				n := min(1+rng.Intn(3), len(open))
+				rng.Shuffle(len(open), func(i, j int) { open[i], open[j] = open[j], open[i] })
+				hs := append([]*Handle(nil), open[:n]...)
+				states := make([]uint8, n)
+				for i := range states {
+					states[i] = StateCommitted + uint8(rng.Intn(2))
+				}
+				what = fmt.Sprintf("settle %d records", n)
+				if err := settleTogether(p, hs, states); err != nil {
+					t.Fatalf("%s: %v", where(step, what), err)
+				}
+				for _, h := range hs {
+					if !h.Committed() {
+						t.Fatalf("%s: record %d left unsettled", where(step, what), h.LSN())
+					}
+					drop(h)
+				}
+			case r == 8:
+				what = "swap"
+				if _, err := p.Swap(func(int, int, uint64) {}); err != nil {
+					t.Fatalf("%s: %v", where(step, what), err)
+				}
+			default:
+				continue
+			}
+			l := p.logs[p.active]
+			if want := firstUnsettled(p); l.cur != want {
+				t.Fatalf("%s: cursor at %d, first unsettled record at %d (tail %d)", where(step, what), l.cur, want, l.tail)
+			}
+			if total := filterTotal(p); total != len(open) || p.InFlight() != len(open) {
+				t.Fatalf("%s: filter holds %d, registry %d, %d records unsettled", where(step, what), total, p.InFlight(), len(open))
 			}
 		}
 	}
@@ -352,31 +333,28 @@ func TestAppendVerdictMatchesScanAndCursorKeepsUp(t *testing.T) {
 
 // A settle the device refuses is applied in DRAM — waiters are released, scans
 // see the record settled — and stays off the media: the caller got an error, so
-// a crash must not bring the record back committed. Under group commit that
-// includes a record still pending, whose state byte would otherwise ride the
-// body flush.
+// a crash must not bring the record back committed. That includes a record
+// still pending, whose state byte would otherwise ride the body flush.
 func TestRefusedSettleStaysOffMedia(t *testing.T) {
-	for _, grouped := range []bool{true, false} {
-		p, dev, a, b := trackedPair(true, grouped)
-		p.Commit(mustAppend(t, p, 1, "durable", nil)) //nolint:errcheck
-		h := mustAppend(t, p, 1, "refused", []byte("x"))
-		dev.SetFaultPlan(fault.NewPlan(fault.Config{WriteErrRate: 1}))
-		if err := p.Commit(h); err == nil {
-			t.Fatalf("grouped=%v: commit on a failing device reported success", grouped)
-		}
-		dev.SetFaultPlan(nil)
-		if !h.Committed() || p.FindConflict([]byte("refused")) != nil {
-			t.Fatalf("grouped=%v: refused settle not applied in DRAM", grouped)
-		}
-		if err := dev.Crash(pmem.CrashDropDirty, 1); err != nil {
-			t.Fatal(err)
-		}
-		p2, err := RecoverPair(a, b, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if recs := collect(t, p2.Log(0), p2.Log(0).Tail()); len(recs) != 1 || string(recs[0].Name) != "durable" {
-			t.Fatalf("grouped=%v: recovered committed records %+v, want only the acknowledged one", grouped, recs)
-		}
+	p, dev, a, b := trackedPair(true)
+	p.Commit(mustAppend(t, p, 1, "durable", nil)) //nolint:errcheck
+	h := mustAppend(t, p, 1, "refused", []byte("x"))
+	dev.SetFaultPlan(fault.NewPlan(fault.Config{WriteErrRate: 1}))
+	if err := p.Commit(h); err == nil {
+		t.Fatal("commit on a failing device reported success")
+	}
+	dev.SetFaultPlan(nil)
+	if !h.Committed() || p.FindConflictIgnore([]byte("refused"), 0) != nil {
+		t.Fatal("refused settle not applied in DRAM")
+	}
+	if err := dev.Crash(pmem.CrashDropDirty, 1); err != nil {
+		t.Fatal(err)
+	}
+	p2, err := RecoverPair(a, b, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs := collect(t, p2.Log(0), p2.Log(0).Tail()); len(recs) != 1 || string(recs[0].Name) != "durable" {
+		t.Fatalf("recovered committed records %+v, want only the acknowledged one", recs)
 	}
 }

@@ -5,13 +5,19 @@
 //
 //	LSN | length | op | commit | name | params        (paper Fig. 3)
 //
-// and is written with the paper's atomicity protocol: all cache lines of the
-// record are flushed in *reverse* order and fenced, and only then is the LSN
-// — the first 8 bytes of the record — written and flushed. A record is valid
-// iff its LSN is non-zero and monotonically extends the log, so a torn append
-// is indistinguishable from "no record". An 8-byte zero guard is maintained
-// after the last record so a scan can never misparse stale bytes from a
-// previous log epoch.
+// and is made durable with the paper's atomicity protocol, the body before the
+// LSN: an append only stores the record's body in the log (it stays invisible,
+// its LSN word still zero), and the commit that settles it publishes the whole
+// pending suffix of the log at once — one span flush and a fence make every
+// pending body durable, and only then are the LSNs — the first 8 bytes of each
+// record — written and persisted behind a second fence (group commit). The
+// order of the flushes inside one fence carries no guarantee: a crash may
+// persist any subset of the lines flushed since the last fence, so the paper's
+// reverse-order flush buys nothing the fence does not. A record is valid iff
+// its LSN is non-zero and monotonically extends the log, so a torn publish is
+// indistinguishable from "no record". An 8-byte zero guard is maintained after
+// the last record so a scan can never misparse stale bytes from a previous log
+// epoch.
 //
 // Two fixed-size logs form a Pair: the active log receives appends while the
 // other is either empty or being replayed by a checkpoint (the archive). A
@@ -134,9 +140,9 @@ type RecordView struct {
 	Payload []byte
 }
 
-// pendingRec is one appended-but-unpublished record (group commit): its
-// body and guard are stored in the buffer but no flush, fence, or LSN write
-// has happened, so readRecord cannot see it yet.
+// pendingRec is one appended-but-unpublished record: its body and guard are
+// stored in the buffer but no flush, fence, or LSN write has happened, so
+// readRecord cannot see it yet.
 type pendingRec struct {
 	lsn   uint64
 	off   uint64
@@ -150,11 +156,10 @@ type Log struct {
 	tail uint64     // next append offset; guarded by mu
 	cur  uint64     // firstUncommitted cursor (advanced by settles and scans); guarded by mu
 
-	// pending lists records appended under group commit but not yet
-	// published. Invariant: the log is a published prefix followed by the
-	// pending suffix, and publishes happen strictly in offset (= LSN)
-	// order, so a scan stopping at the first invalid LSN sees exactly the
-	// published prefix. Guarded by mu.
+	// pending lists records appended but not yet published. Invariant: the
+	// log is a published prefix followed by the pending suffix, and publishes
+	// happen strictly in offset (= LSN) order, so a scan stopping at the
+	// first invalid LSN sees exactly the published prefix. Guarded by mu.
 	pending []pendingRec
 	// lsnLines is publish scratch (deduped LSN cache-line indices), retained
 	// to keep the publish path allocation-free. Guarded by mu.
@@ -337,7 +342,7 @@ type Pair struct {
 	// name hashing there would come back empty. See Quiet.
 	inflight [filterStripes]atomic.Int32
 
-	// gc is the group-commit combining state; see SetGroupCommit.
+	// gc is the group-commit combining state; see settle.
 	gc groupCommit
 }
 
@@ -377,10 +382,9 @@ func (p *Pair) Quiet(hash uint64) bool {
 	return p.inflight[filterStripe(hash)].Load() == 0
 }
 
-// GroupCommitConfig configures WAL group commit (SetGroupCommit).
+// GroupCommitConfig is the argument of SetGroupCommit, which ignores it.
 type GroupCommitConfig struct {
-	// Enabled turns the combining settle path on. Off, every Append and
-	// settle pays its own flush+fence sequence exactly as before.
+	// Enabled is ignored: group commit is the only commit path.
 	Enabled bool
 }
 
@@ -388,10 +392,6 @@ type GroupCommitConfig struct {
 // leader and publishes all pending records and settles itself and the whole
 // queue behind shared fences; one that finds a leader at work queues up.
 type groupCommit struct {
-	// enabled is set by SetGroupCommit before concurrent use and never
-	// changes afterwards.
-	enabled bool
-
 	// mu is leadership: held by the one active leader round. Committers
 	// only TryLock it — nobody blocks on it.
 	mu sync.Mutex
@@ -409,9 +409,9 @@ type groupCommit struct {
 	parked  atomic.Uint64 // committers settled by another goroutine's round
 }
 
-// SetGroupCommit installs the group-commit configuration. Install before
-// concurrent use of the pair (the field is read without synchronization).
-func (p *Pair) SetGroupCommit(cfg GroupCommitConfig) { p.gc.enabled = cfg.Enabled }
+// SetGroupCommit does nothing: every commit is a group commit. It stays for
+// the benchmark's WAL probe (benchmark/probes.go:255), which calls it.
+func (p *Pair) SetGroupCommit(GroupCommitConfig) {}
 
 // GroupCommitStats is a snapshot of the group-commit counters. Mean records
 // per batch is Records/Batches.
@@ -584,25 +584,17 @@ func (p *Pair) AppendIgnore(op uint16, name, payload []byte, ignore uint64) (*Ha
 		return nil, nil, ErrLogFull
 	}
 	lsn := p.lsn.Add(1)
-	if p.gc.enabled {
-		// Group commit: lay the record down without flush, fence, or LSN
-		// write. It stays invisible (and volatile) until a settle leader
-		// publishes the whole pending suffix behind one shared fence — the
-		// caller has not been acked, so losing it to a crash is exactly the
-		// no-record guarantee a torn append has.
-		if err := l.storeRecordLocked(off, op, StateUncommitted, name, payload, total); err != nil {
-			l.mu.Unlock()
-			return nil, nil, fmt.Errorf("wal: append failed: %w", err)
-		}
-		l.pending = append(l.pending, pendingRec{lsn: lsn, off: off, total: total})
-	} else if err := l.writeRecordLocked(off, lsn, op, StateUncommitted, name, payload, total); err != nil {
-		// The device rejected the append. The LSN word at off was never
-		// written (it is still the previous append's zero guard), so the log
-		// is unchanged: no torn record, tail stays. The burned LSN is
-		// harmless — LSNs need only be monotonic, not dense.
+	// Lay the record down without flush, fence, or LSN write. It stays
+	// invisible (and volatile) until a settle leader publishes the whole
+	// pending suffix behind one shared fence — the caller has not been acked,
+	// so losing it to a crash is exactly the no-record guarantee a torn
+	// append has. A rejected append leaves the log unchanged: tail stays, and
+	// the burned LSN is harmless — LSNs need only be monotonic, not dense.
+	if err := l.storeRecordLocked(off, op, StateUncommitted, name, payload, total); err != nil {
 		l.mu.Unlock()
 		return nil, nil, fmt.Errorf("wal: append failed: %w", err)
 	}
+	l.pending = append(l.pending, pendingRec{lsn: lsn, off: off, total: total})
 	l.tail = off + total
 	// Register the handle and raise the filter before l.mu is released: a
 	// scan that can see the record (scans hold l.mu) can then always resolve
@@ -651,52 +643,15 @@ func (l *Log) storeRecordLocked(off uint64, op uint16, state uint8, name, payloa
 	return nil
 }
 
-// writeRecordLocked performs the paper's §3.4 append protocol at off.
-// Caller holds l.mu and the record fits. The whole protocol counts as one
-// fallible media operation: on error nothing was made valid — the LSN word
-// at off still holds the previous append's zero guard, so a scan sees no
-// record (the same guarantee a torn append has).
-func (l *Log) writeRecordLocked(off, lsn uint64, op uint16, state uint8, name, payload []byte, total uint64) error {
-	sp := l.sp
-	if err := l.storeRecordLocked(off, op, state, name, payload, total); err != nil {
-		return err
-	}
-
-	// Flush the record body and guard, cache line by cache line in reverse
-	// order, then fence (§3.4). The last line's flush is hoisted out of the
-	// loop: it always runs (last >= first), and stating that unconditionally
-	// lets the persist-order checker see a flush on every path to the fence.
-	first := off / pmem.LineSize
-	last := (off + total + 8 - 1) / pmem.LineSize
-	sp.Flush(last*pmem.LineSize, pmem.LineSize)
-	for line := last; line > first; line-- {
-		sp.Flush((line-1)*pmem.LineSize, pmem.LineSize)
-	}
-	sp.Fence()
-
-	// Strict persist-order hook (runtime companion to the dstore-vet
-	// persist-order checker, armed only under tests): every cache line of
-	// the record body and guard must already be persistent before the LSN
-	// publish makes the record valid. A disarmed device returns nil.
-	if err := sp.CheckPersisted(off, total+8); err != nil {
-		return fmt.Errorf("wal: record publish at %d: %w", off, err)
-	}
-
-	// The record becomes valid only now: write and persist the LSN.
-	sp.PutU64(off+recLSN, lsn)
-	sp.Persist(off+recLSN, 8)
-	return nil
-}
-
-// publishPendingLocked publishes the whole pending suffix: one span flush
-// plus one fence make every pending body and guard durable, then — and only
-// then — the LSN words are written in offset order and persisted behind a
-// second fence. Strict-order hook and durability contract are the same as
-// the single-record protocol: an LSN is never written before every byte of
-// its record is persistent, so a crash anywhere in here recovers a
-// committed-prefix of the published records and nothing torn. Caller holds
-// l.mu. On error (a strict-mode violation) no LSN was written and the
-// records stay pending.
+// publishPendingLocked publishes the whole pending suffix — the §3.4
+// protocol, and the only code that writes a new record's LSN word: one span
+// flush plus one fence make every pending body and guard durable, then — and
+// only then — the LSN words are written in offset order and persisted behind
+// a second fence. An LSN is never written before every byte of its record is
+// persistent (the strict persist-order hook, armed only under tests, checks
+// it), so a crash anywhere in here recovers a prefix of the published records
+// and nothing torn. Caller holds l.mu. On error (a strict-mode violation) no
+// LSN was written and the records stay pending.
 func (l *Log) publishPendingLocked() error {
 	n := len(l.pending)
 	if n == 0 {
@@ -754,15 +709,11 @@ func (p *Pair) release(h *Handle) {
 	}
 }
 
-// FindConflict returns a handle for an uncommitted record naming name, if
-// any. Readers use it for read-write CC (§4.4).
-func (p *Pair) FindConflict(name []byte) *Handle {
-	return p.FindConflictIgnore(name, 0)
-}
-
-// FindConflictIgnore is FindConflict excluding one LSN (the requester's own
-// lock record). On a quiet filter stripe it returns without taking a lock;
-// otherwise the window scan gives the exact verdict.
+// FindConflictIgnore returns a handle for an uncommitted record naming name,
+// if any, excluding one LSN (the requester's own lock record; 0 excludes
+// nothing). Readers use it for read-write CC (§4.4). On a quiet filter stripe
+// it returns without taking a lock; otherwise the window scan gives the exact
+// verdict.
 func (p *Pair) FindConflictIgnore(name []byte, ignore uint64) *Handle {
 	if p.Quiet(NameHash(name)) {
 		return nil
@@ -808,59 +759,22 @@ func (p *Pair) Abort(h *Handle) error {
 	return p.settle(h, StateDead)
 }
 
-// settle is intentionally exempt from the persist-order checker: on the
-// device-fault path the state byte stays volatile by design (the store is
-// applied for CC visibility, durability is refused by the media), and
-// recovery resolves the record to dead — consistent with the error the
-// caller returns.
-//
-// A handle of another pair is refused before anything is stored or queued:
-// its offset names a byte in that pair's log, not in this one (a failover
-// leaves the retired primary's olocks behind; they are not the promoted
-// store's to settle).
-//
-//dstore:volatile
-func (p *Pair) settle(h *Handle, state uint8) error {
-	if h.pair != p {
-		return fmt.Errorf("wal: settle record %d: handle belongs to another log pair", h.lsn)
-	}
-	if p.gc.enabled {
-		return p.settleGrouped(h, state)
-	}
-	p.swapMu.RLock()
-	// The state byte is spun on by CC scans and shares cache lines with
-	// neighbouring records; serialize the store and its flush with other
-	// log mutations (on real hardware this is a relaxed atomic byte store
-	// plus clwb — cache coherence does the serialization).
-	h.log.mu.Lock()
-	// The store itself targets the cache and cannot fail; it is the flush
-	// to media that a faulty device rejects. Applying the volatile store
-	// unconditionally keeps conflict-window scans consistent (the record is
-	// settled for CC purposes) even when durability is lost.
-	h.log.sp.PutU8(h.off+recState, state)
-	err := h.log.sp.CheckFault(h.off+recState, 1)
-	if err == nil {
-		h.log.sp.Persist(h.off+recState, 1)
-	}
-	h.log.advanceCursorLocked() // appends on a quiet stripe do not scan; see publishAndSettleLocked
-	h.log.mu.Unlock()
-	p.release(h)
-	h.committed.Store(true) // release waiters; the handle is settled in DRAM
-	p.swapMu.RUnlock()
-	if err != nil {
-		return fmt.Errorf("wal: settle record %d: %w", h.lsn, err)
-	}
-	return nil
-}
-
-// settleGrouped is the group-commit settle. A committer that finds leadership
-// free takes it and settles itself together with whatever is already queued —
+// settle is the group-commit settle. A committer that finds leadership free
+// takes it and settles itself together with whatever is already queued —
 // alone, that is its own two fences and no hand-off. Only a committer that
 // finds a leader at work queues up; it then retries leadership between yields
 // until some round, its own included, has settled it, so a handle queued just
 // after a drain is never stranded. Nobody waits for company that has not
 // arrived: a batch is what queued while the previous round was fencing.
-func (p *Pair) settleGrouped(h *Handle, state uint8) error {
+//
+// A handle of another pair is refused before anything is stored or queued:
+// its offset names a byte in that pair's log, not in this one (a failover
+// leaves the retired primary's olocks behind; they are not the promoted
+// store's to settle).
+func (p *Pair) settle(h *Handle, state uint8) error {
+	if h.pair != p {
+		return fmt.Errorf("wal: settle record %d: handle belongs to another log pair", h.lsn)
+	}
 	h.settleState, h.settleErr = state, nil
 	gc := &p.gc
 	if !p.tryLead(h) {
@@ -929,10 +843,10 @@ func (p *Pair) runLeaderLocked(self *Handle) {
 // settled after the publish: state bytes stored, their deduped cache lines
 // flushed behind one more shared fence.
 //
-// Exempt from the persist-order checker like settle: a state byte the device
-// refuses (CheckFault), or any after a failed publish, is stored after the
-// publish and left volatile by design — scans see the record settled,
-// recovery resolves it to dead, consistent with the error the committer gets.
+// Exempt from the persist-order checker: a state byte the device refuses
+// (CheckFault), or any after a failed publish, is stored after the publish
+// and left volatile by design — scans see the record settled, recovery
+// resolves it to dead, consistent with the error the committer gets.
 //
 //dstore:volatile
 func (p *Pair) publishAndSettleLocked(batch []*Handle) {
@@ -1030,9 +944,9 @@ func (p *Pair) Swap(persistRoot func(newActive, archived int, replayEnd uint64))
 	nl := p.logs[newIdx]
 
 	old.mu.Lock()
-	// Publish any group-commit pending suffix first: the migration scan
-	// below walks published records only, so an unpublished record would
-	// silently vanish from the new log.
+	// Publish the pending suffix first: the migration scan below walks
+	// published records only, so an unpublished record would silently vanish
+	// from the new log.
 	if err := old.publishPendingLocked(); err != nil {
 		old.mu.Unlock()
 		return SwapResult{}, fmt.Errorf("wal: swap publish: %w", err)
@@ -1110,11 +1024,4 @@ func (p *Pair) Swap(persistRoot func(newActive, archived int, replayEnd uint64))
 	}
 	p.active = newIdx
 	return res, nil
-}
-
-// AppendNoop appends the paper's NOOP record used by olock (§4.5): it
-// conflicts like a write but replays as nothing. Equivalent to Append with
-// the given op code; provided for readability at call sites.
-func (p *Pair) AppendNoop(op uint16, name []byte) (*Handle, *Handle, error) {
-	return p.Append(op, name, nil)
 }

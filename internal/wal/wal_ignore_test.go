@@ -4,7 +4,7 @@ import "testing"
 
 func TestAppendIgnoreSkipsOwnLock(t *testing.T) {
 	p, _ := newTestPair(t)
-	lock, _, err := p.AppendNoop(99, []byte("obj"))
+	lock, _, err := p.Append(99, []byte("obj"), nil)
 	if err != nil || lock == nil {
 		t.Fatalf("lock append: %v", err)
 	}
@@ -32,7 +32,7 @@ func TestAppendIgnoreSkipsOwnLock(t *testing.T) {
 
 func TestFindConflictIgnore(t *testing.T) {
 	p, _ := newTestPair(t)
-	lock, _, _ := p.AppendNoop(99, []byte("obj"))
+	lock, _, _ := p.Append(99, []byte("obj"), nil)
 	if c := p.FindConflictIgnore([]byte("obj"), lock.LSN()); c != nil {
 		t.Fatal("holder's read saw its own lock as a conflict")
 	}
@@ -44,7 +44,7 @@ func TestFindConflictIgnore(t *testing.T) {
 
 func TestIgnoreOnlyAffectsThatLSN(t *testing.T) {
 	p, _ := newTestPair(t)
-	lock, _, _ := p.AppendNoop(99, []byte("obj"))
+	lock, _, _ := p.Append(99, []byte("obj"), nil)
 	other := mustAppend(t, p, 1, "other", nil)
 	// Ignoring the lock must not hide a real conflicting write.
 	w := mustAppend(t, p, 1, "obj2", nil)

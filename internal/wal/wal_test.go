@@ -102,21 +102,21 @@ func TestNoConflictAcrossDistinctObjects(t *testing.T) {
 func TestFindConflictForReaders(t *testing.T) {
 	p, _ := newTestPair(t)
 	h := mustAppend(t, p, 1, "obj", nil)
-	if c := p.FindConflict([]byte("obj")); c == nil || c.LSN() != h.LSN() {
+	if c := p.FindConflictIgnore([]byte("obj"), 0); c == nil || c.LSN() != h.LSN() {
 		t.Fatal("reader did not find uncommitted writer")
 	}
-	if c := p.FindConflict([]byte("other")); c != nil {
+	if c := p.FindConflictIgnore([]byte("other"), 0); c != nil {
 		t.Fatal("phantom conflict")
 	}
 	p.Commit(h)
-	if c := p.FindConflict([]byte("obj")); c != nil {
+	if c := p.FindConflictIgnore([]byte("obj"), 0); c != nil {
 		t.Fatal("conflict after commit")
 	}
 }
 
 func TestNoopLockConflicts(t *testing.T) {
 	p, _ := newTestPair(t)
-	lockH, _, err := p.AppendNoop(99, []byte("locked"))
+	lockH, _, err := p.Append(99, []byte("locked"), nil)
 	if err != nil || lockH == nil {
 		t.Fatalf("noop append: %v", err)
 	}
@@ -137,7 +137,7 @@ func TestAbortReleasesWaiters(t *testing.T) {
 		t.Fatal("abort did not settle the handle")
 	}
 	// Aborted records are dead: not replayed, no conflicts.
-	if c := p.FindConflict([]byte("obj")); c != nil {
+	if c := p.FindConflictIgnore([]byte("obj"), 0); c != nil {
 		t.Fatal("dead record conflicts")
 	}
 	if got := collect(t, p.Active(), p.Active().Tail()); len(got) != 0 {
