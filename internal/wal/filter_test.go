@@ -55,43 +55,46 @@ func sameStripe(t *testing.T, name string) string {
 }
 
 func TestFilterTracksUnsettledRecords(t *testing.T) {
-	p, dev := newTestPair(t)
-	wantFilter(t, p, "fresh pair", "a", 0)
+	// Group commit is the only commit path.
+	t.Run("grouped=true", func(t *testing.T) {
+		p, dev := newTestPair(t)
+		wantFilter(t, p, "fresh pair", "a", 0)
 
-	a := mustAppend(t, p, 1, "a", nil)
-	wantFilter(t, p, "appended", "a", 1)
-	if err := p.Commit(a); err != nil {
-		t.Fatal(err)
-	}
-	wantFilter(t, p, "committed", "a", 0)
+		a := mustAppend(t, p, 1, "a", nil)
+		wantFilter(t, p, "appended", "a", 1)
+		if err := p.Commit(a); err != nil {
+			t.Fatal(err)
+		}
+		wantFilter(t, p, "committed", "a", 0)
 
-	b := mustAppend(t, p, 1, "b", nil)
-	wantFilter(t, p, "appended", "b", 1)
-	if err := p.Abort(b); err != nil {
-		t.Fatal(err)
-	}
-	wantFilter(t, p, "aborted", "b", 0)
+		b := mustAppend(t, p, 1, "b", nil)
+		wantFilter(t, p, "appended", "b", 1)
+		if err := p.Abort(b); err != nil {
+			t.Fatal(err)
+		}
+		wantFilter(t, p, "aborted", "b", 0)
 
-	// An append the device rejects lays nothing down and raises nothing.
-	dev.SetFaultPlan(fault.NewPlan(fault.Config{WriteErrRate: 1}))
-	if _, _, err := p.Append(1, []byte("rejected"), nil); err == nil {
-		t.Fatal("append on a failing device succeeded")
-	}
-	dev.SetFaultPlan(nil)
-	wantFilter(t, p, "rejected append", "rejected", 0)
+		// An append the device rejects lays nothing down and raises nothing.
+		dev.SetFaultPlan(fault.NewPlan(fault.Config{WriteErrRate: 1}))
+		if _, _, err := p.Append(1, []byte("rejected"), nil); err == nil {
+			t.Fatal("append on a failing device succeeded")
+		}
+		dev.SetFaultPlan(nil)
+		wantFilter(t, p, "rejected append", "rejected", 0)
 
-	// A settle that hits a device fault still settles the handle in DRAM:
-	// waiters are released and the stripe is lowered.
-	c := mustAppend(t, p, 1, "c", nil)
-	dev.SetFaultPlan(fault.NewPlan(fault.Config{WriteErrRate: 1}))
-	if err := p.Commit(c); err == nil {
-		t.Fatal("commit on a failing device reported success")
-	}
-	dev.SetFaultPlan(nil)
-	if !c.Committed() {
-		t.Fatal("faulted settle left waiters spinning")
-	}
-	wantFilter(t, p, "faulted settle", "c", 0)
+		// A settle that hits a device fault still settles the handle in DRAM:
+		// waiters are released and the stripe is lowered.
+		c := mustAppend(t, p, 1, "c", nil)
+		dev.SetFaultPlan(fault.NewPlan(fault.Config{WriteErrRate: 1}))
+		if err := p.Commit(c); err == nil {
+			t.Fatal("commit on a failing device reported success")
+		}
+		dev.SetFaultPlan(nil)
+		if !c.Committed() {
+			t.Fatal("faulted settle left waiters spinning")
+		}
+		wantFilter(t, p, "faulted settle", "c", 0)
+	})
 }
 
 // A group-commit batch: every record is in the filter from its (store-only)
