@@ -144,10 +144,14 @@ func TestWriteNeverEvicts(t *testing.T) {
 	if cs.Evictions != 0 || cs.Bytes != 64<<10 {
 		t.Fatalf("loading 64 blocks through a 16-block cache: %+v, want it full and nothing evicted", cs)
 	}
-	// Readers make it theirs: the misses evict.
-	for i := 0; i < keys; i++ {
-		if _, err := ctx.Get(key(i), nil); err != nil {
-			t.Fatal(err)
+	// Readers make it theirs: a key read twice, the first time a miss,
+	// displaces a block a write left that nobody has read. (Last keys first:
+	// the first sixteen are the residents.)
+	for i := keys - 1; i >= 0; i-- {
+		for r := 0; r < 2; r++ {
+			if _, err := ctx.Get(key(i), nil); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	before := s.CacheStats()

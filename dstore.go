@@ -388,10 +388,6 @@ func Open(cfg Config) (*Store, error) {
 		s.eng.Close()
 		return nil, err
 	}
-	// Recovery replay may have rewritten any block's content or ownership;
-	// the cache starts this incarnation empty (it was just constructed, but
-	// the reset makes the invariant explicit rather than incidental).
-	s.bcache.Reset()
 	return s, nil
 }
 

@@ -13,9 +13,8 @@ import (
 // working set. A hit serves the block from DRAM — no simulated NVMe read, no
 // CRC re-verification — so the read-side win is bounded only by the hit
 // ratio. YCSB-C (100% read) is the ceiling; YCSB-B (95/5) and YCSB-A (50/50)
-// show what updates do to it: the cache is write-through, so at the resident
-// size an update costs the readers nothing, and under capacity pressure a
-// write publishes only into room nobody uses.
+// show what updates do to it: the cache is write-through, so an update's block
+// takes the room its old version left, and costs the readers nothing.
 
 // Cache regenerates the block-cache comparison: YCSB-A, -B and -C read
 // throughput, read latency, and hit ratio as the DRAM cache grows: off, a
@@ -88,8 +87,8 @@ func Cache(o Options) ([]*Table, error) {
 	if t.Num(3*len(sizes)-1, "read_speedup_vs_off") > 0 {
 		t.Note("%dMB cache: %s", largest, strings.Join(headline, ", "))
 	}
-	t.Note("working set %.0fMB: the %dMB point is fully resident after warmup; the 8MB point measures CLOCK under capacity pressure",
+	t.Note("working set %.0fMB: the %dMB point is fully resident after warmup; the 8MB point measures CLOCK with frequency admission under capacity pressure",
 		workingSetMB, largest)
-	t.Note("expected shape: hit ratio near 100%% for all three at the resident size (an update publishes the block it wrote, so the read after it hits); under pressure YCSB-C > YCSB-B > YCSB-A (a write never evicts, so an updated block that finds no room is the next reader's miss); hits skip both the simulated NVMe read and CRC verification")
+	t.Note("expected shape: hit ratio near 100%% for all three at the resident size (an update publishes the block it wrote, so the read after it hits); under pressure YCSB-C > YCSB-B > YCSB-A (an updated block is cached only where its old version was, and a one-off miss evicts nothing, so a rewritten block that was out stays out until it is read more than a resident); hits skip both the simulated NVMe read and CRC verification")
 	return []*Table{t}, nil
 }

@@ -1,19 +1,18 @@
-// Package cache implements a sharded, fixed-capacity DRAM block cache for
-// the store's hot read path. Entries are SSD block spans keyed by block id and
-// tagged with the block's recorded CRC32C, so a hit can skip both the device
-// read and the checksum re-verification; eviction is CLOCK second-chance
-// within each shard.
+// Package cache implements a sharded DRAM block cache for the store's hot read
+// path. Entries are SSD block spans keyed by block id and tagged with the
+// block's recorded CRC32C, so a hit can skip both the device read and the
+// checksum re-verification. Each shard has its own lock, index and CLOCK ring;
+// room is one byte budget for the whole cache.
 //
-// The cache is write-through. It has two ways in: Insert, from a read that
+// The cache is write-through, with two ways in: Insert, from a read that
 // missed and verified the span it read from the device, and Publish, from the
-// write that just put the span on the device and computed the checksum the
-// metadata will record — so a read after an update is a hit. The two differ in
-// one rule: Insert makes room by running the CLOCK hand, Publish never does. A
-// write takes room its block's shard has free — what the Invalidate of a
-// displaced version left there, or what nobody has used yet — or stays out: a
-// cache that holds the working set stays fully resident across updates, and
-// under one that does not a burst of writes cannot push out what the readers
-// are hitting.
+// write that just put the span on the device and computed its checksum, so a
+// read after an update is a hit. Publish never displaces anything: it takes
+// room the cache has free — what the Invalidate of the displaced version left,
+// in whatever shard — or stays out. An Insert into a full cache displaces the
+// CLOCK victim only if its block was read strictly more often, by a per-shard
+// count-min sketch of recent reads (TinyLFU): a one-off miss never evicts a
+// block readers keep coming back to.
 //
 // The cache holds volatile DRAM state only — it never persists anything and
 // never must: coherence comes from the store invalidating every block id a
@@ -23,11 +22,14 @@
 // content).
 package cache
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
-// shardTargetBytes is the per-shard capacity the shard count aims for; the
-// count is the largest power of two (capped at maxShards) keeping shards at
-// least this big, so tiny caches don't fragment into useless slivers.
+// shardTargetBytes is the share of the budget the shard count aims for; the
+// count is the largest power of two (capped at maxShards) keeping shares at
+// least this big, so a tiny cache is not split into locks nobody contends for.
 const (
 	shardTargetBytes = 256 << 10
 	maxShards        = 16
@@ -43,8 +45,7 @@ type Stats struct {
 	// Invalidations counts entries removed by explicit Invalidate calls (the
 	// versions updates and deletes displaced).
 	Invalidations uint64
-	// Bytes is the current cached payload total; Capacity the configured
-	// budget.
+	// Bytes is the cached payload total; Capacity the budget.
 	Bytes, Capacity uint64
 }
 
@@ -53,6 +54,17 @@ type Stats struct {
 type Cache struct {
 	shards []shard
 	mask   uint64
+	_      [64]byte // keeps the line every call reads clear of what puts write
+	// bytes is what all shards hold together. A put reserves its length in it
+	// before linking its entry, so it passes capacity only while Resize shrinks.
+	capacity, bytes atomic.Uint64
+	// spares are the buffers of the last maxShards entries removed, in any
+	// shard. Get copies out, so a new entry takes over one that fits: a
+	// cross-shard publish allocates nothing. Outside the budget; sparesMu nests
+	// in a shard's mu.
+	sparesMu  sync.Mutex
+	spares    [maxShards][]byte
+	nextSpare int
 }
 
 type entry struct {
@@ -63,26 +75,18 @@ type entry struct {
 }
 
 type shard struct {
-	mu       sync.Mutex
-	capacity uint64
-	bytes    uint64
-	index    map[uint64]int // block id -> ring slot
-	ring     []entry        // CLOCK ring; grows up to the byte budget
-	free     []int          // recycled ring slots
-	hand     int
-	// spare is the buffer of the entry removed last. Get copies out and no
-	// caller ever holds an entry's data, so the next entry it fits takes it
-	// over instead of allocating and zeroing its own: replacing a block's
-	// entry, or evicting for one of the same size, allocates nothing. One per
-	// shard, outside the byte budget.
-	spare []byte
+	mu    sync.Mutex
+	index map[uint64]int // block id -> ring slot
+	ring  []entry        // CLOCK ring; as long as the most entries it held
+	free  []int          // recycled ring slots
+	hand  int
+	reads sketch
 
 	hits, misses, evictions, invalidations uint64
 }
 
-// New creates a cache with the given total byte capacity, split evenly
-// across a power-of-two number of shards. A zero capacity returns nil (the
-// always-miss cache).
+// New creates a cache with the given total byte capacity over a power-of-two
+// number of shards. A zero capacity returns nil (the always-miss cache).
 func New(capacity uint64) *Cache {
 	if capacity == 0 {
 		return nil
@@ -92,13 +96,10 @@ func New(capacity uint64) *Cache {
 		n *= 2
 	}
 	c := &Cache{shards: make([]shard, n), mask: uint64(n - 1)}
-	per := capacity / uint64(n)
-	if per == 0 {
-		per = 1
-	}
+	c.capacity.Store(capacity)
 	for i := range c.shards {
-		c.shards[i].capacity = per
 		c.shards[i].index = make(map[uint64]int)
+		c.shards[i].reads = sketch{counts: make([]uint8, 4*64), sample: 20}
 	}
 	return c
 }
@@ -115,7 +116,7 @@ func (c *Cache) shardFor(block uint64) *shard {
 // span length equals len(dst) — both must match the caller's current
 // metadata, so stale entries (a block reallocated and rewritten, or a span
 // regrown by extend) can never satisfy the read. A tag mismatch drops the
-// stale entry on the spot.
+// stale entry on the spot. Hit or miss, the read counts toward block's sketch.
 func (c *Cache) Get(block uint64, sum uint32, dst []byte) bool {
 	if c == nil {
 		return false
@@ -123,8 +124,8 @@ func (c *Cache) Get(block uint64, sum uint32, dst []byte) bool {
 	sh := c.shardFor(block)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	i, ok := sh.index[block]
-	if ok {
+	sh.reads.add(block)
+	if i, ok := sh.index[block]; ok {
 		e := &sh.ring[i]
 		if e.sum == sum && len(e.data) == len(dst) {
 			copy(dst, e.data)
@@ -132,7 +133,7 @@ func (c *Cache) Get(block uint64, sum uint32, dst []byte) bool {
 			sh.hits++
 			return true
 		}
-		sh.drop(i) // stale: the block's content moved on under this entry
+		c.drop(sh, i) // stale: the block's content moved on under this entry
 	}
 	sh.misses++
 	return false
@@ -140,8 +141,8 @@ func (c *Cache) Get(block uint64, sum uint32, dst []byte) bool {
 
 // Insert caches a copy of data (one verified block span) under block, tagged
 // with its recorded checksum — the read-miss way in. An existing entry for the
-// block is replaced, and CLOCK evicts until the span fits; a span beyond a
-// shard's whole budget is not cached.
+// block is replaced; in a full cache each CLOCK victim goes only if block was
+// read strictly more often, or the span stays out, as does one over budget.
 func (c *Cache) Insert(block uint64, sum uint32, data []byte) {
 	c.put(block, sum, data, true)
 }
@@ -149,13 +150,13 @@ func (c *Cache) Insert(block uint64, sum uint32, data []byte) {
 // Publish is the write-side way in: the caller has just written data to block
 // and sum is the checksum its metadata records for it. An existing entry for
 // the block is replaced, as in Insert, but nothing is evicted to make room: a
-// span that does not fit what the shard has free is left out — Publish
+// span that does not fit what the cache has free is left out — Publish
 // reports false and the block is uncached, for the next read miss to Insert.
 func (c *Cache) Publish(block uint64, sum uint32, data []byte) bool {
 	return c.put(block, sum, data, false)
 }
 
-func (c *Cache) put(block uint64, sum uint32, data []byte, evict bool) bool {
+func (c *Cache) put(block uint64, sum uint32, data []byte, admit bool) bool {
 	if c == nil {
 		return false
 	}
@@ -163,73 +164,92 @@ func (c *Cache) put(block uint64, sum uint32, data []byte, evict bool) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if i, ok := sh.index[block]; ok {
-		sh.drop(i)
+		c.drop(sh, i)
 	}
 	n := uint64(len(data))
-	if n == 0 || n > sh.capacity || (!evict && sh.bytes+n > sh.capacity) {
+	if n == 0 || n > c.capacity.Load() {
 		return false
 	}
-	for sh.bytes+n > sh.capacity {
-		sh.evictOne()
+	for !c.reserve(n) {
+		if !admit || len(sh.index) == 0 {
+			return false
+		}
+		v := sh.victim()
+		if sh.reads.estimate(block) <= sh.reads.estimate(sh.ring[v].block) {
+			return false // ties reject: the resident is as wanted as the newcomer
+		}
+		c.evict(sh, v)
 	}
-	// Take over the spare buffer unless it is less than half used: bytes
-	// counts lengths, and capacity nobody reads should not hide behind them.
-	buf := sh.spare
-	if cap(buf) >= len(data) && cap(buf) <= 2*len(data) {
-		buf, sh.spare = buf[:len(data)], nil
-	} else {
-		buf = make([]byte, len(data))
-	}
-	copy(buf, data)
 	i := len(sh.ring)
 	if k := len(sh.free); k > 0 {
 		i = sh.free[k-1]
 		sh.free = sh.free[:k-1]
 	} else {
 		sh.ring = append(sh.ring, entry{})
+		sh.reads.fit(len(sh.ring))
 	}
-	sh.ring[i] = entry{block: block, sum: sum, data: buf}
+	sh.ring[i] = entry{block: block, sum: sum, data: c.buffer(data)}
 	sh.index[block] = i
-	sh.bytes += n
 	return true
 }
 
-// evictOne runs the CLOCK hand until it reclaims one entry: referenced
-// entries get their second chance (ref cleared, hand moves on), unreferenced
-// ones are evicted. Caller holds sh.mu and guarantees at least one live
-// entry (bytes > 0 whenever the caller's loop runs, since every live byte
-// belongs to some ring entry).
-func (sh *shard) evictOne() {
-	for {
-		if sh.hand >= len(sh.ring) {
-			sh.hand = 0
+// reserve takes n bytes of the budget, or reports that they are not free.
+func (c *Cache) reserve(n uint64) bool {
+	for b := c.bytes.Load(); b+n <= c.capacity.Load(); b = c.bytes.Load() {
+		if c.bytes.CompareAndSwap(b, b+n) {
+			return true
 		}
+	}
+	return false
+}
+
+// victim runs the CLOCK hand to the first unreferenced entry, clearing the ref
+// of each one it passes (its second chance), and returns its slot; a refused
+// miss leaves the hand, and the victim, for the next. Caller holds sh.mu.
+func (sh *shard) victim() int {
+	for ; ; sh.hand = (sh.hand + 1) % len(sh.ring) {
 		e := &sh.ring[sh.hand]
-		if e.data == nil {
-			sh.hand++
-			continue
+		if e.data != nil && !e.ref {
+			return sh.hand
 		}
-		if e.ref {
-			e.ref = false
-			sh.hand++
-			continue
-		}
-		sh.drop(sh.hand)
-		sh.evictions++
-		sh.hand++
-		return
+		e.ref = false
 	}
 }
 
-// drop removes ring slot i, keeping its buffer as the shard's spare. Caller
-// holds sh.mu.
-func (sh *shard) drop(i int) {
+// evict removes the victim in slot i and moves the hand past it.
+func (c *Cache) evict(sh *shard, i int) {
+	c.drop(sh, i)
+	sh.evictions++
+	sh.hand = (i + 1) % len(sh.ring)
+}
+
+// drop removes ring slot i, keeping its buffer as a spare. Caller holds sh.mu.
+func (c *Cache) drop(sh *shard, i int) {
 	e := &sh.ring[i]
 	delete(sh.index, e.block)
-	sh.bytes -= uint64(len(e.data))
-	sh.spare = e.data
+	c.bytes.Add(-uint64(len(e.data)))
+	c.sparesMu.Lock()
+	c.spares[c.nextSpare%len(c.spares)] = e.data
+	c.nextSpare++
+	c.sparesMu.Unlock()
 	sh.ring[i] = entry{}
 	sh.free = append(sh.free, i)
+}
+
+// buffer returns a copy of data in a spare that fits it — unless the spare
+// would be less than half used: bytes counts lengths, and capacity nobody
+// reads should not hide behind them — or in a new slice.
+func (c *Cache) buffer(data []byte) []byte {
+	var buf []byte
+	c.sparesMu.Lock()
+	for i, b := range c.spares {
+		if cap(b) >= len(data) && cap(b) <= 2*len(data) {
+			buf, c.spares[i] = b[:0], nil
+			break
+		}
+	}
+	c.sparesMu.Unlock()
+	return append(buf, data...)
 }
 
 // Invalidate removes block's entry, if cached. This is the coherence hook:
@@ -242,55 +262,27 @@ func (c *Cache) Invalidate(block uint64) {
 	sh := c.shardFor(block)
 	sh.mu.Lock()
 	if i, ok := sh.index[block]; ok {
-		sh.drop(i)
+		c.drop(sh, i)
 		sh.invalidations++
 	}
 	sh.mu.Unlock()
 }
 
-// Reset drops every entry (counters survive). Open calls it after recovery
-// replay: the cache is freshly constructed and therefore already empty, but
-// the reset makes "recovery invalidates everything" explicit rather than
-// incidental.
-func (c *Cache) Reset() {
-	if c == nil {
-		return
-	}
-	for s := range c.shards {
-		sh := &c.shards[s]
-		sh.mu.Lock()
-		for i := range sh.ring {
-			if sh.ring[i].data != nil {
-				sh.drop(i)
-				sh.invalidations++
-			}
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// Resize changes the total byte capacity, split evenly across the existing
-// shards (the shard count is fixed at New). Shrinking evicts immediately via
-// CLOCK so the cache never holds more than the new budget; growing takes
-// effect lazily as inserts arrive. A zero capacity clamps each shard to one
-// byte (effectively empty) rather than tearing the cache down — callers that
-// want no cache at all use a nil *Cache. The store's shard rebalance uses
-// Resize after AddShard/RemoveShard so the aggregate DRAM budget tracks the
-// live member count instead of the Format-time split.
+// Resize changes the byte budget. Shrinking evicts at once, by CLOCK, one entry
+// per shard in turn until the cache fits; growing takes effect as entries
+// arrive. Zero clamps to one byte (effectively empty; no cache is a nil *Cache).
+// The store's shard rebalance resizes after AddShard/RemoveShard so the DRAM
+// budget tracks the live member count instead of the Format-time split.
 func (c *Cache) Resize(capacity uint64) {
 	if c == nil {
 		return
 	}
-	per := capacity / uint64(len(c.shards))
-	if per == 0 {
-		per = 1
-	}
-	for s := range c.shards {
-		sh := &c.shards[s]
+	c.capacity.Store(max(capacity, 1))
+	for s := 0; c.bytes.Load() > c.capacity.Load(); s++ {
+		sh := &c.shards[s%len(c.shards)]
 		sh.mu.Lock()
-		sh.capacity = per
-		for sh.bytes > sh.capacity {
-			sh.evictOne()
+		if len(sh.index) > 0 {
+			c.evict(sh, sh.victim())
 		}
 		sh.mu.Unlock()
 	}
@@ -309,17 +301,65 @@ func (c *Cache) Stats() Stats {
 		st.Misses += sh.misses
 		st.Evictions += sh.evictions
 		st.Invalidations += sh.invalidations
-		st.Bytes += sh.bytes
-		st.Capacity += sh.capacity
 		sh.mu.Unlock()
 	}
+	st.Bytes, st.Capacity = c.bytes.Load(), c.capacity.Load()
 	return st
 }
 
-// Shards returns the shard count (for tests and sizing introspection).
-func (c *Cache) Shards() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.shards)
+// sketch estimates how often each block was read lately (TinyLFU): a
+// count-min sketch whose four rows are interleaved in 64-byte blocks, so a
+// block id's four counters share one cache line. Counters saturate at 15;
+// each row has four per shard entry, and after twenty reads per entry every
+// counter is halved, so old popularity fades.
+type sketch struct {
+	counts        []uint8 // a power-of-two count of 64-byte blocks
+	reads, sample int
 }
+
+// fit sizes the sketch for a shard of the given entry count. Doubling appends
+// a copy of every block, so each new block starts as the one it split from and
+// no estimate drops.
+func (f *sketch) fit(entries int) {
+	f.sample = 20 * entries
+	for len(f.counts) < 16*entries {
+		f.counts = append(f.counts, f.counts...)
+	}
+}
+
+// counters returns block's four counters: a mix of the block id (splitmix64's
+// finalizer) picks a 64-byte block by its low bits and, by four more bits
+// each, one counter in each 16-byte quarter of it.
+func (f *sketch) counters(block uint64) [4]*uint8 {
+	h := (block ^ block>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	h ^= h >> 31
+	line := f.counts[64*(h&uint64(len(f.counts)/64-1)):][:64]
+	var ps [4]*uint8
+	for r := range ps {
+		ps[r] = &line[16*r+int(h>>(32+4*r)&15)]
+	}
+	return ps
+}
+
+// add counts a read of block, raising only the counters at its estimate
+// (conservative update), and halves them all once a sample is complete.
+func (f *sketch) add(block uint64) {
+	ps := f.counters(block)
+	n := least(ps)
+	for _, p := range ps {
+		if *p == n && n < 15 {
+			*p++
+		}
+	}
+	if f.reads++; f.reads >= f.sample {
+		for i := range f.counts {
+			f.counts[i] >>= 1
+		}
+		f.reads /= 2
+	}
+}
+
+func (f *sketch) estimate(block uint64) uint8 { return least(f.counters(block)) }
+
+func least(ps [4]*uint8) uint8 { return min(*ps[0], *ps[1], *ps[2], *ps[3]) }

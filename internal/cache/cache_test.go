@@ -25,7 +25,7 @@ func TestNilCacheAlwaysMisses(t *testing.T) {
 		t.Fatal("nil cache accepted a publish")
 	}
 	c.Invalidate(1)
-	c.Reset()
+	c.Resize(1)
 	if st := c.Stats(); st != (Stats{}) {
 		t.Fatalf("nil cache stats = %+v", st)
 	}
@@ -85,10 +85,16 @@ func TestInvalidate(t *testing.T) {
 
 func TestCapacityBoundAndEviction(t *testing.T) {
 	c := New(16 << 10) // small: single shard of 16 KiB
-	if c.Shards() != 1 {
-		t.Fatalf("shards = %d, want 1 for a 16KiB cache", c.Shards())
+	if len(c.shards) != 1 {
+		t.Fatalf("shards = %d, want 1 for a 16KiB cache", len(c.shards))
 	}
+	// Each block is the miss of a read, and each group of 16 was read once more
+	// than the group before it: every insert past the first 16 is read more
+	// often than the victim it finds.
 	for i := 0; i < 64; i++ {
+		for r := 0; r <= i/16; r++ {
+			c.Get(uint64(i), uint32(i+1), make([]byte, 1024))
+		}
 		c.Insert(uint64(i), uint32(i+1), block(1024, byte(i)))
 	}
 	st := c.Stats()
@@ -113,9 +119,16 @@ func TestClockSecondChance(t *testing.T) {
 	if !c.Get(0, 1, make([]byte, 1024)) {
 		t.Fatal("warm entry missing")
 	}
-	// Insert one more: CLOCK should give block 0 its second chance and evict
-	// the first unreferenced entry (block 1) instead.
+	// A read of block 4 misses and inserts it: read once, it is wanted more
+	// than blocks 1-3, which nobody read. CLOCK should give block 0 its second
+	// chance and evict the first unreferenced entry (block 1) instead.
+	if c.Get(4, 1, make([]byte, 1024)) {
+		t.Fatal("block 4 hit before its insert")
+	}
 	c.Insert(4, 1, block(1024, 4))
+	if !c.Get(4, 1, make([]byte, 1024)) {
+		t.Fatal("a miss read more often than the victim was not admitted")
+	}
 	if !c.Get(0, 1, make([]byte, 1024)) {
 		t.Fatal("referenced entry was evicted despite its second chance")
 	}
@@ -194,12 +207,14 @@ func TestPublishNeverEvicts(t *testing.T) {
 	}
 }
 
-// Get copies out, so a removed entry's buffer is free to carry the next one:
-// replacing a block at the same length, and evicting for a span of the same
-// size, allocate nothing.
+// Get copies out, so a removed entry's buffer is free to carry the next one in
+// any shard: replacing a block at the same length, evicting for a span of the
+// same size, and publishing into the room an invalidate left in another shard
+// allocate nothing.
 func TestBuffersAreRecycled(t *testing.T) {
-	c := New(4 << 10) // one shard, room for 4 x 1KiB
+	c := New(1 << 20) // four shards, room for 1024 x 1KiB
 	data := block(1024, 1)
+	dst := make([]byte, 1024)
 	c.Publish(1, 1, data)
 	sum := uint32(1)
 	if n := testing.AllocsPerRun(100, func() {
@@ -214,28 +229,137 @@ func TestBuffersAreRecycled(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("insert over the block's own entry: %v allocs, want 0", n)
 	}
-	for i := 2; i < 5; i++ {
-		c.Insert(uint64(i), 1, data)
+	// Fill with blocks nobody has read: the miss of a read is read more often
+	// than any of them, so every insert below evicts one.
+	for b := uint64(2); c.Publish(b, 1, data); b++ {
 	}
-	next := uint64(5)
+	next := uint64(1 << 20)
 	if n := testing.AllocsPerRun(100, func() {
-		c.Insert(next, 1, data) // full: every insert evicts one
+		c.Get(next, 1, dst)
+		c.Insert(next, 1, data)
 		next++
 	}); n != 0 {
 		t.Errorf("insert after evict at equal length: %v allocs, want 0", n)
 	}
-	if st := c.Stats(); st.Evictions < 100 || st.Bytes != 4096 {
+	st := c.Stats()
+	if st.Evictions < 100 || st.Bytes != 1<<20 {
 		t.Fatalf("evictions = %d, bytes = %d", st.Evictions, st.Bytes)
 	}
+	// x is resident and y is not, in another shard: each round moves the room
+	// x held to y, then swaps them.
+	x, y := next-1, next
+	for c.shardFor(y) == c.shardFor(x) {
+		y++
+	}
+	landed := 0
+	if n := testing.AllocsPerRun(100, func() {
+		c.Invalidate(x)
+		if c.Publish(y, 1, data) {
+			landed++
+		}
+		x, y = y, x
+	}); n != 0 {
+		t.Errorf("publish after a cross-shard invalidate: %v allocs, want 0", n)
+	}
+	if after := c.Stats(); landed != 101 || after.Evictions != st.Evictions || after.Bytes != 1<<20 {
+		t.Fatalf("%d of 101 cross-shard publishes landed; %+v", landed, after)
+	}
 	// A recycled buffer must not leak its previous content or length.
-	c.Invalidate(next - 1)
-	c.Publish(99, 1, block(600, 0xEE))
-	dst := make([]byte, 600)
-	if !c.Get(99, 1, dst) || !bytes.Equal(dst, block(600, 0xEE)) {
+	c.Invalidate(x)
+	c.Publish(1<<40, 1, block(600, 0xEE))
+	dst = make([]byte, 600)
+	if !c.Get(1<<40, 1, dst) || !bytes.Equal(dst, block(600, 0xEE)) {
 		t.Fatal("entry in a recycled buffer reads back wrong")
 	}
-	if c.Get(99, 1, make([]byte, 1024)) {
+	if c.Get(1<<40, 1, make([]byte, 1024)) {
 		t.Fatal("recycled buffer kept its old length")
+	}
+}
+
+// Room is one budget: the room an Invalidate leaves in one shard is room for a
+// publish to any other, and the publish evicts nothing to take it.
+func TestPublishTakesRoomAcrossShards(t *testing.T) {
+	c := New(1 << 20) // four shards, room for 256 x 4KiB
+	if len(c.shards) < 2 {
+		t.Fatalf("shards = %d, want several", len(c.shards))
+	}
+	data := block(4096, 1)
+	for b := uint64(0); b < 1024; b++ { // every shard full, whatever its share
+		c.Insert(b, 1, data)
+	}
+	full := c.Stats()
+	var x, y uint64 // x resident, y not, in different shards
+	for dst := make([]byte, 4096); !c.Get(x, 1, dst); x++ {
+	}
+	for y = 1 << 20; c.shardFor(y) == c.shardFor(x); y++ {
+	}
+	if full.Bytes != 1<<20 || c.Publish(y, 1, data) {
+		t.Fatalf("%+v: want a full cache that refuses a publish", full)
+	}
+	c.Invalidate(x)
+	if !c.Publish(y, 1, data) {
+		t.Fatal("the room an invalidate left in another shard was not taken")
+	}
+	if st := c.Stats(); st.Evictions != full.Evictions || st.Bytes != full.Bytes || !c.Get(y, 1, make([]byte, 4096)) {
+		t.Fatalf("after the cross-shard publish: %+v, want no eviction and Bytes at %d", st, full.Bytes)
+	}
+}
+
+// A miss into a full cache displaces a resident only if its block was read
+// strictly more often: one-off misses leave the blocks readers come back to
+// in place, and a block read again and again gets in.
+func TestOneOffMissesDoNotDisplaceHotEntries(t *testing.T) {
+	c := New(16 << 10) // one shard, room for 16 x 1KiB
+	dst := make([]byte, 1024)
+	read := func(b uint64) bool { // the store's read path: a miss inserts what it read
+		if c.Get(b, 1, dst) {
+			return true
+		}
+		c.Insert(b, 1, block(1024, byte(b)))
+		return false
+	}
+	for b := uint64(0); b < 16; b++ {
+		read(b)
+		read(b)
+	}
+	for b := uint64(100); b < 164; b++ {
+		if read(b) {
+			t.Fatalf("one-off block %d hit", b)
+		}
+	}
+	for b := uint64(0); b < 16; b++ {
+		if !c.Get(b, 1, dst) {
+			t.Fatalf("block %d, read twice, was displaced by one-off misses", b)
+		}
+	}
+	if st := c.Stats(); st.Evictions != 0 {
+		t.Fatalf("one-off misses evicted %d entries", st.Evictions)
+	}
+	for n := 1; !read(999); n++ {
+		if n == 8 {
+			t.Fatal("a block read 8 times in a row was never admitted")
+		}
+	}
+}
+
+// Resize sets the one budget: shrinking evicts across the shards, one entry
+// from each in turn, until the cache fits.
+func TestResizeShrinksAcrossShards(t *testing.T) {
+	c := New(1 << 20) // four shards, room for 256 x 4KiB
+	for b := uint64(0); c.Publish(b, 1, block(4096, 1)); b++ {
+	}
+	c.Resize(256 << 10)
+	if st := c.Stats(); st.Capacity != 256<<10 || st.Bytes != 256<<10 || st.Evictions != 192 {
+		t.Fatalf("after shrinking to a quarter: %+v", st)
+	}
+	for s := range c.shards {
+		if len(c.shards[s].index) == 0 {
+			t.Fatalf("shard %d emptied: a shrink takes from every shard in turn", s)
+		}
+	}
+	c.Resize(0)
+	if st := c.Stats(); st.Bytes != 0 || st.Capacity != 1 {
+		t.Fatalf("after Resize(0): %+v", st)
 	}
 }
 
@@ -256,47 +380,45 @@ func TestInsertCopiesData(t *testing.T) {
 func TestShardCountPowerOfTwo(t *testing.T) {
 	for _, mb := range []uint64{1, 2, 8, 64, 256} {
 		c := New(mb << 20)
-		n := c.Shards()
+		n := len(c.shards)
 		if n&(n-1) != 0 || n < 1 || n > maxShards {
 			t.Fatalf("%dMB cache: shards = %d, want power of two in [1,%d]", mb, n, maxShards)
 		}
 	}
-	if got := New(64 << 20).Shards(); got != maxShards {
+	if got := len(New(64 << 20).shards); got != maxShards {
 		t.Fatalf("64MB cache: shards = %d, want %d", got, maxShards)
 	}
 }
 
-func TestReset(t *testing.T) {
-	c := New(1 << 20)
-	for i := 0; i < 10; i++ {
-		c.Insert(uint64(i), 1, block(256, byte(i)))
-	}
-	c.Reset()
-	if st := c.Stats(); st.Bytes != 0 {
-		t.Fatalf("bytes = %d after Reset", st.Bytes)
-	}
-	for i := 0; i < 10; i++ {
-		if c.Get(uint64(i), 1, make([]byte, 256)) {
-			t.Fatalf("block %d survived Reset", i)
-		}
-	}
-}
-
+// Eight goroutines over a two-shard cache a third the size of what they touch,
+// and one resizing it: every way in and out, moving room between shards and
+// the spares between entries, keeps the budget and its count exact.
 func TestConcurrentAccess(t *testing.T) {
-	c := New(256 << 10)
+	c := New(512 << 10)
 	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	go func() {
+		for i := uint64(0); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				c.Resize((384 + 128*(i%2)) << 10)
+			}
+		}
+	}()
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			dst := make([]byte, 1024)
+			dst := make([]byte, 8192)
 			for i := 0; i < 2000; i++ {
-				b := uint64((g*31 + i) % 128)
+				b := uint64((g*31 + i) % 192)
 				switch i % 4 {
 				case 0:
-					c.Insert(b, uint32(b+1), block(1024, byte(b)))
+					c.Insert(b, uint32(b+1), block(8192, byte(b)))
 				case 3:
-					c.Publish(b, uint32(b+1), block(1024, byte(b)))
+					c.Publish(b, uint32(b+1), block(8192, byte(b)))
 				case 1:
 					if c.Get(b, uint32(b+1), dst) && dst[0] != byte(b) {
 						panic(fmt.Sprintf("goroutine %d: wrong content for block %d", g, b))
@@ -308,9 +430,20 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	close(stop)
+	c.Resize(512 << 10)
 	st := c.Stats()
 	if st.Bytes > st.Capacity {
 		t.Fatalf("bytes %d exceeds capacity %d after concurrent churn", st.Bytes, st.Capacity)
+	}
+	var held uint64
+	for s := range c.shards {
+		for _, e := range c.shards[s].ring {
+			held += uint64(len(e.data))
+		}
+	}
+	if held != st.Bytes || st.Evictions == 0 {
+		t.Fatalf("entries hold %d bytes; %+v", held, st)
 	}
 }
 
