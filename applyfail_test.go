@@ -9,8 +9,9 @@ import (
 // TestApplyFailureNeverLeavesWritableInconsistent is the crash oracle's
 // apply-failure row (run under its own name: its four inputs are its
 // subtests). The fault is an index arena that runs out, so the structure apply
-// of a write fails after its record was appended: at 1.5 MiB the B-tree cannot
-// allocate the new key, at 2 MiB it runs dry half-way through a node split.
+// of a write fails after its record was appended: at both sizes the B-tree
+// cannot allocate the new key's copy (a node split takes its allocations
+// before its first store, so running dry there changes nothing either).
 // The write pipeline's one failure policy must hold at every write that fails,
 // not only the first: nothing visible → the write is retracted and the store
 // stays writable and passes the verdict; anything visible → the store degrades
@@ -76,6 +77,14 @@ func TestApplyFailureNeverLeavesWritableInconsistent(t *testing.T) {
 					if failures == 0 {
 						return errors.New("the arena never ran out; the row no longer reaches the failing apply")
 					} else if s.Degraded() {
+						// A degraded store serves reads through the index the
+						// failed apply left: every acknowledged key must read back.
+						acked := acceptSet{}.apply(u.m.units[:u.m.acked])
+						for k := range acked {
+							if v, err := read(c.Get(k, nil)); err != nil || !acked.allows(k, v) {
+								return fmt.Errorf("degraded store before its reopen: Get(%s) = %d bytes, %v", k, len(v), err)
+							}
+						}
 						return nil
 					}
 					// A clean failure returned its slot and blocks: writes that

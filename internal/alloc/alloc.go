@@ -188,19 +188,6 @@ func (a *Allocator) Free(off uint64) error {
 	return nil
 }
 
-// UsableSize returns the payload capacity of the block at payload offset
-// off, or ErrCorrupt when the block header does not decode.
-func (a *Allocator) UsableSize(off uint64) (uint64, error) {
-	if off < HeaderSize+8 || off > a.sp.Size() {
-		return 0, fmt.Errorf("%w: UsableSize(%d) outside heap", ErrOutOfRange, off)
-	}
-	hdr := a.sp.GetU64(off - 8)
-	if hdr>>32 != blockMagic {
-		return 0, fmt.Errorf("%w: UsableSize(%d): bad block header %#x", ErrCorrupt, off, hdr)
-	}
-	return classSize(int(hdr&0xff)) - 8, nil
-}
-
 // SetRoot stores a user root pointer. Root indices are compile-time
 // constants in the store, so a bad index is a programmer error.
 //

@@ -99,18 +99,6 @@ func TestAccounting(t *testing.T) {
 	}
 }
 
-func TestUsableSize(t *testing.T) {
-	a := newArena(t, 1<<20)
-	o, _ := a.Alloc(100)
-	got, err := a.UsableSize(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 120 {
-		t.Fatalf("UsableSize = %d, want 120", got)
-	}
-}
-
 func TestExhaustion(t *testing.T) {
 	a := newArena(t, HeaderSize+128)
 	if _, err := a.Alloc(56); err != nil {

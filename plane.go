@@ -236,8 +236,9 @@ func (p *plane) apply(u *subOp, metaDone *int64) error {
 // retract undoes a failed apply of u when that leaves no trace: the one
 // invisible effect an update can have is a put-shaped metadata write to a
 // slot the pool phase just allocated, which nothing indexes — provided the
-// failed index insert really left the index as it found it (an insert that
-// ran out of arena mid-split does not). Reports whether p is as it was.
+// failed index insert really left the index as it found it (btree.Insert
+// promises it; Check and the absent name confirm it). Reports whether p is as
+// it was.
 func (p *plane) retract(u *subOp) bool {
 	if !u.newSlot {
 		return false
