@@ -66,7 +66,7 @@ func TestWritePublishesWhatItWrote(t *testing.T) {
 
 	// Overwrite: the new version in, the old one out — Bytes flat, nothing
 	// under the old blocks.
-	_, old, err := s.lookup([]byte("k"))
+	_, old, err := s.lookup([]byte("k"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestPermanentWriteFaultLeavesNoEntry(t *testing.T) {
 	if err := ctx.Put("probe", wtValue(10, 1)); err != nil {
 		t.Fatal(err)
 	}
-	_, probe, err := s.lookup([]byte("probe"))
+	_, probe, err := s.lookup([]byte("probe"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestPermanentWriteFaultLeavesNoEntry(t *testing.T) {
 	if q := s.quarantinedBlocks(); len(q) != 1 || q[0] != dead {
 		t.Fatalf("quarantined %v, want [%d]: the test no longer reaches the rerun", q, dead)
 	}
-	_, e, err := s.lookup([]byte("victim"))
+	_, e, err := s.lookup([]byte("victim"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestPublishedEntryMasksAtRestCorruptionUntilScrubOrEviction(t *testing.T) {
 	if err := ctx.Put("k", v); err != nil {
 		t.Fatal(err)
 	}
-	_, e, err := s.lookup([]byte("k"))
+	_, e, err := s.lookup([]byte("k"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestPublishedEntryMasksAtRestCorruptionUntilScrubOrEviction(t *testing.T) {
 	}
 	mustHit(t, s, ctx, "k", v) // Scrub reports; it does not touch the cache
 
-	s.resizeCache(0) // evict everything
+	s.bcache.Resize(0) // evict everything
 	if _, err := ctx.Get("k", nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Get after eviction = %v, want ErrCorrupt from the verified device read", err)
 	}

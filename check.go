@@ -7,6 +7,7 @@ import (
 
 	"dstore/internal/fault"
 	"dstore/internal/meta"
+	"dstore/internal/wal"
 )
 
 // Check verifies the store's cross-structure invariants — an fsck for the
@@ -20,7 +21,9 @@ import (
 //     all within the data plane, and no block belongs to two objects;
 //   - conservation: used slots + free slots in the slot pool equal the
 //     zone capacity, and allocated blocks + free blocks in the block pool +
-//     quarantined unowned blocks equal the device capacity.
+//     quarantined unowned blocks equal the device capacity;
+//   - every slot hint a reader would take is the index's answer
+//     (readers.go).
 //
 // Check takes the store's structure locks briefly; it is safe to run
 // concurrently with normal operation (results reflect a quiescent moment
@@ -44,13 +47,11 @@ func (s *Store) Check() error {
 		s.zoneMu[i].Lock()
 		defer s.zoneMu[i].Unlock()
 	}
-	return checkPlane(s.front, s.cfg.Blocks, quarantined)
+	return checkPlane(s.front, s.cfg.Blocks, quarantined, s.hints)
 }
 
-// checkPlane validates the invariants for any plane (the recovery tests also
-// point it at shadow arenas; they pass a nil quarantine set since
-// quarantine is frontend-store state).
-func checkPlane(p *plane, blocks uint64, quarantined map[uint64]bool) error {
+// checkPlane validates the invariants for a plane and the slot hints over it.
+func checkPlane(p *plane, blocks uint64, quarantined map[uint64]bool, hints hintTable) error {
 	if err := p.tree.Check(); err != nil {
 		return fmt.Errorf("dstore: index: %w", err)
 	}
@@ -72,6 +73,14 @@ func checkPlane(p *plane, blocks uint64, quarantined map[uint64]bool) error {
 		}
 		if !bytes.Equal(e.Name, key) {
 			return fmt.Errorf("slot %d holds name %q but is indexed by %q", slot, e.Name, key)
+		}
+		// A hint a reader of key would take names key's slot. (One taken
+		// for a name the index lacks names a slot the orphan scan rejects.)
+		hash := wal.NameHash(key)
+		if h, ok := hinted(hints.bucket(hash).Load(), hash); ok && h != slot {
+			if he, used, err := p.zone.Read(h); err == nil && used && bytes.Equal(he.Name, key) {
+				return fmt.Errorf("%w: the slot hint for %q names slot %d, the index %d", ErrCorrupt, key, h, slot)
+			}
 		}
 		if need := blocksFor(e.Size, blockSize); uint64(len(e.Blocks)) != need {
 			return fmt.Errorf("object %q: size %d needs %d blocks, has %d", key, e.Size, need, len(e.Blocks))
@@ -155,7 +164,7 @@ func (s *Store) Scrub(repair bool) (ScrubReport, error) {
 	}
 	buf := make([]byte, blockSize)
 	for slot := uint64(0); slot < s.cfg.MaxObjects; slot++ {
-		e, used, err := s.zoneRead(slot)
+		e, used, err := s.zoneRead(slot, nil)
 		if err != nil {
 			return rep, err
 		}

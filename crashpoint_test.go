@@ -50,7 +50,7 @@ func TestCrashThenBadPage(t *testing.T) {
 		if !ok {
 			t.Fatalf("committed key %q lost in recovery", k)
 		}
-		if e, used, _ := s2.zoneRead(slot); used && len(e.Blocks) > 0 {
+		if e, used, _ := s2.zoneRead(slot, nil); used && len(e.Blocks) > 0 {
 			victim, badBlock = k, e.Blocks[0]
 			break
 		}

@@ -28,6 +28,7 @@
 package dstore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -271,9 +272,10 @@ type Store struct {
 	// validation compares the counters captured at read time.
 	vers verTable
 
-	ops  opStats
-	txns txnStats
-	bd   breakdown
+	ops   opStats
+	txns  txnStats
+	bd    breakdown
+	hints hintTable // point reads' name → slot cache (readers.go); last, so no field above moves
 }
 
 // healthStats counts fault-handling events.
@@ -392,7 +394,7 @@ func Open(cfg Config) (*Store, error) {
 }
 
 func newStore(cfg *Config) (*Store, error) {
-	s := &Store{cfg: *cfg, bcache: cache.New(cfg.CacheBytes)}
+	s := &Store{cfg: *cfg, bcache: cache.New(cfg.CacheBytes), hints: newHintTable(cfg.MaxObjects)}
 	s.self = ringOfOne(s)
 	s.pm = cfg.PMEM
 	if s.pm == nil {
@@ -460,14 +462,9 @@ func (s *Store) onCheckpointDone() {
 func (s *Store) writeSuperblock() error {
 	sb := make([]byte, 64)
 	copy(sb, "DSTOREv1")
-	putU64 := func(off int, v uint64) {
-		for i := 0; i < 8; i++ {
-			sb[off+i] = byte(v >> (8 * i))
-		}
-	}
-	putU64(8, blockSize)
-	putU64(16, s.cfg.Blocks)
-	putU64(24, 0) // PMEM root object lives at device offset 0
+	binary.LittleEndian.PutUint64(sb[8:], blockSize)
+	binary.LittleEndian.PutUint64(sb[16:], s.cfg.Blocks)
+	// sb[24:32] stays 0: the PMEM root object lives at device offset 0.
 	if err := s.ssdWrite(0, sb); err != nil {
 		return fmt.Errorf("dstore: superblock write: %w", err)
 	}
@@ -493,30 +490,25 @@ func (s *Store) CheckpointNow() error {
 
 // Close performs a clean shutdown: a final checkpoint (so the persistent
 // state is current) and engine teardown.
-func (s *Store) Close() error {
-	if s.closed.Swap(true) {
-		return nil
-	}
-	s.self.mops.stop()
-	var err error
-	if !s.cfg.DisableCheckpoints {
-		err = s.eng.Checkpoint()
-	}
-	s.eng.Close()
-	return err
-}
+func (s *Store) Close() error { return s.shutdown(!s.cfg.DisableCheckpoints) }
 
 // CloseNoCheckpoint stops the store without the final checkpoint: all
 // committed state remains recoverable (it is in the logs), but reopening
 // will replay the active log — the paper's clean-shutdown semantics, where
 // recovery still "reconstructs the volatile space" and replays records.
-func (s *Store) CloseNoCheckpoint() error {
+func (s *Store) CloseNoCheckpoint() error { return s.shutdown(false) }
+
+// shutdown stops the store once, checkpointing first when asked.
+func (s *Store) shutdown(checkpoint bool) (err error) {
 	if s.closed.Swap(true) {
 		return nil
 	}
 	s.self.mops.stop()
+	if checkpoint {
+		err = s.eng.Checkpoint()
+	}
 	s.eng.Close()
-	return nil
+	return err
 }
 
 // Crash simulates a power failure (SIGKILL + power loss): all volatile state
@@ -593,24 +585,7 @@ type CacheStats struct {
 }
 
 // CacheStats returns a snapshot of the block-cache counters.
-func (s *Store) CacheStats() CacheStats {
-	st := s.bcache.Stats()
-	return CacheStats{
-		Hits:          st.Hits,
-		Misses:        st.Misses,
-		Evictions:     st.Evictions,
-		Invalidations: st.Invalidations,
-		Bytes:         st.Bytes,
-		Capacity:      st.Capacity,
-	}
-}
-
-// resizeCache rebudgets the DRAM block cache. No-op on a store created with
-// CacheBytes == 0 (nil cache). The sharded store calls it after a reshard so
-// the caller's aggregate cache budget re-divides across the live members.
-func (s *Store) resizeCache(bytes uint64) {
-	s.bcache.Resize(bytes)
-}
+func (s *Store) CacheStats() CacheStats { return CacheStats(s.bcache.Stats()) }
 
 // Breakdown returns the accumulated write-path timing (Table 3); zero unless
 // Config.Breakdown. It counts every mutation the write pipeline (write.go)
@@ -860,9 +835,6 @@ func (s *Store) Health() Health {
 	return h
 }
 
-// zoneLock returns slot's stripe lock.
-func (s *Store) zoneLock(slot uint64) *sync.Mutex { return &s.zoneMu[slot%64] }
-
 // entryBuf is room for a zone entry's block and checksum lists, sized to the
 // default MaxBlocksPerObject: a read path declares one on its stack and its
 // entry read allocates nothing. A store configured for larger objects falls
@@ -874,22 +846,17 @@ type entryBuf struct {
 
 const defaultMaxBlocksPerObject = 16
 
-// zoneRead reads a metadata slot under its stripe lock. The returned entry's
-// Blocks and Sums are a copy; Name aliases the arena and must be consumed
-// before the slot can be rewritten.
-func (s *Store) zoneRead(slot uint64) (meta.Entry, bool, error) {
-	return s.zoneReadInto(slot, nil)
-}
-
-// zoneReadInto is zoneRead with the copy made in buf, when it is given and
-// the lists fit.
-func (s *Store) zoneReadInto(slot uint64, buf *entryBuf) (meta.Entry, bool, error) {
+// zoneRead reads a metadata slot under its stripe lock, making the copy of
+// the entry's block and checksum lists in buf when it is given and they fit.
+// Name aliases the arena and must be consumed before the slot can be
+// rewritten.
+func (s *Store) zoneRead(slot uint64, buf *entryBuf) (meta.Entry, bool, error) {
 	var blocks []uint64
 	var sums []uint32
 	if buf != nil {
 		blocks, sums = buf.blocks[:], buf.sums[:]
 	}
-	lk := s.zoneLock(slot)
+	lk := &s.zoneMu[slot%uint64(len(s.zoneMu))]
 	lk.Lock()
 	e, ok, err := s.front.zone.ReadInto(slot, blocks, sums)
 	lk.Unlock()

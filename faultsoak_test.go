@@ -287,7 +287,7 @@ func TestScrubRepairMigratesQuarantinedBlock(t *testing.T) {
 	if !ok {
 		t.Fatal("obj not indexed")
 	}
-	e, used, zerr := s.zoneRead(slot)
+	e, used, zerr := s.zoneRead(slot, nil)
 	if zerr != nil {
 		t.Fatal(zerr)
 	}
@@ -307,7 +307,7 @@ func TestScrubRepairMigratesQuarantinedBlock(t *testing.T) {
 	if len(rep.Corrupt) != 0 {
 		t.Fatalf("unexpected corruption: %+v", rep.Corrupt)
 	}
-	e2, _, _ := s.zoneRead(slot)
+	e2, _, _ := s.zoneRead(slot, nil)
 	if e2.Blocks[0] == old {
 		t.Fatal("block not remapped")
 	}

@@ -272,16 +272,16 @@ func (c *Ctx) Get(key string, buf []byte) ([]byte, error) {
 	s.ops.gets.Add(1)
 
 	// Read-write CC (§4.4, readers.go).
-	defer s.enterRead(key, c.locks).exit()
-
-	return s.readObject(key, buf)
+	st, hash := s.enterRead(key, c.locks)
+	defer st.exit()
+	return s.readObject(key, hash, buf)
 }
 
 // readObject is Get's lookup-and-read body. The caller holds a CC reader
-// section on key (transactional reads share it, txn.go).
-func (s *Store) readObject(key string, buf []byte) ([]byte, error) {
+// section on key, opened with hash (transactional reads share it, txn.go).
+func (s *Store) readObject(key string, hash uint64, buf []byte) ([]byte, error) {
 	var eb entryBuf
-	_, e, err := s.lookupInto([]byte(key), &eb)
+	e, err := s.readLookup(key, hash, &eb)
 	if err != nil {
 		return nil, err
 	}
@@ -290,15 +290,11 @@ func (s *Store) readObject(key string, buf []byte) ([]byte, error) {
 	buf = grow(buf, int(e.Size))
 	out := buf[start:]
 	for i, b := range e.Blocks {
-		lo := uint64(i) * blockSize
-		hi := lo + blockSize
-		if hi > e.Size {
-			hi = e.Size
-		}
-		if lo >= e.Size {
+		p := s.span(out, i)
+		if p == nil {
 			break
 		}
-		if err := s.readBlockVerified(b, out[lo:hi], e.Sums[i], key); err != nil {
+		if err := s.readBlockVerified(b, p, e.Sums[i], key); err != nil {
 			return nil, err
 		}
 	}
@@ -372,48 +368,36 @@ func (o *Object) Close() { o.closed = true }
 // Name returns the object's name.
 func (o *Object) Name() string { return o.name }
 
-// Size returns the object's current logical size.
+// Size returns the object's current logical size. Like ReadAt it reads
+// inside a CC reader section: an in-flight extend by another context is
+// waited out, not seen before it commits.
 func (o *Object) Size() (uint64, error) {
-	e, err := o.lookup()
-	if err != nil {
-		return 0, err
-	}
-	return e.size, nil
-}
-
-func (o *Object) lookup() (entrySnapshot, error) {
 	s := o.c.s
 	if o.closed || s == nil || s.closed.Load() {
-		return entrySnapshot{}, ErrClosed
+		return 0, ErrClosed
 	}
-	_, e, err := s.lookup([]byte(o.name))
-	return entrySnapshot{size: e.Size, blocks: e.Blocks, sums: e.Sums}, err
-}
-
-type entrySnapshot struct {
-	size   uint64
-	blocks []uint64
-	sums   []uint32
+	st, hash := s.enterRead(o.name, o.c.locks)
+	defer st.exit()
+	var eb entryBuf
+	e, err := s.readLookup(o.name, hash, &eb)
+	return e.Size, err
 }
 
 // readSpan reads len(dst) bytes at offset bo inside block bi of e. When the
 // block carries a recorded checksum the whole logical span is staged
 // through the context scratch buffer and verified before the requested
 // window is copied out.
-func (c *Ctx) readSpan(name string, e entrySnapshot, bi, bo uint64, dst []byte) error {
+func (c *Ctx) readSpan(name string, e meta.Entry, bi, bo uint64, dst []byte) error {
 	s := c.s
-	block := e.blocks[bi]
-	sum := e.sums[bi]
+	block := e.Blocks[bi]
+	sum := e.Sums[bi]
 	if sum == meta.SumUnverified {
 		if err := s.ssdRead(s.dataOff(block)+bo, dst); err != nil {
 			return fmt.Errorf("dstore: read block %d of %q: %w", block, name, err)
 		}
 		return nil
 	}
-	span := e.size - bi*blockSize
-	if span > blockSize {
-		span = blockSize
-	}
+	span := min(e.Size-bi*blockSize, blockSize)
 	// A whole-span window needs no staging: verify (or hit the cache)
 	// directly into the destination.
 	if bo == 0 && uint64(len(dst)) == span {
@@ -438,30 +422,23 @@ func (o *Object) ReadAt(p []byte, off int64) (int, error) {
 	}
 	s.ops.reads.Add(1)
 
-	defer s.enterRead(o.name, o.c.locks).exit()
-
+	st, hash := s.enterRead(o.name, o.c.locks)
+	defer st.exit()
 	var eb entryBuf
-	_, me, err := s.lookupInto([]byte(o.name), &eb)
+	e, err := s.readLookup(o.name, hash, &eb)
 	if err != nil {
 		return 0, err
 	}
-	e := entrySnapshot{size: me.Size, blocks: me.Blocks, sums: me.Sums}
-	if off < 0 || uint64(off) >= e.size {
-		return 0, fmt.Errorf("dstore: read offset %d out of range (size %d)", off, e.size)
+	if off < 0 || uint64(off) >= e.Size {
+		return 0, fmt.Errorf("dstore: read offset %d out of range (size %d)", off, e.Size)
 	}
-	n := uint64(len(p))
-	if uint64(off)+n > e.size {
-		n = e.size - uint64(off)
-	}
+	n := min(uint64(len(p)), e.Size-uint64(off))
 	read := uint64(0)
 	for read < n {
 		pos := uint64(off) + read
 		bi := pos / blockSize
 		bo := pos % blockSize
-		chunk := blockSize - bo
-		if chunk > n-read {
-			chunk = n - read
-		}
+		chunk := min(blockSize-bo, n-read)
 		if err := o.c.readSpan(o.name, e, bi, bo, p[read:read+chunk]); err != nil {
 			return 0, err
 		}
@@ -496,11 +473,11 @@ func (o *Object) WriteAt(p []byte, off int64) (int, error) {
 		return 0, fmt.Errorf("dstore: write to %d exceeds max object size %d", end, s.maxObjectBytes())
 	}
 
-	e, err := o.lookup()
+	_, e, err := s.lookup([]byte(o.name), nil)
 	if err != nil {
 		return 0, err
 	}
-	if end > e.size {
+	if end > e.Size {
 		// An extending write invalidates stale checksums on two fronts
 		// before any structure or byte changes (the opExtend record then
 		// carries the unverified sums forward): blocks the write overwrites
@@ -509,11 +486,11 @@ func (o *Object) WriteAt(p []byte, off int64) (int, error) {
 		// after the extend, reads verify the grown span, so the old sum can
 		// never match again.
 		lo := uint64(off)
-		if tail := e.size % blockSize; tail != 0 && e.size-tail < lo {
-			lo = e.size - tail
+		if tail := e.Size % blockSize; tail != 0 && e.Size-tail < lo {
+			lo = e.Size - tail
 		}
-		if lo < e.size {
-			if err := s.invalidateSums(o, e, lo, e.size); err != nil {
+		if lo < e.Size {
+			if err := s.invalidateSums(o, e, lo, e.Size); err != nil {
 				return 0, err
 			}
 		}
@@ -523,8 +500,7 @@ func (o *Object) WriteAt(p []byte, off int64) (int, error) {
 		if err := s.writeOne(w); err != nil {
 			return 0, err
 		}
-		e, err = o.lookup()
-		if err != nil {
+		if _, e, err = s.lookup([]byte(o.name), nil); err != nil {
 			return 0, err
 		}
 	} else {
@@ -543,15 +519,12 @@ func (o *Object) WriteAt(p []byte, off int64) (int, error) {
 		pos := uint64(off) + written
 		bi := pos / blockSize
 		bo := pos % blockSize
-		chunk := blockSize - bo
-		if chunk > n-written {
-			chunk = n - written
-		}
-		if werr := s.ssdWrite(s.dataOff(e.blocks[bi])+bo, p[written:written+chunk]); werr != nil {
+		chunk := min(blockSize-bo, n-written)
+		if werr := s.ssdWrite(s.dataOff(e.Blocks[bi])+bo, p[written:written+chunk]); werr != nil {
 			if fault.IsPermanent(werr) {
-				s.quarantineBlock(e.blocks[bi])
+				s.quarantineBlock(e.Blocks[bi])
 			}
-			return int(written), fmt.Errorf("dstore: data write to block %d: %w", e.blocks[bi], werr)
+			return int(written), fmt.Errorf("dstore: data write to block %d: %w", e.Blocks[bi], werr)
 		}
 		written += chunk
 	}
@@ -564,12 +537,12 @@ func (o *Object) WriteAt(p []byte, off int64) (int, error) {
 // must be durable before any new byte lands under the old checksum. Blocks
 // already unverified need nothing; when none are verified the call only
 // waits out conflicting metadata operations.
-func (s *Store) invalidateSums(o *Object, e entrySnapshot, lo, hi uint64) error {
+func (s *Store) invalidateSums(o *Object, e meta.Entry, lo, hi uint64) error {
 	first := lo / blockSize
 	last := (hi - 1) / blockSize
 	var idxs []int
-	for bi := first; bi <= last && bi < uint64(len(e.sums)); bi++ {
-		if e.sums[bi] != meta.SumUnverified {
+	for bi := first; bi <= last && bi < uint64(len(e.Sums)); bi++ {
+		if e.Sums[bi] != meta.SumUnverified {
 			idxs = append(idxs, int(bi))
 		}
 	}

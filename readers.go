@@ -1,9 +1,11 @@
 package dstore
 
 import (
+	"math/bits"
 	"runtime"
 	"sync/atomic"
 
+	"dstore/internal/meta"
 	"dstore/internal/wal"
 )
 
@@ -59,14 +61,14 @@ func (t *readTable) stripe(hash uint64) *readStripe {
 	return &t[(hash>>32)&(readStripes-1)]
 }
 
-// awaitZero returns once no reader is inside a section on key's stripe — the
+// awaitZero returns once no reader is inside a section on hash's stripe — the
 // paper's "In case the read count is non-zero, we simply poll on it until it
 // is zero." The caller's record is already appended, so readers arriving from
 // here on see the filter; the common case is one load. When it does wait, the
 // drain mark keeps new readers of the whole stripe out until the count has
 // been seen at zero (drain is a count: two writers can drain one stripe).
-func (t *readTable) awaitZero(key string) {
-	st := t.stripe(wal.NameHash(key))
+func (t *readTable) awaitZero(hash uint64) {
+	st := t.stripe(hash)
 	if st.n.Load() == 0 {
 		return
 	}
@@ -77,12 +79,12 @@ func (t *readTable) awaitZero(key string) {
 	st.drain.Add(-1)
 }
 
-// enterRead opens a CC reader section on key and returns the stripe to exit.
-// held is the caller's own olocks (nil when it has none): a lock holder may
-// read the object it locked, so its record is excluded from the exact check.
-// A reader that must wait for a writer leaves the count first, so a blocked
-// reader never holds up the writer's poll.
-func (s *Store) enterRead(key string, held map[string]*wal.Handle) *readStripe {
+// enterRead opens a CC reader section on key and returns the stripe to exit
+// and key's name hash. held is the caller's own olocks (nil when it has none):
+// a lock holder may read the object it locked, so its record is excluded from
+// the exact check. A reader that must wait for a writer leaves the count
+// first, so a blocked reader never holds up the writer's poll.
+func (s *Store) enterRead(key string, held map[string]*wal.Handle) (*readStripe, uint64) {
 	hash := wal.NameHash(key)
 	st := s.readers.stripe(hash)
 	pair := s.eng.Pair()
@@ -92,13 +94,61 @@ func (s *Store) enterRead(key string, held map[string]*wal.Handle) *readStripe {
 		}
 		st.n.Add(1)
 		if pair.Quiet(hash) {
-			return st
+			return st, hash
 		}
 		w := pair.FindConflictIgnore([]byte(key), heldLSN(held, key))
 		if w == nil {
-			return st
+			return st, hash
 		}
 		st.exit()
 		w.Wait()
 	}
+}
+
+// hintTable lets a point read inside a section skip the index: a bucket per
+// name hash holds the slot the B+ tree last gave a reader of that name, as
+// the hash's high half (a tag) over slot+1 (0 is empty). A hint is never
+// trusted alone: a reader takes it only if the slot is used and records the
+// reader's own name. A slot records a name the tree does not map there only
+// inside a create's apply, which CC keeps that name's readers out of, or after
+// such an apply failed half-way and stayed visible (a degraded store); and
+// applyOwned empties the bucket of every sub-op that may move a name, after
+// draining its readers and before the apply. Two buckets per zone slot (a
+// zone stays far below 2³² slots), fixed when the store is built.
+type hintTable []atomic.Uint64
+
+func newHintTable(slots uint64) hintTable {
+	return make(hintTable, 1<<bits.Len64(2*slots-1))
+}
+
+func (t hintTable) bucket(hash uint64) *atomic.Uint64 { return &t[hash&uint64(len(t)-1)] }
+
+// hint is the bucket word naming slot for the name with this hash.
+func hint(hash, slot uint64) uint64 { return hash>>32<<32 | (slot + 1) }
+
+// hinted returns the slot a bucket word names for the name with this hash.
+func hinted(w, hash uint64) (uint64, bool) {
+	return w&(1<<32-1) - 1, w != 0 && w>>32 == hash>>32
+}
+
+// readLookup resolves key for a reader inside a CC section on it (hash is
+// the section's): through the hint when the slot it names still records key,
+// otherwise through the index, whose answer becomes the hint.
+func (s *Store) readLookup(key string, hash uint64, buf *entryBuf) (meta.Entry, error) {
+	b := s.hints.bucket(hash)
+	if slot, ok := hinted(b.Load(), hash); ok {
+		lk := &s.zoneMu[slot%uint64(len(s.zoneMu))]
+		lk.Lock()
+		e, used, err := s.front.zone.ReadInto(slot, buf.blocks[:], buf.sums[:])
+		hit := err == nil && used && string(e.Name) == key
+		lk.Unlock()
+		if hit {
+			return e, nil
+		}
+	}
+	slot, e, err := s.lookup([]byte(key), buf)
+	if err == nil {
+		b.Store(hint(hash, slot))
+	}
+	return e, err
 }

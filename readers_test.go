@@ -215,6 +215,51 @@ func TestOlockHolderAndFilterNeighbours(t *testing.T) {
 	}
 }
 
+// Object.Size reads inside a reader section like ReadAt: an outsider waits
+// out an olock (and with it any write the holder has in flight on the
+// object) instead of reading the size around it; the holder does not wait.
+func TestOutsiderSizeWaitsForOlock(t *testing.T) {
+	s := newStoreT(t, testConfig())
+	defer s.Close()
+	holder, other := s.Init(), s.Init()
+	defer holder.Finalize()
+	defer other.Finalize()
+	if err := holder.Put("obj", []byte("locked")); err != nil {
+		t.Fatal(err)
+	}
+	mine, err := holder.Open("obj", 0, OpenRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	theirs, err := other.Open("obj", 0, OpenRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := holder.Lock("obj"); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := mine.Size(); err != nil || n != 6 {
+		t.Fatalf("holder Size = %d, %v", n, err)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := theirs.Size()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("outsider's Size returned under the lock (err %v)", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if err := holder.Unlock("obj"); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // The store's CC state does not grow with the names it has seen: the read
 // count table, the in-flight filter and the OCC version table (txn.go) are
 // fixed arrays. Churn through distinct names — put, get, delete, and a get of

@@ -234,7 +234,7 @@ func (s *Store) ApplyReplicated(rec wire.Record) error {
 		// (putOwned, deleteOwned) — but a standby frees nothing, so nothing
 		// else would ever drop these entries.
 		if putShaped(sub.op) || sub.op == opDelete || sub.op == opTxnAbort {
-			if _, e, err := s.lookup(sub.name); err == nil {
+			if _, e, err := s.lookup(sub.name, nil); err == nil {
 				sub.stale = e.Blocks
 			}
 		}

@@ -415,10 +415,10 @@ func (sh *Sharded) rebalanceCache() {
 	for i := range ncfgs {
 		if live[i] {
 			ncfgs[i].CacheBytes = per
-			sh.store(i).resizeCache(per)
+			sh.store(i).bcache.Resize(per) // a nil cache ignores it
 		} else {
 			ncfgs[i].CacheBytes = 0
-			sh.store(i).resizeCache(0)
+			sh.store(i).bcache.Resize(0)
 		}
 	}
 	sh.cfgsP.Store(&ncfgs)

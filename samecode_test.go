@@ -30,7 +30,7 @@ func snapshotPlane(t *testing.T, s *Store) []planeEntry {
 	s.treeMu.RLock()
 	defer s.treeMu.RUnlock()
 	err := s.front.tree.Iterate(func(key []byte, slot uint64) error {
-		e, used, err := s.zoneRead(slot)
+		e, used, err := s.zoneRead(slot, nil)
 		if err != nil || !used {
 			return fmt.Errorf("key %q at slot %d: used=%v err=%v", key, slot, used, err)
 		}
@@ -179,7 +179,7 @@ func TestSameCodeEquivalence(t *testing.T) {
 	victim := byShard[0][0]
 	must("victim put", ctx.Put(victim, value(3)))
 	s0 := sh.Shard(0)
-	_, e, err := s0.lookup([]byte(victim))
+	_, e, err := s0.lookup([]byte(victim), nil)
 	must("victim lookup", err)
 	_, data := s0.Devices()
 	data.SetFaultPlan(fault.NewPlan(fault.Config{BadPages: []uint64{e.Blocks[0] + 1}}))

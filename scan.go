@@ -41,7 +41,7 @@ func (c *Ctx) Scan(prefix string, fn func(info ObjectInfo) bool) error {
 		if len(key) > 0 && key[0] == 0 {
 			return nil // reserved transaction objects are not user-visible
 		}
-		e, used, err := s.zoneRead(slot)
+		e, used, err := s.zoneRead(slot, nil)
 		if err != nil {
 			return err
 		}

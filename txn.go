@@ -201,9 +201,10 @@ func (s *Store) getVersioned(key string, buf []byte) ([]byte, uint64, error) {
 		return nil, 0, ErrClosed
 	}
 	s.ops.gets.Add(1)
-	defer s.enterRead(key, nil).exit()
+	st, hash := s.enterRead(key, nil)
+	defer st.exit()
 	ver := s.vers.version(key)
-	out, err := s.readObject(key, buf)
+	out, err := s.readObject(key, hash, buf)
 	return out, ver, err
 }
 

@@ -120,7 +120,7 @@ func (s *Store) extendPool(u *subOp) error {
 	if !ok {
 		return fmt.Errorf("dstore: extend of unknown object %q", u.name)
 	}
-	e, used, err := s.zoneRead(slot)
+	e, used, err := s.zoneRead(slot, nil)
 	if err != nil {
 		return err
 	}
@@ -187,20 +187,16 @@ func (s *Store) release(subs []subOp) {
 
 // ------------------------------------------------------------ owned checks
 
-// lookup resolves name to its slot and entry under the reader-side locks.
-func (s *Store) lookup(name []byte) (uint64, meta.Entry, error) {
-	return s.lookupInto(name, nil)
-}
-
-// lookupInto is lookup over zoneReadInto: the read paths pass stack room.
-func (s *Store) lookupInto(name []byte, buf *entryBuf) (uint64, meta.Entry, error) {
+// lookup resolves name through the index to its slot and entry, making the
+// entry's copy in buf (zoneRead); the read paths pass stack room.
+func (s *Store) lookup(name []byte, buf *entryBuf) (uint64, meta.Entry, error) {
 	s.treeMu.RLock()
 	slot, ok := s.front.tree.Get(name)
 	s.treeMu.RUnlock()
 	if !ok {
 		return 0, meta.Entry{}, ErrNotFound
 	}
-	e, used, err := s.zoneReadInto(slot, buf)
+	e, used, err := s.zoneRead(slot, buf)
 	if err == nil && !used {
 		// string(name): the copy escapes into the error, not the caller's
 		// (usually stack-allocated) name.
@@ -213,7 +209,7 @@ func (s *Store) lookupInto(name []byte, buf *entryBuf) (uint64, meta.Entry, erro
 // read error here would also surface at the apply; the list just stays empty.
 func (s *Store) putOwned(u *subOp) error {
 	if u.indexed {
-		if e, used, err := s.zoneRead(u.slot); err == nil && used {
+		if e, used, err := s.zoneRead(u.slot, nil); err == nil && used {
 			u.old = e.Blocks
 		}
 	}
@@ -224,7 +220,7 @@ func (s *Store) putOwned(u *subOp) error {
 // freed after commit (a crash in between leaks nothing — pool reconstitution
 // at recovery returns unreferenced ids to the free sets).
 func (s *Store) deleteOwned(u *subOp) error {
-	slot, e, err := s.lookup(u.name)
+	slot, e, err := s.lookup(u.name, nil)
 	if err == nil {
 		u.slot, u.indexed, u.freeSlot, u.old = slot, true, true, e.Blocks
 	}
@@ -235,7 +231,7 @@ func (s *Store) deleteOwned(u *subOp) error {
 // metadata will say SumUnverified, so readers would not probe the cache for
 // these blocks anyway; the eager drop reclaims the DRAM.)
 func (s *Store) invalOwned(u *subOp) error {
-	slot, e, err := s.lookup(u.name)
+	slot, e, err := s.lookup(u.name, nil)
 	if err != nil {
 		return err
 	}
@@ -252,7 +248,7 @@ func (s *Store) invalOwned(u *subOp) error {
 // quarantined block (u.old) at the index — an earlier writer may have
 // replaced the whole version before our append serialized.
 func (s *Store) remapOwned(u *subOp) error {
-	slot, e, err := s.lookup(u.name)
+	slot, e, err := s.lookup(u.name, nil)
 	if errors.Is(err, ErrNotFound) {
 		return errStale
 	}
@@ -612,8 +608,9 @@ func (s *Store) span(data []byte, i int) []byte {
 // applyOwned is steps ⑥–⑦ and the one place a store's own structures change
 // — on a primary after its append made it the names' owner, on a standby
 // after the shipped record went into its log (repl.go): drain the readers
-// that entered before the record became visible (§4.4), take the index lock
-// (unless the set is all overwrites) and then the zone stripes (DESIGN.md
+// that entered before the record became visible (§4.4), empty the slot hint
+// of every name that may move (readers.go), take the index lock (unless the
+// set is all overwrites) and then the zone stripes (DESIGN.md
 // §11), apply in record order, bump the OCC versions — after the structures
 // changed and before the record commits, so a transaction that validated a
 // key either sees the bump or finds the record in its conflict window — and
@@ -628,15 +625,18 @@ func (s *Store) applyOwned(subs []subOp, t *stageNs) (visible bool, err error) {
 	if t != nil && t.measure {
 		metaDone = &t.metaDone
 	}
-	for i := range subs {
-		s.readers.awaitZero(subs[i].key)
-	}
 	// An overwrite — a put-shaped update of a name the pool phase found
 	// indexed — rewrites its slot and never looks at the index (OE: the zone
-	// needs no tree lock, §3.7); everything else takes the index lock.
+	// needs no tree lock, §3.7); everything else takes the index lock and,
+	// once the name's readers are out, empties the name's slot hint.
 	index := false
 	for i := range subs {
-		index = index || !(subs[i].indexed && putShaped(subs[i].op))
+		hash := wal.NameHash(subs[i].key)
+		s.readers.awaitZero(hash)
+		if !(subs[i].indexed && putShaped(subs[i].op)) {
+			index = true
+			s.hints.bucket(hash).Store(0)
+		}
 	}
 	if index {
 		s.treeMu.Lock()
