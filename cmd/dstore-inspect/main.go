@@ -157,8 +157,9 @@ func reportLocal(when string, api dstore.API) {
 	report(when, b.Stats(), b.Health(), rg)
 }
 
-// engineLine prints a bare store's DIPPER state: the durable root, log
-// occupancy, and shadow-arena traffic that no reply carries.
+// engineLine prints a bare store's DIPPER state — the durable root, log
+// occupancy, and shadow-arena traffic — and its memory ledger, which no
+// reply carries.
 func engineLine(st *dstore.Store) {
 	e := st.Engine()
 	root, err := e.RootState()
@@ -169,6 +170,9 @@ func engineLine(st *dstore.Store) {
 		root.Seq, root.ActiveLog, root.ShadowGen, root.CkptInProgress, root.LastCkptLSN)
 	fmt.Printf("log:  lastLSN=%d inflight=%d free=%.0f%% shadowCloned=%dB\n",
 		e.Pair().LastLSN(), e.Pair().InFlight(), 100*e.Pair().FreeFraction(), e.Stats().ShadowBytesCloned)
+	m := st.Memory()
+	fmt.Printf("mem:  arena=%d/%dKiB cache=%dKiB hints=%dKiB cc=%dKiB walPending=%dB images=%dKiB (simulated devices, not DRAM)\n",
+		m.ArenaUsed>>10, m.ArenaReserved>>10, m.Cache>>10, m.SlotHints>>10, m.CC>>10, m.WALPending, m.Images>>10)
 }
 
 // txnTour exercises the transaction path so the txn counters in the

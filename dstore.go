@@ -35,6 +35,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"dstore/internal/alloc"
 	"dstore/internal/cache"
@@ -631,6 +632,36 @@ func (s *Store) Footprint() Footprint {
 		DRAMBytes: used,
 		PMEMBytes: pmemBytes,
 		SSDBytes:  (1 + usedBlocks) * blockSize,
+	}
+}
+
+// Memory is the store's memory by owner, in bytes. Every owner but Images is
+// on the Go heap and is the store's own DRAM; Images is the simulated PMEM
+// and SSD, mapped outside the heap on Linux outside race builds
+// (internal/devmem), and stands in for hardware a deployment would not count
+// as DRAM.
+type Memory struct {
+	ArenaUsed, ArenaReserved uint64 // DRAM system-space arena: used prefix, allocation
+	Cache                    uint64 // block cache payload
+	SlotHints                uint64 // point reads' name → slot table
+	CC                       uint64 // in-flight-name filter, read counts, version table
+	WALPending               uint64 // both logs' pending lists and publish scratch
+	Images                   uint64 // simulated device images (not DRAM)
+}
+
+// Memory measures the store's memory by owner. It is local: the STATS reply
+// does not carry it.
+func (s *Store) Memory() Memory {
+	front := s.eng.Frontend()
+	filter, pending := s.eng.Pair().DRAM()
+	return Memory{
+		ArenaUsed:     front.Used(),
+		ArenaReserved: front.Space().Size(),
+		Cache:         s.bcache.Stats().Bytes,
+		SlotHints:     uint64(len(s.hints)) * uint64(unsafe.Sizeof(s.hints[0])),
+		CC:            filter + uint64(unsafe.Sizeof(s.readers)+unsafe.Sizeof(s.vers)),
+		WALPending:    pending,
+		Images:        uint64(len(s.pm.Bytes()) + s.data.Pages()*s.data.PageSize()),
 	}
 }
 

@@ -181,6 +181,9 @@ func Load(root string, extraDirs ...string) (*Module, error) {
 			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 				continue
 			}
+			if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+				continue // built for another platform (a GOOS suffix or a //go:build line)
+			}
 			f, err := parser.ParseFile(m.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
 			if err != nil {
 				return nil, err

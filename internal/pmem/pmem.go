@@ -24,6 +24,7 @@
 package pmem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -34,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dstore/internal/devmem"
 	"dstore/internal/fault"
 	"dstore/internal/latency"
 )
@@ -158,6 +160,7 @@ type lineShard struct {
 // Distinct goroutines writing the same cache line concurrently must provide
 // their own synchronization, exactly as on real hardware.
 type Device struct {
+	img    *devmem.Image // owns buf; off the Go heap (see package devmem)
 	buf    []byte
 	track  bool
 	strict bool // see Config.StrictPersistOrder
@@ -183,14 +186,15 @@ func New(cfg Config) *Device {
 	if size%LineSize != 0 {
 		size += LineSize - size%LineSize
 	}
+	img := devmem.New(size)
 	d := &Device{
-		buf:    make([]byte, size),
+		img:    img,
+		buf:    img.Bytes(),
 		track:  cfg.TrackPersistence,
 		strict: cfg.StrictPersistOrder,
 		lat:    cfg.Latency,
 		faults: cfg.Faults,
 	}
-	prefault(d.buf)
 	for i := range d.shards {
 		// The device has not escaped yet, but the line maps are "guarded by
 		// mu" — take the (uncontended) lock so the discipline holds on every
@@ -220,7 +224,9 @@ func (d *Device) Size() int { return len(d.buf) }
 
 // Bytes exposes the device's volatile view for zero-copy reads. Callers must
 // not write through the returned slice; all mutation must go through WriteAt /
-// Put* so the persistence model observes it.
+// Put* so the persistence model observes it. The view lives outside the Go
+// heap and is valid only while the Device is reachable: a caller that keeps
+// any part of it after dropping the Device must copy it first.
 func (d *Device) Bytes() []byte { return d.buf }
 
 // Stats returns a snapshot of the device counters.
@@ -399,7 +405,7 @@ func (d *Device) Fence() {
 					continue
 				}
 				cur := d.buf[line*LineSize : (line+1)*LineSize]
-				if bytesEqual(cur, st.staged) {
+				if bytes.Equal(cur, st.staged) {
 					// Line fully persistent again.
 					delete(s.lines, line)
 				} else {
@@ -558,24 +564,4 @@ func (d *Device) Crash(policy CrashPolicy, seed int64) error {
 		s.mu.Unlock()
 	}
 	return nil
-}
-
-// prefault touches every page of buf so first-touch page faults happen at
-// device creation rather than inside latency-sensitive operations.
-func prefault(buf []byte) {
-	for i := 0; i < len(buf); i += 4096 {
-		buf[i] = 0
-	}
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

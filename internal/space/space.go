@@ -255,7 +255,10 @@ func (p *PMEM) check(off, n uint64) {
 	}
 }
 
-// Slice returns a view of [off, off+n) in the device's volatile image.
+// Slice returns a view of [off, off+n) in the device's volatile image. The
+// image lives outside the Go heap (see pmem.Device.Bytes): the view is valid
+// only while the device is reachable, so a result that outlives the window's
+// owner must be a copy.
 func (p *PMEM) Slice(off, n uint64) []byte {
 	p.check(off, n)
 	a := p.base + off

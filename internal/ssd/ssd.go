@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dstore/internal/devmem"
 	"dstore/internal/fault"
 	"dstore/internal/latency"
 )
@@ -89,6 +90,7 @@ type Stats struct {
 // concurrent writers to the same page must synchronize themselves.
 type Device struct {
 	pageSize  int
+	img       *devmem.Image // owns buf; off the Go heap (see package devmem)
 	buf       []byte
 	protected bool
 	lat       Latencies
@@ -112,17 +114,15 @@ func New(cfg Config) *Device {
 	if pages <= 0 {
 		pages = 1
 	}
+	img := devmem.New(ps * pages)
 	d := &Device{
 		pageSize:  ps,
-		buf:       make([]byte, ps*pages),
+		img:       img,
+		buf:       img.Bytes(),
 		protected: cfg.PowerProtected,
 		lat:       cfg.Latency,
 		faults:    cfg.Faults,
 		dirty:     make(map[int][]byte),
-	}
-	// Touch every page so first-touch faults happen now, not mid-benchmark.
-	for i := 0; i < len(d.buf); i += ps {
-		d.buf[i] = 0
 	}
 	return d
 }

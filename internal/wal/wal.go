@@ -55,6 +55,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"dstore/internal/pmem"
 	"dstore/internal/space"
@@ -367,6 +368,17 @@ func NameHash[T ~string | ~[]byte](name T) uint64 {
 	h ^= h >> 32
 	h *= 0x9e3779b97f4a7c15
 	return h ^ h>>29
+}
+
+// DRAM reports the pair's heap bytes: the in-flight-name filter, and the
+// pending lists and publish scratch of both logs.
+func (p *Pair) DRAM() (filter, pending uint64) {
+	for _, l := range p.logs {
+		l.mu.Lock()
+		pending += uint64(cap(l.pending))*uint64(unsafe.Sizeof(pendingRec{})) + uint64(cap(l.lsnLines))*8
+		l.mu.Unlock()
+	}
+	return uint64(unsafe.Sizeof(p.inflight)), pending
 }
 
 // Quiet reports that no unsettled record's name hashes to hash's filter

@@ -6,9 +6,12 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"dstore/internal/devmem"
 )
 
-// heapCeiling bounds what the package may still hold after its tests ran.
+// heapCeiling bounds what the package may still hold after its tests ran:
+// heap in use plus the device images still reachable off the heap.
 // One store pins ~32 MB of simulated devices, and the sweeps create
 // thousands: retention of even a few percent of them blows through this.
 const heapCeiling = 256 << 20
@@ -18,9 +21,9 @@ const heapCeiling = 256 << 20
 // goroutine and batch workers parked, and those keep its devices reachable
 // for the life of the process — which is how the crash sweeps once took this
 // package to 15 GB. After the run, goroutines get a moment to settle (the
-// same polling the server's stabilization test uses), the heap is collected,
-// and the run fails if more goroutines are alive than before it started or
-// the live heap exceeds heapCeiling.
+// same polling the server's stabilization test uses), the heap is collected
+// until dropped devices' images are released, and the run fails if more goroutines are alive than before it started or
+// the live heap and device images exceed heapCeiling.
 func TestMain(m *testing.M) {
 	base := runtime.NumGoroutine()
 	code := m.Run()
@@ -30,18 +33,22 @@ func TestMain(m *testing.M) {
 			time.Sleep(10 * time.Millisecond)
 			n = runtime.NumGoroutine()
 		}
-		runtime.GC()
+		live := settleImages()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
+		var images int64
+		if devmem.OffHeap {
+			images = live
+		}
 		if n > base {
 			buf := make([]byte, 1<<20)
 			fmt.Fprintf(os.Stderr, "FAIL: %d goroutines alive after the tests, %d before; a store was dropped without being stopped\n%s\n",
 				n, base, buf[:runtime.Stack(buf, true)])
 			code = 1
 		}
-		if ms.HeapInuse > heapCeiling {
-			fmt.Fprintf(os.Stderr, "FAIL: %d MiB of heap in use after the tests, ceiling %d MiB; something pins dropped stores\n",
-				ms.HeapInuse>>20, heapCeiling>>20)
+		if ms.HeapInuse+uint64(images) > heapCeiling {
+			fmt.Fprintf(os.Stderr, "FAIL: %d MiB of heap and %d MiB of device images in use after the tests, ceiling %d MiB; something pins dropped stores\n",
+				ms.HeapInuse>>20, images>>20, heapCeiling>>20)
 			code = 1
 		}
 	}
