@@ -18,25 +18,25 @@ import (
 //	 Clients can assist in this copying process, but must wait until the
 //	 page is copied before making any modification to it."
 //
-// cowSpace wraps the frontend DRAM arena: while a checkpoint is active,
-// every store into a protected page first copies that page to a PMEM scratch
-// window (charging real simulated PMEM write+flush latency) — the client
-// wait that produces CoW's tail latency. A background sweeper copies the
-// remaining pages so the checkpoint completes, mirroring the page-at-a-time
-// flushing that underuses PMEM bandwidth (paper §5.3).
+// cowSpace is the frontend DRAM arena's store barrier: while a checkpoint
+// is active, every store into a protected page first copies that page to a
+// PMEM scratch window (charging real simulated PMEM write+flush latency) —
+// the client wait that produces CoW's tail latency. A background sweeper
+// copies the remaining pages so the checkpoint completes, mirroring the
+// page-at-a-time flushing that underuses PMEM bandwidth (paper §5.3).
 //
 // Persistence correctness in CoW mode is still provided by the DIPPER log +
 // replay machinery; cowSpace reproduces the *client-visible cost* of CoW
 // checkpoints on the same consistent substrate (see DESIGN.md §4).
 type cowSpace struct {
-	inner    space.Space
+	inner    *space.Arena
 	scratch  *space.PMEM
 	pageSize uint64
 	active   atomic.Bool
 	// mu makes freeze atomic with respect to in-flight stores, the role
-	// page-table manipulation plays for real CoW: mutators hold it shared
-	// for the touch+store pair, freeze takes it exclusively while arming
-	// the protection bitmap.
+	// page-table manipulation plays for real CoW: the barrier holds it
+	// shared for the touch+store pair, freeze takes it exclusively while
+	// arming the protection bitmap.
 	mu      sync.RWMutex
 	bits    []atomic.Uint64 // 1 bit per page: protected (not yet claimed)
 	copying []atomic.Uint64 // 1 bit per page: copy in flight; writers wait
@@ -45,15 +45,18 @@ type cowSpace struct {
 	faultCopies atomic.Uint64
 }
 
-func newCowSpace(inner space.Space, scratch *space.PMEM, pageSize uint64) *cowSpace {
+// newCowSpace returns the CoW barrier, installed on inner.
+func newCowSpace(inner *space.Arena, scratch *space.PMEM, pageSize uint64) *cowSpace {
 	pages := (inner.Size() + pageSize - 1) / pageSize
-	return &cowSpace{
+	c := &cowSpace{
 		inner:    inner,
 		scratch:  scratch,
 		pageSize: pageSize,
 		bits:     make([]atomic.Uint64, (pages+63)/64),
 		copying:  make([]atomic.Uint64, (pages+63)/64),
 	}
+	inner.SetBarrier(c)
+	return c
 }
 
 // freeze protects the first `used` bytes of the arena; subsequent stores
@@ -178,58 +181,12 @@ func (c *cowSpace) touch(off, n uint64) {
 	}
 }
 
-// space.Space implementation: mutators fault first, everything else passes
-// through.
-
-func (c *cowSpace) Kind() space.Kind           { return c.inner.Kind() }
-func (c *cowSpace) Size() uint64               { return c.inner.Size() }
-func (c *cowSpace) Slice(off, n uint64) []byte { return c.inner.Slice(off, n) }
-func (c *cowSpace) GetU64(off uint64) uint64   { return c.inner.GetU64(off) }
-func (c *cowSpace) GetU32(off uint64) uint32   { return c.inner.GetU32(off) }
-func (c *cowSpace) GetU16(off uint64) uint16   { return c.inner.GetU16(off) }
-func (c *cowSpace) GetU8(off uint64) uint8     { return c.inner.GetU8(off) }
-func (c *cowSpace) Flush(off, n uint64)        { c.inner.Flush(off, n) }
-func (c *cowSpace) Fence()                     { c.inner.Fence() }
-func (c *cowSpace) Persist(off, n uint64)      { c.inner.Persist(off, n) }
-
-func (c *cowSpace) Write(off uint64, p []byte) {
-	c.mu.RLock()
-	c.touch(off, uint64(len(p)))
-	c.inner.Write(off, p)
-	c.mu.RUnlock()
-}
-
-func (c *cowSpace) Zero(off, n uint64) {
+// Enter is the arena's store barrier: the store to [off, off+n) runs under
+// mu held shared, after its pages are copied.
+func (c *cowSpace) Enter(off, n uint64) {
 	c.mu.RLock()
 	c.touch(off, n)
-	c.inner.Zero(off, n)
-	c.mu.RUnlock()
 }
 
-func (c *cowSpace) PutU64(off uint64, v uint64) {
-	c.mu.RLock()
-	c.touch(off, 8)
-	c.inner.PutU64(off, v)
-	c.mu.RUnlock()
-}
-
-func (c *cowSpace) PutU32(off uint64, v uint32) {
-	c.mu.RLock()
-	c.touch(off, 4)
-	c.inner.PutU32(off, v)
-	c.mu.RUnlock()
-}
-
-func (c *cowSpace) PutU16(off uint64, v uint16) {
-	c.mu.RLock()
-	c.touch(off, 2)
-	c.inner.PutU16(off, v)
-	c.mu.RUnlock()
-}
-
-func (c *cowSpace) PutU8(off uint64, v uint8) {
-	c.mu.RLock()
-	c.touch(off, 1)
-	c.inner.PutU8(off, v)
-	c.mu.RUnlock()
-}
+// Exit ends the store Enter admitted.
+func (c *cowSpace) Exit() { c.mu.RUnlock() }

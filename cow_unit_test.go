@@ -9,19 +9,20 @@ import (
 	"dstore/internal/space"
 )
 
-func newCowForTest(t *testing.T, arenaBytes uint64) (*cowSpace, *pmem.Device) {
+// newCowForTest returns a DRAM arena behind a CoW barrier, and the barrier.
+func newCowForTest(t *testing.T, arenaBytes uint64) (*cowSpace, *space.Arena) {
 	t.Helper()
 	dev := pmem.New(pmem.Config{Size: int(arenaBytes), TrackPersistence: true})
 	inner := space.NewDRAM(arenaBytes)
 	scratch := space.MustPMEM(dev, 0, arenaBytes)
-	return newCowSpace(inner, scratch, 4096), dev
+	return newCowSpace(inner, scratch, 4096), inner
 }
 
 func TestCowInactivePassthrough(t *testing.T) {
-	c, _ := newCowForTest(t, 1<<16)
-	c.Write(0, []byte("plain"))
-	c.PutU64(8, 42)
-	if string(c.Slice(0, 5)) != "plain" || c.GetU64(8) != 42 {
+	c, a := newCowForTest(t, 1<<16)
+	a.Write(0, []byte("plain"))
+	a.PutU64(8, 42)
+	if string(a.Slice(0, 5)) != "plain" || a.GetU64(8) != 42 {
 		t.Fatal("passthrough broken")
 	}
 	if c.pagesCopied.Load() != 0 {
@@ -30,11 +31,11 @@ func TestCowInactivePassthrough(t *testing.T) {
 }
 
 func TestCowFreezeThenWriteCopiesOnce(t *testing.T) {
-	c, _ := newCowForTest(t, 1<<16)
-	c.Write(0, []byte("original page content"))
+	c, a := newCowForTest(t, 1<<16)
+	a.Write(0, []byte("original page content"))
 	c.freeze(2 * 4096) // protect pages 0 and 1
 
-	c.PutU8(10, 'X') // faults page 0
+	a.PutU8(10, 'X') // faults page 0
 	if c.faultCopies.Load() != 1 || c.pagesCopied.Load() != 1 {
 		t.Fatalf("copies after first store: fault=%d total=%d", c.faultCopies.Load(), c.pagesCopied.Load())
 	}
@@ -43,22 +44,22 @@ func TestCowFreezeThenWriteCopiesOnce(t *testing.T) {
 		t.Fatalf("scratch = %q", c.scratch.Slice(0, 8))
 	}
 	// A second store to the same page must not copy again.
-	c.PutU8(11, 'Y')
+	a.PutU8(11, 'Y')
 	if c.pagesCopied.Load() != 1 {
 		t.Fatal("page copied twice")
 	}
 	// Page 1 still protected until touched or swept.
-	c.PutU8(4096, 'Z')
+	a.PutU8(4096, 'Z')
 	if c.pagesCopied.Load() != 2 {
 		t.Fatal("second page not copied on fault")
 	}
 }
 
 func TestCowSweepCopiesRemainder(t *testing.T) {
-	c, _ := newCowForTest(t, 1<<16)
+	c, a := newCowForTest(t, 1<<16)
 	const pages = 10
 	c.freeze(pages * 4096)
-	c.PutU8(0, 1) // client copies page 0
+	a.PutU8(0, 1) // client copies page 0
 	c.sweep()     // sweeper copies the other nine
 	if got := c.pagesCopied.Load(); got != pages {
 		t.Fatalf("pages copied = %d, want %d", got, pages)
@@ -68,23 +69,23 @@ func TestCowSweepCopiesRemainder(t *testing.T) {
 	}
 	// Post-sweep stores are free.
 	before := c.pagesCopied.Load()
-	c.PutU8(1, 2)
+	a.PutU8(1, 2)
 	if c.pagesCopied.Load() != before {
 		t.Fatal("copy after sweep deactivated protection")
 	}
 }
 
 func TestCowWriteSpanningPages(t *testing.T) {
-	c, _ := newCowForTest(t, 1<<16)
+	c, a := newCowForTest(t, 1<<16)
 	c.freeze(4 * 4096)
-	c.Write(4090, make([]byte, 100)) // spans pages 0 and 1
+	a.Write(4090, make([]byte, 100)) // spans pages 0 and 1
 	if c.pagesCopied.Load() != 2 {
 		t.Fatalf("spanning write copied %d pages, want 2", c.pagesCopied.Load())
 	}
 }
 
 func TestCowConcurrentWritersCopyEachPageOnce(t *testing.T) {
-	c, _ := newCowForTest(t, 1<<20)
+	c, a := newCowForTest(t, 1<<20)
 	const pages = 64
 	for round := 0; round < 20; round++ {
 		c.freeze(pages * 4096)
@@ -94,7 +95,7 @@ func TestCowConcurrentWritersCopyEachPageOnce(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for p := 0; p < pages; p++ {
-					c.PutU8(uint64(p)*4096+uint64(g), byte(g))
+					a.PutU8(uint64(p)*4096+uint64(g), byte(g))
 				}
 			}(g)
 		}

@@ -430,8 +430,8 @@ func newStore(cfg *Config) (*Store, error) {
 	return s, nil
 }
 
-// frontendSpace builds the DRAM arena, wrapped for CoW modes.
-func (s *Store) frontendSpace(size uint64) space.Space {
+// frontendSpace builds the DRAM arena, behind the CoW barrier in CoW modes.
+func (s *Store) frontendSpace(size uint64) *space.Arena {
 	inner := space.NewDRAM(size)
 	if !s.cfg.cowEnabled() {
 		return inner
@@ -441,7 +441,7 @@ func (s *Store) frontendSpace(size uint64) space.Space {
 	// same config), so a bad range here is a programmer error.
 	scratch := space.MustPMEM(s.pm, scratchOff, s.cfg.ArenaBytes)
 	s.cow = newCowSpace(inner, scratch, blockSize)
-	return s.cow
+	return inner
 }
 
 // onSwap arms CoW page protection at checkpoint start.

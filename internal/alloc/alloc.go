@@ -11,7 +11,7 @@
 //     avoiding persistent leaks).
 //
 // This implementation achieves all three by storing the allocator state
-// *inside* the Space it manages, at fixed offsets, with every internal
+// *inside* the Arena it manages, at fixed offsets, with every internal
 // pointer relative: cloning an arena is a single range copy of its used
 // prefix ([0, bump)), and flushing everything allocated is a single range
 // flush of the same prefix. It is a slab allocator with power-of-two size
@@ -66,11 +66,11 @@ const (
 	HeaderSize = (offFreeHeads + 8*NumClasses + 63) / 64 * 64
 )
 
-// Allocator manages allocations inside a Space. The zero value is not usable;
+// Allocator manages allocations inside an Arena. The zero value is not usable;
 // obtain one with Format or Open. Allocator is safe for concurrent use.
 type Allocator struct {
 	mu sync.Mutex
-	sp space.Space
+	sp *space.Arena
 }
 
 // classSize returns the block size of class c.
@@ -93,7 +93,7 @@ func classFor(n uint64) int {
 // programmer error and panics.
 //
 //dstore:invariant
-func Format(sp space.Space) *Allocator {
+func Format(sp *space.Arena) *Allocator {
 	if sp.Size() < HeaderSize+MinClass {
 		panic("alloc: space too small to format")
 	}
@@ -106,7 +106,7 @@ func Format(sp space.Space) *Allocator {
 
 // Open attaches to an already-formatted arena (e.g. after recovery copied a
 // PMEM shadow into a DRAM space). It fails if the header is not sealed.
-func Open(sp space.Space) (*Allocator, error) {
+func Open(sp *space.Arena) (*Allocator, error) {
 	if sp.GetU64(offMagic) != Magic {
 		return nil, fmt.Errorf("alloc: bad arena magic %#x", sp.GetU64(offMagic))
 	}
@@ -119,8 +119,8 @@ func Open(sp space.Space) (*Allocator, error) {
 	return &Allocator{sp: sp}, nil
 }
 
-// Space returns the managed Space.
-func (a *Allocator) Space() space.Space { return a.sp }
+// Space returns the managed Arena.
+func (a *Allocator) Space() *space.Arena { return a.sp }
 
 // Alloc returns the offset of a zeroed block able to hold size bytes, or an
 // error if the arena is exhausted. Offset 0 is never returned (it is the nil
@@ -237,7 +237,7 @@ func (a *Allocator) FlushAll() {
 // must be at least Used() bytes. This implements the paper's "create a copy
 // of the allocator state" — shadow-copy creation at checkpoint time and the
 // PMEM→DRAM rebuild at recovery are both CloneTo calls.
-func (a *Allocator) CloneTo(dst space.Space) (*Allocator, error) {
+func (a *Allocator) CloneTo(dst *space.Arena) (*Allocator, error) {
 	a.mu.Lock()
 	used := a.sp.GetU64(offBump)
 	if dst.Size() < used {

@@ -240,7 +240,7 @@ func TestCloneToPMEMAndBack(t *testing.T) {
 	src.SetRoot(1, o)
 
 	dev := pmem.New(pmem.Config{Size: 1 << 16, TrackPersistence: true})
-	pm := space.MustPMEM(dev, 0, 1<<16)
+	pm := &space.MustPMEM(dev, 0, 1<<16).Arena
 	shadow, err := src.CloneTo(pm)
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +264,7 @@ func TestCloneToPMEMAndBack(t *testing.T) {
 
 func TestFlushAllMakesArenaDurable(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 1 << 16, TrackPersistence: true})
-	pm := space.MustPMEM(dev, 0, 1<<16)
+	pm := &space.MustPMEM(dev, 0, 1<<16).Arena
 	a := Format(pm)
 	o, _ := a.Alloc(100)
 	a.Space().Write(o, []byte("durable"))

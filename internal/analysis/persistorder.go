@@ -8,9 +8,11 @@ import (
 
 // runPersistOrder enforces the x86 PMEM persistence-ordering contract
 // (paper §3.4): every durable write — a write primitive on a concrete
-// *pmem.Device or *space.PMEM — must be flushed (clwb) and fenced (sfence)
-// on every return path, and in particular before any WAL commit/abort or
-// root publish that makes the write's effects observable after a crash.
+// *pmem.Device or on a *space.PMEM log window, whose Arena methods are
+// promoted and keyed by the receiver expression — must be flushed (clwb) and
+// fenced (sfence) on every return path, and in particular before any WAL
+// commit/abort or root publish that makes the write's effects observable
+// after a crash.
 //
 // The abstract state per control-flow path is {dirty, staged}: dirty lines
 // have been written but not flushed; staged lines were flushed but the fence
@@ -22,9 +24,10 @@ import (
 // Interprocedural reasoning is one level deep via per-function summaries of
 // direct effects: a call to a function that writes and does not end clean
 // dirties the caller; a call to a function that flushes and fences acts as a
-// Persist. Writes through the space.Space interface are invisible by design:
-// arena structures are volatile until checkpoint FlushAll, so only concrete
-// persistent-space writes participate in the ordering contract.
+// Persist. Writes through a *space.Arena are invisible by design (Arena.Write
+// and Arena.Zero are //dstore:volatile): arena structures are volatile until
+// checkpoint FlushAll, so only device and log-window writes participate in
+// the ordering contract.
 //
 // Functions annotated //dstore:volatile opt out (their writes are volatile
 // by design; recovery tolerates their loss).

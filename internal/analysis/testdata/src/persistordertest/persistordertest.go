@@ -69,12 +69,18 @@ func volatileScratch(d *pmem.Device) {
 	d.PutU64(0, 1)
 }
 
-// arenaWrite goes through the space.Space interface — arena structures are
-// volatile until checkpoint FlushAll, so interface writes are invisible to
-// the checker by design.
-func arenaWrite(sp space.Space, b []byte) {
-	sp.Write(0, b)
+// arenaWrite stores through a *space.Arena — arena structures are volatile
+// until checkpoint FlushAll, so arena writes are invisible to the checker by
+// design.
+func arenaWrite(a *space.Arena, b []byte) {
+	a.Write(0, b)
 }
+
+// windowWrite stores through a WAL log window: the promoted Write is a
+// durable write like any other and must be flushed and fenced.
+func windowWrite(p *space.PMEM, b []byte) {
+	p.Write(0, b)
+} // want "returns with unflushed persistent writes"
 
 // dirtyHelper writes without flushing; its summary marks it not-ends-clean.
 func dirtyHelper(d *pmem.Device) {

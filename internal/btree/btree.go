@@ -2,7 +2,7 @@
 // maintaining an index of objects in the system, we utilize a btree").
 //
 // The tree is a B+ tree that lives entirely inside an allocator-managed
-// Space: nodes and long keys are arena allocations and every link is a
+// Arena: nodes and long keys are arena allocations and every link is a
 // relative pointer. Exactly the same code therefore operates on the DRAM
 // frontend copy and the PMEM shadow copy (DIPPER's same-code property, paper
 // §3.5), and cloning the arena clones the tree.
@@ -92,11 +92,8 @@ var le = binary.LittleEndian
 // Tree is a B+ tree handle. The zero value is invalid; use New or Open.
 type Tree struct {
 	al  *alloc.Allocator
-	sp  space.Space
+	sp  *space.Arena
 	hdr uint64
-	// stage assembles a node's new bytes for its one Write. Mutations are
-	// serialized by the caller, so one buffer serves every one of them.
-	stage [nodeSize]byte
 }
 
 // New allocates an empty tree in al's arena and returns it along with the
@@ -299,10 +296,11 @@ func (t *Tree) Insert(key []byte, val uint64) (old uint64, replaced bool, err er
 
 // write lays head and then tail down at offset at of node n with one Write.
 func (t *Tree) write(n uint64, at int, head, tail []byte) {
-	m := copy(t.stage[:], head)
-	m += copy(t.stage[m:], tail)
+	var stage [nodeSize]byte
+	m := copy(stage[:], head)
+	m += copy(stage[m:], tail)
 	if m > 0 {
-		t.sp.Write(n+uint64(at), t.stage[:m])
+		t.sp.Write(n+uint64(at), stage[:m])
 	}
 }
 
@@ -317,8 +315,8 @@ func (t *Tree) split(n uint64, b []byte, ci int, c uint64, cb []byte) error {
 		return err
 	}
 	var sep [refSize]byte
-	rb := t.stage[:]
-	clear(rb)
+	var stage [nodeSize]byte // the right node, then n's shifted span
+	rb := stage[:]
 	rk := LeafCap - mid - 1
 	if isLeaf(cb) {
 		// The right half keeps the middle entry; the separator is a copy of
@@ -347,7 +345,7 @@ func (t *Tree) split(n uint64, b []byte, ci int, c uint64, cb []byte) error {
 	// [ci+1, k+1) move up one, staged from reference ci through child k+1.
 	k := nkeys(b)
 	lo, hi := intKeys+refSize*ci, intChildren+8*(k+2)
-	s := t.stage[:hi-lo]
+	s := stage[:hi-lo]
 	copy(s, b[lo:hi])
 	copy(s[refSize:], b[lo:intKeys+refSize*k])
 	copy(s, sep[:])

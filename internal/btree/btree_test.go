@@ -205,7 +205,7 @@ func TestRandomMixAgainstModel(t *testing.T) {
 func TestSameCodeOnPMEMSpace(t *testing.T) {
 	// The DIPPER property: the tree code must run unmodified on a PMEM arena.
 	dev := pmem.New(pmem.Config{Size: 1 << 22, TrackPersistence: true})
-	al := alloc.Format(space.MustPMEM(dev, 0, 1<<22))
+	al := alloc.Format(&space.MustPMEM(dev, 0, 1<<22).Arena)
 	tr, hdr, err := New(al)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestSameCodeOnPMEMSpace(t *testing.T) {
 	al.FlushAll()
 	dev.Crash(pmem.CrashDropDirty, 9)
 
-	al2, err := alloc.Open(space.MustPMEM(dev, 0, 1<<22))
+	al2, err := alloc.Open(&space.MustPMEM(dev, 0, 1<<22).Arena)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ type modelTree struct {
 	m  map[string]uint64
 }
 
-func newModelTree(tb testing.TB, sp space.Space) *modelTree {
+func newModelTree(tb testing.TB, sp *space.Arena) *modelTree {
 	tr, _, err := New(alloc.Format(sp))
 	if err != nil {
 		tb.Fatal(err)
@@ -126,9 +126,9 @@ func shapedKey(r func(n int) int) []byte {
 
 func TestKeyShapesAgainstModel(t *testing.T) {
 	const size = 4 << 20
-	spaces := map[string]func() space.Space{
-		"dram": func() space.Space { return space.NewDRAM(size) },
-		"pmem": func() space.Space { return space.MustPMEM(pmem.New(pmem.Config{Size: size}), 0, size) },
+	spaces := map[string]func() *space.Arena{
+		"dram": func() *space.Arena { return space.NewDRAM(size) },
+		"pmem": func() *space.Arena { return &space.MustPMEM(pmem.New(pmem.Config{Size: size}), 0, size).Arena },
 	}
 	for name, sp := range spaces {
 		t.Run(name, func(t *testing.T) {

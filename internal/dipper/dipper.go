@@ -71,8 +71,8 @@ type Config struct {
 	AutoCheckpoint bool
 	// NewFrontendSpace, if set, provides the DRAM system-space region; both
 	// Format and Open's recovery rebuild use it. Defaults to a plain DRAM
-	// space. DStore's CoW mode injects a copy-on-write wrapper here.
-	NewFrontendSpace func(size uint64) space.Space
+	// arena. DStore's CoW mode returns one behind its copy-on-write barrier.
+	NewFrontendSpace func(size uint64) *space.Arena
 	// OnSwap, if set, runs inside the checkpoint's swap critical section
 	// after the root update (e.g. to arm CoW page protection).
 	OnSwap func()
@@ -81,7 +81,7 @@ type Config struct {
 	OnCheckpointDone func()
 }
 
-func (c *Config) frontendSpace() space.Space {
+func (c *Config) frontendSpace() *space.Arena {
 	if c.NewFrontendSpace != nil {
 		return c.NewFrontendSpace(c.ArenaBytes)
 	}
@@ -324,8 +324,12 @@ func (e *Engine) logSpace(i int) (*space.PMEM, error) {
 	return space.NewPMEM(e.dev, e.cfg.logOff(i), e.cfg.LogBytes)
 }
 
-func (e *Engine) shadowSpace(i int) (*space.PMEM, error) {
-	return space.NewPMEM(e.dev, e.cfg.shadowOff(i), e.cfg.ArenaBytes)
+func (e *Engine) shadowSpace(i int) (*space.Arena, error) {
+	p, err := space.NewPMEM(e.dev, e.cfg.shadowOff(i), e.cfg.ArenaBytes)
+	if err != nil {
+		return nil, err
+	}
+	return &p.Arena, nil
 }
 
 func (e *Engine) start() {

@@ -4,7 +4,7 @@
 // allocated from the metadata pool; the B-tree maps object names to slot
 // indices.
 //
-// The zone lives in an allocator-managed Space, so it is part of the arena
+// The zone lives in an allocator-managed Arena, so it is part of the arena
 // cloned at checkpoints and recovered by the PMEM→DRAM copy; the same code
 // runs on both spaces.
 package meta
@@ -52,7 +52,7 @@ const SumUnverified uint32 = 0
 
 // Zone is a metadata zone handle.
 type Zone struct {
-	sp        space.Space
+	sp        *space.Arena
 	base      uint64
 	slots     uint64
 	slotSize  uint64

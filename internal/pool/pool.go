@@ -2,7 +2,7 @@
 // "The metadata and block pools are circular buffers containing free blocks
 // and metadata pages").
 //
-// A Pool lives inside an allocator-managed Space, so it is cloned with the
+// A Pool lives inside an allocator-managed Arena, so it is cloned with the
 // arena and the same code runs on the DRAM frontend and the PMEM shadow.
 // Pops and pushes are strictly FIFO, which is what makes replay
 // deterministic: because DStore performs every pool mutation inside the same
@@ -36,7 +36,7 @@ var ErrFull = errors.New("pool: full")
 // It is not internally synchronized: DStore guards its pools with the
 // Fig. 4 pool lock.
 type Pool struct {
-	sp   space.Space
+	sp   *space.Arena
 	base uint64
 }
 

@@ -5,14 +5,18 @@
 // structures and their persistent shadow copies are *the same code operating
 // on different memory*: all pointers are relative (offsets from a base), so a
 // structure can be copied between DRAM and PMEM wholesale and operated on in
-// either place. Space is that base: data-structure code (B-tree, pools,
-// metadata zone, allocator) is written against Space and runs unmodified on
+// either place. Arena is that base: data-structure code (B-tree, pools,
+// metadata zone, allocator) is written against *Arena and runs unmodified on
 //
 //   - DRAM: a plain byte slice whose persistence operations are no-ops, and
-//   - PMEM: a window of a pmem.Device, where Flush/Fence drive the
-//     cache-line persistence model.
+//   - PMEM: a window of a pmem.Device, whose stores go through the device so
+//     Flush/Fence drive the cache-line persistence model.
 //
-// Offset 0 inside a Space is the structure's base address; 0 doubles as the
+// An arena may carry a Barrier that runs around every store (never around a
+// read); DStore's copy-on-write checkpoint mode uses it as its page-fault
+// handler.
+//
+// Offset 0 inside an Arena is the structure's base address; 0 doubles as the
 // nil relative pointer (no valid allocation starts at offset 0 because the
 // allocator header lives there).
 package space
@@ -32,180 +36,188 @@ import (
 // recovery), so a bad range is a runtime condition there.
 var ErrOutOfRange = errors.New("space: out of range")
 
-// Kind identifies the backing memory of a Space.
-type Kind int
-
-const (
-	// DRAMKind marks a volatile Space.
-	DRAMKind Kind = iota
-	// PMEMKind marks a persistent Space.
-	PMEMKind
-)
-
-func (k Kind) String() string {
-	if k == PMEMKind {
-		return "pmem"
-	}
-	return "dram"
+// Barrier brackets every store into an arena: Enter(off, n) runs before the
+// store to [off, off+n) and Exit after it. Reads never call it.
+type Barrier interface {
+	Enter(off, n uint64)
+	Exit()
 }
 
-// Space is a flat, offset-addressed memory region. Implementations must allow
-// concurrent access to disjoint ranges; concurrent access to overlapping
-// ranges requires caller synchronization (as with real memory).
-type Space interface {
-	// Kind reports the backing memory type.
-	Kind() Kind
-	// Size returns the region size in bytes.
-	Size() uint64
-	// Slice returns a read-only view of [off, off+n). Callers must not
-	// mutate through it; use Write/Put* so the persistence model observes
-	// every store.
-	Slice(off, n uint64) []byte
-	// Write copies p into the region at off.
-	Write(off uint64, p []byte)
-	// Zero clears [off, off+n).
-	Zero(off, n uint64)
-	// PutU64 stores a little-endian u64 (8-byte atomic when aligned).
-	PutU64(off uint64, v uint64)
-	// PutU32 stores a little-endian u32.
-	PutU32(off uint64, v uint32)
-	// PutU16 stores a little-endian u16.
-	PutU16(off uint64, v uint16)
-	// PutU8 stores a byte.
-	PutU8(off uint64, v uint8)
-	// GetU64 loads a little-endian u64.
-	GetU64(off uint64) uint64
-	// GetU32 loads a little-endian u32.
-	GetU32(off uint64) uint32
-	// GetU16 loads a little-endian u16.
-	GetU16(off uint64) uint16
-	// GetU8 loads a byte.
-	GetU8(off uint64) uint8
-	// Flush initiates persistence of [off, off+n) (no-op on DRAM).
-	Flush(off, n uint64)
-	// Fence completes all initiated flushes (no-op on DRAM).
-	Fence()
-	// Persist is Flush followed by Fence.
-	Persist(off, n uint64)
+// Arena is a flat, offset-addressed memory region: DRAM, or a window of a
+// pmem.Device. Concurrent access to disjoint ranges is allowed; concurrent
+// access to overlapping ranges requires caller synchronization (as with real
+// memory).
+type Arena struct {
+	buf     []byte       // the region; for a window, a view of the device image
+	dev     *pmem.Device // nil for DRAM
+	base    uint64       // the window's offset within dev
+	barrier Barrier      // nil unless SetBarrier was called
 }
 
-// ---------------------------------------------------------------- DRAM
-
-// DRAM is a volatile Space backed by a plain byte slice.
-type DRAM struct {
-	buf []byte
-}
-
-// NewDRAM allocates a volatile Space of the given size, pre-faulted so
+// NewDRAM allocates a volatile arena of the given size, pre-faulted so
 // first-touch page faults do not pollute latency measurements.
-func NewDRAM(size uint64) *DRAM {
-	d := &DRAM{buf: make([]byte, size)}
+func NewDRAM(size uint64) *Arena {
+	a := &Arena{buf: make([]byte, size)}
 	for i := uint64(0); i < size; i += 4096 {
-		d.buf[i] = 0
+		a.buf[i] = 0
 	}
-	return d
+	return a
 }
 
-// Kind returns DRAMKind.
-func (d *DRAM) Kind() Kind { return DRAMKind }
+// SetBarrier installs b around every later store. Call it before the arena
+// is shared.
+func (a *Arena) SetBarrier(b Barrier) { a.barrier = b }
 
-// Size returns the region size.
-func (d *DRAM) Size() uint64 { return uint64(len(d.buf)) }
+// Size returns the region size in bytes.
+func (a *Arena) Size() uint64 { return uint64(len(a.buf)) }
 
-// check guards every DRAM access. Space accessors are infallible by design
-// (the arena structures run the same code on DRAM and PMEM and defer
-// durability to checkpoint-time FlushAll), so media-derived offsets must be
-// validated by their decoders before use; an out-of-range access here is a
-// programming error in the store.
+// check guards every access. Arena accessors are infallible by design (the
+// arena structures run the same code on DRAM and PMEM and defer durability
+// to checkpoint-time FlushAll), so media-derived offsets must be validated
+// by their decoders before use; an out-of-range access here is a
+// programming error in the store. The fallible Check* operations of a PMEM
+// window return ErrOutOfRange instead.
 //
 //dstore:invariant
-func (d *DRAM) check(off, n uint64) {
-	if off+n > uint64(len(d.buf)) || off+n < off {
-		panic(fmt.Sprintf("space: DRAM access [%d,%d) out of range (size %d)", off, off+n, len(d.buf)))
+func (a *Arena) check(off, n uint64) {
+	if off+n > uint64(len(a.buf)) || off+n < off {
+		panic(fmt.Sprintf("space: access [%d,%d) out of range (size %d)", off, off+n, len(a.buf)))
 	}
 }
 
-// Slice returns a view of [off, off+n).
-func (d *DRAM) Slice(off, n uint64) []byte { d.check(off, n); return d.buf[off : off+n : off+n] }
+// Slice returns a read-only view of [off, off+n). Callers must not mutate
+// through it; use Write/Put* so the persistence model observes every store.
+// A window's view lies in the device's image, which lives outside the Go
+// heap (see pmem.Device.Bytes): it is valid only while the device is
+// reachable, so a result that outlives the window's owner must be a copy.
+func (a *Arena) Slice(off, n uint64) []byte { a.check(off, n); return a.buf[off : off+n : off+n] }
 
-// Write copies p to off.
-func (d *DRAM) Write(off uint64, p []byte) {
-	d.check(off, uint64(len(p)))
-	copy(d.buf[off:], p)
+// Write copies p into the region at off. Through a bare *Arena the store is
+// volatile until the structure's checkpoint-time FlushAll, by design;
+// persist-order tracks the same call made on a *PMEM log window by its
+// receiver.
+//
+//dstore:volatile
+func (a *Arena) Write(off uint64, p []byte) {
+	n := uint64(len(p))
+	a.check(off, n)
+	if a.barrier != nil {
+		a.barrier.Enter(off, n)
+	}
+	if a.dev != nil {
+		a.dev.WriteAt(a.base+off, p)
+	} else {
+		copy(a.buf[off:], p)
+	}
+	if a.barrier != nil {
+		a.barrier.Exit()
+	}
 }
 
 // Zero clears [off, off+n).
-func (d *DRAM) Zero(off, n uint64) {
-	d.check(off, n)
-	b := d.buf[off : off+n]
-	for i := range b {
-		b[i] = 0
+//
+//dstore:volatile
+func (a *Arena) Zero(off, n uint64) {
+	a.check(off, n)
+	if a.barrier != nil {
+		a.barrier.Enter(off, n)
+	}
+	if a.dev == nil {
+		clear(a.buf[off : off+n])
+	} else {
+		var zeros [4096]byte
+		for n > 0 {
+			c := min(n, uint64(len(zeros)))
+			a.dev.WriteAt(a.base+off, zeros[:c])
+			off += c
+			n -= c
+		}
+	}
+	if a.barrier != nil {
+		a.barrier.Exit()
 	}
 }
 
-// PutU64 stores a little-endian u64.
-func (d *DRAM) PutU64(off uint64, v uint64) {
-	d.check(off, 8)
-	binary.LittleEndian.PutUint64(d.buf[off:], v)
+// PutU64 stores a little-endian u64 (atomic at 8-byte alignment).
+func (a *Arena) PutU64(off uint64, v uint64) {
+	if a.dev == nil && a.barrier == nil {
+		a.check(off, 8)
+		binary.LittleEndian.PutUint64(a.buf[off:], v)
+		return
+	}
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	a.Write(off, b[:])
 }
 
 // PutU32 stores a little-endian u32.
-func (d *DRAM) PutU32(off uint64, v uint32) {
-	d.check(off, 4)
-	binary.LittleEndian.PutUint32(d.buf[off:], v)
+func (a *Arena) PutU32(off uint64, v uint32) {
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], v)
+	a.Write(off, b[:])
 }
 
 // PutU16 stores a little-endian u16.
-func (d *DRAM) PutU16(off uint64, v uint16) {
-	d.check(off, 2)
-	binary.LittleEndian.PutUint16(d.buf[off:], v)
+func (a *Arena) PutU16(off uint64, v uint16) {
+	var b [2]byte
+	binary.LittleEndian.PutUint16(b[:], v)
+	a.Write(off, b[:])
 }
 
 // PutU8 stores a byte.
-func (d *DRAM) PutU8(off uint64, v uint8) { d.check(off, 1); d.buf[off] = v }
+func (a *Arena) PutU8(off uint64, v uint8) { a.Write(off, []byte{v}) }
 
-// GetU64 loads a little-endian u64.
-func (d *DRAM) GetU64(off uint64) uint64 {
-	d.check(off, 8)
-	return binary.LittleEndian.Uint64(d.buf[off:])
+// GetU64 loads a little-endian u64. On a window it counts as an 8-byte
+// device read.
+func (a *Arena) GetU64(off uint64) uint64 {
+	a.check(off, 8)
+	if a.dev != nil {
+		return a.dev.GetU64(a.base + off)
+	}
+	return binary.LittleEndian.Uint64(a.buf[off:])
 }
 
 // GetU32 loads a little-endian u32.
-func (d *DRAM) GetU32(off uint64) uint32 {
-	d.check(off, 4)
-	return binary.LittleEndian.Uint32(d.buf[off:])
-}
+func (a *Arena) GetU32(off uint64) uint32 { return binary.LittleEndian.Uint32(a.Slice(off, 4)) }
 
 // GetU16 loads a little-endian u16.
-func (d *DRAM) GetU16(off uint64) uint16 {
-	d.check(off, 2)
-	return binary.LittleEndian.Uint16(d.buf[off:])
-}
+func (a *Arena) GetU16(off uint64) uint16 { return binary.LittleEndian.Uint16(a.Slice(off, 2)) }
 
 // GetU8 loads a byte.
-func (d *DRAM) GetU8(off uint64) uint8 { d.check(off, 1); return d.buf[off] }
+func (a *Arena) GetU8(off uint64) uint8 { a.check(off, 1); return a.buf[off] }
 
-// Flush is a no-op on DRAM.
-func (d *DRAM) Flush(off, n uint64) {}
-
-// Fence is a no-op on DRAM.
-func (d *DRAM) Fence() {}
-
-// Persist is a no-op on DRAM.
-func (d *DRAM) Persist(off, n uint64) {}
-
-// ---------------------------------------------------------------- PMEM
-
-// PMEM is a persistent Space: a window [base, base+size) of a pmem.Device.
-// Multiple non-overlapping windows of one device host the paper's PMEM
-// layout (root object, two logs, two shadow-arena generations).
-type PMEM struct {
-	dev  *pmem.Device
-	base uint64
-	size uint64
+// Flush initiates persistence of [off, off+n) (no-op on DRAM).
+func (a *Arena) Flush(off, n uint64) {
+	if a.dev == nil || n == 0 {
+		return
+	}
+	a.check(off, n)
+	a.dev.Flush(a.base+off, n)
 }
 
-// NewPMEM creates a Space over dev's window [base, base+size). It returns
+// Fence completes all initiated flushes (no-op on DRAM).
+func (a *Arena) Fence() {
+	if a.dev != nil {
+		a.dev.Fence()
+	}
+}
+
+// Persist is Flush followed by Fence.
+func (a *Arena) Persist(off, n uint64) {
+	a.Flush(off, n)
+	a.Fence()
+}
+
+// PMEM is a persistent arena: a window [base, base+size) of a pmem.Device.
+// Multiple non-overlapping windows of one device host the paper's PMEM
+// layout (root object, two logs, two shadow-arena generations). The WAL
+// holds its logs as *PMEM, so the persist-order checker sees every store
+// it makes; arena structures take the embedded *Arena.
+type PMEM struct {
+	Arena
+}
+
+// NewPMEM creates a window over dev's [base, base+size). It returns
 // ErrOutOfRange when the window exceeds the device or the base is not
 // cache-line aligned — window geometry can be media-derived (recovery
 // selects windows from the root object's recorded generation fields), so
@@ -217,7 +229,8 @@ func NewPMEM(dev *pmem.Device, base, size uint64) (*PMEM, error) {
 	if base%pmem.LineSize != 0 {
 		return nil, fmt.Errorf("%w: PMEM window base %d is not cache-line aligned", ErrOutOfRange, base)
 	}
-	return &PMEM{dev: dev, base: base, size: size}, nil
+	buf := dev.Bytes()[base : base+size : base+size]
+	return &PMEM{Arena{buf: buf, dev: dev, base: base}}, nil
 }
 
 // MustPMEM is NewPMEM for callers whose geometry is statically correct
@@ -238,110 +251,21 @@ func (p *PMEM) Device() *pmem.Device { return p.dev }
 // Base returns the window's base offset within the device.
 func (p *PMEM) Base() uint64 { return p.base }
 
-// Kind returns PMEMKind.
-func (p *PMEM) Kind() Kind { return PMEMKind }
-
-// Size returns the window size.
-func (p *PMEM) Size() uint64 { return p.size }
-
-// check guards every infallible window access; see (*DRAM).check for why
-// reaching it is a programming error. The fallible Check* operations return
-// ErrOutOfRange instead.
-//
-//dstore:invariant
-func (p *PMEM) check(off, n uint64) {
-	if off+n > p.size || off+n < off {
-		panic(fmt.Sprintf("space: PMEM access [%d,%d) out of range (size %d)", off, off+n, p.size))
+// rangeErr is the fallible form of check.
+func (p *PMEM) rangeErr(off, n uint64) error {
+	if off+n > p.Size() || off+n < off {
+		return fmt.Errorf("%w: access [%d,%d) exceeds window size %d", ErrOutOfRange, off, off+n, p.Size())
 	}
+	return nil
 }
-
-// Slice returns a view of [off, off+n) in the device's volatile image. The
-// image lives outside the Go heap (see pmem.Device.Bytes): the view is valid
-// only while the device is reachable, so a result that outlives the window's
-// owner must be a copy.
-func (p *PMEM) Slice(off, n uint64) []byte {
-	p.check(off, n)
-	a := p.base + off
-	return p.dev.Bytes()[a : a+n : a+n]
-}
-
-// Write copies p into the window at off.
-func (p *PMEM) Write(off uint64, b []byte) {
-	p.check(off, uint64(len(b)))
-	p.dev.WriteAt(p.base+off, b)
-}
-
-// Zero clears [off, off+n).
-func (p *PMEM) Zero(off, n uint64) {
-	p.check(off, n)
-	const chunk = 4096
-	var zeros [chunk]byte
-	for n > 0 {
-		c := n
-		if c > chunk {
-			c = chunk
-		}
-		p.dev.WriteAt(p.base+off, zeros[:c])
-		off += c
-		n -= c
-	}
-}
-
-// PutU64 stores a little-endian u64 (atomic at 8-byte alignment).
-func (p *PMEM) PutU64(off uint64, v uint64) { p.check(off, 8); p.dev.PutU64(p.base+off, v) }
-
-// PutU32 stores a little-endian u32.
-func (p *PMEM) PutU32(off uint64, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	p.Write(off, b[:])
-}
-
-// PutU16 stores a little-endian u16.
-func (p *PMEM) PutU16(off uint64, v uint16) {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	p.Write(off, b[:])
-}
-
-// PutU8 stores a byte.
-func (p *PMEM) PutU8(off uint64, v uint8) { p.Write(off, []byte{v}) }
-
-// GetU64 loads a little-endian u64.
-func (p *PMEM) GetU64(off uint64) uint64 { p.check(off, 8); return p.dev.GetU64(p.base + off) }
-
-// GetU32 loads a little-endian u32.
-func (p *PMEM) GetU32(off uint64) uint32 {
-	return binary.LittleEndian.Uint32(p.Slice(off, 4))
-}
-
-// GetU16 loads a little-endian u16.
-func (p *PMEM) GetU16(off uint64) uint16 {
-	return binary.LittleEndian.Uint16(p.Slice(off, 2))
-}
-
-// GetU8 loads a byte.
-func (p *PMEM) GetU8(off uint64) uint8 { return p.Slice(off, 1)[0] }
-
-// Flush initiates persistence of [off, off+n).
-func (p *PMEM) Flush(off, n uint64) {
-	if n == 0 {
-		return
-	}
-	p.check(off, n)
-	p.dev.Flush(p.base+off, n)
-}
-
-// Fence completes initiated flushes.
-func (p *PMEM) Fence() { p.dev.Fence() }
 
 // CheckFault consults the device's fault plan for one write-stream operation
 // covering [off, off+n), without touching memory. The WAL uses it to treat a
 // whole append protocol (body stores, reverse-order flushes, LSN persist) as
 // a single fallible media operation. Returns nil when no plan is installed.
 func (p *PMEM) CheckFault(off, n uint64) error {
-	if off+n > p.size || off+n < off {
-		return fmt.Errorf("%w: access [%d,%d) exceeds window size %d", ErrOutOfRange, off, off+n, p.size)
+	if err := p.rangeErr(off, n); err != nil {
+		return err
 	}
 	return p.dev.CheckWriteFault(p.base+off, n)
 }
@@ -351,28 +275,19 @@ func (p *PMEM) CheckFault(off, n uint64) error {
 // was armed with StrictPersistOrder, so commit points call it
 // unconditionally.
 func (p *PMEM) CheckPersisted(off, n uint64) error {
-	if off+n > p.size || off+n < off {
-		return fmt.Errorf("%w: access [%d,%d) exceeds window size %d", ErrOutOfRange, off, off+n, p.size)
+	if err := p.rangeErr(off, n); err != nil {
+		return err
 	}
 	return p.dev.CheckPersisted(p.base+off, n)
 }
 
-// Persist is Flush followed by Fence.
-func (p *PMEM) Persist(off, n uint64) {
-	p.Flush(off, n)
-	p.Fence()
-}
-
 // Copy copies n bytes from src (starting at srcOff) into dst (at dstOff).
-// It works across any Space kinds and is how shadow arenas are cloned and
-// the volatile space is rebuilt from PMEM at recovery.
-func Copy(dst Space, dstOff uint64, src Space, srcOff, n uint64) {
+// It works across DRAM and PMEM arenas and is how shadow arenas are cloned
+// and the volatile arena is rebuilt from PMEM at recovery.
+func Copy(dst *Arena, dstOff uint64, src *Arena, srcOff, n uint64) {
 	const chunk = 64 * 1024
 	for n > 0 {
-		c := n
-		if c > chunk {
-			c = chunk
-		}
+		c := min(n, chunk)
 		dst.Write(dstOff, src.Slice(srcOff, c))
 		dstOff += c
 		srcOff += c

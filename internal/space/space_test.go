@@ -2,24 +2,25 @@ package space
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"dstore/internal/pmem"
 )
 
-// both returns one Space of each kind, over tracked PMEM for the persistent
-// one.
-func both(size uint64) (map[string]Space, *pmem.Device) {
+// both returns a DRAM arena and a window of tracked PMEM, of one size.
+func both(size uint64) map[string]*Arena {
 	dev := pmem.New(pmem.Config{Size: int(size), TrackPersistence: true})
-	return map[string]Space{
+	return map[string]*Arena{
 		"dram": NewDRAM(size),
-		"pmem": MustPMEM(dev, 0, size),
-	}, dev
+		"pmem": &MustPMEM(dev, 0, size).Arena,
+	}
 }
 
 func TestAccessorsBothKinds(t *testing.T) {
-	spaces, _ := both(4096)
+	spaces := both(4096)
 	for name, sp := range spaces {
 		t.Run(name, func(t *testing.T) {
 			sp.PutU64(0, 0x1122334455667788)
@@ -56,18 +57,8 @@ func TestAccessorsBothKinds(t *testing.T) {
 	}
 }
 
-func TestKinds(t *testing.T) {
-	spaces, _ := both(256)
-	if spaces["dram"].Kind() != DRAMKind || spaces["pmem"].Kind() != PMEMKind {
-		t.Fatal("kind mismatch")
-	}
-	if DRAMKind.String() != "dram" || PMEMKind.String() != "pmem" {
-		t.Fatal("kind strings")
-	}
-}
-
 func TestOutOfRangePanics(t *testing.T) {
-	spaces, _ := both(256)
+	spaces := both(256)
 	for name, sp := range spaces {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -140,7 +131,7 @@ func TestPMEMPersistenceThroughSpace(t *testing.T) {
 }
 
 func TestCopyAcrossKinds(t *testing.T) {
-	spaces, _ := both(128 * 1024)
+	spaces := both(128 * 1024)
 	src := spaces["dram"]
 	dst := spaces["pmem"]
 	data := bytes.Repeat([]byte{1, 2, 3, 4, 5}, 20000) // > one 64 KiB chunk
@@ -156,19 +147,19 @@ func TestCopyAcrossKinds(t *testing.T) {
 	}
 }
 
-// Property: the two Space kinds are observationally identical under any
-// sequence of writes.
+// Property: a DRAM arena and a PMEM window are observationally identical
+// under any sequence of writes.
 func TestQuickKindsEquivalent(t *testing.T) {
 	f := func(ops []uint16, vals []uint64) bool {
 		if len(vals) == 0 {
 			return true
 		}
-		spaces, _ := both(1 << 12)
+		spaces := both(1 << 12)
 		d, p := spaces["dram"], spaces["pmem"]
 		for i, op := range ops {
 			off := uint64(op) % (1<<12 - 8)
 			v := vals[i%len(vals)]
-			switch op % 3 {
+			switch op % 6 {
 			case 0:
 				d.PutU64(off, v)
 				p.PutU64(off, v)
@@ -182,11 +173,69 @@ func TestQuickKindsEquivalent(t *testing.T) {
 				}
 				d.Write(off, b[:])
 				p.Write(off, b[:])
+			case 3:
+				d.PutU32(off, uint32(v))
+				p.PutU32(off, uint32(v))
+			case 4:
+				d.PutU16(off, uint16(v))
+				p.PutU16(off, uint16(v))
+			case 5:
+				d.Zero(off, v%(1<<12-off))
+				p.Zero(off, v%(1<<12-off))
 			}
 		}
 		return bytes.Equal(d.Slice(0, 1<<12), p.Slice(0, 1<<12))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// recBarrier records the calls an arena makes to its barrier.
+type recBarrier struct{ calls []string }
+
+func (r *recBarrier) Enter(off, n uint64) {
+	r.calls = append(r.calls, fmt.Sprintf("enter %d+%d", off, n))
+}
+func (r *recBarrier) Exit() { r.calls = append(r.calls, "exit") }
+
+// Every store calls Enter with its own range and then Exit, once each; no
+// read or persistence operation calls the barrier. Both kinds of arena run
+// the same script and end byte-identical.
+func TestBarrierBracketsEveryStore(t *testing.T) {
+	const size = 8192
+	store := func(r string) []string { return []string{"enter " + r, "exit"} }
+	cases := []struct {
+		name string
+		op   func(a *Arena)
+		want []string
+	}{
+		{"Write", func(a *Arena) { a.Write(100, []byte("payload")) }, store("100+7")},
+		{"Zero", func(a *Arena) { a.Zero(103, 5000) }, store("103+5000")},
+		{"PutU64", func(a *Arena) { a.PutU64(8, 0x1122334455667788) }, store("8+8")},
+		{"PutU32", func(a *Arena) { a.PutU32(6000, 0xAABBCCDD) }, store("6000+4")},
+		{"PutU16", func(a *Arena) { a.PutU16(6001, 0xEEFF) }, store("6001+2")},
+		{"PutU8", func(a *Arena) { a.PutU8(size-1, 0x42) }, store("8191+1")},
+		{"Slice", func(a *Arena) { a.Slice(0, size) }, nil},
+		{"GetU64", func(a *Arena) { a.GetU64(8) }, nil},
+		{"GetU32", func(a *Arena) { a.GetU32(6000) }, nil},
+		{"GetU16", func(a *Arena) { a.GetU16(6001) }, nil},
+		{"GetU8", func(a *Arena) { a.GetU8(size - 1) }, nil},
+		{"Persist", func(a *Arena) { a.Flush(0, 64); a.Fence(); a.Persist(0, size) }, nil},
+	}
+	arenas := both(size)
+	for name, a := range arenas {
+		b := &recBarrier{}
+		a.SetBarrier(b)
+		for _, c := range cases {
+			b.calls = nil
+			c.op(a)
+			if !slices.Equal(b.calls, c.want) {
+				t.Errorf("%s %s: barrier calls %q, want %q", name, c.name, b.calls, c.want)
+			}
+		}
+	}
+	if !bytes.Equal(arenas["dram"].Slice(0, size), arenas["pmem"].Slice(0, size)) {
+		t.Fatal("DRAM and PMEM arenas diverged under the same stores")
 	}
 }

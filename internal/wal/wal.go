@@ -1003,7 +1003,7 @@ func (p *Pair) Swap(persistRoot func(newActive, archived int, replayEnd uint64))
 		}
 		total := next - off
 		dst := nl.tail
-		space.Copy(nl.sp, dst, old.sp, off, total)
+		space.Copy(&nl.sp.Arena, dst, &old.sp.Arena, off, total)
 		nl.sp.PutU64(dst+total, 0) // guard
 		if migrated == 0 {
 			migLo = dst
