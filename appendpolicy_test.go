@@ -1,0 +1,91 @@
+package dstore
+
+import (
+	"fmt"
+	"testing"
+
+	"dstore/internal/fault"
+)
+
+// With checkpoints disabled a full log refuses an olock exactly as it
+// refuses a Put — for Lock and for a transaction commit's olocks — and no
+// checkpoint runs (Fig. 1's "no checkpoint" series stays checkpoint-free).
+func TestFullLogRefusesOlocksWithoutCheckpoint(t *testing.T) {
+	s := newStoreT(t, Config{Blocks: 1024, MaxObjects: 512, LogBytes: 16 << 10, DisableCheckpoints: true})
+	defer s.Close()
+	ctx := s.Init()
+	defer ctx.Finalize()
+
+	var refusal error
+	for i := 0; refusal == nil; i++ {
+		if i == 10000 {
+			t.Fatal("a 16 KiB log never refused a Put")
+		}
+		refusal = ctx.Put(fmt.Sprintf("k%05d", i), val(1, 32))
+	}
+	// A NOOP record is smaller than a Put's, so a few locks may still fit.
+	// Stop at the first checkpoint: one behind the locks held here could
+	// repeat forever.
+	var err error
+	for i := 0; err == nil && s.Stats().Engine.Checkpoints == 0; i++ {
+		err = ctx.Lock(fmt.Sprintf("l%05d", i))
+	}
+	if err == nil || err.Error() != refusal.Error() || s.Stats().Engine.Checkpoints != 0 {
+		t.Fatalf("Lock on a full log: err %v, checkpoints %d; want %q, 0", err, s.Stats().Engine.Checkpoints, refusal)
+	}
+	tx, _ := ctx.Begin()
+	if err := tx.Put("txkey", val(2, 32)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err == nil || err.Error() != refusal.Error() {
+		t.Fatalf("txn commit on a full log: err %v; want %q", err, refusal)
+	}
+	if n := s.Stats().Engine.Checkpoints; n != 0 {
+		t.Fatalf("checkpoints = %d with checkpoints disabled", n)
+	}
+}
+
+// One transient PMEM write fault under an olock append is retried, as it is
+// under a Put's append: Lock and a transaction commit succeed and the store
+// stays writable.
+func TestTransientFaultUnderOlockIsRetried(t *testing.T) {
+	s := newStoreT(t, testConfig())
+	defer s.Close()
+	ctx := s.Init()
+	defer ctx.Finalize()
+	pm, _ := s.Devices()
+	oneFault := func() *fault.Plan {
+		p := fault.NewPlan(fault.Config{FailWriteAt: []uint64{1}})
+		pm.SetFaultPlan(p)
+		return p
+	}
+
+	p := oneFault()
+	if err := ctx.Lock("held"); err != nil {
+		t.Fatalf("Lock under one transient fault: %v", err)
+	}
+	if err := ctx.Unlock("held"); err != nil {
+		t.Fatal(err)
+	}
+	if n := p.Stats().TransientWrites; n != 1 {
+		t.Fatalf("lock: %d faults injected, want 1", n)
+	}
+
+	tx, _ := ctx.Begin()
+	if err := tx.Put("txkey", val(3, 32)); err != nil {
+		t.Fatal(err)
+	}
+	p = oneFault()
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("txn commit under one transient fault: %v", err)
+	}
+	if n := p.Stats().TransientWrites; n != 1 {
+		t.Fatalf("txn: %d faults injected, want 1", n)
+	}
+	if s.Degraded() {
+		t.Fatalf("store degraded: %v", s.Health())
+	}
+	if got, err := ctx.Get("txkey", nil); err != nil || string(got) != string(val(3, 32)) {
+		t.Fatalf("Get after commit: %q, %v", got, err)
+	}
+}

@@ -790,25 +790,13 @@ func (s *Store) ssdRead(off uint64, p []byte) error {
 	return err
 }
 
-// checkpointForSpace runs a synchronous checkpoint to reclaim log space on
-// behalf of a blocked writer. A failure here (typically an injected device
-// error during log-pair swap) means the store can no longer make persistence
-// progress, so it degrades.
-func (s *Store) checkpointForSpace() error {
-	if err := s.eng.Checkpoint(); err != nil {
-		s.degrade(err)
-		return fmt.Errorf("%w: checkpoint: %v", ErrDegraded, err)
-	}
-	return nil
-}
-
 // commit settles a record as committed. A persist failure means the
 // operation's durability cannot be guaranteed even though the volatile
 // structures already reflect it, so the store degrades to read-only and the
 // caller's operation fails with ErrDegraded (content indeterminate until
 // the store is reopened on healthy devices).
 func (s *Store) commit(h *wal.Handle) error {
-	if err := s.eng.Commit(h); err != nil {
+	if err := s.eng.Pair().Commit(h); err != nil {
 		s.degrade(err)
 		return fmt.Errorf("%w: %v", ErrDegraded, err)
 	}
@@ -819,7 +807,7 @@ func (s *Store) commit(h *wal.Handle) error {
 // (the durable state byte stays "uncommitted", which recovery also treats
 // as dead) but signals failing persistence, so the store degrades.
 func (s *Store) abort(h *wal.Handle) {
-	if err := s.eng.Abort(h); err != nil {
+	if err := s.eng.Pair().Abort(h); err != nil {
 		s.degrade(err)
 	}
 }

@@ -23,8 +23,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"dstore/internal/wire"
 )
 
 // ErrFailover is returned when a degraded primary cannot fail over (no
@@ -261,33 +259,8 @@ func (rs *ReplicatedShard) CloseNoCheckpoint() error {
 	return err
 }
 
-// --- replication surface (replView), delegated to the active store so a
-// promoted shard can itself be replicated.
-
-// ExportCommitted streams the active store's committed suffix.
-func (rs *ReplicatedShard) ExportCommitted(from uint64, max int) ([]wire.Record, error) {
-	return rs.Active().ExportCommitted(from, max)
-}
-
-// LastLSN returns the active store's last LSN.
-func (rs *ReplicatedShard) LastLSN() uint64 { return rs.Active().LastLSN() }
-
-// AppliedLSN returns the standby's applied LSN (the active store's own LSN
-// once promoted).
-func (rs *ReplicatedShard) AppliedLSN() uint64 {
-	if sb := rs.Standby(); sb != nil {
-		return sb.AppliedLSN()
-	}
-	return rs.Active().AppliedLSN()
-}
-
-// IsStandby reports whether the active store is a standby (never, for an
-// in-process pair: the active store is writable by construction).
-func (rs *ReplicatedShard) IsStandby() bool { return rs.Active().IsStandby() }
-
 // Promote forces a failover regardless of primary health — the operator's
-// big red button (OpPromote lands here when a ReplicatedShard backs a
-// server).
+// big red button (dstore-inspect's replicated tour calls it).
 func (rs *ReplicatedShard) Promote() error {
 	rs.mu.Lock()
 	if !rs.failedOver && !rs.primary.Degraded() {

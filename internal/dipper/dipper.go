@@ -360,9 +360,6 @@ func (e *Engine) Frontend() *alloc.Allocator { return e.frontAl }
 // Pair returns the log pair.
 func (e *Engine) Pair() *wal.Pair { return e.pair }
 
-// Device returns the PMEM device.
-func (e *Engine) Device() *pmem.Device { return e.dev }
-
 // RootState returns the current durable root state. It reads under e.mu,
 // which every root publication holds, so a background checkpoint is never
 // observed mid-write.
@@ -554,52 +551,6 @@ func (e *Engine) SwapOnlyForCrash() {
 		})
 		e.mu.Unlock()
 	})
-}
-
-// Append logs one logical operation, handling CC conflicts and log-full
-// backpressure: on conflict it spins on the conflicting record's commit flag
-// (§4.4); on a full log it runs a checkpoint synchronously and retries.
-func (e *Engine) Append(op uint16, name, payload []byte) (*wal.Handle, error) {
-	return e.AppendIgnore(op, name, payload, 0)
-}
-
-// AppendIgnore is Append with the caller's own lock record (by LSN) excluded
-// from conflict detection.
-func (e *Engine) AppendIgnore(op uint16, name, payload []byte, ignore uint64) (*wal.Handle, error) {
-	for {
-		h, conflict, err := e.pair.AppendIgnore(op, name, payload, ignore)
-		switch {
-		case err == nil && conflict == nil:
-			e.MaybeTrigger()
-			return h, nil
-		case conflict != nil:
-			conflict.Wait()
-		case errors.Is(err, wal.ErrLogFull):
-			if e.closing.Load() {
-				return nil, ErrClosed
-			}
-			if cerr := e.Checkpoint(); cerr != nil {
-				return nil, fmt.Errorf("dipper: log full and checkpoint failed: %w", cerr)
-			}
-		default:
-			return nil, err
-		}
-	}
-}
-
-// Commit marks h durable (step ⑨ of Fig. 4). Call only after the operation's
-// externally visible effects (e.g. SSD data) are durable. On a device error
-// the record is settled for concurrency control but its durability is lost;
-// the caller must stop issuing writes (see wal.Pair.Commit).
-func (e *Engine) Commit(h *wal.Handle) error { return e.pair.Commit(h) }
-
-// Abort marks h dead. Device-error semantics mirror Commit.
-func (e *Engine) Abort(h *wal.Handle) error { return e.pair.Abort(h) }
-
-// FindConflictIgnore exposes the log's conflict check (wal.Pair), excluding
-// the caller's own lock record.
-func (e *Engine) FindConflictIgnore(name []byte, ignore uint64) *wal.Handle {
-	return e.pair.FindConflictIgnore(name, ignore)
 }
 
 // Close drains in-flight checkpoints and stops the background goroutine.

@@ -26,14 +26,14 @@ func TestAutoCheckpointTriggersOnLogPressure(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		binary.LittleEndian.PutUint64(payload[:], uint64(i))
 		name := []byte(fmt.Sprintf("key%03d", i))
-		h, err := e.Append(opSet, name, payload[:])
+		h, err := appendRec(e, opSet, name, payload[:])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := frontendTree(e).Insert(name, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
-		e.Commit(h)
+		e.Pair().Commit(h)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for e.Stats().Checkpoints == 0 && time.Now().Before(deadline) {

@@ -177,9 +177,6 @@ func newLog(sp *space.PMEM) *Log {
 	return &Log{sp: sp, tail: logHeader, cur: logHeader}
 }
 
-// Space returns the log's backing space (for inspection tools).
-func (l *Log) Space() *space.PMEM { return l.sp }
-
 // Tail returns the current append offset.
 func (l *Log) Tail() uint64 {
 	l.mu.Lock()

@@ -60,8 +60,8 @@ func (s *Store) NetBackend() server.Backend { return netBackendFor(s) }
 func (sh *Sharded) NetBackend() server.Backend { return netBackendFor(sh) }
 
 // replView is the optional replication surface an API may provide; *Store
-// (and *ReplicatedShard) do, *Sharded does not (each shard has its own WAL
-// and replicates independently).
+// does, *Sharded does not (each shard has its own WAL and replicates
+// independently).
 type replView interface {
 	ExportCommitted(from uint64, max int) ([]wire.Record, error)
 	LastLSN() uint64

@@ -547,7 +547,7 @@ func (s *Store) invalidateSums(o *Object, e meta.Entry, lo, hi uint64) error {
 		}
 	}
 	if len(idxs) == 0 {
-		if conflict := s.eng.FindConflictIgnore([]byte(o.name), o.c.heldLSN(o.name)); conflict != nil {
+		if conflict := s.eng.Pair().FindConflictIgnore([]byte(o.name), o.c.heldLSN(o.name)); conflict != nil {
 			conflict.Wait()
 		}
 		return nil
@@ -577,12 +577,8 @@ func (c *Ctx) Lock(name string) error {
 	if _, held := c.locks[name]; held {
 		return fmt.Errorf("dstore: %q already locked by this context", name)
 	}
-	h, err := s.eng.Append(opNoop, []byte(name), nil)
+	h, err := s.olock(name)
 	if err != nil {
-		if isDeviceErr(err) {
-			s.degrade(err)
-			return fmt.Errorf("%w: lock append: %v", ErrDegraded, err)
-		}
 		return err
 	}
 	if c.locks == nil {

@@ -276,22 +276,24 @@ func (s *Store) ApplyReplicated(rec wire.Record) error {
 	return nil
 }
 
-// applyAppend appends rec to the standby's WAL as a committed record,
-// checkpointing once to reclaim log space when the active log is full.
+// applyAppend appends rec to the standby's WAL as a committed record; a
+// refusal gets the store's one answer (appendFailed). A record the standby
+// cannot log degrades it: it can no longer follow the primary.
 func (s *Store) applyAppend(rec wire.Record) error {
-	for attempt := 0; ; attempt++ {
+	devRetries := 0
+	for {
 		err := s.eng.Pair().AppendCommitted(rec.LSN, rec.Op, rec.Name, rec.Payload)
 		if err == nil {
 			return nil
 		}
-		if errors.Is(err, wal.ErrLogFull) && attempt == 0 {
-			if cerr := s.checkpointForSpace(); cerr != nil {
-				return cerr
-			}
+		if err = s.appendFailed(err, &devRetries); err == nil {
 			continue
 		}
-		s.degrade(err)
-		return fmt.Errorf("%w: standby log append: %v", ErrDegraded, err)
+		if !errors.Is(err, ErrDegraded) {
+			s.degrade(err)
+			err = fmt.Errorf("%w: standby log append: %v", ErrDegraded, err)
+		}
+		return err
 	}
 }
 

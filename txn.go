@@ -219,7 +219,7 @@ func (s *Store) getVersioned(key string, buf []byte) ([]byte, uint64, error) {
 func (s *Store) validateReads(reads map[string]readVer, locks map[string]*wal.Handle) error {
 	for key, r := range reads {
 		if r.from != s || s.vers.version(key) != r.ver ||
-			s.eng.FindConflictIgnore([]byte(key), heldLSN(locks, key)) != nil {
+			s.eng.Pair().FindConflictIgnore([]byte(key), heldLSN(locks, key)) != nil {
 			return ErrTxnConflict
 		}
 	}
@@ -245,13 +245,9 @@ func (s *Store) olockKeys(keys []string) (map[string]*wal.Handle, error) {
 	sort.Strings(sorted)
 	locks := make(map[string]*wal.Handle, len(sorted))
 	for _, k := range sorted {
-		h, err := s.eng.Append(opNoop, []byte(k), nil)
+		h, err := s.olock(k)
 		if err != nil {
 			s.releaseOlocks(locks)
-			if isDeviceErr(err) {
-				s.degrade(err)
-				return nil, fmt.Errorf("%w: txn lock append: %v", ErrDegraded, err)
-			}
 			return nil, err
 		}
 		locks[k] = h

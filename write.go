@@ -437,15 +437,14 @@ func (s *Store) stage(w *writeSet, t *stageNs) (*wal.Handle, error) {
 	return nil, err
 }
 
-// appendSet is steps ①–⑤ and the one append-outcome loop: under the pool
+// appendSet is steps ①–⑤ and the data path's append loop: under the pool
 // lock validate the read set, run every sub-op's pool phase and append the
 // record carrying their decisions — one critical section, so validation,
 // allocation and the record's position in the log are atomic. A conflicting
 // writer either appended before this point (the probe below reports it, or
 // validateReads does) or serializes after this record. Every outcome but
 // success rolls the allocations back first: CC conflict → wait for the
-// conflicting record to settle; log full → checkpoint for space; transient
-// device error → bounded backoff; anything else from the device → degrade.
+// conflicting record to settle; anything else → appendFailed.
 //
 // The pool phase reads the index (putPool: tree.Get decides indexed/newSlot)
 // before the append scans the window, so a same-name writer that appended
@@ -502,21 +501,56 @@ func (s *Store) appendSet(w *writeSet, t *stageNs) (*wal.Handle, error) {
 			s.releaseLocked(&w.subs[i])
 		}
 		s.poolMu.Unlock()
-		switch {
-		case conflict != nil:
+		if conflict != nil {
 			conflict.Wait()
-		case errors.Is(err, wal.ErrLogFull):
-			if s.cfg.DisableCheckpoints {
-				return nil, fmt.Errorf("dstore: log full with checkpoints disabled")
-			}
-			if cerr := s.checkpointForSpace(); cerr != nil {
-				return nil, cerr
-			}
-		case isTransientRetry(err, &devRetries):
-		case isDeviceErr(err):
-			s.degrade(err)
-			return nil, fmt.Errorf("%w: log append: %v", ErrDegraded, err)
-		default:
+		} else if err = s.appendFailed(err, &devRetries); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// appendFailed is the store's one answer when the log refuses a record for
+// any reason but a CC conflict — the data path's append, an olock and a
+// standby's committed append all ask it. nil means "append again". Log full
+// → checkpoint for space, or refuse when checkpoints are disabled; a failed
+// checkpoint means the store can no longer make persistence progress, so it
+// degrades. Transient device error → bounded backoff. Any other device error
+// → degrade.
+func (s *Store) appendFailed(err error, devRetries *int) error {
+	switch {
+	case errors.Is(err, wal.ErrLogFull):
+		if s.cfg.DisableCheckpoints {
+			return fmt.Errorf("dstore: log full with checkpoints disabled")
+		}
+		if cerr := s.eng.Checkpoint(); cerr != nil {
+			s.degrade(cerr)
+			return fmt.Errorf("%w: checkpoint: %v", ErrDegraded, cerr)
+		}
+		return nil
+	case isTransientRetry(err, devRetries):
+		return nil
+	case isDeviceErr(err):
+		s.degrade(err)
+		return fmt.Errorf("%w: log append: %v", ErrDegraded, err)
+	}
+	return err
+}
+
+// olock appends an uncommitted NOOP record naming name (the §4.5 olock) —
+// the one olock loop, for Ctx.Lock and a transaction's write keys. Like a
+// data append it waits out a conflicting record and asks appendFailed about
+// any other refusal; it touches no pool, so it runs outside poolMu.
+func (s *Store) olock(name string) (*wal.Handle, error) {
+	devRetries := 0
+	for {
+		h, conflict, err := s.eng.Pair().Append(opNoop, []byte(name), nil)
+		if err == nil && conflict == nil {
+			s.eng.MaybeTrigger()
+			return h, nil
+		}
+		if conflict != nil {
+			conflict.Wait()
+		} else if err = s.appendFailed(err, &devRetries); err != nil {
 			return nil, err
 		}
 	}
@@ -528,7 +562,7 @@ func (s *Store) appendSet(w *writeSet, t *stageNs) (*wal.Handle, error) {
 func (s *Store) unsettled(w *writeSet) *wal.Handle {
 	for i := range w.subs {
 		own := max(w.ignore, heldLSN(w.locks, w.subs[i].key))
-		if h := s.eng.FindConflictIgnore(w.subs[i].name, own); h != nil {
+		if h := s.eng.Pair().FindConflictIgnore(w.subs[i].name, own); h != nil {
 			return h
 		}
 	}
