@@ -47,11 +47,7 @@ func (s *Store) Check() error {
 		s.zoneMu[i].Lock()
 		defer s.zoneMu[i].Unlock()
 	}
-	return checkPlane(s.front, s.cfg.Blocks, quarantined, s.hints)
-}
-
-// checkPlane validates the invariants for a plane and the slot hints over it.
-func checkPlane(p *plane, blocks uint64, quarantined map[uint64]bool, hints hintTable) error {
+	p, blocks, hints := s.front, s.cfg.Blocks, s.hints
 	if err := p.tree.Check(); err != nil {
 		return fmt.Errorf("dstore: index: %w", err)
 	}
@@ -121,12 +117,12 @@ func checkPlane(p *plane, blocks uint64, quarantined map[uint64]bool, hints hint
 			quarUnowned++
 		}
 	}
-	if got, want := p.slotPool.Free()+uint64(len(slotOwner)), p.zone.Slots(); got != want {
-		return fmt.Errorf("dstore: slot conservation violated: %d free + %d used != %d", p.slotPool.Free(), len(slotOwner), want)
+	if got, want := s.slotPool.Free()+uint64(len(slotOwner)), p.zone.Slots(); got != want {
+		return fmt.Errorf("dstore: slot conservation violated: %d free + %d used != %d", s.slotPool.Free(), len(slotOwner), want)
 	}
-	if got, want := p.blockPool.Free()+uint64(len(blockOwner))+quarUnowned, blocks; got != want {
+	if got, want := s.blockPool.Free()+uint64(len(blockOwner))+quarUnowned, blocks; got != want {
 		return fmt.Errorf("dstore: block conservation violated: %d free + %d allocated + %d quarantined != %d",
-			p.blockPool.Free(), len(blockOwner), quarUnowned, want)
+			s.blockPool.Free(), len(blockOwner), quarUnowned, want)
 	}
 	return nil
 }

@@ -67,7 +67,7 @@ func TestCheckDetectsLeakedBlock(t *testing.T) {
 	ctx.Put("obj", val('x', 4096))
 	// Leak a block: steal one from the pool without recording an owner.
 	s.poolMu.Lock()
-	if _, err := s.front.blockPool.Get(); err != nil {
+	if _, err := s.blockPool.Get(); err != nil {
 		t.Fatal(err)
 	}
 	s.poolMu.Unlock()

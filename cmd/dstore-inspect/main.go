@@ -171,8 +171,8 @@ func engineLine(st *dstore.Store) {
 	fmt.Printf("log:  lastLSN=%d inflight=%d free=%.0f%% shadowCloned=%dB\n",
 		e.Pair().LastLSN(), e.Pair().InFlight(), 100*e.Pair().FreeFraction(), e.Stats().ShadowBytesCloned)
 	m := st.Memory()
-	fmt.Printf("mem:  arena=%d/%dKiB cache=%dKiB hints=%dKiB cc=%dKiB walPending=%dB images=%dKiB (simulated devices, not DRAM)\n",
-		m.ArenaUsed>>10, m.ArenaReserved>>10, m.Cache>>10, m.SlotHints>>10, m.CC>>10, m.WALPending, m.Images>>10)
+	fmt.Printf("mem:  arena=%d/%dKiB pools=%dKiB cache=%dKiB hints=%dKiB cc=%dKiB walPending=%dB images=%dKiB (simulated devices, not DRAM)\n",
+		m.ArenaUsed>>10, m.ArenaReserved>>10, m.Pools>>10, m.Cache>>10, m.SlotHints>>10, m.CC>>10, m.WALPending, m.Images>>10)
 }
 
 // txnTour exercises the transaction path so the txn counters in the

@@ -43,6 +43,7 @@ import (
 	"dstore/internal/fault"
 	"dstore/internal/meta"
 	"dstore/internal/pmem"
+	"dstore/internal/pool"
 	"dstore/internal/space"
 	"dstore/internal/ssd"
 	"dstore/internal/wal"
@@ -170,7 +171,6 @@ func (c *Config) setDefaults() {
 		slot := (16 + maxNameLen + 8*c.MaxBlocksPerObject + 4*c.MaxBlocksPerObject + 7) &^ 7
 		need := alloc.HeaderSize +
 			c.MaxObjects*slot + // metadata zone
-			8*(c.Blocks+c.MaxObjects) + // pools
 			c.MaxObjects*384 + // btree nodes + keys, with slack
 			(4 << 20) // headroom
 		// Round up to a power of two for tidy windows.
@@ -213,6 +213,11 @@ type Store struct {
 	data *ssd.Device
 
 	front *plane
+
+	// blockPool and slotPool are the free SSD blocks and metadata slots,
+	// guarded by poolMu. Volatile: Format fills them, Open and Promote
+	// rebuild them from the frontend zone (rebuildPoolsLocked).
+	blockPool, slotPool *pool.Pool
 
 	// bcache is the DRAM block cache on the read path; nil when disabled
 	// (a nil *cache.Cache is a valid always-miss cache). Volatile by
@@ -345,15 +350,11 @@ func Format(cfg Config) (*Store, error) {
 	dc.NewFrontendSpace = s.frontendSpace
 	dc.OnSwap = s.onSwap
 	dc.OnCheckpointDone = s.onCheckpointDone
-	s.eng, err = dipper.Format(s.pm, dc, replayer{blocks: cfg.Blocks}, func(al *alloc.Allocator) error {
-		return bootstrapPlane(al, cfg.Blocks, cfg.MaxObjects, maxNameLen, cfg.MaxBlocksPerObject)
+	s.eng, err = dipper.Format(s.pm, dc, replay, func(al *alloc.Allocator) (err error) {
+		s.front, err = bootstrapPlane(al, cfg.MaxObjects, maxNameLen, cfg.MaxBlocksPerObject)
+		return err
 	})
 	if err != nil {
-		return nil, err
-	}
-	s.front, err = openPlane(s.eng.Frontend())
-	if err != nil {
-		s.eng.Close()
 		return nil, err
 	}
 	if err := s.writeSuperblock(); err != nil {
@@ -382,20 +383,28 @@ func Open(cfg Config) (*Store, error) {
 	dc.NewFrontendSpace = s.frontendSpace
 	dc.OnSwap = s.onSwap
 	dc.OnCheckpointDone = s.onCheckpointDone
-	s.eng, err = dipper.Open(s.pm, dc, replayer{blocks: cfg.Blocks})
+	s.eng, err = dipper.Open(s.pm, dc, replay, func(al *alloc.Allocator) (err error) {
+		if s.front, err = openPlane(al); err != nil {
+			return err
+		}
+		return s.rebuildPoolsLocked()
+	})
 	if err != nil {
-		return nil, err
-	}
-	s.front, err = openPlane(s.eng.Frontend())
-	if err != nil {
-		s.eng.Close()
 		return nil, err
 	}
 	return s, nil
 }
 
 func newStore(cfg *Config) (*Store, error) {
-	s := &Store{cfg: *cfg, bcache: cache.New(cfg.CacheBytes), hints: newHintTable(cfg.MaxObjects)}
+	blockPool, err := pool.New(cfg.Blocks, cfg.Blocks)
+	if err != nil {
+		return nil, err
+	}
+	slotPool, err := pool.New(cfg.MaxObjects, cfg.MaxObjects)
+	if err != nil {
+		return nil, err
+	}
+	s := &Store{cfg: *cfg, blockPool: blockPool, slotPool: slotPool, bcache: cache.New(cfg.CacheBytes), hints: newHintTable(cfg.MaxObjects)}
 	s.self = ringOfOne(s)
 	s.pm = cfg.PMEM
 	if s.pm == nil {
@@ -612,7 +621,7 @@ func (s *Store) Breakdown() Breakdown {
 
 // Footprint reports space consumed per tier (paper Fig. 10).
 type Footprint struct {
-	DRAMBytes uint64 // system-space arena used prefix
+	DRAMBytes uint64 // system-space arena used prefix + free pools
 	PMEMBytes uint64 // root + both logs + both shadow generations (+ CoW scratch)
 	SSDBytes  uint64 // superblock + allocated data blocks
 }
@@ -625,11 +634,11 @@ func (s *Store) Footprint() Footprint {
 		pmemBytes += used
 	}
 	s.poolMu.Lock()
-	freeBlocks := s.front.blockPool.Free()
+	freeBlocks := s.blockPool.Free()
 	s.poolMu.Unlock()
 	usedBlocks := s.cfg.Blocks - freeBlocks
 	return Footprint{
-		DRAMBytes: used,
+		DRAMBytes: used + s.poolBytes(),
 		PMEMBytes: pmemBytes,
 		SSDBytes:  (1 + usedBlocks) * blockSize,
 	}
@@ -642,6 +651,7 @@ func (s *Store) Footprint() Footprint {
 // as DRAM.
 type Memory struct {
 	ArenaUsed, ArenaReserved uint64 // DRAM system-space arena: used prefix, allocation
+	Pools                    uint64 // free block and slot pools
 	Cache                    uint64 // block cache payload
 	SlotHints                uint64 // point reads' name → slot table
 	CC                       uint64 // in-flight-name filter, read counts, version table
@@ -657,6 +667,7 @@ func (s *Store) Memory() Memory {
 	return Memory{
 		ArenaUsed:     front.Used(),
 		ArenaReserved: front.Space().Size(),
+		Pools:         s.poolBytes(),
 		Cache:         s.bcache.Stats().Bytes,
 		SlotHints:     uint64(len(s.hints)) * uint64(unsafe.Sizeof(s.hints[0])),
 		CC:            filter + uint64(unsafe.Sizeof(s.readers)+unsafe.Sizeof(s.vers)),
@@ -740,9 +751,46 @@ func (s *Store) freeBlocksLocked(ids []uint64) {
 		if s.isQuarantined(b) {
 			continue
 		}
-		s.front.blockPool.Put(b) //nolint:errcheck
+		s.blockPool.Put(b) //nolint:errcheck
 	}
 }
+
+// rebuildPoolsLocked refills the free pools from the frontend zone: free
+// slots are the unused slots ascending, free blocks the unreferenced blocks
+// ascending. Open runs it once, inside recovery's replay phase and before
+// the store is shared; Promote runs it under poolMu for a standby, which
+// never allocates.
+func (s *Store) rebuildPoolsLocked() error {
+	zone, used := s.front.zone, make([]bool, s.cfg.Blocks)
+	free := make([]uint64, 0, max(zone.Slots(), s.cfg.Blocks))
+	for slot := uint64(0); slot < zone.Slots(); slot++ {
+		e, inUse, err := zone.Read(slot)
+		if err != nil {
+			return err
+		}
+		if !inUse {
+			free = append(free, slot)
+		}
+		for _, b := range e.Blocks {
+			if b < uint64(len(used)) {
+				used[b] = true
+			}
+		}
+	}
+	if err := s.slotPool.ResetTo(free); err != nil {
+		return err
+	}
+	free = free[:0]
+	for b, u := range used {
+		if !u {
+			free = append(free, uint64(b))
+		}
+	}
+	return s.blockPool.ResetTo(free)
+}
+
+// poolBytes is the heap the two free pools hold: one id per block and slot.
+func (s *Store) poolBytes() uint64 { return 8 * (s.cfg.Blocks + s.cfg.MaxObjects) }
 
 // cacheInvalidate drops the given blocks from the read cache (no-op when the
 // cache is disabled).

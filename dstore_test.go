@@ -556,6 +556,34 @@ func TestFootprintGrowsAndShrinks(t *testing.T) {
 	}
 }
 
+// TestCheckpointTrafficIgnoresFreeCapacity pins that a checkpoint writes
+// what the logged records changed, not a copy of the free pools: the same
+// puts cost the same PMEM bytes whether the data plane has 2,048 blocks or
+// eight times as many.
+func TestCheckpointTrafficIgnoresFreeCapacity(t *testing.T) {
+	written := func(blocks uint64) uint64 {
+		s := newStoreT(t, Config{Blocks: blocks, MaxObjects: 512})
+		defer s.Close()
+		ctx := s.Init()
+		defer ctx.Finalize()
+		for i := 0; i < 200; i++ {
+			if err := ctx.Put(fmt.Sprintf("obj-%03d", i), val(byte(i), 5000)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pm, _ := s.Devices()
+		before := pm.Stats().BytesWritten
+		if err := s.CheckpointNow(); err != nil {
+			t.Fatal(err)
+		}
+		return pm.Stats().BytesWritten - before
+	}
+	small, large := written(2048), written(16384)
+	if small != large {
+		t.Fatalf("one checkpoint wrote %d PMEM bytes with 2,048 blocks and %d with 16,384", small, large)
+	}
+}
+
 func TestBreakdownCollected(t *testing.T) {
 	cfg := testConfig()
 	cfg.Breakdown = true

@@ -200,14 +200,14 @@ func TestSlotHintsAgreeWithIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Fill every other free slot: the pool hands out was next.
-		for i := 0; s.front.slotPool.Free() > 1; i++ {
+		for i := 0; s.slotPool.Free() > 1; i++ {
 			if err := c.Put(fmt.Sprintf("filler-%d", i), []byte("f")); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for size := uint64(1 << 20); size > 0; size /= 2 {
 			for {
-				if _, err := s.front.al.Alloc(size); err != nil {
+				if _, err := s.eng.Frontend().Alloc(size); err != nil {
 					break
 				}
 			}
@@ -266,7 +266,7 @@ func TestSlotHintsAgreeWithIndex(t *testing.T) {
 		if err := s.Check(); err != nil {
 			t.Fatal(err)
 		}
-		free, err := s.front.slotPool.Get()
+		free, err := s.slotPool.Get()
 		if err != nil {
 			t.Fatal(err)
 		}

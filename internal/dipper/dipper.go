@@ -21,8 +21,8 @@
 // copying the shadow arena, and replays the active log's committed records.
 //
 // The Engine treats the hosted structures as a black box: the owner supplies
-// a Replayer that knows how to apply one logged operation to an arena. The
-// owner's frontend code and the Replayer must be deterministic with respect
+// a Replay function that knows how to apply logged operations to an arena.
+// The owner's frontend code and its Replay must be deterministic with respect
 // to log order for conflicting operations (observational equivalence, §3.7).
 package dipper
 
@@ -39,22 +39,11 @@ import (
 	"dstore/internal/wal"
 )
 
-// Replayer applies logged operations to the structures rooted in an arena.
-// Replay runs on a private clone, so implementations need no locking against
-// the frontend; they may parallelize internally as long as conflicting
-// records (same object) apply in LSN order and pool-mutating steps apply in
-// global LSN order (determinism, §3.2).
-type Replayer interface {
-	Replay(al *alloc.Allocator, records func(fn func(wal.RecordView) error) error) error
-}
-
-// ReplayerFunc adapts a function to the Replayer interface.
-type ReplayerFunc func(al *alloc.Allocator, records func(fn func(wal.RecordView) error) error) error
-
-// Replay implements Replayer.
-func (f ReplayerFunc) Replay(al *alloc.Allocator, records func(fn func(wal.RecordView) error) error) error {
-	return f(al, records)
-}
+// Replay applies the logged operations that records yields to the
+// structures rooted in al. It runs on an arena no frontend uses yet, so it
+// needs no locking; it may parallelize internally as long as conflicting
+// records (same object) apply in LSN order (determinism, §3.2).
+type Replay func(al *alloc.Allocator, records func(fn func(wal.RecordView) error) error) error
 
 // Config sizes the PMEM layout and tunes checkpointing.
 type Config struct {
@@ -125,9 +114,9 @@ type Stats struct {
 
 // Engine is a DIPPER instance bound to one PMEM device.
 type Engine struct {
-	dev      *pmem.Device
-	cfg      Config
-	replayer Replayer
+	dev    *pmem.Device
+	cfg    Config
+	replay Replay
 
 	pair    *wal.Pair
 	frontAl *alloc.Allocator // the DRAM system space
@@ -170,7 +159,7 @@ var ErrCorrupt = errors.New("dipper: root state corrupt")
 // Format initializes a fresh DIPPER instance on dev. bootstrap builds the
 // initial system-space structures inside the (already formatted) DRAM arena;
 // the engine then clones them to shadow generation 0 and seals the root.
-func Format(dev *pmem.Device, cfg Config, replayer Replayer, bootstrap func(al *alloc.Allocator) error) (*Engine, error) {
+func Format(dev *pmem.Device, cfg Config, replay Replay, bootstrap func(al *alloc.Allocator) error) (*Engine, error) {
 	cfg.setDefaults()
 	if uint64(dev.Size()) < cfg.DeviceBytes() {
 		return nil, fmt.Errorf("dipper: device %d B < required %d B", dev.Size(), cfg.DeviceBytes())
@@ -180,12 +169,12 @@ func Format(dev *pmem.Device, cfg Config, replayer Replayer, bootstrap func(al *
 		return nil, fmt.Errorf("dipper: bootstrap: %w", err)
 	}
 	e := &Engine{
-		dev:      dev,
-		cfg:      cfg,
-		replayer: replayer,
-		frontAl:  frontAl,
-		trigger:  make(chan struct{}, 1),
-		closed:   make(chan struct{}),
+		dev:     dev,
+		cfg:     cfg,
+		replay:  replay,
+		frontAl: frontAl,
+		trigger: make(chan struct{}, 1),
+		closed:  make(chan struct{}),
 	}
 	shadow0, err := e.shadowSpace(0)
 	if err != nil {
@@ -217,13 +206,16 @@ func Format(dev *pmem.Device, cfg Config, replayer Replayer, bootstrap func(al *
 // Open recovers a DIPPER instance from dev after a shutdown or crash,
 // implementing the idempotent recovery protocol of §3.6. The root state is
 // media-derived, so its generation/log indices and replay bound are
-// validated (ErrCorrupt) before any window is derived from them.
+// validated (ErrCorrupt) before any window is derived from them. recovered,
+// if set, runs on the rebuilt DRAM arena once the active log is replayed,
+// inside the replay half of RecoveryBreakdown: it is where the owner rebuilds
+// the volatile state no log record describes.
 //
 // time.Now here feeds RecoveryBreakdown metrics only; recovery decisions
 // never read the clock.
 //
 //dstore:wallclock
-func Open(dev *pmem.Device, cfg Config, replayer Replayer) (*Engine, error) {
+func Open(dev *pmem.Device, cfg Config, replay Replay, recovered func(al *alloc.Allocator) error) (*Engine, error) {
 	cfg.setDefaults()
 	if err := checkMagic(dev); err != nil {
 		return nil, err
@@ -243,11 +235,11 @@ func Open(dev *pmem.Device, cfg Config, replayer Replayer) (*Engine, error) {
 		return nil, fmt.Errorf("%w: replay end %d beyond log size %d", ErrCorrupt, st.ReplayEnd, cfg.LogBytes)
 	}
 	e := &Engine{
-		dev:      dev,
-		cfg:      cfg,
-		replayer: replayer,
-		trigger:  make(chan struct{}, 1),
-		closed:   make(chan struct{}),
+		dev:     dev,
+		cfg:     cfg,
+		replay:  replay,
+		trigger: make(chan struct{}, 1),
+		closed:  make(chan struct{}),
 	}
 	e.mu.Lock()
 	e.rootSeq = st.Seq
@@ -296,10 +288,11 @@ func Open(dev *pmem.Device, cfg Config, replayer Replayer) (*Engine, error) {
 	e.recoverMetadataNs = time.Since(t0).Nanoseconds()
 
 	// Step 3: replay the active log's committed records on the volatile
-	// structures to restore pre-crash state.
+	// structures to restore pre-crash state, then let the owner rebuild what
+	// it keeps outside them.
 	t1 := time.Now()
 	active := e.pair.Log(e.pair.ActiveIndex())
-	err = e.replayer.Replay(e.frontAl, func(fn func(wal.RecordView) error) error {
+	err = e.replay(e.frontAl, func(fn func(wal.RecordView) error) error {
 		return active.IterateCommitted(active.Tail(), func(rv wal.RecordView) error {
 			e.recordsRecovered.Add(1)
 			return fn(rv)
@@ -308,14 +301,20 @@ func Open(dev *pmem.Device, cfg Config, replayer Replayer) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dipper: active log replay: %w", err)
 	}
+	if recovered != nil {
+		if err := recovered(e.frontAl); err != nil {
+			return nil, fmt.Errorf("dipper: rebuild after replay: %w", err)
+		}
+	}
 	e.recoverReplayNs = time.Since(t1).Nanoseconds()
 	e.start()
 	return e, nil
 }
 
 // RecoveryBreakdown reports how long the last Open spent rebuilding metadata
-// (checkpoint redo + PMEM→DRAM copy) versus replaying the active log —
-// Table 4's two phases. Zero for Format-created engines.
+// (checkpoint redo + PMEM→DRAM copy) versus replaying the active log and
+// running the owner's recovered callback — Table 4's two phases. Zero for
+// Format-created engines.
 func (e *Engine) RecoveryBreakdown() (metadataNs, replayNs int64) {
 	return e.recoverMetadataNs, e.recoverReplayNs
 }
@@ -503,7 +502,7 @@ func (e *Engine) replayOntoNewShadow(archivedIdx int, replayEnd uint64) error {
 
 	archived := e.pair.Log(archivedIdx)
 	replayed := uint64(0)
-	err = e.replayer.Replay(clone, func(fn func(wal.RecordView) error) error {
+	err = e.replay(clone, func(fn func(wal.RecordView) error) error {
 		return archived.IterateCommitted(replayEnd, func(rv wal.RecordView) error {
 			replayed++
 			return fn(rv)

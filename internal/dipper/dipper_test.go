@@ -21,22 +21,20 @@ const (
 	opDel = 2
 )
 
-func testReplayer() Replayer {
-	return ReplayerFunc(func(al *alloc.Allocator, records func(fn func(wal.RecordView) error) error) error {
-		tr := btree.Open(al, al.Root(0))
-		return records(func(rv wal.RecordView) error {
-			switch rv.Op {
-			case opSet:
-				v := binary.LittleEndian.Uint64(rv.Payload)
-				_, _, err := tr.Insert(rv.Name, v)
-				return err
-			case opDel:
-				_, _, err := tr.Delete(rv.Name)
-				return err
-			default:
-				return fmt.Errorf("unknown op %d", rv.Op)
-			}
-		})
+func testReplay(al *alloc.Allocator, records func(fn func(wal.RecordView) error) error) error {
+	tr := btree.Open(al, al.Root(0))
+	return records(func(rv wal.RecordView) error {
+		switch rv.Op {
+		case opSet:
+			v := binary.LittleEndian.Uint64(rv.Payload)
+			_, _, err := tr.Insert(rv.Name, v)
+			return err
+		case opDel:
+			_, _, err := tr.Delete(rv.Name)
+			return err
+		default:
+			return fmt.Errorf("unknown op %d", rv.Op)
+		}
 	})
 }
 
@@ -79,7 +77,7 @@ func newEngine(t *testing.T) (*Engine, *pmem.Device) {
 	t.Helper()
 	cfg := testConfig()
 	dev := pmem.New(pmem.Config{Size: int(cfg.DeviceBytes()), TrackPersistence: true})
-	e, err := Format(dev, cfg, testReplayer(), bootstrap)
+	e, err := Format(dev, cfg, testReplay, bootstrap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +194,7 @@ func TestRecoveryAfterCleanCrashNoCheckpoint(t *testing.T) {
 	e.Close()
 	dev.Crash(pmem.CrashDropDirty, 1)
 
-	e2, err := Open(dev, testConfig(), testReplayer())
+	e2, err := Open(dev, testConfig(), testReplay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +221,7 @@ func TestRecoveryAfterCompletedCheckpoint(t *testing.T) {
 	e.Close()
 	dev.Crash(pmem.CrashDropDirty, 2)
 
-	e2, err := Open(dev, testConfig(), testReplayer())
+	e2, err := Open(dev, testConfig(), testReplay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +263,7 @@ func TestRecoveryDuringCheckpoint(t *testing.T) {
 	}
 	dev.Crash(pmem.CrashDropDirty, 3)
 
-	e2, err := Open(dev, testConfig(), testReplayer())
+	e2, err := Open(dev, testConfig(), testReplay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +306,7 @@ func TestRecoveryIsIdempotent(t *testing.T) {
 	{
 		st, _ := readRoot(dev)
 		e1 := &Engine{dev: dev, cfg: func() Config { c := testConfig(); c.setDefaults(); return c }(),
-			replayer: testReplayer(), rootSeq: st.Seq, shadowGen: int(st.ShadowGen),
+			replay: testReplay, rootSeq: st.Seq, shadowGen: int(st.ShadowGen),
 			trigger: make(chan struct{}, 1), closed: make(chan struct{})}
 		log0, err := e1.logSpace(0)
 		if err != nil {
@@ -332,7 +330,7 @@ func TestRecoveryIsIdempotent(t *testing.T) {
 	}
 
 	// Second, full recovery.
-	e2, err := Open(dev, testConfig(), testReplayer())
+	e2, err := Open(dev, testConfig(), testReplay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +359,7 @@ func TestCheckpointWhileFrontendRuns(t *testing.T) {
 	// checkpoints run concurrently.
 	cfg := Config{LogBytes: 1 << 15, ArenaBytes: 1 << 21, AutoCheckpoint: true, CheckpointThreshold: 0.5}
 	dev := pmem.New(pmem.Config{Size: int(cfg.DeviceBytes()), TrackPersistence: true})
-	e, err := Format(dev, cfg, testReplayer(), bootstrap)
+	e, err := Format(dev, cfg, testReplay, bootstrap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +422,7 @@ func TestQuickCrashRecoveryObservationalEquivalence(t *testing.T) {
 	f := func(ops []uint16, seed int64) bool {
 		cfg := testConfig()
 		dev := pmem.New(pmem.Config{Size: int(cfg.DeviceBytes()), TrackPersistence: true})
-		e, err := Format(dev, cfg, testReplayer(), bootstrap)
+		e, err := Format(dev, cfg, testReplay, bootstrap)
 		if err != nil {
 			return false
 		}
@@ -461,7 +459,7 @@ func TestQuickCrashRecoveryObservationalEquivalence(t *testing.T) {
 		e.Close()
 		dev.Crash(pmem.CrashRandom, seed)
 
-		e2, err := Open(dev, testConfig(), testReplayer())
+		e2, err := Open(dev, testConfig(), testReplay, nil)
 		if err != nil {
 			return false
 		}
@@ -485,14 +483,14 @@ func TestQuickCrashRecoveryObservationalEquivalence(t *testing.T) {
 
 func TestOpenRejectsUnformattedDevice(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: int(testConfig().DeviceBytes()), TrackPersistence: true})
-	if _, err := Open(dev, testConfig(), testReplayer()); err == nil {
+	if _, err := Open(dev, testConfig(), testReplay, nil); err == nil {
 		t.Fatal("Open accepted an unformatted device")
 	}
 }
 
 func TestFormatRejectsSmallDevice(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 1 << 16, TrackPersistence: true})
-	if _, err := Format(dev, testConfig(), testReplayer(), bootstrap); err == nil {
+	if _, err := Format(dev, testConfig(), testReplay, bootstrap); err == nil {
 		t.Fatal("Format accepted an undersized device")
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"dstore/internal/alloc"
+	"dstore/internal/btree"
 	"dstore/internal/pmem"
 )
 
@@ -17,7 +19,7 @@ func TestAutoCheckpointTriggersOnLogPressure(t *testing.T) {
 		CheckpointThreshold: 0.5,
 	}
 	dev := pmem.New(pmem.Config{Size: int(cfg.DeviceBytes()), TrackPersistence: true})
-	e, err := Format(dev, cfg, testReplayer(), bootstrap)
+	e, err := Format(dev, cfg, testReplay, bootstrap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func TestCheckpointHooks(t *testing.T) {
 	cfg.OnSwap = func() { swaps++ }
 	cfg.OnCheckpointDone = func() { dones++ }
 	dev := pmem.New(pmem.Config{Size: int(cfg.DeviceBytes()), TrackPersistence: true})
-	e, err := Format(dev, cfg, testReplayer(), bootstrap)
+	e, err := Format(dev, cfg, testReplay, bootstrap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +71,18 @@ func TestRecoveryBreakdownPopulated(t *testing.T) {
 	doSet(t, e, "x", 1)
 	e.Close()
 	dev.Crash(pmem.CrashDropDirty, 1)
-	e2, err := Open(dev, testConfig(), testReplayer())
+	// The owner's rebuild runs once, on the replayed arena, and is booked
+	// under the replay phase.
+	const rebuild = 2 * time.Millisecond
+	calls := 0
+	e2, err := Open(dev, testConfig(), testReplay, func(al *alloc.Allocator) error {
+		calls++
+		if v, ok := btree.Open(al, al.Root(0)).Get([]byte("x")); !ok || v != 1 {
+			return fmt.Errorf("recovered callback before replay: x = %d, %v", v, ok)
+		}
+		time.Sleep(rebuild)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +91,8 @@ func TestRecoveryBreakdownPopulated(t *testing.T) {
 	if meta <= 0 {
 		t.Fatalf("metadata phase unmeasured: %d", meta)
 	}
-	if replay < 0 {
-		t.Fatalf("replay phase negative: %d", replay)
+	if calls != 1 || replay < int64(rebuild) {
+		t.Fatalf("recovered callback ran %d times; replay phase %d ns, want at least its %v", calls, replay, rebuild)
 	}
 }
 
@@ -95,7 +108,7 @@ func TestSwapOnlyForCrashLeavesCkptInProgress(t *testing.T) {
 		t.Fatalf("root = %+v", st)
 	}
 	dev.Crash(pmem.CrashDropDirty, 3)
-	e2, err := Open(dev, testConfig(), testReplayer())
+	e2, err := Open(dev, testConfig(), testReplay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

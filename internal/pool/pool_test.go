@@ -3,23 +3,19 @@ package pool
 import (
 	"testing"
 	"testing/quick"
-
-	"dstore/internal/alloc"
-	"dstore/internal/space"
 )
 
-func newPool(t *testing.T, capacity, prefill uint64) (*Pool, *alloc.Allocator) {
+func newPool(t *testing.T, capacity, prefill uint64) *Pool {
 	t.Helper()
-	al := alloc.Format(space.NewDRAM(1 << 20))
-	p, _, err := New(al, capacity, prefill)
+	p, err := New(capacity, prefill)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, al
+	return p
 }
 
 func TestFIFOOrder(t *testing.T) {
-	p, _ := newPool(t, 8, 8)
+	p := newPool(t, 8, 8)
 	for want := uint64(0); want < 8; want++ {
 		v, err := p.Get()
 		if err != nil || v != want {
@@ -32,7 +28,7 @@ func TestFIFOOrder(t *testing.T) {
 }
 
 func TestPutRecycles(t *testing.T) {
-	p, _ := newPool(t, 4, 4)
+	p := newPool(t, 4, 4)
 	a, _ := p.Get() // 0
 	b, _ := p.Get() // 1
 	p.Put(b)
@@ -48,7 +44,7 @@ func TestPutRecycles(t *testing.T) {
 }
 
 func TestFull(t *testing.T) {
-	p, _ := newPool(t, 2, 2)
+	p := newPool(t, 2, 2)
 	if err := p.Put(99); err != ErrFull {
 		t.Fatalf("Put on full pool err = %v", err)
 	}
@@ -59,14 +55,13 @@ func TestFull(t *testing.T) {
 }
 
 func TestPrefillValidation(t *testing.T) {
-	al := alloc.Format(space.NewDRAM(1 << 16))
-	if _, _, err := New(al, 2, 3); err == nil {
+	if _, err := New(2, 3); err == nil {
 		t.Fatal("prefill > capacity accepted")
 	}
 }
 
 func TestWrapAround(t *testing.T) {
-	p, _ := newPool(t, 3, 3)
+	p := newPool(t, 3, 3)
 	for i := 0; i < 100; i++ {
 		v, err := p.Get()
 		if err != nil {
@@ -81,51 +76,22 @@ func TestWrapAround(t *testing.T) {
 	}
 }
 
-func TestOpenSeesSameState(t *testing.T) {
-	al := alloc.Format(space.NewDRAM(1 << 16))
-	p, off, err := New(al, 8, 8)
-	if err != nil {
+func TestResetTo(t *testing.T) {
+	p := newPool(t, 4, 4)
+	p.Get()
+	if err := p.ResetTo([]uint64{1, 2, 3, 4, 5}); err == nil {
+		t.Fatal("ResetTo beyond capacity accepted")
+	}
+	if err := p.ResetTo([]uint64{7, 3}); err != nil {
 		t.Fatal(err)
 	}
-	p.Get()
-	p.Get()
-	q := Open(al, off)
-	if q.Free() != 6 {
-		t.Fatalf("reopened free = %d", q.Free())
+	if p.Free() != 2 {
+		t.Fatalf("free = %d", p.Free())
 	}
-	if v, _ := q.Get(); v != 2 {
-		t.Fatalf("reopened Get = %d", v)
-	}
-}
-
-func TestCloneDeterminism(t *testing.T) {
-	// The replay-determinism property: a clone taken at time T replays the
-	// same Get sequence the original performed after T.
-	al := alloc.Format(space.NewDRAM(1 << 16))
-	p, off, err := New(al, 16, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Get()
-	p.Get()
-	p.Put(0)
-
-	clone, err := al.CloneTo(space.NewDRAM(1 << 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := Open(clone, off)
-
-	var orig, replay []uint64
-	for i := 0; i < 10; i++ {
-		a, _ := p.Get()
-		b, _ := q.Get()
-		orig = append(orig, a)
-		replay = append(replay, b)
-	}
-	for i := range orig {
-		if orig[i] != replay[i] {
-			t.Fatalf("divergence at %d: %v vs %v", i, orig, replay)
+	p.Put(9)
+	for _, w := range []uint64{7, 3, 9} {
+		if v, err := p.Get(); err != nil || v != w {
+			t.Fatalf("Get = %d,%v want %d", v, err, w)
 		}
 	}
 }
@@ -133,8 +99,7 @@ func TestCloneDeterminism(t *testing.T) {
 // Property: pool contents always behave like a FIFO queue model.
 func TestQuickFIFOModel(t *testing.T) {
 	f := func(ops []uint8) bool {
-		al := alloc.Format(space.NewDRAM(1 << 18))
-		p, _, err := New(al, 32, 32)
+		p, err := New(32, 32)
 		if err != nil {
 			return false
 		}

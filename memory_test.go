@@ -130,7 +130,7 @@ func TestMemoryLedger(t *testing.T) {
 	live1, _ := devmem.Mapped()
 	m := s.Memory()
 
-	owners := m.ArenaReserved + m.Cache + m.SlotHints + m.CC + m.WALPending
+	owners := m.ArenaReserved + m.Pools + m.Cache + m.SlotHints + m.CC + m.WALPending
 	if !devmem.OffHeap {
 		owners += m.Images
 	}

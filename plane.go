@@ -7,7 +7,6 @@ import (
 	"dstore/internal/alloc"
 	"dstore/internal/btree"
 	"dstore/internal/meta"
-	"dstore/internal/pool"
 	"dstore/internal/wal"
 )
 
@@ -41,46 +40,32 @@ const (
 
 // Allocator root slots holding the control-plane structure offsets.
 const (
-	rootTree      = 0
-	rootZone      = 1
-	rootBlockPool = 2
-	rootSlotPool  = 3
+	rootTree = 0
+	rootZone = 1
 )
 
-// plane bundles the control-plane structures rooted in one arena. The same
-// plane code operates on the DRAM frontend and on PMEM shadow clones during
-// checkpoint replay — DIPPER's same-code property.
+// plane bundles the control-plane structures rooted in one arena: the ones
+// replay applies. The same plane code operates on the DRAM frontend and on
+// PMEM shadow clones during checkpoint replay — DIPPER's same-code property.
+// The free pools are not among them: they are the frontend's own (Store).
 type plane struct {
-	al        *alloc.Allocator
-	tree      *btree.Tree
-	zone      *meta.Zone
-	blockPool *pool.Pool
-	slotPool  *pool.Pool
+	tree *btree.Tree
+	zone *meta.Zone
 }
 
 // bootstrapPlane builds fresh structures in an empty arena.
-func bootstrapPlane(al *alloc.Allocator, blocks, maxObjects, maxName, maxBlocks uint64) error {
+func bootstrapPlane(al *alloc.Allocator, maxObjects, maxName, maxBlocks uint64) (*plane, error) {
 	_, treeHdr, err := btree.New(al)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	_, zoneOff, err := meta.New(al, maxObjects, maxName, maxBlocks)
 	if err != nil {
-		return err
-	}
-	_, bpOff, err := pool.New(al, blocks, blocks)
-	if err != nil {
-		return err
-	}
-	_, spOff, err := pool.New(al, maxObjects, maxObjects)
-	if err != nil {
-		return err
+		return nil, err
 	}
 	al.SetRoot(rootTree, treeHdr)
 	al.SetRoot(rootZone, zoneOff)
-	al.SetRoot(rootBlockPool, bpOff)
-	al.SetRoot(rootSlotPool, spOff)
-	return nil
+	return openPlane(al)
 }
 
 // openPlane attaches to the structures rooted in al. The zone geometry is
@@ -90,13 +75,7 @@ func openPlane(al *alloc.Allocator) (*plane, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &plane{
-		al:        al,
-		tree:      btree.Open(al, al.Root(rootTree)),
-		zone:      zone,
-		blockPool: pool.Open(al, al.Root(rootBlockPool)),
-		slotPool:  pool.Open(al, al.Root(rootSlotPool)),
-	}, nil
+	return &plane{tree: btree.Open(al, al.Root(rootTree)), zone: zone}, nil
 }
 
 func blocksFor(size, blockSize uint64) uint64 {
@@ -155,8 +134,8 @@ func (p *plane) lookup(name []byte) (slot uint64, e meta.Entry, ok bool, err err
 // apply performs one structure update — the statically-defined op→functions
 // mapping of §3.2, and the only code that mutates a plane's metadata zone or
 // index. Only explicit slot and block ids are used; the pools are not touched
-// (the frontend's pool phase already took the allocations, and replay
-// reconstitutes the pools from the zone when its batch ends). The caller
+// (the frontend's pool phase already took the allocations, and replay never
+// has pools: Open rebuilds the frontend's from the zone). The caller
 // provides synchronization appropriate to its space: the frontend and the
 // standby hold treeMu and the zone stripes (Store.applyOwned), replay onto a
 // private arena holds nothing. metaDone, when non-nil, receives the time a
@@ -258,8 +237,8 @@ func (p *plane) retract(u *subOp) bool {
 // reconstructible by any replay). Recording the ids keeps replay
 // deterministic even when uncommitted (dead) records mutated the pools
 // before a crash: replay applies each committed record's explicit
-// allocations and reconstitutes the free pools from the metadata zone
-// afterwards, instead of re-executing pool operations in log order.
+// allocations instead of re-executing pool operations in log order, and
+// Open rebuilds the free pools from the metadata zone once it is done.
 // Physical-logging mode pads the payload with an image to model ARIES-style
 // records (Fig. 9 baseline).
 //
@@ -465,38 +444,8 @@ func replayRecord(p *plane, rv wal.RecordView) error {
 	return nil
 }
 
-// rebuildPools reconstitutes the free slot and block pools from the
-// metadata zone: free slots are the unused slots ascending, free blocks the
-// unreferenced blocks ascending. Run after every replay batch.
-func rebuildPools(p *plane, totalBlocks uint64) error {
-	usedBlocks := make(map[uint64]bool)
-	freeSlots := make([]uint64, 0, p.zone.Slots())
-	for slot := uint64(0); slot < p.zone.Slots(); slot++ {
-		e, used, err := p.zone.Read(slot)
-		if err != nil {
-			return err
-		}
-		if !used {
-			freeSlots = append(freeSlots, slot)
-			continue
-		}
-		for _, b := range e.Blocks {
-			usedBlocks[b] = true
-		}
-	}
-	freeBlocks := make([]uint64, 0, totalBlocks)
-	for b := uint64(0); b < totalBlocks; b++ {
-		if !usedBlocks[b] {
-			freeBlocks = append(freeBlocks, b)
-		}
-	}
-	if err := p.slotPool.ResetTo(freeSlots); err != nil {
-		return err
-	}
-	return p.blockPool.ResetTo(freeBlocks)
-}
-
-// replayer adapts replayRecord to dipper.Replayer.
+// replay applies the records it is handed to the plane rooted in al: the
+// dipper.Replay of checkpoint replay and of recovery.
 //
 // Replay is sequential in LSN order. The paper sketches a parallel
 // checkpoint thread pool exploiting commutativity (§3.5, §3.7); in this
@@ -507,19 +456,12 @@ func rebuildPools(p *plane, totalBlocks uint64) error {
 // deterministic, single-pass background activity. At the paper's record
 // sizes (32 B logical records driving ~300 ns structure updates) the replay
 // is log-bandwidth bound either way.
-type replayer struct {
-	blocks uint64 // data-plane capacity, for pool reconstitution
-}
-
-func (r replayer) Replay(al *alloc.Allocator, records func(fn func(wal.RecordView) error) error) error {
+func replay(al *alloc.Allocator, records func(fn func(wal.RecordView) error) error) error {
 	p, err := openPlane(al)
 	if err != nil {
 		return err
 	}
-	if err := records(func(rv wal.RecordView) error {
+	return records(func(rv wal.RecordView) error {
 		return replayRecord(p, rv)
-	}); err != nil {
-		return err
-	}
-	return rebuildPools(p, r.blocks)
+	})
 }

@@ -312,7 +312,7 @@ func (s *Store) Promote() error {
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
 	s.poolMu.Lock()
-	err := rebuildPools(s.front, s.cfg.Blocks)
+	err := s.rebuildPoolsLocked()
 	s.poolMu.Unlock()
 	if err != nil {
 		s.degrade(err)

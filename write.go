@@ -66,9 +66,9 @@ type opDesc struct {
 }
 
 var opTable = [...]opDesc{
-	opPut:      {encodeAllocPayload, decodeAllocPayload, (*Store).putPool, (*Store).putOwned},
-	opCreate:   {encodeAllocPayload, decodeAllocPayload, (*Store).putPool, (*Store).putOwned},
-	opTxnBegin: {encodeAllocPayload, decodeAllocPayload, (*Store).putPool, (*Store).putOwned},
+	opPut:      {encodeAllocPayload, decodeAllocPayload, (*Store).putPoolLocked, (*Store).putOwned},
+	opCreate:   {encodeAllocPayload, decodeAllocPayload, (*Store).putPoolLocked, (*Store).putOwned},
+	opTxnBegin: {encodeAllocPayload, decodeAllocPayload, (*Store).putPoolLocked, (*Store).putOwned},
 	opExtend:   {encodeAllocPayload, decodeAllocPayload, (*Store).extendPool, nil},
 	opDelete:   {owned: (*Store).deleteOwned},
 	opTxnAbort: {owned: (*Store).deleteOwned},
@@ -83,14 +83,14 @@ var errStale = errors.New("dstore: object changed underneath")
 
 // ------------------------------------------------------------- pool phases
 
-// putPool is the pool phase of a whole-object write: the slot (reused when
-// the object exists) and freshly allocated blocks for the new version. Data
-// is always written out of place — the paper's pipeline allocates blocks for
-// every write (Fig. 4 step ③) — so a crash before commit leaves the old
-// version's blocks untouched and the dead record harmless. The old blocks
-// are read once the record is appended (putOwned) and freed only after
-// commit.
-func (s *Store) putPool(u *subOp) error {
+// putPoolLocked is the pool phase of a whole-object write: the slot (reused
+// when the object exists) and freshly allocated blocks for the new version.
+// Data is always written out of place — the paper's pipeline allocates
+// blocks for every write (Fig. 4 step ③) — so a crash before commit leaves
+// the old version's blocks untouched and the dead record harmless. The old
+// blocks are read once the record is appended (putOwned) and freed only
+// after commit.
+func (s *Store) putPoolLocked(u *subOp) error {
 	p := s.front
 	need := blocksFor(u.size, blockSize)
 	if need > p.zone.MaxBlocks() {
@@ -98,7 +98,7 @@ func (s *Store) putPool(u *subOp) error {
 	}
 	var ok bool
 	if u.slot, ok = p.tree.Get(u.name); !ok {
-		slot, err := p.slotPool.Get()
+		slot, err := s.slotPool.Get()
 		if err != nil {
 			return fmt.Errorf("dstore: out of metadata slots: %w", err)
 		}
@@ -106,7 +106,7 @@ func (s *Store) putPool(u *subOp) error {
 	}
 	u.indexed, u.newSlot = ok, !ok
 	u.blocks = make([]uint64, 0, need)
-	return s.growBlocks(u, need)
+	return s.growBlocksLocked(u, need)
 }
 
 // extendPool builds the grow-allocation for opExtend: the existing block
@@ -133,7 +133,7 @@ func (s *Store) extendPool(u *subOp) error {
 	}
 	u.slot, u.indexed, u.newSlot = slot, true, false
 	u.blocks, u.sums = e.Blocks, e.Sums
-	if err := s.growBlocks(u, need); err != nil {
+	if err := s.growBlocksLocked(u, need); err != nil {
 		return err
 	}
 	for len(u.sums) < len(u.blocks) {
@@ -145,16 +145,16 @@ func (s *Store) extendPool(u *subOp) error {
 // remapPool takes the relocation target of a scrub repair.
 func (s *Store) remapPool(u *subOp) error {
 	u.blocks = nil
-	return s.growBlocks(u, 1)
+	return s.growBlocksLocked(u, 1)
 }
 
-// growBlocks allocates until u.blocks holds need blocks, remembering the
-// new tail as u.fresh. On failure the blocks it took go back (and a slot
-// putPool took with them).
-func (s *Store) growBlocks(u *subOp, need uint64) error {
+// growBlocksLocked allocates until u.blocks holds need blocks, remembering
+// the new tail as u.fresh. On failure the blocks it took go back (and a slot
+// putPoolLocked took with them).
+func (s *Store) growBlocksLocked(u *subOp, need uint64) error {
 	had := len(u.blocks)
 	for uint64(len(u.blocks)) < need {
-		b, err := s.front.blockPool.Get()
+		b, err := s.blockPool.Get()
 		if err != nil {
 			u.fresh = u.blocks[had:]
 			s.releaseLocked(u)
@@ -171,7 +171,7 @@ func (s *Store) growBlocks(u *subOp, need uint64) error {
 func (s *Store) releaseLocked(u *subOp) {
 	s.freeBlocksLocked(u.fresh)
 	if u.newSlot {
-		s.front.slotPool.Put(u.slot) //nolint:errcheck
+		s.slotPool.Put(u.slot) //nolint:errcheck
 	}
 	u.fresh, u.newSlot = nil, false
 }
@@ -346,7 +346,7 @@ func (s *Store) write(w *writeSet) error {
 			s.poolMu.Lock()
 			s.freeBlocksLocked(u.old)
 			if u.freeSlot {
-				s.front.slotPool.Put(u.slot) //nolint:errcheck
+				s.slotPool.Put(u.slot) //nolint:errcheck
 			}
 			s.poolMu.Unlock()
 		}
@@ -446,7 +446,7 @@ func (s *Store) stage(w *writeSet, t *stageNs) (*wal.Handle, error) {
 // success rolls the allocations back first: CC conflict → wait for the
 // conflicting record to settle; anything else → appendFailed.
 //
-// The pool phase reads the index (putPool: tree.Get decides indexed/newSlot)
+// The pool phase reads the index (putPoolLocked: tree.Get decides indexed/newSlot)
 // before the append scans the window, so a same-name writer that appended
 // before this one took poolMu and applies and settles between the two would
 // be missed: this writer would insert name → fresh slot over the other's slot
