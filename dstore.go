@@ -107,8 +107,9 @@ type Config struct {
 
 	// LogBytes sizes each of the two DIPPER logs. Default 4 MiB.
 	LogBytes uint64
-	// ArenaBytes sizes the DRAM arena and each PMEM shadow generation.
-	// Computed from the geometry when zero; tests set it to exhaust the arena.
+	// ArenaBytes sizes the DRAM arena and each PMEM shadow generation. When
+	// zero: alloc.HeaderSize + meta.Bytes + 384 B per object + 4 MiB, rounded
+	// up to 4 KiB. Tests set it to exhaust the arena.
 	ArenaBytes uint64
 	// CheckpointThreshold triggers a checkpoint when the active log's free
 	// fraction falls below it. Default 0.3. The crash oracle's rows set a
@@ -168,16 +169,8 @@ func (c *Config) setDefaults() {
 		c.CheckpointThreshold = 0.3
 	}
 	if c.ArenaBytes == 0 {
-		slot := (16 + maxNameLen + 8*c.MaxBlocksPerObject + 4*c.MaxBlocksPerObject + 7) &^ 7
-		need := alloc.HeaderSize +
-			c.MaxObjects*slot + // metadata zone
-			c.MaxObjects*384 + // btree nodes + keys, with slack
-			(4 << 20) // headroom
-		// Round up to a power of two for tidy windows.
-		c.ArenaBytes = 1 << 20
-		for c.ArenaBytes < need {
-			c.ArenaBytes <<= 1
-		}
+		c.ArenaBytes = alloc.HeaderSize + meta.Bytes(c.MaxObjects, maxNameLen, c.MaxBlocksPerObject) +
+			c.MaxObjects*384 + 4<<20 // B+ tree nodes and keys with slack; headroom
 	}
 	c.ArenaBytes = (c.ArenaBytes + 4095) &^ 4095
 }

@@ -7,6 +7,10 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"dstore/internal/alloc"
+	"dstore/internal/dipper"
+	"dstore/internal/meta"
 )
 
 func testConfig() Config {
@@ -581,6 +585,33 @@ func TestCheckpointTrafficIgnoresFreeCapacity(t *testing.T) {
 	small, large := written(2048), written(16384)
 	if small != large {
 		t.Fatalf("one checkpoint wrote %d PMEM bytes with 2,048 blocks and %d with 16,384", small, large)
+	}
+}
+
+// TestEmptyCheckpointWritesOnlyTheArena pins that the arena holds exactly
+// what replay applies: a fresh default store's used prefix is the allocator
+// header, the B+ tree's header and first leaf and the metadata zone at its
+// exact size, and one checkpoint writes that prefix and the root, nothing
+// more.
+func TestEmptyCheckpointWritesOnlyTheArena(t *testing.T) {
+	s := newStoreT(t, Config{})
+	defer s.Close()
+	cfg := s.cfg
+	used := s.eng.Frontend().Used()
+	zone := meta.Bytes(cfg.MaxObjects, maxNameLen, cfg.MaxBlocksPerObject)
+	// 576: the tree header's 64-byte block and the first leaf's 512-byte one.
+	if limit := (alloc.HeaderSize + 576 + zone + 63) &^ 63; used > limit {
+		t.Fatalf("fresh arena uses %d bytes, want at most %d (zone %d)", used, limit, zone)
+	}
+	pm, _ := s.Devices()
+	before := pm.Stats().BytesWritten
+	if err := s.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	written := pm.Stats().BytesWritten - before
+	t.Logf("fresh arena uses %d bytes; one checkpoint wrote %d", used, written)
+	if written > used+dipper.RootBytes {
+		t.Fatalf("one empty checkpoint wrote %d PMEM bytes for a %d-byte arena", written, used)
 	}
 }
 

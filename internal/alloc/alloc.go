@@ -16,11 +16,13 @@
 // prefix ([0, bump)), and flushing everything allocated is a single range
 // flush of the same prefix. It is a slab allocator with power-of-two size
 // classes, exactly as described in §4.2 ("a simple slab-based memory
-// allocator ... slabs in different size classes that are a power of two").
+// allocator ... slabs in different size classes that are a power of two"),
+// kept to the four the B+ tree uses (64–512 B). The metadata zone, fixed in
+// size and never freed, takes no class: Reserve carves it at its exact size.
 //
 // A small array of user "roots" in the header plays the role of PMDK's root
-// object: the store records the offsets of its top-level structures (B-tree
-// root, metadata zone, pools) there, so they survive cloning and recovery.
+// object: the store records the offsets of its top-level structures (B+ tree
+// header, metadata zone) there, so they survive cloning and recovery.
 package alloc
 
 import (
@@ -44,24 +46,22 @@ var ErrOutOfRange = errors.New("alloc: offset out of range")
 
 const (
 	// Magic seals a formatted arena header.
-	Magic = 0xD1BBE5_0000_0001
+	Magic = 0xD1BBE5_0000_0002
 
 	// MinClass is the smallest block size (one cache line).
 	MinClass = 64
-	// NumClasses covers block sizes 64 B .. 64 MB.
-	NumClasses = 21
+	// NumClasses covers block sizes 64 B .. 512 B.
+	NumClasses = 4
 	// NumRoots is the number of user root slots.
-	NumRoots = 8
+	NumRoots = 2
 
 	blockMagic = 0xA110C000 // upper bits of a block header word
 
-	offMagic      = 0
-	offSize       = 8
-	offBump       = 16
-	offAllocBytes = 24
-	offAllocCount = 32
-	offRoots      = 40
-	offFreeHeads  = offRoots + 8*NumRoots
+	offMagic     = 0
+	offSize      = 8
+	offBump      = 16
+	offRoots     = 24
+	offFreeHeads = offRoots + 8*NumRoots
 	// HeaderSize is the formatted header length, cache-line rounded.
 	HeaderSize = (offFreeHeads + 8*NumClasses + 63) / 64 * 64
 )
@@ -123,9 +123,9 @@ func Open(sp *space.Arena) (*Allocator, error) {
 func (a *Allocator) Space() *space.Arena { return a.sp }
 
 // Alloc returns the offset of a zeroed block able to hold size bytes, or an
-// error if the arena is exhausted. Offset 0 is never returned (it is the nil
-// relative pointer).
-func (a *Allocator) Alloc(size uint64) (uint64, error) {
+// error if size needs more than the 512-byte class or the arena is exhausted.
+// Offset 0 is never returned (it is the nil relative pointer).
+func (a *Allocator) Alloc(size uint64) (_ uint64, err error) {
 	c := classFor(size)
 	if c < 0 {
 		return 0, fmt.Errorf("alloc: size %d exceeds max class", size)
@@ -144,19 +144,36 @@ func (a *Allocator) Alloc(size uint64) (uint64, error) {
 		}
 		next := a.sp.GetU64(block + 8)
 		a.sp.PutU64(headOff, next)
-	} else {
-		bump := a.sp.GetU64(offBump)
-		if bump+bs > a.sp.Size() {
-			return 0, fmt.Errorf("alloc: arena exhausted (bump %d + %d > %d)", bump, bs, a.sp.Size())
-		}
-		block = bump
-		a.sp.PutU64(offBump, bump+bs)
+	} else if block, err = a.bump(bs); err != nil {
+		return 0, err
 	}
 	a.sp.PutU64(block, uint64(blockMagic)<<32|uint64(c))
 	a.sp.Zero(block+8, bs-8)
-	a.sp.PutU64(offAllocBytes, a.sp.GetU64(offAllocBytes)+bs)
-	a.sp.PutU64(offAllocCount, a.sp.GetU64(offAllocCount)+1)
 	return block + 8, nil
+}
+
+// Reserve carves a permanent, zeroed region of n bytes, rounded up to a line,
+// at the bump pointer and returns its line-aligned offset, or fails and moves
+// nothing. The region has no block header, so Free of it returns ErrCorrupt.
+func (a *Allocator) Reserve(n uint64) (uint64, error) {
+	n = (n + 63) &^ 63
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	off, err := a.bump(n)
+	if err == nil {
+		a.sp.Zero(off, n) // a clone destination keeps old bytes past its prefix
+	}
+	return off, err
+}
+
+// bump takes n fresh bytes from the end of the used prefix; a.mu is held.
+func (a *Allocator) bump(n uint64) (uint64, error) {
+	off := a.sp.GetU64(offBump)
+	if n > a.sp.Size()-off {
+		return 0, fmt.Errorf("alloc: arena exhausted (bump %d + %d > %d)", off, n, a.sp.Size())
+	}
+	a.sp.PutU64(offBump, off+n)
+	return off, nil
 }
 
 // Free returns the block holding payload offset off to its size-class free
@@ -183,8 +200,6 @@ func (a *Allocator) Free(off uint64) error {
 	a.sp.PutU64(block, 0) // clear header so double frees are caught
 	a.sp.PutU64(block+8, a.sp.GetU64(headOff))
 	a.sp.PutU64(headOff, block)
-	a.sp.PutU64(offAllocBytes, a.sp.GetU64(offAllocBytes)-classSize(c))
-	a.sp.PutU64(offAllocCount, a.sp.GetU64(offAllocCount)-1)
 	return nil
 }
 
@@ -209,21 +224,14 @@ func (a *Allocator) Root(i int) uint64 {
 	return a.sp.GetU64(uint64(offRoots + 8*i))
 }
 
-// Used returns the arena's used prefix length (header + all slabs ever
-// allocated). Cloning or flushing [0, Used()) captures the entire arena
-// state, allocator included.
+// Used returns the arena's used prefix length (header, reserved regions and
+// all slabs ever allocated). Cloning or flushing [0, Used()) captures the
+// entire arena state, allocator included.
 func (a *Allocator) Used() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.sp.GetU64(offBump)
 }
-
-// LiveBytes returns the total size of currently allocated blocks, used by
-// the storage-footprint experiment (paper Fig. 10).
-func (a *Allocator) LiveBytes() uint64 { return a.sp.GetU64(offAllocBytes) }
-
-// LiveCount returns the number of currently allocated blocks.
-func (a *Allocator) LiveCount() uint64 { return a.sp.GetU64(offAllocCount) }
 
 // FlushAll persists the entire used prefix of the arena — the paper's
 // "iterate over all allocated memory regions and flush them to PMEM",

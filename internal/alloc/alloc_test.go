@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"sync"
@@ -26,15 +27,20 @@ func TestClassFor(t *testing.T) {
 		{57, 1}, // 57+8 > 64
 		{120, 1},
 		{121, 2},
-		{1<<20 - 8, 14},
+		{248, 2},
+		{249, 3},
+		{504, 3}, // a B+ tree node: 496 bytes
+		{505, -1},
+		{1<<20 - 8, -1},
 	}
 	for _, c := range cases {
 		if got := classFor(c.n); got != c.want {
 			t.Errorf("classFor(%d) = %d, want %d", c.n, got, c.want)
 		}
 	}
-	if classFor(1<<26) != -1 {
-		t.Error("oversize alloc should have no class")
+	a := newArena(t, 1<<20)
+	if _, err := a.Alloc(505); err == nil {
+		t.Error("Alloc(505) found a class")
 	}
 }
 
@@ -76,26 +82,9 @@ func TestFreeDifferentClassesDoNotMix(t *testing.T) {
 	a := newArena(t, 1<<20)
 	small, _ := a.Alloc(10)
 	a.Free(small)
-	big, _ := a.Alloc(1000)
+	big, _ := a.Alloc(300)
 	if big == small {
-		t.Fatal("1000-byte alloc reused a 64-byte block")
-	}
-}
-
-func TestAccounting(t *testing.T) {
-	a := newArena(t, 1<<20)
-	if a.LiveBytes() != 0 || a.LiveCount() != 0 {
-		t.Fatal("fresh arena not empty")
-	}
-	o1, _ := a.Alloc(100) // class 1 => 128 bytes
-	o2, _ := a.Alloc(10)  // class 0 => 64 bytes
-	if a.LiveBytes() != 192 || a.LiveCount() != 2 {
-		t.Fatalf("live = %d bytes / %d blocks", a.LiveBytes(), a.LiveCount())
-	}
-	a.Free(o1)
-	a.Free(o2)
-	if a.LiveBytes() != 0 || a.LiveCount() != 0 {
-		t.Fatalf("after frees live = %d bytes / %d blocks", a.LiveBytes(), a.LiveCount())
+		t.Fatal("300-byte alloc reused a 64-byte block")
 	}
 }
 
@@ -218,17 +207,66 @@ func TestCloneToPreservesEverything(t *testing.T) {
 			t.Fatalf("clone block %d corrupted", i)
 		}
 	}
-	// Allocations in the clone must not disturb the source.
-	if _, err := clone.Alloc(100); err != nil {
+	// The clone carries the free list, and taking from it leaves the
+	// source's alone: both hand out the freed block next.
+	for _, a := range []*Allocator{clone, src} {
+		if o, err := a.Alloc(10 + 10*7); err != nil || o != offs[10] {
+			t.Fatalf("Alloc after the clone = %d, %v; want the freed block %d", o, err, offs[10])
+		}
+	}
+}
+
+// TestReserve pins the metadata zone's way into the arena: a line-aligned,
+// zeroed region with no block header that moves the bump pointer only when
+// it fits and survives cloning and a PMEM round trip.
+func TestReserve(t *testing.T) {
+	const size = 1 << 16
+	dev := pmem.New(pmem.Config{Size: size, TrackPersistence: true})
+	pm := &space.MustPMEM(dev, 0, size).Arena
+	// A clone destination still holds old bytes past the prefix it receives.
+	pm.Write(0, bytes.Repeat([]byte{0xAB}, size))
+	src := Format(space.NewDRAM(size))
+	if _, err := src.Alloc(100); err != nil {
 		t.Fatal(err)
 	}
-	if src.LiveCount() != 49 {
-		t.Fatalf("source live count changed: %d", src.LiveCount())
+	a, err := src.CloneTo(pm)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The freed block must be reusable in the clone too.
-	o, _ := clone.Alloc(10 + 10*7)
-	if o != offs[10] {
-		t.Logf("clone reused %d for freed block %d (ok if different class)", o, offs[10])
+	before := a.Used()
+	off, err := a.Reserve(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off != before || off%64 != 0 || a.Used() != off+1024 {
+		t.Fatalf("Reserve(1000) = %d with used %d → %d; want a line-aligned 1024 bytes at the bump pointer", off, before, a.Used())
+	}
+	if !bytes.Equal(a.Space().Slice(off, 1024), make([]byte, 1024)) {
+		t.Fatal("reserved region not zeroed")
+	}
+	if err := a.Free(off); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Free of a reserved region: got %v, want ErrCorrupt", err)
+	}
+	used := a.Used()
+	if _, err := a.Reserve(size); err == nil || a.Used() != used {
+		t.Fatalf("Reserve past the end: err %v, used %d → %d", err, used, a.Used())
+	}
+	a.Space().Write(off, []byte("zone"))
+	a.Space().Write(off+996, []byte("tail"))
+	a.SetRoot(1, off)
+	a.FlushAll()
+	dev.Crash(pmem.CrashDropDirty, 3)
+	reopened, err := Open(pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := reopened.CloneTo(space.NewDRAM(size))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, r := back.Space(), back.Root(1)
+	if string(sp.Slice(r, 4)) != "zone" || string(sp.Slice(r+996, 4)) != "tail" || back.Used() != used {
+		t.Fatalf("reserved region lost in the round trip: %q %q, used %d", sp.Slice(r, 4), sp.Slice(r+996, 4), back.Used())
 	}
 }
 
@@ -313,8 +351,15 @@ func TestConcurrentAllocFree(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if a.LiveCount() != 0 {
-		t.Fatalf("leaked %d blocks", a.LiveCount())
+	// Every block ever carved is back on a free list.
+	free := uint64(0)
+	for c := 0; c < NumClasses; c++ {
+		for b := a.Space().GetU64(uint64(offFreeHeads + 8*c)); b != 0; b = a.Space().GetU64(b + 8) {
+			free += classSize(c)
+		}
+	}
+	if carved := a.Used() - HeaderSize; free != carved {
+		t.Fatalf("leaked %d of %d carved bytes", carved-free, carved)
 	}
 }
 
@@ -327,7 +372,7 @@ func TestQuickNoOverlap(t *testing.T) {
 		live := map[uint64]interval{}
 		fi := 0
 		for _, s := range sizes {
-			sz := uint64(s%2000) + 1
+			sz := uint64(s%504) + 1
 			o, err := a.Alloc(sz)
 			if err != nil {
 				continue

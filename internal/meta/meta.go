@@ -1,12 +1,13 @@
 // Package meta implements DStore's metadata zone (paper §4.2, Fig. 4): a
 // fixed-slot array of object metadata pages. Each slot records an object's
-// name, logical size and the list of SSD blocks holding its data. Slots are
-// allocated from the metadata pool; the B-tree maps object names to slot
-// indices.
+// name, logical size, the list of SSD blocks holding its data and one
+// CRC32C per block. Slot indices are handed out by the store's slot pool;
+// the B+ tree maps object names to them.
 //
-// The zone lives in an allocator-managed Arena, so it is part of the arena
-// cloned at checkpoints and recovered by the PMEM→DRAM copy; the same code
-// runs on both spaces.
+// The zone is one region of exactly Bytes(slots, maxName, maxBlocks) bytes,
+// reserved once in an allocator-managed Arena and never freed, so it is part
+// of the arena cloned at checkpoints and recovered by the PMEM→DRAM copy;
+// the same code runs on both spaces.
 package meta
 
 import (
@@ -70,24 +71,24 @@ type Entry struct {
 	Sums []uint32
 }
 
-// New allocates a zone with the given geometry and returns it with its arena
-// offset.
-func New(al *alloc.Allocator, slots, maxName, maxBlocks uint64) (*Zone, uint64, error) {
-	slotSize := (slotName + maxName + 8*maxBlocks + 4*maxBlocks + 7) &^ 7
-	base, err := al.Alloc(hdrSize + slots*slotSize)
+// Bytes is the size of a zone with the given geometry.
+func Bytes(slots, maxName, maxBlocks uint64) uint64 {
+	return hdrSize + slots*((slotName+maxName+8*maxBlocks+4*maxBlocks+7)&^7)
+}
+
+// New reserves a zone with the given geometry and returns its arena offset,
+// for Open.
+func New(al *alloc.Allocator, slots, maxName, maxBlocks uint64) (uint64, error) {
+	base, err := al.Reserve(Bytes(slots, maxName, maxBlocks))
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	sp := al.Space()
 	sp.PutU64(base+hdrSlots, slots)
-	sp.PutU64(base+hdrSlotSize, slotSize)
+	sp.PutU64(base+hdrSlotSize, Bytes(1, maxName, maxBlocks)-hdrSize)
 	sp.PutU64(base+hdrMaxName, maxName)
 	sp.PutU64(base+hdrMaxBlocks, maxBlocks)
-	z, err := Open(al, base)
-	if err != nil {
-		return nil, 0, err
-	}
-	return z, base, nil
+	return base, nil
 }
 
 // Open attaches to an existing zone at base. The geometry header is
@@ -109,7 +110,7 @@ func Open(al *alloc.Allocator, base uint64) (*Zone, error) {
 		maxName:   sp.GetU64(base + hdrMaxName),
 		maxBlocks: sp.GetU64(base + hdrMaxBlocks),
 	}
-	wantSlotSize := (slotName + z.maxName + 8*z.maxBlocks + 4*z.maxBlocks + 7) &^ uint64(7)
+	wantSlotSize := Bytes(1, z.maxName, z.maxBlocks) - hdrSize
 	if z.slotSize != wantSlotSize {
 		return nil, fmt.Errorf("%w: slot size %d does not match geometry (name %d, blocks %d → %d)",
 			ErrCorrupt, z.slotSize, z.maxName, z.maxBlocks, wantSlotSize)
@@ -123,9 +124,6 @@ func Open(al *alloc.Allocator, base uint64) (*Zone, error) {
 
 // Slots returns the zone capacity in slots.
 func (z *Zone) Slots() uint64 { return z.slots }
-
-// MaxName returns the maximum object name length.
-func (z *Zone) MaxName() uint64 { return z.maxName }
 
 // MaxBlocks returns the maximum number of blocks per object.
 func (z *Zone) MaxBlocks() uint64 { return z.maxBlocks }

@@ -11,7 +11,11 @@ import (
 func newZone(t *testing.T) (*Zone, *alloc.Allocator, uint64) {
 	t.Helper()
 	al := alloc.Format(space.NewDRAM(1 << 20))
-	z, off, err := New(al, 64, 32, 8)
+	off, err := New(al, 64, 32, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z, err := Open(al, off)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +134,8 @@ func TestOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if z2.Slots() != 64 || z2.MaxName() != 32 || z2.MaxBlocks() != 8 {
-		t.Fatalf("geometry lost: %d/%d/%d", z2.Slots(), z2.MaxName(), z2.MaxBlocks())
+	if z2.Slots() != 64 || z2.maxName != 32 || z2.MaxBlocks() != 8 {
+		t.Fatalf("geometry lost: %d/%d/%d", z2.Slots(), z2.maxName, z2.MaxBlocks())
 	}
 	e, ok := mustRead(t, z2, 3)
 	if !ok || string(e.Name) != "persist" || e.Size != 999 {
@@ -173,6 +177,43 @@ func TestSlotsIndependent(t *testing.T) {
 		e, ok := mustRead(t, z, i)
 		if !ok || e.Size != i || e.Blocks[0] != i {
 			t.Fatalf("slot %d corrupted: %+v", i, e)
+		}
+	}
+}
+
+// TestZoneLargerThanAnAllocatorClass pins that the zone is reserved at its
+// exact size rather than taken from a size class: a 69 MB zone — 540,000
+// slots of 128 bytes, beyond any class — formats in a 72 MiB arena, and its
+// last slot reads back and survives a clone.
+func TestZoneLargerThanAnAllocatorClass(t *testing.T) {
+	const slots, maxName, maxBlocks = 540000, 64, 4
+	if Bytes(1, maxName, maxBlocks) != hdrSize+128 || Bytes(slots, maxName, maxBlocks) <= 64<<20 {
+		t.Fatalf("geometry gives a %d-byte zone", Bytes(slots, maxName, maxBlocks))
+	}
+	al := alloc.Format(space.NewDRAM(72 << 20))
+	off, err := New(al, slots, maxName, maxBlocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z, err := Open(al, off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := z.Write(slots-1, []byte("last"), 7, []uint64{1, 2, 3, 4}, []uint32{5, 6, 7, 8}); err != nil {
+		t.Fatal(err)
+	}
+	clone, err := al.CloneTo(space.NewDRAM(72 << 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cz, err := Open(clone, off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, z := range []*Zone{z, cz} {
+		e, ok := mustRead(t, z, slots-1)
+		if !ok || string(e.Name) != "last" || e.Size != 7 || e.Blocks[3] != 4 || e.Sums[3] != 8 {
+			t.Fatalf("last slot = %+v, used %v", e, ok)
 		}
 	}
 }

@@ -59,7 +59,7 @@ func bootstrapPlane(al *alloc.Allocator, maxObjects, maxName, maxBlocks uint64) 
 	if err != nil {
 		return nil, err
 	}
-	_, zoneOff, err := meta.New(al, maxObjects, maxName, maxBlocks)
+	zoneOff, err := meta.New(al, maxObjects, maxName, maxBlocks)
 	if err != nil {
 		return nil, err
 	}
