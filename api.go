@@ -96,15 +96,16 @@ type API interface {
 	Close() error
 	// CloseNoCheckpoint stops the store without the final checkpoint.
 	CloseNoCheckpoint() error
-	// MPut stores values[i] under keys[i] as independent sub-operations
-	// applied concurrently — so their WAL records share group-commit fences
-	// (DESIGN.md §14) — and returns one verdict per sub-op. epoch is the
-	// ring epoch the caller routed under: a sub-op applied after the ring
-	// moved past it fails with ErrNotMine; 0 skips the check.
+	// MPut stores values[i] under keys[i] as independent sub-operations,
+	// each its own WAL record, one pipeline pass per owning shard (DESIGN.md
+	// §14), and returns one verdict per sub-op. epoch is the ring epoch the
+	// caller routed under: a batch routed under another fails with
+	// ErrNotMine; 0 skips the check.
 	MPut(epoch uint64, keys []string, values [][]byte) []error
-	// MGet reads keys the same way; vals[i] is valid iff errs[i] is nil.
+	// MGet reads keys, fanned out one sub-op at a time; vals[i] is valid iff
+	// errs[i] is nil.
 	MGet(epoch uint64, keys []string) (vals [][]byte, errs []error)
-	// MDelete removes keys the same way.
+	// MDelete removes keys the way MPut stores them.
 	MDelete(epoch uint64, keys []string) []error
 	// NetBackend exposes the store as a wire-protocol server backend.
 	NetBackend() server.Backend

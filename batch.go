@@ -9,24 +9,21 @@ import (
 
 // This file is the store-side half of batched operations (DESIGN.md §14):
 // MPut/MGet/MDelete apply a batch of independent sub-operations with
-// per-sub-op verdicts. The point of the fan-out below is to feed the WAL
-// group-commit layer — sub-operations applied concurrently park on one
-// batch leader and share a single flush+fence — so a batch of N writes
-// costs far fewer fences than N singleton writes.
+// per-sub-op verdicts. Each shard runs its group of a write batch as one pass
+// of the write pipeline (write.go), each sub-op still its own record; reads
+// fan out one sub-op at a time across the pool below.
 
-// mopWorkers is the per-shard apply concurrency for one batch: enough
-// concurrent committers to let WAL group commit amortize the fence, small
-// enough that a single batch cannot monopolize a shard. A variable, not a
-// const: the crash-point sweep pins it to 1 so every PMEM mutation happens
-// on the sweep's own goroutine and crash indices stay deterministic.
+// mopWorkers bounds the concurrency of one batch: the shard groups of a
+// write batch, the sub-ops of a read batch. A variable, not a const: the
+// crash-point sweep pins it to 1 so every PMEM mutation happens on the
+// sweep's own goroutine and crash indices stay deterministic.
 var mopWorkers = 4
 
 // mopPool is a small set of long-lived helper goroutines that fan one
-// batch's sub-operations out across appliers. The workers are persistent
-// for a reason beyond tidiness: spawning fresh goroutines per frame made
-// the runtime grow (and discard) each worker's stack on every batch, and at
-// high frame rates that stack churn was over 10% of server CPU in profiles.
-// Warm workers keep their grown stacks across frames.
+// batch's jobs out across appliers. The workers are persistent because
+// spawning fresh goroutines per frame made the runtime grow (and discard)
+// each worker's stack on every batch, over 10% of server CPU in profiles at
+// high frame rates; warm workers keep their grown stacks across frames.
 type mopPool struct {
 	start sync.Once // lazy worker spawn on first fan-out
 	halt  sync.Once
@@ -62,15 +59,12 @@ func (j *mopJob) drain() {
 	}
 }
 
-// run applies n independent sub-operations with bounded concurrency. Each
+// run applies n independent jobs with bounded concurrency. Each
 // index is applied exactly once; apply must write only its own slot of any
 // shared result slice. The caller always participates, so a busy — or
 // already stopped — pool degrades to inline application, never to waiting.
 func (p *mopPool) run(n int, apply func(i int)) {
-	helpers := mopWorkers - 1
-	if helpers > n-1 {
-		helpers = n - 1
-	}
+	helpers := min(mopWorkers, n) - 1
 	if helpers <= 0 {
 		for i := 0; i < n; i++ {
 			apply(i)
@@ -85,8 +79,7 @@ func (p *mopPool) run(n int, apply func(i int)) {
 		p.done = make(chan struct{})
 		// The pool is shared by every connection's frames, so park more
 		// workers than one job's helper cap: concurrent frames each still
-		// get helpers, which keeps enough committers in flight for the WAL
-		// group-commit leader to merge fences across frames.
+		// get helpers.
 		for w := 0; w < 2*mopWorkers; w++ {
 			go p.worker()
 		}
@@ -138,10 +131,10 @@ func (s *Store) MGet(_ uint64, keys []string) ([][]byte, []error) { return s.sel
 func (s *Store) MDelete(_ uint64, keys []string) []error { return s.self.MDelete(0, keys) }
 
 // epochGuard fails a sub-op routed under a ring epoch the store has moved
-// past. Batches are not atomic with respect to resharding: an AddShard can
-// land mid-batch, and every sub-op applied after the flip would land under
-// routing the client never saw — so those sub-ops fail with ErrNotMine and
-// the client re-routes just them, exactly like singleton ops.
+// past: it would land under routing the client never saw, so it fails with
+// ErrNotMine and the client re-routes it, exactly like a singleton op. A
+// write batch is checked once, under opMu; a read batch sub-op by sub-op, so
+// an AddShard landing mid-batch fails only the reads after it.
 func (sh *Sharded) epochGuard(epoch uint64) error {
 	if epoch == 0 {
 		return nil
@@ -152,58 +145,93 @@ func (sh *Sharded) epochGuard(epoch uint64) error {
 	return nil
 }
 
-// mrun fans a batch's sub-ops across the pool. Indices are reordered so
-// runs owned by the same shard are adjacent — appliers pulling consecutive
-// indices land on one shard together, keeping that shard's group-commit
-// leader fed. The shared context is safe here: Put/Get/Delete keep no
-// per-call state (see Context).
-func (sh *Sharded) mrun(epoch uint64, keys []string, apply func(c Context, i int) error) []error {
+// mwrite runs a write batch — puts of values, or deletes when values is nil
+// — under opMu shared, so neither the ring nor a migration changes mid-batch;
+// epoch is the ring epoch the caller routed under (0 skips the check). Each
+// owning shard's keys, in issue order, are one job (ShardedCtx.routed); with
+// mopWorkers = 1 the jobs run on the caller, in the order their shards' first
+// keys were issued.
+func (sh *Sharded) mwrite(epoch uint64, keys []string, values [][]byte) []error {
 	errs := make([]error, len(keys))
+	sh.opMu.RLock() //nolint:lock-order // held shared across the batch so the epoch cannot flip mid-batch; the flip is the only writer
+	defer sh.opMu.RUnlock()
+	if err := sh.epochGuard(epoch); err != nil {
+		for j := range errs {
+			errs[j] = err
+		}
+		return errs
+	}
+	var shards []int
+	var idxs [][]int
+	for j, k := range keys {
+		o, g := sh.owner(k), 0
+		for g < len(shards) && shards[g] != o {
+			g++
+		}
+		if g == len(shards) {
+			shards, idxs = append(shards, o), append(idxs, nil)
+		}
+		idxs[g] = append(idxs[g], j)
+	}
 	c := sh.Init()
 	defer c.Finalize()
-	groups := make(map[int][]int, len(sh.stores()))
-	for i, k := range keys {
-		o := sh.owner(k)
-		groups[o] = append(groups[o], i)
-	}
-	flat := make([]int, 0, len(keys))
-	for _, idxs := range groups {
-		flat = append(flat, idxs...)
-	}
-	sh.mops.run(len(flat), func(j int) {
-		i := flat[j]
-		if err := sh.epochGuard(epoch); err != nil {
-			errs[i] = err
-			return
-		}
-		errs[i] = apply(c, i)
-	})
+	sh.mops.run(len(shards), func(g int) { c.routed(shards[g], keys, values, idxs[g], errs) })
 	return errs
 }
 
-// MPut applies the puts with per-shard fan-out; epoch is the ring epoch the
-// caller routed under (0 skips the check).
-func (sh *Sharded) MPut(epoch uint64, keys []string, values [][]byte) []error {
-	return sh.mrun(epoch, keys, func(c Context, i int) error {
-		return c.Put(keys[i], values[i])
-	})
+// writeBatch writes keys[j] for each j in js — puts of values, or deletes
+// when values is nil — in one pipeline pass, each its own write set; errs[j]
+// receives each verdict.
+func (c *Ctx) writeBatch(keys []string, values [][]byte, js []int, errs []error) {
+	var wbuf [1]*oneWrite
+	var sbuf [1]*writeSet
+	ws, sets := wbuf[:0], sbuf[:0]
+	if len(js) > 1 {
+		ws, sets = make([]*oneWrite, 0, len(js)), make([]*writeSet, 0, len(js))
+	}
+	for _, j := range js {
+		w, err := c.s.userSet(keys[j], valueAt(values, j), values == nil, c.heldLSN(keys[j]))
+		if errs[j] = err; err == nil {
+			ws, sets = append(ws, w), append(sets, &w.writeSet)
+		}
+	}
+	c.s.write(sets)
+	for _, j := range js {
+		if errs[j] == nil {
+			errs[j] = ws[0].err
+			recycle(ws[0])
+			ws = ws[1:]
+		}
+	}
 }
 
-// MGet reads the keys with per-shard fan-out; vals[i] is valid iff errs[i]
-// is nil.
+// valueAt is the value a write batch gives keys[j]: nil for a delete batch.
+func valueAt(values [][]byte, j int) []byte {
+	if values == nil {
+		return nil
+	}
+	return values[j]
+}
+
+// MPut applies the puts, one pipeline pass per shard.
+func (sh *Sharded) MPut(epoch uint64, keys []string, v [][]byte) []error {
+	return sh.mwrite(epoch, keys, v)
+}
+
+// MDelete removes the keys, one pipeline pass per shard.
+func (sh *Sharded) MDelete(epoch uint64, keys []string) []error { return sh.mwrite(epoch, keys, nil) }
+
+// MGet reads the keys with per-sub-op fan-out across the pool; vals[i] is
+// valid iff errs[i] is nil. Get keeps no per-call state, so one context
+// serves every sub-op (see Context).
 func (sh *Sharded) MGet(epoch uint64, keys []string) ([][]byte, []error) {
-	vals := make([][]byte, len(keys))
-	errs := sh.mrun(epoch, keys, func(c Context, i int) error {
-		v, err := c.Get(keys[i], nil)
-		vals[i] = v
-		return err
+	vals, errs := make([][]byte, len(keys)), make([]error, len(keys))
+	c := sh.Init()
+	defer c.Finalize()
+	sh.mops.run(len(keys), func(i int) {
+		if errs[i] = sh.epochGuard(epoch); errs[i] == nil {
+			vals[i], errs[i] = c.Get(keys[i], nil)
+		}
 	})
 	return vals, errs
-}
-
-// MDelete removes the keys with per-shard fan-out.
-func (sh *Sharded) MDelete(epoch uint64, keys []string) []error {
-	return sh.mrun(epoch, keys, func(c Context, i int) error {
-		return c.Delete(keys[i])
-	})
 }

@@ -181,8 +181,9 @@ func TestWriteNeverEvicts(t *testing.T) {
 	}
 }
 
-// A data-phase write that hits a bad page quarantines the block and reruns on
-// fresh ones: what is published is the rerun's blocks, never the dead one.
+// A data-phase write that hits a bad page quarantines the block and writes
+// that span again on a fresh one: what is published is the live version's
+// blocks, never the dead one.
 func TestPermanentWriteFaultLeavesNoEntry(t *testing.T) {
 	s := wtStore(t, 8<<20)
 	defer s.Close()
@@ -215,12 +216,13 @@ func TestPermanentWriteFaultLeavesNoEntry(t *testing.T) {
 	if cs := s.CacheStats(); cs.Bytes != uint64(len(v))+probe.Size {
 		t.Fatalf("%+v: want exactly the live versions cached", cs)
 	}
-	// The first attempt's blocks — the quarantined one and its neighbours,
-	// which went back to the pool — hold nothing, under any of the sums.
-	for _, b := range []uint64{dead - 1, dead, dead + 1} {
-		for i := range e.Sums {
-			assertUncached(t, s, []uint64{b}, e.Sums[i:i+1], blockSize)
+	// The quarantined block is not the live version's and holds nothing,
+	// under any of the sums.
+	for i, b := range e.Blocks {
+		if b == dead {
+			t.Fatalf("victim's block %d is the quarantined block %d", i, dead)
 		}
+		assertUncached(t, s, []uint64{dead}, e.Sums[i:i+1], blockSize)
 	}
 }
 

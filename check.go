@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 
 	"dstore/internal/fault"
 	"dstore/internal/meta"
@@ -23,7 +24,9 @@ import (
 //     zone capacity, and allocated blocks + free blocks in the block pool +
 //     quarantined unowned blocks equal the device capacity;
 //   - every slot hint a reader would take is the index's answer
-//     (readers.go).
+//     (readers.go);
+//   - no block in the free pool has a block-cache entry (cachePublish drops
+//     what an apply displaces; a dead write's blocks never had one).
 //
 // Check takes the store's structure locks briefly; it is safe to run
 // concurrently with normal operation (results reflect a quiescent moment
@@ -34,10 +37,7 @@ func (s *Store) Check() error {
 		return ErrClosed
 	}
 	s.quarMu.Lock()
-	quarantined := make(map[uint64]bool, len(s.quarantine))
-	for b := range s.quarantine {
-		quarantined[b] = true
-	}
+	quarantined := maps.Clone(s.quarantine)
 	s.quarMu.Unlock()
 	s.poolMu.Lock()
 	defer s.poolMu.Unlock()
@@ -124,6 +124,12 @@ func (s *Store) Check() error {
 		return fmt.Errorf("dstore: block conservation violated: %d free + %d allocated + %d quarantined != %d",
 			s.blockPool.Free(), len(blockOwner), quarUnowned, want)
 	}
+	// By conservation the free blocks are those neither owned nor quarantined.
+	for b := uint64(0); b < blocks; b++ {
+		if _, owned := blockOwner[b]; !owned && !quarantined[b] && s.bcache.Holds(b) {
+			return fmt.Errorf("dstore: free block %d has a cache entry", b)
+		}
+	}
 	return nil
 }
 
@@ -173,10 +179,7 @@ func (s *Store) Scrub(repair bool) (ScrubReport, error) {
 			if lo >= e.Size { // fully beyond the logical size
 				continue
 			}
-			span := e.Size - lo
-			if span > blockSize {
-				span = blockSize
-			}
+			span := min(e.Size-lo, blockSize)
 			rep.BlocksChecked++
 			if e.Sums[i] == meta.SumUnverified {
 				rep.Unverified++
@@ -215,16 +218,16 @@ func (s *Store) Scrub(repair bool) (ScrubReport, error) {
 }
 
 // remapBlock migrates one live block's verified content off quarantined
-// media: a write set of one opRemap sub-op, whose pool phase takes a fresh
-// block, whose data phase writes the content there, and whose apply repoints
-// the metadata slot. Returns false (no error) when the object changed
-// underneath and the repair is moot.
+// media: a write set of one opRemap sub-op, whose data phase takes a fresh
+// block and writes the content there, and whose apply repoints the metadata
+// slot. Returns false (no error) when the object changed underneath and the
+// repair is moot.
 func (s *Store) remapBlock(name string, slot uint64, idx int, old uint64, data []byte, sum uint32) (bool, error) {
 	w := s.single(opRemap, name, 0)
 	u := &w.one[0]
 	u.slot, u.idxs, u.sums, u.data = slot, []int{idx}, []uint32{sum}, data
-	// The object's content will live at the fresh block; old is quarantined,
-	// so "freeing" it after commit only drops its cache entry.
+	// The object's content will live at the fresh block; the apply drops
+	// old's cache entry, and the deferred free withholds it (quarantined).
 	u.old = []uint64{old}
 	err := s.writeOne(w)
 	if errors.Is(err, errStale) {

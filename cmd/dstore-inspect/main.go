@@ -147,7 +147,8 @@ func inspectRemote(addr string, promote bool) {
 }
 
 // reportLocal prints an in-process store through the same replies a server
-// over it would send.
+// over it would send, then the writers' foreground checkpoints, which no
+// reply carries.
 func reportLocal(when string, api dstore.API) {
 	b := api.NetBackend()
 	var rg *ring.Ring
@@ -155,6 +156,9 @@ func reportLocal(when string, api dstore.API) {
 		rg, _ = ring.Decode(r.RingData()) //nolint:errcheck // the store just encoded it
 	}
 	report(when, b.Stats(), b.Health(), rg)
+	st := api.Stats()
+	fmt.Printf("ckpt: foreground=%d stalled=%.2fms (log full at append)\n",
+		st.ForegroundCheckpoints, float64(st.ForegroundCheckpointNanos)/1e6)
 }
 
 // engineLine prints a bare store's DIPPER state — the durable root, log

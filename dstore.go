@@ -28,9 +28,12 @@
 package dstore
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -288,6 +291,7 @@ type healthStats struct {
 // opStats counts API operations.
 type opStats struct {
 	puts, gets, deletes, reads, writes, opens atomic.Uint64
+	fgCkpts, fgCkptNs                         atomic.Uint64 // appendFailed's checkpoints and their nanoseconds
 }
 
 // breakdown accumulates per-stage write-path nanoseconds (paper Table 3);
@@ -340,9 +344,7 @@ func Format(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	dc := cfg.dipperConfig()
-	dc.NewFrontendSpace = s.frontendSpace
-	dc.OnSwap = s.onSwap
-	dc.OnCheckpointDone = s.onCheckpointDone
+	dc.NewFrontendSpace, dc.OnSwap, dc.OnCheckpointDone = s.frontendSpace, s.onSwap, s.onCheckpointDone
 	s.eng, err = dipper.Format(s.pm, dc, replay, func(al *alloc.Allocator) (err error) {
 		s.front, err = bootstrapPlane(al, cfg.MaxObjects, maxNameLen, cfg.MaxBlocksPerObject)
 		return err
@@ -373,9 +375,7 @@ func Open(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	dc := cfg.dipperConfig()
-	dc.NewFrontendSpace = s.frontendSpace
-	dc.OnSwap = s.onSwap
-	dc.OnCheckpointDone = s.onCheckpointDone
+	dc.NewFrontendSpace, dc.OnSwap, dc.OnCheckpointDone = s.frontendSpace, s.onSwap, s.onCheckpointDone
 	s.eng, err = dipper.Open(s.pm, dc, replay, func(al *alloc.Allocator) (err error) {
 		if s.front, err = openPlane(al); err != nil {
 			return err
@@ -468,7 +468,7 @@ func (s *Store) writeSuperblock() error {
 	binary.LittleEndian.PutUint64(sb[8:], blockSize)
 	binary.LittleEndian.PutUint64(sb[16:], s.cfg.Blocks)
 	// sb[24:32] stays 0: the PMEM root object lives at device offset 0.
-	if err := s.ssdWrite(0, sb); err != nil {
+	if err := s.ssdWrite(ssd.Write{P: sb}); err != nil {
 		return fmt.Errorf("dstore: superblock write: %w", err)
 	}
 	if err := s.data.Sync(); err != nil {
@@ -548,8 +548,12 @@ type Stats struct {
 	// successful commits, explicit aborts, and commits rejected by OCC
 	// validation (ErrTxnConflict).
 	TxnCommits, TxnAborts, TxnConflicts uint64
-	Engine                              dipper.Stats
-	CowPagesCopied, CowFaultCopies      uint64
+	// ForegroundCheckpoints counts checkpoints writers ran themselves on a
+	// full log (appendFailed), ForegroundCheckpointNanos their summed
+	// duration. Local only: the STATS reply does not carry them.
+	ForegroundCheckpoints, ForegroundCheckpointNanos uint64
+	Engine                                           dipper.Stats
+	CowPagesCopied, CowFaultCopies                   uint64
 }
 
 // Stats returns a snapshot of store counters.
@@ -565,6 +569,9 @@ func (s *Store) Stats() Stats {
 		TxnCommits:   s.txns.commits.Load(),
 		TxnAborts:    s.txns.aborts.Load(),
 		TxnConflicts: s.txns.conflicts.Load(),
+
+		ForegroundCheckpoints:     s.ops.fgCkpts.Load(),
+		ForegroundCheckpointNanos: s.ops.fgCkptNs.Load(),
 
 		Engine: s.eng.Stats(),
 	}
@@ -724,23 +731,17 @@ func (s *Store) isQuarantined(b uint64) bool {
 // quarantinedBlocks snapshots the quarantine set, sorted ascending.
 func (s *Store) quarantinedBlocks() []uint64 {
 	s.quarMu.Lock()
-	ids := make([]uint64, 0, len(s.quarantine))
-	for b := range s.quarantine {
-		ids = append(ids, b)
-	}
+	ids := slices.Collect(maps.Keys(s.quarantine))
 	s.quarMu.Unlock()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
 // freeBlocksLocked returns block ids to the pool, withholding quarantined
-// ones. Caller holds poolMu. Freed blocks leave the cache here: their next
-// owner's content must never be answered from their previous life (the
-// checksum tag already guarantees that, but eager invalidation also frees
-// the DRAM).
+// ones. Caller holds poolMu. None has a cache entry (cachePublish; Check
+// verifies it).
 func (s *Store) freeBlocksLocked(ids []uint64) {
 	for _, b := range ids {
-		s.bcache.Invalidate(b)
 		if s.isQuarantined(b) {
 			continue
 		}
@@ -793,51 +794,47 @@ func (s *Store) cacheInvalidate(ids []uint64) {
 	}
 }
 
-// ssdWrite writes to the data plane with bounded retry and backoff on
-// transient errors. Permanent errors (bad pages) surface immediately.
-func (s *Store) ssdWrite(off uint64, p []byte) error {
-	var err error
-	for i := 0; i < ioAttempts; i++ {
-		if err = s.data.WriteAt(off, p); err == nil {
-			if i > 0 {
-				s.health.ioRetries.Add(1)
+// ssdWrite submits reqs to the data plane together (ssd.Device.WriteBatch)
+// and retries each that failed transiently on its own, with backoff;
+// permanent errors (bad pages) surface at once. Each request's verdict is in
+// its Err; the error is the first of them.
+func (s *Store) ssdWrite(reqs ...ssd.Write) (first error) {
+	s.data.WriteBatch(reqs)
+	for i := range reqs {
+		r := &reqs[i]
+		if r.Err != nil {
+			if r.Err = s.ssdRetry(r.Err, func() error { return s.data.WriteAt(r.Off, r.P) }); r.Err != nil {
+				s.health.writeErrs.Add(1)
+				first = cmp.Or(first, r.Err)
 			}
-			return nil
 		}
-		if !fault.IsTransient(err) {
-			break
-		}
-		time.Sleep(time.Duration(i+1) * 10 * time.Microsecond)
 	}
-	s.health.writeErrs.Add(1)
-	return err
+	return first
 }
 
 // ssdRead reads from the data plane with bounded retry on transient errors.
 func (s *Store) ssdRead(off uint64, p []byte) error {
-	var err error
-	for i := 0; i < ioAttempts; i++ {
-		if err = s.data.ReadAt(off, p); err == nil {
-			if i > 0 {
-				s.health.ioRetries.Add(1)
-			}
-			return nil
+	return s.ssdRetry(s.data.ReadAt(off, p), func() error { return s.data.ReadAt(off, p) })
+}
+
+// ssdRetry finishes a data-plane access whose first attempt returned err: a
+// transient error is retried, with backoff, up to ioAttempts attempts in all.
+func (s *Store) ssdRetry(err error, again func() error) error {
+	for i := 1; err != nil && fault.IsTransient(err) && i < ioAttempts; i++ {
+		time.Sleep(time.Duration(i) * 10 * time.Microsecond)
+		if err = again(); err == nil {
+			s.health.ioRetries.Add(1)
 		}
-		if !fault.IsTransient(err) {
-			break
-		}
-		time.Sleep(time.Duration(i+1) * 10 * time.Microsecond)
 	}
 	return err
 }
 
-// commit settles a record as committed. A persist failure means the
-// operation's durability cannot be guaranteed even though the volatile
-// structures already reflect it, so the store degrades to read-only and the
-// caller's operation fails with ErrDegraded (content indeterminate until
-// the store is reopened on healthy devices).
-func (s *Store) commit(h *wal.Handle) error {
-	if err := s.eng.Pair().Commit(h); err != nil {
+// commit settles records as committed, together (wal.Pair.Commit). A
+// persist failure leaves the operations' durability indeterminate though the
+// volatile structures reflect them, so the store degrades to read-only and
+// the callers get ErrDegraded.
+func (s *Store) commit(hs ...*wal.Handle) error {
+	if err := s.eng.Pair().Commit(hs...); err != nil {
 		s.degrade(err)
 		return fmt.Errorf("%w: %v", ErrDegraded, err)
 	}

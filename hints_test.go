@@ -253,6 +253,60 @@ func TestSlotHintsAgreeWithIndex(t *testing.T) {
 		}
 	})
 
+	// A writer's pool phase takes a hint on the same terms (slotOf): a hint
+	// naming a free slot, another name's slot, or a bucket mate's slot under
+	// either tag sends the overwrite to the B+ tree, and it lands on the
+	// name's own slot, whose hint it leaves behind.
+	t.Run("pool-phase", func(t *testing.T) {
+		s := newStoreT(t, Config{Blocks: 512, MaxObjects: 8, LogBytes: 1 << 16})
+		defer s.Close()
+		c := s.Init()
+		defer c.Finalize()
+		k, other, mate := "k", "other", hintMate(s, "k")
+		for _, n := range []string{k, other, mate} {
+			if err := c.Put(n, []byte("first "+n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		slotOf := func(n string) uint64 {
+			slot, ok := s.front.tree.Get([]byte(n))
+			if !ok {
+				t.Fatalf("%s is not indexed", n)
+			}
+			return slot
+		}
+		s.poolMu.Lock()
+		free, _ := s.slotPool.Get()
+		s.slotPool.Put(free) //nolint:errcheck
+		s.poolMu.Unlock()
+		hk, hm := wal.NameHash(k), wal.NameHash(mate)
+		plants := map[string]uint64{
+			"free slot":       hint(hk, free),
+			"other's slot":    hint(hk, slotOf(other)),
+			"mate's hint":     hint(hm, slotOf(mate)),
+			"mate's slot":     hint(hk, slotOf(mate)),
+			"k's own, intact": hint(hk, slotOf(k)),
+		}
+		for what, w := range plants {
+			s.hints.bucket(hk).Store(w)
+			v := []byte("over " + what)
+			if err := c.Put(k, v); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := hinted(s.hints.bucket(hk).Load(), hk); !ok || got != slotOf(k) {
+				t.Fatalf("%s: the hint names %d (%v) after the write, k is at %d", what, got, ok, slotOf(k))
+			}
+			for n, want := range map[string]string{k: string(v), other: "first " + other, mate: "first " + mate} {
+				if got, err := c.Get(n, nil); err != nil || string(got) != want {
+					t.Fatalf("%s: Get(%s) = %q, %v; want %q", what, n, got, err, want)
+				}
+			}
+			if err := s.Check(); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		}
+	})
+
 	// Check rejects a hint a reader would take that is not the index's
 	// answer — here the name copied into a free slot and its hint aimed there.
 	t.Run("fsck", func(t *testing.T) {

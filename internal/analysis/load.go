@@ -43,8 +43,10 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -227,10 +229,7 @@ func Load(root string, extraDirs ...string) (*Module, error) {
 		}
 		state[path] = 1
 		p := pkgs[path]
-		deps := make([]string, 0, len(p.imports))
-		for dep := range p.imports {
-			deps = append(deps, dep)
-		}
+		deps := slices.Collect(maps.Keys(p.imports))
 		sort.Strings(deps)
 		for _, dep := range deps {
 			if _, ok := pkgs[dep]; !ok {
@@ -244,10 +243,7 @@ func Load(root string, extraDirs ...string) (*Module, error) {
 		order = append(order, path)
 		return nil
 	}
-	paths := make([]string, 0, len(pkgs))
-	for p := range pkgs {
-		paths = append(paths, p)
-	}
+	paths := slices.Collect(maps.Keys(pkgs))
 	sort.Strings(paths)
 	for _, p := range paths {
 		if err := visit(p); err != nil {

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -111,9 +112,7 @@ func (c *lockChecker) reportCycles() {
 		for _, wv := range adj[v] {
 			if _, seen := index[wv]; !seen {
 				strong(wv)
-				if low[wv] < low[v] {
-					low[v] = low[wv]
-				}
+				low[v] = min(low[v], low[wv])
 			} else if onStack[wv] && index[wv] < low[v] {
 				low[v] = index[wv]
 			}
@@ -131,10 +130,7 @@ func (c *lockChecker) reportCycles() {
 			ncomp++
 		}
 	}
-	vars := make([]*types.Var, 0, len(adj))
-	for v := range adj {
-		vars = append(vars, v)
-	}
+	vars := slices.Collect(maps.Keys(adj))
 	sort.Slice(vars, func(i, j int) bool { return vars[i].Pos() < vars[j].Pos() })
 	for _, v := range vars {
 		if _, seen := index[v]; !seen {
@@ -301,10 +297,7 @@ func (w *lockWalker) acquire(held []*lockRef, ref *lockRef, pos token.Pos) []*lo
 
 // sortedAcquires returns the refs in deterministic (declaration) order.
 func sortedAcquires(m map[*types.Var]*lockRef) []*lockRef {
-	refs := make([]*lockRef, 0, len(m))
-	for _, r := range m {
-		refs = append(refs, r)
-	}
+	refs := slices.Collect(maps.Values(m))
 	sort.Slice(refs, func(i, j int) bool { return refs[i].v.Pos() < refs[j].v.Pos() })
 	return refs
 }

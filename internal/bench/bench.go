@@ -231,9 +231,7 @@ func preload(s kvapi.Store, o Options) error {
 	per := (o.Records + o.Threads - 1) / o.Threads
 	for t := 0; t < o.Threads; t++ {
 		lo, hi := t*per, (t+1)*per
-		if hi > o.Records {
-			hi = o.Records
-		}
+		hi = min(hi, o.Records)
 		if lo >= hi {
 			continue
 		}

@@ -268,6 +268,18 @@ func (c *Cache) Invalidate(block uint64) {
 	sh.mu.Unlock()
 }
 
+// Holds reports whether block has an entry, whatever its tag.
+func (c *Cache) Holds(block uint64) bool {
+	if c == nil {
+		return false
+	}
+	sh := c.shardFor(block)
+	sh.mu.Lock()
+	_, ok := sh.index[block]
+	sh.mu.Unlock()
+	return ok
+}
+
 // Resize changes the byte budget. Shrinking evicts at once, by CLOCK, one entry
 // per shard in turn until the cache fits; growing takes effect as entries
 // arrive. Zero clamps to one byte (effectively empty; no cache is a nil *Cache).

@@ -396,8 +396,9 @@ func TestShardCountPowerOfTwo(t *testing.T) {
 func TestConcurrentAccess(t *testing.T) {
 	c := New(512 << 10)
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
+	stop, resized := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(resized)
 		for i := uint64(0); ; i++ {
 			select {
 			case <-stop:
@@ -431,6 +432,7 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 	close(stop)
+	<-resized // the walk below reads the rings without their locks
 	c.Resize(512 << 10)
 	st := c.Stats()
 	if st.Bytes > st.Capacity {

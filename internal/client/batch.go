@@ -72,9 +72,7 @@ func (c *Client) mdo(ctx context.Context, op wire.Op, keys []string, values [][]
 		var stale []int
 		for start := 0; start < len(pending); start += wire.MaxBatch {
 			end := start + wire.MaxBatch
-			if end > len(pending) {
-				end = len(pending)
-			}
+			end = min(end, len(pending))
 			chunk := pending[start:end]
 			subs := make([]wire.BatchSub, len(chunk))
 			for j, i := range chunk {

@@ -434,20 +434,7 @@ func (e *Engine) Checkpoint() error {
 	start := time.Now() // metrics only; see the //dstore:wallclock note below
 
 	res, err := e.pair.Swap(func(newActive, archived int, replayEnd uint64) {
-		// Inside the swap critical section: durably record that appends go
-		// to newActive and a checkpoint of `archived` is in flight. A crash
-		// from here on redoes this checkpoint at recovery.
-		e.mu.Lock()
-		e.rootSeq++
-		writeRoot(e.dev, RootState{
-			Seq:            e.rootSeq,
-			ActiveLog:      uint8(newActive),
-			ShadowGen:      uint8(e.shadowGen),
-			CkptInProgress: 1,
-			ArchivedLog:    uint8(archived),
-			ReplayEnd:      replayEnd,
-		})
-		e.mu.Unlock()
+		e.swapRoot(newActive, archived, replayEnd)
 		if e.cfg.OnSwap != nil {
 			e.cfg.OnSwap()
 		}
@@ -537,19 +524,18 @@ func (e *Engine) SwapOnlyForCrash() {
 	defer e.ckptMu.Unlock()
 	// An injected swap failure just means the crash point lands before the
 	// swap instead of after it — fine for a crash-experiment helper.
-	e.pair.Swap(func(newActive, archived int, replayEnd uint64) { //nolint:errcheck
-		e.mu.Lock()
-		e.rootSeq++
-		writeRoot(e.dev, RootState{
-			Seq:            e.rootSeq,
-			ActiveLog:      uint8(newActive),
-			ShadowGen:      uint8(e.shadowGen),
-			CkptInProgress: 1,
-			ArchivedLog:    uint8(archived),
-			ReplayEnd:      replayEnd,
-		})
-		e.mu.Unlock()
-	})
+	e.pair.Swap(e.swapRoot) //nolint:errcheck
+}
+
+// swapRoot runs inside the swap critical section: it durably records that
+// appends go to newActive and a checkpoint of archived is in flight. A crash
+// from here on redoes that checkpoint at recovery.
+func (e *Engine) swapRoot(newActive, archived int, replayEnd uint64) {
+	e.mu.Lock()
+	e.rootSeq++
+	writeRoot(e.dev, RootState{Seq: e.rootSeq, ActiveLog: uint8(newActive), ShadowGen: uint8(e.shadowGen),
+		CkptInProgress: 1, ArchivedLog: uint8(archived), ReplayEnd: replayEnd})
+	e.mu.Unlock()
 }
 
 // Close drains in-flight checkpoints and stops the background goroutine.

@@ -57,9 +57,7 @@ func bucketLow(i int) uint64 {
 
 // Record adds one observation.
 func (h *H) Record(v int64) {
-	if v < 0 {
-		v = 0
-	}
+	v = max(v, 0)
 	h.counts[bucketOf(uint64(v))].Add(1)
 	h.total.Add(1)
 	h.sum.Add(uint64(v))
@@ -172,9 +170,7 @@ func (s Series) Max() float64 {
 	}
 	m := s.Values[0]
 	for _, v := range s.Values {
-		if v > m {
-			m = v
-		}
+		m = max(m, v)
 	}
 	return m
 }

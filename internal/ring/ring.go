@@ -31,6 +31,8 @@ package ring
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -149,10 +151,7 @@ func NewHashed(epoch uint64, members []Member) (*Ring, error) {
 		}
 		byID[m.ID] = m
 	}
-	ms := make([]Member, 0, len(byID))
-	for _, m := range byID {
-		ms = append(ms, m)
-	}
+	ms := slices.Collect(maps.Values(byID))
 	sort.Slice(ms, func(i, j int) bool { return ms[i].ID < ms[j].ID })
 	r := &Ring{mode: ModeHashed, epoch: epoch, members: ms}
 	r.buildPoints()

@@ -36,8 +36,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -355,10 +357,7 @@ func (s *Server) admit(nc net.Conn) bool {
 // Shutdown for a graceful exit.
 func (s *Server) CloseConns() {
 	s.mu.Lock()
-	conns := make([]*conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
+	conns := slices.Collect(maps.Keys(s.conns))
 	s.mu.Unlock()
 	for _, c := range conns {
 		c.close()
@@ -377,10 +376,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for ln := range s.listeners {
 		ln.Close() //nolint:errcheck // unblocks Accept; Serve returns ErrServerClosed
 	}
-	conns := make([]*conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
+	conns := slices.Collect(maps.Keys(s.conns))
 	s.mu.Unlock()
 
 	for _, c := range conns {

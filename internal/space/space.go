@@ -114,6 +114,10 @@ func (a *Arena) Write(off uint64, p []byte) {
 	}
 }
 
+// zeroPage is the source Zero copies from: a device write only reads it, so
+// one shared page serves every caller and no call clears a buffer of its own.
+var zeroPage [4096]byte
+
 // Zero clears [off, off+n).
 //
 //dstore:volatile
@@ -125,10 +129,9 @@ func (a *Arena) Zero(off, n uint64) {
 	if a.dev == nil {
 		clear(a.buf[off : off+n])
 	} else {
-		var zeros [4096]byte
 		for n > 0 {
-			c := min(n, uint64(len(zeros)))
-			a.dev.WriteAt(a.base+off, zeros[:c])
+			c := min(n, uint64(len(zeroPage)))
+			a.dev.WriteAt(a.base+off, zeroPage[:c])
 			off += c
 			n -= c
 		}

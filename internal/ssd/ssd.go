@@ -180,37 +180,59 @@ func (d *Device) pagesTouched(off, n uint64) int {
 // page content is unspecified (as on real hardware, a failed multi-page write
 // may have partially landed).
 func (d *Device) WriteAt(off uint64, p []byte) error {
-	if len(p) == 0 {
-		return nil
-	}
-	n := uint64(len(p))
-	if err := d.checkRange(off, n); err != nil {
-		return err
-	}
-	first, last := d.pageSpan(off, n)
-	if err := d.faults.Check(fault.Write, first, last); err != nil {
-		// A failed write may still have scribbled on the device before the
-		// error was reported; model the worst case by applying a partial
-		// front fragment on transient errors. Permanent bad pages reject
-		// the request outright.
-		if fault.IsTransient(err) && n > 1 {
-			frag := p[:1+int(off%2)]
-			if !d.protected {
-				d.trackDirty(off, uint64(len(frag)))
-			}
-			copy(d.buf[off:], frag)
+	reqs := [1]Write{{Off: off, P: p}}
+	d.WriteBatch(reqs[:])
+	return reqs[0].Err
+}
+
+// Write is one request of a WriteBatch: P goes to byte offset Off, and Err is
+// the device's verdict.
+type Write struct {
+	Off uint64
+	P   []byte
+	Err error
+}
+
+// WriteBatch submits reqs together, as a caller with a deep queue would:
+// each is applied as WriteAt describes, and the submission waits once, for
+// its longest successful request — what the same requests cost issued
+// concurrently, and no more. Like that form it has no IOPS or queue-depth
+// cap (DESIGN.md §1).
+func (d *Device) WriteBatch(reqs []Write) {
+	most := 0
+	for i := range reqs {
+		off, p, n := reqs[i].Off, reqs[i].P, uint64(len(reqs[i].P))
+		if n == 0 {
+			continue
 		}
-		return err
+		if reqs[i].Err = d.checkRange(off, n); reqs[i].Err != nil {
+			continue
+		}
+		first, last := d.pageSpan(off, n)
+		if reqs[i].Err = d.faults.Check(fault.Write, first, last); reqs[i].Err != nil {
+			// A failed write may still have scribbled on the device before
+			// the error was reported; model the worst case by applying a
+			// partial front fragment on transient errors. Permanent bad
+			// pages reject the request outright.
+			if fault.IsTransient(reqs[i].Err) && n > 1 {
+				frag := p[:1+int(off%2)]
+				if !d.protected {
+					d.trackDirty(off, uint64(len(frag)))
+				}
+				copy(d.buf[off:], frag)
+			}
+			continue
+		}
+		if !d.protected {
+			d.trackDirty(off, n)
+		}
+		copy(d.buf[off:], p)
+		d.bytesWritten.Add(n)
+		most = max(most, int(last-first+1))
 	}
-	if !d.protected {
-		d.trackDirty(off, n)
-	}
-	copy(d.buf[off:], p)
-	d.bytesWritten.Add(n)
 	if d.lat.WritePerPage > 0 {
-		latency.Spin(time.Duration(d.pagesTouched(off, n)) * d.lat.WritePerPage)
+		latency.Spin(time.Duration(most) * d.lat.WritePerPage)
 	}
-	return nil
 }
 
 func (d *Device) trackDirty(off, n uint64) {

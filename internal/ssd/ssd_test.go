@@ -2,10 +2,13 @@ package ssd
 
 import (
 	"bytes"
+	"dstore/internal/fault"
+	"dstore/internal/latency"
 	"errors"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -158,5 +161,40 @@ func TestQuickCrashPageAtomicity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A batch applies and faults each request on its own, and waits once, for
+// its longest request: eight one-page writes cost one page's latency, not
+// eight.
+func TestWriteBatchPerRequestVerdictsOneWait(t *testing.T) {
+	const perPage = 10 * time.Millisecond
+	d := New(Config{Pages: 16, PowerProtected: true, Latency: Latencies{WritePerPage: perPage},
+		Faults: fault.NewPlan(fault.Config{BadPages: []uint64{3}})})
+	reqs := make([]Write, 8)
+	for i := range reqs {
+		reqs[i] = Write{Off: uint64(i+1) * DefaultPageSize, P: bytes.Repeat([]byte{byte(i + 1)}, DefaultPageSize)}
+	}
+	latency.Enable()
+	defer latency.Disable()
+	start := time.Now()
+	d.WriteBatch(reqs)
+	took := time.Since(start)
+	for i, r := range reqs {
+		if bad := i+1 == 3; bad != fault.IsPermanent(r.Err) || !bad && r.Err != nil {
+			t.Fatalf("request %d (page %d): %v", i, i+1, r.Err)
+		}
+	}
+	if got := d.Stats().BytesWritten; got != 7*DefaultPageSize {
+		t.Fatalf("%d bytes written, want the 7 good requests' %d", got, 7*DefaultPageSize)
+	}
+	got := make([]byte, DefaultPageSize)
+	if err := d.ReadAt(8*DefaultPageSize, got); err != nil || got[0] != 8 {
+		t.Fatalf("page 8 reads %d, %v", got[0], err)
+	}
+	// Only the bound that tells one wait from eight: a loaded host may stretch
+	// one wait, but not to the cost of eight.
+	if took < perPage || took >= 8*perPage {
+		t.Fatalf("the batch took %v; one page costs %v and eight in a row %v", took, perPage, 8*perPage)
 	}
 }

@@ -13,6 +13,8 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -94,10 +96,7 @@ func (p *Pair) ExportCommitted(from uint64, max int) ([]ExportRecord, error) {
 		l.mu.Unlock()
 	}
 
-	lsns := make([]uint64, 0, len(byLSN))
-	for lsn := range byLSN {
-		lsns = append(lsns, lsn)
-	}
+	lsns := slices.Collect(maps.Keys(byLSN))
 	sort.Slice(lsns, func(i, j int) bool { return lsns[i] < lsns[j] })
 
 	var out []ExportRecord

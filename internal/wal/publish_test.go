@@ -32,7 +32,7 @@ func settleTogether(p *Pair, hs []*Handle, states []uint8) error {
 		h.settleState, h.settleErr = states[i], nil
 		p.gc.queue = append(p.gc.queue, h)
 	}
-	return p.settle(hs[last], states[last])
+	return p.settle(hs[last:], states[last])
 }
 
 type wantRec struct {
@@ -217,6 +217,38 @@ func TestCommitFenceAndFlushCost(t *testing.T) {
 	}
 	if sdev.DirtyLines() != 0 {
 		t.Errorf("%d lines not persistent after the standby append returned", sdev.DirtyLines())
+	}
+}
+
+// Records committed together settle in one leader round: sixteen appended
+// records cost the two fences of one publish, and each of them is committed
+// and durable when the commit returns.
+func TestCommitSetIsOneRound(t *testing.T) {
+	p, dev, _, _ := trackedPair(true)
+	hs := make([]*Handle, 16)
+	for i := range hs {
+		hs[i] = mustAppend(t, p, 1, fmt.Sprintf("set%02d", i), bytes.Repeat([]byte{byte(i)}, 40))
+	}
+	before, gc := dev.Stats(), p.GroupCommitStats()
+	if err := p.Commit(hs...); err != nil {
+		t.Fatal(err)
+	}
+	if fences := dev.Stats().Fences - before.Fences; fences != 2 {
+		t.Errorf("a 16-record commit cost %d fences, want 2", fences)
+	}
+	if after := p.GroupCommitStats(); after.Batches-gc.Batches != 1 || after.Records-gc.Records != 16 {
+		t.Errorf("group commit %+v -> %+v, want one round of 16", gc, after)
+	}
+	for _, h := range hs {
+		if !h.Committed() {
+			t.Fatalf("record %d not settled", h.LSN())
+		}
+	}
+	if dev.DirtyLines() != 0 || p.InFlight() != 0 {
+		t.Errorf("%d dirty lines, %d records in flight after the commit", dev.DirtyLines(), p.InFlight())
+	}
+	if recs := collect(t, p.Active(), p.Active().Tail()); len(recs) != len(hs) {
+		t.Errorf("%d committed records in the log, want %d", len(recs), len(hs))
 	}
 }
 

@@ -429,8 +429,8 @@ type GroupCommitStats struct {
 	Batches uint64
 	// Records counts records settled through the group-commit path.
 	Records uint64
-	// Parked counts committers whose record was settled by another
-	// goroutine's leader round (they waited instead of fencing themselves).
+	// Parked counts records settled by another goroutine's leader round
+	// (their committer waited instead of fencing itself).
 	Parked uint64
 }
 
@@ -484,9 +484,7 @@ func RecoverPair(a, b *space.PMEM, activeIdx int) (*Pair, error) {
 				minFirst = rv.LSN
 			}
 			prev = rv.LSN
-			if rv.LSN > maxLSN {
-				maxLSN = rv.LSN
-			}
+			maxLSN = max(maxLSN, rv.LSN)
 			if rv.State == StateUncommitted {
 				l.sp.PutU8(rv.Off+recState, StateDead)
 				l.sp.Persist(rv.Off+recState, 1)
@@ -748,16 +746,20 @@ func (p *Pair) scanConflict(name []byte, ignore uint64) (lsn uint64, h *Handle) 
 	return lsn, p.lookup(lsn)
 }
 
-// Commit marks h's record committed and durable — step ⑨ of the write
-// pipeline (Fig. 4), called only after the operation's data is durable.
+// Commit marks the records of hs committed and durable — step ⑨ of the
+// write pipeline (Fig. 4), called only after the operations' data is
+// durable. Records committed together join one leader round — their own when
+// leadership is free, so its two fences cover all of them — and none waits
+// for company.
 //
 // On a device error the commit did not durably land: the record stays
 // uncommitted on media (a post-crash recovery marks it dead, so the
 // operation is not replayed — consistent with the error the caller returns).
 // The in-DRAM handle is settled either way so CC waiters are released; the
-// caller must treat the store as no longer able to persist (degrade).
-func (p *Pair) Commit(h *Handle) error {
-	return p.settle(h, StateCommitted)
+// caller must treat the store as no longer able to persist (degrade). The
+// error is the first failed record's.
+func (p *Pair) Commit(hs ...*Handle) error {
+	return p.settle(hs, StateCommitted)
 }
 
 // Abort marks h's record dead (used when an operation fails after logging,
@@ -765,40 +767,49 @@ func (p *Pair) Commit(h *Handle) error {
 // semantics mirror Commit: on error the record stays uncommitted on media,
 // which recovery also resolves to dead.
 func (p *Pair) Abort(h *Handle) error {
-	return p.settle(h, StateDead)
+	return p.settle([]*Handle{h}, StateDead)
 }
 
-// settle is the group-commit settle. A committer that finds leadership free
-// takes it and settles itself together with whatever is already queued —
-// alone, that is its own two fences and no hand-off. Only a committer that
-// finds a leader at work queues up; it then retries leadership between yields
-// until some round, its own included, has settled it, so a handle queued just
-// after a drain is never stranded. Nobody waits for company that has not
-// arrived: a batch is what queued while the previous round was fencing.
+// settle is the group-commit settle of hs, every record to state. A
+// committer that finds leadership free takes it and settles its records
+// together with whatever is already queued — alone, that is its own two
+// fences and no hand-off. Only a committer that finds a leader at work queues
+// its records; it then retries leadership between yields until some rounds,
+// its own included, have settled them all, so a handle queued just after a
+// drain is never stranded. Nobody waits for company that has not arrived: a
+// batch is what queued while the previous round was fencing.
 //
 // A handle of another pair is refused before anything is stored or queued:
 // its offset names a byte in that pair's log, not in this one (a failover
 // leaves the retired primary's olocks behind; they are not the promoted
 // store's to settle).
-func (p *Pair) settle(h *Handle, state uint8) error {
-	if h.pair != p {
-		return fmt.Errorf("wal: settle record %d: handle belongs to another log pair", h.lsn)
+func (p *Pair) settle(hs []*Handle, state uint8) error {
+	for _, h := range hs {
+		if h.pair != p {
+			return fmt.Errorf("wal: settle record %d: handle belongs to another log pair", h.lsn)
+		}
 	}
-	h.settleState, h.settleErr = state, nil
+	for _, h := range hs {
+		h.settleState, h.settleErr = state, nil
+	}
 	gc := &p.gc
-	if !p.tryLead(h) {
+	if !p.tryLead(hs) {
 		gc.qmu.Lock()
-		gc.queue = append(gc.queue, h)
+		gc.queue = append(gc.queue, hs...)
 		gc.qmu.Unlock()
-		for !h.committed.Load() {
-			if !p.tryLead(nil) {
-				runtime.Gosched()
+		for _, h := range hs {
+			for !h.committed.Load() {
+				if !p.tryLead(nil) {
+					runtime.Gosched()
+				}
 			}
 		}
-		gc.parked.Add(1)
+		gc.parked.Add(uint64(len(hs)))
 	}
-	if err := h.settleErr; err != nil {
-		return fmt.Errorf("wal: settle record %d: %w", h.lsn, err)
+	for _, h := range hs {
+		if err := h.settleErr; err != nil {
+			return fmt.Errorf("wal: settle record %d: %w", h.lsn, err)
+		}
 	}
 	return nil
 }
@@ -806,24 +817,21 @@ func (p *Pair) settle(h *Handle, state uint8) error {
 // tryLead runs one leader round if leadership is free. TryLock (never Lock)
 // keeps the scheme free of lock-ordering hazards — no committer ever blocks
 // holding anything.
-func (p *Pair) tryLead(self *Handle) bool {
+func (p *Pair) tryLead(own []*Handle) bool {
 	if !p.gc.mu.TryLock() {
 		return false
 	}
-	p.runLeaderLocked(self)
+	p.runLeaderLocked(own)
 	p.gc.mu.Unlock()
 	return true
 }
 
-// runLeaderLocked executes one leader round: take self (nil when the leader's
-// own handle is in the queue) and everyone queued, publish the pending suffix
-// and settle the batch. Caller holds gc.mu.
-func (p *Pair) runLeaderLocked(self *Handle) {
+// runLeaderLocked executes one leader round: take own (the leader's records;
+// none when they are in the queue) and everyone queued, publish the pending
+// suffix and settle the batch. Caller holds gc.mu.
+func (p *Pair) runLeaderLocked(own []*Handle) {
 	gc := &p.gc
-	batch := gc.scratch[:0]
-	if self != nil {
-		batch = append(batch, self)
-	}
+	batch := append(gc.scratch[:0], own...)
 	gc.qmu.Lock()
 	batch = append(batch, gc.queue...)
 	clear(gc.queue)
@@ -973,9 +981,7 @@ func (p *Pair) Swap(persistRoot func(newActive, archived int, replayEnd uint64))
 	// Recycling nl destroys its archived prefix (already consumed by the
 	// previous checkpoint); fold the highest destroyed LSN into the
 	// replication export horizon before any bytes are overwritten.
-	if nl.archiveMax > p.truncated {
-		p.truncated = nl.archiveMax
-	}
+	p.truncated = max(p.truncated, nl.archiveMax)
 	nl.archiveMax = 0
 	nl.reset()
 	// The archived prefix of old is [logHeader, cut): everything below the

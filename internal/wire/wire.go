@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"reflect"
 )
 
 // Op identifies a request operation.
@@ -339,23 +340,10 @@ type Object struct {
 	Blocks uint32
 }
 
-// counters is a fixed block of u64 counters with a wire order: fields lists
-// them in that order, and setFields — its inverse — takes exactly as many
-// values. Every STATS row type is one; the codec below is written against
-// this pair alone, so adding a counter to a row means extending its pair
-// and nothing else.
-type counters interface {
-	fields() []uint64
-	setFields(v []uint64)
-}
-
-// rowPtr is the pointer to a row type T, carrying T's counters pair: generic
-// code below holds rows by value (in slices, behind fields) and reaches the
-// pair through it.
-type rowPtr[T any] interface {
-	*T
-	counters
-}
+// A counter row is a struct of uint64 fields whose declaration order is its
+// wire order. Every STATS row type is one; the codec below reads and writes
+// rows through that order alone, so adding a counter to a row means adding
+// the field and nothing else.
 
 // ShardStat is one store's counter row: the aggregate at the head of a
 // StatsReply, and each per-shard row of a sharded one.
@@ -364,20 +352,6 @@ type ShardStat struct {
 	Objects                                   uint64
 	Checkpoints, RecordsReplayed              uint64
 	DRAMBytes, PMEMBytes, SSDBytes            uint64
-}
-
-func (s *ShardStat) fields() []uint64 {
-	return []uint64{
-		s.Puts, s.Gets, s.Deletes, s.Reads, s.Writes, s.Opens,
-		s.Objects, s.Checkpoints, s.RecordsReplayed,
-		s.DRAMBytes, s.PMEMBytes, s.SSDBytes,
-	}
-}
-
-func (s *ShardStat) setFields(v []uint64) {
-	s.Puts, s.Gets, s.Deletes, s.Reads, s.Writes, s.Opens = v[0], v[1], v[2], v[3], v[4], v[5]
-	s.Objects, s.Checkpoints, s.RecordsReplayed = v[6], v[7], v[8]
-	s.DRAMBytes, s.PMEMBytes, s.SSDBytes = v[9], v[10], v[11]
 }
 
 // StatsReply is the STATS payload: the aggregate counter row (store
@@ -412,14 +386,6 @@ type StatsReply struct {
 type CacheStat struct {
 	Hits, Misses, Evictions uint64
 	Bytes, Capacity         uint64
-}
-
-func (s *CacheStat) fields() []uint64 {
-	return []uint64{s.Hits, s.Misses, s.Evictions, s.Bytes, s.Capacity}
-}
-
-func (s *CacheStat) setFields(v []uint64) {
-	s.Hits, s.Misses, s.Evictions, s.Bytes, s.Capacity = v[0], v[1], v[2], v[3], v[4]
 }
 
 // CacheReply is the STATS cache section: the aggregate counters plus, on a
@@ -459,14 +425,6 @@ type ReplReply struct {
 	AckedLSN uint64
 }
 
-func (s *ReplReply) fields() []uint64 {
-	return []uint64{s.Role, s.Subscribers, s.Drops, s.LastLSN, s.AckedLSN}
-}
-
-func (s *ReplReply) setFields(v []uint64) {
-	s.Role, s.Subscribers, s.Drops, s.LastLSN, s.AckedLSN = v[0], v[1], v[2], v[3], v[4]
-}
-
 // TxnReply is the STATS transaction section; servers attach it only with a
 // nonzero count in it.
 type TxnReply struct {
@@ -477,10 +435,6 @@ type TxnReply struct {
 	// Conflicts counts commit attempts rejected by OCC validation.
 	Conflicts uint64
 }
-
-func (s *TxnReply) fields() []uint64 { return []uint64{s.Commits, s.Aborts, s.Conflicts} }
-
-func (s *TxnReply) setFields(v []uint64) { s.Commits, s.Aborts, s.Conflicts = v[0], v[1], v[2] }
 
 // BatchReply is the STATS group-commit section; servers attach it only with
 // a nonzero Batches count.
@@ -494,10 +448,6 @@ type BatchReply struct {
 	// instead of fencing themselves.
 	Parked uint64
 }
-
-func (s *BatchReply) fields() []uint64 { return []uint64{s.Batches, s.Records, s.Parked} }
-
-func (s *BatchReply) setFields(v []uint64) { s.Batches, s.Records, s.Parked = v[0], v[1], v[2] }
 
 // ShardHealth is one store's fault status, mirroring dstore.Health: the
 // aggregate at the head of a HealthReply, and each per-shard row of a
@@ -865,30 +815,33 @@ func decodeHealthRow(d *decoder, h *ShardHealth) {
 	}
 }
 
-// appendCounters encodes one counter row.
-func appendCounters(dst []byte, c counters) []byte {
-	for _, v := range c.fields() {
-		dst = binary.LittleEndian.AppendUint64(dst, v)
+// appendCounters encodes one counter row; row points at it.
+func appendCounters(dst []byte, row any) []byte {
+	v := reflect.ValueOf(row).Elem()
+	for i := range v.NumField() {
+		dst = binary.LittleEndian.AppendUint64(dst, v.Field(i).Uint())
 	}
 	return dst
 }
 
-// decodeCounters parses one counter row (the inverse of appendCounters).
-func decodeCounters(d *decoder, c counters) {
-	v := c.fields() // the row's width; reused as the scratch buffer
-	for i := range v {
-		v[i] = d.u64()
+// decodeCounters parses one counter row into *row (the inverse of
+// appendCounters); a short payload leaves the row as it was.
+func decodeCounters(d *decoder, row any) {
+	v := reflect.ValueOf(row).Elem()
+	got := reflect.New(v.Type()).Elem()
+	for i := range got.NumField() {
+		got.Field(i).SetUint(d.u64())
 	}
 	if d.err == nil {
-		c.setFields(v)
+		v.Set(got)
 	}
 }
 
 // appendRows encodes a u32-counted list of counter rows.
-func appendRows[T any, P rowPtr[T]](dst []byte, rows []T) []byte {
+func appendRows[T any](dst []byte, rows []T) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rows)))
 	for i := range rows {
-		dst = appendCounters(dst, P(&rows[i]))
+		dst = appendCounters(dst, &rows[i])
 	}
 	return dst
 }
@@ -896,16 +849,16 @@ func appendRows[T any, P rowPtr[T]](dst []byte, rows []T) []byte {
 // decodeRows parses a u32-counted list of counter rows (the inverse of
 // appendRows). A count the remaining bytes cannot possibly satisfy is
 // rejected before anything is allocated for it.
-func decodeRows[T any, P rowPtr[T]](d *decoder, what string) []T {
+func decodeRows[T any](d *decoder, what string) []T {
 	n := int(d.u32())
-	if width := 8 * len(P(new(T)).fields()); d.err == nil && n > d.remaining()/width {
+	if width := 8 * reflect.TypeFor[T]().NumField(); d.err == nil && n > d.remaining()/width {
 		d.err = fmt.Errorf("%w: %s count %d", ErrMalformed, what, n)
 		return nil
 	}
 	var rows []T
 	for i := 0; i < n && d.err == nil; i++ {
 		var row T
-		decodeCounters(d, P(&row))
+		decodeCounters(d, &row)
 		rows = append(rows, row)
 	}
 	return rows
@@ -922,7 +875,7 @@ type statsSection struct {
 
 // blockSection is a section that is one fixed counter block behind a pointer
 // field of StatsReply.
-func blockSection[T comparable, P rowPtr[T]](field func(*StatsReply) **T) statsSection {
+func blockSection[T comparable](field func(*StatsReply) **T) statsSection {
 	return statsSection{
 		present: func(st *StatsReply) bool { return *field(st) != nil },
 		encode: func(dst []byte, st *StatsReply) []byte {
@@ -930,11 +883,11 @@ func blockSection[T comparable, P rowPtr[T]](field func(*StatsReply) **T) statsS
 			if v == nil {
 				v = new(T)
 			}
-			return appendCounters(dst, P(v))
+			return appendCounters(dst, v)
 		},
 		decode: func(d *decoder, st *StatsReply) {
 			v := new(T)
-			if decodeCounters(d, P(v)); *v != *new(T) {
+			if decodeCounters(d, v); *v != *new(T) {
 				*field(st) = v
 			}
 		},

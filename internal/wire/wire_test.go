@@ -65,12 +65,11 @@ func randResponse(rng *rand.Rand, op Op) Response {
 		}
 	case OpStats:
 		// randCounters fills one counter row with draws from [lo, lo+span).
-		randCounters := func(c counters, lo, span uint64) {
-			v := c.fields()
-			for i := range v {
-				v[i] = lo + rng.Uint64()%span
+		randCounters := func(row any, lo, span uint64) {
+			v := reflect.ValueOf(row).Elem()
+			for i := range v.NumField() {
+				v.Field(i).SetUint(lo + rng.Uint64()%span)
 			}
-			c.setFields(v)
 		}
 		st := &StatsReply{ServerConns: rng.Uint64(), ServerRequests: rng.Uint64()}
 		randCounters(&st.ShardStat, 0, 1<<63)

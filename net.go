@@ -2,6 +2,7 @@ package dstore
 
 import (
 	"errors"
+	"reflect"
 	"time"
 
 	"dstore/internal/server"
@@ -208,44 +209,25 @@ func (b *netBackend) Scan(prefix string, limit int) ([]wire.Object, error) {
 // statRow flattens one store-level snapshot into the wire row (the aggregate
 // and each per-shard row are the same type).
 func statRow(st Stats, fp Footprint, objects uint64) wire.ShardStat {
-	return wire.ShardStat{
-		Puts:            st.Puts,
-		Gets:            st.Gets,
-		Deletes:         st.Deletes,
-		Reads:           st.Reads,
-		Writes:          st.Writes,
-		Opens:           st.Opens,
-		Objects:         objects,
-		Checkpoints:     st.Engine.Checkpoints,
-		RecordsReplayed: st.Engine.RecordsReplayed,
-		DRAMBytes:       fp.DRAMBytes,
-		PMEMBytes:       fp.PMEMBytes,
-		SSDBytes:        fp.SSDBytes,
-	}
+	row := wireRow[wire.ShardStat](st, st.Engine, fp)
+	row.Objects = objects
+	return row
 }
 
-// cacheRow flattens one cache snapshot into the wire row.
-func cacheRow(cs CacheStats) wire.CacheStat {
-	return wire.CacheStat{
-		Hits:      cs.Hits,
-		Misses:    cs.Misses,
-		Evictions: cs.Evictions,
-		Bytes:     cs.Bytes,
-		Capacity:  cs.Capacity,
+// wireRow is the wire row R whose every field takes the value of the
+// same-named field of the first of srcs, all structs, that has one: the
+// store's snapshots and the wire rows name a counter alike.
+func wireRow[R any](srcs ...any) (row R) {
+	d := reflect.ValueOf(&row).Elem()
+	for i := range d.NumField() {
+		for _, src := range srcs {
+			if f := reflect.ValueOf(src).FieldByName(d.Type().Field(i).Name); f.IsValid() {
+				d.Field(i).Set(f)
+				break
+			}
+		}
 	}
-}
-
-// healthRow flattens one health snapshot into the wire row.
-func healthRow(h Health) wire.ShardHealth {
-	return wire.ShardHealth{
-		Degraded:          h.Degraded,
-		Reason:            h.Reason,
-		IORetries:         h.IORetries,
-		WriteErrors:       h.WriteErrors,
-		Corruptions:       h.Corruptions,
-		Remaps:            h.Remaps,
-		QuarantinedBlocks: h.QuarantinedBlocks,
-	}
+	return row
 }
 
 // shardRows returns the engines that get per-shard rows after the
@@ -271,9 +253,9 @@ func (b *netBackend) Stats() wire.StatsReply {
 	// a cache configured, a transaction seen, a group-commit batch formed —
 	// so deployments without the feature emit the frames they always did.
 	if cs := b.api.CacheStats(); cs.Capacity > 0 {
-		reply.Cache = &wire.CacheReply{CacheStat: cacheRow(cs)}
+		reply.Cache = &wire.CacheReply{CacheStat: wireRow[wire.CacheStat](cs)}
 		for _, s := range shards {
-			reply.Cache.Shards = append(reply.Cache.Shards, cacheRow(s.CacheStats()))
+			reply.Cache.Shards = append(reply.Cache.Shards, wireRow[wire.CacheStat](s.CacheStats()))
 		}
 	}
 	if st.TxnCommits+st.TxnAborts+st.TxnConflicts > 0 {
@@ -294,9 +276,9 @@ func (b *netBackend) Stats() wire.StatsReply {
 }
 
 func (b *netBackend) Health() wire.HealthReply {
-	reply := wire.HealthReply{ShardHealth: healthRow(b.api.Health())}
+	reply := wire.HealthReply{ShardHealth: wireRow[wire.ShardHealth](b.api.Health())}
 	for _, s := range b.shardRows() {
-		reply.Shards = append(reply.Shards, healthRow(s.Health()))
+		reply.Shards = append(reply.Shards, wireRow[wire.ShardHealth](s.Health()))
 	}
 	return reply
 }

@@ -7,6 +7,7 @@ import (
 
 	"dstore/internal/fault"
 	"dstore/internal/meta"
+	"dstore/internal/ssd"
 	"dstore/internal/wal"
 )
 
@@ -49,11 +50,7 @@ func heldLSN(locks map[string]*wal.Handle, name string) uint64 {
 // one per size.
 func (c *Ctx) scratchBuf(n uint64) []byte {
 	if uint64(cap(c.scratch)) < n {
-		newCap := uint64(cap(c.scratch)) * 2
-		if newCap < n {
-			newCap = n
-		}
-		c.scratch = make([]byte, newCap)
+		c.scratch = make([]byte, max(2*uint64(cap(c.scratch)), n))
 	}
 	return c.scratch[:n]
 }
@@ -102,11 +99,7 @@ func blockSums(value []byte) []uint32 {
 	sums := make([]uint32, n)
 	for i := range sums {
 		lo := uint64(i) * blockSize
-		hi := lo + blockSize
-		if hi > uint64(len(value)) {
-			hi = uint64(len(value))
-		}
-		sums[i] = blockSum(value[lo:hi])
+		sums[i] = blockSum(value[lo:min(lo+blockSize, uint64(len(value)))])
 	}
 	return sums
 }
@@ -231,30 +224,45 @@ func (s *Store) physPad() int {
 
 // Put stores value under key, creating or overwriting the object (paper
 // Table 2: oput) — the one-entry write set of an opPut sub-op (write.go).
-func (c *Ctx) Put(key string, value []byte) error {
-	s := c.s
-	if s == nil || s.closed.Load() {
-		return ErrClosed
-	}
-	if err := s.validateName(key); err != nil {
+func (c *Ctx) Put(key string, value []byte) error { return c.write(key, value, false) }
+
+// write runs a user Put of value under key or, with del, a Delete of key.
+func (c *Ctx) write(key string, value []byte, del bool) error {
+	w, err := c.s.userSet(key, value, del, c.heldLSN(key))
+	if err != nil {
 		return err
 	}
-	s.ops.puts.Add(1)
-	return c.put(opPut, key, value)
+	return c.s.writeOne(w)
 }
 
-// put writes a whole object under the given record opcode: opPut for the
-// public API, opTxnBegin for reserved cross-shard prepare objects (the two
-// replay identically; the opcode distinguishes them in the log). The caller
-// has validated key for its namespace.
-func (c *Ctx) put(op uint16, key string, value []byte) error {
-	s := c.s
-	if uint64(len(value)) > s.maxObjectBytes() {
-		return fmt.Errorf("dstore: value of %d bytes exceeds max object size %d", len(value), s.maxObjectBytes())
+// userSet starts the write set of a user Put of value under key or, with
+// del, a Delete of key, counting it; ignore is the caller's olock on key.
+func (s *Store) userSet(key string, value []byte, del bool, ignore uint64) (*oneWrite, error) {
+	if s == nil || s.closed.Load() {
+		return nil, ErrClosed
 	}
-	w := s.single(op, key, c.heldLSN(key))
+	if err := s.validateName(key); err != nil {
+		return nil, err
+	}
+	if del {
+		s.ops.deletes.Add(1)
+		return s.single(opDelete, key, ignore), nil
+	}
+	s.ops.puts.Add(1)
+	return s.putSet(opPut, key, value, ignore)
+}
+
+// putSet starts the write set of a whole-object write under the given record
+// opcode: opPut for the public API, opTxnBegin for reserved cross-shard
+// prepare objects (the two replay identically; the opcode distinguishes them
+// in the log). The caller has validated key for its namespace.
+func (s *Store) putSet(op uint16, key string, value []byte, ignore uint64) (*oneWrite, error) {
+	if uint64(len(value)) > s.maxObjectBytes() {
+		return nil, fmt.Errorf("dstore: value of %d bytes exceeds max object size %d", len(value), s.maxObjectBytes())
+	}
+	w := s.single(op, key, ignore)
 	w.one[0].data, w.one[0].size, w.one[0].sums = value, uint64(len(value)), blockSums(value)
-	return s.writeOne(w)
+	return w, nil
 }
 
 // Get retrieves key's value, appending it to buf (which may be nil) and
@@ -301,26 +309,10 @@ func (s *Store) readObject(key string, hash uint64, buf []byte) ([]byte, error) 
 	return buf, nil
 }
 
-// Delete removes key's object (paper Table 2: odelete).
-func (c *Ctx) Delete(key string) error {
-	s := c.s
-	if s == nil || s.closed.Load() {
-		return ErrClosed
-	}
-	if err := s.validateName(key); err != nil {
-		return err
-	}
-	s.ops.deletes.Add(1)
-	return c.del(opDelete, key)
-}
-
-// del removes an object under the given record opcode: opDelete for the
-// public API, opTxnAbort for reserved prepare/decision-object cleanup (both
-// replay as a tolerant delete). A delete that finds nothing leaves a dead
-// record — it never replays and changed nothing — and returns ErrNotFound.
-func (c *Ctx) del(op uint16, key string) error {
-	return c.s.writeOne(c.s.single(op, key, c.heldLSN(key)))
-}
+// Delete removes key's object (paper Table 2: odelete). A delete that finds
+// nothing leaves a dead record — it never replays and changed nothing — and
+// returns ErrNotFound.
+func (c *Ctx) Delete(key string) error { return c.write(key, nil, true) }
 
 // --------------------------------------------------------------- filesystem
 
@@ -520,7 +512,7 @@ func (o *Object) WriteAt(p []byte, off int64) (int, error) {
 		bi := pos / blockSize
 		bo := pos % blockSize
 		chunk := min(blockSize-bo, n-written)
-		if werr := s.ssdWrite(s.dataOff(e.Blocks[bi])+bo, p[written:written+chunk]); werr != nil {
+		if werr := s.ssdWrite(ssd.Write{Off: s.dataOff(e.Blocks[bi]) + bo, P: p[written : written+chunk]}); werr != nil {
 			if fault.IsPermanent(werr) {
 				s.quarantineBlock(e.Blocks[bi])
 			}

@@ -427,21 +427,16 @@ func decodeSub(op uint16, name, payload []byte) (u subOp, err error) {
 func replayRecord(p *plane, rv wal.RecordView) error {
 	if rv.Op != opTxnCommit {
 		u, err := decodeSub(rv.Op, rv.Name, rv.Payload)
-		if err != nil {
-			return err
+		if err == nil {
+			err = p.apply(&u, nil)
 		}
-		return p.apply(&u, nil)
-	}
-	_, subs, err := decodeTxnPayload(rv.Payload)
-	if err != nil {
 		return err
 	}
-	for i := range subs {
-		if err := p.apply(&subs[i], nil); err != nil {
-			return err
-		}
+	_, subs, err := decodeTxnPayload(rv.Payload)
+	for i := 0; i < len(subs) && err == nil; i++ {
+		err = p.apply(&subs[i], nil)
 	}
-	return nil
+	return err
 }
 
 // replay applies the records it is handed to the plane rooted in al: the

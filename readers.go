@@ -135,20 +135,27 @@ func hinted(w, hash uint64) (uint64, bool) {
 // the section's): through the hint when the slot it names still records key,
 // otherwise through the index, whose answer becomes the hint.
 func (s *Store) readLookup(key string, hash uint64, buf *entryBuf) (meta.Entry, error) {
-	b := s.hints.bucket(hash)
-	if slot, ok := hinted(b.Load(), hash); ok {
-		lk := &s.zoneMu[slot%uint64(len(s.zoneMu))]
-		lk.Lock()
-		e, used, err := s.front.zone.ReadInto(slot, buf.blocks[:], buf.sums[:])
-		hit := err == nil && used && string(e.Name) == key
-		lk.Unlock()
-		if hit {
-			return e, nil
-		}
+	if _, e, ok := s.viaHint(key, hash, buf); ok {
+		return e, nil
 	}
 	slot, e, err := s.lookup([]byte(key), buf)
 	if err == nil {
-		b.Store(hint(hash, slot))
+		s.hints.bucket(hash).Store(hint(hash, slot))
 	}
 	return e, err
+}
+
+// viaHint reads the slot hash's hint names, if the slot is used and records
+// key.
+func (s *Store) viaHint(key string, hash uint64, buf *entryBuf) (uint64, meta.Entry, bool) {
+	slot, ok := hinted(s.hints.bucket(hash).Load(), hash)
+	if !ok {
+		return 0, meta.Entry{}, false
+	}
+	lk := &s.zoneMu[slot%uint64(len(s.zoneMu))]
+	lk.Lock()
+	e, used, err := s.front.zone.ReadInto(slot, buf.blocks[:], buf.sums[:])
+	hit := err == nil && used && string(e.Name) == key
+	lk.Unlock()
+	return slot, e, hit
 }

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 
+	"dstore/internal/ssd"
 	"dstore/internal/wal"
 	"dstore/internal/wire"
 )
@@ -62,9 +63,7 @@ func (s *Store) exportSubData(sub subOp) ([]byte, bool) {
 func (s *Store) exportSpanLen(size uint64, i int) uint64 {
 	lo := uint64(i) * blockSize
 	hi := lo + blockSize
-	if hi > size {
-		hi = size
-	}
+	hi = min(hi, size)
 	if hi <= lo {
 		return 0
 	}
@@ -118,10 +117,7 @@ func (s *Store) ExportCommitted(from uint64, max int) ([]wire.Record, error) {
 					data = append(data, 0, 0, 0, 0, 0)
 					continue
 				}
-				data = append(data, 1)
-				var ln [4]byte
-				binary.LittleEndian.PutUint32(ln[:], uint32(len(span)))
-				data = append(data, ln[:]...)
+				data = binary.LittleEndian.AppendUint32(append(data, 1), uint32(len(span)))
 				data = append(data, span...)
 			}
 			w.Data = data
@@ -233,7 +229,7 @@ func (s *Store) ApplyReplicated(rec wire.Record) error {
 		// What the apply displaces leaves the cache with it, as on the primary
 		// (putOwned, deleteOwned) — but a standby frees nothing, so nothing
 		// else would ever drop these entries.
-		if putShaped(sub.op) || sub.op == opDelete || sub.op == opTxnAbort {
+		if putShaped(sub.op) || sub.op == opDelete || sub.op == opTxnAbort || sub.op == opRemap {
 			if _, e, err := s.lookup(sub.name, nil); err == nil {
 				sub.stale = e.Blocks
 			}
@@ -251,7 +247,11 @@ func (s *Store) ApplyReplicated(rec wire.Record) error {
 			return fmt.Errorf("dstore: apply record %d: data truncated (%d < %d)", rec.LSN, len(sub.data), want)
 		}
 		sub.data = sub.data[:want]
-		if _, err := s.writeBlocks(sub.blocks, sub.data); err != nil {
+		reqs := make([]ssd.Write, len(sub.blocks))
+		for j, b := range sub.blocks {
+			reqs[j] = ssd.Write{Off: s.dataOff(b), P: s.span(sub.data, j)}
+		}
+		if err := s.ssdWrite(reqs...); err != nil {
 			s.degrade(err)
 			return fmt.Errorf("%w: standby data write: %v", ErrDegraded, err)
 		}
@@ -269,9 +269,10 @@ func (s *Store) ApplyReplicated(rec wire.Record) error {
 		return err
 	}
 	// No frontend writers exist on a standby, but readers do.
-	if _, err := s.applyOwned(subs, nil); err != nil {
-		s.degrade(err)
-		return fmt.Errorf("%w: standby apply: %v", ErrDegraded, err)
+	w := writeSet{subs: subs}
+	if s.applyOwned([]*writeSet{&w}, nil); w.err != nil {
+		s.degrade(w.err)
+		return fmt.Errorf("%w: standby apply: %v", ErrDegraded, w.err)
 	}
 	return nil
 }

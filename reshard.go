@@ -3,6 +3,7 @@ package dstore
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 
@@ -68,8 +69,11 @@ type migration struct {
 }
 
 // dest reports whether key (owned by from under the current ring) moves,
-// and to which member.
+// and to which member; nothing moves without a migration.
 func (m *migration) dest(key string, from int) (to int, moving bool) {
+	if m == nil {
+		return 0, false
+	}
 	t := int(m.next.Owner(key))
 	return t, t != from
 }
@@ -291,10 +295,7 @@ func (sh *Sharded) migrate(cur, next *ring.Ring) error {
 	// commit point is the single crash-atomic ring write.
 	sh.opMu.Lock()
 	m.mu.Lock()
-	opened := make([]string, 0, len(m.opened))
-	for k := range m.opened {
-		opened = append(opened, k)
-	}
+	opened := slices.Collect(maps.Keys(m.opened))
 	m.mu.Unlock()
 	slices.Sort(opened)
 	for _, name := range opened {

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 
@@ -178,9 +179,7 @@ func shardConfig(cfg Config, n int) Config {
 	cfg.setDefaults() // resolve the aggregate geometry before dividing
 	div := func(v uint64) uint64 {
 		per := v/uint64(n) + v/uint64(4*n) + 64
-		if per > v {
-			per = v
-		}
+		per = min(per, v)
 		return per
 	}
 	cfg.Blocks = div(cfg.Blocks)
@@ -512,101 +511,51 @@ func (sh *Sharded) Crash(seed int64) ([]Config, error) {
 	return sh.ShardConfigs(), firstErr
 }
 
-// Stats aggregates every shard's counters. Per-shard snapshots are
-// Shard(i).Stats().
-func (sh *Sharded) Stats() Stats {
-	var out Stats
+// Stats, CacheStats, Breakdown and Footprint sum every shard's counters;
+// Shard(i) gives one shard's.
+func (sh *Sharded) Stats() Stats           { return sumShards(sh, (*Store).Stats) }
+func (sh *Sharded) CacheStats() CacheStats { return sumShards(sh, (*Store).CacheStats) }
+func (sh *Sharded) Breakdown() Breakdown   { return sumShards(sh, (*Store).Breakdown) }
+func (sh *Sharded) Footprint() Footprint   { return sumShards(sh, (*Store).Footprint) }
+
+// sumShards adds up per's snapshot of every shard: each uint64 field, nested
+// structs' included, is the shards' sum, and each slice their concatenation
+// in shard order. Other fields keep their zero value.
+func sumShards[T any](sh *Sharded, per func(*Store) T) (out T) {
+	var add func(dst, src reflect.Value)
+	add = func(dst, src reflect.Value) {
+		for i := range dst.NumField() {
+			switch f := dst.Field(i); f.Kind() {
+			case reflect.Uint64:
+				f.SetUint(f.Uint() + src.Field(i).Uint())
+			case reflect.Struct:
+				add(f, src.Field(i))
+			case reflect.Slice:
+				f.Set(reflect.AppendSlice(f, src.Field(i)))
+			}
+		}
+	}
 	for i := range sh.stores() {
-		st := sh.store(i).Stats()
-		out.Puts += st.Puts
-		out.Gets += st.Gets
-		out.Deletes += st.Deletes
-		out.Reads += st.Reads
-		out.Writes += st.Writes
-		out.Opens += st.Opens
-		out.Engine.Checkpoints += st.Engine.Checkpoints
-		out.Engine.CheckpointNanos += st.Engine.CheckpointNanos
-		out.Engine.RecordsReplayed += st.Engine.RecordsReplayed
-		out.Engine.ShadowBytesCloned += st.Engine.ShadowBytesCloned
-		out.Engine.RecordsRecovered += st.Engine.RecordsRecovered
-		out.Engine.GCBatches += st.Engine.GCBatches
-		out.Engine.GCRecords += st.Engine.GCRecords
-		out.Engine.GCParked += st.Engine.GCParked
-		out.CowPagesCopied += st.CowPagesCopied
-		out.CowFaultCopies += st.CowFaultCopies
-		out.TxnCommits += st.TxnCommits
-		out.TxnAborts += st.TxnAborts
-		out.TxnConflicts += st.TxnConflicts
+		add(reflect.ValueOf(&out).Elem(), reflect.ValueOf(per(sh.store(i))))
 	}
 	return out
 }
 
-// CacheStats aggregates the block-cache counters across shards. Per-shard
-// snapshots are Shard(i).CacheStats().
-func (sh *Sharded) CacheStats() CacheStats {
-	var out CacheStats
-	for i := range sh.stores() {
-		cs := sh.store(i).CacheStats()
-		out.Hits += cs.Hits
-		out.Misses += cs.Misses
-		out.Evictions += cs.Evictions
-		out.Invalidations += cs.Invalidations
-		out.Bytes += cs.Bytes
-		out.Capacity += cs.Capacity
-	}
-	return out
-}
-
-// Breakdown aggregates the per-stage write timing across shards.
-func (sh *Sharded) Breakdown() Breakdown {
-	var out Breakdown
-	for i := range sh.stores() {
-		bd := sh.store(i).Breakdown()
-		out.Count += bd.Count
-		out.LogNs += bd.LogNs
-		out.PoolNs += bd.PoolNs
-		out.MetaNs += bd.MetaNs
-		out.TreeNs += bd.TreeNs
-		out.SSDNs += bd.SSDNs
-		out.TotalNs += bd.TotalNs
-	}
-	return out
-}
-
-// Footprint sums storage consumption across shards.
-func (sh *Sharded) Footprint() Footprint {
-	var out Footprint
-	for i := range sh.stores() {
-		fp := sh.store(i).Footprint()
-		out.DRAMBytes += fp.DRAMBytes
-		out.PMEMBytes += fp.PMEMBytes
-		out.SSDBytes += fp.SSDBytes
-	}
-	return out
-}
-
-// Health aggregates fault status across shards: Degraded when any shard is
-// degraded (DegradedShard is that shard's index and Reason names it),
-// counters summed, and the quarantine lists concatenated in shard order
-// (block ids are shard-local; use Shard(i).Health() for an unambiguous
-// per-shard view). Replicated shards report their active store: a
+// Health aggregates fault status across shards: counters summed, the
+// quarantine lists concatenated in shard order (block ids are shard-local;
+// use Shard(i).Health() for an unambiguous per-shard view), and Degraded when
+// any shard is degraded (DegradedShard is the first such shard's index and
+// Reason names it). Replicated shards report their active store: a
 // failed-over shard is healthy here — the degradation was absorbed by the
 // failover.
 func (sh *Sharded) Health() Health {
-	var out Health
-	out.DegradedShard = -1
+	out := sumShards(sh, (*Store).Health)
+	out.Degraded, out.Reason, out.DegradedShard = false, "", -1
 	for i := range sh.stores() {
-		h := sh.store(i).Health()
-		if h.Degraded && !out.Degraded {
-			out.Degraded = true
-			out.DegradedShard = i
-			out.Reason = fmt.Sprintf("shard %d: %s", i, h.Reason)
+		if h := sh.store(i).Health(); h.Degraded {
+			out.Degraded, out.DegradedShard, out.Reason = true, i, fmt.Sprintf("shard %d: %s", i, h.Reason)
+			break
 		}
-		out.IORetries += h.IORetries
-		out.WriteErrors += h.WriteErrors
-		out.Corruptions += h.Corruptions
-		out.Remaps += h.Remaps
-		out.QuarantinedBlocks = append(out.QuarantinedBlocks, h.QuarantinedBlocks...)
 	}
 	return out
 }
@@ -707,44 +656,59 @@ func (c *ShardedCtx) Put(key string, value []byte) error { return c.write(key, v
 // Delete removes key's object from its shard.
 func (c *ShardedCtx) Delete(key string) error { return c.write(key, nil, true) }
 
-// write is the routed single-key mutation, a put or (del) a delete: held
-// under opMu shared so the epoch cannot flip mid-op, it runs on the owning
-// shard; on a replicated store a write that finds its shard degraded triggers
-// failover and retries once on the promoted standby. During a live migration
-// a write to a moving key is double-applied: donor first (authoritative until
-// the flip), then the recipient, under the key's migration stripe so copier
-// and writers agree on order.
+// write is the routed single-key mutation, a put or (del) a delete, under
+// opMu shared so the epoch cannot flip mid-op.
 func (c *ShardedCtx) write(key string, value []byte, del bool) error {
 	if c.sh == nil {
 		return ErrClosed
 	}
-	sh := c.sh
-	sh.opMu.RLock() //nolint:lock-order // held shared across the routed apply so the epoch cannot flip mid-op; the flip is the only writer
-	defer sh.opMu.RUnlock()
-	i := sh.owner(key)
-	m := sh.migrP.Load()
-	to, moving := 0, false
+	c.sh.opMu.RLock() //nolint:lock-order // held shared across the routed apply so the epoch cannot flip mid-op; the flip is the only writer
+	defer c.sh.opMu.RUnlock()
+	keys, values, js, errs := [1]string{key}, [1][]byte{value}, [1]int{0}, [1]error{}
+	vs := values[:]
+	if del {
+		vs = nil
+	}
+	c.routed(c.sh.owner(key), keys[:], vs, js[:], errs[:])
+	return errs[0]
+}
+
+// routed is the one routing policy of a sharded write: keys[j] for each j in
+// js — puts of values, or deletes when values is nil — go to shard i, their
+// owner, as one pipeline pass; the caller holds opMu shared. Moving keys
+// (§13) are double-applied under their migration stripes, taken first in the
+// global order: donor (authoritative until the flip), then recipient. Keys
+// that find a replicated shard degraded trigger failover and are written once
+// more on the promoted standby.
+func (c *ShardedCtx) routed(i int, keys []string, values [][]byte, js []int, errs []error) {
+	m := c.sh.migrP.Load()
 	if m != nil {
-		if to, moving = m.dest(key, i); moving {
-			st := m.stripe(key)
-			st.Lock() //nolint:lock-order // per-key stripe held across donor+recipient applies; ordered after opMu everywhere
+		var movers []string
+		for _, j := range js {
+			if _, moving := m.dest(keys[j], i); moving {
+				movers = append(movers, keys[j])
+			}
+		}
+		for _, st := range m.stripesFor(movers) {
+			st.Lock() //nolint:lock-order // stripe order is global (sorted by index); always after opMu
 			defer st.Unlock()
 		}
 	}
-	apply := func() error {
-		if del {
-			return c.ctx(i).Delete(key)
+	c.ctx(i).writeBatch(keys, values, js, errs)
+	var again []int
+	for _, j := range js {
+		if errors.Is(errs[j], ErrDegraded) {
+			again = append(again, j)
 		}
-		return c.ctx(i).Put(key, value)
 	}
-	err := apply()
-	if err != nil && sh.failover(i, err) {
-		err = apply()
+	if len(again) > 0 && c.sh.failover(i, errs[again[0]]) {
+		c.ctx(i).writeBatch(keys, values, again, errs)
 	}
-	if err == nil && moving {
-		m.mirror(to, key, value, del)
+	for _, j := range js {
+		if to, moving := m.dest(keys[j], i); moving && errs[j] == nil {
+			m.mirror(to, keys[j], valueAt(values, j), values == nil)
+		}
 	}
-	return err
 }
 
 // Get retrieves key's value from its shard, appending to buf. The donor
@@ -775,10 +739,9 @@ func (c *ShardedCtx) Open(name string, size uint64, flags OpenFlag) (*Object, er
 	sh.opMu.RLock() //nolint:lock-order // see write
 	defer sh.opMu.RUnlock()
 	i := sh.owner(name)
-	if m := sh.migrP.Load(); m != nil {
-		if _, moving := m.dest(name, i); moving {
-			m.noteOpened(name)
-		}
+	m := sh.migrP.Load()
+	if _, moving := m.dest(name, i); moving {
+		m.noteOpened(name)
 	}
 	obj, err := c.ctx(i).Open(name, size, flags)
 	if err != nil && sh.failover(i, err) {

@@ -268,9 +268,10 @@ func (s *Store) releaseOlocks(locks map[string]*wal.Handle) {
 // participant phases, and recovery roll-forward: olock the write keys (unless
 // the caller already holds them), then run the write pipeline (write.go) for
 // the whole write set under a single opTxnCommit record, whose commit is the
-// atomic durability point. The pipeline validates reads under poolMu
-// atomically with the record's append, writes the data out of place, and
-// applies the sub-ops in record order (the order replay uses).
+// atomic durability point. The pipeline checks the read set before it writes
+// any data, writes the data out of place, validates the reads again under
+// poolMu atomically with the record's append, and applies the sub-ops in
+// record order (the order replay uses).
 //
 // ops is never empty: a read-only set validates through validateReadSet.
 // reads may be nil (decided cross-shard applies and recovery validate
@@ -308,7 +309,7 @@ func (s *Store) commitTxnSet(txnid uint64, reads map[string]readVer, ops []txnOp
 	}
 
 	if held != nil {
-		return s.write(&w)
+		return s.write1(&w)
 	}
 	var err error
 	if w.locks, err = s.olockKeys(keys); err != nil {
@@ -318,7 +319,7 @@ func (s *Store) commitTxnSet(txnid uint64, reads map[string]readVer, ops []txnOp
 	// crash (modeled in tests as a panic mid-append) must not re-enter the
 	// WAL during unwinding — a real power loss runs no release at all, and
 	// recovery must cope with the bare uncommitted olocks.
-	err = s.write(&w)
+	err = s.write1(&w)
 	s.releaseOlocks(w.locks)
 	return err
 }
@@ -330,7 +331,11 @@ func (s *Store) putReserved(name string, value []byte) error {
 	if err := s.validateNameAny(name); err != nil {
 		return err
 	}
-	return s.Init().put(opTxnBegin, name, value)
+	w, err := s.putSet(opTxnBegin, name, value, 0)
+	if err != nil {
+		return err
+	}
+	return s.writeOne(w)
 }
 
 // deleteReserved removes a reserved-namespace object via opTxnAbort,
@@ -338,7 +343,7 @@ func (s *Store) putReserved(name string, value []byte) error {
 func (s *Store) deleteReserved(name string) error {
 	err := s.validateNameAny(name)
 	if err == nil {
-		err = s.Init().del(opTxnAbort, name)
+		err = s.writeOne(s.single(opTxnAbort, name, 0))
 	}
 	if errors.Is(err, ErrNotFound) {
 		return nil

@@ -202,27 +202,15 @@ func (t *txn) Commit() error {
 	// global stripe order) across commit + mirror so the copier can't
 	// interleave between the donor commit and the recipient apply.
 	m := sh.migrP.Load()
-	var movers map[string]int
-	if m != nil {
-		for k := range t.writes {
-			if to, moving := m.dest(k, sh.owner(k)); moving {
-				if movers == nil {
-					movers = make(map[string]int)
-				}
-				movers[k] = to
-			}
+	movers := make(map[string]int)
+	for k := range t.writes {
+		if to, moving := m.dest(k, sh.owner(k)); moving {
+			movers[k] = to
 		}
-		if movers != nil {
-			stripes := m.stripesFor(slices.Collect(maps.Keys(movers)))
-			for _, st := range stripes {
-				st.Lock() //nolint:lock-order // stripe order is global (sorted by index); always after opMu
-			}
-			defer func() {
-				for _, st := range stripes {
-					st.Unlock()
-				}
-			}()
-		}
+	}
+	for _, st := range m.stripesFor(slices.Collect(maps.Keys(movers))) {
+		st.Lock() //nolint:lock-order // stripe order is global (sorted by index); always after opMu
+		defer st.Unlock()
 	}
 
 	statShard := 0
@@ -236,7 +224,7 @@ func (t *txn) Commit() error {
 	case errors.Is(err, ErrTxnConflict):
 		sh.store(statShard).txns.conflicts.Add(1)
 	}
-	if err == nil && movers != nil {
+	if err == nil {
 		// Donor commit is durable and authoritative; mirror the moving
 		// writes to their recipients. A crash in between is safe pre-flip
 		// (the donor rules; residue is collected at open), and the flip

@@ -4,35 +4,36 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"dstore/internal/fault"
 	"dstore/internal/meta"
+	"dstore/internal/ssd"
 	"dstore/internal/wal"
 )
 
 // This file is the write pipeline (paper Fig. 4). Every mutation of a store —
 // Put, Delete, Open(OpenCreate), the extend and checksum-invalidation records
-// behind WriteAt, a Scrub remap, the reserved prepare/decision objects and a
-// transaction commit — is a write set of N ≥ 1 sub-operations under one WAL
-// record, and Store.write runs the nine steps once for it:
+// behind WriteAt, a Scrub remap, the reserved prepare/decision objects, a
+// transaction commit, each sub-op of an MPut or MDelete — is a write set of
+// N ≥ 1 sub-operations under one WAL record, and Store.write runs the nine
+// steps once for a batch of such sets:
 //
 //	① lock pools ② append+flush log record ③ allocate blocks ④ allocate
 //	metadata page ⑤ unlock ⑥ write metadata ⑦ write btree record ⑧ write
 //	data to SSD ⑨ commit and flush log record.
 //
-// The allocations (③–④) precede the append (②) inside the pool lock because
-// the record carries their ids, and step ⑧ is hoisted to run right after ⑤:
-// the fresh blocks are invisible to every reader until ⑥ publishes them, so
-// writing early is safe — and it lets a data-plane failure abort the
-// operation (quarantining the bad block and re-running the pipeline on fresh
-// ones) before any structure changed. What differs between opcodes is in
-// opTable; ⑥–⑦ are plane.apply, the code replay runs.
+// Content goes first (③ and ⑧, dataPhase): its blocks are invisible until ⑥
+// publishes them and the free pools are DRAM rebuilt at open, so a crash
+// leaks nothing. A single Put, Delete or transaction commit is the batch of
+// one. What differs between opcodes is in opTable; ⑥–⑦ are plane.apply, the
+// code replay runs.
 
-// writeSet is what one run of the pipeline commits. A single-object mutation
-// is the one-entry case: the record carries the sub-op's own opcode and
-// name. A transaction wraps its write set in one opTxnCommit record under a
-// reserved name and adds the read set to validate (DESIGN.md §12).
+// writeSet is what one record commits. A single-object mutation is the
+// one-entry case: the record carries the sub-op's own opcode and name. A
+// transaction wraps its write set in one opTxnCommit record under a reserved
+// name and adds the read set to validate (DESIGN.md §12).
 type writeSet struct {
 	op     uint16 // the record's opcode
 	name   []byte // the record's name
@@ -43,21 +44,22 @@ type writeSet struct {
 	txnid uint64
 	reads map[string]readVer     // OCC read set, validated atomically with the append
 	locks map[string]*wal.Handle // the transaction's own olocks, excluded from that validation
+
+	h   *wal.Handle // the record, from its append until it settles
+	err error       // the set's verdict
 }
 
-// opDesc is everything the pipeline needs to know about one opcode; the rest
-// of a mutation is the same for all of them. Nil entries mean "nothing to
-// do". The sub-ops handed to them live on the heap already — in a pooled
-// oneWrite or a transaction's slice — so passing pointers through these
-// function values costs nothing.
+// opDesc is everything the pipeline needs to know about one opcode; nil
+// entries mean "nothing to do". The sub-ops handed to them already live on
+// the heap (a pooled oneWrite, a transaction's slice), so passing pointers
+// through these function values costs nothing.
 type opDesc struct {
 	// encode and decode are the record-parameter codec; encode reuses b.
 	encode func(b []byte, u *subOp, physPad int) []byte
 	decode func(payload []byte) (subOp, error)
 	// pool is the pool phase (steps ③–④), run under poolMu and
 	// treeMu.RLock: take the allocations, record them and what the index
-	// said about the name. Whatever it puts in fresh/newSlot the driver
-	// returns if the write dies.
+	// said about the name; unpoolLocked returns them.
 	pool func(s *Store, u *subOp) error
 	// owned runs once the append made this writer the name's sole owner
 	// (CC): read what the apply will displace, and refuse — ErrNotFound,
@@ -73,7 +75,7 @@ var opTable = [...]opDesc{
 	opDelete:   {owned: (*Store).deleteOwned},
 	opTxnAbort: {owned: (*Store).deleteOwned},
 	opInval:    {encodeInvalPayload, decodeInvalPayload, nil, (*Store).invalOwned},
-	opRemap:    {encodeRemapPayload, decodeRemapPayload, (*Store).remapPool, (*Store).remapOwned},
+	opRemap:    {encodeRemapPayload, decodeRemapPayload, nil, (*Store).remapOwned},
 	opNoop:     {},
 }
 
@@ -84,20 +86,13 @@ var errStale = errors.New("dstore: object changed underneath")
 // ------------------------------------------------------------- pool phases
 
 // putPoolLocked is the pool phase of a whole-object write: the slot (reused
-// when the object exists) and freshly allocated blocks for the new version.
-// Data is always written out of place — the paper's pipeline allocates
-// blocks for every write (Fig. 4 step ③) — so a crash before commit leaves
-// the old version's blocks untouched and the dead record harmless. The old
-// blocks are read once the record is appended (putOwned) and freed only
-// after commit.
+// when the object exists) and, without content, fresh blocks — content took
+// its blocks in the data phase. Data always goes out of place, so a crash
+// before commit leaves the old version untouched; its blocks are read once
+// the record is appended (putOwned) and freed only after commit.
 func (s *Store) putPoolLocked(u *subOp) error {
-	p := s.front
-	need := blocksFor(u.size, blockSize)
-	if need > p.zone.MaxBlocks() {
-		return fmt.Errorf("dstore: object %q needs %d blocks, max %d", u.name, need, p.zone.MaxBlocks())
-	}
 	var ok bool
-	if u.slot, ok = p.tree.Get(u.name); !ok {
+	if u.slot, ok = s.slotOf(u); !ok {
 		slot, err := s.slotPool.Get()
 		if err != nil {
 			return fmt.Errorf("dstore: out of metadata slots: %w", err)
@@ -105,16 +100,35 @@ func (s *Store) putPoolLocked(u *subOp) error {
 		u.slot = slot
 	}
 	u.indexed, u.newSlot = ok, !ok
-	u.blocks = make([]uint64, 0, need)
-	return s.growBlocksLocked(u, need)
+	if u.data != nil {
+		return nil
+	}
+	return s.growBlocksLocked(u, blocksFor(u.size, blockSize))
+}
+
+// slotOf finds the slot the index maps u's name to: through the slot hint as
+// a point read takes it (readLookup), otherwise through the B+ tree, whose
+// answer becomes the hint. The probe before the pool phase showed that no
+// unsettled record names u, so no create's apply is writing the name into a
+// slot the index does not map it to — the one state in which a slot records
+// a name the index maps elsewhere. Caller holds poolMu and treeMu.RLock.
+func (s *Store) slotOf(u *subOp) (uint64, bool) {
+	var eb entryBuf
+	hash := wal.NameHash(u.key)
+	if slot, _, ok := s.viaHint(u.key, hash, &eb); ok {
+		return slot, true
+	}
+	slot, ok := s.front.tree.Get(u.name)
+	if ok {
+		s.hints.bucket(hash).Store(hint(hash, slot))
+	}
+	return slot, ok
 }
 
 // extendPool builds the grow-allocation for opExtend: the existing block
-// list (read under the slot's stripe lock; a concurrent same-name writer
-// makes the subsequent append conflict and the phase retry) plus fresh
-// blocks to reach the new size. The existing blocks' checksums are carried
-// over; the fresh blocks start unverified (their content is whatever the SSD
-// holds until written). Nothing is displaced.
+// list and checksums (the probe before it showed no same-name writer in
+// flight) plus fresh, unverified blocks to reach the new size. Nothing is
+// displaced.
 func (s *Store) extendPool(u *subOp) error {
 	slot, ok := s.front.tree.Get(u.name)
 	if !ok {
@@ -127,13 +141,9 @@ func (s *Store) extendPool(u *subOp) error {
 	if !used {
 		return fmt.Errorf("dstore: index entry %q points at free slot %d", u.name, slot)
 	}
-	need := blocksFor(u.size, blockSize)
-	if need > s.front.zone.MaxBlocks() {
-		return fmt.Errorf("dstore: object %q needs %d blocks, max %d", u.name, need, s.front.zone.MaxBlocks())
-	}
 	u.slot, u.indexed, u.newSlot = slot, true, false
 	u.blocks, u.sums = e.Blocks, e.Sums
-	if err := s.growBlocksLocked(u, need); err != nil {
+	if err := s.growBlocksLocked(u, blocksFor(u.size, blockSize)); err != nil {
 		return err
 	}
 	for len(u.sums) < len(u.blocks) {
@@ -142,22 +152,19 @@ func (s *Store) extendPool(u *subOp) error {
 	return nil
 }
 
-// remapPool takes the relocation target of a scrub repair.
-func (s *Store) remapPool(u *subOp) error {
-	u.blocks = nil
-	return s.growBlocksLocked(u, 1)
-}
-
 // growBlocksLocked allocates until u.blocks holds need blocks, remembering
-// the new tail as u.fresh. On failure the blocks it took go back (and a slot
-// putPoolLocked took with them).
+// the new tail as u.fresh. On failure the blocks it took go back.
 func (s *Store) growBlocksLocked(u *subOp, need uint64) error {
+	if most := s.front.zone.MaxBlocks(); need > most {
+		return fmt.Errorf("dstore: object %q needs %d blocks, max %d", u.name, need, most)
+	}
 	had := len(u.blocks)
+	u.blocks = slices.Grow(u.blocks, max(int(need)-had, 0))
 	for uint64(len(u.blocks)) < need {
 		b, err := s.blockPool.Get()
 		if err != nil {
-			u.fresh = u.blocks[had:]
-			s.releaseLocked(u)
+			s.freeBlocksLocked(u.blocks[had:])
+			u.blocks, u.fresh = u.blocks[:had], nil
 			return fmt.Errorf("dstore: out of blocks: %w", err)
 		}
 		u.blocks = append(u.blocks, b)
@@ -166,22 +173,33 @@ func (s *Store) growBlocksLocked(u *subOp, need uint64) error {
 	return nil
 }
 
-// releaseLocked returns a dead sub-op's allocations to the pools. Caller
-// holds poolMu.
-func (s *Store) releaseLocked(u *subOp) {
-	s.freeBlocksLocked(u.fresh)
+// unpoolLocked returns what u's pool phase took, so the phase can run again:
+// a new slot, and the blocks of a sub-op without content (one with content
+// keeps its blocks: they hold its data). Caller holds poolMu.
+func (s *Store) unpoolLocked(u *subOp) {
+	if u.data == nil {
+		s.freeBlocksLocked(u.fresh)
+		u.fresh = nil
+	}
 	if u.newSlot {
 		s.slotPool.Put(u.slot) //nolint:errcheck
 	}
-	u.fresh, u.newSlot = nil, false
+	u.newSlot = false
 }
 
-// release is releaseLocked for a whole write set, from outside the pool lock.
-func (s *Store) release(subs []subOp) {
-	s.poolMu.Lock()
-	for i := range subs {
-		s.releaseLocked(&subs[i])
+// releaseLocked returns all of a dead set's allocations. Caller holds poolMu.
+func (s *Store) releaseLocked(w *writeSet) {
+	for i := range w.subs {
+		s.unpoolLocked(&w.subs[i])
+		s.freeBlocksLocked(w.subs[i].fresh)
+		w.subs[i].fresh = nil
 	}
+}
+
+// release is releaseLocked from outside the pool lock.
+func (s *Store) release(w *writeSet) {
+	s.poolMu.Lock()
+	s.releaseLocked(w)
 	s.poolMu.Unlock()
 }
 
@@ -264,11 +282,19 @@ func (s *Store) remapOwned(u *subOp) error {
 
 // ----------------------------------------------------------------- driver
 
-// stageNs are one write's Table 3 timestamps.
+// stageNs are one pass's Table 3 timings.
 type stageNs struct {
 	measure                    bool
-	pool, log, ssd             int64 // accumulated durations (retries included)
-	applyAt, metaDone, applied int64 // apply start; metadata half done; structures unlocked
+	pool, log, ssd, meta, tree int64 // accumulated durations (retries included)
+	applyAt, metaDone, applied int64 // one apply's start; its metadata half done; structures unlocked
+}
+
+// now is the clock when measuring, else 0.
+func (t *stageNs) now() int64 {
+	if t.measure {
+		return nowNs()
+	}
+	return 0
 }
 
 // oneWrite is a single-object mutation's write set together with its one
@@ -276,9 +302,7 @@ type stageNs struct {
 // function values force whatever they are handed onto the heap, and the
 // alternative — passing sub-ops down the pipeline by value — made its frames
 // deep enough to push every write on a fresh goroutine (the server runs one
-// per request) through an extra stack growth, 15% of net_a's throughput. A
-// context cannot own one either: Put and Delete keep no per-call state in
-// the Ctx, which is what lets a batch's appliers share it (batch.go).
+// per request) through an extra stack growth, 15% of net_a's throughput.
 type oneWrite struct {
 	writeSet
 	one [1]subOp
@@ -286,10 +310,10 @@ type oneWrite struct {
 
 var oneWrites = sync.Pool{New: func() any { return new(oneWrite) }}
 
-// single starts the one-entry write set of a mutation of key: the record
-// carries the sub-op's own opcode and name, and ignore (the LSN of the
-// caller's own olock on key, or 0) is excluded from conflict detection. The
-// caller fills in what the opcode needs in w.one[0] and hands w to writeOne.
+// single starts the one-entry write set of a mutation of key, whose record
+// carries the sub-op's own opcode and name; ignore (the caller's own olock on
+// key, or 0) is excluded from conflict detection. The caller fills in
+// w.one[0] and hands w to writeOne, or to write and then recycle.
 func (s *Store) single(op uint16, key string, ignore uint64) *oneWrite {
 	w := oneWrites.Get().(*oneWrite)
 	w.one[0] = subOp{op: op, key: key, name: []byte(key)}
@@ -297,188 +321,201 @@ func (s *Store) single(op uint16, key string, ignore uint64) *oneWrite {
 	return w
 }
 
-// writeOne runs the pipeline for w and recycles it.
-func (s *Store) writeOne(w *oneWrite) error {
-	err := s.write(&w.writeSet)
-	*w = oneWrite{writeSet: writeSet{params: w.params}} // a pooled description must not pin the caller's value
+// recycle pools w again; a pooled description must not pin the caller's value.
+func recycle(w *oneWrite) {
+	*w = oneWrite{writeSet: writeSet{params: w.params}}
 	oneWrites.Put(w)
+}
+
+// writeOne runs the pipeline for w alone and recycles it.
+func (s *Store) writeOne(w *oneWrite) error {
+	err := s.write1(&w.writeSet)
+	recycle(w)
 	return err
 }
 
-// write runs Fig. 4 once for w. Nothing in it releases an olock or touches
-// the WAL from a defer: the crash sweeps model power loss as a panic
-// mid-append, and unwinding must not re-enter the log.
-func (s *Store) write(w *writeSet) error {
+// write1 runs the pipeline for the batch of one.
+func (s *Store) write1(w *writeSet) error {
+	sets := [1]*writeSet{w}
+	s.write(sets[:])
+	return w.err
+}
+
+// pass is a pipeline run's scratch, pooled so a batch of one allocates none:
+// the data phase's requests and the records one commit settles.
+type pass struct {
+	reqs []ssd.Write
+	hs   []*wal.Handle
+}
+
+var passes = sync.Pool{New: func() any { return new(pass) }}
+
+// write runs Fig. 4 once for a batch of write sets, each its own record, and
+// leaves each set's verdict in its err: the data phase for all of them, then
+// appendSets and settleSets for prefix after prefix. The pass never waits
+// while it holds a record it appended: a set that must wait — for another
+// writer's record, for the pass's own (a name named twice), for log space —
+// ends the section, and the prefix settles first. Nothing here touches the
+// WAL from a defer: the crash sweeps model power loss as a panic mid-append,
+// and unwinding must not re-enter the log.
+func (s *Store) write(sets []*writeSet) {
 	if err := s.checkWritable(); err != nil {
-		return err
+		for _, w := range sets {
+			w.err = err
+		}
+		return
 	}
 	t := stageNs{measure: s.cfg.Breakdown}
-	var t0 int64
-	if t.measure {
-		t0 = nowNs()
-	}
+	t0 := t.now()
+	p := passes.Get().(*pass)
 	// Without OE one global lock serializes the whole metadata section (§3.7,
 	// Fig. 9 "+OE" ablation); the commit's flush stays outside it either way.
 	serial := s.cfg.DisableOE
 	if serial {
 		s.globalMu.Lock()
 	}
-	h, err := s.stage(w, &t)
+	s.dataPhase(sets, p, &t)
+	devRetries, committed := 0, 0
+	for rest := sets; len(rest) > 0; {
+		n, wait, err := s.appendSets(rest, &t)
+		committed += s.settleSets(rest[:n], p, &t, serial)
+		if rest = rest[n:]; wait != nil {
+			wait.Wait()
+		} else if err != nil {
+			if err = s.appendFailed(err, &devRetries); err != nil {
+				for _, w := range rest {
+					if w.err == nil {
+						w.err = err
+						s.release(w)
+					}
+				}
+				break
+			}
+		}
+	}
 	if serial {
 		s.globalMu.Unlock()
 	}
-	if err != nil {
-		return err
-	}
-
-	// Step ⑨: commit — only now is the operation durable. On failure the
-	// store is degraded and durability indeterminate; the displaced blocks
-	// stay out of circulation (no more writes will need them anyway).
-	if err := s.commit(h); err != nil {
-		return err
-	}
-
-	// Deferred frees: what the apply unhooked returns to the pools only after
-	// the new state committed, so an interrupted write never cannibalizes
-	// state replay still needs.
-	for i := range w.subs {
-		if u := &w.subs[i]; len(u.old) > 0 || u.freeSlot {
-			s.poolMu.Lock()
-			s.freeBlocksLocked(u.old)
-			if u.freeSlot {
-				s.slotPool.Put(u.slot) //nolint:errcheck
-			}
-			s.poolMu.Unlock()
-		}
-	}
-
-	if t.measure {
-		if t.metaDone == 0 { // no put-shaped sub-op: the apply was all metadata
-			t.metaDone = t.applied
-		}
-		s.bd.count.Add(1)
+	clear(p.reqs)
+	*p = pass{reqs: p.reqs[:0], hs: p.hs[:0]}
+	passes.Put(p)
+	if t.measure && committed > 0 {
+		s.bd.count.Add(uint64(committed))
 		s.bd.poolNs.Add(uint64(t.pool))
 		s.bd.logNs.Add(uint64(t.log))
 		s.bd.ssdNs.Add(uint64(t.ssd))
-		s.bd.metaNs.Add(uint64(t.metaDone - t.applyAt))
-		s.bd.treeNs.Add(uint64(t.applied - t.metaDone))
+		s.bd.metaNs.Add(uint64(t.meta))
+		s.bd.treeNs.Add(uint64(t.tree))
 		s.bd.totalNs.Add(uint64(nowNs() - t0))
 	}
-	return nil
 }
 
-// stage is steps ①–⑧: everything up to, not including, the commit. On
-// success the record is appended, the data written and the structures
-// applied; on failure the record is settled and the allocations returned.
-func (s *Store) stage(w *writeSet, t *stageNs) (*wal.Handle, error) {
-	var h *wal.Handle
-	for attempt := 0; ; attempt++ {
-		var err error
-		if h, err = s.appendSet(w, t); err != nil {
-			return nil, err
-		}
-		var tw int64
-		if t.measure {
-			tw = nowNs()
-		}
-		bad, werr := s.dataPhase(w.subs)
-		if t.measure {
-			t.ssd += nowNs() - tw
-		}
-		if werr == nil {
-			break
-		}
-		// The record never committed: it is dead and replays as a no-op.
-		// Return the fresh allocations (minus anything quarantined) and, on
-		// a permanent error, rerun the pipeline on different blocks.
-		s.abort(h)
-		s.release(w.subs)
-		if !bad || attempt >= 2 {
-			return nil, werr
+// dataPhase is step ⑧, before any of the batch's records exists: a
+// transaction whose read set is already stale is refused without a write
+// (appendSets validates again, atomically with the append); every sub-op
+// with content takes its fresh blocks in one pool-lock section, and all the
+// content goes to the SSD in one submission. A block with a permanent error
+// is quarantined and its span rewritten to a fresh block, at most twice; a
+// set whose content still fails, or that finds no blocks, gets its verdict
+// and its blocks go back.
+func (s *Store) dataPhase(sets []*writeSet, p *pass, t *stageNs) {
+	t0 := t.now()
+	for _, w := range sets {
+		if w.reads != nil {
+			w.err = s.validateReads(w.reads, w.locks)
 		}
 	}
-	if t.measure {
-		t.applyAt = nowNs()
-	}
-
-	// With the record appended this writer owns every name in the set (CC;
-	// a transaction's are under its olocks): snapshot what the apply will
-	// displace. A transaction's delete of an absent key is tolerated, like
-	// the replay of its record.
-	for i := range w.subs {
-		if own := opTable[w.subs[i].op].owned; own != nil {
-			err := own(s, &w.subs[i])
-			if err != nil && !(w.op == opTxnCommit && errors.Is(err, ErrNotFound)) {
-				s.abort(h)
-				s.release(w.subs)
-				return nil, err
+	s.poolMu.Lock()
+	for _, w := range sets {
+		for i := range w.subs {
+			if u := &w.subs[i]; w.err == nil && u.data != nil {
+				w.err = s.growBlocksLocked(u, blocksFor(uint64(len(u.data)), blockSize))
+			}
+		}
+		if w.err != nil {
+			s.releaseLocked(w)
+		}
+		for i := range w.subs {
+			for j, b := range w.subs[i].fresh {
+				p.reqs = append(p.reqs, ssd.Write{Off: s.dataOff(b), P: s.span(w.subs[i].data, j)})
 			}
 		}
 	}
-
-	visible, err := s.applyOwned(w.subs, t)
-	if err == nil {
-		return h, nil
+	s.poolMu.Unlock()
+	s.ssdWrite(p.reqs...) //nolint:errcheck // each request's verdict is in its Err
+	// Walk the requests in the order they were made: a dead set made none.
+	k := 0
+	for _, w := range sets {
+		for i := range w.subs {
+			u := &w.subs[i]
+			for j := range u.fresh {
+				for try, err := 0, p.reqs[k].Err; err != nil && w.err == nil; try++ {
+					b := u.blocks[j]
+					if fault.IsPermanent(err) {
+						s.quarantineBlock(b)
+					}
+					if !fault.IsPermanent(err) || try == 2 || !s.replaceBlock(u, j) {
+						w.err = fmt.Errorf("dstore: data write to block %d: %w", b, err)
+					} else {
+						err = s.ssdWrite(ssd.Write{Off: s.dataOff(u.blocks[j]), P: p.reqs[k].P})
+					}
+				}
+				k++
+			}
+		}
+		if w.err != nil {
+			s.release(w)
+		}
 	}
-	// One policy for a failed apply. The record dies either way — the failure
-	// is as deterministic as its usual cause, an exhausted index arena, so a
-	// committed record would fail every replay too and leave the store
-	// unopenable, whereas a dead one reopens to the state before the write.
-	// If nothing of the set can be seen the allocations go back and the store
-	// carries on; if part of it is in the frontend structures they no longer
-	// match any durable state, so the store stops taking writes until a
-	// reopen rebuilds them.
-	s.abort(h)
-	if visible {
-		s.degrade(err)
-	} else {
-		s.release(w.subs)
-	}
-	return nil, err
+	t.ssd += t.now() - t0
 }
 
-// appendSet is steps ①–⑤ and the data path's append loop: under the pool
-// lock validate the read set, run every sub-op's pool phase and append the
-// record carrying their decisions — one critical section, so validation,
-// allocation and the record's position in the log are atomic. A conflicting
-// writer either appended before this point (the probe below reports it, or
-// validateReads does) or serializes after this record. Every outcome but
-// success rolls the allocations back first: CC conflict → wait for the
-// conflicting record to settle; anything else → appendFailed.
+// replaceBlock puts a fresh block in place of u's i-th, which a permanent
+// write error quarantined; false when the pool is empty.
+func (s *Store) replaceBlock(u *subOp, i int) bool {
+	s.poolMu.Lock()
+	b, err := s.blockPool.Get()
+	s.poolMu.Unlock()
+	if err == nil {
+		u.blocks[i] = b
+	}
+	return err == nil
+}
+
+// appendSets is steps ①–⑤ for as long a prefix of sets as one pool-lock
+// section takes: for each set in order it probes the set's names, validates
+// its read set, runs its pool phases and appends its record, so a conflicting
+// writer either appended before (the probe or validateReads sees it) or
+// serializes after this record. A set its own phases refuse gets its verdict
+// and the section goes on; it ends at the first set that must wait for a
+// record (wait) or whose append the log refuses (err), that set's pool phases
+// undone. n sets are through.
 //
-// The pool phase reads the index (putPoolLocked: tree.Get decides indexed/newSlot)
-// before the append scans the window, so a same-name writer that appended
-// before this one took poolMu and applies and settles between the two would
-// be missed: this writer would insert name → fresh slot over the other's slot
-// (used, unreachable, its blocks leaked) or, after a delete, write a slot the
-// delete's deferred free hands back to the pool. Hence the probe, under
-// poolMu, before the pool phase: every data record is appended under poolMu,
-// so "no unsettled record names X" holds until this writer's own append, and
-// a record settled before the probe has applied — the index read reflects it.
-// On a quiet filter stripe the probe is one atomic load; it touches no PMEM.
-func (s *Store) appendSet(w *writeSet, t *stageNs) (*wal.Handle, error) {
-	devRetries := 0
-	for {
-		var t0, t1 int64
-		if t.measure {
-			t0 = nowNs()
-		}
-		s.poolMu.Lock()
-		if other := s.unsettled(w); other != nil {
-			s.poolMu.Unlock()
-			other.Wait()
+// The probe comes before the pool phase because that phase reads the index
+// before the append scans the window: a same-name writer that appended, then
+// applied and settled between the two, would be missed, and this writer would
+// insert name → fresh slot over the other's slot or write a slot a delete's
+// deferred free hands back. Every data record is appended under poolMu, so
+// "no unsettled record names X" holds from the probe to this writer's own
+// append. On a quiet filter stripe the probe is one atomic load; it also finds
+// a record this section appended for the same name.
+func (s *Store) appendSets(sets []*writeSet, t *stageNs) (n int, wait *wal.Handle, err error) {
+	t0 := t.now()
+	s.poolMu.Lock()
+	for ; n < len(sets); n++ {
+		w := sets[n]
+		if w.err != nil {
 			continue
 		}
-		err := s.validateReads(w.reads, w.locks)
-		if err == nil {
-			err = s.poolPhases(w.subs)
+		if wait = s.unsettled(w); wait != nil {
+			break
 		}
-		if err != nil {
-			s.poolMu.Unlock()
-			return nil, err
+		if w.err = s.validateReads(w.reads, w.locks); w.err == nil {
+			w.err = s.poolPhases(w.subs)
 		}
-		if t.measure {
-			t1 = nowNs()
+		if w.err != nil {
+			s.releaseLocked(w)
+			continue
 		}
 		var payload []byte
 		if w.op == opTxnCommit {
@@ -487,42 +524,121 @@ func (s *Store) appendSet(w *writeSet, t *stageNs) (*wal.Handle, error) {
 			w.params = enc(w.params, &w.subs[0], s.physPad())
 			payload = w.params
 		}
-		h, conflict, err := s.eng.Pair().AppendIgnore(w.op, w.name, payload, w.ignore)
-		if err == nil && conflict == nil {
-			s.eng.MaybeTrigger()
-			s.poolMu.Unlock()
-			if t.measure {
-				t.pool += t1 - t0
-				t.log += nowNs() - t1
+		ta := t.now()
+		w.h, wait, err = s.eng.Pair().AppendIgnore(w.op, w.name, payload, w.ignore)
+		t.log += t.now() - ta
+		if w.h == nil {
+			for i := range w.subs {
+				s.unpoolLocked(&w.subs[i])
 			}
-			return h, nil
-		}
-		for i := range w.subs {
-			s.releaseLocked(&w.subs[i])
-		}
-		s.poolMu.Unlock()
-		if conflict != nil {
-			conflict.Wait()
-		} else if err = s.appendFailed(err, &devRetries); err != nil {
-			return nil, err
+			break
 		}
 	}
+	if n > 0 {
+		s.eng.MaybeTrigger()
+	}
+	s.poolMu.Unlock()
+	t.pool += t.now() - t0
+	return n, wait, err
+}
+
+// settleSets is steps ⑥–⑨ for the sets one append section took. Each set
+// owns its names once appended (CC), so the owned checks snapshot what the
+// applies will displace; one applyOwned applies the live sets and one group
+// commit settles them, and only then does what they unhooked go back to the
+// pools. A refused set's record is aborted. It returns how many sets
+// committed; under serial (no OE) globalMu is held except across the commit.
+func (s *Store) settleSets(sets []*writeSet, p *pass, t *stageNs, serial bool) int {
+	t.applyAt = t.now()
+	for _, w := range sets {
+		for i := range w.subs {
+			// A transaction's delete of an absent key is tolerated, like
+			// the replay of its record.
+			if own := opTable[w.subs[i].op].owned; own != nil && w.h != nil && w.err == nil {
+				if err := own(s, &w.subs[i]); err != nil && !(w.op == opTxnCommit && errors.Is(err, ErrNotFound)) {
+					w.err = err
+				}
+			}
+		}
+	}
+	// One policy for a failed apply. The record dies either way: the failure
+	// is as deterministic as its usual cause, an exhausted index arena, so a
+	// committed record would fail every replay too. If nothing of the set can
+	// be seen its allocations go back; if part of it is in the frontend
+	// structures they match no durable state, so the store stops taking
+	// writes until a reopen rebuilds them.
+	stuck := s.applyOwned(sets, t)
+	if stuck != nil {
+		s.degrade(stuck.err)
+	}
+	if t.measure {
+		if t.metaDone < t.applyAt { // no put-shaped sub-op: the apply was all metadata
+			t.metaDone = t.applied
+		}
+		t.meta, t.tree = t.meta+t.metaDone-t.applyAt, t.tree+t.applied-t.metaDone
+	}
+	p.hs = p.hs[:0]
+	for _, w := range sets {
+		if w.h != nil && w.err != nil {
+			s.abort(w.h)
+			if w.h = nil; w != stuck {
+				s.release(w)
+			}
+		} else if w.h != nil {
+			p.hs = append(p.hs, w.h)
+		}
+	}
+	if len(p.hs) == 0 {
+		return 0
+	}
+	// Step ⑨: only now are the operations durable. On failure the store is
+	// degraded and durability indeterminate; the displaced blocks stay out of
+	// circulation (no more writes will need them anyway).
+	if serial {
+		s.globalMu.Unlock()
+	}
+	err := s.commit(p.hs...)
+	if serial {
+		s.globalMu.Lock()
+	}
+	s.poolMu.Lock()
+	for _, w := range sets {
+		for i := range w.subs {
+			if u := &w.subs[i]; w.h != nil && err == nil {
+				s.freeBlocksLocked(u.old)
+				if u.freeSlot {
+					s.slotPool.Put(u.slot) //nolint:errcheck
+				}
+			}
+		}
+		if w.h != nil {
+			w.h, w.err = nil, err
+		}
+	}
+	s.poolMu.Unlock()
+	if clear(p.hs); err != nil {
+		return 0
+	}
+	return len(p.hs)
 }
 
 // appendFailed is the store's one answer when the log refuses a record for
-// any reason but a CC conflict — the data path's append, an olock and a
-// standby's committed append all ask it. nil means "append again". Log full
-// → checkpoint for space, or refuse when checkpoints are disabled; a failed
-// checkpoint means the store can no longer make persistence progress, so it
-// degrades. Transient device error → bounded backoff. Any other device error
-// → degrade.
+// any reason but a CC conflict (data appends, olocks, a standby's committed
+// appends); nil means "append again". Log full → a foreground checkpoint, or
+// refusal when checkpoints are disabled; a failed checkpoint degrades the
+// store. Transient device error → bounded backoff. Other device error →
+// degrade.
 func (s *Store) appendFailed(err error, devRetries *int) error {
 	switch {
 	case errors.Is(err, wal.ErrLogFull):
 		if s.cfg.DisableCheckpoints {
 			return fmt.Errorf("dstore: log full with checkpoints disabled")
 		}
-		if cerr := s.eng.Checkpoint(); cerr != nil {
+		t0 := nowNs()
+		cerr := s.eng.Checkpoint()
+		s.ops.fgCkpts.Add(1)
+		s.ops.fgCkptNs.Add(uint64(nowNs() - t0))
+		if cerr != nil {
 			s.degrade(cerr)
 			return fmt.Errorf("%w: checkpoint: %v", ErrDegraded, cerr)
 		}
@@ -569,64 +685,17 @@ func (s *Store) unsettled(w *writeSet) *wal.Handle {
 	return nil
 }
 
-// poolPhases runs every sub-op's pool phase; if one fails, those before it
-// are rolled back. Caller holds poolMu.
+// poolPhases runs every sub-op's pool phase, stopping at the first that
+// fails (the caller releases the set). Caller holds poolMu.
 func (s *Store) poolPhases(subs []subOp) (err error) {
 	s.treeMu.RLock()
-	for i := range subs {
+	for i := 0; i < len(subs) && err == nil; i++ {
 		if pool := opTable[subs[i].op].pool; pool != nil {
-			if err = pool(s, &subs[i]); err != nil {
-				for j := range subs[:i] {
-					s.releaseLocked(&subs[j])
-				}
-				break
-			}
+			err = pool(s, &subs[i])
 		}
 	}
 	s.treeMu.RUnlock()
 	return err
-}
-
-// dataPhase is step ⑧: write each sub-op's content into its fresh blocks,
-// with bounded per-block retries (ssdWrite). On a permanent device error the
-// failing block is quarantined and bad=true tells the caller the pipeline is
-// worth re-running on fresh blocks. The fresh blocks left the cache when they
-// were freed, but invalidating again here keeps the invariant local: no
-// block is written — or, for the content-less create and extend, becomes
-// readable — while a cache entry for it exists. The content and its sums stay
-// in the sub-op: once the apply has made these blocks the current version,
-// applyOwned publishes them to the cache (cachePublish), so nothing written
-// here has an entry before it can be read or after the write died.
-func (s *Store) dataPhase(subs []subOp) (bad bool, err error) {
-	for i := range subs {
-		u := &subs[i]
-		s.cacheInvalidate(u.fresh)
-		if u.data == nil {
-			continue
-		}
-		if b, werr := s.writeBlocks(u.fresh, u.data); werr != nil {
-			if bad = fault.IsPermanent(werr); bad {
-				s.quarantineBlock(b)
-			}
-			return bad, fmt.Errorf("dstore: data write to block %d: %w", b, werr)
-		}
-	}
-	return false, nil
-}
-
-// writeBlocks lays data across blocks at blockSize stride (the last span may
-// be short), returning the block a failed write was aimed at.
-func (s *Store) writeBlocks(blocks []uint64, data []byte) (uint64, error) {
-	for i, b := range blocks {
-		p := s.span(data, i)
-		if p == nil {
-			break
-		}
-		if err := s.ssdWrite(s.dataOff(b), p); err != nil {
-			return b, err
-		}
-	}
-	return 0, nil
 }
 
 // span is the piece of data that lies in the i-th of its blocks; nil past the
@@ -640,21 +709,19 @@ func (s *Store) span(data []byte, i int) []byte {
 }
 
 // applyOwned is steps ⑥–⑦ and the one place a store's own structures change
-// — on a primary after its append made it the names' owner, on a standby
-// after the shipped record went into its log (repl.go): drain the readers
-// that entered before the record became visible (§4.4), empty the slot hint
-// of every name that may move (readers.go), take the index lock (unless the
-// set is all overwrites) and then the zone stripes (DESIGN.md
-// §11), apply in record order, bump the OCC versions — after the structures
-// changed and before the record commits, so a transaction that validated a
-// key either sees the bump or finds the record in its conflict window — and
-// bring the block cache up to date (cachePublish): the one place that owns
-// its coherence, for a Put, an MPut's fan-out, a transaction commit and a
-// replicated record alike. When a sub-op's apply fails, visible reports
-// whether any of the set can still be seen in the structures (the failing one
-// is retracted if it was the first and left no trace). t, when measuring,
-// receives Breakdown's meta and tree boundaries; a standby passes nil.
-func (s *Store) applyOwned(subs []subOp, t *stageNs) (visible bool, err error) {
+// — on a primary for the sets of one append section, on a standby for a
+// shipped record once logged (repl.go): drain the readers that entered before
+// the records became visible (§4.4), empty the slot hint of every name that
+// may move (readers.go), take the index lock (unless all are overwrites) and
+// the zone stripes (DESIGN.md §11), apply in record order, bump the OCC
+// versions before the records commit (a transaction that validated a key
+// either sees the bump or finds the record in its conflict window), and bring
+// the block cache up to date (cachePublish). Sets with a verdict are skipped.
+// A set whose apply fails gets the error; if some of it can still be seen (a
+// failing first sub-op that left no trace is retracted) it is returned as
+// stuck, and no later set applies. t receives Breakdown's apply boundaries
+// when measuring; a standby passes nil.
+func (s *Store) applyOwned(sets []*writeSet, t *stageNs) (stuck *writeSet) {
 	var metaDone *int64
 	if t != nil && t.measure {
 		metaDone = &t.metaDone
@@ -664,35 +731,44 @@ func (s *Store) applyOwned(subs []subOp, t *stageNs) (visible bool, err error) {
 	// needs no tree lock, §3.7); everything else takes the index lock and,
 	// once the name's readers are out, empties the name's slot hint.
 	index := false
-	for i := range subs {
-		hash := wal.NameHash(subs[i].key)
-		s.readers.awaitZero(hash)
-		if !(subs[i].indexed && putShaped(subs[i].op)) {
-			index = true
-			s.hints.bucket(hash).Store(0)
+	for _, w := range sets {
+		for i := 0; i < len(w.subs) && w.err == nil; i++ {
+			u := &w.subs[i]
+			hash := wal.NameHash(u.key)
+			s.readers.awaitZero(hash)
+			if !(u.indexed && putShaped(u.op)) {
+				index = true
+				s.hints.bucket(hash).Store(0)
+			}
 		}
 	}
 	if index {
 		s.treeMu.Lock()
 	}
 	var stripes uint64 // zoneMu indices to hold; several slots can share one
-	for i := range subs {
-		u := &subs[i]
-		slot, ok := u.slot, u.indexed || putShaped(u.op)
-		if !ok {
-			slot, ok = s.front.tree.Get(u.name)
-		}
-		if ok {
-			stripes |= 1 << (slot % uint64(len(s.zoneMu)))
+	for _, w := range sets {
+		for i := 0; i < len(w.subs) && w.err == nil; i++ {
+			u := &w.subs[i]
+			slot, ok := u.slot, u.indexed || putShaped(u.op)
+			if !ok {
+				slot, ok = s.front.tree.Get(u.name)
+			}
+			if ok {
+				stripes |= 1 << (slot % uint64(len(s.zoneMu)))
+			}
 		}
 	}
 	for m := stripes; m != 0; m &= m - 1 {
 		s.zoneMu[bits.TrailingZeros64(m)].Lock()
 	}
-	for i := range subs {
-		if err = s.front.apply(&subs[i], metaDone); err != nil {
-			visible = i > 0 || !s.front.retract(&subs[i])
-			break
+	for _, w := range sets {
+		if w.err == nil && stuck != nil {
+			w.err = fmt.Errorf("%w: %v", ErrDegraded, stuck.err)
+		}
+		for i := 0; i < len(w.subs) && w.err == nil; i++ {
+			if w.err = s.front.apply(&w.subs[i], metaDone); w.err != nil && (i > 0 || !s.front.retract(&w.subs[i])) {
+				stuck = w
+			}
 		}
 	}
 	for m := stripes; m != 0; m &= m - 1 {
@@ -704,27 +780,23 @@ func (s *Store) applyOwned(subs []subOp, t *stageNs) (visible bool, err error) {
 	if metaDone != nil {
 		t.applied = nowNs()
 	}
-	if err != nil {
-		return visible, err
+	for _, w := range sets {
+		for i := 0; i < len(w.subs) && w.err == nil; i++ {
+			s.vers.bump(w.subs[i].key)
+			s.cachePublish(&w.subs[i])
+		}
 	}
-	for i := range subs {
-		s.vers.bump(subs[i].key)
-		s.cachePublish(&subs[i])
-	}
-	return false, nil
+	return stuck
 }
 
-// cachePublish makes the block cache say what the applied sub-op u made true:
-// the entries of the version it displaced go (u.old, which the deferred free
-// would only reach after the commit, and u.stale), and a put-shaped update
-// that wrote content is published under its new blocks with the sums its
-// metadata now records — write-through, so the read that follows an update
-// hits instead of going back to the SSD for the bytes that just went there. A
-// hit needs block id, checksum and length to equal the zone's current entry
-// (DESIGN.md §9), and the sums were computed over exactly these bytes. The
-// displaced entries go first because a write never evicts (cache.Publish): it
-// fits in the room they leave or in room nobody uses, or stays out. A degraded
-// store publishes nothing, as its reads insert nothing.
+// cachePublish makes the block cache say what the applied sub-op u made true
+// — the one place that owns its coherence: the entries of the version it
+// displaced go (u.old and u.stale), and a put-shaped update that wrote
+// content is published under its new blocks with the sums its metadata now
+// records (write-through, DESIGN.md §9), so the read that follows an update
+// hits. The displaced entries go first because a write never evicts
+// (cache.Publish). A degraded store publishes nothing, as its reads insert
+// nothing.
 func (s *Store) cachePublish(u *subOp) {
 	if s.bcache == nil {
 		return
