@@ -148,7 +148,8 @@ type Txn interface {
 	Abort() error
 }
 
-// Config tunes a Server. The zero value is usable.
+// Config tunes a Server. The zero value is usable; a MaxConns, Window or
+// MaxScan ≤ 0 takes its default.
 type Config struct {
 	// MaxConns bounds concurrent connections; further accepts are closed
 	// immediately. Default 256.
@@ -172,13 +173,13 @@ type Config struct {
 }
 
 func (c *Config) setDefaults() {
-	if c.MaxConns == 0 {
+	if c.MaxConns <= 0 {
 		c.MaxConns = 256
 	}
-	if c.Window == 0 {
+	if c.Window <= 0 {
 		c.Window = 64
 	}
-	if c.MaxScan == 0 {
+	if c.MaxScan <= 0 {
 		c.MaxScan = 1024
 	}
 	if c.ReplicaMaxLag == 0 {

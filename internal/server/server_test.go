@@ -253,6 +253,28 @@ func TestServerBasicOps(t *testing.T) {
 	}
 }
 
+// Negative limits take their defaults: -window -1 once panicked at the first
+// accept, -max-conns -1 refused every connection and -max-scan -1 cut every
+// SCAN to one object.
+func TestServerNegativeLimitsTakeDefaults(t *testing.T) {
+	fb := newFake()
+	for _, k := range []string{"d/1", "d/2", "d/3"} {
+		fb.m[k] = []byte(k)
+	}
+	srv := server.New(fb, server.Config{MaxConns: -1, Window: -1, MaxScan: -1})
+	c := dialRaw(t, startServer(t, srv))
+	c.send(&wire.Request{ID: 1, Op: wire.OpScan, Key: "d/"}, &wire.Request{ID: 2, Op: wire.OpScan, Key: "d/", Limit: 2})
+	for i := 0; i < 2; i++ {
+		resp := c.recv()
+		if want := map[uint64]int{1: 3, 2: 2}[resp.ID]; resp.Status != wire.StatusOK || len(resp.Objects) != want {
+			t.Fatalf("scan %d: %v, %d objects, want %d", resp.ID, resp.Status, len(resp.Objects), want)
+		}
+	}
+	if st := srv.Stats(); st.Accepted != 1 || st.Rejected != 0 {
+		t.Fatalf("accepted %d, rejected %d; want 1, 0", st.Accepted, st.Rejected)
+	}
+}
+
 // Responses must ship in completion order, not request order: a stalled PUT
 // at the head of the pipeline does not block the GETs queued behind it.
 func TestServerOutOfOrderPipelining(t *testing.T) {

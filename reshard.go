@@ -1,6 +1,7 @@
 package dstore
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
@@ -257,29 +258,30 @@ func (sh *Sharded) migrate(cur, next *ring.Ring) error {
 		sh.cleanupResidue() //nolint:errcheck // best-effort; OpenSharded repeats it
 	}
 
-	// Copy phase: names first (so no donor index lock is held across device
-	// IO), then per-key copy under the stripe.
+	// Copy phase: walk each donor's index and copy every key the next ring
+	// moves off it, per key under the stripe. The scan holds no index lock
+	// while the callback runs, so the copy's device IO stalls no donor writer.
 	for _, mem := range cur.Members() {
 		d := int(mem.ID)
-		var names []string
+		var herr, cerr error
 		err := sh.store(d).Init().Scan("", func(info ObjectInfo) bool {
-			if int(next.Owner(info.Name)) != d {
-				names = append(names, info.Name)
+			if int(next.Owner(info.Name)) == d {
+				return true
 			}
-			return true
+			if herr = sh.hook("copy", info.Name); herr != nil {
+				return false
+			}
+			if cerr = sh.copyKey(m, d, info.Name); cerr != nil {
+				cerr = fmt.Errorf("copy %q: %w", info.Name, cerr)
+			}
+			return cerr == nil
 		})
-		if err != nil {
-			abort()
-			return fmt.Errorf("scan donor %d: %w", d, err)
+		if herr != nil {
+			return herr
 		}
-		for _, name := range names {
-			if herr := sh.hook("copy", name); herr != nil {
-				return herr
-			}
-			if cerr := sh.copyKey(m, d, name); cerr != nil {
-				abort()
-				return fmt.Errorf("copy %q from shard %d: %w", name, d, cerr)
-			}
+		if err = cmp.Or(err, cerr); err != nil {
+			abort()
+			return fmt.Errorf("donor %d: %w", d, err)
 		}
 	}
 
@@ -365,27 +367,23 @@ func (sh *Sharded) copyKey(m *migration, donor int, name string) error {
 // normally hold only their own keys but can carry partial copies from an
 // aborted RemoveShard whose baseline was the mod-N ring. The scan walks the
 // in-memory index only (names, no data blocks), so the cost is one hash per
-// resident key.
+// resident key; its callback deletes the residue as it goes.
 func (sh *Sharded) cleanupResidue() error {
 	r := sh.ringNow()
-	n := sh.Shards()
-	for i := 0; i < n; i++ {
-		var misplaced []string
-		s := sh.store(i)
-		err := s.Init().Scan("", func(info ObjectInfo) bool {
-			if int(r.Owner(info.Name)) != i {
-				misplaced = append(misplaced, info.Name)
-			}
-			return true
-		})
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
+	for i, s := range members(sh) {
 		ctx := s.Init()
-		for _, name := range misplaced {
-			if derr := ctx.Delete(name); derr != nil && !errors.Is(derr, ErrNotFound) {
-				return fmt.Errorf("shard %d: delete residue %q: %w", i, name, derr)
+		var derr error
+		err := ctx.Scan("", func(info ObjectInfo) bool {
+			if int(r.Owner(info.Name)) == i {
+				return true
 			}
+			if e := ctx.Delete(info.Name); e != nil && !errors.Is(e, ErrNotFound) {
+				derr = fmt.Errorf("delete residue %q: %w", info.Name, e)
+			}
+			return derr == nil
+		})
+		if err = cmp.Or(err, derr); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
 	return nil

@@ -1,7 +1,10 @@
 package dstore
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -19,27 +22,40 @@ type ObjectInfo struct {
 // name order, until fn returns false or the namespace is exhausted. An empty
 // prefix scans every object.
 //
-// Scan reads the index under a shared lock, so it serializes briefly with
-// metadata updates; object data is not touched. Objects created or deleted
-// concurrently with the scan may or may not be observed (standard snapshot-
-// free iterator semantics). The filesystem-style namespace of the paper
-// ("dependencies between a file and its directory", §4.5) makes ordered
-// prefix scans the natural directory-listing primitive.
+// Scan reads the index a chunk at a time, each chunk under one shared lock,
+// and calls fn with no lock held, so fn may write to the store. Object data
+// is not touched. Objects created or deleted concurrently with the scan may
+// or may not be observed (standard snapshot-free iterator semantics); none is
+// reported twice. The filesystem-style namespace of the paper ("dependencies
+// between a file and its directory", §4.5) makes ordered prefix scans the
+// natural directory-listing primitive.
 func (c *Ctx) Scan(prefix string, fn func(info ObjectInfo) bool) error {
-	s := c.s
+	return scan([]*Store{c.s}, prefix, nil, fn)
+}
+
+// scanChunk bounds one chunk read: enough entries that the lock round trip
+// is spread over many callbacks, few enough that a writer waiting on the
+// index lock waits out at most that many zone reads.
+const scanChunk = 64
+
+// chunk returns up to scanChunk objects whose name starts with prefix and
+// sorts strictly after after ("" starts at the prefix), in ascending order,
+// read under one shared index lock. Reserved ('\x00'-prefixed) names show
+// only to a reserved prefix.
+func (s *Store) chunk(prefix, after string) ([]ObjectInfo, error) {
 	if s == nil || s.closed.Load() {
-		return ErrClosed
+		return nil, ErrClosed
 	}
+	start := cmp.Or(prefix, "\x01") // past the reserved names
+	if after != "" {
+		start = after + "\x00"
+	}
+	var out []ObjectInfo
 	s.treeMu.RLock()
 	defer s.treeMu.RUnlock()
-
-	stop := errStopScan
-	err := s.front.tree.IterateFrom([]byte(prefix), func(key []byte, slot uint64) error {
-		if !strings.HasPrefix(string(key), prefix) {
-			return stop // keys are ordered: past the prefix range
-		}
-		if len(key) > 0 && key[0] == 0 {
-			return nil // reserved transaction objects are not user-visible
+	err := s.front.tree.IterateFrom([]byte(start), func(key []byte, slot uint64) error {
+		if len(out) == scanChunk || !strings.HasPrefix(string(key), prefix) {
+			return errStopScan // full, or past the prefix range (keys are ordered)
 		}
 		e, used, err := s.zoneRead(slot, nil)
 		if err != nil {
@@ -48,34 +64,69 @@ func (c *Ctx) Scan(prefix string, fn func(info ObjectInfo) bool) error {
 		if !used {
 			return errCorruptIndex
 		}
-		if !fn(ObjectInfo{Name: string(key), Size: e.Size, Blocks: len(e.Blocks)}) {
-			return stop
-		}
+		out = append(out, ObjectInfo{Name: string(key), Size: e.Size, Blocks: len(e.Blocks)})
 		return nil
 	})
-	if err == stop { //nolint:errorlint // sentinel identity
-		return nil
+	if err == errStopScan { //nolint:errorlint // sentinel identity
+		err = nil
 	}
-	return err
+	return out, err
+}
+
+// scan calls fn, in ascending name order until it returns false, for every
+// object under prefix on any of stores, except the names store i holds that
+// own(i, name) disowns (nil owns all). Each store's cursor refills a chunk at
+// a time and fn runs on the caller's goroutine with no lock held; n is the
+// shard count, so a linear pick of the least head is the merge. Ties go to
+// the lower store.
+func scan(stores []*Store, prefix string, own func(i int, name string) bool, fn func(info ObjectInfo) bool) error {
+	type cursor struct {
+		buf   []ObjectInfo
+		after string
+		done  bool
+	}
+	cs := make([]cursor, len(stores))
+	for {
+		least := -1
+		for i := range cs {
+			c := &cs[i]
+			for len(c.buf) == 0 && !c.done {
+				buf, err := stores[i].chunk(prefix, c.after)
+				if err != nil {
+					return err
+				}
+				if c.done = len(buf) < scanChunk; len(buf) > 0 {
+					c.after = buf[len(buf)-1].Name
+				}
+				if own != nil {
+					buf = slices.DeleteFunc(buf, func(o ObjectInfo) bool { return !own(i, o.Name) })
+				}
+				c.buf = buf
+			}
+			if len(c.buf) > 0 && (least < 0 || c.buf[0].Name < cs[least].buf[0].Name) {
+				least = i
+			}
+		}
+		if least < 0 {
+			return nil
+		}
+		head := cs[least].buf[0]
+		cs[least].buf = cs[least].buf[1:]
+		if !fn(head) {
+			return nil
+		}
+	}
 }
 
 // reservedNames lists the reserved-namespace ('\x00'-prefixed) objects whose
 // name starts with prefix, in ascending order. OpenSharded's transaction
 // resolution uses it (txnshard.go); the public Scan never shows these.
 func (s *Store) reservedNames(prefix string) ([]string, error) {
-	s.treeMu.RLock()
-	defer s.treeMu.RUnlock()
 	var names []string
-	err := s.front.tree.IterateFrom([]byte(prefix), func(key []byte, slot uint64) error {
-		if !strings.HasPrefix(string(key), prefix) {
-			return errStopScan
-		}
-		names = append(names, string(key))
-		return nil
+	err := scan([]*Store{s}, prefix, nil, func(info ObjectInfo) bool {
+		names = append(names, info.Name)
+		return true
 	})
-	if err == errStopScan { //nolint:errorlint // sentinel identity
-		err = nil
-	}
 	return names, err
 }
 
@@ -110,14 +161,10 @@ func (s *Store) userCount() uint64 {
 }
 
 var (
-	errStopScan = &scanSentinel{"stop"}
+	errStopScan = errors.New("stop scan")
 	// errCorruptIndex wraps ErrCorrupt so callers can classify an index that
 	// points at a free metadata slot with errors.Is(err, ErrCorrupt) — and so
 	// the network backend maps it onto StatusCorrupt instead of a generic
 	// internal error.
 	errCorruptIndex = fmt.Errorf("%w: index entry points at free slot", ErrCorrupt)
 )
-
-type scanSentinel struct{ msg string }
-
-func (e *scanSentinel) Error() string { return e.msg }

@@ -2,8 +2,11 @@ package dstore
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
+	"sync"
 	"testing"
+	"time"
 )
 
 func TestScanPrefix(t *testing.T) {
@@ -142,5 +145,131 @@ func TestScanSurvivesRecovery(t *testing.T) {
 	})
 	if n != 40 {
 		t.Fatalf("recovered scan = %d", n)
+	}
+}
+
+// scanShapes formats the two store shapes Scan serves: a bare store and a
+// 2-shard ring.
+func scanShapes(t *testing.T) []API {
+	t.Helper()
+	s, err := Format(shardTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := FormatSharded(2, shardTestConfig())
+	if err != nil {
+		s.Close()
+		t.Fatal(err)
+	}
+	return []API{s, sh}
+}
+
+// A Scan callback may write to the store it scans: the index lock is held
+// only while a chunk is read, never across the callback. Holding it across
+// the callback deadlocked the first Delete (bare store) or the first Delete
+// past a shard's buffered results (ring).
+func TestScanCallbackMayWrite(t *testing.T) {
+	const keys = 200
+	for _, api := range scanShapes(t) {
+		c := api.NewContext()
+		for i := 0; i < keys; i++ {
+			if err := c.Put(fmt.Sprintf("a/%03d", i), val(byte(i), 64)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var visited []string
+		done := make(chan error, 1)
+		go func() {
+			done <- c.Scan("a/", func(info ObjectInfo) bool {
+				visited = append(visited, info.Name)
+				return c.Delete(info.Name) == nil && c.Put("b/"+info.Name[2:], val('b', 64)) == nil
+			})
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%T: %v", api, err)
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatalf("%T: a Scan whose callback writes did not finish in 3 s", api)
+		}
+		if len(visited) != keys {
+			t.Fatalf("%T: visited %d keys, want %d", api, len(visited), keys)
+		}
+		for i, name := range visited {
+			if want := fmt.Sprintf("a/%03d", i); name != want {
+				t.Fatalf("%T: visit %d is %q, want %q", api, i, name, want)
+			}
+		}
+		if n := api.Count(); n != keys {
+			t.Fatalf("%T: Count = %d after the scan, want %d", api, n, keys)
+		}
+		c.Finalize()
+		if err := api.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A fixed key set no writer touches comes back exactly once and in strictly
+// ascending order from every Scan, while writers create and delete keys that
+// sort between the fixed ones — so the cursor resumes across chunk
+// boundaries whose neighbours keep changing.
+func TestScanChunksUnderConcurrentWrites(t *testing.T) {
+	const fixed, writers, scans = 300, 2, 20
+	for _, api := range scanShapes(t) {
+		c := api.NewContext()
+		for i := 0; i < fixed; i++ {
+			if err := c.Put(fmt.Sprintf("k/%04d", i), val(byte(i), 32)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				wc := api.NewContext()
+				defer wc.Finalize()
+				rng := rand.New(rand.NewSource(int64(w)))
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					name := fmt.Sprintf("k/%04d.%d", rng.Intn(fixed), w)
+					if rng.Intn(2) == 0 {
+						wc.Put(name, val('w', 32)) //nolint:errcheck // churn only
+					} else {
+						wc.Delete(name) //nolint:errcheck // churn only
+					}
+				}
+			}(w)
+		}
+		for r := 0; r < scans; r++ {
+			var last string
+			seen := 0
+			err := c.Scan("k/", func(info ObjectInfo) bool {
+				if info.Name <= last {
+					t.Errorf("%T: scan %d: %q after %q", api, r, info.Name, last)
+				}
+				if len(info.Name) == len("k/0000") {
+					seen++
+				}
+				last = info.Name
+				return true
+			})
+			if err != nil || seen != fixed {
+				t.Errorf("%T: scan %d saw %d fixed keys (want %d): %v", api, r, seen, fixed, err)
+			}
+		}
+		close(stop)
+		wg.Wait()
+		c.Finalize()
+		if err := api.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package dstore
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"reflect"
@@ -800,126 +799,18 @@ var _ Context = (*ShardedCtx)(nil)
 
 // ------------------------------------------------------------- merge scan
 
-// scanStreamBuf bounds each shard's in-flight scan results. Small: it only
-// needs to hide the per-item channel hop, not buffer whole shards.
-const scanStreamBuf = 32
-
 // Scan calls fn for every object whose name starts with prefix, in
 // ascending name order across all shards, until fn returns false or the
-// namespace is exhausted — the single-store contract, preserved by k-way
-// merging the shards' individually ordered streams.
+// namespace is exhausted — the single-store contract, preserved by merging
+// the shards' cursors (scan). The ring captured at entry filters each shard
+// to the keys it owns, so migration residue (a moving key resident on donor
+// and recipient) never yields duplicates. Scan does not hold opMu: it has
+// snapshot-free iterator semantics, and an epoch flip mid-scan reads like
+// any other concurrent mutation.
 func (c *ShardedCtx) Scan(prefix string, fn func(info ObjectInfo) bool) error {
 	if c.sh == nil {
 		return ErrClosed
 	}
-	if c.sh.Shards() == 1 {
-		return c.ctx(0).Scan(prefix, fn)
-	}
-	return c.sh.mergeScan(prefix, fn)
-}
-
-// mergeScan streams each shard's ordered scan through a bounded channel and
-// merges the heads with a min-heap. fn runs on the caller's goroutine.
-// Early stop (fn returning false) or a shard error cancels the remaining
-// producers. The ring captured at entry filters each shard's stream to the
-// keys it owns, so migration residue (a moving key resident on donor and
-// recipient) never yields duplicates; ties break by shard index for
-// determinism anyway. The merge intentionally does not hold opMu: Scan has
-// snapshot-free iterator semantics, and an epoch flip mid-scan reads like
-// any other concurrent mutation.
-func (sh *Sharded) mergeScan(prefix string, fn func(info ObjectInfo) bool) error {
-	stores := sh.stores()
-	rg := sh.ringNow()
-	n := len(stores)
-	done := make(chan struct{})
-	chans := make([]chan ObjectInfo, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		ch := make(chan ObjectInfo, scanStreamBuf)
-		chans[i] = ch
-		wg.Add(1)
-		go func(i int, s *Store) {
-			defer wg.Done()
-			// A fresh per-shard context: Scan keeps no context state, and the
-			// producer goroutine must not share the caller's contexts.
-			err := s.Init().Scan(prefix, func(info ObjectInfo) bool {
-				if int(rg.Owner(info.Name)) != i {
-					return true // residue copy; the owning shard streams it
-				}
-				select {
-				case ch <- info:
-					return true
-				case <-done:
-					return false
-				}
-			})
-			errs[i] = err
-			close(ch)
-		}(i, sh.store(i))
-	}
-	// stop cancels the producers and waits them out; close(done) unblocks
-	// any producer parked on a channel send.
-	stop := func() {
-		close(done)
-		wg.Wait()
-	}
-
-	h := make(scanHeap, 0, n)
-	// pull advances shard i's stream into the heap; a closed channel means
-	// that shard's scan finished (errs[i] is its verdict, published before
-	// the close).
-	pull := func(i int) error {
-		info, ok := <-chans[i]
-		if !ok {
-			return errs[i]
-		}
-		heap.Push(&h, scanHead{info: info, shard: i})
-		return nil
-	}
-	for i := 0; i < n; i++ {
-		if err := pull(i); err != nil {
-			stop()
-			return err
-		}
-	}
-	for h.Len() > 0 {
-		hd := heap.Pop(&h).(scanHead)
-		if !fn(hd.info) {
-			stop()
-			return nil
-		}
-		if err := pull(hd.shard); err != nil {
-			stop()
-			return err
-		}
-	}
-	stop()
-	return nil
-}
-
-// scanHead is one shard's current frontier item in the merge.
-type scanHead struct {
-	info  ObjectInfo
-	shard int
-}
-
-// scanHeap is a min-heap of shard frontiers ordered by object name.
-type scanHeap []scanHead
-
-func (h scanHeap) Len() int { return len(h) }
-func (h scanHeap) Less(i, j int) bool {
-	if h[i].info.Name != h[j].info.Name {
-		return h[i].info.Name < h[j].info.Name
-	}
-	return h[i].shard < h[j].shard
-}
-func (h scanHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *scanHeap) Push(x interface{}) { *h = append(*h, x.(scanHead)) }
-func (h *scanHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	rg := c.sh.ringNow()
+	return scan(members(c.sh), prefix, func(i int, name string) bool { return int(rg.Owner(name)) == i }, fn)
 }
