@@ -365,9 +365,9 @@ func (sh *Sharded) copyKey(m *migration, donor int, name string) error {
 // post-flip the donors' leftovers) and after a completed or aborted
 // migration. Every shard is scanned — including mod-N member shards, which
 // normally hold only their own keys but can carry partial copies from an
-// aborted RemoveShard whose baseline was the mod-N ring. The scan walks the
-// in-memory index only (names, no data blocks), so the cost is one hash per
-// resident key; its callback deletes the residue as it goes.
+// aborted RemoveShard whose baseline was the mod-N ring. The scan reads the
+// index and each key's zone entry, no data blocks, so the cost is one zone
+// read and one hash per resident key; its callback deletes residue as it goes.
 func (sh *Sharded) cleanupResidue() error {
 	r := sh.ringNow()
 	for i, s := range members(sh) {

@@ -1,7 +1,6 @@
 package dstore
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -28,9 +27,10 @@ type ObjectInfo struct {
 // or may not be observed (standard snapshot-free iterator semantics); none is
 // reported twice. The filesystem-style namespace of the paper ("dependencies
 // between a file and its directory", §4.5) makes ordered prefix scans the
-// natural directory-listing primitive.
+// natural directory-listing primitive. Reserved ('\x00'-prefixed) names
+// never show, so a reserved prefix scans nothing.
 func (c *Ctx) Scan(prefix string, fn func(info ObjectInfo) bool) error {
-	return scan([]*Store{c.s}, prefix, nil, fn)
+	return scan([]*Store{c.s}, prefix, func(_ int, name string) bool { return !strings.HasPrefix(name, "\x00") }, fn)
 }
 
 // scanChunk bounds one chunk read: enough entries that the lock round trip
@@ -38,19 +38,18 @@ func (c *Ctx) Scan(prefix string, fn func(info ObjectInfo) bool) error {
 // index lock waits out at most that many zone reads.
 const scanChunk = 64
 
-// chunk returns up to scanChunk objects whose name starts with prefix and
-// sorts strictly after after ("" starts at the prefix), in ascending order,
-// read under one shared index lock. Reserved ('\x00'-prefixed) names show
-// only to a reserved prefix.
-func (s *Store) chunk(prefix, after string) ([]ObjectInfo, error) {
+// chunk returns, in dst's room, up to scanChunk objects (reserved names
+// too) whose name starts with prefix and sorts strictly after after ("" starts
+// at the prefix), in ascending order, read under one shared index lock.
+func (s *Store) chunk(dst []ObjectInfo, prefix, after string) ([]ObjectInfo, error) {
 	if s == nil || s.closed.Load() {
 		return nil, ErrClosed
 	}
-	start := cmp.Or(prefix, "\x01") // past the reserved names
+	start := prefix
 	if after != "" {
 		start = after + "\x00"
 	}
-	var out []ObjectInfo
+	out := slices.Grow(dst[:0], scanChunk)
 	s.treeMu.RLock()
 	defer s.treeMu.RUnlock()
 	err := s.front.tree.IterateFrom([]byte(start), func(key []byte, slot uint64) error {
@@ -76,12 +75,13 @@ func (s *Store) chunk(prefix, after string) ([]ObjectInfo, error) {
 // scan calls fn, in ascending name order until it returns false, for every
 // object under prefix on any of stores, except the names store i holds that
 // own(i, name) disowns (nil owns all). Each store's cursor refills a chunk at
-// a time and fn runs on the caller's goroutine with no lock held; n is the
-// shard count, so a linear pick of the least head is the merge. Ties go to
-// the lower store.
+// a time into one buffer, and fn runs on the caller's goroutine with no lock
+// held; n is the shard count, so a linear pick of the least head is the
+// merge. Ties go to the lower store.
 func scan(stores []*Store, prefix string, own func(i int, name string) bool, fn func(info ObjectInfo) bool) error {
 	type cursor struct {
-		buf   []ObjectInfo
+		mem   []ObjectInfo // the chunk buffer every refill reuses
+		buf   []ObjectInfo // mem's entries not yet handed to fn
 		after string
 		done  bool
 	}
@@ -91,10 +91,11 @@ func scan(stores []*Store, prefix string, own func(i int, name string) bool, fn 
 		for i := range cs {
 			c := &cs[i]
 			for len(c.buf) == 0 && !c.done {
-				buf, err := stores[i].chunk(prefix, c.after)
+				buf, err := stores[i].chunk(c.mem, prefix, c.after)
 				if err != nil {
 					return err
 				}
+				c.mem = buf
 				if c.done = len(buf) < scanChunk; len(buf) > 0 {
 					c.after = buf[len(buf)-1].Name
 				}

@@ -273,3 +273,37 @@ func TestScanChunksUnderConcurrentWrites(t *testing.T) {
 		}
 	}
 }
+
+// Reserved ('\x00'-prefixed) objects — transaction bookkeeping, the ring —
+// never show to a public Scan, not even to a reserved prefix, on either
+// shape or over the wire backend; only reservedNames lists them.
+func TestScanHidesReservedNames(t *testing.T) {
+	const name = txnPrepPrefix + "scan"
+	for _, api := range scanShapes(t) {
+		for _, s := range members(api) {
+			if err := s.putReserved(name, val('r', 32)); err != nil {
+				t.Fatal(err)
+			}
+			if names, err := s.reservedNames(txnPrepPrefix); err != nil || len(names) != 1 {
+				t.Fatalf("%T: reservedNames = %v, %v; want [%q]", api, names, err, name)
+			}
+		}
+		c := api.NewContext()
+		for _, prefix := range []string{"", "\x00", txnPrepPrefix, name} {
+			err := c.Scan(prefix, func(info ObjectInfo) bool {
+				t.Errorf("%T: Scan(%q) showed %q", api, prefix, info.Name)
+				return true
+			})
+			if err != nil {
+				t.Fatalf("%T: Scan(%q): %v", api, prefix, err)
+			}
+			if objs, err := (&netBackend{api: api}).Scan(prefix, 10); err != nil || len(objs) != 0 {
+				t.Errorf("%T: wire SCAN %q = %v, %v; want none", api, prefix, objs, err)
+			}
+		}
+		c.Finalize()
+		if err := api.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

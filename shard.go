@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -806,11 +807,11 @@ var _ Context = (*ShardedCtx)(nil)
 // to the keys it owns, so migration residue (a moving key resident on donor
 // and recipient) never yields duplicates. Scan does not hold opMu: it has
 // snapshot-free iterator semantics, and an epoch flip mid-scan reads like
-// any other concurrent mutation.
+// any other concurrent mutation. Reserved names never show, as on one store.
 func (c *ShardedCtx) Scan(prefix string, fn func(info ObjectInfo) bool) error {
 	if c.sh == nil {
 		return ErrClosed
 	}
 	rg := c.sh.ringNow()
-	return scan(members(c.sh), prefix, func(i int, name string) bool { return int(rg.Owner(name)) == i }, fn)
+	return scan(members(c.sh), prefix, func(i int, name string) bool { return !strings.HasPrefix(name, "\x00") && int(rg.Owner(name)) == i }, fn)
 }
