@@ -14,9 +14,10 @@ import "dstore/internal/server"
 // single store; *ShardedCtx implements it over N stores with identical
 // semantics (same sentinel errors, same ordered-Scan contract).
 //
-// Like *Ctx, a Context is owned by a single goroutine for the stateful
-// operations (Open handles, Lock/Unlock, Finalize); Put, Get, Delete, and
-// Scan are safe to share because they keep no per-call state in the context.
+// A context owns what it takes — its olocks and open objects — and those
+// operations (Open handles, Lock/Unlock, Finalize) belong to one goroutine.
+// Put, Get, Delete, Scan and Begin keep nothing in it and are safe to share:
+// routed, they run on each store's one shared, stateless context.
 type Context interface {
 	// Put stores value under key (oput).
 	Put(key string, value []byte) error

@@ -1,10 +1,13 @@
 package dstore
 
 import (
+	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"dstore/internal/fault"
+	"dstore/internal/wal"
 )
 
 // With checkpoints disabled a full log refuses an olock exactly as it
@@ -87,5 +90,93 @@ func TestTransientFaultUnderOlockIsRetried(t *testing.T) {
 	}
 	if got, err := ctx.Get("txkey", nil); err != nil || string(got) != string(val(3, 32)) {
 		t.Fatalf("Get after commit: %q, %v", got, err)
+	}
+}
+
+// putMany puts n one-byte values from c under 256 names and reports the first
+// refusal, or nil, on the returned channel.
+func putMany(c *Ctx, n int) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			if err := c.Put(fmt.Sprintf("k%03d", i%256), val(byte(i), 1)); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	return done
+}
+
+// A lock held by one context pins a 16 KiB log at its head. Another context's
+// writes fill the log, find that a foreground checkpoint freed nothing, and
+// wait for the lock, as for a CC conflict, instead of checkpointing again;
+// they finish once it is released.
+func TestPinnedLogWaitsForTheLockHolder(t *testing.T) {
+	s := newStoreT(t, Config{Blocks: 1024, MaxObjects: 512, LogBytes: 16 << 10})
+	defer s.Close()
+	a, b := s.Init(), s.Init()
+	defer a.Finalize()
+	defer b.Finalize()
+	if err := a.Lock("held"); err != nil {
+		t.Fatal(err)
+	}
+	done := putMany(b, 2000)
+	for deadline := time.Now().Add(30 * time.Second); s.Stats().ForegroundCheckpoints == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("2,000 puts never filled a 16 KiB log")
+		}
+	}
+	time.Sleep(300 * time.Millisecond)
+	select {
+	case err := <-done:
+		t.Fatalf("the writer finished behind a held lock: %v", err)
+	default:
+	}
+	if n := s.Stats().ForegroundCheckpoints; n > 2 {
+		t.Fatalf("%d foreground checkpoints behind a held lock; want at most 2", n)
+	}
+	if err := a.Unlock("held"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the writer did not finish after Unlock")
+	}
+}
+
+// A context whose own lock pins the log would wait on itself: once a
+// checkpoint frees nothing, its Put and its next Lock are refused with an
+// error wrapping wal.ErrLogFull, and the store stays writable.
+func TestOwnLockPinningTheLogIsRefused(t *testing.T) {
+	s := newStoreT(t, Config{Blocks: 1024, MaxObjects: 512, LogBytes: 16 << 10})
+	defer s.Close()
+	a := s.Init()
+	defer a.Finalize()
+	if err := a.Lock("held"); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	select {
+	case err = <-putMany(a, 2000):
+	case <-time.After(30 * time.Second):
+		t.Fatal("a Put behind its own lock hung")
+	}
+	if !errors.Is(err, wal.ErrLogFull) || errors.Is(err, ErrDegraded) {
+		t.Fatalf("Put behind its own lock: %v; want a wal.ErrLogFull refusal", err)
+	}
+	if err := a.Lock("other"); !errors.Is(err, wal.ErrLogFull) {
+		t.Fatalf("Lock behind its own lock: %v; want a wal.ErrLogFull refusal", err)
+	}
+	if err := a.Unlock("held"); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Put("after", val(1, 1)); err != nil || s.Degraded() {
+		t.Fatalf("Put after Unlock: %v (degraded %v)", err, s.Degraded())
 	}
 }

@@ -152,15 +152,12 @@ func (sh *Sharded) epochGuard(epoch uint64) error {
 // mopWorkers = 1 the jobs run on the caller, in the order their shards' first
 // keys were issued.
 func (sh *Sharded) mwrite(epoch uint64, keys []string, values [][]byte) []error {
-	errs := make([]error, len(keys))
 	sh.opMu.RLock() //nolint:lock-order // held shared across the batch so the epoch cannot flip mid-batch; the flip is the only writer
 	defer sh.opMu.RUnlock()
 	if err := sh.epochGuard(epoch); err != nil {
-		for j := range errs {
-			errs[j] = err
-		}
-		return errs
+		return refuseAll(len(keys), err)
 	}
+	errs := make([]error, len(keys))
 	var shards []int
 	var idxs [][]int
 	for j, k := range keys {
@@ -173,8 +170,7 @@ func (sh *Sharded) mwrite(epoch uint64, keys []string, values [][]byte) []error 
 		}
 		idxs[g] = append(idxs[g], j)
 	}
-	c := sh.Init()
-	defer c.Finalize()
+	c := ShardedCtx{sh: sh}
 	sh.mops.run(len(shards), func(g int) { c.routed(shards[g], keys, values, idxs[g], errs) })
 	return errs
 }
@@ -190,7 +186,7 @@ func (c *Ctx) writeBatch(keys []string, values [][]byte, js []int, errs []error)
 		ws, sets = make([]*oneWrite, 0, len(js)), make([]*writeSet, 0, len(js))
 	}
 	for _, j := range js {
-		w, err := c.s.userSet(keys[j], valueAt(values, j), values == nil, c.heldLSN(keys[j]))
+		w, err := c.s.userSet(keys[j], valueAt(values, j), values == nil, c.locks)
 		if errs[j] = err; err == nil {
 			ws, sets = append(ws, w), append(sets, &w.writeSet)
 		}
@@ -213,8 +209,22 @@ func valueAt(values [][]byte, j int) []byte {
 	return values[j]
 }
 
-// MPut applies the puts, one pipeline pass per shard.
+// refuseAll is the verdict on a batch of n sub-ops refused whole: err, n times.
+func refuseAll(n int, err error) []error {
+	errs := make([]error, n)
+	for j := range errs {
+		errs[j] = err
+	}
+	return errs
+}
+
+// MPut applies the puts, one pipeline pass per shard. A batch whose values do
+// not pair one to one with its keys is refused whole, before routing: mwrite
+// reads nil values as MDelete's.
 func (sh *Sharded) MPut(epoch uint64, keys []string, v [][]byte) []error {
+	if len(v) != len(keys) {
+		return refuseAll(len(keys), fmt.Errorf("dstore: MPut of %d keys with %d values", len(keys), len(v)))
+	}
 	return sh.mwrite(epoch, keys, v)
 }
 
@@ -222,12 +232,10 @@ func (sh *Sharded) MPut(epoch uint64, keys []string, v [][]byte) []error {
 func (sh *Sharded) MDelete(epoch uint64, keys []string) []error { return sh.mwrite(epoch, keys, nil) }
 
 // MGet reads the keys with per-sub-op fan-out across the pool; vals[i] is
-// valid iff errs[i] is nil. Get keeps no per-call state, so one context
-// serves every sub-op (see Context).
+// valid iff errs[i] is nil. Every sub-op runs on its store's shared context.
 func (sh *Sharded) MGet(epoch uint64, keys []string) ([][]byte, []error) {
 	vals, errs := make([][]byte, len(keys)), make([]error, len(keys))
-	c := sh.Init()
-	defer c.Finalize()
+	c := ShardedCtx{sh: sh}
 	sh.mops.run(len(keys), func(i int) {
 		if errs[i] = sh.epochGuard(epoch); errs[i] == nil {
 			vals[i], errs[i] = c.Get(keys[i], nil)

@@ -210,6 +210,49 @@ func TestMPutPermanentFaultOnOneBlock(t *testing.T) {
 	}
 }
 
+// A batch whose values do not pair one to one with its keys is refused
+// whole, one error per key and nothing written, on a bare store and on a
+// 2-shard ring: nil values are not a delete, and too few values are not an
+// index panic on a pool worker.
+func TestMPutRefusesMismatchedValues(t *testing.T) {
+	s := newStoreT(t, testConfig())
+	defer s.Close()
+	sh, err := FormatSharded(2, shardTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	if sh.ShardFor("a") == sh.ShardFor("b") && sh.ShardFor("a") == sh.ShardFor("c") {
+		t.Fatal("keys a-c do not span the ring")
+	}
+	for name, api := range map[string]API{"store": s, "ring": sh} {
+		c := api.NewContext()
+		for _, k := range keys {
+			if err := c.Put(k, val(7, 40)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, vals := range [][][]byte{nil, {val(8, 40)}} {
+			errs := api.MPut(0, keys, vals)
+			if len(errs) != len(keys) {
+				t.Fatalf("%s: %d verdicts for %d keys", name, len(errs), len(keys))
+			}
+			for j, err := range errs {
+				if err == nil {
+					t.Fatalf("%s: MPut of %d keys with %d values accepted %q", name, len(keys), len(vals), keys[j])
+				}
+			}
+		}
+		for _, k := range keys {
+			if got, err := c.Get(k, nil); err != nil || !bytes.Equal(got, val(7, 40)) {
+				t.Fatalf("%s: %q after refused batches: %d bytes, %v", name, k, len(got), err)
+			}
+		}
+		c.Finalize()
+	}
+}
+
 // MPuts into a 16 KiB log fill it again and again: each refusal settles the
 // pass's prefix, checkpoints in the foreground (counted) and goes on, so the
 // batches finish.

@@ -223,7 +223,7 @@ func (s *Store) Scrub(repair bool) (ScrubReport, error) {
 // slot. Returns false (no error) when the object changed underneath and the
 // repair is moot.
 func (s *Store) remapBlock(name string, slot uint64, idx int, old uint64, data []byte, sum uint32) (bool, error) {
-	w := s.single(opRemap, name, 0)
+	w := s.single(opRemap, name, nil)
 	u := &w.one[0]
 	u.slot, u.idxs, u.sums, u.data = slot, []int{idx}, []uint32{sum}, data
 	// The object's content will live at the fresh block; the apply drops

@@ -274,10 +274,11 @@ type Store struct {
 	// validation compares the counters captured at read time.
 	vers verTable
 
-	ops   opStats
-	txns  txnStats
-	bd    breakdown
-	hints hintTable // point reads' name → slot cache (readers.go); last, so no field above moves
+	ops    opStats
+	txns   txnStats
+	bd     breakdown
+	hints  hintTable // point reads' name → slot cache (readers.go); last with shared, so no field above moves
+	shared *Ctx      // the one stateless context: never locks, opens or finalizes
 }
 
 // healthStats counts fault-handling events.
@@ -398,7 +399,7 @@ func newStore(cfg *Config) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{cfg: *cfg, blockPool: blockPool, slotPool: slotPool, bcache: cache.New(cfg.CacheBytes), hints: newHintTable(cfg.MaxObjects)}
-	s.self = ringOfOne(s)
+	s.self, s.shared = ringOfOne(s), &Ctx{s: s}
 	s.pm = cfg.PMEM
 	if s.pm == nil {
 		var lat pmem.Latencies

@@ -47,7 +47,6 @@ type ReplicatedShard struct {
 	standby    *Store
 	failedOver bool
 	broken     atomic.Bool // feed hit a gap or the standby degraded
-	onSwap     func()      // optional; called after active swaps (gen bump)
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -56,14 +55,12 @@ type ReplicatedShard struct {
 
 // NewReplicatedShard wires standby as a hot mirror of primary and starts
 // the in-process feed. standby must be a fresh Format (it is put into
-// standby mode here); onSwap, if non-nil, runs after every active-pointer
-// swap (Sharded uses it to invalidate cached contexts).
-func NewReplicatedShard(primary, standby *Store, onSwap func()) *ReplicatedShard {
+// standby mode here).
+func NewReplicatedShard(primary, standby *Store) *ReplicatedShard {
 	standby.BeginStandby()
 	rs := &ReplicatedShard{
 		primary: primary,
 		standby: standby,
-		onSwap:  onSwap,
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -199,6 +196,7 @@ func (rs *ReplicatedShard) Failover() error {
 	if rs.broken.Load() {
 		return fmt.Errorf("%w: replication feed broke before the failure", ErrFailover)
 	}
+	rs.primary.eng.Pair().Seal()
 	// Drain the committed tail. Export is read-only and keeps working on a
 	// degraded primary; an export/apply failure here leaves the shard
 	// read-only (the standby may be missing committed writes, so it must
@@ -219,9 +217,6 @@ func (rs *ReplicatedShard) Failover() error {
 	}
 	rs.active.Store(rs.standby)
 	rs.failedOver = true
-	if rs.onSwap != nil {
-		rs.onSwap()
-	}
 	return nil
 }
 

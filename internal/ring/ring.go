@@ -11,15 +11,13 @@
 //   - ModeModN is the static routing (FNV-1a 64 of the key, mod member
 //     count) and the live placement of every fresh store: FormatSharded
 //     persists a ModeModN ring at epoch 0, and it routes until the first
-//     membership change. It is also what OpenSharded synthesizes for a
-//     store formatted before the ring existed, which carries no ring
-//     object, so every pre-existing key remains reachable.
+//     membership change.
 //   - ModeHashed is the consistent-hash placement: each member contributes
 //     weight*vnodesPerWeight pseudo-random points on a 64-bit circle and a
 //     key is owned by the successor point of its hash. Membership changes
 //     move only the keys adjacent to the added/removed member's points.
 //
-// Any membership change converts a ModeModN ring to ModeHashed (the legacy
+// Any membership change converts a ModeModN ring to ModeHashed (mod-N
 // placement cannot absorb a member without moving nearly every key anyway,
 // so the one-time conversion cost is paid by the same migration).
 //
@@ -40,7 +38,7 @@ import (
 type Mode uint8
 
 const (
-	// ModeModN is the legacy static placement: fnv64(key) % len(members).
+	// ModeModN is the static placement: fnv64(key) % len(members).
 	// Member IDs must be dense 0..n-1 in this mode.
 	ModeModN Mode = 0
 	// ModeHashed is weighted consistent hashing with virtual nodes.
@@ -120,10 +118,9 @@ func pointHash(id uint32, replica uint32) uint64 {
 	return x ^ (x >> 31)
 }
 
-// NewModN builds the legacy epoch-0 ring over dense member IDs 0..n-1.
-// OpenSharded uses it for stores that predate persisted rings. Shard counts
-// are configuration, not media state, so n <= 0 is a programmer error and
-// panics.
+// NewModN builds the epoch-0 ring over dense member IDs 0..n-1, the one
+// FormatSharded persists. Shard counts are configuration, not media state,
+// so n <= 0 is a programmer error and panics.
 //
 //dstore:invariant
 func NewModN(n int) *Ring {

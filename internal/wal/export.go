@@ -46,7 +46,8 @@ func (p *Pair) Truncated() uint64 {
 // ExportCommitted returns up to max committed records with LSN > from, in
 // LSN order. The export stops at the first uncommitted record (in LSN
 // order) regardless of later commits, so consecutive exports always extend
-// a committed prefix — the property the standby's replay depends on. Dead
+// a committed prefix — the property the standby's replay depends on. A
+// sealed pair's uncommitted records never commit, so there it skips them. Dead
 // records are skipped: they are permanent gaps in the LSN sequence, like
 // LSNs burned by failed appends.
 //
@@ -102,7 +103,7 @@ func (p *Pair) ExportCommitted(from uint64, max int) ([]ExportRecord, error) {
 	var out []ExportRecord
 	for _, lsn := range lsns {
 		c := byLSN[lsn]
-		if c.state == StateUncommitted {
+		if c.state == StateUncommitted && !p.sealed.Load() {
 			break // committed prefix ends here
 		}
 		if c.state != StateCommitted || lsn <= from {

@@ -94,6 +94,10 @@ const (
 // record; the caller should trigger (or wait for) a checkpoint and retry.
 var ErrLogFull = errors.New("wal: active log full")
 
+// ErrNeverFits is returned by Append for a record too large for even an empty
+// log: no checkpoint makes room for it.
+var ErrNeverFits = fmt.Errorf("%w: record larger than an empty log", ErrLogFull)
+
 // Handle identifies an in-flight (uncommitted) record. Its location may move
 // across a log swap; Committed and Wait are safe at any time.
 type Handle struct {
@@ -341,7 +345,8 @@ type Pair struct {
 	inflight [filterStripes]atomic.Int32
 
 	// gc is the group-commit combining state; see settle.
-	gc groupCommit
+	gc     groupCommit
+	sealed atomic.Bool // set by Seal, under gc.mu
 }
 
 // filterStripes sizes the in-flight-name filter (16 KiB per pair). A store
@@ -542,6 +547,32 @@ func (p *Pair) FreeFraction() float64 {
 	return float64(size-tail) / float64(size)
 }
 
+// Seal ends the pair's commits: after the leader round at work, every settle
+// fails and leaves its records dead in DRAM. A failover seals the retired
+// primary before the standby's final drain, which then ships every committed
+// record: no uncommitted one can commit any more (ExportCommitted).
+func (p *Pair) Seal() {
+	for !p.gc.mu.TryLock() {
+		runtime.Gosched()
+	}
+	p.sealed.Store(true)
+	p.gc.mu.Unlock()
+}
+
+// Head returns the oldest unsettled record, or nil when every record is
+// settled. A swap keeps the log from that record on, so while it stays
+// unsettled no checkpoint frees the space it pins.
+func (p *Pair) Head() (head *Handle) {
+	p.regMu.Lock()
+	defer p.regMu.Unlock()
+	for _, h := range p.registry {
+		if head == nil || h.lsn < head.lsn {
+			head = h
+		}
+	}
+	return head
+}
+
 // InFlight returns the number of uncommitted records.
 func (p *Pair) InFlight() int {
 	p.regMu.Lock()
@@ -588,6 +619,9 @@ func (p *Pair) AppendIgnore(op uint16, name, payload []byte, ignore uint64) (*Ha
 	off := l.tail
 	if off+total+8 > l.sp.Size() {
 		l.mu.Unlock()
+		if logHeader+total+8 > l.sp.Size() {
+			return nil, nil, ErrNeverFits
+		}
 		return nil, nil, ErrLogFull
 	}
 	lsn := p.lsn.Add(1)
@@ -876,6 +910,13 @@ func (p *Pair) publishAndSettleLocked(batch []*Handle) {
 	sp := l.sp
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if p.sealed.Load() {
+		for _, h := range batch {
+			sp.PutU8(h.off+recState, StateDead)
+			h.settleErr = errors.New("wal: log pair sealed")
+		}
+		return
+	}
 	pendLo := l.tail // the pending suffix is [pendLo, tail)
 	if len(l.pending) > 0 {
 		pendLo = l.pending[0].off
@@ -894,15 +935,18 @@ func (p *Pair) publishAndSettleLocked(batch []*Handle) {
 	pubErr := l.publishPendingLocked()
 	lines := p.gc.stateLines[:0]
 	for _, h := range batch[:late] {
+		if h.settleErr == nil && pubErr == nil {
+			h.settleErr = sp.CheckFault(h.off+recState, 1)
+		}
 		// The volatile store is applied unconditionally so conflict-window
-		// scans see the record settled even when durability is refused.
-		sp.PutU8(h.off+recState, h.settleState)
+		// scans see the record settled even when durability is refused —
+		// dead then, as recovery finds it, so no export ships it.
 		if h.settleErr != nil || pubErr != nil {
+			sp.PutU8(h.off+recState, StateDead)
 			continue
 		}
-		if h.settleErr = sp.CheckFault(h.off+recState, 1); h.settleErr == nil {
-			lines = append(lines, (h.off+recState)/pmem.LineSize)
-		}
+		sp.PutU8(h.off+recState, h.settleState)
+		lines = append(lines, (h.off+recState)/pmem.LineSize)
 	}
 	if pubErr != nil {
 		for _, h := range batch {

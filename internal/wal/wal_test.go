@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -162,6 +163,39 @@ func TestLogFull(t *testing.T) {
 	}
 	if !full {
 		t.Fatal("log never filled")
+	}
+}
+
+// Head names the record a swap cuts at — the first unsettled one, published
+// or pending, across a swap — and a record no empty log can hold is refused
+// as such.
+func TestHeadAndNeverFits(t *testing.T) {
+	dev := pmem.New(pmem.Config{Size: 2048, TrackPersistence: true})
+	p := NewPair(space.MustPMEM(dev, 0, 1024), space.MustPMEM(dev, 1024, 1024), 1)
+	if h := p.Head(); h != nil {
+		t.Fatalf("empty log: head %d", h.LSN())
+	}
+	lock := mustAppend(t, p, 1, "lock", nil)
+	if p.Head() != lock {
+		t.Fatal("a pending record is not the head")
+	}
+	p.Commit(mustAppend(t, p, 1, "after", nil))
+	if p.Head() != lock {
+		t.Fatal("the published unsettled record is not the head")
+	}
+	if _, err := p.Swap(func(int, int, uint64) {}); err != nil {
+		t.Fatal(err)
+	}
+	if p.Head() != lock {
+		t.Fatal("the migrated unsettled record is not the head")
+	}
+	p.Commit(lock)
+	if h := p.Head(); h != nil {
+		t.Fatalf("settled log: head %d", h.LSN())
+	}
+	_, _, err := p.Append(1, make([]byte, 1024), nil)
+	if err != ErrNeverFits || !errors.Is(err, ErrLogFull) {
+		t.Fatalf("record larger than the log: %v", err)
 	}
 }
 

@@ -54,7 +54,8 @@ func (s *Store) NewNetServer(opt ServeOptions) *server.Server { return newNetSer
 func (sh *Sharded) NewNetServer(opt ServeOptions) *server.Server { return newNetServer(sh, opt) }
 
 // NetBackend exposes the store as a server.Backend. Methods are safe for
-// concurrent use; each call runs under its own request context.
+// concurrent use; every call runs on the backend's one context, which never
+// locks or opens.
 func (s *Store) NetBackend() server.Backend { return netBackendFor(s) }
 
 // NetBackend exposes the sharded store as a server.Backend.
@@ -77,7 +78,7 @@ type replView interface {
 // *Sharded does, *Store does not; it feeds the server's OpRing opcode and
 // the stale-epoch fence.
 func netBackendFor(api API) server.Backend {
-	b := &netBackend{api: api}
+	b := &netBackend{API: api, c: api.NewContext()}
 	if r, ok := api.(replView); ok {
 		return &replNetBackend{netBackend: b, replView: r}
 	}
@@ -118,84 +119,36 @@ func (b *replNetBackend) Stats() wire.StatsReply {
 	return st
 }
 
+// netBackend serves every request on one context, c: a wire request holds
+// nothing between calls. The API serves the batched opcodes as it is.
 type netBackend struct {
-	api API
+	API
+	c Context
 }
 
-func (b *netBackend) Put(key string, value []byte) error {
-	c := b.api.NewContext()
-	defer c.Finalize()
-	return c.Put(key, value)
-}
+func (b *netBackend) Put(key string, value []byte) error { return b.c.Put(key, value) }
+func (b *netBackend) Get(key string) ([]byte, error)     { return b.c.Get(key, nil) }
+func (b *netBackend) Delete(key string) error            { return b.c.Delete(key) }
 
-func (b *netBackend) Get(key string) ([]byte, error) {
-	c := b.api.NewContext()
-	defer c.Finalize()
-	return c.Get(key, nil)
-}
-
-func (b *netBackend) Delete(key string) error {
-	c := b.api.NewContext()
-	defer c.Finalize()
-	return c.Delete(key)
-}
-
-// MPut implements server.BatchBackend: one fan-out call per frame, so the
-// store can feed all sub-ops to WAL group commit instead of the server
-// looping per key.
-func (b *netBackend) MPut(epoch uint64, keys []string, values [][]byte) []error {
-	return b.api.MPut(epoch, keys, values)
-}
-
-// MGet implements server.BatchBackend.
-func (b *netBackend) MGet(epoch uint64, keys []string) ([][]byte, []error) {
-	return b.api.MGet(epoch, keys)
-}
-
-// MDelete implements server.BatchBackend.
-func (b *netBackend) MDelete(epoch uint64, keys []string) []error {
-	return b.api.MDelete(epoch, keys)
-}
-
-// BeginTxn exposes transactions to the wire server. The session pins its own
-// context for the transaction's lifetime; the server serializes calls on it.
+// BeginTxn exposes transactions to the wire server; the server serializes a
+// session's calls on the Txn, which needs no context after Begin.
 func (b *netBackend) BeginTxn() (server.Txn, error) {
-	c := b.api.NewContext()
-	txn, err := c.Begin()
+	txn, err := b.c.Begin()
 	if err != nil {
-		c.Finalize()
 		return nil, err
 	}
-	return &netTxn{c: c, txn: txn}, nil
+	return netTxn{txn}, nil
 }
 
-// netTxn adapts a store transaction to the server's session surface.
-type netTxn struct {
-	c   Context
-	txn Txn
-}
+// netTxn adapts a store transaction to the server's session surface, whose
+// Get takes no buffer.
+type netTxn struct{ Txn }
 
-func (t *netTxn) Get(key string) ([]byte, error) { return t.txn.Get(key, nil) }
-func (t *netTxn) Put(key string, v []byte) error { return t.txn.Put(key, v) }
-func (t *netTxn) Delete(key string) error        { return t.txn.Delete(key) }
-
-func (t *netTxn) Commit() error {
-	err := t.txn.Commit()
-	t.c.Finalize()
-	return err
-}
-
-func (t *netTxn) Abort() error {
-	err := t.txn.Abort()
-	t.c.Finalize()
-	return err
-}
+func (t netTxn) Get(key string) ([]byte, error) { return t.Txn.Get(key, nil) }
 
 func (b *netBackend) Scan(prefix string, limit int) ([]wire.Object, error) {
-	c := b.api.NewContext()
-	defer c.Finalize()
 	out := []wire.Object{}
-	err := c.Scan(prefix, func(info ObjectInfo) bool {
+	err := b.c.Scan(prefix, func(info ObjectInfo) bool {
 		out = append(out, wire.Object{
 			Name:   info.Name,
 			Size:   info.Size,
@@ -234,16 +187,16 @@ func wireRow[R any](srcs ...any) (row R) {
 // aggregates: none for a single member, whose row would repeat the
 // aggregate (and whose frames stay in the pre-sharding layout).
 func (b *netBackend) shardRows() []*Store {
-	if ms := members(b.api); len(ms) > 1 {
+	if ms := members(b.API); len(ms) > 1 {
 		return ms
 	}
 	return nil
 }
 
 func (b *netBackend) Stats() wire.StatsReply {
-	st := b.api.Stats()
+	st := b.API.Stats()
 	shards := b.shardRows()
-	reply := wire.StatsReply{ShardStat: statRow(st, b.api.Footprint(), b.api.Count())}
+	reply := wire.StatsReply{ShardStat: statRow(st, b.API.Footprint(), b.API.Count())}
 	for _, s := range shards {
 		// Per-shard rows count user-visible keys (userCount), matching the
 		// aggregate: ring metadata and txn bookkeeping are invisible.
@@ -252,7 +205,7 @@ func (b *netBackend) Stats() wire.StatsReply {
 	// Each optional section is attached only when its feature is in use —
 	// a cache configured, a transaction seen, a group-commit batch formed —
 	// so deployments without the feature emit the frames they always did.
-	if cs := b.api.CacheStats(); cs.Capacity > 0 {
+	if cs := b.API.CacheStats(); cs.Capacity > 0 {
 		reply.Cache = &wire.CacheReply{CacheStat: wireRow[wire.CacheStat](cs)}
 		for _, s := range shards {
 			reply.Cache.Shards = append(reply.Cache.Shards, wireRow[wire.CacheStat](s.CacheStats()))
@@ -276,14 +229,14 @@ func (b *netBackend) Stats() wire.StatsReply {
 }
 
 func (b *netBackend) Health() wire.HealthReply {
-	reply := wire.HealthReply{ShardHealth: wireRow[wire.ShardHealth](b.api.Health())}
+	reply := wire.HealthReply{ShardHealth: wireRow[wire.ShardHealth](b.API.Health())}
 	for _, s := range b.shardRows() {
 		reply.Shards = append(reply.Shards, wireRow[wire.ShardHealth](s.Health()))
 	}
 	return reply
 }
 
-func (b *netBackend) Checkpoint() error { return b.api.CheckpointNow() }
+func (b *netBackend) Checkpoint() error { return b.API.CheckpointNow() }
 
 // ErrorStatus maps store errors onto wire statuses so remote clients can
 // reconstruct the matching sentinels (degraded mode in particular must be

@@ -32,11 +32,8 @@ func (c *Ctx) Finalize() {
 	c.s = nil
 }
 
-// heldLSN returns the LSN of this context's lock record on name, or 0. The
+// heldLSN returns the LSN of the lock record locks holds on name, or 0. The
 // CC checks skip it so a lock holder can operate on its locked object.
-func (c *Ctx) heldLSN(name string) uint64 { return heldLSN(c.locks, name) }
-
-// heldLSN returns the LSN of the lock record locks holds on name, or 0.
 func heldLSN(locks map[string]*wal.Handle, name string) uint64 {
 	if h, ok := locks[name]; ok {
 		return h.LSN()
@@ -228,7 +225,7 @@ func (c *Ctx) Put(key string, value []byte) error { return c.write(key, value, f
 
 // write runs a user Put of value under key or, with del, a Delete of key.
 func (c *Ctx) write(key string, value []byte, del bool) error {
-	w, err := c.s.userSet(key, value, del, c.heldLSN(key))
+	w, err := c.s.userSet(key, value, del, c.locks)
 	if err != nil {
 		return err
 	}
@@ -236,8 +233,8 @@ func (c *Ctx) write(key string, value []byte, del bool) error {
 }
 
 // userSet starts the write set of a user Put of value under key or, with
-// del, a Delete of key, counting it; ignore is the caller's olock on key.
-func (s *Store) userSet(key string, value []byte, del bool, ignore uint64) (*oneWrite, error) {
+// del, a Delete of key, counting it; locks are the caller's olocks.
+func (s *Store) userSet(key string, value []byte, del bool, locks map[string]*wal.Handle) (*oneWrite, error) {
 	if s == nil || s.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -246,21 +243,21 @@ func (s *Store) userSet(key string, value []byte, del bool, ignore uint64) (*one
 	}
 	if del {
 		s.ops.deletes.Add(1)
-		return s.single(opDelete, key, ignore), nil
+		return s.single(opDelete, key, locks), nil
 	}
 	s.ops.puts.Add(1)
-	return s.putSet(opPut, key, value, ignore)
+	return s.putSet(opPut, key, value, locks)
 }
 
 // putSet starts the write set of a whole-object write under the given record
 // opcode: opPut for the public API, opTxnBegin for reserved cross-shard
 // prepare objects (the two replay identically; the opcode distinguishes them
 // in the log). The caller has validated key for its namespace.
-func (s *Store) putSet(op uint16, key string, value []byte, ignore uint64) (*oneWrite, error) {
+func (s *Store) putSet(op uint16, key string, value []byte, locks map[string]*wal.Handle) (*oneWrite, error) {
 	if uint64(len(value)) > s.maxObjectBytes() {
 		return nil, fmt.Errorf("dstore: value of %d bytes exceeds max object size %d", len(value), s.maxObjectBytes())
 	}
-	w := s.single(op, key, ignore)
+	w := s.single(op, key, locks)
 	w.one[0].data, w.one[0].size, w.one[0].sums = value, uint64(len(value)), blockSums(value)
 	return w, nil
 }
@@ -345,7 +342,7 @@ func (c *Ctx) Open(name string, size uint64, flags OpenFlag) (*Object, error) {
 		// Create: the put pipeline without a data write — blocks are
 		// allocated, their content is whatever the SSD holds until written,
 		// and their checksums start unverified.
-		w := s.single(opCreate, name, c.heldLSN(name))
+		w := s.single(opCreate, name, c.locks)
 		w.one[0].size = size
 		if err := s.writeOne(w); err != nil {
 			return nil, err
@@ -487,7 +484,7 @@ func (o *Object) WriteAt(p []byte, off int64) (int, error) {
 			}
 		}
 		// Grow the logical size (and block list) through a logged opExtend.
-		w := s.single(opExtend, o.name, o.c.heldLSN(o.name))
+		w := s.single(opExtend, o.name, o.c.locks)
 		w.one[0].size = end
 		if err := s.writeOne(w); err != nil {
 			return 0, err
@@ -539,12 +536,12 @@ func (s *Store) invalidateSums(o *Object, e meta.Entry, lo, hi uint64) error {
 		}
 	}
 	if len(idxs) == 0 {
-		if conflict := s.eng.Pair().FindConflictIgnore([]byte(o.name), o.c.heldLSN(o.name)); conflict != nil {
+		if conflict := s.eng.Pair().FindConflictIgnore([]byte(o.name), heldLSN(o.c.locks, o.name)); conflict != nil {
 			conflict.Wait()
 		}
 		return nil
 	}
-	w := s.single(opInval, o.name, o.c.heldLSN(o.name))
+	w := s.single(opInval, o.name, o.c.locks)
 	w.one[0].idxs = idxs
 	return s.writeOne(w)
 }
@@ -569,7 +566,7 @@ func (c *Ctx) Lock(name string) error {
 	if _, held := c.locks[name]; held {
 		return fmt.Errorf("dstore: %q already locked by this context", name)
 	}
-	h, err := s.olock(name)
+	h, err := s.olock(name, c.locks)
 	if err != nil {
 		return err
 	}

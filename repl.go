@@ -281,13 +281,13 @@ func (s *Store) ApplyReplicated(rec wire.Record) error {
 // refusal gets the store's one answer (appendFailed). A record the standby
 // cannot log degrades it: it can no longer follow the primary.
 func (s *Store) applyAppend(rec wire.Record) error {
-	devRetries := 0
+	var retry appendRetry
 	for {
 		err := s.eng.Pair().AppendCommitted(rec.LSN, rec.Op, rec.Name, rec.Payload)
 		if err == nil {
 			return nil
 		}
-		if err = s.appendFailed(err, &devRetries); err == nil {
+		if err = s.appendFailed(err, &retry); err == nil {
 			continue
 		}
 		if !errors.Is(err, ErrDegraded) {

@@ -17,8 +17,8 @@ import (
 // the moving keys donor→recipient while writes continue, then flipping the
 // ring epoch atomically. The protocol:
 //
-//  1. Persist the current ring (idempotent; guarantees a pre-ring store's
-//     placement is durable before anything moves).
+//  1. Persist the current ring (idempotent; the baseline a crash before the
+//     flip recovers).
 //  2. Build next = ring ± member (epoch+1) and install a migration record.
 //     Installation takes opMu exclusively, so every routed operation from
 //     here on sees the migration and double-applies writes to moving keys:
@@ -32,8 +32,7 @@ import (
 //     recipient.
 //  4. Flip: under opMu exclusive — re-copy objects opened during the
 //     migration (their handle writes bypass double-apply), persist next
-//     crash-atomically (the commit point), publish it, clear the migration,
-//     bump the context generation.
+//     crash-atomically (the commit point), publish it, clear the migration.
 //  5. Cleanup: delete the moved keys from their donors and re-divide the
 //     cache budget across the live members. Pure garbage collection — the
 //     ring already routes every moved key to its recipient, and scans
@@ -55,12 +54,6 @@ const migrationStripes = 64
 type migration struct {
 	cur  *ring.Ring
 	next *ring.Ring
-
-	// rctxs holds one shared apply context per recipient member
-	// (Put/Get/Delete on a *Ctx are safe for concurrent use). Resharding a
-	// replicated store is rejected, so the underlying stores never change
-	// mid-migration.
-	rctxs map[uint32]*Ctx
 
 	stripes [migrationStripes]sync.Mutex
 
@@ -104,19 +97,20 @@ func (m *migration) stripesFor(keys []string) []*sync.Mutex {
 }
 
 // mirror double-applies a put or (del) a delete to the moving key's
-// recipient. Caller holds the key's stripe and has applied the donor write
-// successfully. A delete tolerates absence (the copier may not have reached
-// the key yet). A mirror failure is recorded, not surfaced: the donor (still
-// authoritative) accepted the write, and the recorded failure aborts the
-// migration before the flip could make the stale recipient authoritative.
-func (m *migration) mirror(to int, key string, value []byte, del bool) {
+// recipient, on its shared context. Caller holds the key's stripe and has
+// applied the donor write successfully. A delete tolerates absence (the
+// copier may not have reached the key yet). A mirror failure is recorded, not
+// surfaced: the donor (still authoritative) accepted the write, and the
+// recorded failure aborts the migration before the flip could make the stale
+// recipient authoritative.
+func (sh *Sharded) mirror(m *migration, to int, key string, value []byte, del bool) {
 	var err error
-	if del {
-		if err = m.rctxs[uint32(to)].Delete(key); errors.Is(err, ErrNotFound) {
+	if rc := sh.store(to).shared; del {
+		if err = rc.Delete(key); errors.Is(err, ErrNotFound) {
 			err = nil
 		}
 	} else {
-		err = m.rctxs[uint32(to)].Put(key, value)
+		err = rc.Put(key, value)
 	}
 	if err != nil {
 		m.fail(fmt.Errorf("mirror write of %q to shard %d: %w", key, to, err))
@@ -232,8 +226,7 @@ func (sh *Sharded) RemoveShard(id int) error {
 // migrate runs the copy/flip/cleanup protocol taking the routing from cur
 // to next. Caller holds reshardMu.
 func (sh *Sharded) migrate(cur, next *ring.Ring) error {
-	// Durable baseline: a crash from here on must recover cur, not a
-	// synthesized default over a different shard count.
+	// Durable baseline: a crash from here on recovers cur.
 	if err := sh.persistRing(cur); err != nil {
 		return fmt.Errorf("persist baseline ring: %w", err)
 	}
@@ -241,10 +234,7 @@ func (sh *Sharded) migrate(cur, next *ring.Ring) error {
 		return err
 	}
 
-	m := &migration{cur: cur, next: next, rctxs: make(map[uint32]*Ctx)}
-	for _, mem := range next.Members() {
-		m.rctxs[mem.ID] = sh.store(int(mem.ID)).Init()
-	}
+	m := &migration{cur: cur, next: next}
 	// Exclusive install: after this barrier no routed op can be mid-flight
 	// without having seen the migration.
 	sh.opMu.Lock()
@@ -264,7 +254,7 @@ func (sh *Sharded) migrate(cur, next *ring.Ring) error {
 	for _, mem := range cur.Members() {
 		d := int(mem.ID)
 		var herr, cerr error
-		err := sh.store(d).Init().Scan("", func(info ObjectInfo) bool {
+		err := sh.store(d).shared.Scan("", func(info ObjectInfo) bool {
 			if int(next.Owner(info.Name)) == d {
 				return true
 			}
@@ -316,7 +306,6 @@ func (sh *Sharded) migrate(cur, next *ring.Ring) error {
 	}
 	sh.ringP.Store(next)
 	sh.migrP.Store(nil)
-	sh.gen.Add(1)
 	sh.opMu.Unlock()
 
 	if err := sh.hook("post-flip", ""); err != nil {
@@ -347,7 +336,7 @@ func (sh *Sharded) copyKey(m *migration, donor int, name string) error {
 	val, _, err := sh.store(donor).getVersioned(name, nil)
 	if errors.Is(err, ErrNotFound) {
 		// Deleted (or never created) — make sure the recipient agrees.
-		derr := m.rctxs[to].Delete(name)
+		derr := sh.store(int(to)).shared.Delete(name)
 		if derr != nil && !errors.Is(derr, ErrNotFound) {
 			return derr
 		}
@@ -356,7 +345,7 @@ func (sh *Sharded) copyKey(m *migration, donor int, name string) error {
 	if err != nil {
 		return err
 	}
-	return m.rctxs[to].Put(name, val)
+	return sh.store(int(to)).shared.Put(name, val)
 }
 
 // cleanupResidue deletes every user key resident on a shard the current
@@ -371,7 +360,7 @@ func (sh *Sharded) copyKey(m *migration, donor int, name string) error {
 func (sh *Sharded) cleanupResidue() error {
 	r := sh.ringNow()
 	for i, s := range members(sh) {
-		ctx := s.Init()
+		ctx := s.shared
 		var derr error
 		err := ctx.Scan("", func(info ObjectInfo) bool {
 			if int(r.Owner(info.Name)) == i {

@@ -297,7 +297,7 @@ func TestScanHidesReservedNames(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%T: Scan(%q): %v", api, prefix, err)
 			}
-			if objs, err := (&netBackend{api: api}).Scan(prefix, 10); err != nil || len(objs) != 0 {
+			if objs, err := api.NetBackend().Scan(prefix, 10); err != nil || len(objs) != 0 {
 				t.Errorf("%T: wire SCAN %q = %v, %v; want none", api, prefix, objs, err)
 			}
 		}

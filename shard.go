@@ -28,12 +28,9 @@ import (
 //
 // Key placement is a versioned consistent-hash ring (internal/ring),
 // persisted crash-atomically in a reserved object on shard 0 and recovered
-// by OpenSharded. Stores formatted before the ring existed carry no ring
-// object and are routed by a synthesized legacy mod-N ring; fresh stores
-// persist that same placement at epoch 0, so wire frames and key placement
-// are bit-identical until the first membership change. AddShard and
-// RemoveShard mutate membership on a live store via the migration engine in
-// reshard.go.
+// by OpenSharded. FormatSharded persists a mod-N placement at epoch 0;
+// AddShard and RemoveShard mutate membership on a live store via the
+// migration engine in reshard.go.
 
 // ringObjName is the reserved object holding the serialized routing ring on
 // shard 0. The '\x00' prefix keeps it invisible to Scan and distinct from
@@ -54,10 +51,8 @@ type Sharded struct {
 	// repl, when non-nil, pairs every shard with an in-process hot standby
 	// (FormatShardedReplicated): a shard whose persistence path fails no
 	// longer turns read-only — it fails over to its standby and stays
-	// writable. gen counts failovers and ring flips; contexts use it to
-	// notice that a shard's active store (or the shard count) changed.
+	// writable.
 	repl []*ReplicatedShard
-	gen  atomic.Uint64
 
 	// mops fans batched sub-ops across persistent workers (batch.go);
 	// lazily started, retired on Close.
@@ -137,13 +132,12 @@ func (sh *Sharded) persistRing(r *ring.Ring) error {
 	return err
 }
 
-// loadRing reads the persisted ring from shard 0; (nil, nil) means the
-// store predates rings and the caller should synthesize the legacy mod-N
-// placement.
+// loadRing reads the persisted ring from shard 0. Every sharded store has
+// one — FormatSharded writes it — so a missing ring object is corruption.
 func (sh *Sharded) loadRing() (*ring.Ring, error) {
 	val, _, err := sh.store(0).getVersioned(ringObjName, nil)
 	if errors.Is(err, ErrNotFound) {
-		return nil, nil
+		return nil, fmt.Errorf("dstore: %w: no ring object on shard 0", ErrCorrupt)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("dstore: read ring object: %w", err)
@@ -230,10 +224,8 @@ func FormatSharded(shards int, cfg Config) (*Sharded, error) {
 		sh.closeOpened()
 		return nil, err
 	}
-	// Persist the initial placement at epoch 0. Mod-N is bit-identical to
-	// the pre-ring routing, so formatting with the ring changes neither key
-	// placement nor wire behavior; the first AddShard/RemoveShard converts
-	// to consistent hashing.
+	// Persist the initial mod-N placement at epoch 0; the first
+	// AddShard/RemoveShard converts to consistent hashing.
 	r := ring.NewModN(shards)
 	sh.ringP.Store(r)
 	if err := sh.persistRing(r); err != nil {
@@ -274,9 +266,8 @@ func FormatShardedReplicated(shards int, cfg Config) (*Sharded, error) {
 		return nil, err
 	}
 	sh.repl = make([]*ReplicatedShard, shards)
-	onSwap := func() { sh.gen.Add(1) }
 	for i := range sh.repl {
-		sh.repl[i] = NewReplicatedShard(stores[i], standbys[i], onSwap)
+		sh.repl[i] = NewReplicatedShard(stores[i], standbys[i])
 	}
 	return sh, nil
 }
@@ -286,8 +277,7 @@ func FormatShardedReplicated(shards int, cfg Config) (*Sharded, error) {
 // parallel: every shard rebuilds its metadata and replays its own log
 // concurrently, so wall-clock recovery is the slowest shard, not the sum.
 // After per-shard recovery it resolves in-doubt cross-shard transactions,
-// recovers the authoritative routing ring from shard 0 (synthesizing the
-// legacy mod-N placement for pre-ring stores), and deletes migration
+// recovers the authoritative routing ring from shard 0, and deletes migration
 // residue — copies of keys on shards the recovered ring does not route to
 // them — so a crash at any point of a live reshard leaves exactly one
 // authoritative replica of every key.
@@ -320,12 +310,6 @@ func OpenSharded(cfgs []Config) (*Sharded, error) {
 	if err != nil {
 		sh.closeOpened()
 		return nil, err
-	}
-	if r == nil {
-		// Pre-ring store: synthesize the legacy placement. Resharded stores
-		// always persist their ring before moving a single key, so this
-		// branch only sees stores whose placement has never changed.
-		r = ring.NewModN(len(cfgs))
 	}
 	if r.MaxID() >= len(cfgs) {
 		sh.closeOpened()
@@ -414,20 +398,7 @@ func (sh *Sharded) ShardKeyCounts() []uint64 {
 // Init creates a request context spanning every shard. Like *Ctx, the
 // stateful surface (Open handles, Lock/Unlock, Finalize) is owned by a
 // single goroutine; Put/Get/Delete/Scan are safe to share.
-func (sh *Sharded) Init() *ShardedCtx {
-	stores := sh.stores()
-	c := &ShardedCtx{
-		sh:     sh,
-		ctxs:   make([]*Ctx, len(stores)),
-		stores: make([]*Store, len(stores)),
-		gen:    sh.gen.Load(),
-	}
-	for i := range stores {
-		c.stores[i] = sh.store(i)
-		c.ctxs[i] = c.stores[i].Init()
-	}
-	return c
-}
+func (sh *Sharded) Init() *ShardedCtx { return &ShardedCtx{sh: sh, own: map[*Store]*Ctx{}} }
 
 // NewContext implements API.
 func (sh *Sharded) NewContext() Context { return sh.Init() }
@@ -590,64 +561,30 @@ var _ API = (*Sharded)(nil)
 // --------------------------------------------------------------- contexts
 
 // ShardedCtx is a request context over a sharded store: single-key
-// operations route through the ring to the owning shard's context; Scan
-// k-way-merges the shards' ordered streams. The context notices failovers
-// and ring flips (via the store's generation counter) and rebinds to the
-// promoted standby or the grown shard set.
+// operations route through the ring to the owning shard's store; Scan
+// k-way-merges the shards' ordered streams. Routing caches nothing, so a
+// failover or a ring flip rebinds nothing. own holds the per-store contexts
+// that took this context's locks or opened its handles; an operation on
+// any other store runs on that store's shared context.
 type ShardedCtx struct {
-	sh *Sharded
-
-	// mu guards ctxs/stores/gen. Refresh happens only when the store's
-	// generation advanced past ours — i.e. only after a failover or a ring
-	// flip — so the fast path is one atomic load plus a read lock.
-	mu     sync.RWMutex
-	ctxs   []*Ctx
-	stores []*Store
-	gen    uint64
-
-	// locked remembers which shard holds each application-level lock taken
-	// through this context, so Unlock releases where Lock acquired even if
-	// the ring flipped in between. Stateful surface: single-goroutine per
-	// the Context contract, so no extra locking.
-	locked map[string]int
+	sh  *Sharded
+	own map[*Store]*Ctx
 }
 
-// ctx returns shard i's context, rebinding any contexts whose shard failed
-// over — and growing the context set — when the generation advanced.
-func (c *ShardedCtx) ctx(i int) *Ctx {
-	g := c.sh.gen.Load()
-	c.mu.RLock()
-	if c.gen == g && i < len(c.ctxs) {
-		cx := c.ctxs[i]
-		c.mu.RUnlock()
-		return cx
+// ctx returns the context an operation on shard i's current store runs on:
+// this context's own there (made if take, for Lock and Open), else shared.
+func (c *ShardedCtx) ctx(i int, take bool) *Ctx {
+	s := c.sh.store(i)
+	cx := c.own[s]
+	switch {
+	case cx != nil:
+	case take:
+		cx = s.Init()
+		c.own[s] = cx
+	default:
+		cx = s.shared
 	}
-	c.mu.RUnlock()
-	c.mu.Lock()
-	if c.gen != g || i >= len(c.ctxs) {
-		n := c.sh.Shards()
-		for len(c.ctxs) < n {
-			c.ctxs = append(c.ctxs, nil)
-			c.stores = append(c.stores, nil)
-		}
-		for j := range c.ctxs {
-			if s := c.sh.store(j); c.stores[j] != s {
-				// The old context belongs to the retired primary; locks it
-				// held there are moot (that store no longer takes writes).
-				c.stores[j] = s
-				c.ctxs[j] = s.Init()
-			}
-		}
-		c.gen = g
-	}
-	cx := c.ctxs[i]
-	c.mu.Unlock()
 	return cx
-}
-
-// shardCtx returns the context of the shard owning key.
-func (c *ShardedCtx) shardCtx(key string) *Ctx {
-	return c.ctx(c.sh.owner(key))
 }
 
 // Put stores value under key on its shard.
@@ -694,7 +631,7 @@ func (c *ShardedCtx) routed(i int, keys []string, values [][]byte, js []int, err
 			defer st.Unlock()
 		}
 	}
-	c.ctx(i).writeBatch(keys, values, js, errs)
+	c.ctx(i, false).writeBatch(keys, values, js, errs)
 	var again []int
 	for _, j := range js {
 		if errors.Is(errs[j], ErrDegraded) {
@@ -702,11 +639,11 @@ func (c *ShardedCtx) routed(i int, keys []string, values [][]byte, js []int, err
 		}
 	}
 	if len(again) > 0 && c.sh.failover(i, errs[again[0]]) {
-		c.ctx(i).writeBatch(keys, values, again, errs)
+		c.ctx(i, false).writeBatch(keys, values, again, errs)
 	}
 	for _, j := range js {
 		if to, moving := m.dest(keys[j], i); moving && errs[j] == nil {
-			m.mirror(to, keys[j], valueAt(values, j), values == nil)
+			c.sh.mirror(m, to, keys[j], valueAt(values, j), values == nil)
 		}
 	}
 }
@@ -720,7 +657,7 @@ func (c *ShardedCtx) Get(key string, buf []byte) ([]byte, error) {
 	}
 	c.sh.opMu.RLock() //nolint:lock-order // see write
 	defer c.sh.opMu.RUnlock()
-	return c.shardCtx(key).Get(key, buf)
+	return c.ctx(c.sh.owner(key), false).Get(key, buf)
 }
 
 // Open opens (or creates) an object on its shard; the returned handle's
@@ -743,9 +680,9 @@ func (c *ShardedCtx) Open(name string, size uint64, flags OpenFlag) (*Object, er
 	if _, moving := m.dest(name, i); moving {
 		m.noteOpened(name)
 	}
-	obj, err := c.ctx(i).Open(name, size, flags)
+	obj, err := c.ctx(i, true).Open(name, size, flags)
 	if err != nil && sh.failover(i, err) {
-		obj, err = c.ctx(i).Open(name, size, flags)
+		obj, err = c.ctx(i, true).Open(name, size, flags)
 	}
 	return obj, err
 }
@@ -757,43 +694,34 @@ func (c *ShardedCtx) Lock(name string) error {
 		return ErrClosed
 	}
 	c.sh.opMu.RLock() //nolint:lock-order // see write
-	i := c.sh.owner(name)
-	err := c.ctx(i).Lock(name)
-	c.sh.opMu.RUnlock()
-	if err == nil {
-		if c.locked == nil {
-			c.locked = make(map[string]int)
-		}
-		c.locked[name] = i
-	}
-	return err
+	defer c.sh.opMu.RUnlock()
+	return c.ctx(c.sh.owner(name), true).Lock(name)
 }
 
-// Unlock releases a lock taken with Lock — on the shard where it was
-// acquired, even if a reshard moved the name's ownership since.
+// Unlock releases a lock through the context and store that took it. After
+// a reshard moved the name, that is the donor, and Unlock returns nil. After
+// the shard failed over, it is the retired primary, and Unlock returns
+// ErrDegraded; the lock is released all the same. A name this context does
+// not hold fails as on *Ctx.
 func (c *ShardedCtx) Unlock(name string) error {
 	if c.sh == nil {
 		return ErrClosed
 	}
-	i, ok := c.locked[name]
-	if !ok {
-		i = c.sh.owner(name)
+	for _, cx := range c.own {
+		if _, held := cx.locks[name]; held {
+			return cx.Unlock(name)
+		}
 	}
-	err := c.ctx(i).Unlock(name)
-	if err == nil && ok {
-		delete(c.locked, name)
-	}
-	return err
+	return c.ctx(c.sh.owner(name), false).Unlock(name)
 }
 
-// Finalize releases every shard context (and any locks they still hold).
+// Finalize releases the contexts this one owns, and with them every lock it
+// still holds.
 func (c *ShardedCtx) Finalize() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, sc := range c.ctxs {
-		sc.Finalize()
+	for _, cx := range c.own {
+		cx.Finalize()
 	}
-	c.sh = nil
+	c.sh, c.own = nil, nil
 }
 
 var _ Context = (*ShardedCtx)(nil)

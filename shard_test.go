@@ -278,6 +278,33 @@ func TestShardedCrashMidParallelCheckpoint(t *testing.T) {
 	}
 }
 
+// FormatSharded persists the ring before it returns, so a store whose shard 0
+// has no ring object is corrupt: OpenSharded refuses it rather than guess a
+// placement.
+func TestOpenShardedWithoutRingIsCorrupt(t *testing.T) {
+	sh, err := FormatSharded(2, shardTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.Shard(0).deleteReserved(ringObjName); err != nil {
+		t.Fatal(err)
+	}
+	cfgs := sh.ShardConfigs()
+	for i := range cfgs {
+		cfgs[i].PMEM, cfgs[i].SSD = sh.Shard(i).Devices()
+	}
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenSharded(cfgs)
+	if err == nil {
+		re.Close()
+	}
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("OpenSharded without a ring object: %v; want ErrCorrupt", err)
+	}
+}
+
 // shardKeys returns per-shard key lists, k of each, so tests can address
 // specific shards deterministically.
 func shardKeys(sh *Sharded, k int) [][]string {

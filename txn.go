@@ -245,7 +245,7 @@ func (s *Store) olockKeys(keys []string) (map[string]*wal.Handle, error) {
 	sort.Strings(sorted)
 	locks := make(map[string]*wal.Handle, len(sorted))
 	for _, k := range sorted {
-		h, err := s.olock(k)
+		h, err := s.olock(k, locks)
 		if err != nil {
 			s.releaseOlocks(locks)
 			return nil, err
@@ -331,7 +331,7 @@ func (s *Store) putReserved(name string, value []byte) error {
 	if err := s.validateNameAny(name); err != nil {
 		return err
 	}
-	w, err := s.putSet(opTxnBegin, name, value, 0)
+	w, err := s.putSet(opTxnBegin, name, value, nil)
 	if err != nil {
 		return err
 	}
@@ -343,7 +343,7 @@ func (s *Store) putReserved(name string, value []byte) error {
 func (s *Store) deleteReserved(name string) error {
 	err := s.validateNameAny(name)
 	if err == nil {
-		err = s.writeOne(s.single(opTxnAbort, name, 0))
+		err = s.writeOne(s.single(opTxnAbort, name, nil))
 	}
 	if errors.Is(err, ErrNotFound) {
 		return nil

@@ -230,7 +230,7 @@ func (t *txn) Commit() error {
 		// (the donor rules; residue is collected at open), and the flip
 		// cannot intervene while we hold opMu shared.
 		for k, to := range movers {
-			m.mirror(to, k, t.writes[k].value, t.writes[k].del)
+			sh.mirror(m, to, k, t.writes[k].value, t.writes[k].del)
 		}
 	}
 	return err

@@ -3,6 +3,7 @@ package dstore
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/bits"
 	"slices"
 	"sync"
@@ -37,13 +38,12 @@ import (
 type writeSet struct {
 	op     uint16 // the record's opcode
 	name   []byte // the record's name
-	ignore uint64 // LSN of the caller's own olock on name, excluded from CC
 	subs   []subOp
-	params []byte // the record parameters' buffer; a pooled oneWrite keeps it between writes
+	params []byte                 // the record parameters' buffer; a pooled oneWrite keeps it between writes
+	locks  map[string]*wal.Handle // the caller's own olocks: skipped by CC and read validation, never waited on for log space
 
 	txnid uint64
-	reads map[string]readVer     // OCC read set, validated atomically with the append
-	locks map[string]*wal.Handle // the transaction's own olocks, excluded from that validation
+	reads map[string]readVer // OCC read set, validated atomically with the append
 
 	h   *wal.Handle // the record, from its append until it settles
 	err error       // the set's verdict
@@ -311,13 +311,13 @@ type oneWrite struct {
 var oneWrites = sync.Pool{New: func() any { return new(oneWrite) }}
 
 // single starts the one-entry write set of a mutation of key, whose record
-// carries the sub-op's own opcode and name; ignore (the caller's own olock on
-// key, or 0) is excluded from conflict detection. The caller fills in
-// w.one[0] and hands w to writeOne, or to write and then recycle.
-func (s *Store) single(op uint16, key string, ignore uint64) *oneWrite {
+// carries the sub-op's own opcode and name; locks are the caller's own
+// olocks, or nil. The caller fills in w.one[0] and hands w to writeOne, or
+// to write and then recycle.
+func (s *Store) single(op uint16, key string, locks map[string]*wal.Handle) *oneWrite {
 	w := oneWrites.Get().(*oneWrite)
 	w.one[0] = subOp{op: op, key: key, name: []byte(key)}
-	w.writeSet = writeSet{op: op, name: w.one[0].name, ignore: ignore, subs: w.one[:], params: w.params}
+	w.writeSet = writeSet{op: op, name: w.one[0].name, locks: locks, subs: w.one[:], params: w.params}
 	return w
 }
 
@@ -375,14 +375,15 @@ func (s *Store) write(sets []*writeSet) {
 		s.globalMu.Lock()
 	}
 	s.dataPhase(sets, p, &t)
-	devRetries, committed := 0, 0
+	retry, committed := appendRetry{}, 0
 	for rest := sets; len(rest) > 0; {
 		n, wait, err := s.appendSets(rest, &t)
 		committed += s.settleSets(rest[:n], p, &t, serial)
 		if rest = rest[n:]; wait != nil {
 			wait.Wait()
 		} else if err != nil {
-			if err = s.appendFailed(err, &devRetries); err != nil {
+			retry.locks = rest[0].locks // the refused set's own olocks
+			if err = s.appendFailed(err, &retry); err != nil {
 				for _, w := range rest {
 					if w.err == nil {
 						w.err = err
@@ -525,7 +526,7 @@ func (s *Store) appendSets(sets []*writeSet, t *stageNs) (n int, wait *wal.Handl
 			payload = w.params
 		}
 		ta := t.now()
-		w.h, wait, err = s.eng.Pair().AppendIgnore(w.op, w.name, payload, w.ignore)
+		w.h, wait, err = s.eng.Pair().AppendIgnore(w.op, w.name, payload, heldLSN(w.locks, string(w.name)))
 		t.log += t.now() - ta
 		if w.h == nil {
 			for i := range w.subs {
@@ -622,17 +623,35 @@ func (s *Store) settleSets(sets []*writeSet, p *pass, t *stageNs, serial bool) i
 	return len(p.hs)
 }
 
+// appendRetry is one append loop's state across the log's refusals: the
+// caller's olocks, its device retries, whether it last checkpointed.
+type appendRetry struct {
+	locks        map[string]*wal.Handle
+	dev          int
+	checkpointed bool
+}
+
 // appendFailed is the store's one answer when the log refuses a record for
 // any reason but a CC conflict (data appends, olocks, a standby's committed
 // appends); nil means "append again". Log full → a foreground checkpoint, or
 // refusal when checkpoints are disabled; a failed checkpoint degrades the
-// store. Transient device error → bounded backoff. Other device error →
-// degrade.
-func (s *Store) appendFailed(err error, devRetries *int) error {
+// store. Still full after it → wait, as for a CC conflict, for the oldest
+// unsettled record, from which the swap kept the log; if it is the caller's
+// own olock, or no empty log holds the record, refuse (wal.ErrLogFull).
+// Transient device error → bounded backoff. Other device error → degrade.
+func (s *Store) appendFailed(err error, r *appendRetry) error {
 	switch {
-	case errors.Is(err, wal.ErrLogFull):
+	case errors.Is(err, wal.ErrLogFull) && !errors.Is(err, wal.ErrNeverFits):
 		if s.cfg.DisableCheckpoints {
 			return fmt.Errorf("dstore: log full with checkpoints disabled")
+		}
+		if h := s.eng.Pair().Head(); r.checkpointed && h != nil {
+			if slices.Contains(slices.Collect(maps.Values(r.locks)), h) {
+				return fmt.Errorf("dstore: %w: pinned by the caller's own lock", wal.ErrLogFull)
+			}
+			r.checkpointed = false
+			h.Wait()
+			return nil
 		}
 		t0 := nowNs()
 		cerr := s.eng.Checkpoint()
@@ -642,8 +661,9 @@ func (s *Store) appendFailed(err error, devRetries *int) error {
 			s.degrade(cerr)
 			return fmt.Errorf("%w: checkpoint: %v", ErrDegraded, cerr)
 		}
+		r.checkpointed = true
 		return nil
-	case isTransientRetry(err, devRetries):
+	case isTransientRetry(err, &r.dev):
 		return nil
 	case isDeviceErr(err):
 		s.degrade(err)
@@ -655,9 +675,10 @@ func (s *Store) appendFailed(err error, devRetries *int) error {
 // olock appends an uncommitted NOOP record naming name (the §4.5 olock) —
 // the one olock loop, for Ctx.Lock and a transaction's write keys. Like a
 // data append it waits out a conflicting record and asks appendFailed about
-// any other refusal; it touches no pool, so it runs outside poolMu.
-func (s *Store) olock(name string) (*wal.Handle, error) {
-	devRetries := 0
+// any other refusal (held: the caller's olocks); it touches no pool, so it
+// runs outside poolMu.
+func (s *Store) olock(name string, held map[string]*wal.Handle) (*wal.Handle, error) {
+	retry := appendRetry{locks: held}
 	for {
 		h, conflict, err := s.eng.Pair().Append(opNoop, []byte(name), nil)
 		if err == nil && conflict == nil {
@@ -666,19 +687,17 @@ func (s *Store) olock(name string) (*wal.Handle, error) {
 		}
 		if conflict != nil {
 			conflict.Wait()
-		} else if err = s.appendFailed(err, &devRetries); err != nil {
+		} else if err = s.appendFailed(err, &retry); err != nil {
 			return nil, err
 		}
 	}
 }
 
 // unsettled returns another writer's unsettled record naming one of w's
-// objects, if any. The writer's own olock on a name does not count, whether a
-// lock holder's (w.ignore) or a transaction's (w.locks).
+// objects, if any. The writer's own olock on a name (w.locks) does not count.
 func (s *Store) unsettled(w *writeSet) *wal.Handle {
 	for i := range w.subs {
-		own := max(w.ignore, heldLSN(w.locks, w.subs[i].key))
-		if h := s.eng.Pair().FindConflictIgnore(w.subs[i].name, own); h != nil {
+		if h := s.eng.Pair().FindConflictIgnore(w.subs[i].name, heldLSN(w.locks, w.subs[i].key)); h != nil {
 			return h
 		}
 	}
