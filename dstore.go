@@ -301,7 +301,9 @@ type breakdown struct {
 	count, logNs, poolNs, metaNs, treeNs, ssdNs, totalNs atomic.Uint64
 }
 
-// Breakdown is a snapshot of the write-path time breakdown.
+// Breakdown is a snapshot of the write-path time breakdown. Its five stages
+// are disjoint — PoolNs is the pool-lock section less the appends LogNs
+// counts — so they add up to at most TotalNs.
 type Breakdown struct {
 	Count                                         uint64
 	LogNs, PoolNs, MetaNs, TreeNs, SSDNs, TotalNs uint64

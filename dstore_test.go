@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"dstore/internal/alloc"
 	"dstore/internal/dipper"
@@ -631,6 +632,49 @@ func TestBreakdownCollected(t *testing.T) {
 	sum := bd.LogNs + bd.PoolNs + bd.MetaNs + bd.TreeNs + bd.SSDNs
 	if sum > bd.TotalNs {
 		t.Fatalf("stage sum %d exceeds total %d", sum, bd.TotalNs)
+	}
+}
+
+// TestBreakdownStagesAreDisjoint: the pool stage does not count the log
+// append the log stage counts. Appends here are most of a write: each stores
+// through a slow PMEM device and may wait out a concurrent checkpoint's log
+// swap, while the pool phase works in DRAM — so the log stage must outweigh
+// the pool stage, and the five stages add up to no more than the total.
+func TestBreakdownStagesAreDisjoint(t *testing.T) {
+	cfg := testConfig()
+	cfg.Breakdown = true
+	s := newStoreT(t, cfg)
+	defer s.Close()
+	pm, _ := s.Devices()
+	pm.SetMutationHook(func() { time.Sleep(10 * time.Microsecond) })
+	stop, done := make(chan struct{}), make(chan error)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				close(done)
+				return
+			default:
+				if err := s.CheckpointNow(); err != nil {
+					done <- err
+					return
+				}
+			}
+		}
+	}()
+	ctx := s.Init()
+	for i := 0; i < 100; i++ {
+		if err := ctx.Put(fmt.Sprintf("k%d", i%50), val(byte(i), 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	bd := s.Breakdown()
+	if sum := bd.LogNs + bd.PoolNs + bd.MetaNs + bd.TreeNs + bd.SSDNs; sum > bd.TotalNs || bd.PoolNs >= bd.LogNs {
+		t.Fatalf("stage sum %d, total %d: %+v", sum, bd.TotalNs, bd)
 	}
 }
 

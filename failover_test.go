@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dstore/internal/fault"
+	"dstore/internal/wal"
 	"dstore/internal/wire"
 )
 
@@ -260,5 +261,59 @@ func TestReplicatedShardRecordsMatchWire(t *testing.T) {
 			!bytes.Equal(got.Data, recs[i].Data) {
 			t.Fatalf("record LSN %d changed across the wire", recs[i].LSN)
 		}
+	}
+}
+
+// TestStandbyDegradesOnRecordItsLogCannotHold: a committed record larger than
+// the standby's whole log (a 42-key transaction, 4,086 payload bytes, against
+// a 4 KiB log) degrades the standby with an error wrapping wal.ErrLogFull,
+// after at most one foreground checkpoint — no checkpoint makes room for it.
+func TestStandbyDegradesOnRecordItsLogCannotHold(t *testing.T) {
+	p, err := Format(replTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	txn, err := p.Init().Begin()
+	for i := 0; i < 42 && err == nil; i++ {
+		err = txn.Put(fmt.Sprintf("%062d", i), []byte("v"))
+	}
+	if err != nil || txn.Commit() != nil {
+		t.Fatalf("primary transaction: %v", err)
+	}
+	recs, err := p.ExportCommitted(0, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := replTestConfig()
+	cfg.LogBytes = 4 << 10
+	sb, err := Format(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sb.Close()
+	sb.BeginStandby()
+	done := make(chan error, 1)
+	go func() {
+		for _, rec := range recs {
+			if err := sb.ApplyReplicated(rec); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err = <-done:
+	case <-time.After(5 * time.Second):
+		sb.Close() // releases the apply loop
+		<-done
+		t.Fatalf("ApplyReplicated still running after 5 s (%d foreground checkpoints)", sb.Stats().ForegroundCheckpoints)
+	}
+	if !errors.Is(err, wal.ErrLogFull) || !errors.Is(err, ErrDegraded) {
+		t.Fatalf("apply: %v, want an error wrapping wal.ErrLogFull and ErrDegraded", err)
+	}
+	if n := sb.Stats().ForegroundCheckpoints; n > 1 {
+		t.Fatalf("%d foreground checkpoints, want at most 1", n)
 	}
 }

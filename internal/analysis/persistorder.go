@@ -26,7 +26,7 @@ import (
 // dirties the caller; a call to a function that flushes and fences acts as a
 // Persist. Writes through a *space.Arena are invisible by design (Arena.Write
 // and Arena.Zero are //dstore:volatile): arena structures are volatile until
-// checkpoint FlushAll, so only device and log-window writes participate in
+// the checkpoint's flush, so only device and log-window writes participate in
 // the ordering contract.
 //
 // Functions annotated //dstore:volatile opt out (their writes are volatile

@@ -9,10 +9,10 @@
 //
 //	① every mutating operation appends a logical record to the active log;
 //	② when the log fills, the logs swap (archive);
-//	③ a background checkpoint replays the archived records onto a fresh
-//	  clone of the shadow arena using the *same operation code* the
-//	  frontend runs, flushes everything, and atomically flips the root
-//	  object to the new generation.
+//	③ a background checkpoint brings the other shadow generation up to the
+//	  current one, replays the archived records onto it using the *same
+//	  operation code* the frontend runs, flushes what it changed, and
+//	  atomically flips the root object to the new generation.
 //
 // The frontend never waits for ③ — the checkpoint is quiescent-free. Crash
 // consistency follows from the log (records are not discarded until their
@@ -40,10 +40,12 @@ import (
 )
 
 // Replay applies the logged operations that records yields to the
-// structures rooted in al. It runs on an arena no frontend uses yet, so it
-// needs no locking; it may parallelize internally as long as conflicting
-// records (same object) apply in LSN order (determinism, §3.2).
-type Replay func(al *alloc.Allocator, records func(fn func(wal.RecordView) error) error) error
+// structures rooted in al and reports how many records it skipped because a
+// later one overwrites all they would write. It runs on an arena no frontend
+// uses yet, so it needs no locking; it may parallelize internally as long as
+// conflicting records (same object) apply in LSN order (determinism, §3.2).
+// records may be called more than once; each call yields the same records.
+type Replay func(al *alloc.Allocator, records func(fn func(wal.RecordView) error) error) (skipped uint64, err error)
 
 // Config sizes the PMEM layout and tunes checkpointing.
 type Config struct {
@@ -98,9 +100,14 @@ func (c Config) DeviceBytes() uint64 {
 
 // Stats reports engine activity.
 type Stats struct {
-	Checkpoints       uint64
-	CheckpointNanos   uint64
-	RecordsReplayed   uint64
+	Checkpoints     uint64
+	CheckpointNanos uint64
+	RecordsReplayed uint64
+	// RecordsSuperseded counts the archived records checkpoint replay
+	// skipped: each one's effect a later record in the same log overwrites.
+	RecordsSuperseded uint64
+	// ShadowBytesCloned counts the bytes copied into a shadow generation to
+	// catch it up with the current one before replay.
 	ShadowBytesCloned uint64
 	// RecordsRecovered counts active-log records replayed by the last Open
 	// to rebuild the volatile space (the replay half of RecoveryBreakdown).
@@ -125,7 +132,12 @@ type Engine struct {
 	rootSeq   uint64     // guarded by mu
 	shadowGen int        // guarded by mu
 
-	ckptMu   sync.Mutex // serializes checkpoints
+	ckptMu sync.Mutex // serializes checkpoints
+	// changed holds the lines in which the current shadow generation
+	// differs from the other — what the last checkpoint's replay wrote — or
+	// is nil when unknown: after Format, Open or a failed checkpoint. Only
+	// replayOntoNewShadow uses it: under ckptMu, or in Open before start.
+	changed  lineSet
 	trigger  chan struct{}
 	closed   chan struct{}
 	wg       sync.WaitGroup
@@ -135,6 +147,7 @@ type Engine struct {
 	checkpoints      atomic.Uint64
 	checkpointNanos  atomic.Uint64
 	recordsReplayed  atomic.Uint64
+	superseded       atomic.Uint64
 	shadowCloned     atomic.Uint64
 	recordsRecovered atomic.Uint64
 
@@ -292,13 +305,7 @@ func Open(dev *pmem.Device, cfg Config, replay Replay, recovered func(al *alloc.
 	// it keeps outside them.
 	t1 := time.Now()
 	active := e.pair.Log(e.pair.ActiveIndex())
-	err = e.replay(e.frontAl, func(fn func(wal.RecordView) error) error {
-		return active.IterateCommitted(active.Tail(), func(rv wal.RecordView) error {
-			e.recordsRecovered.Add(1)
-			return fn(rv)
-		})
-	})
-	if err != nil {
+	if _, err = e.replay(e.frontAl, counted(active, active.Tail(), &e.recordsRecovered)); err != nil {
 		return nil, fmt.Errorf("dipper: active log replay: %w", err)
 	}
 	if recovered != nil {
@@ -375,6 +382,7 @@ func (e *Engine) Stats() Stats {
 		Checkpoints:       e.checkpoints.Load(),
 		CheckpointNanos:   e.checkpointNanos.Load(),
 		RecordsReplayed:   e.recordsReplayed.Load(),
+		RecordsSuperseded: e.superseded.Load(),
 		ShadowBytesCloned: e.shadowCloned.Load(),
 		RecordsRecovered:  e.recordsRecovered.Load(),
 		GCBatches:         gc.Batches,
@@ -414,10 +422,10 @@ func (e *Engine) publishRoot(mutate func(*RootState)) {
 }
 
 // Checkpoint performs one atomic quiescent-free checkpoint (§3.5): swap the
-// logs, clone the current shadow generation, replay the archived committed
-// records onto the clone, flush, and flip the root. The frontend continues
-// to serve requests throughout; only the log swap itself briefly excludes
-// appends.
+// logs, catch the other shadow generation up with the current one, replay
+// the archived committed records onto it, flush, and flip the root. The
+// frontend continues to serve requests throughout; only the log swap itself
+// briefly excludes appends.
 //
 // time.Now here feeds the CheckpointNanos metric only; checkpoint decisions
 // never read the clock.
@@ -458,11 +466,16 @@ func (e *Engine) Checkpoint() error {
 	return nil
 }
 
-// replayOntoNewShadow clones the current shadow generation into the other
-// generation, replays the archived log's committed prefix onto the clone,
-// flushes it, and atomically flips the root to the new generation. It is
-// the shared tail of Checkpoint and of recovery's checkpoint redo, and is
-// idempotent: it never mutates the current generation or the archived log.
+// replayOntoNewShadow brings the other shadow generation up to the current
+// one, replays the archived log's committed prefix onto it, flushes what it
+// copied or wrote, and atomically flips the root to it. It is the shared tail
+// of Checkpoint and of recovery's checkpoint redo, and is idempotent: it never
+// mutates the current generation or the archived log.
+//
+// The generations differ only in the lines the last replay wrote (e.changed),
+// so the catch-up copies those, or the whole used arena when that set is
+// unknown. The lines it leaves alone hold what an earlier checkpoint wrote
+// here and flushed before its root flip.
 func (e *Engine) replayOntoNewShadow(archivedIdx int, replayEnd uint64) error {
 	e.mu.Lock()
 	curGen := e.shadowGen
@@ -481,27 +494,37 @@ func (e *Engine) replayOntoNewShadow(archivedIdx int, replayEnd uint64) error {
 	if err != nil {
 		return err
 	}
-	clone, err := cur.CloneTo(newSp)
-	if err != nil {
-		return err
+	copied := e.changed
+	if e.changed = nil; copied == nil { // unknown until this checkpoint completes
+		copied = newLineSet(e.cfg.ArenaBytes)
+		copied.Enter(0, cur.Used())
 	}
-	e.shadowCloned.Add(cur.Used())
-
-	archived := e.pair.Log(archivedIdx)
-	replayed := uint64(0)
-	err = e.replay(clone, func(fn func(wal.RecordView) error) error {
-		return archived.IterateCommitted(replayEnd, func(rv wal.RecordView) error {
-			replayed++
-			return fn(rv)
-		})
+	runs(copied, nil, 0, func(off, n uint64) {
+		space.Copy(newSp, off, curSp, off, n)
+		e.shadowCloned.Add(n)
 	})
+	// Mark from here on: lines the catch-up copied are equal in both
+	// generations and stay out of the next checkpoint's catch-up.
+	written := newLineSet(e.cfg.ArenaBytes)
+	newSp.SetBarrier(written)
+	shadow, err := alloc.Open(newSp)
+	if err != nil {
+		return fmt.Errorf("dipper: open shadow %d: %w", newGen, err)
+	}
+
+	var replayed atomic.Uint64
+	archived := e.pair.Log(archivedIdx)
+	skipped, err := e.replay(shadow, counted(archived, replayEnd, &replayed))
 	if err != nil {
 		return fmt.Errorf("dipper: shadow replay: %w", err)
 	}
-	e.recordsReplayed.Add(replayed)
+	e.recordsReplayed.Add(replayed.Load())
+	e.superseded.Add(skipped)
 
-	// Durability: flush every allocated page, allocator state included.
-	clone.FlushAll()
+	// Durability: flush every line copied or written, allocator state
+	// included, with clean lines between runs where that costs less.
+	runs(copied, written, flushGap, newSp.Flush)
+	newSp.Fence()
 
 	// Atomicity: flip the root only now (§3.5 "update the locations of
 	// shadow copies in the root object atomically and only upon successful
@@ -511,7 +534,22 @@ func (e *Engine) replayOntoNewShadow(archivedIdx int, replayEnd uint64) error {
 		st.CkptInProgress = 0
 		st.LastCkptLSN = e.pair.LastLSN()
 	})
+	e.changed = written
 	return nil
+}
+
+// counted is the records function of a replay over l's committed prefix
+// [.., end): it sets n to the records one pass yields, however many passes
+// the replay makes.
+func counted(l *wal.Log, end uint64, n *atomic.Uint64) func(fn func(wal.RecordView) error) error {
+	return func(fn func(wal.RecordView) error) error {
+		var seen uint64
+		defer func() { n.Store(seen) }()
+		return l.IterateCommitted(end, func(rv wal.RecordView) error {
+			seen++
+			return fn(rv)
+		})
+	}
 }
 
 // SwapOnlyForCrash performs only the swap + root-update prefix of a

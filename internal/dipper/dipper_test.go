@@ -1,6 +1,7 @@
 package dipper
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -21,9 +22,9 @@ const (
 	opDel = 2
 )
 
-func testReplay(al *alloc.Allocator, records func(fn func(wal.RecordView) error) error) error {
+func testReplay(al *alloc.Allocator, records func(fn func(wal.RecordView) error) error) (uint64, error) {
 	tr := btree.Open(al, al.Root(0))
-	return records(func(rv wal.RecordView) error {
+	return 0, records(func(rv wal.RecordView) error {
 		switch rv.Op {
 		case opSet:
 			v := binary.LittleEndian.Uint64(rv.Payload)
@@ -178,6 +179,51 @@ func TestCheckpointFlipsGeneration(t *testing.T) {
 	}
 	if e.Stats().Checkpoints != 1 || e.Stats().RecordsReplayed != 20 {
 		t.Fatalf("stats = %+v", e.Stats())
+	}
+}
+
+// TestEmptyCheckpointLeavesGenerationsEqual: a checkpoint over an empty
+// archived range copies only the lines the last replay wrote — fewer bytes
+// than the used prefix — and that alone leaves the new generation byte-equal
+// to the old one over it; the next such checkpoint copies nothing.
+func TestEmptyCheckpointLeavesGenerationsEqual(t *testing.T) {
+	e, _ := newEngine(t)
+	defer e.Close()
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 30; i++ {
+			doSet(t, e, fmt.Sprintf("r%dk%02d", round, i), uint64(round*100+i))
+		}
+		if err := e.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for empty := 0; empty < 2; empty++ {
+		before := e.Stats().ShadowBytesCloned
+		if err := e.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		st, _ := e.RootState()
+		cur, err := e.shadowSpace(int(st.ShadowGen))
+		if err != nil {
+			t.Fatal(err)
+		}
+		old, err := e.shadowSpace(1 - int(st.ShadowGen))
+		if err != nil {
+			t.Fatal(err)
+		}
+		al, err := alloc.Open(cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		used, copied := al.Used(), e.Stats().ShadowBytesCloned-before
+		for off := uint64(0); off < used; off += pmem.LineSize {
+			if !bytes.Equal(cur.Slice(off, pmem.LineSize), old.Slice(off, pmem.LineSize)) {
+				t.Fatalf("empty checkpoint %d: generations differ at line %d of %d", empty, off/pmem.LineSize, used/pmem.LineSize)
+			}
+		}
+		if empty == 0 && (copied == 0 || copied >= used) || empty == 1 && copied != 0 {
+			t.Fatalf("empty checkpoint %d copied %d of %d used bytes", empty, copied, used)
+		}
 	}
 }
 

@@ -111,8 +111,13 @@ func fnv64(key string) uint64 {
 // fixed-constant mix (splitmix64 over the packed pair) rather than
 // anything seeded.
 func pointHash(id uint32, replica uint32) uint64 {
-	x := uint64(id)<<32 | uint64(replica)
-	x += 0x9e3779b97f4a7c15
+	return mix64((uint64(id)<<32 | uint64(replica)) + 0x9e3779b97f4a7c15)
+}
+
+// mix64 is splitmix64's finalizer: every input bit moves every output bit.
+// A key's FNV-1a hash needs it before the successor search, whose order is
+// decided by the top bits — which the key's last bytes barely move.
+func mix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
@@ -223,6 +228,7 @@ func (r *Ring) Owner(key string) uint32 {
 		return uint32(h % uint64(len(r.members)))
 	}
 	// Successor point on the circle, wrapping at the top.
+	h = mix64(h)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0

@@ -3,7 +3,10 @@ package ring
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
+
+	"dstore/internal/ycsb"
 )
 
 // legacyShardIndex is the pre-ring routing (shard.go's shardIndex until the
@@ -221,5 +224,43 @@ func TestMaxID(t *testing.T) {
 	}
 	if r.MaxID() != 6 {
 		t.Fatalf("MaxID=%d", r.MaxID())
+	}
+}
+
+// TestHashedPlacementSpreadsSequentialNames: once a ring has changed
+// membership, names that differ only in their last bytes spread over its
+// members — no member takes more than 60 of 100 sequential names of any
+// shape — and each member's share of 50,000 YCSB keys is within 2 points of
+// the share of the circle its arcs cover.
+func TestHashedPlacementSpreadsSequentialNames(t *testing.T) {
+	r, err := NewModN(2).WithAdd(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shape := range []string{"lock-%02d", "user%04d", "k%05d"} {
+		counts := map[uint32]int{}
+		for i := 0; i < 100; i++ {
+			counts[r.Owner(fmt.Sprintf(shape, i))]++
+		}
+		for id, c := range counts {
+			if c > 60 {
+				t.Errorf("%q: member %d owns %d of 100 names (%v)", shape, id, c, counts)
+			}
+		}
+	}
+	arc := map[uint32]float64{} // a point owns the arc back to its predecessor
+	for i, p := range r.points {
+		prev := r.points[(i+len(r.points)-1)%len(r.points)].hash
+		arc[p.id] += float64(p.hash-prev) / math.Exp2(64)
+	}
+	const keys = 50000
+	counts := map[uint32]int{}
+	for i := 0; i < keys; i++ {
+		counts[r.Owner(ycsb.Key(i))]++
+	}
+	for _, m := range r.Members() {
+		if got := float64(counts[m.ID]) / keys; math.Abs(got-arc[m.ID]) > 0.02 {
+			t.Errorf("member %d: %.3f of the YCSB keys, %.3f of the circle", m.ID, got, arc[m.ID])
+		}
 	}
 }

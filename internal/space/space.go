@@ -73,7 +73,7 @@ func (a *Arena) Size() uint64 { return uint64(len(a.buf)) }
 
 // check guards every access. Arena accessors are infallible by design (the
 // arena structures run the same code on DRAM and PMEM and defer durability
-// to checkpoint-time FlushAll), so media-derived offsets must be validated
+// to the checkpoint's flush), so media-derived offsets must be validated
 // by their decoders before use; an out-of-range access here is a
 // programming error in the store. The fallible Check* operations of a PMEM
 // window return ErrOutOfRange instead.
@@ -93,7 +93,7 @@ func (a *Arena) check(off, n uint64) {
 func (a *Arena) Slice(off, n uint64) []byte { a.check(off, n); return a.buf[off : off+n : off+n] }
 
 // Write copies p into the region at off. Through a bare *Arena the store is
-// volatile until the structure's checkpoint-time FlushAll, by design;
+// volatile until the structure's checkpoint flushes it, by design;
 // persist-order tracks the same call made on a *PMEM log window by its
 // receiver.
 //

@@ -123,7 +123,8 @@ func (p *Pair) ExportCommitted(from uint64, max int) ([]ExportRecord, error) {
 // pending suffix ahead of it (body, fence, then LSN), so a standby crash
 // mid-apply leaves either a fully valid committed record or nothing. A
 // refused append leaves the log as it was: nothing pending is added and the
-// tail and LSN counter stay, so the same LSN applies on retry. LSNs must
+// tail and LSN counter stay, so the same LSN applies on retry; a record no
+// empty log holds is refused with ErrNeverFits, as Append does. LSNs must
 // strictly increase; gaps are fine (the primary's sequence has them too).
 // The pair's LSN counter advances to lsn, so LastLSN doubles as the
 // standby's applied — and therefore ack — LSN, and it survives recovery
@@ -143,6 +144,9 @@ func (p *Pair) AppendCommitted(lsn uint64, op uint16, name, payload []byte) erro
 	total := recordSize(len(name), len(payload))
 	off := l.tail
 	if off+total+8 > l.sp.Size() {
+		if logHeader+total+8 > l.sp.Size() {
+			return ErrNeverFits
+		}
 		return ErrLogFull
 	}
 	if err := l.storeRecordLocked(off, op, StateCommitted, name, payload, total); err != nil {

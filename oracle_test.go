@@ -575,7 +575,7 @@ var reshardPhases = []point{{phase: "pre-copy"}, {1, "copy"}, {17, "copy"}, {60,
 // say where the fault strikes, and put what the scenario promises beyond the
 // verdict in after. analysis/crashpoints.floor holds each row's point count.
 var oracleRows = []row{
-	{name: "plain", shape: bare, cfg: sweepConfig(2048, 512, 1<<14), script: mixed(plainMix), cuts: 97},
+	{name: "plain", shape: bare, cfg: sweepConfig(2048, 512, 1<<14), script: mixed(plainMix), cuts: 98},
 	{name: "txn", shape: bare, cfg: sweepConfig(4096, 1024, 1<<14),
 		preload: seed(eightKeys, hashTag), script: rmw(40, []int{0, 3, 5}, hashTag, true), cuts: 91},
 	{name: "batch", shape: bare, cfg: sweepConfig(2048, 512, 1<<14), script: batches, cuts: 89},
@@ -597,6 +597,7 @@ var oracleRows = []row{
 	{name: "ring-batch", shape: ringOf(2), cfg: sweepConfig(4096, 1024, 1<<14), script: batches, cuts: 31},
 	{name: "churn", shape: shape{build: bare.build}, cfg: Config{Blocks: 1024, MaxObjects: 256, LogBytes: 1 << 16},
 		script: churn(64), at: []point{{}}},
+	{name: "catchup", shape: bare, cfg: sweepConfig(2048, 24, 1<<14), script: catchUp, cuts: 97},
 }
 
 func TestCrashOracle(t *testing.T) {
@@ -742,6 +743,113 @@ func batches(u *rig) error {
 		return errors.New("the batches did not go through group commit")
 	}
 	return u.checkpoint()
+}
+
+// catchUp crosses four checkpoints, each replaying a different mix, so every
+// checkpoint after the first copies lines into its generation (the ones the
+// last replay wrote) that its own replay does not rewrite: a copied line left
+// unflushed is lost at a power cut while its generation is current. The mix:
+// hot keys overwritten again and again (replay skips all but the last put to
+// a slot), a delete and a re-create in another slot, a new name in the freed
+// slot, an in-place WriteAt, an extend and a transaction.
+func catchUp(u *rig) error {
+	s := u.api.(*Store)
+	c := s.Init()
+	val := func(k string, i, n int) []byte { return bytes.Repeat([]byte(fmt.Sprintf("%s.%d|", k, i)), n) }
+	putKey := func(k string, v []byte) func() error {
+		return func() error { return u.m.do(func() error { return c.Put(k, v) }, put(k, v)) }
+	}
+	hot := func(round int) func() error {
+		return func() error {
+			for i := 0; i < 9; i++ {
+				k := fmt.Sprintf("hot%d", i%3)
+				if err := putKey(k, val(k, 10*round+i, 20))(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	writeAt := func(k string, p []byte, off int64, after []byte) func() error {
+		return func() error {
+			o, err := c.Open(k, 0, OpenRead|OpenWrite)
+			if err != nil {
+				return err
+			}
+			return u.m.do(func() error { _, err := o.WriteAt(p, off); return err }, put(k, after))
+		}
+	}
+	slotOf := func(k string) uint64 {
+		s.treeMu.RLock()
+		defer s.treeMu.RUnlock()
+		slot, _ := s.front.tree.Get([]byte(k))
+		return slot
+	}
+	seq := func(steps ...func() error) error {
+		for _, step := range steps {
+			if err := step(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// Round 1: ten cold keys, and the hot keys.
+	for i := 0; i < 10; i++ {
+		k := fmt.Sprintf("cold%d", i)
+		if err := putKey(k, val(k, 0, 30))(); err != nil {
+			return err
+		}
+	}
+	if err := seq(hot(1), u.checkpoint); err != nil {
+		return err
+	}
+	// Round 2: cold3 moves to another slot, and a new name takes its old one.
+	freed := slotOf("cold3")
+	delCold3 := func() error { return u.m.do(func() error { return c.Delete("cold3") }, del("cold3")) }
+	if err := seq(hot(2), delCold3, putKey("cold3", val("cold3", 2, 30))); err != nil {
+		return err
+	}
+	if slotOf("cold3") == freed {
+		return errors.New("cold3 was re-created in its old slot")
+	}
+	for i := 0; ; i++ {
+		k := fmt.Sprintf("new%d", i)
+		if err := putKey(k, val(k, 2, 10))(); err != nil {
+			return err
+		}
+		if slotOf(k) == freed {
+			break
+		}
+		if i == 20 {
+			return errors.New("no new name took the freed slot")
+		}
+	}
+	if err := u.checkpoint(); err != nil {
+		return err
+	}
+	// Round 3: an in-place WriteAt, an extend, and one transaction.
+	in, grown := val("cold5", 0, 30), append(val("cold6", 0, 30), val("cold6", 3, 700)...)
+	copy(in[10:], "in place")
+	w := writes{"hot1": val("hot1", 33, 40), "cold7": nil, "cold8": val("cold8", 3, 50)}
+	txn := func() error {
+		return u.m.do(func() error {
+			txn, err := c.Begin()
+			for k, v := range w {
+				if err == nil && v == nil {
+					err = txn.Delete(k)
+				} else if err == nil {
+					err = txn.Put(k, v)
+				}
+			}
+			if err != nil {
+				return err
+			}
+			return txn.Commit()
+		}, w)
+	}
+	// Round 4: the hot keys and one cold overwrite.
+	return seq(writeAt("cold5", []byte("in place"), 10, in), writeAt("cold6", grown[240:], 240, grown), txn, hot(3), u.checkpoint,
+		hot(4), putKey("cold9", val("cold9", 4, 30)), u.checkpoint)
 }
 
 // churn is the pool-phase window's scenario (write.go, appendSet): eight

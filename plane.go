@@ -448,15 +448,47 @@ func replayRecord(p *plane, rv wal.RecordView) error {
 // pool phase reads the zone and B-tree to decide slot/block reuse), so the
 // commutativity win is realised where the paper measures it — in the
 // frontend's OE locking (Fig. 9's "+OE") — while replay stays a
-// deterministic, single-pass background activity. At the paper's record
+// deterministic, sequential background activity. At the paper's record
 // sizes (32 B logical records driving ~300 ns structure updates) the replay
 // is log-bandwidth bound either way.
-func replay(al *alloc.Allocator, records func(fn func(wal.RecordView) error) error) error {
+//
+// A first pass finds each slot's last single put-shaped record and the
+// second skips every earlier one, whose whole effect that record overwrites
+// (DESIGN.md §4 "Deterministic replay").
+func replay(al *alloc.Allocator, records func(fn func(wal.RecordView) error) error) (skipped uint64, err error) {
 	p, err := openPlane(al)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	return records(func(rv wal.RecordView) error {
+	last := make([]uint32, p.zone.Slots()) // 1 + the ordinal of the slot's last put
+	var n uint32
+	if err := records(func(rv wal.RecordView) error {
+		n++
+		if slot, ok := putSlot(rv, last); ok {
+			last[slot] = n
+		}
+		return nil
+	}); err != nil {
+		return 0, err
+	}
+	n = 0
+	err = records(func(rv wal.RecordView) error {
+		n++
+		if slot, ok := putSlot(rv, last); ok && last[slot] != n {
+			skipped++
+			return nil
+		}
 		return replayRecord(p, rv)
 	})
+	return skipped, err
+}
+
+// putSlot returns the slot a single put-shaped record rewrites (payload bytes
+// 8–16, after the size), if it is one of last's.
+func putSlot(rv wal.RecordView, last []uint32) (uint64, bool) {
+	if !putShaped(rv.Op) || len(rv.Payload) < 16 {
+		return 0, false
+	}
+	slot := binary.LittleEndian.Uint64(rv.Payload[8:])
+	return slot, slot < uint64(len(last))
 }

@@ -292,7 +292,7 @@ func (s *Store) applyAppend(rec wire.Record) error {
 		}
 		if !errors.Is(err, ErrDegraded) {
 			s.degrade(err)
-			err = fmt.Errorf("%w: standby log append: %v", ErrDegraded, err)
+			err = fmt.Errorf("%w: standby log append: %w", ErrDegraded, err)
 		}
 		return err
 	}

@@ -501,7 +501,7 @@ func (s *Store) replaceBlock(u *subOp, i int) bool {
 // append. On a quiet filter stripe the probe is one atomic load; it also finds
 // a record this section appended for the same name.
 func (s *Store) appendSets(sets []*writeSet, t *stageNs) (n int, wait *wal.Handle, err error) {
-	t0 := t.now()
+	t0, log0 := t.now(), t.log // the section's time less its appends is pool time
 	s.poolMu.Lock()
 	for ; n < len(sets); n++ {
 		w := sets[n]
@@ -539,7 +539,7 @@ func (s *Store) appendSets(sets []*writeSet, t *stageNs) (n int, wait *wal.Handl
 		s.eng.MaybeTrigger()
 	}
 	s.poolMu.Unlock()
-	t.pool += t.now() - t0
+	t.pool += t.now() - t0 - (t.log - log0)
 	return n, wait, err
 }
 
