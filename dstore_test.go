@@ -636,17 +636,19 @@ func TestBreakdownCollected(t *testing.T) {
 }
 
 // TestBreakdownStagesAreDisjoint: the pool stage does not count the log
-// append the log stage counts. Appends here are most of a write: each stores
-// through a slow PMEM device and may wait out a concurrent checkpoint's log
-// swap, while the pool phase works in DRAM — so the log stage must outweigh
-// the pool stage, and the five stages add up to no more than the total.
+// append the log stage counts, so the five stages add up to no more than the
+// total. Counting the append in both made PoolNs at least LogNs on every
+// write; here every PMEM store sleeps 200 µs and may also wait out a
+// concurrent checkpoint's log swap, so the 100 appends take at least 20 ms
+// (about 600 ms in practice), while the pool phase's own DRAM work for 100
+// 64-byte puts takes under 1 ms, about 3 ms under the race detector.
 func TestBreakdownStagesAreDisjoint(t *testing.T) {
 	cfg := testConfig()
 	cfg.Breakdown = true
 	s := newStoreT(t, cfg)
 	defer s.Close()
 	pm, _ := s.Devices()
-	pm.SetMutationHook(func() { time.Sleep(10 * time.Microsecond) })
+	pm.SetMutationHook(func() { time.Sleep(200 * time.Microsecond) })
 	stop, done := make(chan struct{}), make(chan error)
 	go func() {
 		for {
