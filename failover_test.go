@@ -2,6 +2,7 @@ package dstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -315,5 +316,254 @@ func TestStandbyDegradesOnRecordItsLogCannotHold(t *testing.T) {
 	}
 	if n := sb.Stats().ForegroundCheckpoints; n > 1 {
 		t.Fatalf("%d foreground checkpoints, want at most 1", n)
+	}
+}
+
+// TestStandbyConvergesOverSupersededContent: on a primary with few blocks, the
+// first content of a single-object put and of one put of a two-key transaction
+// is overwritten until its block is reused, so the export finds neither. The
+// standby drops what it cannot have — the put, and that one sub-op of the
+// transaction, whose other sub-op it logs — and the later records that
+// superseded them repair both keys.
+func TestStandbyConvergesOverSupersededContent(t *testing.T) {
+	cfg := replTestConfig()
+	cfg.Blocks = 32
+	primary, err := Format(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	firstBlock := func(k string) uint64 {
+		_, e, err := primary.lookup([]byte(k), nil)
+		if err != nil {
+			t.Fatalf("lookup %s: %v", k, err)
+		}
+		return e.Blocks[0]
+	}
+	u := play(t, primary, func(u *rig) error {
+		c, i := u.ctx(), 0
+		putNext := func(k string) error {
+			i++
+			v := bytes.Repeat([]byte(fmt.Sprintf("%s#%03d|", k, i)), 30)
+			return u.m.do(func() error { return c.Put(k, v) }, put(k, v))
+		}
+		if err := putNext("single"); err != nil {
+			return err
+		}
+		w := writes{"t1": hashTag("t1", 0), "t2": hashTag("t2", 0)}
+		if err := u.m.do(func() error {
+			txn, err := c.Begin()
+			for k, v := range w {
+				if err == nil {
+					err = txn.Put(k, v)
+				}
+			}
+			if err != nil {
+				return err
+			}
+			return txn.Commit()
+		}, w); err != nil {
+			return err
+		}
+		for _, k := range []string{"single", "t1"} {
+			first := firstBlock(k)
+			for n := 0; n == 0 || firstBlock(k) != first; n++ {
+				if n > 4*int(cfg.Blocks) {
+					return fmt.Errorf("%s never got block %d back", k, first)
+				}
+				if err := putNext(k); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	sb, err := Format(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sb.Close()
+	sb.BeginStandby()
+	if err := pump(primary, sb, &model{}); err != nil {
+		t.Fatalf("apply: %v", err)
+	}
+	logged, err := sb.eng.Pair().ExportCommitted(0, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txns := 0
+	for _, r := range logged {
+		if r.LSN == u.m.units[0].lsn && r.Op == opPut {
+			t.Fatalf("standby logged the superseded put of single at LSN %d", r.LSN)
+		}
+		if r.Op != opTxnCommit {
+			continue
+		}
+		txns++
+		if _, subs, err := decodeRecord(r.Op, r.Name, r.Payload, nil); err != nil || len(subs) != 1 || string(subs[0].name) != "t2" {
+			t.Fatalf("standby's transaction record: %d sub-ops, err %v; want t2's alone", len(subs), err)
+		}
+	}
+	if txns != 1 {
+		t.Fatalf("standby logged %d transaction records, want 1", txns)
+	}
+	if err := sb.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	judge(t, "superseded", sb, u.m)
+}
+
+// TestStandbyRefusesMalformedContent: a content frame longer or shorter than
+// its sub-op's content, a truncated frame, or bytes after the last frame make
+// ApplyReplicated refuse the record before it writes to the SSD or moves the
+// applied position.
+func TestStandbyRefusesMalformedContent(t *testing.T) {
+	primary, err := Format(replTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	c := primary.Init()
+	if err := c.Put("a", val(1, 5000)); err != nil {
+		t.Fatal(err)
+	}
+	txn, err := c.Begin()
+	if err == nil {
+		err = txn.Put("x", val(2, 300))
+	}
+	if err == nil {
+		err = txn.Put("y", val(3, 40))
+	}
+	if err != nil || txn.Commit() != nil {
+		t.Fatalf("primary transaction: %v", err)
+	}
+	recs, err := primary.ExportCommitted(0, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var put, tx wire.Record
+	for _, r := range recs {
+		switch r.Op {
+		case opPut:
+			put = r
+		case opTxnCommit:
+			tx = r
+		}
+	}
+	if put.LSN == 0 || tx.LSN == 0 {
+		t.Fatalf("export: %d records without a put and a transaction", len(recs))
+	}
+	// frame rewrites the header of the frame at off to say present and ln,
+	// moving the bytes after it by delta.
+	frame := func(r wire.Record, off int, present byte, ln uint32, delta int) wire.Record {
+		d := append([]byte{}, r.Data[:off]...)
+		d = binary.LittleEndian.AppendUint32(append(d, present), ln)
+		body := r.Data[off+5:]
+		if delta < 0 {
+			body = body[-delta:]
+		}
+		d = append(d, body...)
+		d = append(d, make([]byte, max(delta, 0))...)
+		r.Data = d
+		return r
+	}
+	with := func(r wire.Record, data []byte) wire.Record { r.Data = data; return r }
+	remap := wire.Record{LSN: tx.LSN + 1, Op: opRemap, Name: []byte("a"),
+		Payload: encodeRemapPayload(nil, &subOp{idxs: []int{0}, blocks: []uint64{9}, sums: []uint32{0}}, 0)}
+	cases := []struct {
+		name string
+		rec  wire.Record
+	}{
+		{"put truncated", with(put, put.Data[:len(put.Data)-1])},
+		{"put header truncated", with(put, put.Data[:3])},
+		{"put frame short", frame(put, 0, 1, 4999, -1)},
+		{"put frame long", frame(put, 0, 1, 5001, 1)},
+		{"put absent with bytes", frame(put, 0, 0, 5000, 0)},
+		{"put bad present flag", frame(put, 0, 2, 5000, 0)},
+		{"put trailing", with(put, append(append([]byte{}, put.Data...), 0))},
+		{"put no frame", with(put, nil)},
+		{"txn truncated", with(tx, tx.Data[:len(tx.Data)-1])},
+		{"txn first frame long", frame(tx, 0, 1, 301, 1)},
+		{"txn trailing", with(tx, append(append([]byte{}, tx.Data...), 1, 2, 3))},
+		{"remap short", with(remap, binary.LittleEndian.AppendUint32([]byte{1}, 100))},
+		{"delete with data", wire.Record{LSN: tx.LSN + 1, Op: opDelete, Name: []byte("a"), Data: []byte{0}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sb, err := Format(replTestConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sb.Close()
+			sb.BeginStandby()
+			_, dev := sb.Devices()
+			written, at := dev.Stats().BytesWritten, sb.AppliedLSN()
+			if err := sb.ApplyReplicated(tc.rec); err == nil {
+				t.Fatal("malformed content applied")
+			}
+			if got := dev.Stats().BytesWritten; got != written {
+				t.Fatalf("refused record wrote %d SSD bytes", got-written)
+			}
+			if got := sb.AppliedLSN(); got != at {
+				t.Fatalf("AppliedLSN %d after a refused record, want %d", got, at)
+			}
+		})
+	}
+	// The untouched records still apply.
+	sb, err := Format(replTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sb.Close()
+	sb.BeginStandby()
+	for _, r := range recs {
+		if err := sb.ApplyReplicated(r); err != nil {
+			t.Fatalf("apply LSN %d: %v", r.LSN, err)
+		}
+	}
+}
+
+// TestStandbyLogsAnEmptiedRecordAsNoop: a record whose every content frame is
+// absent keeps no sub-op; the standby writes nothing to its SSD but logs a
+// no-op at the record's LSN, so its applied position passes the record and a
+// caught-up feed does not export it again.
+func TestStandbyLogsAnEmptiedRecordAsNoop(t *testing.T) {
+	primary, err := Format(replTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	if err := primary.Init().Put("k", val(1, 5000)); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := primary.ExportCommitted(0, 10)
+	if err != nil || len(recs) != 1 || recs[0].Op != opPut {
+		t.Fatalf("export: %d records, err %v; want one put", len(recs), err)
+	}
+	rec := recs[0]
+	rec.Data = []byte{0, 0, 0, 0, 0}
+	sb, err := Format(replTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sb.Close()
+	sb.BeginStandby()
+	_, dev := sb.Devices()
+	written := dev.Stats().BytesWritten
+	if err := sb.ApplyReplicated(rec); err != nil {
+		t.Fatal(err)
+	}
+	if got := sb.AppliedLSN(); got != rec.LSN {
+		t.Fatalf("AppliedLSN %d, want %d", got, rec.LSN)
+	}
+	if got := dev.Stats().BytesWritten; got != written {
+		t.Fatalf("an emptied record wrote %d SSD bytes", got-written)
+	}
+	logged, err := sb.eng.Pair().ExportCommitted(0, 10)
+	if err != nil || len(logged) != 1 || logged[0].Op != opNoop || logged[0].LSN != rec.LSN {
+		t.Fatalf("standby log %+v, err %v; want one no-op at LSN %d", logged, err, rec.LSN)
+	}
+	if _, err := sb.Init().Get("k", nil); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get of the dropped put: %v, want ErrNotFound", err)
 	}
 }

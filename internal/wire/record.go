@@ -35,8 +35,10 @@ type Record struct {
 	Name []byte
 	// Payload is the WAL record payload (allocation metadata), verbatim.
 	Payload []byte
-	// Data is the object block content referenced by Payload, concatenated
-	// in block order; empty for records that carry no data.
+	// Data is the object content Payload references: for each content-
+	// carrying sub-op, in record order, one frame `u8 present | u32 len |
+	// data`, present 0 with no bytes when the content could not be read
+	// back; empty for records that carry none.
 	Data []byte
 }
 

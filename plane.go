@@ -3,6 +3,7 @@ package dstore
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"dstore/internal/alloc"
 	"dstore/internal/btree"
@@ -142,8 +143,7 @@ func (p *plane) lookup(name []byte) (slot uint64, e meta.Entry, ok bool, err err
 // put-shaped update finished its metadata half (Fig. 4 step ⑥) and moved on
 // to the index (step ⑦) — Breakdown's meta/tree boundary.
 func (p *plane) apply(u *subOp, metaDone *int64) error {
-	switch u.op {
-	case opPut, opCreate, opExtend, opTxnBegin:
+	if putShaped(u.op) {
 		if err := p.zone.Write(u.slot, u.name, u.size, u.blocks, u.sums); err != nil {
 			return err
 		}
@@ -165,6 +165,8 @@ func (p *plane) apply(u *subOp, metaDone *int64) error {
 		}
 		_, _, err := p.tree.Insert(u.name, u.slot)
 		return err
+	}
+	switch u.op {
 	case opDelete, opTxnAbort:
 		// Tolerant of the name being already gone: a later committed
 		// delete or rewrite supersedes, and a transaction may delete a key
@@ -339,42 +341,31 @@ const (
 	txnSubDelete uint8 = 2
 )
 
-func encodeTxnPayload(txnid uint64, subs []subOp) []byte {
-	n := 12
+func encodeTxnPayload(b []byte, txnid uint64, subs []subOp) []byte {
+	b = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(b[:0], txnid), uint32(len(subs)))
 	for i := range subs {
-		n += 3 + len(subs[i].name)
-		if putShaped(subs[i].op) {
-			n += allocLen(&subs[i])
-		}
-	}
-	b := make([]byte, n)
-	binary.LittleEndian.PutUint64(b[0:], txnid)
-	binary.LittleEndian.PutUint32(b[8:], uint32(len(subs)))
-	off := 12
-	for i := range subs {
-		u := &subs[i]
-		b[off] = txnSubDelete
+		u, kind := &subs[i], txnSubDelete
 		if putShaped(u.op) {
-			b[off] = txnSubPut
+			kind = txnSubPut
 		}
-		binary.LittleEndian.PutUint16(b[off+1:], uint16(len(u.name)))
-		off += 3 + copy(b[off+3:], u.name)
-		if putShaped(u.op) {
-			putAllocPayload(b[off:], u)
-			off += allocLen(u)
+		b = binary.LittleEndian.AppendUint16(append(b, kind), uint16(len(u.name)))
+		b = append(b, u.name...)
+		if kind == txnSubPut {
+			b = append(b, make([]byte, allocLen(u))...)
+			putAllocPayload(b[len(b)-allocLen(u):], u)
 		}
 	}
 	return b
 }
 
-func decodeTxnPayload(p []byte) (txnid uint64, subs []subOp, err error) {
+func decodeTxnPayload(p []byte, dst []subOp) (txnid uint64, subs []subOp, err error) {
 	if len(p) < 12 {
 		return 0, nil, fmt.Errorf("dstore: short txn payload (%d bytes)", len(p))
 	}
 	txnid = binary.LittleEndian.Uint64(p[0:])
 	n := binary.LittleEndian.Uint32(p[8:])
 	off := 12
-	subs = make([]subOp, 0, n)
+	subs = slices.Grow(dst, min(int(n), (len(p)-off)/3)) // a sub-op takes at least 3 bytes
 	for i := uint32(0); i < n; i++ {
 		if len(p) < off+3 {
 			return 0, nil, fmt.Errorf("dstore: txn payload truncated at sub %d", i)
@@ -385,22 +376,19 @@ func decodeTxnPayload(p []byte) (txnid uint64, subs []subOp, err error) {
 		if len(p) < off+nameLen {
 			return 0, nil, fmt.Errorf("dstore: txn payload truncated in name of sub %d", i)
 		}
-		u := subOp{op: opDelete}
+		name, u := p[off:off+nameLen], subOp{op: opDelete}
+		off += nameLen
 		switch kind {
 		case txnSubPut:
-			if u, err = decodeAllocPayload(p[off+nameLen:]); err != nil {
+			if u, err = decodeAllocPayload(p[off:]); err != nil {
 				return 0, nil, fmt.Errorf("dstore: txn payload sub %d: %w", i, err)
 			}
-			u.op = opPut
+			u.op, off = opPut, off+allocLen(&u)
 		case txnSubDelete:
 		default:
 			return 0, nil, fmt.Errorf("dstore: unknown txn sub kind %d", kind)
 		}
-		u.name = p[off : off+nameLen]
-		off += nameLen
-		if kind == txnSubPut {
-			off += allocLen(&u)
-		}
+		u.name = name
 		subs = append(subs, u)
 	}
 	return txnid, subs, nil
@@ -420,19 +408,43 @@ func decodeSub(op uint16, name, payload []byte) (u subOp, err error) {
 	return u, nil
 }
 
-// replayRecord applies one logged record to a plane: its sub-op, or for an
-// opTxnCommit record every sub-op of its write set in order. Used by
-// checkpoint replay (onto PMEM shadows) and recovery replay (onto the rebuilt
-// DRAM arena).
-func replayRecord(p *plane, rv wal.RecordView) error {
-	if rv.Op != opTxnCommit {
-		u, err := decodeSub(rv.Op, rv.Name, rv.Payload)
-		if err == nil {
-			err = p.apply(&u, nil)
-		}
-		return err
+// decodeRecord is the one reading of a logged record — replay's, the
+// exporter's and the standby's: the sub-ops a plane applies, appended to
+// dst[:0]. A transaction record yields its write set and its id, any other
+// record its one sub-op.
+func decodeRecord(op uint16, name, payload []byte, dst []subOp) (txnid uint64, subs []subOp, err error) {
+	if op == opTxnCommit {
+		return decodeTxnPayload(payload, dst[:0])
 	}
-	_, subs, err := decodeTxnPayload(rv.Payload)
+	u, err := decodeSub(op, name, payload)
+	if err != nil {
+		return 0, nil, err
+	}
+	return 0, append(dst[:0], u), nil
+}
+
+// encodeRecord is decodeRecord's inverse: it lays w's record parameters down
+// in w.params, reusing its room (the log copies a payload out at the append,
+// so a write keeps one buffer), and returns them — nil for a record that has
+// none.
+func encodeRecord(w *writeSet, physPad int) []byte {
+	switch enc := opTable[w.op].encode; {
+	case w.op == opTxnCommit:
+		w.params = encodeTxnPayload(w.params, w.txnid, w.subs)
+	case enc != nil:
+		w.params = enc(w.params, &w.subs[0], physPad)
+	default:
+		return nil
+	}
+	return w.params
+}
+
+// replayRecord applies one logged record's sub-ops to a plane in order. Used
+// by checkpoint replay (onto PMEM shadows) and recovery replay (onto the
+// rebuilt DRAM arena).
+func replayRecord(p *plane, rv wal.RecordView) error {
+	var one [1]subOp
+	_, subs, err := decodeRecord(rv.Op, rv.Name, rv.Payload, one[:])
 	for i := 0; i < len(subs) && err == nil; i++ {
 		err = p.apply(&subs[i], nil)
 	}

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 
+	"dstore/internal/meta"
 	"dstore/internal/ssd"
 	"dstore/internal/wal"
 	"dstore/internal/wire"
@@ -39,44 +40,13 @@ func (s *Store) LastLSN() uint64 { return s.eng.Pair().LastLSN() }
 // here.
 func (s *Store) AppliedLSN() uint64 { return s.eng.Pair().LastLSN() }
 
-// exportSubData reads one put-shaped sub-op's object content back
-// verifiably (logical spans only, concatenated in block order); ok=false
-// means a block was superseded (or faulted) and the content cannot ship.
-func (s *Store) exportSubData(sub subOp) ([]byte, bool) {
-	data := make([]byte, 0, sub.size)
-	for i, b := range sub.blocks {
-		ln := s.exportSpanLen(sub.size, i)
-		if ln == 0 {
-			continue
-		}
-		span := make([]byte, ln)
-		if err := s.readBlockVerified(b, span, sub.sums[i], string(sub.name)); err != nil {
-			return nil, false
-		}
-		data = append(data, span...)
-	}
-	return data, true
-}
-
-// exportSpanLen returns the logical length of block i of an object of the
-// given size.
-func (s *Store) exportSpanLen(size uint64, i int) uint64 {
-	lo := uint64(i) * blockSize
-	hi := lo + blockSize
-	hi = min(hi, size)
-	if hi <= lo {
-		return 0
-	}
-	return hi - lo
-}
-
 // ExportCommitted returns up to max committed WAL records with LSN > from,
-// each paired with the SSD block content it references (concatenated in
-// block order, logical spans only). Records whose data can no longer be
-// read back verifiably are skipped: when a block was freed and reused, a
-// newer committed record necessarily rewrote the object and ships the fresh
-// content, so the standby still converges. A short or empty result means
-// "caught up for now"; ErrReplGap means the subscriber must re-seed.
+// each with one frame of Data per content-carrying sub-op (wire.Record).
+// Content that no longer reads back ships absent: a block freed and reused
+// means a newer committed record rewrote the object and ships the fresh
+// content later in the stream, so the standby drops the sub-op and still
+// converges. A short or empty result means "caught up for now"; ErrReplGap
+// means the subscriber must re-seed.
 func (s *Store) ExportCommitted(from uint64, max int) ([]wire.Record, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
@@ -89,64 +59,38 @@ func (s *Store) ExportCommitted(from uint64, max int) ([]wire.Record, error) {
 		return nil, err
 	}
 	out := make([]wire.Record, 0, len(recs))
+	var subs []subOp
 	for _, r := range recs {
+		if _, subs, err = decodeRecord(r.Op, r.Name, r.Payload, subs); err != nil {
+			return nil, fmt.Errorf("dstore: export record %d: %w", r.LSN, err)
+		}
 		w := wire.Record{LSN: r.LSN, Op: r.Op, Name: r.Name, Payload: r.Payload}
-		switch r.Op {
-		case opTxnCommit:
-			// A transaction record references several objects' data. Skipping
-			// the whole record when one sub-op's blocks were superseded would
-			// permanently diverge the standby on the others, so each put
-			// sub-op ships with a present flag:
-			//
-			//	u8 present | u32 len | data   (per put sub-op, record order)
-			//
-			// A non-present sub-op's content was rewritten by a later
-			// committed record that follows in the stream; the standby strips
-			// that sub-op on apply and the later record repairs the key.
-			_, subs, err := decodeTxnPayload(r.Payload)
-			if err != nil {
-				return nil, fmt.Errorf("dstore: export record %d: %w", r.LSN, err)
-			}
-			var data []byte
-			for _, sub := range subs {
-				if !putShaped(sub.op) {
-					continue
-				}
-				span, ok := s.exportSubData(sub)
-				if !ok {
-					data = append(data, 0, 0, 0, 0, 0)
-					continue
-				}
-				data = binary.LittleEndian.AppendUint32(append(data, 1), uint32(len(span)))
-				data = append(data, span...)
-			}
-			w.Data = data
-		case opPut, opCreate, opExtend, opTxnBegin:
-			sub, err := decodeSub(r.Op, r.Name, r.Payload)
-			if err != nil {
-				return nil, fmt.Errorf("dstore: export record %d: %w", r.LSN, err)
-			}
-			data, ok := s.exportSubData(sub)
+		for i := range subs {
+			n, sums, ok := shipped(&subs[i])
 			if !ok {
-				continue // superseded content (or at-rest fault): skip
+				continue
 			}
-			w.Data = data
-		case opRemap:
-			// The record does not carry the span length, so the full block
-			// ships unverified; bytes beyond the logical span are never read.
-			sub, err := decodeRemapPayload(r.Payload)
-			if err != nil {
-				return nil, fmt.Errorf("dstore: export record %d: %w", r.LSN, err)
+			at := len(w.Data)
+			w.Data = binary.LittleEndian.AppendUint32(append(w.Data, 1), uint32(n))
+			w.Data = append(w.Data, make([]byte, n)...)
+			if s.readBlocks(string(subs[i].name), subs[i].blocks, sums, w.Data[at+5:]) != nil {
+				w.Data = append(w.Data[:at], 0, 0, 0, 0, 0)
 			}
-			blk := make([]byte, blockSize)
-			if err := s.ssdRead(s.dataOff(sub.blocks[0]), blk); err != nil {
-				continue // standby keeps its intact pre-remap copy
-			}
-			w.Data = blk
 		}
 		out = append(out, w)
 	}
 	return out, nil
+}
+
+// shipped returns the content length a replicated sub-op carries and the sums
+// it is read under: a put-shaped sub-op's size bytes, verified, and a remap's
+// whole relocation block, unverified, because its record carries no span
+// length. ok is false for a sub-op without content.
+func shipped(u *subOp) (n uint64, sums []uint32, ok bool) {
+	if u.op == opRemap {
+		return blockSize, []uint32{meta.SumUnverified}, true
+	}
+	return u.size, u.sums, putShaped(u.op)
 }
 
 // BeginStandby puts the store into standby mode: mutating operations return
@@ -166,11 +110,13 @@ func (s *Store) IsStandby() bool { return s.standby.Load() }
 // append is repaired by recovery replay, which re-applies the committed
 // record over the already-durable data.
 //
-// A transaction record ships each put sub-op's data behind a present flag
-// (see ExportCommitted). The not-present sub-ops are STRIPPED from the payload
-// before it is logged, so the standby's own recovery replay stays
-// self-consistent; their keys are repaired by the later committed records
-// that superseded them, which follow in the stream.
+// Every frame of rec.Data (see ExportCommitted) is checked against its
+// sub-op before a byte is written. A sub-op whose content is absent is
+// dropped from the record before it is logged, so the standby's own recovery
+// replay stays self-consistent; its key is repaired by the later committed
+// record that superseded it, which follows in the stream. A transaction that
+// lost some sub-ops is re-encoded; a record that lost all is logged as a
+// no-op, which replay ignores, so the applied position still passes it.
 func (s *Store) ApplyReplicated(rec wire.Record) error {
 	if !s.standby.Load() {
 		return fmt.Errorf("dstore: ApplyReplicated on non-standby store")
@@ -187,40 +133,36 @@ func (s *Store) ApplyReplicated(rec wire.Record) error {
 		return nil // duplicate delivery (resubscribe overlap): idempotent
 	}
 
-	// Decode the record into sub-ops, each paired with its shipped data.
-	var subs []subOp
-	if rec.Op == opTxnCommit {
-		txnid, all, err := decodeTxnPayload(rec.Payload)
-		if err != nil {
-			return fmt.Errorf("dstore: apply record %d: %w", rec.LSN, err)
-		}
-		data := rec.Data
-		for _, sub := range all {
-			if putShaped(sub.op) {
-				if len(data) < 5 {
-					return fmt.Errorf("dstore: apply record %d: transaction data truncated", rec.LSN)
-				}
-				present, ln := data[0], uint64(binary.LittleEndian.Uint32(data[1:5]))
-				if data = data[5:]; uint64(len(data)) < ln {
-					return fmt.Errorf("dstore: apply record %d: transaction data truncated", rec.LSN)
-				}
-				sub.data, data = data[:ln], data[ln:]
-				if present == 0 {
-					continue
-				}
+	txnid, all, err := decodeRecord(rec.Op, rec.Name, rec.Payload, nil)
+	if err != nil {
+		return fmt.Errorf("dstore: apply record %d: %w", rec.LSN, err)
+	}
+	subs, data := all[:0], rec.Data
+	for _, sub := range all {
+		if n, _, ok := shipped(&sub); ok {
+			if len(data) < 5 {
+				return fmt.Errorf("dstore: apply record %d: content frame truncated", rec.LSN)
 			}
-			subs = append(subs, sub)
+			present, ln := data[0], uint64(binary.LittleEndian.Uint32(data[1:5]))
+			if data = data[5:]; present > 1 || ln != n*uint64(present) || uint64(len(data)) < ln {
+				return fmt.Errorf("dstore: apply record %d: content frame (present %d, %d of %d bytes) for %d-byte content",
+					rec.LSN, present, ln, len(data), n)
+			}
+			sub.data, data = data[:ln], data[ln:]
+			if present == 0 {
+				continue
+			}
 		}
-		if len(subs) != len(all) {
-			rec.Payload = encodeTxnPayload(txnid, subs)
-		}
-	} else {
-		sub, err := decodeSub(rec.Op, rec.Name, rec.Payload)
-		if err != nil {
-			return fmt.Errorf("dstore: apply record %d: %w", rec.LSN, err)
-		}
-		sub.data = rec.Data
-		subs = []subOp{sub}
+		subs = append(subs, sub)
+	}
+	if len(data) > 0 {
+		return fmt.Errorf("dstore: apply record %d: %d bytes after the last content frame", rec.LSN, len(data))
+	}
+	switch {
+	case len(subs) == 0:
+		rec.Op, rec.Payload = opNoop, nil
+	case len(subs) < len(all):
+		rec.Payload = encodeRecord(&writeSet{op: rec.Op, txnid: txnid, subs: subs}, 0)
 	}
 
 	for i := range subs {
@@ -234,19 +176,9 @@ func (s *Store) ApplyReplicated(rec wire.Record) error {
 				sub.stale = e.Blocks
 			}
 		}
-		// Only whole-entry writes and remaps ship data: a put-shaped sub-op
-		// its size bytes, a remap the whole block (its record carries no span
-		// length).
-		want := sub.size
-		if sub.op == opRemap {
-			want = blockSize
-		} else if !putShaped(sub.op) {
+		if _, _, ok := shipped(sub); !ok {
 			continue
 		}
-		if uint64(len(sub.data)) < want {
-			return fmt.Errorf("dstore: apply record %d: data truncated (%d < %d)", rec.LSN, len(sub.data), want)
-		}
-		sub.data = sub.data[:want]
 		reqs := make([]ssd.Write, len(sub.blocks))
 		for j, b := range sub.blocks {
 			reqs[j] = ssd.Write{Off: s.dataOff(b), P: s.span(sub.data, j)}

@@ -1,6 +1,8 @@
 package dstore
 
 import (
+	"bytes"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -231,4 +233,57 @@ func TestSameCodeEquivalence(t *testing.T) {
 		diffPlanes(t, fmt.Sprintf("shard %d recovered", i), front[i], snapshotPlane(t, re.Shard(i)))
 	}
 	must("fsck", re.Check())
+}
+
+// TestSameCodeRecordCodecPinsPayloads: encodeRecord lays down the WAL payload
+// bytes the per-opcode encoders laid down before it existed (captured from
+// them), decodeRecord reads each back to a record that encodes the same, and
+// a reused write set encodes a put without allocating (outside race builds).
+func TestSameCodeRecordCodecPinsPayloads(t *testing.T) {
+	put := subOp{op: opPut, name: []byte("obj"), size: 5000, slot: 7, blocks: []uint64{3, 11}, sums: []uint32{0xdeadbeef, 0x01020304}}
+	cases := []struct {
+		name string
+		w    writeSet
+		pad  int
+		want string
+	}{
+		{"put", writeSet{op: opPut, subs: []subOp{put}}, 0,
+			"881300000000000007000000000000000200000003000000000000000b00000000000000efbeadde04030201"},
+		{"put, physical pad", writeSet{op: opPut, subs: []subOp{put}}, 16,
+			"881300000000000007000000000000000200000003000000000000000b00000000000000efbeadde0403020100000000000000000000000000000000"},
+		{"extend, unknown sums", writeSet{op: opExtend, subs: []subOp{{op: opExtend, size: 4097, slot: 1, blocks: []uint64{1, 2}}}}, 0,
+			"0110000000000000010000000000000002000000010000000000000002000000000000000000000000000000"},
+		{"inval", writeSet{op: opInval, subs: []subOp{{op: opInval, idxs: []int{0, 2}}}}, 0, "020000000000000002000000"},
+		{"remap", writeSet{op: opRemap, subs: []subOp{{op: opRemap, idxs: []int{1}, blocks: []uint64{9}, sums: []uint32{0xabcdef01}}}}, 0,
+			"01000000090000000000000001efcdab"},
+		{"delete", writeSet{op: opDelete, subs: []subOp{{op: opDelete}}}, 0, ""},
+		{"transaction", writeSet{op: opTxnCommit, txnid: 0x1122334455667788, subs: []subOp{
+			{op: opPut, name: []byte("k1"), size: 10, slot: 3, blocks: []uint64{4}, sums: []uint32{5}},
+			{op: opDelete, name: []byte("k2")},
+			{op: opPut, name: []byte("k3"), size: 4097, slot: 1, blocks: []uint64{1, 2}},
+		}}, 0, "8877665544332211030000000102006b310a000000000000000300000000000000010000000400000000000000050000000202006b320102006b33" +
+			"0110000000000000010000000000000002000000010000000000000002000000000000000000000000000000"},
+	}
+	for _, tc := range cases {
+		payload := encodeRecord(&tc.w, tc.pad)
+		if got := hex.EncodeToString(payload); got != tc.want {
+			t.Fatalf("%s: payload %s, want %s", tc.name, got, tc.want)
+		}
+		txnid, subs, err := decodeRecord(tc.w.op, []byte("obj"), payload, nil)
+		if err != nil || txnid != tc.w.txnid || len(subs) != len(tc.w.subs) {
+			t.Fatalf("%s: decoded txn %x, %d sub-ops, err %v", tc.name, txnid, len(subs), err)
+		}
+		again := writeSet{op: tc.w.op, txnid: txnid, subs: subs}
+		if got := encodeRecord(&again, tc.pad); !bytes.Equal(got, payload) {
+			t.Fatalf("%s: decoded record encodes as %x, want %x", tc.name, got, payload)
+		}
+	}
+	if raceEnabled {
+		return // the race build allocates the zeroed room append(b, make(...)...) reuses
+	}
+	w := writeSet{op: opPut, subs: []subOp{put}}
+	encodeRecord(&w, 0)
+	if n := testing.AllocsPerRun(100, func() { encodeRecord(&w, 0) }); n != 0 {
+		t.Fatalf("encoding a put into a reused write set: %v allocs, want 0", n)
+	}
 }

@@ -50,13 +50,14 @@ func (s *Store) chunk(dst []ObjectInfo, prefix, after string) ([]ObjectInfo, err
 		start = after + "\x00"
 	}
 	out := slices.Grow(dst[:0], scanChunk)
+	var eb entryBuf // every entry's lists land here: only their length is kept
 	s.treeMu.RLock()
 	defer s.treeMu.RUnlock()
 	err := s.front.tree.IterateFrom([]byte(start), func(key []byte, slot uint64) error {
 		if len(out) == scanChunk || !strings.HasPrefix(string(key), prefix) {
 			return errStopScan // full, or past the prefix range (keys are ordered)
 		}
-		e, used, err := s.zoneRead(slot, nil)
+		e, used, err := s.zoneRead(slot, &eb)
 		if err != nil {
 			return err
 		}

@@ -307,3 +307,32 @@ func TestScanHidesReservedNames(t *testing.T) {
 		}
 	}
 }
+
+// TestScanAllocatesOnlyNames: a Scan reads every entry into one buffer its
+// chunk reuses, so beyond the per-chunk bookkeeping the one allocation a key
+// costs is its name string (about 3 a key when each entry's block and sum
+// lists were copied out fresh).
+func TestScanAllocatesOnlyNames(t *testing.T) {
+	const keys = 1000
+	cfg := testConfig()
+	cfg.MaxObjects = 2 * keys
+	s := newStoreT(t, cfg)
+	defer s.Close()
+	ctx := s.Init()
+	for i := 0; i < keys; i++ {
+		if err := ctx.Put(fmt.Sprintf("scan/%04d", i), val(byte(i), 10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := 0
+	perKey := testing.AllocsPerRun(5, func() {
+		n = 0
+		if err := ctx.Scan("scan/", func(ObjectInfo) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
+	}) / keys
+	t.Logf("%.2f allocations a key", perKey)
+	if n != keys || perKey > 1.5 {
+		t.Fatalf("Scan of %d keys saw %d and made %.2f allocations a key, want %d and at most 1.5", keys, n, perKey, keys)
+	}
+}

@@ -45,10 +45,6 @@ const (
 func txnPrepName(id uint64) string { return fmt.Sprintf("%s%016x", txnPrepPrefix, id) }
 func txnDecName(id uint64) string  { return fmt.Sprintf("%s%016x", txnDecPrefix, id) }
 
-// txnIDFromName recovers the transaction id hex suffix shared by the
-// prepare and decision names.
-func txnIDSuffix(name, prefix string) string { return name[len(prefix):] }
-
 // ------------------------------------------------------- prep/dec encoding
 
 // encodeTxnPrep serializes a participant's buffered writes:
@@ -446,7 +442,7 @@ func (sh *Sharded) resolveTxns() error {
 			if coord < 0 || coord >= n {
 				return fmt.Errorf("%w: shard %d: %q names coordinator %d of %d", ErrCorrupt, i, name, coord, n)
 			}
-			dec := txnDecPrefix + txnIDSuffix(name, txnPrepPrefix)
+			dec := txnDecPrefix + name[len(txnPrepPrefix):]
 			if sh.store(coord).hasReserved(dec) {
 				// Decided: roll the prepared writes forward and retire the
 				// prepare in the same atomic record.
@@ -478,7 +474,7 @@ func (sh *Sharded) resolveTxns() error {
 			if derr != nil {
 				return fmt.Errorf("shard %d: %q: %w", i, name, derr)
 			}
-			prep := txnPrepPrefix + txnIDSuffix(name, txnDecPrefix)
+			prep := txnPrepPrefix + name[len(txnDecPrefix):]
 			clean := true
 			for _, p := range parts {
 				if p < 0 || p >= n || sh.store(p).hasReserved(prep) {

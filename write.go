@@ -518,14 +518,7 @@ func (s *Store) appendSets(sets []*writeSet, t *stageNs) (n int, wait *wal.Handl
 			s.releaseLocked(w)
 			continue
 		}
-		var payload []byte
-		if w.op == opTxnCommit {
-			payload = encodeTxnPayload(w.txnid, w.subs)
-		} else if enc := opTable[w.op].encode; enc != nil {
-			w.params = enc(w.params, &w.subs[0], s.physPad())
-			payload = w.params
-		}
-		ta := t.now()
+		payload, ta := encodeRecord(w, s.physPad()), t.now()
 		w.h, wait, err = s.eng.Pair().AppendIgnore(w.op, w.name, payload, heldLSN(w.locks, string(w.name)))
 		t.log += t.now() - ta
 		if w.h == nil {
