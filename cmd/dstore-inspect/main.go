@@ -173,8 +173,12 @@ func engineLine(st *dstore.Store) {
 	fmt.Printf("root: seq=%d activeLog=%d shadowGen=%d ckptInProgress=%d lastCkptLSN=%d\n",
 		root.Seq, root.ActiveLog, root.ShadowGen, root.CkptInProgress, root.LastCkptLSN)
 	es := e.Stats()
-	fmt.Printf("log:  lastLSN=%d inflight=%d free=%.0f%% shadowCloned=%dB superseded=%d/%d\n",
-		e.Pair().LastLSN(), e.Pair().InFlight(), 100*e.Pair().FreeFraction(), es.ShadowBytesCloned, es.RecordsSuperseded, es.RecordsReplayed)
+	recB := 0.0
+	if es.RecordsAppended > 0 {
+		recB = float64(es.BytesAppended) / float64(es.RecordsAppended)
+	}
+	fmt.Printf("log:  lastLSN=%d inflight=%d free=%.0f%% appended=%d recB=%.1f shadowCloned=%dB superseded=%d/%d\n",
+		e.Pair().LastLSN(), e.Pair().InFlight(), 100*e.Pair().FreeFraction(), es.RecordsAppended, recB, es.ShadowBytesCloned, es.RecordsSuperseded, es.RecordsReplayed)
 	m := st.Memory()
 	fmt.Printf("mem:  arena=%d/%dKiB pools=%dKiB cache=%dKiB hints=%dKiB cc=%dKiB walPending=%dB images=%dKiB (simulated devices, not DRAM)\n",
 		m.ArenaUsed>>10, m.ArenaReserved>>10, m.Pools>>10, m.Cache>>10, m.SlotHints>>10, m.CC>>10, m.WALPending, m.Images>>10)

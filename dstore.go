@@ -391,7 +391,24 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
+// checkGeometry refuses a geometry the log's put parameters cannot name: they
+// carry block ids, slots and object sizes as 32-bit fields (plane.go).
+func (c *Config) checkGeometry() error {
+	switch {
+	case c.Blocks >= 1<<32:
+		return fmt.Errorf("dstore: %d blocks do not fit the log's 32-bit block ids", c.Blocks)
+	case c.MaxObjects >= 1<<32:
+		return fmt.Errorf("dstore: %d objects do not fit the log's 32-bit slots", c.MaxObjects)
+	case c.MaxBlocksPerObject >= 1<<32/blockSize:
+		return fmt.Errorf("dstore: %d blocks per object do not fit the log's 32-bit object sizes", c.MaxBlocksPerObject)
+	}
+	return nil
+}
+
 func newStore(cfg *Config) (*Store, error) {
+	if err := cfg.checkGeometry(); err != nil {
+		return nil, err
+	}
 	blockPool, err := pool.New(cfg.Blocks, cfg.Blocks)
 	if err != nil {
 		return nil, err

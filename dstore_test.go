@@ -122,6 +122,42 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestFormatRefusesGeometryBeyondRecordFields: a log record names block ids,
+// slots and object sizes in 32-bit fields, so Format and Open refuse a
+// geometry with 2³² blocks or objects, or objects of 4 GiB, before they size
+// a pool or a device for it.
+func TestFormatRefusesGeometryBeyondRecordFields(t *testing.T) {
+	s := newStoreT(t, testConfig())
+	pm, data := s.Devices()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"blocks", func(c *Config) { c.Blocks = 1 << 32 }},
+		{"objects", func(c *Config) { c.MaxObjects = 1 << 32 }},
+		{"object size", func(c *Config) { c.MaxBlocksPerObject = 1 << 32 / blockSize }},
+	} {
+		cfg := testConfig()
+		tc.edit(&cfg)
+		if st, err := Format(cfg); err == nil {
+			st.Close()
+			t.Fatalf("%s: Format accepted the geometry", tc.name)
+		}
+		cfg.PMEM, cfg.SSD = pm, data
+		if st, err := Open(cfg); err == nil {
+			st.Close()
+			t.Fatalf("%s: Open accepted the geometry", tc.name)
+		}
+	}
+	largest := Config{Blocks: 1<<32 - 1, MaxObjects: 1<<32 - 1, MaxBlocksPerObject: 1<<32/blockSize - 1}
+	if err := largest.checkGeometry(); err != nil {
+		t.Fatalf("the largest geometry the fields hold: %v", err)
+	}
+}
+
 func TestEmptyValue(t *testing.T) {
 	s := newStoreT(t, testConfig())
 	defer s.Close()

@@ -266,7 +266,7 @@ func TestReplicatedShardRecordsMatchWire(t *testing.T) {
 }
 
 // TestStandbyDegradesOnRecordItsLogCannotHold: a committed record larger than
-// the standby's whole log (a 42-key transaction, 4,086 payload bytes, against
+// the standby's whole log (a 49-key transaction, 4,079 payload bytes, against
 // a 4 KiB log) degrades the standby with an error wrapping wal.ErrLogFull,
 // after at most one foreground checkpoint — no checkpoint makes room for it.
 func TestStandbyDegradesOnRecordItsLogCannotHold(t *testing.T) {
@@ -276,7 +276,7 @@ func TestStandbyDegradesOnRecordItsLogCannotHold(t *testing.T) {
 	}
 	defer p.Close()
 	txn, err := p.Init().Begin()
-	for i := 0; i < 42 && err == nil; i++ {
+	for i := 0; i < 49 && err == nil; i++ {
 		err = txn.Put(fmt.Sprintf("%062d", i), []byte("v"))
 	}
 	if err != nil || txn.Commit() != nil {
@@ -324,7 +324,8 @@ func TestStandbyDegradesOnRecordItsLogCannotHold(t *testing.T) {
 // is overwritten until its block is reused, so the export finds neither. The
 // standby drops what it cannot have — the put, and that one sub-op of the
 // transaction, whose other sub-op it logs — and the later records that
-// superseded them repair both keys.
+// superseded them repair both keys. The export reads every block once, and a
+// reused block is not corruption: the primary counts none.
 func TestStandbyConvergesOverSupersededContent(t *testing.T) {
 	cfg := replTestConfig()
 	cfg.Blocks = 32
@@ -384,8 +385,30 @@ func TestStandbyConvergesOverSupersededContent(t *testing.T) {
 	}
 	defer sb.Close()
 	sb.BeginStandby()
+	committed, err := primary.eng.Pair().ExportCommitted(0, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var content uint64 // the bytes the export ships or finds superseded
+	for _, r := range committed {
+		_, subs, err := decodeRecord(r.Op, r.Name, r.Payload, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range subs {
+			n, _, _ := shipped(&subs[i])
+			content += n
+		}
+	}
+	read := primary.data.Stats().BytesRead
 	if err := pump(primary, sb, &model{}); err != nil {
 		t.Fatalf("apply: %v", err)
+	}
+	if n := primary.Health().Corruptions; n != 0 {
+		t.Fatalf("the export counted %d corruptions on a primary with no corrupt byte", n)
+	}
+	if got := primary.data.Stats().BytesRead - read; got != content {
+		t.Fatalf("the export read %d device bytes for %d bytes of content", got, content)
 	}
 	logged, err := sb.eng.Pair().ExportCommitted(0, 1<<20)
 	if err != nil {
@@ -411,6 +434,65 @@ func TestStandbyConvergesOverSupersededContent(t *testing.T) {
 		t.Fatal(err)
 	}
 	judge(t, "superseded", sb, u.m)
+}
+
+// TestExportRereadsLiveContent: a flipped transfer of a block that is still
+// live is re-read, as a Get re-reads it, and ships present, so the promoted
+// standby holds every acknowledged put; a live block that stays corrupt fails
+// the export, and is counted, instead of shipping the put absent.
+func TestExportRereadsLiveContent(t *testing.T) {
+	primary, err := Format(replTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	u := play(t, primary, func(u *rig) error {
+		c := u.ctx()
+		for i := 0; i < 8; i++ {
+			k, v := fmt.Sprintf("live/%d", i), val(byte('a'+i), 3000+i)
+			if err := u.m.do(func() error { return c.Put(k, v) }, put(k, v)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	_, data := primary.Devices()
+	standby := func() *Store {
+		sb, err := Format(replTestConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb.BeginStandby()
+		return sb
+	}
+
+	flips := fault.NewPlan(fault.Config{BitFlipAt: []uint64{1, 4}})
+	data.SetFaultPlan(flips)
+	sb := standby()
+	defer sb.Close()
+	if err := pump(primary, sb, &model{}); err != nil {
+		t.Fatalf("pump over flipped reads: %v", err)
+	}
+	if n := flips.Stats().BitFlips; n != 2 {
+		t.Fatalf("the export saw %d flipped reads, want 2", n)
+	}
+	if n := primary.Health().Corruptions; n != 0 {
+		t.Fatalf("two transient flips counted as %d corruptions", n)
+	}
+	if err := sb.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	judge(t, "flipped", sb, u.m)
+
+	data.SetFaultPlan(fault.NewPlan(fault.Config{BitFlipRate: 1}))
+	sb2 := standby()
+	defer sb2.Close()
+	if err := pump(primary, sb2, &model{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("pump over corrupt live content: %v, want ErrCorrupt", err)
+	}
+	if primary.Health().Corruptions == 0 {
+		t.Fatal("corrupt live content was not counted")
+	}
 }
 
 // TestStandbyRefusesMalformedContent: a content frame longer or shorter than

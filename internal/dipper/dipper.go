@@ -117,6 +117,10 @@ type Stats struct {
 	GCBatches uint64
 	GCRecords uint64
 	GCParked  uint64
+	// RecordsAppended and BytesAppended count the records appended to the
+	// log pair and their log bytes, headers and padding included.
+	RecordsAppended uint64
+	BytesAppended   uint64
 }
 
 // Engine is a DIPPER instance bound to one PMEM device.
@@ -378,6 +382,7 @@ func (e *Engine) RootState() (RootState, error) {
 // Stats returns a snapshot of engine counters.
 func (e *Engine) Stats() Stats {
 	gc := e.pair.GroupCommitStats()
+	appended, appendedBytes := e.pair.Appended()
 	return Stats{
 		Checkpoints:       e.checkpoints.Load(),
 		CheckpointNanos:   e.checkpointNanos.Load(),
@@ -388,6 +393,8 @@ func (e *Engine) Stats() Stats {
 		GCBatches:         gc.Batches,
 		GCRecords:         gc.Records,
 		GCParked:          gc.Parked,
+		RecordsAppended:   appended,
+		BytesAppended:     appendedBytes,
 	}
 }
 

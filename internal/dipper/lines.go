@@ -16,10 +16,13 @@ func newLineSet(arenaBytes uint64) lineSet {
 	return make(lineSet, (arenaBytes/pmem.LineSize+63)/64)
 }
 
-// Enter marks the lines of [off, off+n).
+// Enter marks the lines of [off, off+n). A replay stores to the same lines
+// over and over, so a line already marked costs a load, not a read-modify-write.
 func (s lineSet) Enter(off, n uint64) {
 	for l := off / pmem.LineSize; l*pmem.LineSize < off+n; l++ {
-		s[l/64].Or(1 << (l % 64))
+		if w, bit := &s[l/64], uint64(1)<<(l%64); w.Load()&bit == 0 {
+			w.Or(bit)
+		}
 	}
 }
 

@@ -161,6 +161,7 @@ func (p *Pair) AppendCommitted(lsn uint64, op uint16, name, payload []byte) erro
 		return fmt.Errorf("wal: replicated append publish: %w", err)
 	}
 	l.tail = off + total
+	l.appended, l.appendedBytes = l.appended+1, l.appendedBytes+total
 	p.lsn.Store(lsn)
 	return nil
 }

@@ -1,9 +1,13 @@
 // Package wal implements the DIPPER operation log on PMEM (paper §3.4, §3.5,
 // §4.4).
 //
-// The log records logical operations: each record is
+// The log records logical operations: each record is a 16-byte header and
+// its name and parameters,
 //
-//	LSN | length | op | commit | name | params        (paper Fig. 3)
+//	LSN u64 | op u16 | state u8 | reserved u8 | nameLen u16 | payLen u16 | name | params
+//
+// (paper Fig. 3), padded to 8 bytes; its length is derived from the two
+// field lengths, so the header carries none.
 //
 // and is made durable with the paper's atomicity protocol, the body before the
 // LSN: an append only stores the record's body in the log (it stays invisible,
@@ -63,14 +67,13 @@ import (
 
 // Record layout constants.
 const (
-	recLSN     = 0  // u64, 0 = invalid
-	recLen     = 8  // u32, total record bytes, multiple of 8
-	recOp      = 12 // u16
-	recState   = 14 // u8: StateUncommitted/StateCommitted/StateDead
-	recNameLen = 16 // u16
-	recPayLen  = 18 // u16
-	// 20..24 reserved
-	recHeader = 24
+	recLSN   = 0  // u64, 0 = invalid
+	recOp    = 8  // u16
+	recState = 10 // u8: StateUncommitted/StateCommitted/StateDead
+	// 11 reserved
+	recNameLen = 12 // u16
+	recPayLen  = 14 // u16
+	recHeader  = 16
 
 	logHeader = 64 // records start after one header line
 
@@ -175,6 +178,11 @@ type Log struct {
 	// pair's truncation horizon) when the log is recycled by the next swap.
 	// Guarded by the Pair's swapMu.
 	archiveMax uint64
+
+	// appended and appendedBytes count the records Append and
+	// AppendCommitted laid down in this log and their padded sizes; a swap's
+	// migrated copies are not appends. Guarded by mu.
+	appended, appendedBytes uint64
 }
 
 func newLog(sp *space.PMEM) *Log {
@@ -204,7 +212,8 @@ func recordSize(nameLen, payLen int) uint64 {
 	return pad8(recHeader + uint64(nameLen) + uint64(payLen))
 }
 
-// readRecord decodes the record at off without validation beyond bounds.
+// readRecord decodes the record at off without validation beyond bounds:
+// the field lengths within MaxName and MaxPayload, the record within the log.
 func (l *Log) readRecord(off uint64) (RecordView, uint64, bool) {
 	if off+recHeader > l.sp.Size() {
 		return RecordView{}, 0, false
@@ -213,11 +222,10 @@ func (l *Log) readRecord(off uint64) (RecordView, uint64, bool) {
 	if lsn == 0 {
 		return RecordView{}, 0, false
 	}
-	total := uint64(l.sp.GetU32(off + recLen))
 	nl := uint64(l.sp.GetU16(off + recNameLen))
 	pl := uint64(l.sp.GetU16(off + recPayLen))
-	if total < recHeader || total%8 != 0 || off+total > l.sp.Size() ||
-		recHeader+nl+pl > total {
+	total := recordSize(int(nl), int(pl))
+	if nl > MaxName || pl > MaxPayload || off+total > l.sp.Size() {
 		return RecordView{}, 0, false
 	}
 	rv := RecordView{
@@ -448,6 +456,17 @@ func (p *Pair) GroupCommitStats() GroupCommitStats {
 	}
 }
 
+// Appended returns the number of records appended to the pair and their
+// total log bytes, headers and padding included.
+func (p *Pair) Appended() (records, bytes uint64) {
+	for _, l := range p.logs {
+		l.mu.Lock()
+		records, bytes = records+l.appended, bytes+l.appendedBytes
+		l.mu.Unlock()
+	}
+	return records, bytes
+}
+
 // NewPair formats a fresh pair over two equally-sized PMEM windows; log a is
 // initially active and the next LSN is startLSN.
 func NewPair(a, b *space.PMEM, startLSN uint64) *Pair {
@@ -637,6 +656,7 @@ func (p *Pair) AppendIgnore(op uint16, name, payload []byte, ignore uint64) (*Ha
 	}
 	l.pending = append(l.pending, pendingRec{lsn: lsn, off: off, total: total})
 	l.tail = off + total
+	l.appended, l.appendedBytes = l.appended+1, l.appendedBytes+total
 	// Register the handle and raise the filter before l.mu is released: a
 	// scan that can see the record (scans hold l.mu) can then always resolve
 	// its LSN, and a reader that finds the stripe zero is ordered before this
@@ -666,13 +686,12 @@ func (l *Log) storeRecordLocked(off uint64, op uint16, state uint8, name, payloa
 	// Body: everything except the LSN word. The LSN word at off is still
 	// zero — it is the previous append's guard. The rest of the header is
 	// one image, one store.
-	var hdr [recHeader - recLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(total))
-	binary.LittleEndian.PutUint16(hdr[recOp-recLen:], op)
-	hdr[recState-recLen] = state
-	binary.LittleEndian.PutUint16(hdr[recNameLen-recLen:], uint16(len(name)))
-	binary.LittleEndian.PutUint16(hdr[recPayLen-recLen:], uint16(len(payload)))
-	sp.Write(off+recLen, hdr[:])
+	var hdr [recHeader - recOp]byte
+	binary.LittleEndian.PutUint16(hdr[0:], op)
+	hdr[recState-recOp] = state
+	binary.LittleEndian.PutUint16(hdr[recNameLen-recOp:], uint16(len(name)))
+	binary.LittleEndian.PutUint16(hdr[recPayLen-recOp:], uint16(len(payload)))
+	sp.Write(off+recOp, hdr[:])
 	sp.Write(off+recHeader, name)
 	sp.Write(off+recHeader+uint64(len(name)), payload)
 	padStart := off + recHeader + uint64(len(name)) + uint64(len(payload))

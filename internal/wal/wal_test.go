@@ -358,7 +358,6 @@ func TestTornAppendIsInvisible(t *testing.T) {
 	l.mu.Lock()
 	off := l.tail
 	sp := l.sp
-	sp.PutU32(off+recLen, uint32(recordSize(4, 0)))
 	sp.PutU16(off+recOp, 7)
 	sp.PutU16(off+recNameLen, 4)
 	sp.Write(off+recHeader, []byte("torn"))
@@ -534,14 +533,72 @@ func TestQuickCommittedSurviveAnyCrash(t *testing.T) {
 }
 
 func TestRecordSizePadding(t *testing.T) {
-	if recordSize(0, 0) != 24 {
+	if recordSize(0, 0) != 16 {
 		t.Fatalf("empty record size = %d", recordSize(0, 0))
 	}
-	if recordSize(1, 0) != 32 {
+	if recordSize(1, 0) != 24 {
 		t.Fatalf("1-name record size = %d", recordSize(1, 0))
 	}
-	if recordSize(8, 8) != 40 {
+	if recordSize(8, 8) != 32 {
 		t.Fatalf("8+8 record size = %d", recordSize(8, 8))
+	}
+	// A one-block put with a 14-byte YCSB name: its parameters are size u32,
+	// slot u32, n u16, one block u32 and one sum u32 (18 bytes).
+	if recordSize(14, 18) != 48 {
+		t.Fatalf("one-block put record size = %d, want 48", recordSize(14, 18))
+	}
+}
+
+// TestAppendedCountsAppends: Appended counts each appended record once at its
+// padded size — a primary's and a standby's appends alike — and a swap's
+// migrated copy of an uncommitted record is not an append.
+func TestAppendedCountsAppends(t *testing.T) {
+	p, _ := newTestPair(t)
+	put := mustAppend(t, p, 1, "user0123456789", make([]byte, 18))
+	p.Commit(mustAppend(t, p, 1, "k", nil))
+	if _, err := p.Swap(func(int, int, uint64) {}); err != nil {
+		t.Fatal(err)
+	}
+	p.Commit(put)
+	if n, b := p.Appended(); n != 2 || b != 48+24 {
+		t.Fatalf("primary appended %d records of %d bytes, want 2 of 72", n, b)
+	}
+	sb, _ := newTestPair(t)
+	if err := sb.AppendCommitted(5, 1, []byte("user0123456789"), make([]byte, 18)); err != nil {
+		t.Fatal(err)
+	}
+	if n, b := sb.Appended(); n != 1 || b != 48 {
+		t.Fatalf("standby appended %d records of %d bytes, want 1 of 48", n, b)
+	}
+}
+
+// TestReadRecordBoundsFields: a published LSN over field lengths beyond
+// MaxName or MaxPayload, or a record running past the log, reads as no record.
+func TestReadRecordBoundsFields(t *testing.T) {
+	p, _ := newTestPair(t)
+	p.Commit(mustAppend(t, p, 1, "ok", []byte("payload")))
+	l := p.Log(0)
+	off := l.Tail()
+	end := l.sp.Size() - recHeader // a header that fits, with no room after it
+	for _, tc := range []struct {
+		off    uint64
+		nl, pl uint16
+	}{
+		{off, MaxName + 1, 0},
+		{off, 0, MaxPayload + 1},
+		{end, 8, 0},
+	} {
+		l.sp.PutU16(tc.off+recNameLen, tc.nl)
+		l.sp.PutU16(tc.off+recPayLen, tc.pl)
+		l.sp.PutU64(tc.off+recLSN, 99)
+		if _, _, ok := l.readRecord(tc.off); ok {
+			t.Fatalf("at %d, name %d, payload %d: record read as valid", tc.off, tc.nl, tc.pl)
+		}
+	}
+	l.sp.PutU16(off+recNameLen, 1)
+	l.sp.PutU16(off+recPayLen, 1)
+	if rv, next, ok := l.readRecord(off); !ok || next != off+24 || rv.LSN != 99 {
+		t.Fatalf("in-bounds record: ok %v, next %d, want %d", ok, next, off+24)
 	}
 }
 

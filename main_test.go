@@ -3,6 +3,7 @@ package dstore
 import (
 	"fmt"
 	"os"
+	"os/signal"
 	"runtime"
 	"testing"
 	"time"
@@ -25,6 +26,12 @@ const heapCeiling = 256 << 20
 // until dropped devices' images are released, and the run fails if more goroutines are alive than before it started or
 // the live heap and device images exceed heapCeiling.
 func TestMain(m *testing.M) {
+	// A fuzz run's engine watches for SIGINT, which starts os/signal's loop
+	// goroutine for the rest of the process. Start it before the count, so a
+	// fuzz run is held to the same ledger as a test run.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt)
+	signal.Stop(sig)
 	base := runtime.NumGoroutine()
 	code := m.Run()
 	if code == 0 {

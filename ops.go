@@ -293,26 +293,17 @@ func (s *Store) readObject(key string, hash uint64, buf []byte) ([]byte, error) 
 
 	start := len(buf)
 	buf = grow(buf, int(e.Size))
-	if err := s.readBlocks(key, e.Blocks, e.Sums, buf[start:]); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// readBlocks reads the content of name's blocks, each verified against its
-// sum, into dst, which is as long as the content: Get's loop, and the
-// exporter's.
-func (s *Store) readBlocks(name string, blocks []uint64, sums []uint32, dst []byte) error {
-	for i, b := range blocks {
-		p := s.span(dst, i)
+	out := buf[start:]
+	for i, b := range e.Blocks {
+		p := s.span(out, i)
 		if p == nil {
 			break
 		}
-		if err := s.readBlockVerified(b, p, sums[i], name); err != nil {
-			return err
+		if err := s.readBlockVerified(b, p, e.Sums[i], key); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return buf, nil
 }
 
 // Delete removes key's object (paper Table 2: odelete). A delete that finds

@@ -577,8 +577,8 @@ var reshardPhases = []point{{phase: "pre-copy"}, {1, "copy"}, {17, "copy"}, {60,
 var oracleRows = []row{
 	{name: "plain", shape: bare, cfg: sweepConfig(2048, 512, 1<<14), script: mixed(plainMix), cuts: 98},
 	{name: "txn", shape: bare, cfg: sweepConfig(4096, 1024, 1<<14),
-		preload: seed(eightKeys, hashTag), script: rmw(40, []int{0, 3, 5}, hashTag, true), cuts: 91},
-	{name: "batch", shape: bare, cfg: sweepConfig(2048, 512, 1<<14), script: batches, cuts: 89},
+		preload: seed(eightKeys, hashTag), script: rmw(40, []int{0, 3, 5}, hashTag, true), cuts: 92},
+	{name: "batch", shape: bare, cfg: sweepConfig(2048, 512, 1<<14), script: batches, cuts: 99},
 	{name: "2pc", shape: ringOf(3), cfg: shardedTxnConfig(),
 		preload: seed(crossShard, atTag), script: rmw(25, []int{0, 1, 2, 3}, atTag, true), cuts: 61, after: resolved},
 	{name: "standby", shape: bare, cfg: replTestConfig(), replicated: true,
@@ -594,7 +594,7 @@ var oracleRows = []row{
 		script: func(u *rig) error { return u.api.(*Sharded).RemoveShard(1) },
 		at:     reshardPhases, after: resharded},
 	{name: "ring-plain", shape: ringOf(2), cfg: sweepConfig(4096, 1024, 1<<14), script: mixed(plainMix), cuts: 31},
-	{name: "ring-batch", shape: ringOf(2), cfg: sweepConfig(4096, 1024, 1<<14), script: batches, cuts: 31},
+	{name: "ring-batch", shape: ringOf(2), cfg: sweepConfig(4096, 1024, 1<<14), script: batches, cuts: 32},
 	{name: "churn", shape: shape{build: bare.build}, cfg: Config{Blocks: 1024, MaxObjects: 256, LogBytes: 1 << 16},
 		script: churn(64), at: []point{{}}},
 	{name: "catchup", shape: bare, cfg: sweepConfig(2048, 24, 1<<14), script: catchUp, cuts: 97},

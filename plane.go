@@ -1,6 +1,7 @@
 package dstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -244,17 +245,23 @@ func (p *plane) retract(u *subOp) bool {
 // Physical-logging mode pads the payload with an image to model ARIES-style
 // records (Fig. 9 baseline).
 //
-// allocLen is the encoded size of a put-shaped sub-op's parameters.
-func allocLen(u *subOp) int { return 20 + 12*len(u.blocks) }
+// A put-shaped sub-op's parameters are size u32 | slot u32 | n u16 |
+// n × block u32 | n × sum u32: Format and Open refuse a geometry whose
+// object sizes, slots or block ids do not fit those fields (checkGeometry),
+// and a record holds at most MaxPayload bytes, fewer blocks than n can count.
+//
+// allocLen is the encoded size of a put-shaped sub-op's parameters over n
+// blocks.
+func allocLen(n int) int { return 10 + 8*n }
 
 // putAllocPayload lays u's parameters down at the start of b.
 func putAllocPayload(b []byte, u *subOp) {
-	binary.LittleEndian.PutUint64(b[0:], u.size)
-	binary.LittleEndian.PutUint64(b[8:], u.slot)
-	binary.LittleEndian.PutUint32(b[16:], uint32(len(u.blocks)))
-	so := 20 + 8*len(u.blocks)
+	binary.LittleEndian.PutUint32(b[0:], uint32(u.size))
+	binary.LittleEndian.PutUint32(b[4:], uint32(u.slot))
+	binary.LittleEndian.PutUint16(b[8:], uint16(len(u.blocks)))
+	so := 10 + 4*len(u.blocks)
 	for i, blk := range u.blocks {
-		binary.LittleEndian.PutUint64(b[20+8*i:], blk)
+		binary.LittleEndian.PutUint32(b[10+4*i:], uint32(blk))
 		if u.sums != nil {
 			binary.LittleEndian.PutUint32(b[so+4*i:], u.sums[i])
 		}
@@ -264,27 +271,39 @@ func putAllocPayload(b []byte, u *subOp) {
 // The encoders lay a record's parameters down in b, reusing its room: the
 // log copies a payload out at the append, so a write keeps one buffer.
 func encodeAllocPayload(b []byte, u *subOp, physPad int) []byte {
-	b = append(b[:0], make([]byte, allocLen(u)+physPad)...)
+	b = append(b[:0], make([]byte, allocLen(len(u.blocks))+physPad)...)
 	putAllocPayload(b, u)
 	return b
 }
 
 func decodeAllocPayload(p []byte) (u subOp, err error) {
-	if len(p) < 20 {
+	if len(p) < 10 {
 		return u, fmt.Errorf("dstore: short payload (%d bytes)", len(p))
 	}
-	u.size = binary.LittleEndian.Uint64(p[0:])
-	u.slot = binary.LittleEndian.Uint64(p[8:])
-	n := int(binary.LittleEndian.Uint32(p[16:]))
-	if len(p) < 20+12*n {
+	u.size = uint64(binary.LittleEndian.Uint32(p[0:]))
+	u.slot = uint64(binary.LittleEndian.Uint32(p[4:]))
+	n := int(binary.LittleEndian.Uint16(p[8:]))
+	if len(p) < 10+8*n {
 		return u, fmt.Errorf("dstore: payload truncated (%d bytes for %d blocks)", len(p), n)
 	}
 	u.blocks = make([]uint64, n)
 	u.sums = make([]uint32, n)
-	so := 20 + 8*n
+	so := 10 + 4*n
 	for i := range u.blocks {
-		u.blocks[i] = binary.LittleEndian.Uint64(p[20+8*i:])
+		u.blocks[i] = uint64(binary.LittleEndian.Uint32(p[10+4*i:]))
 		u.sums[i] = binary.LittleEndian.Uint32(p[so+4*i:])
+	}
+	return u, nil
+}
+
+// decodePutPayload decodes a put-shaped record's parameters. Bytes after
+// them are the physical-logging image, which encodeAllocPayload leaves zero.
+func decodePutPayload(p []byte) (u subOp, err error) {
+	if u, err = decodeAllocPayload(p); err != nil {
+		return u, err
+	}
+	if pad := p[allocLen(len(u.blocks)):]; len(bytes.TrimLeft(pad, "\x00")) != 0 {
+		return u, fmt.Errorf("dstore: %d bytes after the put parameters are not zero", len(pad))
 	}
 	return u, nil
 }
@@ -303,8 +322,8 @@ func decodeInvalPayload(p []byte) (u subOp, err error) {
 		return u, fmt.Errorf("dstore: short inval payload (%d bytes)", len(p))
 	}
 	n := binary.LittleEndian.Uint32(p[0:])
-	if len(p) < 4+4*int(n) {
-		return u, fmt.Errorf("dstore: inval payload truncated (%d bytes for %d indices)", len(p), n)
+	if uint64(len(p)) != 4+4*uint64(n) {
+		return u, fmt.Errorf("dstore: inval payload of %d bytes for %d indices", len(p), n)
 	}
 	u.idxs = make([]int, n)
 	for i := range u.idxs {
@@ -317,17 +336,17 @@ func decodeInvalPayload(p []byte) (u subOp, err error) {
 // relocation target blocks[0] carrying the checksum sums[0].
 func encodeRemapPayload(b []byte, u *subOp, _ int) []byte {
 	b = binary.LittleEndian.AppendUint32(b[:0], uint32(u.idxs[0]))
-	b = binary.LittleEndian.AppendUint64(b, u.blocks[0])
+	b = binary.LittleEndian.AppendUint32(b, uint32(u.blocks[0]))
 	return binary.LittleEndian.AppendUint32(b, u.sums[0])
 }
 
 func decodeRemapPayload(p []byte) (u subOp, err error) {
-	if len(p) < 16 {
-		return u, fmt.Errorf("dstore: short remap payload (%d bytes)", len(p))
+	if len(p) != 12 {
+		return u, fmt.Errorf("dstore: remap payload of %d bytes, want 12", len(p))
 	}
 	u.idxs = []int{int(binary.LittleEndian.Uint32(p[0:]))}
-	u.blocks = []uint64{binary.LittleEndian.Uint64(p[4:])}
-	u.sums = []uint32{binary.LittleEndian.Uint32(p[12:])}
+	u.blocks = []uint64{uint64(binary.LittleEndian.Uint32(p[4:]))}
+	u.sums = []uint32{binary.LittleEndian.Uint32(p[8:])}
 	return u, nil
 }
 
@@ -351,8 +370,8 @@ func encodeTxnPayload(b []byte, txnid uint64, subs []subOp) []byte {
 		b = binary.LittleEndian.AppendUint16(append(b, kind), uint16(len(u.name)))
 		b = append(b, u.name...)
 		if kind == txnSubPut {
-			b = append(b, make([]byte, allocLen(u))...)
-			putAllocPayload(b[len(b)-allocLen(u):], u)
+			b = append(b, make([]byte, allocLen(len(u.blocks)))...)
+			putAllocPayload(b[len(b)-allocLen(len(u.blocks)):], u)
 		}
 	}
 	return b
@@ -383,13 +402,16 @@ func decodeTxnPayload(p []byte, dst []subOp) (txnid uint64, subs []subOp, err er
 			if u, err = decodeAllocPayload(p[off:]); err != nil {
 				return 0, nil, fmt.Errorf("dstore: txn payload sub %d: %w", i, err)
 			}
-			u.op, off = opPut, off+allocLen(&u)
+			u.op, off = opPut, off+allocLen(len(u.blocks))
 		case txnSubDelete:
 		default:
 			return 0, nil, fmt.Errorf("dstore: unknown txn sub kind %d", kind)
 		}
 		u.name = name
 		subs = append(subs, u)
+	}
+	if off != len(p) {
+		return 0, nil, fmt.Errorf("dstore: %d bytes after the txn write set", len(p)-off)
 	}
 	return txnid, subs, nil
 }
@@ -403,6 +425,8 @@ func decodeSub(op uint16, name, payload []byte) (u subOp, err error) {
 		if u, err = dec(payload); err != nil {
 			return u, err
 		}
+	} else if len(payload) != 0 {
+		return u, fmt.Errorf("dstore: op %d carries a %d-byte payload", op, len(payload))
 	}
 	u.op, u.name = op, name
 	return u, nil
@@ -461,8 +485,9 @@ func replayRecord(p *plane, rv wal.RecordView) error {
 // commutativity win is realised where the paper measures it — in the
 // frontend's OE locking (Fig. 9's "+OE") — while replay stays a
 // deterministic, sequential background activity. At the paper's record
-// sizes (32 B logical records driving ~300 ns structure updates) the replay
-// is log-bandwidth bound either way.
+// sizes (32 B plus the name, driving ~300 ns structure updates; here a
+// one-block put with a 14-byte name is 48 B) the replay is log-bandwidth
+// bound either way.
 //
 // A first pass finds each slot's last single put-shaped record and the
 // second skips every earlier one, whose whole effect that record overwrites
@@ -496,11 +521,11 @@ func replay(al *alloc.Allocator, records func(fn func(wal.RecordView) error) err
 }
 
 // putSlot returns the slot a single put-shaped record rewrites (payload bytes
-// 8–16, after the size), if it is one of last's.
+// 4–8, after the size), if it is one of last's.
 func putSlot(rv wal.RecordView, last []uint32) (uint64, bool) {
-	if !putShaped(rv.Op) || len(rv.Payload) < 16 {
+	if !putShaped(rv.Op) || len(rv.Payload) < 8 {
 		return 0, false
 	}
-	slot := binary.LittleEndian.Uint64(rv.Payload[8:])
+	slot := uint64(binary.LittleEndian.Uint32(rv.Payload[4:]))
 	return slot, slot < uint64(len(last))
 }

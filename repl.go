@@ -42,11 +42,12 @@ func (s *Store) AppliedLSN() uint64 { return s.eng.Pair().LastLSN() }
 
 // ExportCommitted returns up to max committed WAL records with LSN > from,
 // each with one frame of Data per content-carrying sub-op (wire.Record).
-// Content that no longer reads back ships absent: a block freed and reused
+// Content that is no longer live ships absent: a block freed and reused
 // means a newer committed record rewrote the object and ships the fresh
 // content later in the stream, so the standby drops the sub-op and still
-// converges. A short or empty result means "caught up for now"; ErrReplGap
-// means the subscriber must re-seed.
+// converges. Live content that does not read back fails the export. A short
+// or empty result means "caught up for now"; ErrReplGap means the subscriber
+// must re-seed.
 func (s *Store) ExportCommitted(from uint64, max int) ([]wire.Record, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
@@ -73,13 +74,62 @@ func (s *Store) ExportCommitted(from uint64, max int) ([]wire.Record, error) {
 			at := len(w.Data)
 			w.Data = binary.LittleEndian.AppendUint32(append(w.Data, 1), uint32(n))
 			w.Data = append(w.Data, make([]byte, n)...)
-			if s.readBlocks(string(subs[i].name), subs[i].blocks, sums, w.Data[at+5:]) != nil {
+			live, err := s.exportBlocks(&subs[i], sums, w.Data[at+5:])
+			if err != nil {
+				return nil, fmt.Errorf("dstore: export record %d: %w", r.LSN, err)
+			}
+			if !live {
 				w.Data = append(w.Data[:at], 0, 0, 0, 0, 0)
 			}
 		}
 		out = append(out, w)
 	}
 	return out, nil
+}
+
+// exportBlocks reads u's content into dst, each block once: from the cache,
+// or with one device read checked against its sum. A block that does not read
+// back and that u's name no longer maps was freed and reused — the record that
+// superseded u ships the content later — so it reports false, with no re-read
+// and no count in Health().Corruptions. Live content is read as a Get reads
+// it, and fails the export if it stays corrupt rather than ship a write absent.
+func (s *Store) exportBlocks(u *subOp, sums []uint32, dst []byte) (bool, error) {
+	for i, b := range u.blocks {
+		p := s.span(dst, i)
+		if p == nil {
+			break
+		}
+		verified := sums[i] != meta.SumUnverified
+		if verified && s.bcache.Get(b, sums[i], p) {
+			continue
+		}
+		if s.ssdRead(s.dataOff(b), p) == nil && (!verified || blockSum(p) == sums[i]) {
+			continue
+		}
+		if !s.maps(u, i, sums[i]) {
+			return false, nil
+		}
+		if err := s.readBlockVerified(b, p, sums[i], string(u.name)); err != nil {
+			if !s.maps(u, i, sums[i]) {
+				return false, nil // superseded while it was re-read
+			}
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// maps reports whether u's name still maps u's i-th block under sum: a
+// put-shaped sub-op's i-th block, or the block a remap repoints its index at.
+func (s *Store) maps(u *subOp, i int, sum uint32) bool {
+	var eb entryBuf
+	_, e, err := s.lookup(u.name, &eb)
+	b := u.blocks[i]
+	if u.op == opRemap {
+		i = u.idxs[0]
+	}
+	return err == nil && i < len(e.Blocks) && e.Blocks[i] == b &&
+		(sum == meta.SumUnverified || i < len(e.Sums) && e.Sums[i] == sum)
 }
 
 // shipped returns the content length a replicated sub-op carries and the sums

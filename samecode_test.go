@@ -248,21 +248,21 @@ func TestSameCodeRecordCodecPinsPayloads(t *testing.T) {
 		want string
 	}{
 		{"put", writeSet{op: opPut, subs: []subOp{put}}, 0,
-			"881300000000000007000000000000000200000003000000000000000b00000000000000efbeadde04030201"},
+			"88130000070000000200030000000b000000efbeadde04030201"},
 		{"put, physical pad", writeSet{op: opPut, subs: []subOp{put}}, 16,
-			"881300000000000007000000000000000200000003000000000000000b00000000000000efbeadde0403020100000000000000000000000000000000"},
+			"88130000070000000200030000000b000000efbeadde0403020100000000000000000000000000000000"},
 		{"extend, unknown sums", writeSet{op: opExtend, subs: []subOp{{op: opExtend, size: 4097, slot: 1, blocks: []uint64{1, 2}}}}, 0,
-			"0110000000000000010000000000000002000000010000000000000002000000000000000000000000000000"},
+			"0110000001000000020001000000020000000000000000000000"},
 		{"inval", writeSet{op: opInval, subs: []subOp{{op: opInval, idxs: []int{0, 2}}}}, 0, "020000000000000002000000"},
 		{"remap", writeSet{op: opRemap, subs: []subOp{{op: opRemap, idxs: []int{1}, blocks: []uint64{9}, sums: []uint32{0xabcdef01}}}}, 0,
-			"01000000090000000000000001efcdab"},
+			"010000000900000001efcdab"},
 		{"delete", writeSet{op: opDelete, subs: []subOp{{op: opDelete}}}, 0, ""},
 		{"transaction", writeSet{op: opTxnCommit, txnid: 0x1122334455667788, subs: []subOp{
 			{op: opPut, name: []byte("k1"), size: 10, slot: 3, blocks: []uint64{4}, sums: []uint32{5}},
 			{op: opDelete, name: []byte("k2")},
 			{op: opPut, name: []byte("k3"), size: 4097, slot: 1, blocks: []uint64{1, 2}},
-		}}, 0, "8877665544332211030000000102006b310a000000000000000300000000000000010000000400000000000000050000000202006b320102006b33" +
-			"0110000000000000010000000000000002000000010000000000000002000000000000000000000000000000"},
+		}}, 0, "8877665544332211030000000102006b310a00000003000000010004000000050000000202006b320102006b33" +
+			"0110000001000000020001000000020000000000000000000000"},
 	}
 	for _, tc := range cases {
 		payload := encodeRecord(&tc.w, tc.pad)

@@ -300,7 +300,7 @@ func (s *Store) commitTxnSet(txnid uint64, reads map[string]readVer, ops []txnOp
 			}
 			u.op, u.data, u.size = opPut, op.value, uint64(len(op.value))
 			u.sums = blockSums(op.value)
-			est += 20 + 12*len(u.sums)
+			est += allocLen(len(u.sums))
 		}
 		w.subs[i] = u
 	}

@@ -68,10 +68,10 @@ type opDesc struct {
 }
 
 var opTable = [...]opDesc{
-	opPut:      {encodeAllocPayload, decodeAllocPayload, (*Store).putPoolLocked, (*Store).putOwned},
-	opCreate:   {encodeAllocPayload, decodeAllocPayload, (*Store).putPoolLocked, (*Store).putOwned},
-	opTxnBegin: {encodeAllocPayload, decodeAllocPayload, (*Store).putPoolLocked, (*Store).putOwned},
-	opExtend:   {encodeAllocPayload, decodeAllocPayload, (*Store).extendPool, nil},
+	opPut:      {encodeAllocPayload, decodePutPayload, (*Store).putPoolLocked, (*Store).putOwned},
+	opCreate:   {encodeAllocPayload, decodePutPayload, (*Store).putPoolLocked, (*Store).putOwned},
+	opTxnBegin: {encodeAllocPayload, decodePutPayload, (*Store).putPoolLocked, (*Store).putOwned},
+	opExtend:   {encodeAllocPayload, decodePutPayload, (*Store).extendPool, nil},
 	opDelete:   {owned: (*Store).deleteOwned},
 	opTxnAbort: {owned: (*Store).deleteOwned},
 	opInval:    {encodeInvalPayload, decodeInvalPayload, nil, (*Store).invalOwned},
