@@ -814,12 +814,18 @@ func (s *Store) cacheInvalidate(ids []uint64) {
 	}
 }
 
-// ssdWrite submits reqs to the data plane together (ssd.Device.WriteBatch)
-// and retries each that failed transiently on its own, with backoff;
-// permanent errors (bad pages) surface at once. Each request's verdict is in
-// its Err; the error is the first of them.
-func (s *Store) ssdWrite(reqs ...ssd.Write) (first error) {
-	s.data.WriteBatch(reqs)
+// ssdWrite submits reqs to the data plane together and waits for them
+// (ssdSettle).
+func (s *Store) ssdWrite(reqs ...ssd.Write) error {
+	return s.ssdSettle(s.data.Submit(reqs), reqs)
+}
+
+// ssdSettle waits for the submission of reqs and retries each request that
+// failed transiently on its own, with backoff; permanent errors (bad pages)
+// surface at once. Each request's verdict is in its Err; the error is the
+// first of them.
+func (s *Store) ssdSettle(pd *ssd.Pending, reqs []ssd.Write) (first error) {
+	pd.Wait()
 	for i := range reqs {
 		r := &reqs[i]
 		if r.Err != nil {

@@ -649,3 +649,54 @@ func TestStandbyLogsAnEmptiedRecordAsNoop(t *testing.T) {
 		t.Fatalf("Get of the dropped put: %v, want ErrNotFound", err)
 	}
 }
+
+// TestStandbyCatchesUpOverAnInPlaceRewrite: a standby that falls behind a put
+// and then a WriteAt into it gets the object's current bytes with the put —
+// the block is still the name's, unverified since the WriteAt's opInval, not
+// freed — and the opInval that follows leaves the standby's copy unverified
+// as well, so it reads as the primary's, with no corruption on either side.
+func TestStandbyCatchesUpOverAnInPlaceRewrite(t *testing.T) {
+	cfg := replTestConfig()
+	primary, err := Format(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	c := primary.Init()
+	if err := c.Put("k", val(1, 8000)); err != nil {
+		t.Fatal(err)
+	}
+	o, err := c.Open("k", 0, OpenWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.WriteAt(val(2, 100), 10); err != nil {
+		t.Fatal(err)
+	}
+	o.Close()
+	sb, err := Format(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sb.Close()
+	sb.BeginStandby()
+	if err := pump(primary, sb, &model{}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.Get("k", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := sb.Init().Get("k", nil); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("standby Get(k) = %d bytes, %v; want the primary's %d", len(got), err, len(want))
+	}
+	if p, s := primary.Health().Corruptions, sb.Health().Corruptions; p != 0 || s != 0 {
+		t.Fatalf("corruptions: primary %d, standby %d", p, s)
+	}
+	if err := sb.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sb.Check(); err != nil {
+		t.Fatal(err)
+	}
+}

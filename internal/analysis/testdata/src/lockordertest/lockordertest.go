@@ -6,6 +6,9 @@ package lockordertest
 import (
 	"sync"
 	"time"
+
+	"dstore/internal/latency"
+	"dstore/internal/ssd"
 )
 
 // pair has two mutexes acquired in conflicting orders across its methods.
@@ -98,6 +101,29 @@ func (s *single) sleepUnderLock() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	time.Sleep(time.Millisecond) // want "time.Sleep while holding single.mu"
+}
+
+func (s *single) spinUnderLock(d time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	latency.Spin(d)                      // want "latency.Spin while holding single.mu"
+	latency.SpinUntil(time.Now().Add(d)) // want "latency.SpinUntil while holding single.mu"
+}
+
+// A device completion is waited for outside the lock the submission was
+// made under.
+func (s *single) completionUnderLock(d *ssd.Device, reqs []ssd.Write) {
+	s.mu.Lock()
+	pd := d.Submit(reqs)
+	pd.Wait() // want "ssd.Pending.Wait while holding single.mu"
+	s.mu.Unlock()
+}
+
+func (s *single) completionAfterUnlock(d *ssd.Device, reqs []ssd.Write) {
+	s.mu.Lock()
+	pd := d.Submit(reqs)
+	s.mu.Unlock()
+	pd.Wait()
 }
 
 func (s *single) selectUnderLock(done chan struct{}) {

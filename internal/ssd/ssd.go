@@ -185,36 +185,59 @@ func (d *Device) WriteAt(off uint64, p []byte) error {
 	return reqs[0].Err
 }
 
-// Write is one request of a WriteBatch: P goes to byte offset Off, and Err is
-// the device's verdict.
+// Write is one request of a submission: P goes to byte offset Off, and Err is
+// the device's verdict, set once the submission completes.
 type Write struct {
 	Off uint64
 	P   []byte
 	Err error
 }
 
-// WriteBatch submits reqs together, as a caller with a deep queue would:
-// each is applied as WriteAt describes, and the submission waits once, for
-// its longest successful request — what the same requests cost issued
-// concurrently, and no more. Like that form it has no IOPS or queue-depth
-// cap (DESIGN.md §1).
+// WriteBatch submits reqs together and waits for them: Submit, then Wait.
 func (d *Device) WriteBatch(reqs []Write) {
+	d.Submit(reqs).Wait()
+}
+
+// Pending is a submission in flight (Device.Submit): its content is on the
+// device, and the device holds its verdicts until the completion (Wait).
+type Pending struct {
+	reqs     []Write
+	errs     []error   // the verdicts, parallel to reqs; nil when every request succeeded
+	deadline time.Time // when the device completes; zero without injected latency
+}
+
+var pendings = sync.Pool{New: func() any { return new(Pending) }}
+
+// Submit hands reqs to the device together, as a caller with a deep queue
+// would, and returns at once: each request is range-checked, faulted and
+// applied as WriteAt describes, and the submission completes when its longest
+// successful request would have, issued concurrently with the rest, counted
+// from the call. Like that form it has no IOPS or queue-depth cap (DESIGN.md
+// §1). Every Err is cleared here and set only by Wait; reqs must stay put
+// until then.
+func (d *Device) Submit(reqs []Write) *Pending {
+	pd := pendings.Get().(*Pending)
+	pd.reqs = reqs
+	start := time.Now() // the device time runs from here, the copies (its DMA) inside it
 	most := 0
 	for i := range reqs {
+		reqs[i].Err = nil
 		off, p, n := reqs[i].Off, reqs[i].P, uint64(len(reqs[i].P))
 		if n == 0 {
 			continue
 		}
-		if reqs[i].Err = d.checkRange(off, n); reqs[i].Err != nil {
+		if err := d.checkRange(off, n); err != nil {
+			pd.fail(i, err)
 			continue
 		}
 		first, last := d.pageSpan(off, n)
-		if reqs[i].Err = d.faults.Check(fault.Write, first, last); reqs[i].Err != nil {
+		if err := d.faults.Check(fault.Write, first, last); err != nil {
+			pd.fail(i, err)
 			// A failed write may still have scribbled on the device before
 			// the error was reported; model the worst case by applying a
 			// partial front fragment on transient errors. Permanent bad
 			// pages reject the request outright.
-			if fault.IsTransient(reqs[i].Err) && n > 1 {
+			if fault.IsTransient(err) && n > 1 {
 				frag := p[:1+int(off%2)]
 				if !d.protected {
 					d.trackDirty(off, uint64(len(frag)))
@@ -230,9 +253,31 @@ func (d *Device) WriteBatch(reqs []Write) {
 		d.bytesWritten.Add(n)
 		most = max(most, int(last-first+1))
 	}
-	if d.lat.WritePerPage > 0 {
-		latency.Spin(time.Duration(most) * d.lat.WritePerPage)
+	if most > 0 && d.lat.WritePerPage > 0 {
+		pd.deadline = start.Add(time.Duration(most) * d.lat.WritePerPage)
 	}
+	return pd
+}
+
+// fail records err as request i's verdict.
+func (pd *Pending) fail(i int, err error) {
+	if pd.errs == nil {
+		pd.errs = make([]error, len(pd.reqs))
+	}
+	pd.errs[i] = err
+}
+
+// Wait blocks until the submission completes and then sets each request's
+// Err. It recycles the Pending: call it once, and drop the Pending after.
+func (pd *Pending) Wait() {
+	if !pd.deadline.IsZero() {
+		latency.SpinUntil(pd.deadline)
+	}
+	for i, err := range pd.errs {
+		pd.reqs[i].Err = err
+	}
+	*pd = Pending{}
+	pendings.Put(pd)
 }
 
 func (d *Device) trackDirty(off, n uint64) {

@@ -198,3 +198,39 @@ func TestWriteBatchPerRequestVerdictsOneWait(t *testing.T) {
 		t.Fatalf("the batch took %v; one page costs %v and eight in a row %v", took, perPage, 8*perPage)
 	}
 }
+
+// A submission's content is on the device at once, but its verdicts are held
+// until the completion: every Err is cleared at Submit, even one a reused
+// request carried, and set only by Wait, which returns no sooner than the
+// device time.
+func TestSubmitHoldsVerdictsUntilWait(t *testing.T) {
+	const perPage = 5 * time.Millisecond
+	d := New(Config{Pages: 8, PowerProtected: true, Latency: Latencies{WritePerPage: perPage},
+		Faults: fault.NewPlan(fault.Config{BadPages: []uint64{2}})})
+	stale := errors.New("a verdict from an earlier submission")
+	reqs := []Write{
+		{Off: DefaultPageSize, P: bytes.Repeat([]byte{1}, DefaultPageSize), Err: stale},
+		{Off: 2 * DefaultPageSize, P: bytes.Repeat([]byte{2}, DefaultPageSize)},
+		{Off: 64 * DefaultPageSize, P: []byte{3}},
+	}
+	latency.Enable()
+	defer latency.Disable()
+	start := time.Now()
+	pd := d.Submit(reqs)
+	for i, r := range reqs {
+		if r.Err != nil {
+			t.Fatalf("request %d carries %v before Wait", i, r.Err)
+		}
+	}
+	got := make([]byte, DefaultPageSize)
+	if err := d.ReadAt(DefaultPageSize, got); err != nil || got[0] != 1 {
+		t.Fatalf("page 1 reads %d, %v after Submit", got[0], err)
+	}
+	pd.Wait()
+	if took := time.Since(start); took < perPage {
+		t.Fatalf("Wait returned %v after Submit, before the %v device time", took, perPage)
+	}
+	if reqs[0].Err != nil || !fault.IsPermanent(reqs[1].Err) || !errors.Is(reqs[2].Err, ErrOutOfRange) {
+		t.Fatalf("verdicts %v, %v, %v: want nil, permanent, out of range", reqs[0].Err, reqs[1].Err, reqs[2].Err)
+	}
+}

@@ -93,6 +93,9 @@ func (s *Store) ExportCommitted(from uint64, max int) ([]wire.Record, error) {
 // superseded u ships the content later — so it reports false, with no re-read
 // and no count in Health().Corruptions. Live content is read as a Get reads
 // it, and fails the export if it stays corrupt rather than ship a write absent.
+// A block rewritten in place since (WriteAt's opInval left it unverified) is
+// live too, and ships its current bytes, read unverified: the opInval record
+// that follows in the stream makes the standby's copy unverified as well.
 func (s *Store) exportBlocks(u *subOp, sums []uint32, dst []byte) (bool, error) {
 	for i, b := range u.blocks {
 		p := s.span(dst, i)
@@ -106,11 +109,12 @@ func (s *Store) exportBlocks(u *subOp, sums []uint32, dst []byte) (bool, error) 
 		if s.ssdRead(s.dataOff(b), p) == nil && (!verified || blockSum(p) == sums[i]) {
 			continue
 		}
-		if !s.maps(u, i, sums[i]) {
+		sum, live := s.maps(u, i, sums[i])
+		if !live {
 			return false, nil
 		}
-		if err := s.readBlockVerified(b, p, sums[i], string(u.name)); err != nil {
-			if !s.maps(u, i, sums[i]) {
+		if err := s.readBlockVerified(b, p, sum, string(u.name)); err != nil {
+			if _, live = s.maps(u, i, sums[i]); !live {
 				return false, nil // superseded while it was re-read
 			}
 			return false, err
@@ -119,17 +123,24 @@ func (s *Store) exportBlocks(u *subOp, sums []uint32, dst []byte) (bool, error) 
 	return true, nil
 }
 
-// maps reports whether u's name still maps u's i-th block under sum: a
-// put-shaped sub-op's i-th block, or the block a remap repoints its index at.
-func (s *Store) maps(u *subOp, i int, sum uint32) bool {
+// maps reports whether u's name still maps u's i-th block under sum, or
+// unverified since an in-place rewrite, and returns the sum to read it under:
+// a put-shaped sub-op's i-th block, or the block a remap repoints its index
+// at.
+func (s *Store) maps(u *subOp, i int, sum uint32) (uint32, bool) {
 	var eb entryBuf
 	_, e, err := s.lookup(u.name, &eb)
 	b := u.blocks[i]
 	if u.op == opRemap {
 		i = u.idxs[0]
 	}
-	return err == nil && i < len(e.Blocks) && e.Blocks[i] == b &&
-		(sum == meta.SumUnverified || i < len(e.Sums) && e.Sums[i] == sum)
+	if err != nil || i >= len(e.Blocks) || e.Blocks[i] != b {
+		return 0, false
+	}
+	if i < len(e.Sums) && e.Sums[i] == meta.SumUnverified {
+		return meta.SumUnverified, true
+	}
+	return sum, sum == meta.SumUnverified || i < len(e.Sums) && e.Sums[i] == sum
 }
 
 // shipped returns the content length a replicated sub-op carries and the sums

@@ -332,7 +332,13 @@ func TestScanAllocatesOnlyNames(t *testing.T) {
 		}
 	}) / keys
 	t.Logf("%.2f allocations a key", perKey)
-	if n != keys || perKey > 1.5 {
-		t.Fatalf("Scan of %d keys saw %d and made %.2f allocations a key, want %d and at most 1.5", keys, n, perKey, keys)
+	if n != keys {
+		t.Fatalf("Scan of %d keys saw %d", keys, n)
+	}
+	if raceEnabled {
+		return // the race build allocates where a plain build does not
+	}
+	if perKey > 1.5 {
+		t.Fatalf("Scan of %d keys made %.2f allocations a key, want at most 1.5", keys, perKey)
 	}
 }

@@ -25,11 +25,12 @@ import (
 //	metadata page ⑤ unlock ⑥ write metadata ⑦ write btree record ⑧ write
 //	data to SSD ⑨ commit and flush log record.
 //
-// Content goes first (③ and ⑧, dataPhase): its blocks are invisible until ⑥
-// publishes them and the free pools are DRAM rebuilt at open, so a crash
-// leaks nothing. A single Put, Delete or transaction commit is the batch of
-// one. What differs between opcodes is in opTable; ⑥–⑦ are plane.apply, the
-// code replay runs.
+// Content goes first (③ and ⑧, dataPhase): it is submitted to the SSD before
+// ①, the device works while ①–⑤ run, and the pass waits for it (landData)
+// only before ⑥ publishes its blocks — they are invisible until then, and
+// the free pools are DRAM rebuilt at open, so a crash leaks nothing. A
+// single Put, Delete or transaction commit is the batch of one. What differs
+// between opcodes is in opTable; ⑥–⑦ are plane.apply, the code replay runs.
 
 // writeSet is what one record commits. A single-object mutation is the
 // one-entry case: the record carries the sub-op's own opcode and name. A
@@ -45,8 +46,9 @@ type writeSet struct {
 	txnid uint64
 	reads map[string]readVer // OCC read set, validated atomically with the append
 
-	h   *wal.Handle // the record, from its append until it settles
-	err error       // the set's verdict
+	h      *wal.Handle // the record, from its append until it settles
+	err    error       // the set's verdict
+	reruns uint8       // how often a bad block sent its content back (errResend); at most twice
 }
 
 // opDesc is everything the pipeline needs to know about one opcode; nil
@@ -203,6 +205,20 @@ func (s *Store) release(w *writeSet) {
 	s.poolMu.Unlock()
 }
 
+// rewind returns a released set to what its caller built, so it can run
+// again on fresh blocks: what the pool phases, the owned checks and the data
+// phase derived goes. A remap keeps the slot and the block its caller named.
+func (w *writeSet) rewind() {
+	for i := range w.subs {
+		u := &w.subs[i]
+		r := subOp{op: u.op, name: u.name, size: u.size, sums: u.sums, idxs: u.idxs, key: u.key, data: u.data}
+		if u.op == opRemap {
+			r.slot, r.old = u.slot, u.old
+		}
+		*u = r
+	}
+}
+
 // ------------------------------------------------------------ owned checks
 
 // lookup resolves name through the index to its slot and entry, making the
@@ -342,10 +358,20 @@ func (s *Store) write1(w *writeSet) error {
 }
 
 // pass is a pipeline run's scratch, pooled so a batch of one allocates none:
-// the data phase's requests and the records one commit settles.
+// the data phase's requests with the set and block behind each, their
+// submission while it is in flight, and the records one commit settles.
 type pass struct {
-	reqs []ssd.Write
-	hs   []*wal.Handle
+	reqs    []ssd.Write
+	sent    []sentReq
+	pending *ssd.Pending
+	redo    bool // landData sent a set back
+	hs      []*wal.Handle
+}
+
+// sentReq is the set and the block behind one request of a submission.
+type sentReq struct {
+	w *writeSet
+	b uint64
 }
 
 var passes = sync.Pool{New: func() any { return new(pass) }}
@@ -355,7 +381,9 @@ var passes = sync.Pool{New: func() any { return new(pass) }}
 // appendSets and settleSets for prefix after prefix. The pass never waits
 // while it holds a record it appended: a set that must wait — for another
 // writer's record, for the pass's own (a name named twice), for log space —
-// ends the section, and the prefix settles first. Nothing here touches the
+// ends the section, and the prefix settles first. A set whose content a bad
+// block refused goes again, on fresh blocks, ahead of the sets after its
+// prefix, so a name named twice keeps its order. Nothing here touches the
 // WAL from a defer: the crash sweeps model power loss as a panic mid-append,
 // and unwinding must not re-enter the log.
 func (s *Store) write(sets []*writeSet) {
@@ -379,26 +407,32 @@ func (s *Store) write(sets []*writeSet) {
 	for rest := sets; len(rest) > 0; {
 		n, wait, err := s.appendSets(rest, &t)
 		committed += s.settleSets(rest[:n], p, &t, serial)
-		if rest = rest[n:]; wait != nil {
+		back := sendBack(rest[:n])
+		if rest = rest[n-back:]; wait != nil {
 			wait.Wait()
 		} else if err != nil {
-			retry.locks = rest[0].locks // the refused set's own olocks
+			retry.locks = rest[back].locks // the refused set's own olocks
 			if err = s.appendFailed(err, &retry); err != nil {
 				for _, w := range rest {
-					if w.err == nil {
+					if w.err == nil || w.err == errResend {
 						w.err = err
-						s.release(w)
 					}
+					s.release(w) // a no-op for a set already released
 				}
 				break
 			}
+		}
+		if p.redo {
+			resend := slices.DeleteFunc(slices.Clone(rest), func(w *writeSet) bool { return w.err != errResend })
+			s.dataPhase(resend, p, &t)
 		}
 	}
 	if serial {
 		s.globalMu.Unlock()
 	}
 	clear(p.reqs)
-	*p = pass{reqs: p.reqs[:0], hs: p.hs[:0]}
+	clear(p.sent)
+	*p = pass{reqs: p.reqs[:0], sent: p.sent[:0], hs: p.hs[:0]}
 	passes.Put(p)
 	if t.measure && committed > 0 {
 		s.bd.count.Add(uint64(committed))
@@ -411,23 +445,29 @@ func (s *Store) write(sets []*writeSet) {
 	}
 }
 
-// dataPhase is step ⑧, before any of the batch's records exists: a
+// dataPhase is step ⑧, before any of its sets' records exists: a
 // transaction whose read set is already stale is refused without a write
 // (appendSets validates again, atomically with the append); every sub-op
 // with content takes its fresh blocks in one pool-lock section, and all the
-// content goes to the SSD in one submission. A block with a permanent error
-// is quarantined and its span rewritten to a fresh block, at most twice; a
-// set whose content still fails, or that finds no blocks, gets its verdict
-// and its blocks go back.
+// content goes to the SSD in one submission, which the pass waits for only
+// before its first apply (landData). A set landData sent back is released
+// and rewound first. A set that finds no blocks gets its verdict and its
+// blocks go back.
 func (s *Store) dataPhase(sets []*writeSet, p *pass, t *stageNs) {
 	t0 := t.now()
+	p.reqs, p.sent, p.redo = p.reqs[:0], p.sent[:0], false
 	for _, w := range sets {
-		if w.reads != nil {
+		if w.reads != nil && w.err == nil {
 			w.err = s.validateReads(w.reads, w.locks)
 		}
 	}
 	s.poolMu.Lock()
 	for _, w := range sets {
+		if w.err == errResend {
+			s.releaseLocked(w) // a no-op if settleSets aborted its record
+			w.err = nil
+			w.rewind()
+		}
 		for i := range w.subs {
 			if u := &w.subs[i]; w.err == nil && u.data != nil {
 				w.err = s.growBlocksLocked(u, blocksFor(uint64(len(u.data)), blockSize))
@@ -435,62 +475,83 @@ func (s *Store) dataPhase(sets []*writeSet, p *pass, t *stageNs) {
 		}
 		if w.err != nil {
 			s.releaseLocked(w)
+			continue
 		}
 		for i := range w.subs {
 			for j, b := range w.subs[i].fresh {
 				p.reqs = append(p.reqs, ssd.Write{Off: s.dataOff(b), P: s.span(w.subs[i].data, j)})
+				p.sent = append(p.sent, sentReq{w, b})
 			}
 		}
 	}
 	s.poolMu.Unlock()
-	s.ssdWrite(p.reqs...) //nolint:errcheck // each request's verdict is in its Err
-	// Walk the requests in the order they were made: a dead set made none.
-	k := 0
-	for _, w := range sets {
-		for i := range w.subs {
-			u := &w.subs[i]
-			for j := range u.fresh {
-				for try, err := 0, p.reqs[k].Err; err != nil && w.err == nil; try++ {
-					b := u.blocks[j]
-					if fault.IsPermanent(err) {
-						s.quarantineBlock(b)
-					}
-					if !fault.IsPermanent(err) || try == 2 || !s.replaceBlock(u, j) {
-						w.err = fmt.Errorf("dstore: data write to block %d: %w", b, err)
-					} else {
-						err = s.ssdWrite(ssd.Write{Off: s.dataOff(u.blocks[j]), P: p.reqs[k].P})
-					}
-				}
-				k++
-			}
+	if len(p.reqs) > 0 {
+		p.pending = s.data.Submit(p.reqs)
+	}
+	t.ssd += t.now() - t0
+}
+
+// landData waits for the pass's submission, if one is in flight — the device
+// time its appends did not cover — and reads its verdicts. A transient error
+// is retried in place (ssdSettle): the block is the one the record names, and
+// nothing reads it yet. A permanent one quarantines the block and sends its
+// set back (errResend), at most twice: settleSets aborts its record, if it
+// has one, and the set goes again on fresh blocks ahead of the sets after it.
+// A set whose content still fails gets its verdict.
+func (s *Store) landData(p *pass, t *stageNs) {
+	if p.pending == nil {
+		return
+	}
+	t0 := t.now()
+	s.ssdSettle(p.pending, p.reqs) //nolint:errcheck // each request's verdict is in its Err
+	p.pending = nil
+	for k, r := range p.reqs {
+		if r.Err == nil {
+			continue
 		}
-		if w.err != nil {
-			s.release(w)
+		w, b, permanent := p.sent[k].w, p.sent[k].b, fault.IsPermanent(r.Err)
+		if permanent {
+			s.quarantineBlock(b)
+		}
+		if w.err == nil && permanent && w.reruns < 2 {
+			w.err, w.reruns, p.redo = errResend, w.reruns+1, true
+		} else if w.err == nil {
+			w.err = fmt.Errorf("dstore: data write to block %d: %w", b, r.Err)
 		}
 	}
 	t.ssd += t.now() - t0
 }
 
-// replaceBlock puts a fresh block in place of u's i-th, which a permanent
-// write error quarantined; false when the pool is empty.
-func (s *Store) replaceBlock(u *subOp, i int) bool {
-	s.poolMu.Lock()
-	b, err := s.blockPool.Get()
-	s.poolMu.Unlock()
-	if err == nil {
-		u.blocks[i] = b
+// errResend is landData's verdict on a set whose content a bad block
+// refused: the set goes again (dataPhase).
+var errResend = errors.New("dstore: content refused; sent again on fresh blocks")
+
+// sendBack moves the sets of a settled prefix that landData sent back to its
+// end, keeping their order and the others', and returns how many: they go
+// again ahead of the sets after the prefix.
+func sendBack(done []*writeSet) int {
+	var back []*writeSet
+	k := 0
+	for _, w := range done {
+		if w.err == errResend {
+			back = append(back, w)
+		} else {
+			done[k], k = w, k+1
+		}
 	}
-	return err == nil
+	copy(done[k:], back)
+	return len(back)
 }
 
 // appendSets is steps ①–⑤ for as long a prefix of sets as one pool-lock
 // section takes: for each set in order it probes the set's names, validates
 // its read set, runs its pool phases and appends its record, so a conflicting
 // writer either appended before (the probe or validateReads sees it) or
-// serializes after this record. A set its own phases refuse gets its verdict
-// and the section goes on; it ends at the first set that must wait for a
-// record (wait) or whose append the log refuses (err), that set's pool phases
-// undone. n sets are through.
+// serializes after this record. A set its own phases refuse gets its verdict,
+// its pool phases are undone — its content blocks go back once settled, as
+// the device may still be writing them — and the section goes on; it ends at
+// the first set that must wait for a record (wait) or whose append the log
+// refuses (err), that set's pool phases undone. n sets are through.
 //
 // The probe comes before the pool phase because that phase reads the index
 // before the append scans the window: a same-name writer that appended, then
@@ -514,17 +575,17 @@ func (s *Store) appendSets(sets []*writeSet, t *stageNs) (n int, wait *wal.Handl
 		if w.err = s.validateReads(w.reads, w.locks); w.err == nil {
 			w.err = s.poolPhases(w.subs)
 		}
-		if w.err != nil {
-			s.releaseLocked(w)
-			continue
+		if w.err == nil {
+			payload, ta := encodeRecord(w, s.physPad()), t.now()
+			w.h, wait, err = s.eng.Pair().AppendIgnore(w.op, w.name, payload, heldLSN(w.locks, string(w.name)))
+			t.log += t.now() - ta
 		}
-		payload, ta := encodeRecord(w, s.physPad()), t.now()
-		w.h, wait, err = s.eng.Pair().AppendIgnore(w.op, w.name, payload, heldLSN(w.locks, string(w.name)))
-		t.log += t.now() - ta
 		if w.h == nil {
 			for i := range w.subs {
 				s.unpoolLocked(&w.subs[i])
 			}
+		}
+		if w.h == nil && w.err == nil {
 			break
 		}
 	}
@@ -538,12 +599,15 @@ func (s *Store) appendSets(sets []*writeSet, t *stageNs) (n int, wait *wal.Handl
 
 // settleSets is steps ⑥–⑨ for the sets one append section took. Each set
 // owns its names once appended (CC), so the owned checks snapshot what the
-// applies will displace; one applyOwned applies the live sets and one group
-// commit settles them, and only then does what they unhooked go back to the
-// pools. A refused set's record is aborted. It returns how many sets
-// committed; under serial (no OE) globalMu is held except across the commit.
+// applies will displace, while the device still works; once the pass's
+// content has landed (landData), one applyOwned applies the live sets and
+// one group commit settles them, and only then does what they unhooked go
+// back to the pools.
+// A refused set's record is aborted and its allocations go back. It returns
+// how many sets committed; under serial (no OE) globalMu is held except
+// across the commit.
 func (s *Store) settleSets(sets []*writeSet, p *pass, t *stageNs, serial bool) int {
-	t.applyAt = t.now()
+	t0 := t.now()
 	for _, w := range sets {
 		for i := range w.subs {
 			// A transaction's delete of an absent key is tolerated, like
@@ -555,6 +619,9 @@ func (s *Store) settleSets(sets []*writeSet, p *pass, t *stageNs, serial bool) i
 			}
 		}
 	}
+	t.meta += t.now() - t0
+	s.landData(p, t)
+	t.applyAt = t.now()
 	// One policy for a failed apply. The record dies either way: the failure
 	// is as deterministic as its usual cause, an exhausted index arena, so a
 	// committed record would fail every replay too. If nothing of the set can
@@ -573,13 +640,16 @@ func (s *Store) settleSets(sets []*writeSet, p *pass, t *stageNs, serial bool) i
 	}
 	p.hs = p.hs[:0]
 	for _, w := range sets {
-		if w.h != nil && w.err != nil {
+		switch {
+		case w.h != nil && w.err != nil:
 			s.abort(w.h)
 			if w.h = nil; w != stuck {
 				s.release(w)
 			}
-		} else if w.h != nil {
+		case w.h != nil:
 			p.hs = append(p.hs, w.h)
+		case w.err != nil:
+			s.release(w) // refused before its append; a no-op if already released
 		}
 	}
 	if len(p.hs) == 0 {
