@@ -26,10 +26,10 @@ import (
 //
 //  2. No blocking operation while a lock is held: channel send/receive,
 //     select without a default, range over a channel, net.Conn/Listener
-//     I/O, (*sync.WaitGroup).Wait, latency.Spin and SpinUntil,
-//     (*ssd.Pending).Wait, and time.Sleep all park the goroutine for
-//     unbounded or device-scale time; doing so with a mutex held turns a
-//     slow peer into a store-wide stall.
+//     I/O, (*sync.WaitGroup).Wait, latency.Spin, (*ssd.Pending).Wait,
+//     and time.Sleep all park the goroutine for unbounded or device-scale
+//     time; doing so with a mutex held turns a slow peer into a store-wide
+//     stall.
 //
 // Lock identity is the mutex *field* (package.Type.field), resolved through
 // the type checker, so every instance of a type shares one graph node; local
@@ -432,7 +432,7 @@ func blockingCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 			}
 		default:
 			if strings.HasSuffix(fn.Pkg().Path(), "internal/latency") &&
-				(fn.Name() == "Spin" || fn.Name() == "SpinUntil" || fn.Name() == "SpinAlways") {
+				(fn.Name() == "Spin" || fn.Name() == "SpinAlways") {
 				return "latency." + fn.Name(), true
 			}
 		}

@@ -106,8 +106,7 @@ func (s *single) sleepUnderLock() {
 func (s *single) spinUnderLock(d time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	latency.Spin(d)                      // want "latency.Spin while holding single.mu"
-	latency.SpinUntil(time.Now().Add(d)) // want "latency.SpinUntil while holding single.mu"
+	latency.Spin(d) // want "latency.Spin while holding single.mu"
 }
 
 // A device completion is waited for outside the lock the submission was

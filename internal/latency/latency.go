@@ -49,22 +49,10 @@ const spinTail = 500 * time.Nanosecond
 // calibrated duration is a floor, and any scheduling overshoot is the same
 // queueing delay a loaded host would add.
 func Spin(d time.Duration) {
-	if d > 0 && enabled.Load() {
-		spinUntil(time.Now().Add(d), d)
+	if d <= 0 || !enabled.Load() {
+		return
 	}
-}
-
-// SpinUntil waits, as Spin waits out the time left, until the clock passes
-// deadline if injection is enabled: the end of a device operation that
-// started earlier and that the caller overlapped with other work.
-func SpinUntil(deadline time.Time) {
-	if enabled.Load() {
-		spinUntil(deadline, time.Until(deadline))
-	}
-}
-
-// spinUntil waits until deadline, d from now.
-func spinUntil(deadline time.Time, d time.Duration) {
+	deadline := time.Now().Add(d)
 	if d >= yieldFloor {
 		for time.Until(deadline) > spinTail {
 			runtime.Gosched()

@@ -271,7 +271,7 @@ func (pd *Pending) fail(i int, err error) {
 // Err. It recycles the Pending: call it once, and drop the Pending after.
 func (pd *Pending) Wait() {
 	if !pd.deadline.IsZero() {
-		latency.SpinUntil(pd.deadline)
+		latency.Spin(time.Until(pd.deadline))
 	}
 	for i, err := range pd.errs {
 		pd.reqs[i].Err = err
