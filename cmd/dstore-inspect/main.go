@@ -52,7 +52,7 @@ func report(title string, st wire.StatsReply, h wire.HealthReply, rg *ring.Ring)
 		fmt.Printf("txn:  commits=%d aborts=%d conflicts=%d conflictRate=%.1f%%\n",
 			x.Commits, x.Aborts, x.Conflicts, pct(x.Conflicts, x.Commits))
 	}
-	if b := st.Batch; b != nil {
+	if b := st.Batch; b != nil { // parked= always reads 0: nobody waits on another's settle
 		fmt.Printf("gc:   batches=%d records=%d parked=%d avg=%.1f recs/fence\n",
 			b.Batches, b.Records, b.Parked, float64(b.Records)/float64(b.Batches))
 	}

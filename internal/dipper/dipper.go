@@ -112,8 +112,9 @@ type Stats struct {
 	// RecordsRecovered counts active-log records replayed by the last Open
 	// to rebuild the volatile space (the replay half of RecoveryBreakdown).
 	RecordsRecovered uint64
-	// Group-commit counters: settle batches led, records settled through
-	// batches, and committers that parked behind another leader's fence.
+	// Settle counters: settles of at least one record, the records they
+	// settled, and committers settled by another's fence (always 0: every
+	// committer settles its own records).
 	GCBatches uint64
 	GCRecords uint64
 	GCParked  uint64

@@ -72,14 +72,7 @@ func (p *Pair) ExportCommitted(from uint64, max int) ([]ExportRecord, error) {
 	for i, l := range p.logs {
 		isActive := i == p.active
 		l.mu.Lock()
-		off := uint64(logHeader)
-		var prev uint64
-		for {
-			rv, next, ok := l.readRecord(off)
-			if !ok || rv.LSN <= prev {
-				break
-			}
-			prev = rv.LSN
+		l.walk(^uint64(0), func(rv RecordView) error { //nolint:errcheck // fn never fails
 			if old, dup := byLSN[rv.LSN]; !dup || (isActive && !old.active) {
 				byLSN[rv.LSN] = cand{
 					rec: ExportRecord{
@@ -92,8 +85,8 @@ func (p *Pair) ExportCommitted(from uint64, max int) ([]ExportRecord, error) {
 					active: isActive,
 				}
 			}
-			off = next
-		}
+			return nil
+		})
 		l.mu.Unlock()
 	}
 

@@ -98,7 +98,7 @@ func TestFilterTracksUnsettledRecords(t *testing.T) {
 }
 
 // A group-commit batch: every record is in the filter from its (store-only)
-// append, and the leader lowers each stripe before it releases that record's
+// append, and the settle lowers each stripe before it releases that record's
 // committer — a committer that returns from Commit finds its stripe released.
 func TestFilterGroupCommitBatch(t *testing.T) {
 	p, _ := newTestPair(t)
@@ -140,7 +140,7 @@ func TestFilterGroupCommitBatch(t *testing.T) {
 // A handle settled through a pair that did not append it — what a failover
 // did when it released the retired primary's olocks through the promoted
 // store, which mirrors the primary's LSNs — is refused: the call errors, not
-// one byte of the pair's logs moves (the leader used to store the state byte
+// one byte of the pair's logs moves (the settle used to store the state byte
 // at the foreign offset of its own active log), and the pair's own record
 // under the same LSN stays registered and in the filter.
 func TestFilterIgnoresForeignHandle(t *testing.T) {

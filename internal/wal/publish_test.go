@@ -11,8 +11,8 @@ import (
 	"dstore/internal/space"
 )
 
-// The group-commit publish round (publishAndSettleLocked): what it costs, what
-// a power cut inside it can leave, and that the appends which skip the window
+// The publish and the settle (publishAndSettleLocked): what they cost, what
+// a power cut inside them can leave, and that the appends which skip the window
 // scan on a quiet filter stripe decide exactly as the scan would.
 
 // trackedPair is a fresh pair on a persistence-tracking device.
@@ -23,16 +23,25 @@ func trackedPair(strict bool) (*Pair, *pmem.Device, *space.PMEM, *space.PMEM) {
 	return NewPair(a, b, 1), dev, a, b
 }
 
-// settleTogether settles hs in one leader round on the calling goroutine: all
-// but the last are queued as committers that found a leader at work, and the
-// last one's settle takes the free leadership and drains them.
+// settleTogether settles hs to their states, in order: one settle for the
+// records that commit, whatever mix of published and pending they are, then
+// one for the records that die.
 func settleTogether(p *Pair, hs []*Handle, states []uint8) error {
-	last := len(hs) - 1
-	for i, h := range hs[:last] {
-		h.settleState, h.settleErr = states[i], nil
-		p.gc.queue = append(p.gc.queue, h)
+	for _, state := range []uint8{StateCommitted, StateDead} {
+		var group []*Handle
+		for i, h := range hs {
+			if states[i] == state {
+				group = append(group, h)
+			}
+		}
+		if len(group) == 0 {
+			continue
+		}
+		if err := p.settle(group, state); err != nil {
+			return err
+		}
 	}
-	return p.settle(hs[last:], states[last])
+	return nil
 }
 
 type wantRec struct {
@@ -44,8 +53,9 @@ func (w wantRec) matches(rv RecordView) bool {
 	return rv.Op == w.op && string(rv.Name) == w.name && string(rv.Payload) == w.payload
 }
 
-// A leader round over three records — one published uncommitted by an earlier
-// round, two still pending, one of those settling dead — cut at every PMEM
+// A settle round over three records — one published uncommitted by an earlier
+// settle, two still pending, one of those settling dead: the two that commit
+// settle together, then the third is aborted — cut at every PMEM
 // mutation, each cut resolved by seeded per-line draws (a line keeps its old
 // image, its flushed image or its current bytes, independently of the others).
 // Whatever survives, recovery must find a whole prefix of what was appended,
@@ -167,8 +177,9 @@ func linesOf(off, n uint64) uint64 { return (off+n-1)/pmem.LineSize - off/pmem.L
 // A solo append+commit is the publish alone: body and guard flushed once,
 // fence, the LSN's line flushed, fence — the state byte rides the body flush,
 // so no line is flushed on its account (the LSN's line is the one line flushed
-// twice, as the protocol demands: body before validity). A record some earlier
-// round published pays one line and one fence.
+// twice, as the protocol demands: body before validity). A record published
+// earlier — by another commit or by its writer's Publish — pays one line and
+// one fence.
 func TestCommitFenceAndFlushCost(t *testing.T) {
 	payload := bytes.Repeat([]byte{7}, 100)
 	cost := func(dev *pmem.Device, fn func()) (fences, lines uint64) {
@@ -198,6 +209,15 @@ func TestCommitFenceAndFlushCost(t *testing.T) {
 	if fences, lines := cost(dev, func() { p.Commit(second) }); fences != 1 || lines != 1 { //nolint:errcheck
 		t.Errorf("commit of an already published record cost %d fences and %d lines, want 1 and 1", fences, lines)
 	}
+	// A writer with content publishes under its SSD write: the publish is the
+	// two fences, and the commit after the completion one line and one fence.
+	third := mustAppend(t, p, 1, "third", payload)
+	if fences, lines := cost(dev, func() { p.Publish() }); fences != 2 || lines != linesOf(third.off, recordSize(len("third"), len(payload))+8)+1 { //nolint:errcheck
+		t.Errorf("publish cost %d fences and %d flushed lines, want 2 and the body's lines + 1", fences, lines)
+	}
+	if fences, lines := cost(dev, func() { p.Commit(third) }); fences != 1 || lines != 1 { //nolint:errcheck
+		t.Errorf("commit of a record its writer published cost %d fences and %d lines, want 1 and 1", fences, lines)
+	}
 
 	// A standby's append is the same publish of one record, already committed:
 	// two fences, body and guard flushed once and the LSN's line once more.
@@ -220,7 +240,7 @@ func TestCommitFenceAndFlushCost(t *testing.T) {
 	}
 }
 
-// Records committed together settle in one leader round: sixteen appended
+// Records committed together settle in one round: sixteen appended
 // records cost the two fences of one publish, and each of them is committed
 // and durable when the commit returns.
 func TestCommitSetIsOneRound(t *testing.T) {
@@ -268,11 +288,12 @@ func firstUnsettled(p *Pair) uint64 {
 }
 
 // Seeded interleavings of append, commit, abort, olock with the holder's own
-// writes, multi-record leader rounds and Swap. An append consults the window
+// writes, multi-record settles over published and pending records, Publish
+// and Swap. An append consults the window
 // scan only when its filter stripe is raised; its verdict must be the one the
 // exact scan (scanConflict, which never asks the filter) gives at that moment.
 // And since such appends no longer move the cursor, the settles must: between
-// operations it stands on the first unsettled record — not one leader round
+// operations it stands on the first unsettled record — not one settle
 // behind — so the scan a busy stripe does pay for starts where it should.
 func TestAppendVerdictMatchesScanAndCursorKeepsUp(t *testing.T) {
 	names := []string{"a", "b", "c", "d", "e"}
@@ -347,6 +368,11 @@ func TestAppendVerdictMatchesScanAndCursorKeepsUp(t *testing.T) {
 			case r == 8:
 				what = "swap"
 				if _, err := p.Swap(func(int, int, uint64) {}); err != nil {
+					t.Fatalf("%s: %v", where(step, what), err)
+				}
+			case r == 9: // a writer's publish under its SSD write
+				what = "publish"
+				if err := p.Publish(); err != nil {
 					t.Fatalf("%s: %v", where(step, what), err)
 				}
 			default:

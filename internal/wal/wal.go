@@ -11,10 +11,13 @@
 //
 // and is made durable with the paper's atomicity protocol, the body before the
 // LSN: an append only stores the record's body in the log (it stays invisible,
-// its LSN word still zero), and the commit that settles it publishes the whole
-// pending suffix of the log at once — one span flush and a fence make every
-// pending body durable, and only then are the LSNs — the first 8 bytes of each
-// record — written and persisted behind a second fence (group commit). The
+// its LSN word still zero), and a publish makes the whole pending suffix of the
+// log durable at once — one span flush and a fence make every pending body
+// durable, and only then are the LSNs — the first 8 bytes of each record —
+// written and persisted behind a second fence. A writer whose content is on its
+// way to the SSD publishes while the device works (Publish), so its records are
+// durable and uncommitted before the completion, and its commit persists only
+// their state bytes; a commit publishes whatever is still pending. The
 // order of the flushes inside one fence carries no guarantee: a crash may
 // persist any subset of the lines flushed since the last fence, so the paper's
 // reverse-order flush buys nothing the fence does not. A record is valid iff
@@ -108,18 +111,11 @@ type Handle struct {
 	lsn       uint64
 	stripe    uint32 // the name's in-flight-filter stripe, released at settle
 	committed atomic.Bool
-	// log and off are guarded by the Pair's swap lock.
-	log *Log
-	off uint64
+	off       uint64 // in the active log; guarded by the Pair's swap lock
 
-	// settleState and settleErr carry a parked committer's requested record
-	// state and settle outcome through a group-commit leader round.
-	// settleState is written by the committer before the handle is enqueued
-	// and read only by the leader; settleErr is written by the leader before
-	// committed is set (the release point the committer spins on), so both
-	// are ordered by the queue handoff and the committed flag.
-	settleState uint8
-	settleErr   error
+	// err is a settle's verdict on the record between its two passes;
+	// guarded by the log's mu.
+	err error
 }
 
 // LSN returns the record's log sequence number.
@@ -169,9 +165,9 @@ type Log struct {
 	// happen strictly in offset (= LSN) order, so a scan stopping at the
 	// first invalid LSN sees exactly the published prefix. Guarded by mu.
 	pending []pendingRec
-	// lsnLines is publish scratch (deduped LSN cache-line indices), retained
-	// to keep the publish path allocation-free. Guarded by mu.
-	lsnLines []uint64
+	// lines is publish and settle scratch (deduped cache-line indices),
+	// retained to keep both paths allocation-free. Guarded by mu.
+	lines []uint64
 
 	// archiveMax is the highest LSN in this log's genuine archived prefix,
 	// set when the log is archived by a swap and consumed (folded into the
@@ -285,45 +281,43 @@ func (l *Log) findConflictLocked(name []byte, ignore uint64) (uint64, bool) {
 	return 0, false
 }
 
+// walk calls fn for every valid record below end, in log order — the
+// LSN-ascending prefix that a scan, a replay and recovery all read — and
+// returns the offset past the last one. It stops at fn's first error.
+func (l *Log) walk(end uint64, fn func(RecordView) error) (uint64, error) {
+	off, prev := uint64(logHeader), uint64(0)
+	for off < end {
+		rv, next, ok := l.readRecord(off)
+		if !ok || rv.LSN <= prev {
+			break
+		}
+		if err := fn(rv); err != nil {
+			return off, err
+		}
+		prev, off = rv.LSN, next
+	}
+	return off, nil
+}
+
 // IterateCommitted calls fn for every committed record in [logHeader, end)
 // in LSN order. It is used for checkpoint replay (on a stable archived log)
 // and for recovery replay.
 func (l *Log) IterateCommitted(end uint64, fn func(RecordView) error) error {
-	off := uint64(logHeader)
-	var prev uint64
-	for off < end {
-		rv, next, ok := l.readRecord(off)
-		if !ok || rv.LSN <= prev {
+	_, err := l.walk(end, func(rv RecordView) error {
+		if rv.State != StateCommitted {
 			return nil
 		}
-		prev = rv.LSN
-		if rv.State == StateCommitted {
-			if err := fn(rv); err != nil {
-				return err
-			}
-		}
-		off = next
-	}
-	return nil
+		return fn(rv)
+	})
+	return err
 }
 
 // IterateAll calls fn for every valid record regardless of state, in log
 // order. For inspection tools; the caller must arrange stability (no
 // concurrent swap).
 func (l *Log) IterateAll(fn func(RecordView) error) error {
-	off := uint64(logHeader)
-	var prev uint64
-	for {
-		rv, next, ok := l.readRecord(off)
-		if !ok || rv.LSN <= prev {
-			return nil
-		}
-		prev = rv.LSN
-		if err := fn(rv); err != nil {
-			return err
-		}
-		off = next
-	}
+	_, err := l.walk(^uint64(0), fn)
+	return err
 }
 
 // Pair is the active/archive log pair plus the global LSN counter and the
@@ -352,9 +346,9 @@ type Pair struct {
 	// name hashing there would come back empty. See Quiet.
 	inflight [filterStripes]atomic.Int32
 
-	// gc is the group-commit combining state; see settle.
-	gc     groupCommit
-	sealed atomic.Bool // set by Seal, under gc.mu
+	batches atomic.Uint64 // settles of at least one record
+	records atomic.Uint64 // records settled
+	sealed  atomic.Bool   // set by Seal, under the active log's mu
 }
 
 // filterStripes sizes the in-flight-name filter (16 KiB per pair). A store
@@ -385,7 +379,7 @@ func NameHash[T ~string | ~[]byte](name T) uint64 {
 func (p *Pair) DRAM() (filter, pending uint64) {
 	for _, l := range p.logs {
 		l.mu.Lock()
-		pending += uint64(cap(l.pending))*uint64(unsafe.Sizeof(pendingRec{})) + uint64(cap(l.lsnLines))*8
+		pending += uint64(cap(l.pending))*uint64(unsafe.Sizeof(pendingRec{})) + uint64(cap(l.lines))*8
 		l.mu.Unlock()
 	}
 	return uint64(unsafe.Sizeof(p.inflight)), pending
@@ -410,50 +404,26 @@ type GroupCommitConfig struct {
 	Enabled bool
 }
 
-// groupCommit is the settle-combining state: a committer that takes mu is the
-// leader and publishes all pending records and settles itself and the whole
-// queue behind shared fences; one that finds a leader at work queues up.
-type groupCommit struct {
-	// mu is leadership: held by the one active leader round. Committers
-	// only TryLock it — nobody blocks on it.
-	mu sync.Mutex
-
-	qmu   sync.Mutex
-	queue []*Handle // parked committers; guarded by qmu
-
-	// scratch is the leader's drained-batch buffer and stateLines its
-	// flush-line scratch; both guarded by mu.
-	scratch    []*Handle
-	stateLines []uint64
-
-	batches atomic.Uint64 // leader rounds that settled at least one record
-	records atomic.Uint64 // records settled through group commit
-	parked  atomic.Uint64 // committers settled by another goroutine's round
-}
-
-// SetGroupCommit does nothing: every commit is a group commit. It stays for
-// the benchmark's WAL probe (benchmark/probes.go:255), which calls it.
+// SetGroupCommit does nothing: records committed together always share one
+// settle. It stays for the benchmark's WAL probe (benchmark/probes.go:255),
+// which calls it.
 func (p *Pair) SetGroupCommit(GroupCommitConfig) {}
 
-// GroupCommitStats is a snapshot of the group-commit counters. Mean records
-// per batch is Records/Batches.
+// GroupCommitStats is a snapshot of the settle counters. Mean records per
+// batch is Records/Batches.
 type GroupCommitStats struct {
-	// Batches counts leader rounds that settled at least one record.
+	// Batches counts settles of at least one record.
 	Batches uint64
-	// Records counts records settled through the group-commit path.
+	// Records counts records settled.
 	Records uint64
-	// Parked counts records settled by another goroutine's leader round
-	// (their committer waited instead of fencing itself).
+	// Parked is always 0: every committer settles its own records. It stays
+	// for the benchmark's layer metrics (benchmark/layers.go), which read it.
 	Parked uint64
 }
 
-// GroupCommitStats returns a snapshot of the group-commit counters.
+// GroupCommitStats returns a snapshot of the settle counters.
 func (p *Pair) GroupCommitStats() GroupCommitStats {
-	return GroupCommitStats{
-		Batches: p.gc.batches.Load(),
-		Records: p.gc.records.Load(),
-		Parked:  p.gc.parked.Load(),
-	}
+	return GroupCommitStats{Batches: p.batches.Load(), Records: p.records.Load()}
 }
 
 // Appended returns the number of records appended to the pair and their
@@ -497,27 +467,19 @@ func RecoverPair(a, b *space.PMEM, activeIdx int) (*Pair, error) {
 	var maxLSN uint64
 	minFirst := ^uint64(0)
 	for _, l := range p.logs {
-		off := uint64(logHeader)
-		var prev uint64
-		for {
-			rv, next, ok := l.readRecord(off)
-			if !ok || rv.LSN <= prev {
-				break
+		tail, _ := l.walk(^uint64(0), func(rv RecordView) error { //nolint:errcheck // fn never fails
+			if rv.Off == logHeader {
+				minFirst = min(minFirst, rv.LSN)
 			}
-			if prev == 0 && rv.LSN < minFirst {
-				minFirst = rv.LSN
-			}
-			prev = rv.LSN
 			maxLSN = max(maxLSN, rv.LSN)
 			if rv.State == StateUncommitted {
 				l.sp.PutU8(rv.Off+recState, StateDead)
 				l.sp.Persist(rv.Off+recState, 1)
 			}
-			off = next
-		}
+			return nil
+		})
 		l.mu.Lock()
-		l.tail = off
-		l.cur = off
+		l.tail, l.cur = tail, tail
 		l.mu.Unlock()
 	}
 	p.lsn.Store(maxLSN)
@@ -566,16 +528,17 @@ func (p *Pair) FreeFraction() float64 {
 	return float64(size-tail) / float64(size)
 }
 
-// Seal ends the pair's commits: after the leader round at work, every settle
-// fails and leaves its records dead in DRAM. A failover seals the retired
-// primary before the standby's final drain, which then ships every committed
-// record: no uncommitted one can commit any more (ExportCommitted).
+// Seal ends the pair's commits: after the settle at work, every settle fails
+// and leaves its records dead in DRAM. A failover seals the retired primary
+// before the standby's final drain, which then ships every committed record:
+// no uncommitted one can commit any more (ExportCommitted).
 func (p *Pair) Seal() {
-	for !p.gc.mu.TryLock() {
-		runtime.Gosched()
-	}
+	p.swapMu.RLock()
+	l := p.logs[p.active]
+	l.mu.Lock()
 	p.sealed.Store(true)
-	p.gc.mu.Unlock()
+	l.mu.Unlock()
+	p.swapMu.RUnlock()
 }
 
 // Head returns the oldest unsettled record, or nil when every record is
@@ -645,8 +608,8 @@ func (p *Pair) AppendIgnore(op uint16, name, payload []byte, ignore uint64) (*Ha
 	}
 	lsn := p.lsn.Add(1)
 	// Lay the record down without flush, fence, or LSN write. It stays
-	// invisible (and volatile) until a settle leader publishes the whole
-	// pending suffix behind one shared fence — the caller has not been acked,
+	// invisible (and volatile) until a publish makes the whole pending
+	// suffix durable behind one shared fence — the caller has not been acked,
 	// so losing it to a crash is exactly the no-record guarantee a torn
 	// append has. A rejected append leaves the log unchanged: tail stays, and
 	// the burned LSN is harmless — LSNs need only be monotonic, not dense.
@@ -661,7 +624,7 @@ func (p *Pair) AppendIgnore(op uint16, name, payload []byte, ignore uint64) (*Ha
 	// scan that can see the record (scans hold l.mu) can then always resolve
 	// its LSN, and a reader that finds the stripe zero is ordered before this
 	// point.
-	h := &Handle{pair: p, lsn: lsn, stripe: stripe, log: l, off: off}
+	h := &Handle{pair: p, lsn: lsn, stripe: stripe, off: off}
 	p.regMu.Lock()
 	p.registry[lsn] = h
 	p.regMu.Unlock()
@@ -728,7 +691,7 @@ func (l *Log) publishPendingLocked() error {
 	// LSN stores, then their (deduped — offsets ascend) cache lines flushed
 	// and fenced. The first line's flush is hoisted so the persist-order
 	// checker sees a flush on every path to the fence.
-	ll := l.lsnLines[:0]
+	ll := l.lines[:0]
 	for i := range l.pending {
 		pr := &l.pending[i]
 		sp.PutU64(pr.off+recLSN, pr.lsn)
@@ -742,7 +705,7 @@ func (l *Log) publishPendingLocked() error {
 	}
 	sp.Fence()
 	l.pending = l.pending[:0]
-	l.lsnLines = ll[:0]
+	l.lines = ll[:0]
 	return nil
 }
 
@@ -799,11 +762,27 @@ func (p *Pair) scanConflict(name []byte, ignore uint64) (lsn uint64, h *Handle) 
 	return lsn, p.lookup(lsn)
 }
 
+// Publish makes the active log's pending records durable — valid and still
+// uncommitted — ahead of their commits: a write pass calls it once its
+// content is on its way to the SSD and its records are appended, so the
+// publish's two fences run while the device works and the commit that follows
+// the completion persists only state bytes. A crash before that commit finds
+// the records uncommitted and recovery marks them dead, as it does a record
+// another writer's commit published. On error (a strict-mode violation) the
+// records stay pending, and their commit publishes them.
+func (p *Pair) Publish() error {
+	p.swapMu.RLock()
+	defer p.swapMu.RUnlock()
+	l := p.logs[p.active]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.publishPendingLocked()
+}
+
 // Commit marks the records of hs committed and durable — step ⑨ of the
 // write pipeline (Fig. 4), called only after the operations' data is
-// durable. Records committed together join one leader round — their own when
-// leadership is free, so its two fences cover all of them — and none waits
-// for company.
+// durable. Records committed together share one settle, so its fences cover
+// all of them.
 //
 // On a device error the commit did not durably land: the record stays
 // uncommitted on media (a post-crash recovery marks it dead, so the
@@ -823,154 +802,92 @@ func (p *Pair) Abort(h *Handle) error {
 	return p.settle([]*Handle{h}, StateDead)
 }
 
-// settle is the group-commit settle of hs, every record to state. A
-// committer that finds leadership free takes it and settles its records
-// together with whatever is already queued — alone, that is its own two
-// fences and no hand-off. Only a committer that finds a leader at work queues
-// its records; it then retries leadership between yields until some rounds,
-// its own included, have settled them all, so a handle queued just after a
-// drain is never stranded. Nobody waits for company that has not arrived: a
-// batch is what queued while the previous round was fencing.
+// settle settles every record of hs to state in one section under the swap
+// lock and the active log's mu — uncommitted records always live on the
+// active log (Swap migrates them and publishes first) — then releases the
+// handles, so CC waiters go on.
 //
-// A handle of another pair is refused before anything is stored or queued:
-// its offset names a byte in that pair's log, not in this one (a failover
-// leaves the retired primary's olocks behind; they are not the promoted
-// store's to settle).
+// A handle of another pair is refused before anything is stored: its offset
+// names a byte in that pair's log, not in this one (a failover leaves the
+// retired primary's olocks behind; they are not the promoted store's to
+// settle).
 func (p *Pair) settle(hs []*Handle, state uint8) error {
 	for _, h := range hs {
 		if h.pair != p {
 			return fmt.Errorf("wal: settle record %d: handle belongs to another log pair", h.lsn)
 		}
 	}
-	for _, h := range hs {
-		h.settleState, h.settleErr = state, nil
-	}
-	gc := &p.gc
-	if !p.tryLead(hs) {
-		gc.qmu.Lock()
-		gc.queue = append(gc.queue, hs...)
-		gc.qmu.Unlock()
-		for _, h := range hs {
-			for !h.committed.Load() {
-				if !p.tryLead(nil) {
-					runtime.Gosched()
-				}
-			}
-		}
-		gc.parked.Add(uint64(len(hs)))
+	p.swapMu.RLock()
+	l := p.logs[p.active]
+	l.mu.Lock()
+	err := l.publishAndSettleLocked(hs, state, p.sealed.Load())
+	l.mu.Unlock()
+	p.swapMu.RUnlock()
+	if len(hs) > 0 {
+		p.batches.Add(1)
+		p.records.Add(uint64(len(hs)))
 	}
 	for _, h := range hs {
-		if err := h.settleErr; err != nil {
-			return fmt.Errorf("wal: settle record %d: %w", h.lsn, err)
-		}
-	}
-	return nil
-}
-
-// tryLead runs one leader round if leadership is free. TryLock (never Lock)
-// keeps the scheme free of lock-ordering hazards — no committer ever blocks
-// holding anything.
-func (p *Pair) tryLead(own []*Handle) bool {
-	if !p.gc.mu.TryLock() {
-		return false
-	}
-	p.runLeaderLocked(own)
-	p.gc.mu.Unlock()
-	return true
-}
-
-// runLeaderLocked executes one leader round: take own (the leader's records;
-// none when they are in the queue) and everyone queued, publish the pending
-// suffix and settle the batch. Caller holds gc.mu.
-func (p *Pair) runLeaderLocked(own []*Handle) {
-	gc := &p.gc
-	batch := append(gc.scratch[:0], own...)
-	gc.qmu.Lock()
-	batch = append(batch, gc.queue...)
-	clear(gc.queue)
-	gc.queue = gc.queue[:0]
-	gc.qmu.Unlock()
-	if len(batch) > 0 {
-		p.publishAndSettleLocked(batch)
-		gc.batches.Add(1)
-		gc.records.Add(uint64(len(batch)))
-	}
-	for _, h := range batch {
 		p.release(h)
-		h.committed.Store(true) // release point: settleErr is visible now
+		h.committed.Store(true)
 	}
-	clear(batch) // keep settled handles collectable
-	gc.scratch = batch[:0]
+	return err
 }
 
-// publishAndSettleLocked settles the batch around one publish of the pending
-// suffix. A handle whose record is still pending has its final state byte —
-// committed or dead — stored before the publish: the byte rides the body flush
-// and the LSN store makes the record valid and settled at once, two fences for
-// the round and no state-line flush. (The record is invisible until its LSN is
-// stored, and every byte of it is persistent by then: a crash leaves it absent
-// or whole.) A handle published earlier, by another round or by Swap, is
+// publishAndSettleLocked settles hs to state around one publish of the
+// pending suffix. A handle whose record is still pending has its state byte
+// stored before the publish: the byte rides the body flush and the LSN store
+// makes the record valid and settled at once, two fences and no state-line
+// flush. (The record is invisible until its LSN is stored, and every byte of
+// it is persistent by then: a crash leaves it absent or whole.) A handle
+// published earlier — by Publish, another writer's settle or Swap — is
 // settled after the publish: state bytes stored, their deduped cache lines
-// flushed behind one more shared fence.
+// flushed behind one more fence. A sealed log settles every record dead and
+// publishes nothing. Caller holds l.mu.
 //
 // Exempt from the persist-order checker: a state byte the device refuses
-// (CheckFault), or any after a failed publish, is stored after the publish
-// and left volatile by design — scans see the record settled, recovery
-// resolves it to dead, consistent with the error the committer gets.
+// (CheckFault), or any after a failed publish, is stored dead and left
+// volatile by design — scans see the record settled, recovery resolves it to
+// dead, consistent with the error the committer gets.
 //
 //dstore:volatile
-func (p *Pair) publishAndSettleLocked(batch []*Handle) {
-	p.swapMu.RLock()
-	defer p.swapMu.RUnlock()
-	// Every batch handle is uncommitted, and uncommitted records always
-	// live on the active log (Swap migrates them and publishes first), so
-	// one log covers the whole batch.
-	l := p.logs[p.active]
+func (l *Log) publishAndSettleLocked(hs []*Handle, state uint8, sealed bool) error {
 	sp := l.sp
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if p.sealed.Load() {
-		for _, h := range batch {
-			sp.PutU8(h.off+recState, StateDead)
-			h.settleErr = errors.New("wal: log pair sealed")
-		}
-		return
-	}
 	pendLo := l.tail // the pending suffix is [pendLo, tail)
 	if len(l.pending) > 0 {
 		pendLo = l.pending[0].off
 	}
-	late := 0 // batch[:late] are settled after the publish
-	for i, h := range batch {
-		if h.off >= pendLo {
-			if h.settleErr = sp.CheckFault(h.off+recState, 1); h.settleErr == nil {
-				sp.PutU8(h.off+recState, h.settleState)
-				continue
-			}
+	for _, h := range hs {
+		if h.err = errSealed; !sealed {
+			h.err = sp.CheckFault(h.off+recState, 1)
 		}
-		batch[i], batch[late] = batch[late], h
-		late++
+		if h.err == nil && h.off >= pendLo {
+			sp.PutU8(h.off+recState, state)
+		}
 	}
-	pubErr := l.publishPendingLocked()
-	lines := p.gc.stateLines[:0]
-	for _, h := range batch[:late] {
-		if h.settleErr == nil && pubErr == nil {
-			h.settleErr = sp.CheckFault(h.off+recState, 1)
+	var pubErr error
+	if !sealed {
+		pubErr = l.publishPendingLocked()
+	}
+	var err error
+	lines := l.lines[:0]
+	for _, h := range hs {
+		if h.err == nil {
+			h.err = pubErr
 		}
 		// The volatile store is applied unconditionally so conflict-window
 		// scans see the record settled even when durability is refused —
 		// dead then, as recovery finds it, so no export ships it.
-		if h.settleErr != nil || pubErr != nil {
+		if h.err != nil {
 			sp.PutU8(h.off+recState, StateDead)
-			continue
+			if err == nil {
+				err = fmt.Errorf("wal: settle record %d: %w", h.lsn, h.err)
+			}
+		} else if h.off < pendLo {
+			sp.PutU8(h.off+recState, state)
+			lines = append(lines, (h.off+recState)/pmem.LineSize)
 		}
-		sp.PutU8(h.off+recState, h.settleState)
-		lines = append(lines, (h.off+recState)/pmem.LineSize)
-	}
-	if pubErr != nil {
-		for _, h := range batch {
-			h.settleErr = pubErr
-		}
+		h.err = nil
 	}
 	if len(lines) > 0 {
 		slices.Sort(lines)
@@ -979,11 +896,15 @@ func (p *Pair) publishAndSettleLocked(batch []*Handle) {
 		}
 		sp.Fence()
 	}
-	p.gc.stateLines = lines[:0]
+	l.lines = lines[:0]
 	// An append on a quiet filter stripe skips the window scan, so the cursor
 	// moves here, a step per settled record: no scan pays a catch-up walk.
 	l.advanceCursorLocked()
+	return err
 }
+
+// errSealed is a settle's verdict on every record of a sealed pair.
+var errSealed = errors.New("wal: log pair sealed")
 
 // SwapResult describes the archived log produced by a Swap.
 type SwapResult struct {
@@ -1078,7 +999,6 @@ func (p *Pair) Swap(persistRoot func(newActive, archived int, replayEnd uint64))
 		nl.tail = dst + total
 		if rv.State == StateUncommitted {
 			if h := p.lookup(rv.LSN); h != nil {
-				h.log = nl
 				h.off = dst
 			}
 		}

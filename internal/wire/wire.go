@@ -439,13 +439,12 @@ type TxnReply struct {
 // BatchReply is the STATS group-commit section; servers attach it only with
 // a nonzero Batches count.
 type BatchReply struct {
-	// Batches counts settle batches led (each one shared flush+fence).
+	// Batches counts settles of at least one record.
 	Batches uint64
-	// Records counts records settled through those batches; Records/Batches
-	// is the mean batch size.
+	// Records counts records settled; Records/Batches is the mean batch size.
 	Records uint64
-	// Parked counts committers that waited behind another leader's fence
-	// instead of fencing themselves.
+	// Parked always reads 0 (every committer settles its own records); the
+	// benchmark's layer metrics read it.
 	Parked uint64
 }
 
@@ -1069,42 +1068,6 @@ func (d *decoder) need(n int) bool {
 	return true
 }
 
-func (d *decoder) u8() uint8 {
-	if !d.need(1) {
-		return 0
-	}
-	v := d.p[d.off]
-	d.off++
-	return v
-}
-
-func (d *decoder) u16() uint16 {
-	if !d.need(2) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(d.p[d.off:])
-	d.off += 2
-	return v
-}
-
-func (d *decoder) u32() uint32 {
-	if !d.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.p[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if !d.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.p[d.off:])
-	d.off += 8
-	return v
-}
-
 func (d *decoder) bytes(n int) []byte {
 	if !d.need(n) {
 		return nil
@@ -1113,6 +1076,21 @@ func (d *decoder) bytes(n int) []byte {
 	d.off += n
 	return v
 }
+
+// fixed is bytes(n) for a fixed-width field: zeros once the payload is short.
+func (d *decoder) fixed(n int) []byte {
+	if v := d.bytes(n); v != nil {
+		return v
+	}
+	return zeros[:n]
+}
+
+var zeros [8]byte
+
+func (d *decoder) u8() uint8   { return d.fixed(1)[0] }
+func (d *decoder) u16() uint16 { return binary.LittleEndian.Uint16(d.fixed(2)) }
+func (d *decoder) u32() uint32 { return binary.LittleEndian.Uint32(d.fixed(4)) }
+func (d *decoder) u64() uint64 { return binary.LittleEndian.Uint64(d.fixed(8)) }
 
 func (d *decoder) remaining() int { return len(d.p) - d.off }
 

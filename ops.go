@@ -258,7 +258,7 @@ func (s *Store) putSet(op uint16, key string, value []byte, locks map[string]*wa
 		return nil, fmt.Errorf("dstore: value of %d bytes exceeds max object size %d", len(value), s.maxObjectBytes())
 	}
 	w := s.single(op, key, locks)
-	w.one[0].data, w.one[0].size, w.one[0].sums = value, uint64(len(value)), blockSums(value)
+	w.one[0].data, w.one[0].size = value, uint64(len(value))
 	return w, nil
 }
 

@@ -575,10 +575,10 @@ var reshardPhases = []point{{phase: "pre-copy"}, {1, "copy"}, {17, "copy"}, {60,
 // say where the fault strikes, and put what the scenario promises beyond the
 // verdict in after. analysis/crashpoints.floor holds each row's point count.
 var oracleRows = []row{
-	{name: "plain", shape: bare, cfg: sweepConfig(2048, 512, 1<<14), script: mixed(plainMix), cuts: 98},
+	{name: "plain", shape: bare, cfg: sweepConfig(2048, 512, 1<<14), script: mixed(plainMix), cuts: 110},
 	{name: "txn", shape: bare, cfg: sweepConfig(4096, 1024, 1<<14),
-		preload: seed(eightKeys, hashTag), script: rmw(40, []int{0, 3, 5}, hashTag, true), cuts: 92},
-	{name: "batch", shape: bare, cfg: sweepConfig(2048, 512, 1<<14), script: batches, cuts: 99},
+		preload: seed(eightKeys, hashTag), script: rmw(40, []int{0, 3, 5}, hashTag, true), cuts: 100},
+	{name: "batch", shape: bare, cfg: sweepConfig(2048, 512, 1<<14), script: batches, cuts: 110},
 	{name: "2pc", shape: ringOf(3), cfg: shardedTxnConfig(),
 		preload: seed(crossShard, atTag), script: rmw(25, []int{0, 1, 2, 3}, atTag, true), cuts: 61, after: resolved},
 	{name: "standby", shape: bare, cfg: replTestConfig(), replicated: true,

@@ -316,6 +316,9 @@ func TestScanAllocatesOnlyNames(t *testing.T) {
 	const keys = 1000
 	cfg := testConfig()
 	cfg.MaxObjects = 2 * keys
+	// A log the puts cannot fill to the checkpoint trigger: a background
+	// checkpoint inside the measurement would count its allocations too.
+	cfg.LogBytes = 1 << 20
 	s := newStoreT(t, cfg)
 	defer s.Close()
 	ctx := s.Init()
@@ -325,12 +328,16 @@ func TestScanAllocatesOnlyNames(t *testing.T) {
 		}
 	}
 	n := 0
+	ckpts := s.Stats().Engine.Checkpoints
 	perKey := testing.AllocsPerRun(5, func() {
 		n = 0
 		if err := ctx.Scan("scan/", func(ObjectInfo) bool { n++; return true }); err != nil {
 			t.Fatal(err)
 		}
 	}) / keys
+	if got := s.Stats().Engine.Checkpoints; got != ckpts {
+		t.Fatalf("%d checkpoints ran during the measurement", got-ckpts)
+	}
 	t.Logf("%.2f allocations a key", perKey)
 	if n != keys {
 		t.Fatalf("Scan of %d keys saw %d", keys, n)

@@ -283,9 +283,8 @@ func (s *Store) commitTxnSet(txnid uint64, reads map[string]readVer, ops []txnOp
 	}
 	sortTxnOps(ops)
 
-	// Bound the commit record before touching anything — every sub-op must
-	// fit one WAL payload — and compute the per-block checksums outside any
-	// lock.
+	// Bound the commit record before touching anything: every sub-op must
+	// fit one WAL payload.
 	w := writeSet{op: opTxnCommit, name: []byte(txnRecordName(txnid)), txnid: txnid, reads: reads, locks: held}
 	w.subs = make([]subOp, len(ops))
 	keys := make([]string, len(ops))
@@ -299,8 +298,7 @@ func (s *Store) commitTxnSet(txnid uint64, reads map[string]readVer, ops []txnOp
 				return fmt.Errorf("dstore: value of %d bytes exceeds max object size %d", len(op.value), s.maxObjectBytes())
 			}
 			u.op, u.data, u.size = opPut, op.value, uint64(len(op.value))
-			u.sums = blockSums(op.value)
-			est += allocLen(len(u.sums))
+			est += allocLen(int(blocksFor(u.size, blockSize)))
 		}
 		w.subs[i] = u
 	}

@@ -26,11 +26,12 @@ import (
 //	data to SSD ⑨ commit and flush log record.
 //
 // Content goes first (③ and ⑧, dataPhase): it is submitted to the SSD before
-// ①, the device works while ①–⑤ run, and the pass waits for it (landData)
-// only before ⑥ publishes its blocks — they are invisible until then, and
-// the free pools are DRAM rebuilt at open, so a crash leaks nothing. A
-// single Put, Delete or transaction commit is the batch of one. What differs
-// between opcodes is in opTable; ⑥–⑦ are plane.apply, the code replay runs.
+// ①, the device works while ①–⑤ and ②'s publish run, and the pass waits for
+// it (landData) only before ⑥ publishes its blocks — they are invisible until
+// then, and the free pools are DRAM rebuilt at open, so a crash leaks nothing;
+// only ⑨ waits for ⑧, as in the paper. A single Put, Delete or transaction
+// commit is the batch of one. What differs between opcodes is in opTable;
+// ⑥–⑦ are plane.apply, the code replay runs.
 
 // writeSet is what one record commits. A single-object mutation is the
 // one-entry case: the record carries the sub-op's own opcode and name. A
@@ -488,6 +489,14 @@ func (s *Store) dataPhase(sets []*writeSet, p *pass, t *stageNs) {
 	if len(p.reqs) > 0 {
 		p.pending = s.data.Submit(p.reqs)
 	}
+	// The checksums the records carry are computed while the device works.
+	for _, w := range sets {
+		for i := range w.subs {
+			if u := &w.subs[i]; w.err == nil && u.data != nil && u.sums == nil {
+				u.sums = blockSums(u.data)
+			}
+		}
+	}
 	t.ssd += t.now() - t0
 }
 
@@ -599,10 +608,10 @@ func (s *Store) appendSets(sets []*writeSet, t *stageNs) (n int, wait *wal.Handl
 
 // settleSets is steps ⑥–⑨ for the sets one append section took. Each set
 // owns its names once appended (CC), so the owned checks snapshot what the
-// applies will displace, while the device still works; once the pass's
-// content has landed (landData), one applyOwned applies the live sets and
-// one group commit settles them, and only then does what they unhooked go
-// back to the pools.
+// applies will displace, and the records are published, while the device
+// still works; once the pass's content has landed (landData), one applyOwned
+// applies the live sets and one commit settles them, and only then does what
+// they unhooked go back to the pools.
 // A refused set's record is aborted and its allocations go back. It returns
 // how many sets committed; under serial (no OE) globalMu is held except
 // across the commit.
@@ -620,6 +629,14 @@ func (s *Store) settleSets(sets []*writeSet, p *pass, t *stageNs, serial bool) i
 		}
 	}
 	t.meta += t.now() - t0
+	if p.pending != nil {
+		// Publish the records while the device works, so the commit after the
+		// completion persists only their state bytes. A failed publish leaves
+		// them pending; the commit publishes them and reports.
+		tp := t.now()
+		s.eng.Pair().Publish() //nolint:errcheck
+		t.log += t.now() - tp
+	}
 	s.landData(p, t)
 	t.applyAt = t.now()
 	// One policy for a failed apply. The record dies either way: the failure
