@@ -431,9 +431,8 @@ func blockingCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 				return "time.Sleep", true
 			}
 		default:
-			if strings.HasSuffix(fn.Pkg().Path(), "internal/latency") &&
-				(fn.Name() == "Spin" || fn.Name() == "SpinAlways") {
-				return "latency." + fn.Name(), true
+			if strings.HasSuffix(fn.Pkg().Path(), "internal/latency") && fn.Name() == "Spin" {
+				return "latency.Spin", true
 			}
 		}
 	}

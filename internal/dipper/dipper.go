@@ -179,40 +179,24 @@ var ErrCorrupt = errors.New("dipper: root state corrupt")
 // the engine then clones them to shadow generation 0 and seals the root.
 func Format(dev *pmem.Device, cfg Config, replay Replay, bootstrap func(al *alloc.Allocator) error) (*Engine, error) {
 	cfg.setDefaults()
-	if uint64(dev.Size()) < cfg.DeviceBytes() {
-		return nil, fmt.Errorf("dipper: device %d B < required %d B", dev.Size(), cfg.DeviceBytes())
+	e, logs, err := engineOn(dev, cfg, replay)
+	if err != nil {
+		return nil, err
 	}
-	frontAl := alloc.Format(cfg.frontendSpace())
-	if err := bootstrap(frontAl); err != nil {
+	e.frontAl = alloc.Format(cfg.frontendSpace())
+	if err := bootstrap(e.frontAl); err != nil {
 		return nil, fmt.Errorf("dipper: bootstrap: %w", err)
-	}
-	e := &Engine{
-		dev:     dev,
-		cfg:     cfg,
-		replay:  replay,
-		frontAl: frontAl,
-		trigger: make(chan struct{}, 1),
-		closed:  make(chan struct{}),
 	}
 	shadow0, err := e.shadowSpace(0)
 	if err != nil {
 		return nil, err
 	}
-	sh, err := frontAl.CloneTo(shadow0)
+	sh, err := e.frontAl.CloneTo(shadow0)
 	if err != nil {
 		return nil, err
 	}
 	sh.FlushAll()
-
-	log0, err := e.logSpace(0)
-	if err != nil {
-		return nil, err
-	}
-	log1, err := e.logSpace(1)
-	if err != nil {
-		return nil, err
-	}
-	e.pair = wal.NewPair(log0, log1, 1)
+	e.pair = wal.NewPair(logs[0], logs[1], 1)
 	e.mu.Lock()
 	e.rootSeq = 1
 	e.mu.Unlock()
@@ -238,8 +222,9 @@ func Open(dev *pmem.Device, cfg Config, replay Replay, recovered func(al *alloc.
 	if err := checkMagic(dev); err != nil {
 		return nil, err
 	}
-	if uint64(dev.Size()) < cfg.DeviceBytes() {
-		return nil, fmt.Errorf("dipper: device %d B < required %d B", dev.Size(), cfg.DeviceBytes())
+	e, logs, err := engineOn(dev, cfg, replay)
+	if err != nil {
+		return nil, err
 	}
 	st, err := readRoot(dev)
 	if err != nil {
@@ -252,26 +237,11 @@ func Open(dev *pmem.Device, cfg Config, replay Replay, recovered func(al *alloc.
 	if st.CkptInProgress != 0 && st.ReplayEnd > cfg.LogBytes {
 		return nil, fmt.Errorf("%w: replay end %d beyond log size %d", ErrCorrupt, st.ReplayEnd, cfg.LogBytes)
 	}
-	e := &Engine{
-		dev:     dev,
-		cfg:     cfg,
-		replay:  replay,
-		trigger: make(chan struct{}, 1),
-		closed:  make(chan struct{}),
-	}
 	e.mu.Lock()
 	e.rootSeq = st.Seq
 	e.shadowGen = int(st.ShadowGen)
 	e.mu.Unlock()
-	log0, err := e.logSpace(0)
-	if err != nil {
-		return nil, err
-	}
-	log1, err := e.logSpace(1)
-	if err != nil {
-		return nil, err
-	}
-	e.pair, err = wal.RecoverPair(log0, log1, int(st.ActiveLog))
+	e.pair, err = wal.RecoverPair(logs[0], logs[1], int(st.ActiveLog))
 	if err != nil {
 		return nil, err
 	}
@@ -329,6 +299,20 @@ func Open(dev *pmem.Device, cfg Config, replay Replay, recovered func(al *alloc.
 // Format-created engines.
 func (e *Engine) RecoveryBreakdown() (metadataNs, replayNs int64) {
 	return e.recoverMetadataNs, e.recoverReplayNs
+}
+
+// engineOn checks that dev holds cfg's layout and opens both log windows.
+func engineOn(dev *pmem.Device, cfg Config, replay Replay) (e *Engine, logs [2]*space.PMEM, err error) {
+	if uint64(dev.Size()) < cfg.DeviceBytes() {
+		return nil, logs, fmt.Errorf("dipper: device %d B < required %d B", dev.Size(), cfg.DeviceBytes())
+	}
+	e = &Engine{dev: dev, cfg: cfg, replay: replay, trigger: make(chan struct{}, 1), closed: make(chan struct{})}
+	for i := range logs {
+		if logs[i], err = e.logSpace(i); err != nil {
+			return nil, logs, err
+		}
+	}
+	return e, logs, nil
 }
 
 func (e *Engine) logSpace(i int) (*space.PMEM, error) {

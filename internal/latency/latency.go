@@ -7,6 +7,12 @@
 // a monotonic clock. Injection is globally switchable: unit tests run with it
 // disabled and execute at memory speed, benchmarks enable it to reproduce the
 // paper's latency shapes.
+//
+// A wait of yieldFloor or more yields its P at most once per yieldQuantum and
+// polls the clock in between. runtime.Gosched puts the goroutine on the
+// global run queue and takes it off again, each under sched.lock, so a yield
+// on every poll made the scheduler the largest cost of a device wait and
+// made the waits of two Ps queue on that lock.
 package latency
 
 import (
@@ -41,34 +47,33 @@ const yieldFloor = 2 * time.Microsecond
 // scheduler quantum boundary.
 const spinTail = 500 * time.Nanosecond
 
+// yieldQuantum is the longest a yielding wait polls the clock between two
+// yields. While it polls it holds its P, so on one P another goroutine's
+// wait can end up to a quantum late. On a 2-vCPU host, 2 µs made such waits
+// end two to four times later than 1 µs did, and 0.5 µs ran no faster.
+const yieldQuantum = time.Microsecond
+
 // Spin waits for at least d if injection is enabled. Short waits poll the
 // monotonic clock; accuracy is bounded by the clock read cost (~20-30 ns),
 // which is sufficient for the ≥100 ns delays the device models use. Waits of
-// yieldFloor or longer release the processor between polls, so concurrent
-// device operations overlap the way independent hardware queues do; the
-// calibrated duration is a floor, and any scheduling overshoot is the same
-// queueing delay a loaded host would add.
+// yieldFloor or longer release the processor once a yieldQuantum, so
+// concurrent device operations overlap the way independent hardware queues
+// do; the calibrated duration is a floor, and any scheduling overshoot is the
+// same queueing delay a loaded host would add.
 func Spin(d time.Duration) {
 	if d <= 0 || !enabled.Load() {
 		return
 	}
 	deadline := time.Now().Add(d)
 	if d >= yieldFloor {
-		for time.Until(deadline) > spinTail {
-			runtime.Gosched()
+		last, next := deadline.Add(-spinTail), time.Time{}
+		for now := time.Now(); now.Before(last); now = time.Now() {
+			if !now.Before(next) {
+				runtime.Gosched()
+				next = now.Add(yieldQuantum)
+			}
 		}
 	}
-	for time.Now().Before(deadline) {
-	}
-}
-
-// SpinAlways busy-waits for approximately d regardless of the global switch.
-// Used by calibration tests.
-func SpinAlways(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {
 	}
 }

@@ -1,6 +1,9 @@
 package latency
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -14,22 +17,75 @@ func TestDisabledSpinReturnsImmediately(t *testing.T) {
 	}
 }
 
+// A wait on either side of yieldFloor, and ones of many yield quanta, never
+// end before their deadline.
 func TestEnabledSpinWaits(t *testing.T) {
 	Enable()
 	defer Disable()
-	start := time.Now()
-	Spin(2 * time.Millisecond)
-	if d := time.Since(start); d < 2*time.Millisecond {
-		t.Fatalf("Spin returned after %v, want >= 2ms", d)
+	for _, d := range []time.Duration{100 * time.Nanosecond, 2 * time.Microsecond, 50 * time.Microsecond, 2 * time.Millisecond} {
+		for range 100 {
+			start := time.Now()
+			Spin(d)
+			if got := time.Since(start); got < d {
+				t.Fatalf("Spin(%v) returned after %v", d, got)
+			}
+		}
 	}
 }
 
-func TestSpinAlwaysIgnoresSwitch(t *testing.T) {
-	Disable()
-	start := time.Now()
-	SpinAlways(2 * time.Millisecond)
-	if d := time.Since(start); d < 2*time.Millisecond {
-		t.Fatalf("SpinAlways returned after %v", d)
+// A yielding wait gives its only P to another goroutine while it runs.
+func TestSpinLetsAnotherGoroutineRunOnOneP(t *testing.T) {
+	Enable()
+	defer Disable()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var progress atomic.Int64
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				progress.Add(1)
+				runtime.Gosched()
+			}
+		}
+	}()
+	before := progress.Load()
+	Spin(time.Millisecond)
+	after := progress.Load()
+	close(stop)
+	<-done
+	if after == before {
+		t.Fatal("no progress on the other goroutine during a 1ms Spin on one P")
+	}
+}
+
+// Two yielding waits on one P overlap, as two device operations in flight do.
+func TestConcurrentSpinsOverlapOnOneP(t *testing.T) {
+	Enable()
+	defer Disable()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const d = time.Millisecond
+	best := time.Hour
+	for range 3 { // a descheduled thread only adds time, so keep the fastest
+		var wg sync.WaitGroup
+		start := time.Now()
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				Spin(d)
+			}()
+		}
+		wg.Wait()
+		best = min(best, time.Since(start))
+	}
+	// Serial waits take 2ms or more; the bound leaves room for a loaded host.
+	if best >= 1800*time.Microsecond {
+		t.Fatalf("two concurrent %v Spins on one P took %v", d, best)
 	}
 }
 
@@ -38,7 +94,6 @@ func TestNonPositiveDurations(t *testing.T) {
 	defer Disable()
 	Spin(0)
 	Spin(-time.Second)
-	SpinAlways(0)
 }
 
 func TestEnabledReflectsState(t *testing.T) {

@@ -27,6 +27,7 @@
 package ring
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
@@ -83,6 +84,8 @@ const headerLen = 1 + 1 + 8 + 4
 
 // memberLen is the per-member encoding size.
 const memberLen = 4 + 4
+
+var le = binary.LittleEndian
 
 // Errors returned by Decode.
 var (
@@ -271,11 +274,11 @@ func (r *Ring) WithRemove(id uint32) (*Ring, error) {
 func (r *Ring) Encode() []byte {
 	b := make([]byte, 0, headerLen+len(r.members)*memberLen)
 	b = append(b, encVersion, byte(r.mode))
-	b = appendU64(b, r.epoch)
-	b = appendU32(b, uint32(len(r.members)))
+	b = le.AppendUint64(b, r.epoch)
+	b = le.AppendUint32(b, uint32(len(r.members)))
 	for _, m := range r.members {
-		b = appendU32(b, m.ID)
-		b = appendU32(b, m.Weight)
+		b = le.AppendUint32(b, m.ID)
+		b = le.AppendUint32(b, m.Weight)
 	}
 	return b
 }
@@ -294,8 +297,8 @@ func Decode(b []byte) (*Ring, error) {
 	if mode != ModeModN && mode != ModeHashed {
 		return nil, ErrBadEncoding
 	}
-	epoch := getU64(b[2:])
-	count := getU32(b[10:])
+	epoch := le.Uint64(b[2:])
+	count := le.Uint32(b[10:])
 	if count == 0 || count > 1<<20 {
 		return nil, ErrBadEncoding
 	}
@@ -305,7 +308,7 @@ func Decode(b []byte) (*Ring, error) {
 	members := make([]Member, count)
 	off := headerLen
 	for i := range members {
-		members[i] = Member{ID: getU32(b[off:]), Weight: getU32(b[off+4:])}
+		members[i] = Member{ID: le.Uint32(b[off:]), Weight: le.Uint32(b[off+4:])}
 		if members[i].Weight == 0 {
 			return nil, ErrBadEncoding
 		}
@@ -325,23 +328,4 @@ func Decode(b []byte) (*Ring, error) {
 		r.buildPoints()
 	}
 	return r, nil
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return append(b,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func getU64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }

@@ -181,7 +181,7 @@ func (d *Device) pagesTouched(off, n uint64) int {
 // may have partially landed).
 func (d *Device) WriteAt(off uint64, p []byte) error {
 	reqs := [1]Write{{Off: off, P: p}}
-	d.WriteBatch(reqs[:])
+	d.Submit(reqs[:]).Wait()
 	return reqs[0].Err
 }
 
@@ -191,11 +191,6 @@ type Write struct {
 	Off uint64
 	P   []byte
 	Err error
-}
-
-// WriteBatch submits reqs together and waits for them: Submit, then Wait.
-func (d *Device) WriteBatch(reqs []Write) {
-	d.Submit(reqs).Wait()
 }
 
 // Pending is a submission in flight (Device.Submit): its content is on the
@@ -311,11 +306,12 @@ func (d *Device) ReadAt(off uint64, p []byte) error {
 	if err := d.faults.Check(fault.Read, first, last); err != nil {
 		return err
 	}
+	start := time.Now() // the device time runs from here, the copy (its DMA) inside it
 	copy(p, d.buf[off:off+n])
 	d.faults.Corrupt(p)
 	d.bytesRead.Add(n)
 	if d.lat.ReadPerPage > 0 {
-		latency.Spin(time.Duration(d.pagesTouched(off, n)) * d.lat.ReadPerPage)
+		latency.Spin(time.Until(start.Add(time.Duration(d.pagesTouched(off, n)) * d.lat.ReadPerPage)))
 	}
 	return nil
 }

@@ -178,7 +178,7 @@ func TestWriteBatchPerRequestVerdictsOneWait(t *testing.T) {
 	latency.Enable()
 	defer latency.Disable()
 	start := time.Now()
-	d.WriteBatch(reqs)
+	d.Submit(reqs).Wait()
 	took := time.Since(start)
 	for i, r := range reqs {
 		if bad := i+1 == 3; bad != fault.IsPermanent(r.Err) || !bad && r.Err != nil {
@@ -196,6 +196,22 @@ func TestWriteBatchPerRequestVerdictsOneWait(t *testing.T) {
 	// one wait, but not to the cost of eight.
 	if took < perPage || took >= 8*perPage {
 		t.Fatalf("the batch took %v; one page costs %v and eight in a row %v", took, perPage, 8*perPage)
+	}
+}
+
+// A read waits out each page it touches, counted from the call: two bytes
+// across a page boundary cost two pages.
+func TestReadChargesEachPageTouched(t *testing.T) {
+	const perPage = 2 * time.Millisecond
+	d := New(Config{Pages: 8, PowerProtected: true, Latency: Latencies{ReadPerPage: perPage}})
+	latency.Enable()
+	defer latency.Disable()
+	start := time.Now()
+	if err := d.ReadAt(DefaultPageSize-1, make([]byte, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < 2*perPage {
+		t.Fatalf("a two-page read took %v, want at least %v", took, 2*perPage)
 	}
 }
 

@@ -14,7 +14,7 @@ type KV struct {
 	api API
 	ctx Context
 	// cfgs holds one config per member (members), in shard order.
-	// Crash and the CleanClose variants store the surviving devices in them
+	// Crash and CleanCloseNoCheckpoint store the surviving devices in them
 	// for Recover.
 	cfgs []Config
 }
@@ -93,13 +93,6 @@ func (k *KV) IOBytes() (pmemBytes, ssdBytes uint64) {
 	return pmemBytes, ssdBytes
 }
 
-// keepDevices records every member's devices for Recover.
-func (k *KV) keepDevices() {
-	for i, s := range members(k.api) {
-		k.cfgs[i].PMEM, k.cfgs[i].SSD = s.Devices()
-	}
-}
-
 // Crash implements kvapi.Crasher: the store stops without a checkpoint
 // (volatile state dropped) and every member's devices resolve per their
 // crash models, seeds varied per member.
@@ -115,20 +108,14 @@ func (k *KV) Crash(seed int64) error {
 	return err
 }
 
-// CleanClose shuts down cleanly (final checkpoint included) but keeps the
-// devices for Recover.
-func (k *KV) CleanClose() error {
-	err := k.api.Close()
-	k.keepDevices()
-	return err
-}
-
 // CleanCloseNoCheckpoint stops the store in an orderly way but without the
 // final checkpoint, leaving the active log populated — the paper's clean
 // shutdown semantics, whose Table 4 recovery includes log replay.
 func (k *KV) CleanCloseNoCheckpoint() error {
 	err := k.api.CloseNoCheckpoint()
-	k.keepDevices()
+	for i, s := range members(k.api) {
+		k.cfgs[i].PMEM, k.cfgs[i].SSD = s.Devices()
+	}
 	return err
 }
 
@@ -138,7 +125,7 @@ func (k *KV) CleanCloseNoCheckpoint() error {
 // wall-clock is the slowest one, not the sum.
 func (k *KV) Recover() (metadataNs, replayNs int64, err error) {
 	if k.cfgs[0].PMEM == nil {
-		return 0, 0, errors.New("dstore: Recover before Crash/CleanClose")
+		return 0, 0, errors.New("dstore: Recover before Crash/CleanCloseNoCheckpoint")
 	}
 	var api API
 	if _, ring := k.api.(*Sharded); ring {

@@ -472,7 +472,7 @@ type row struct {
 	replicated bool
 	preload    func(u *rig) error // laid down before the fault is armed
 	script     func(u *rig) error
-	cuts       uint64             // strike at the zero point and at every (mutations/cuts)-th mutation
+	cuts       uint64             // strike at the zero point and at cuts mutations spread over the run
 	at         []point            // and at these
 	after      func(u *rig) error // on the recovered store, after the verdict
 }
@@ -503,8 +503,10 @@ func (r row) run(t *testing.T) {
 	if r.cuts > 0 {
 		u := r.trial(t, point{})
 		total, verified = u.seen, u.verified
-		for k := uint64(1); k <= total; k += max(total/r.cuts, 1) {
-			points = append(points, point{k: k})
+		// n points spread evenly, so a run that grows never cuts fewer.
+		n := min(total, r.cuts)
+		for i := range n {
+			points = append(points, point{k: 1 + i*total/n})
 		}
 	}
 	for _, p := range points {
@@ -575,16 +577,16 @@ var reshardPhases = []point{{phase: "pre-copy"}, {1, "copy"}, {17, "copy"}, {60,
 // say where the fault strikes, and put what the scenario promises beyond the
 // verdict in after. analysis/crashpoints.floor holds each row's point count.
 var oracleRows = []row{
-	{name: "plain", shape: bare, cfg: sweepConfig(2048, 512, 1<<14), script: mixed(plainMix), cuts: 110},
+	{name: "plain", shape: bare, cfg: sweepConfig(2048, 512, 1<<14), script: mixed(plainMix), cuts: 115},
 	{name: "txn", shape: bare, cfg: sweepConfig(4096, 1024, 1<<14),
-		preload: seed(eightKeys, hashTag), script: rmw(40, []int{0, 3, 5}, hashTag, true), cuts: 100},
-	{name: "batch", shape: bare, cfg: sweepConfig(2048, 512, 1<<14), script: batches, cuts: 110},
+		preload: seed(eightKeys, hashTag), script: rmw(40, []int{0, 3, 5}, hashTag, true), cuts: 103},
+	{name: "batch", shape: bare, cfg: sweepConfig(2048, 512, 1<<14), script: batches, cuts: 124},
 	{name: "2pc", shape: ringOf(3), cfg: shardedTxnConfig(),
-		preload: seed(crossShard, atTag), script: rmw(25, []int{0, 1, 2, 3}, atTag, true), cuts: 61, after: resolved},
+		preload: seed(crossShard, atTag), script: rmw(25, []int{0, 1, 2, 3}, atTag, true), cuts: 63, after: resolved},
 	{name: "standby", shape: bare, cfg: replTestConfig(), replicated: true,
-		script: mixed(standbyMix), cuts: 23, after: promoted(true)},
+		script: mixed(standbyMix), cuts: 24, after: promoted(true)},
 	{name: "standby-txn", shape: bare, cfg: replTestConfig(), replicated: true,
-		preload: seed(eightKeys, hashTag), script: rmw(40, []int{0, 3, 5}, hashTag, true), cuts: 29, after: promoted(false)},
+		preload: seed(eightKeys, hashTag), script: rmw(40, []int{0, 3, 5}, hashTag, true), cuts: 30, after: promoted(false)},
 	{name: "2pc-failover", shape: failoverPair, cfg: replTestConfig(),
 		preload: seed(twoPerShard, atTag), script: rmw(1, []int{0, 1, 2, 3}, atTag, false), cuts: everyMutation, after: failedOver},
 	{name: "reshard/add", shape: reshardRing, cfg: shardTestConfig(), preload: keyspace(120),
@@ -593,11 +595,11 @@ var oracleRows = []row{
 	{name: "reshard/remove", shape: reshardRing, cfg: shardTestConfig(), preload: keyspace(120),
 		script: func(u *rig) error { return u.api.(*Sharded).RemoveShard(1) },
 		at:     reshardPhases, after: resharded},
-	{name: "ring-plain", shape: ringOf(2), cfg: sweepConfig(4096, 1024, 1<<14), script: mixed(plainMix), cuts: 31},
-	{name: "ring-batch", shape: ringOf(2), cfg: sweepConfig(4096, 1024, 1<<14), script: batches, cuts: 32},
+	{name: "ring-plain", shape: ringOf(2), cfg: sweepConfig(4096, 1024, 1<<14), script: mixed(plainMix), cuts: 32},
+	{name: "ring-batch", shape: ringOf(2), cfg: sweepConfig(4096, 1024, 1<<14), script: batches, cuts: 33},
 	{name: "churn", shape: shape{build: bare.build}, cfg: Config{Blocks: 1024, MaxObjects: 256, LogBytes: 1 << 16},
 		script: churn(64), at: []point{{}}},
-	{name: "catchup", shape: bare, cfg: sweepConfig(2048, 24, 1<<14), script: catchUp, cuts: 97},
+	{name: "catchup", shape: bare, cfg: sweepConfig(2048, 24, 1<<14), script: catchUp, cuts: 102},
 }
 
 func TestCrashOracle(t *testing.T) {
